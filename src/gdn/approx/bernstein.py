@@ -68,25 +68,36 @@ def _binomial_row(n: int) -> np.ndarray:
     return row
 
 
-def _basis_weights(n: int, x: float) -> np.ndarray:
-    # p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k) for k = 0..n
+def _basis_weights(n: int, x: np.ndarray) -> np.ndarray:
+    # p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k) for k = 0..n, on a new last axis
     ks = np.arange(n + 1)
+    x = x[..., None]
     return _binomial_row(n) * np.power(x, ks) * np.power(1.0 - x, n - ks)
 
 
 def bernstein_eval(model: BernsteinModel, x) -> np.ndarray:
-    """Exact finite Bernstein sum at a point of the unit cube."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.p:
-        raise ValidationError(f"point must have length {model.p}, got {x.size}")
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+    """Exact finite Bernstein sum at a point of the unit cube, shape (m,);
+    or at each row of an (N, p) stack of such points, shape (N, m).
+
+    Each row is contracted one axis at a time by its own vector-matrix
+    product, so a row's value does not depend on the rest of the stack.
+    """
+    x = np.asarray(x, dtype=float)
+    pts = x if x.ndim == 2 else x.reshape(1, -1)
+    if pts.shape[1] != model.p:
+        raise ValidationError(f"point must have length {model.p}, got {pts.shape[1]}")
+    if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
         raise DomainError("Bernstein evaluation requires a point of the unit cube")
-    x = np.clip(x, 0.0, 1.0)
+    weights = _basis_weights(model.n, np.clip(pts, 0.0, 1.0))
+    n1 = model.n + 1
+    # the lattice is one (1, n+1, rest) block shared by every row; after the
+    # first contraction each row carries its own (1, rest) partial sum
     acc = model.values
     for i in range(model.p):
-        w = _basis_weights(model.n, float(x[i]))
-        acc = np.tensordot(w, acc, axes=(0, 0))
-    return acc
+        rest = n1 ** (model.p - 1 - i) * model.m
+        acc = np.matmul(weights[:, i, None, :], acc.reshape(-1, n1, rest))
+    out = acc.reshape(len(pts), model.m)
+    return out if x.ndim == 2 else out[0]
 
 
 def bernstein_from_function(f: Callable[[np.ndarray], np.ndarray],

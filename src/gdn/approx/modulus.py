@@ -18,6 +18,7 @@ __all__ = [
     "LipschitzModulus",
     "empirical_modulus",
     "modulus_from_samples",
+    "sample_pairs",
     "modulus_inverse",
     "concave_majorant",
     "smooth_modulus",
@@ -115,23 +116,39 @@ def empirical_modulus(pairs: Sequence[Tuple[float, float]]) -> ModulusEstimate:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("distances must be finite")
     order = np.argsort(arr[:, 0], kind="stable")
-    arr = arr[order]
-    knots: List[float] = [0.0]
-    values: List[float] = [0.0]
-    running = 0.0
-    for din, dout in arr:
-        running = max(running, float(dout))
-        if din == knots[-1]:
-            if running > values[-1]:
-                if din == 0.0:
-                    raise ValidationError(
-                        "pairs at zero input distance must have zero output distance"
-                    )
-                values[-1] = running
-        else:
-            knots.append(float(din))
-            values.append(running)
-    return ModulusEstimate(np.array(knots), np.array(values), kind="empirical")
+    din = arr[order, 0]
+    running = np.maximum.accumulate(arr[order, 1])
+    zero = din == 0.0
+    if np.any(running[zero] > 0.0):
+        raise ValidationError(
+            "pairs at zero input distance must have zero output distance"
+        )
+    # one knot per distinct positive distance, holding the running max at
+    # the last pair of its run of ties
+    keep = np.append(din[1:] != din[:-1], True) & ~zero
+    knots = np.concatenate([[0.0], din[keep]])
+    values = np.concatenate([[0.0], running[keep]])
+    return ModulusEstimate(knots, values, kind="empirical")
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array.
+
+    ``np.vecdot`` runs the same dot kernel as ``np.linalg.norm`` does on a
+    single vector, so each entry is bit-identical to the per-row norm.
+    """
+    return np.sqrt(np.vecdot(a, a))
+
+
+def sample_pairs(xs, ys) -> np.ndarray:
+    """(input distance, output distance) rows for every pair i < j of the
+    samples ``xs[i] -> ys[i]``, in the order (0, 1), (0, 2), ..., (1, 2), ..."""
+    if len(xs) < 2 or len(xs) != len(ys):
+        raise ValidationError("need at least two samples, each with one output")
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
+    i, j = np.triu_indices(len(xs), k=1)
+    return np.column_stack([row_norms(xs[i] - xs[j]), row_norms(ys[i] - ys[j])])
 
 
 def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray],
@@ -140,12 +157,7 @@ def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray],
     ``xs`` (O(n^2) pairs; intended for desk-scale grids)."""
     xs = [np.asarray(x, dtype=float).ravel() for x in xs]
     ys = [np.asarray(f(x), dtype=float).ravel() for x in xs]
-    pairs = []
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            pairs.append((float(np.linalg.norm(xs[i] - xs[j])),
-                          float(np.linalg.norm(ys[i] - ys[j]))))
-    return empirical_modulus(pairs)
+    return empirical_modulus(sample_pairs(xs, ys))
 
 
 _T_MAX = 1e18

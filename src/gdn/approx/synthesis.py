@@ -30,7 +30,7 @@ from .bernstein import (
     bernstein_from_function,
     bernstein_to_coefficients,
 )
-from .modulus import Modulus, empirical_modulus
+from .modulus import Modulus, empirical_modulus, row_norms, sample_pairs
 from .polynomials import LinearFormPoly, decompose_polynomial, poly_total_degree
 
 __all__ = [
@@ -229,9 +229,14 @@ class CompileResult:
     audit_error: float
 
 
-def _grid_points(p: int, per_axis: int) -> List[np.ndarray]:
+def _grid_points(p: int, per_axis: int) -> np.ndarray:
     axes = [np.linspace(0.0, 1.0, per_axis)] * p
-    return [np.array(pt) for pt in product(*axes)]
+    return np.array(list(product(*axes))).reshape(-1, p)
+
+
+def _oracle_values(oracle: Callable[[np.ndarray], np.ndarray],
+                   pts: np.ndarray) -> np.ndarray:
+    return np.stack([np.asarray(oracle(x), dtype=float).ravel() for x in pts])
 
 
 def compile_function_to_shallow(
@@ -251,6 +256,11 @@ def compile_function_to_shallow(
     grid), further capped by the a-priori degree rule when a modulus is
     supplied; degrees beyond ``synth_degree_cap`` are refused because the
     difference stencils degenerate in double precision.
+
+    The oracle runs once per point of the selection grid, of each Bernstein
+    lattice tried and of the audit grid; the audit values serve both the
+    audit error and, without ``omega``, the empirical modulus over every
+    third audit point.
     """
     if not (0.0 < split < 1.0):
         raise ValidationError("split must be in (0, 1)")
@@ -263,14 +273,12 @@ def compile_function_to_shallow(
 
     if isinstance(target, BernsteinModel):
         model = target
-        oracle = lambda x: bernstein_eval(model, x)
         n = model.n
     else:
-        oracle = target
-        targets = np.stack([np.asarray(oracle(x), dtype=float).ravel() for x in grid])
+        targets = _oracle_values(target, grid)
         if degree is not None:
             n = degree
-            model = bernstein_from_function(oracle, n, p, m)
+            model = bernstein_from_function(target, n, p, m)
         else:
             n = None
             candidates = [c for c in (1, 2, 3, 4, 6, 8, 12) if c <= synth_degree_cap]
@@ -284,11 +292,8 @@ def compile_function_to_shallow(
                     pass
             model = None
             for cand in candidates:
-                trial = bernstein_from_function(oracle, cand, p, m)
-                resid = max(
-                    float(np.linalg.norm(bernstein_eval(trial, x) - t))
-                    for x, t in zip(grid, targets)
-                )
+                trial = bernstein_from_function(target, cand, p, m)
+                resid = float(np.max(row_norms(bernstein_eval(trial, grid) - targets)))
                 if resid <= bern_budget:
                     n, model = cand, trial
                     break
@@ -330,6 +335,7 @@ def compile_function_to_shallow(
         h = min(max(synth_budget / kmax * 0.1, h_floor), 1e-2)
 
     audit = _grid_points(p, audit_per_axis)
+    lattice_audit = bernstein_eval(model, audit)
     best = None
     trial_h = h
     for _ in range(6):
@@ -337,30 +343,22 @@ def compile_function_to_shallow(
             compile_poly_to_shallow(lf, sigma, theta0, trial_h).net
             for lf in per_output
         ])
-        resid = max(
-            float(np.linalg.norm(shallow(x) - bernstein_eval(model, x)))
-            for x in audit
-        )
+        outputs = np.stack([shallow(x) for x in audit])
+        resid = float(np.max(row_norms(outputs - lattice_audit)))
         if best is None or resid < best[1]:
-            best = (shallow, resid, trial_h)
+            best = (shallow, resid, trial_h, outputs)
         if resid <= synth_budget:
             break
         trial_h /= 4.0
         if trial_h < h_floor:
             break
-    shallow, synth_resid, used_h = best
+    shallow, synth_resid, used_h, outputs = best
 
-    audit_error = max(
-        float(np.linalg.norm(shallow(x) - np.asarray(oracle(x), dtype=float).ravel()))
-        for x in audit
-    )
+    values = (lattice_audit if isinstance(target, BernsteinModel)
+              else _oracle_values(target, audit))
+    audit_error = float(np.max(row_norms(outputs - values)))
     if omega is None:
-        omega = empirical_modulus([
-            (float(np.linalg.norm(a - b)),
-             float(np.linalg.norm(np.asarray(oracle(a), dtype=float).ravel()
-                                  - np.asarray(oracle(b), dtype=float).ravel())))
-            for i, a in enumerate(audit[::3]) for b in audit[::3][i + 1:]
-        ])
+        omega = empirical_modulus(sample_pairs(audit[::3], values[::3]))
     fn = omega if callable(omega) else omega.__call__
     apriori = (1.0 + p / 4.0) * m * float(fn(1.0 / math.sqrt(n))) + synth_resid
 

@@ -35,7 +35,7 @@ from ..errors import (
     UnsupportedError,
     ValidationError,
 )
-from .core import ManifoldSpec, resolve_manifold
+from .core import ManifoldSpec
 from .sym import frob_unvec, frob_vec, jacobi_eigh, spd_log, sym_exp
 
 __all__ = [
@@ -342,8 +342,3 @@ def random_tangent(spec: ManifoldSpec, x, rng: np.random.Generator,
     nv = float(np.linalg.norm(v))
     scale = radius * rng.random() ** (1.0 / spec.dim)
     return (scale / nv) * v
-
-
-def resolve(identifier: str) -> ManifoldSpec:
-    """Convenience re-export of :func:`resolve_manifold`."""
-    return resolve_manifold(identifier)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gdn.approx.bernstein import (
+    BernsteinModel,
     bernstein_degree_for,
     bernstein_eval,
     bernstein_from_function,
@@ -14,7 +15,7 @@ from gdn.approx.bernstein import (
     bernstein_to_coefficients,
 )
 from gdn.approx.modulus import AnalyticModulus, LipschitzModulus
-from gdn.errors import DomainError, InfeasibleDegreeError
+from gdn.errors import DomainError, InfeasibleDegreeError, ValidationError
 
 
 def brute_bernstein_1d(f, n, x):
@@ -50,6 +51,43 @@ class TestBernsteinEval:
         model = bernstein_from_function(lambda x: np.array([0.0]), 2, 1, 1)
         with pytest.raises(DomainError):
             bernstein_eval(model, [1.5])
+
+
+class TestBernsteinEvalStack:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_rows_equal_per_point_calls(self, rng, p):
+        for n in (1, 2, 5, 8):
+            for m in (1, 2):
+                model = BernsteinModel(n, p, rng.standard_normal((n + 1,) * p + (m,)))
+                pts = rng.random((40, p))
+                pts[0], pts[1] = 0.0, 1.0
+                stacked = bernstein_eval(model, pts)
+                assert stacked.shape == (40, m)
+                for x, row in zip(pts, stacked):
+                    np.testing.assert_array_equal(bernstein_eval(model, x), row)
+
+    def test_empty_stack(self):
+        model = bernstein_from_function(lambda x: np.array([x[0], x[1]]), 2, 2, 2)
+        assert bernstein_eval(model, np.zeros((0, 2))).shape == (0, 2)
+
+    def test_off_cube_row_rejected(self):
+        model = bernstein_from_function(lambda x: np.array([x[0]]), 2, 2, 1)
+        pts = np.full((5, 2), 0.5)
+        pts[3, 1] = 1.5
+        with pytest.raises(DomainError):
+            bernstein_eval(model, pts)
+        pts[3, 1] = -0.1
+        with pytest.raises(DomainError):
+            bernstein_eval(model, pts)
+
+    def test_wrong_shape_rejected(self):
+        model = bernstein_from_function(lambda x: np.array([x[0]]), 2, 2, 1)
+        with pytest.raises(ValidationError):
+            bernstein_eval(model, np.full((5, 3), 0.5))
+        with pytest.raises(ValidationError):
+            bernstein_eval(model, np.full((2, 1), 0.5))
+        with pytest.raises(ValidationError):
+            bernstein_eval(model, [0.5, 0.5, 0.5])
 
 
 class TestDegreeFor:

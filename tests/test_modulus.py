@@ -15,11 +15,30 @@ from gdn.approx.modulus import (
     mcshane_extend,
     modulus_from_samples,
     modulus_inverse,
+    sample_pairs,
     smooth_modulus,
 )
 from gdn.errors import ValidationError
 
 STEP = ModulusEstimate(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+
+def per_pair_modulus(pairs):
+    """Reference running-max loop over pairs sorted by input distance."""
+    arr = np.asarray(pairs, dtype=float)
+    arr = arr[np.argsort(arr[:, 0], kind="stable")]
+    knots, values, running = [0.0], [0.0], 0.0
+    for din, dout in arr:
+        running = max(running, float(dout))
+        if din == knots[-1]:
+            if running > values[-1]:
+                if din == 0.0:
+                    raise ValidationError("zero input distance, positive output")
+                values[-1] = running
+        else:
+            knots.append(float(din))
+            values.append(running)
+    return np.array(knots), np.array(values)
 
 
 class TestEmpiricalModulus:
@@ -40,6 +59,39 @@ class TestEmpiricalModulus:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValidationError):
             empirical_modulus([(-0.1, 0.0)])
+
+    def test_matches_per_pair_loop_on_tied_distances(self, rng):
+        for size in (1, 2, 7, 60, 500):
+            # few distinct distances, so most pairs tie, some at zero
+            din = rng.integers(0, 9, size) / 8.0
+            dout = np.where(din == 0.0, 0.0, rng.random(size) * din)
+            pairs = np.column_stack([din, dout])
+            knots, values = per_pair_modulus(pairs)
+            w = empirical_modulus(pairs)
+            np.testing.assert_array_equal(w.knots, knots)
+            np.testing.assert_array_equal(w.values, values)
+            w_list = empirical_modulus([tuple(row) for row in pairs])
+            np.testing.assert_array_equal(w_list.values, values)
+
+    def test_zero_distance_with_positive_output_rejected(self):
+        for pairs in ([(0.0, 0.1)],
+                      [(0.5, 0.3), (0.0, 0.0), (0.0, 0.2)],
+                      np.array([[0.2, 0.0], [0.0, 1e-300]])):
+            with pytest.raises(ValidationError):
+                empirical_modulus(pairs)
+
+    def test_sample_pairs_match_nested_loop(self, rng):
+        xs = rng.standard_normal((13, 3))
+        ys = rng.standard_normal((13, 2))
+        loop = [(np.linalg.norm(xs[i] - xs[j]), np.linalg.norm(ys[i] - ys[j]))
+                for i in range(13) for j in range(i + 1, 13)]
+        np.testing.assert_array_equal(sample_pairs(xs, ys), np.array(loop))
+
+    def test_sample_pairs_need_two_aligned_samples(self):
+        with pytest.raises(ValidationError):
+            sample_pairs(np.zeros((1, 2)), np.zeros((1, 1)))
+        with pytest.raises(ValidationError):
+            sample_pairs(np.zeros((3, 2)), np.zeros((2, 1)))
 
     def test_lower_bounds_true_modulus(self, rng):
         f = lambda x: np.sin(3.0 * x)

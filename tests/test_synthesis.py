@@ -132,6 +132,19 @@ class TestCompileFunction:
         assert res.degree > 1
         assert res.audit_error <= 0.3
 
+    def test_oracle_runs_once_per_point(self):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return np.array([x[0] ** 2 + x[1] ** 2 + x[2] ** 2])
+
+        res = compile_function_to_shallow(f, 3, 1, 0.5, EXP)
+        assert res.degree > 1
+        # 9^3 selection grid, 10^3 audit grid, and each lattice tried
+        lattices = sum((c + 1) ** 3 for c in (1, 2, 3, 4, 6, 8, 12) if c <= res.degree)
+        assert len(calls) <= 9 ** 3 + 10 ** 3 + lattices
+
     def test_infeasible_budgets_fail_fast(self):
         import time
         from gdn.errors import InfeasibleDegreeError
