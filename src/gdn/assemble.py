@@ -4,7 +4,6 @@ and wrap it with the chart embeddings.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -26,7 +25,7 @@ from .model import GDNModel
 from .network import ActivationInfo, AffineLayer, FeedforwardNet
 from .sampling import audit_map, ball_points, geodesic_ball_points
 
-__all__ = ["CompiledGDN", "compile_gdn", "audit_gdn",
+__all__ = ["CompiledGDN", "compile_gdn", "audit_gdn", "pullback",
            "estimate_chart_lipschitz", "estimate_exp_lipschitz"]
 
 
@@ -39,6 +38,42 @@ class CompiledGDN:
     audit_count: int
 
 
+def pullback(domain: ManifoldSpec, codomain: ManifoldSpec, base_x, base_y,
+             target: Callable[[np.ndarray], np.ndarray],
+             radius: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The target pulled back to the unit cube: t in [0,1]^p maps to the
+    intrinsic tangent coordinates, about ``base_y``, of the target at
+    Exp_{base_x}(radius (2t - 1))."""
+    E_dom = tangent_basis(domain, base_x)
+    E_cod = tangent_basis(codomain, base_y)
+
+    def pulled_back(t: np.ndarray) -> np.ndarray:
+        u = radius * (2.0 * np.asarray(t, dtype=float) - 1.0)
+        x = exp_map(domain, base_x, E_dom @ u)
+        w = log_map(codomain, base_y, np.asarray(target(x), dtype=float))
+        return E_cod.T @ w
+
+    return pulled_back
+
+
+def _sample_pairs(spec: ManifoldSpec, base, radius: float, pairs: int,
+                  seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Tangent gaps |v1 - v2| and geodesic distances d(Exp v1, Exp v2) of
+    ``pairs`` random tangent pairs in the ball of ``radius`` about ``base``.
+
+    The tangents are drawn pair by pair, v1 then v2, so the draws do not
+    depend on how the pairs are used; the charts run once on each stack.
+    """
+    base = check_point(spec, base)
+    rng = np.random.default_rng(seed)
+    draws = np.array([random_tangent(spec, base, rng, radius)
+                      for _ in range(2 * pairs)]).reshape(2 * pairs, spec.chart_dim)
+    v1, v2 = draws[0::2], draws[1::2]
+    diff = v1 - v2
+    gap = np.sqrt(np.vecdot(diff, diff))
+    return gap, distance(spec, exp_map(spec, base, v1), exp_map(spec, base, v2))
+
+
 def estimate_chart_lipschitz(spec: ManifoldSpec, base, radius: float,
                              pairs: int = 10_000,
                              seed: int = 0) -> Tuple[float, float]:
@@ -49,42 +84,22 @@ def estimate_chart_lipschitz(spec: ManifoldSpec, base, radius: float,
     smallest observed expansion of the exp chart by 1.1.  These are
     estimates, not certified constants.
     """
-    base = check_point(spec, base)
-    rng = np.random.default_rng(seed)
-    k1 = 0.0
-    k2 = math.inf
-    for _ in range(pairs):
-        v1 = random_tangent(spec, base, rng, radius)
-        v2 = random_tangent(spec, base, rng, radius)
-        gap = float(np.linalg.norm(v1 - v2))
-        if gap < 1e-9:
-            continue
-        d = distance(spec, exp_map(spec, base, v1), exp_map(spec, base, v2))
-        if d < 1e-12:
-            continue
-        k1 = max(k1, gap / d)
-        k2 = min(k2, d / gap)
-    if k1 == 0.0 or not math.isfinite(k2):
+    gap, d = _sample_pairs(spec, base, radius, pairs, seed)
+    ok = (gap >= 1e-9) & (d >= 1e-12)
+    if not ok.any():
         raise ValidationError("could not sample enough separated pairs for kappa")
-    return 1.1 * k1, k2 / 1.1
+    gap, d = gap[ok], d[ok]
+    return 1.1 * float((gap / d).max()), float((d / gap).min()) / 1.1
 
 
 def estimate_exp_lipschitz(spec: ManifoldSpec, base, radius: float,
                            pairs: int = 2000, seed: int = 1) -> float:
     """Sampled Lipschitz constant of the exponential chart on the tangent
-    ball (inflated by 1.1); bounds geodesic error by core chart error."""
-    base = check_point(spec, base)
-    rng = np.random.default_rng(seed)
-    worst = 1.0
-    for _ in range(pairs):
-        v1 = random_tangent(spec, base, rng, radius)
-        v2 = random_tangent(spec, base, rng, radius)
-        gap = float(np.linalg.norm(v1 - v2))
-        if gap < 1e-9:
-            continue
-        d = distance(spec, exp_map(spec, base, v1), exp_map(spec, base, v2))
-        worst = max(worst, d / gap)
-    return 1.1 * worst
+    ball (at least 1, inflated by 1.1); bounds geodesic error by core
+    chart error."""
+    gap, d = _sample_pairs(spec, base, radius, pairs, seed)
+    ok = gap >= 1e-9
+    return 1.1 * float((d[ok] / gap[ok]).max(initial=1.0))
 
 
 def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
@@ -111,14 +126,7 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
             f"radius must satisfy 0 < radius < inj({inj!r}), got {radius!r}"
         )
     p, m = domain.dim, codomain.dim
-    E_dom = tangent_basis(domain, base_x)
-    E_cod = tangent_basis(codomain, base_y)
-
-    def pulled_back(t: np.ndarray) -> np.ndarray:
-        u = radius * (2.0 * np.asarray(t, dtype=float) - 1.0)
-        x = exp_map(domain, base_x, E_dom @ u)
-        w = log_map(codomain, base_y, np.asarray(target(x), dtype=float))
-        return E_cod.T @ w
+    pulled_back = pullback(domain, codomain, base_x, base_y, target, radius)
 
     # geodesic error <= exp-chart expansion * core chart error; the
     # expansion is sampled on the tangent range the target actually reaches
@@ -134,6 +142,8 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
                                          omega=omega, **compile_kwargs)
 
     # absorb cube rescale and chart embeddings into the first/last layers
+    E_dom = tangent_basis(domain, base_x)
+    E_cod = tangent_basis(codomain, base_y)
     W_pre = E_dom.T / (2.0 * radius)
     b_pre = np.full(p, 0.5)
     layers = list(result.net.layers)

@@ -20,7 +20,7 @@ from .approx.estimates import depth_estimate, efficient_complexity
 from .approx.certify import certify_efficient
 from .approx.modulus import LipschitzModulus, ModulusEstimate, modulus_from_samples
 from .approx.verticalize import split_outputs, verticalize
-from .assemble import audit_gdn, compile_gdn, estimate_chart_lipschitz
+from .assemble import audit_gdn, compile_gdn, estimate_chart_lipschitz, pullback
 from .errors import GdnError, ParseError, ValidationError
 from .manifolds.core import resolve_manifold
 from .manifolds.zoo import check_point
@@ -218,16 +218,8 @@ def cmd_bench(args, parser) -> int:
             max(0.5, min(radius, 0.9 * codomain.inj_lower(compiled.model.base_y))),
             pairs=2000, seed=seed + 1)
         probe = [0.5 * (t / radius + 1.0) for t in ball_points(24, domain.dim, radius)]
-        from .manifolds.zoo import exp_map, log_map, tangent_basis
-        E = tangent_basis(domain, base_x)
-        Ec = tangent_basis(codomain, compiled.model.base_y)
-
-        def pulled(tpt):
-            u = radius * (2.0 * tpt - 1.0)
-            x = exp_map(domain, base_x, E @ u)
-            return Ec.T @ log_map(codomain, compiled.model.base_y,
-                                  np.asarray(target.fn(x), dtype=float))
-
+        pulled = pullback(domain, codomain, base_x, compiled.model.base_y,
+                          target.fn, radius)
         omega = modulus_from_samples(pulled, probe)
         est = depth_estimate("smooth", domain.dim, codomain.dim, eps, radius,
                              omega, k1, k2)

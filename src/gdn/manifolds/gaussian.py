@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import ValidationError
 from .sym import (
     check_spd,
-    jacobi_eigh,
+    eigh,
     spd_sqrt,
     spd_log,
     sym_exp,
@@ -101,7 +101,7 @@ def wasserstein2(a: GaussianParam, b: GaussianParam) -> float:
     # G = S1^{1/2} S2 S1^{1/2}; its eigen-sqrt gives the singular data of
     # M = S2^{1/2} S1^{1/2}
     G = s1 @ b.cov @ s1
-    w, W = jacobi_eigh(0.5 * (G + G.T))
+    w, W = eigh(0.5 * (G + G.T))
     svals = np.sqrt(np.maximum(w, 0.0))
     M = s2 @ s1
     V = (M @ W) / np.maximum(svals, 1e-300)

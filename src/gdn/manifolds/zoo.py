@@ -36,7 +36,7 @@ from ..errors import (
     ValidationError,
 )
 from .core import ManifoldSpec
-from .sym import frob_unvec, frob_vec, jacobi_eigh, spd_log, sym_exp
+from .sym import eigh, frob_unvec, frob_vec, spd_log, spectral, sym_exp
 
 __all__ = [
     "exp_map",
@@ -53,82 +53,134 @@ __all__ = [
 _UNIT_TOL = 1e-9
 
 
-def _as_vec(x, length: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != length:
-        raise ValidationError(f"{what} must have length {length}, got {x.size}")
-    if not np.all(np.isfinite(x)):
+# -- stacks ------------------------------------------------------------------
+#
+# exp_map and distance take a single point or a 2-D stack of rows.  A
+# single point is a stack without its leading axis: the same kernel runs the
+# same operations on it, with every per-row quantity (a norm, a dot product)
+# a scalar instead of an (N,) column.  That keeps one code path per family
+# and a single point as cheap as scalar code, and each row of a stack
+# rounds exactly as the same row given alone.
+
+def _rows(x, length: int, what: str) -> np.ndarray:
+    """``x`` as a float array: an (N, length) stack if 2-D, otherwise one
+    point, flattened."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2:
+        a = a.ravel()
+    if a.shape[-1] != length:
+        got = a.shape[-1] if a.ndim == 2 else a.size
+        raise ValidationError(f"{what} must have length {length}, got {got}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValidationError(f"{what} has non-finite entries")
-    return x
+    return a
+
+
+def _col(s):
+    # a per-row quantity as a column that broadcasts against the rows
+    return s[..., None] if s.ndim else s
+
+
+def _norms(a: np.ndarray):
+    # row norms; the same dot kernel as np.linalg.norm on one vector
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _any(mask) -> bool:
+    # the cheapest reduction on the few entries of a single point
+    return np.count_nonzero(mask) > 0
+
+
+def _first(values, mask) -> float:
+    # the first offending value, for an error message
+    return float(np.extract(mask, values)[0])
+
+
+def _scalar_map(fn, a):
+    # numpy's tanh, arctanh and arcsin differ from math's in the last bit on
+    # part of their inputs; the charts keep the scalar results, so that the
+    # stacked kernels give the same bits as the per-point ones they replace
+    if a.ndim == 0:
+        return fn(float(a))
+    return np.array(list(map(fn, a.tolist())), dtype=float)
+
+
+def _stacked(x: np.ndarray, y: np.ndarray) -> bool:
+    # a single row broadcasts against a stack; two stacks must agree
+    if x.ndim == 2 and y.ndim == 2 and len(x) != len(y):
+        raise ValidationError(f"stacks of {len(x)} and {len(y)} rows do not match")
+    return x.ndim == 2 or y.ndim == 2
 
 
 def check_point(spec: ManifoldSpec, x, deep: bool = True) -> np.ndarray:
-    """Validate a point of ``spec`` and return it as a float vector.
+    """Validate a point of ``spec``, or an (N, point_dim) stack of points,
+    and return it as a float vector (or stack).
 
     ``deep=False`` skips the SPD eigenvalue check; internal callers that
     eigendecompose anyway use it to avoid duplicate work (positivity is
     still enforced by the decomposition itself).
     """
-    x = _as_vec(x, spec.point_dim, f"point of {spec.id}")
+    x = _rows(x, spec.point_dim, f"point of {spec.id}")
     fam = spec.family
     if fam in ("sphere", "rp"):
-        nrm = float(np.linalg.norm(x))
-        if abs(nrm - 1.0) > _UNIT_TOL:
-            raise ValidationError(f"point of {spec.id} must be unit norm, got |x|={nrm!r}")
+        nrm = _norms(x)
+        bad = abs(nrm - 1.0) > _UNIT_TOL
+        if _any(bad):
+            raise ValidationError(
+                f"point of {spec.id} must be unit norm, got |x|={_first(nrm, bad)!r}")
     elif fam == "poincare":
-        c = spec.param
-        if c * float(x @ x) >= 1.0:
+        if _any(spec.param * np.vecdot(x, x) >= 1.0):
             raise ValidationError(f"point of {spec.id} must satisfy c|x|^2 < 1")
     elif fam == "spd" and deep:
-        _spd_decompose(x)  # raises if not SPD
+        _spd_sqrt(x)  # raises if not SPD
     return x
 
 
 # -- SPD helpers -------------------------------------------------------------
 
-def _spd_decompose(x: np.ndarray):
-    A = frob_unvec(x)
-    w, V = jacobi_eigh(A)
-    if w[0] <= 0.0:
-        raise ValidationError(f"spd point is not positive definite: min eigenvalue {w[0]:.6e}")
-    sqrtA = (V * np.sqrt(w)) @ V.T
-    isqrtA = (V / np.sqrt(w)) @ V.T
-    return A, 0.5 * (sqrtA + sqrtA.T), 0.5 * (isqrtA + isqrtA.T)
+def _spd_sqrt(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    # Frobenius vectors -> the square roots (or inverse square roots) of the
+    # matrices, from one (stacked) eigendecomposition
+    w, V = eigh(frob_unvec(x))
+    lowest = w[..., 0]
+    if _any(lowest <= 0.0):
+        raise ValidationError(
+            f"spd point is not positive definite: min eigenvalue {lowest.min():.6e}")
+    s = np.sqrt(w)
+    return spectral(V, 1.0 / s if inverse else s)
 
 
 def _spd_log_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # normal-coordinate log: log(sqrt(A)^-1 B sqrt(A)^-1); its Frobenius
     # norm is the affine-invariant distance, making the chart radially
     # isometric in plain Euclidean tangent coordinates
-    _, _, isA = _spd_decompose(x)
-    B = frob_unvec(y)
-    inner = isA @ B @ isA
-    inner = 0.5 * (inner + inner.T)
+    isA = _spd_sqrt(x, inverse=True)
+    inner = isA @ frob_unvec(y) @ isA
+    inner = 0.5 * (inner + inner.swapaxes(-1, -2))
     try:
-        L = spd_log(inner)
+        return spd_log(inner)
     except DomainError as e:
         raise ValidationError(f"target of spd log map is not SPD: {e}") from e
-    return L
 
 
 # -- Poincare helpers --------------------------------------------------------
 
 def mobius_add(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """Moebius addition on the curvature-c ball."""
-    xy = float(x @ y)
-    x2 = float(x @ x)
-    y2 = float(y @ y)
-    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
-    den = 1.0 + 2.0 * c * xy + c * c * x2 * y2
-    return num / den
+    """Moebius addition on the curvature-c ball, row-wise on stacks."""
+    xy = _col(np.vecdot(x, y))
+    x2 = _col(np.vecdot(x, x))
+    y2 = _col(np.vecdot(y, y))
+    a = 1.0 + 2.0 * c * xy
+    return ((a + c * y2) * x + (1.0 - c * x2) * y) / (a + c * c * x2 * y2)
 
 
 def _poincare_exp0(v: np.ndarray, c: float) -> np.ndarray:
     sc = math.sqrt(c)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return np.zeros_like(v)
-    return math.tanh(sc * nv / 2.0) / (sc * nv) * v
+    nv = _norms(v)
+    zero = nv == 0.0
+    t = sc * (nv + zero)  # a zero row divides by sc, not by 0
+    u = _col(_scalar_map(math.tanh, t / 2.0) / t) * v
+    return np.where(_col(zero), 0.0, u) if _any(zero) else u
 
 
 def _poincare_log0(y: np.ndarray, c: float) -> np.ndarray:
@@ -141,27 +193,31 @@ def _poincare_log0(y: np.ndarray, c: float) -> np.ndarray:
 
 # -- sphere helpers ----------------------------------------------------------
 
+def _check_tangent_norms(nv, inj: float, what: str) -> None:
+    far = nv >= inj
+    if _any(far):
+        raise OutOfInjectivityError(f"tangent norm {_first(nv, far)!r} is outside {what}")
+
+
 def _sphere_exp(x: np.ndarray, v: np.ndarray, inj: float) -> np.ndarray:
-    nv = float(np.linalg.norm(v))
-    if abs(float(x @ v)) > _UNIT_TOL * max(1.0, nv):
+    nv = _norms(v)
+    if _any(abs(np.vecdot(x, v)) > _UNIT_TOL * np.maximum(1.0, nv)):
         raise ValidationError("sphere tangent must be orthogonal to the base point")
-    if nv >= inj:
-        raise OutOfInjectivityError(
-            f"tangent norm {nv!r} is outside the injectivity radius {inj!r}"
-        )
-    if nv == 0.0:
-        return x.copy()
-    y = math.cos(nv) * x + math.sin(nv) * (v / nv)
-    return y / float(np.linalg.norm(y))
+    _check_tangent_norms(nv, inj, f"the injectivity radius {inj!r}")
+    zero = nv == 0.0
+    n = _col(nv + zero)  # a zero row divides by 1, not by 0
+    y = np.cos(n) * x + np.sin(n) * (v / n)
+    y = y / _col(_norms(y))
+    # a zero tangent gives the base point itself, unnormalized
+    return np.where(_col(zero), x, y) if _any(zero) else y
 
 
-def _sphere_distance(x: np.ndarray, y: np.ndarray) -> float:
+def _sphere_distance(x: np.ndarray, y: np.ndarray):
     # chordal form: accurate at both ends of [0, pi], exactly 0 for x == y
-    c1 = 0.5 * float(np.linalg.norm(x - y))
-    c2 = 0.5 * float(np.linalg.norm(x + y))
-    if c1 <= c2:
-        return 2.0 * math.asin(min(c1, 1.0))
-    return math.pi - 2.0 * math.asin(min(c2, 1.0))
+    c1 = 0.5 * _norms(x - y)
+    c2 = 0.5 * _norms(x + y)
+    half = 2.0 * _scalar_map(math.asin, np.minimum(np.minimum(c1, c2), 1.0))
+    return np.where(c1 <= c2, half, math.pi - half)
 
 
 def _sphere_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,14 +228,15 @@ def _sphere_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     nw = float(np.linalg.norm(w))
     if nw < 1e-15:
         return np.zeros_like(x)
-    return _sphere_distance(x, y) * (w / nw)
+    return float(_sphere_distance(x, y)) * (w / nw)
 
 
 def _rp_canonical(z: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(np.abs(z) > 1e-14)[0]
-    if nz.size and z[nz[0]] < 0.0:
-        return -z
-    return z.copy()
+    # the representative whose first non-negligible entry is positive,
+    # row-wise on stacks
+    nz = np.abs(z) > 1e-14
+    lead = np.take_along_axis(z, nz.argmax(axis=-1)[..., None], axis=-1)
+    return np.where(nz.any(axis=-1)[..., None] & (lead < 0.0), -z, z)
 
 
 # -- torus helpers -----------------------------------------------------------
@@ -189,10 +246,14 @@ def _torus_wrap(d: np.ndarray) -> np.ndarray:
     return d - np.round(d)
 
 
-def torus_closed_distance(y1: np.ndarray, y2: np.ndarray) -> float:
+def _torus_distance(y1: np.ndarray, y2: np.ndarray):
     d = np.abs(y1 - y2)
     d = np.minimum(d, 1.0 - d)
-    return float(np.sqrt(np.sum(d * d)))
+    return np.sqrt(np.sum(d * d, axis=-1))
+
+
+def torus_closed_distance(y1: np.ndarray, y2: np.ndarray) -> float:
+    return float(_torus_distance(y1, y2))
 
 
 # -- public dispatch ---------------------------------------------------------
@@ -206,9 +267,16 @@ def inj_lower(spec: ManifoldSpec, x) -> float:
 
 
 def exp_map(spec: ManifoldSpec, x, v) -> np.ndarray:
-    """Riemannian exponential at ``x`` applied to tangent coordinates ``v``."""
+    """Riemannian exponential at ``x`` applied to tangent coordinates ``v``.
+
+    Either argument may be a 2-D stack of rows: an (N, chart_dim) stack of
+    tangents at one base point, N base points with one tangent each, or N
+    pairs.  A stack gives an (N, point_dim) result, each row bit for bit
+    the result of that row alone.
+    """
     x = check_point(spec, x, deep=False)
-    v = _as_vec(v, spec.chart_dim, f"tangent of {spec.id}")
+    v = _rows(v, spec.chart_dim, f"tangent of {spec.id}")
+    _stacked(x, v)  # rejects two stacks of different lengths
     fam = spec.family
     if fam in ("euclidean", "gaussian"):
         return x + v
@@ -217,19 +285,15 @@ def exp_map(spec: ManifoldSpec, x, v) -> np.ndarray:
     if fam == "sphere":
         return _sphere_exp(x, v, math.pi)
     if fam == "rp":
-        nv = float(np.linalg.norm(v))
-        if nv >= math.pi / 2.0:
-            raise OutOfInjectivityError(
-                f"tangent norm {nv!r} is outside the projective injectivity radius pi/2"
-            )
+        _check_tangent_norms(_norms(v), math.pi / 2.0,
+                             "the projective injectivity radius pi/2")
         return _rp_canonical(_sphere_exp(x, v, math.pi))
     if fam == "poincare":
         return mobius_add(x, _poincare_exp0(v, spec.param), spec.param)
     if fam == "spd":
-        _, sA, _ = _spd_decompose(x)
-        E = sym_exp(frob_unvec(v))
-        M = sA @ E @ sA
-        return frob_vec(0.5 * (M + M.T))
+        sA = _spd_sqrt(x)
+        M = sA @ sym_exp(frob_unvec(v)) @ sA
+        return frob_vec(0.5 * (M + M.swapaxes(-1, -2)))
     raise UnsupportedError(f"exp_map not implemented for {spec.id}")
 
 
@@ -256,29 +320,37 @@ def log_map(spec: ManifoldSpec, x, y) -> np.ndarray:
     raise UnsupportedError(f"log_map not implemented for {spec.id}")
 
 
-def distance(spec: ManifoldSpec, x, y) -> float:
-    """Geodesic distance between two points of ``spec``."""
+def distance(spec: ManifoldSpec, x, y):
+    """Geodesic distance between two points of ``spec``.
+
+    Either argument may be a 2-D stack of points, as in ``exp_map``; a
+    stack gives an (N,) array, two points give a float.
+    """
     x = check_point(spec, x, deep=False)
     y = check_point(spec, y, deep=False)
+    stacked = _stacked(x, y)
     fam = spec.family
     if fam in ("euclidean", "gaussian"):
-        return float(np.linalg.norm(y - x))
-    if fam == "torus":
-        return torus_closed_distance(np.mod(x, 1.0), np.mod(y, 1.0))
-    if fam == "sphere":
-        return _sphere_distance(x, y)
-    if fam == "rp":
+        d = _norms(y - x)
+    elif fam == "torus":
+        d = _torus_distance(np.mod(x, 1.0), np.mod(y, 1.0))
+    elif fam == "sphere":
+        d = _sphere_distance(x, y)
+    elif fam == "rp":
         # arccos|x.y| realized on the sign-aligned representative, which
         # keeps the chordal form's accuracy near coincident classes
-        return _sphere_distance(x, y if float(x @ y) >= 0.0 else -y)
-    if fam == "poincare":
+        d = _sphere_distance(x, np.where(_col(np.vecdot(x, y) >= 0.0), y, -y))
+    elif fam == "poincare":
         c = spec.param
         sc = math.sqrt(c)
-        n = float(np.linalg.norm(mobius_add(-x, y, c)))
-        return (2.0 / sc) * math.atanh(min(sc * n, 1.0 - 1e-16))
-    if fam == "spd":
-        return float(np.linalg.norm(_spd_log_matrix(x, y)))
-    raise UnsupportedError(f"distance not implemented for {spec.id}")
+        n = _norms(mobius_add(-x, y, c))
+        d = (2.0 / sc) * _scalar_map(math.atanh, np.minimum(sc * n, 1.0 - 1e-16))
+    elif fam == "spd":
+        L = _spd_log_matrix(x, y)
+        d = _norms(L.reshape(L.shape[:-2] + (-1,)))
+    else:
+        raise UnsupportedError(f"distance not implemented for {spec.id}")
+    return d if stacked else float(d)
 
 
 def tangent_basis(spec: ManifoldSpec, x) -> np.ndarray:

@@ -8,6 +8,7 @@ GDN, parallelization across branches, and a readout over the product.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -71,18 +72,20 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
     codomains only); the model is undefined there and no wrap-around is
     attempted.
     """
-    x = check_point(model.domain, x)
+    # distance and log_map validate x; on an infinite injectivity radius
+    # the ball check cannot fail, so the distance is not computed
     inj_x = model.domain.inj_lower(model.base_x)
-    d = distance(model.domain, model.base_x, x)
-    if d >= inj_x:
-        raise DomainError(
-            f"input at distance {d!r} from the basepoint is outside the "
-            f"injectivity ball of radius {inj_x!r}"
-        )
+    if math.isfinite(inj_x):
+        d = distance(model.domain, model.base_x, x)
+        if d >= inj_x:
+            raise DomainError(
+                f"input at distance {d!r} from the basepoint is outside the "
+                f"injectivity ball of radius {inj_x!r}"
+            )
     u = log_map(model.domain, model.base_x, x)
     w = eval_net(model.core, u)
     inj_y = model.codomain.inj_lower(model.base_y)
-    if np.isfinite(inj_y) and float(np.linalg.norm(w)) >= inj_y:
+    if math.isfinite(inj_y) and float(np.linalg.norm(w)) >= inj_y:
         raise RangeError(
             f"core output norm {float(np.linalg.norm(w))!r} is outside the "
             f"codomain chart ball of radius {inj_y!r}; the model is undefined there"

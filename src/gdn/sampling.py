@@ -68,7 +68,9 @@ def geodesic_ball_points(spec: ManifoldSpec, base, radius: float,
     tangent-ball Halton points pushed through the exponential map."""
     E = tangent_basis(spec, base)
     tangents = ball_points(count, spec.dim, radius)
-    return [exp_map(spec, base, E @ t) for t in tangents]
+    # one matrix-vector product per tangent, as E @ t: a single matrix
+    # product over the whole stack rounds differently
+    return list(exp_map(spec, base, (E @ tangents[:, :, None])[..., 0]))
 
 
 def worker_count() -> int:

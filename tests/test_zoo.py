@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_orthogonal, random_spd
-from gdn.errors import OutOfInjectivityError, ValidationError
+from gdn.errors import GdnError, OutOfInjectivityError, ValidationError
 from gdn.manifolds import resolve_manifold
 from gdn.manifolds.sym import frob_unvec, frob_vec
 from gdn.manifolds.zoo import (
@@ -205,3 +205,150 @@ class TestZooProperties:
             v = random_tangent(spec, x, rng)
             y = exp_map(spec, x, v)
             assert abs(float(np.linalg.norm(y)) - 1.0) <= 1e-10
+
+
+class TestStacks:
+    """exp_map and distance on (N, d) stacks: each row is bit for bit the
+    per-point result, and a bad row fails the whole call the same way."""
+
+    IDENTS = ZOO + ["euclidean:1", "poincare:3:0.5", "spd:3"]
+
+    @staticmethod
+    def _sample(spec, rng, count=40):
+        xs = np.array([random_point(spec, rng) for _ in range(count)])
+        vs = np.array([random_tangent(spec, x, rng) for x in xs])
+        ys = np.array([random_point(spec, rng) for _ in range(count)])
+        return xs, vs, ys
+
+    @pytest.mark.parametrize("ident", IDENTS)
+    def test_rows_equal_per_point_calls(self, ident, rng):
+        spec = resolve_manifold(ident)
+        xs, vs, ys = self._sample(spec, rng)
+        exps = exp_map(spec, xs, vs)
+        np.testing.assert_array_equal(
+            exps, np.array([exp_map(spec, x, v) for x, v in zip(xs, vs)]))
+        dists = distance(spec, xs, ys)
+        assert dists.shape == (len(xs),)
+        np.testing.assert_array_equal(
+            dists, np.array([distance(spec, x, y) for x, y in zip(xs, ys)]))
+
+    @pytest.mark.parametrize("ident", IDENTS)
+    def test_one_point_against_a_stack(self, ident, rng):
+        spec = resolve_manifold(ident)
+        base = random_point(spec, rng)
+        vs = np.array([random_tangent(spec, base, rng) for _ in range(40)])
+        ys = np.array([random_point(spec, rng) for _ in range(40)])
+        np.testing.assert_array_equal(
+            exp_map(spec, base, vs), np.array([exp_map(spec, base, v) for v in vs]))
+        np.testing.assert_array_equal(
+            distance(spec, base, ys), np.array([distance(spec, base, y) for y in ys]))
+        np.testing.assert_array_equal(
+            distance(spec, ys, base), np.array([distance(spec, y, base) for y in ys]))
+
+    def test_single_point_shapes(self, rng):
+        spec = resolve_manifold("sphere:2")
+        x = random_point(spec, rng)
+        v = random_tangent(spec, x, rng)
+        assert exp_map(spec, x, v).shape == (3,)
+        assert isinstance(distance(spec, x, x), float)
+        assert exp_map(spec, x[None], v).shape == (1, 3)
+        assert distance(spec, x[None], x).shape == (1,)
+
+    def test_empty_stack(self):
+        spec = resolve_manifold("poincare:2:1")
+        assert exp_map(spec, np.zeros(2), np.zeros((0, 2))).shape == (0, 2)
+        assert distance(spec, np.zeros((0, 2)), np.zeros(2)).shape == (0,)
+
+    def test_row_count_mismatch_rejected(self):
+        spec = resolve_manifold("euclidean:2")
+        with pytest.raises(ValidationError, match="do not match"):
+            distance(spec, np.zeros((3, 2)), np.zeros((2, 2)))
+
+    # (family, kind of bad row, how to spoil a row): point rows are spoiled
+    # for both calls, tangent rows for exp_map only
+    BAD_ROWS = [
+        ("euclidean:2", "point", lambda spec, x, v: (np.array([np.nan, 0.0]), v)),
+        ("euclidean:2", "tangent", lambda spec, x, v: (x, np.array([0.0, np.inf]))),
+        ("sphere:2", "point", lambda spec, x, v: (np.array([0.0, 0.0, 1.1]), v)),
+        ("sphere:2", "tangent", lambda spec, x, v: (x, x)),  # not orthogonal
+        ("sphere:2", "tangent", lambda spec, x, v: (x, 3.3 * v / np.linalg.norm(v))),
+        ("rp:2", "tangent", lambda spec, x, v: (x, 1.6 * v / np.linalg.norm(v))),
+        ("poincare:2:1", "point", lambda spec, x, v: (np.array([0.8, 0.8]), v)),
+        ("spd:2", "point", lambda spec, x, v: (frob_vec(np.diag([1.0, -0.5])), v)),
+        ("torus:2", "point", lambda spec, x, v: (np.array([0.5, np.inf]), v)),
+    ]
+
+    @pytest.mark.parametrize("ident,kind,spoil", BAD_ROWS)
+    def test_bad_row_raises_like_per_point_call(self, ident, kind, spoil, rng):
+        spec = resolve_manifold(ident)
+        xs, vs, ys = self._sample(spec, rng, count=6)
+        bad_x, bad_v = spoil(spec, xs[3], vs[3])
+        calls = [(exp_map, bad_x, bad_v, vs)]
+        if kind == "point":
+            calls.append((distance, bad_x, ys[3], ys))
+        for fn, a, b, others in calls:
+            with pytest.raises(GdnError) as single:
+                fn(spec, a, b)
+            stack_a, stack_b = xs.copy(), others.copy()
+            stack_a[3], stack_b[3] = a, b
+            with pytest.raises(GdnError) as stacked:
+                fn(spec, stack_a, stack_b)
+            assert type(stacked.value) is type(single.value), fn.__name__
+
+
+def _scalar_sphere_exp(x, v):
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        return x.copy()
+    y = math.cos(nv) * x + math.sin(nv) * (v / nv)
+    return y / float(np.linalg.norm(y))
+
+
+def _scalar_sphere_distance(x, y):
+    c1 = 0.5 * float(np.linalg.norm(x - y))
+    c2 = 0.5 * float(np.linalg.norm(x + y))
+    if c1 <= c2:
+        return 2.0 * math.asin(min(c1, 1.0))
+    return math.pi - 2.0 * math.asin(min(c2, 1.0))
+
+
+def _scalar_mobius_add(x, y, c):
+    xy, x2, y2 = float(x @ y), float(x @ x), float(y @ y)
+    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
+    return num / (1.0 + 2.0 * c * xy + c * c * x2 * y2)
+
+
+def _scalar_poincare_exp(x, v, c):
+    sc, nv = math.sqrt(c), float(np.linalg.norm(v))
+    u = np.zeros_like(v) if nv == 0.0 else math.tanh(sc * nv / 2.0) / (sc * nv) * v
+    return _scalar_mobius_add(x, u, c)
+
+
+def _scalar_poincare_distance(x, y, c):
+    sc = math.sqrt(c)
+    n = float(np.linalg.norm(_scalar_mobius_add(-x, y, c)))
+    return (2.0 / sc) * math.atanh(min(sc * n, 1.0 - 1e-16))
+
+
+@pytest.mark.parametrize("ident,exp_ref,dist_ref", [
+    ("sphere:2", _scalar_sphere_exp, _scalar_sphere_distance),
+    ("poincare:2:1", lambda x, v: _scalar_poincare_exp(x, v, 1.0),
+     lambda x, y: _scalar_poincare_distance(x, y, 1.0)),
+    ("poincare:3:0.5", lambda x, v: _scalar_poincare_exp(x, v, 0.5),
+     lambda x, y: _scalar_poincare_distance(x, y, 0.5)),
+])
+def test_stacked_kernels_keep_the_scalar_arithmetic(ident, exp_ref, dist_ref, rng):
+    """The array kernels round exactly like the scalar math-module formulas
+    they replaced, on single points and on stacks."""
+    spec = resolve_manifold(ident)
+    xs = np.array([random_point(spec, rng) for _ in range(200)])
+    vs = np.array([random_tangent(spec, x, rng) for x in xs])
+    vs[7] = 0.0
+    ys = np.array([random_point(spec, rng) for _ in range(200)])
+    ys[9] = xs[9]
+    want_exp = np.array([exp_ref(x, v) for x, v in zip(xs, vs)])
+    want_dist = np.array([dist_ref(x, y) for x, y in zip(xs, ys)])
+    np.testing.assert_array_equal(exp_map(spec, xs, vs), want_exp)
+    np.testing.assert_array_equal(distance(spec, xs, ys), want_dist)
+    np.testing.assert_array_equal(exp_map(spec, xs[3], vs[3]), want_exp[3])
+    assert distance(spec, xs[3], ys[3]) == want_dist[3]
