@@ -107,6 +107,14 @@ def _lagrange_1d(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _stack(points: Sequence, spec: ManifoldSpec) -> np.ndarray:
+    # the points as one (N, point_dim) stack
+    rows = [np.asarray(pt, dtype=float).ravel() for pt in points]
+    if any(r.size != spec.point_dim for r in rows):
+        raise ValidationError(f"points of {spec.id} must have length {spec.point_dim}")
+    return np.stack(rows)
+
+
 def certify_efficient(dataset: Sequence, values: Sequence,
                       domain: ManifoldSpec, codomain: ManifoldSpec,
                       base_x, base_y,
@@ -129,24 +137,27 @@ def certify_efficient(dataset: Sequence, values: Sequence,
     E_dom = tangent_basis(domain, base_x)
     E_cod = tangent_basis(codomain, base_y)
 
-    xs_t, ys_t = [], []
-    for i, (xc, yc) in enumerate(zip(dataset, values)):
-        d = distance(domain, base_x, xc)
-        if d >= domain.inj_lower(np.asarray(base_x, dtype=float)):
+    xs, ys = _stack(dataset, domain), _stack(values, codomain)
+    dx = distance(domain, base_x, xs)
+    dy = distance(codomain, base_y, ys)
+    far_x = dx >= domain.inj_lower(np.asarray(base_x, dtype=float))
+    far_y = dy >= codomain.inj_lower(np.asarray(base_y, dtype=float))
+    if far_x.any() or far_y.any():
+        # the first failing index; there the dataset point goes first
+        i = int(np.argmax(far_x | far_y))
+        if far_x[i]:
             raise DomainError(
-                f"dataset point {i} at distance {d!r} is outside the basepoint's "
-                "injectivity ball"
+                f"dataset point {i} at distance {float(dx[i])!r} is outside the "
+                "basepoint's injectivity ball"
             )
-        dy = distance(codomain, base_y, yc)
-        if dy >= codomain.inj_lower(np.asarray(base_y, dtype=float)):
-            raise DomainError(
-                f"value {i} at distance {dy!r} is outside the codomain basepoint's "
-                "injectivity ball"
-            )
-        xs_t.append(E_dom.T @ log_map(domain, base_x, xc))
-        ys_t.append(E_cod.T @ log_map(codomain, base_y, yc))
-    X = np.stack(xs_t)
-    Y = np.stack(ys_t)
+        raise DomainError(
+            f"value {i} at distance {float(dy[i])!r} is outside the codomain "
+            "basepoint's injectivity ball"
+        )
+    # one matrix-vector product per row, which rounds like E.T @ v on a
+    # single point
+    X = (E_dom.T @ log_map(domain, base_x, xs)[..., None])[..., 0]
+    Y = (E_cod.T @ log_map(codomain, base_y, ys)[..., None])[..., 0]
     base_list = [float(t) for t in np.asarray(base_x, dtype=float).ravel()]
 
     lo = np.minimum(X.min(axis=0), 0.0)

@@ -108,9 +108,10 @@ class CompiledPoly:
     empirical_c: float
 
 
-def _poly_grid(dim: int, per_axis: int) -> List[np.ndarray]:
-    axes = [np.linspace(-1.0, 1.0, per_axis)] * dim
-    return [np.array(pt) for pt in product(*axes)]
+def _grid_points(p: int, per_axis: int, lo: float = 0.0) -> np.ndarray:
+    # the (per_axis)^p grid on [lo, 1]^p, as an (N, p) stack
+    axes = [np.linspace(lo, 1.0, per_axis)] * p
+    return np.array(list(product(*axes))).reshape(-1, p)
 
 
 def compile_poly_to_shallow(terms: LinearFormPoly, sigma: ActivationInfo,
@@ -171,7 +172,8 @@ def compile_poly_to_shallow(terms: LinearFormPoly, sigma: ActivationInfo,
         net = FeedforwardNet(
             (AffineLayer(np.zeros((1, terms.dim)), np.array([out_b])),), sigma)
 
-    errs = [abs(net(x)[0] - terms(x)) for x in _poly_grid(terms.dim, 9 if terms.dim > 1 else 201)]
+    grid = _grid_points(terms.dim, 9 if terms.dim > 1 else 201, lo=-1.0)
+    errs = [abs(y - terms(x)) for y, x in zip(net(grid)[:, 0], grid)]
     sup_error = max(errs) if errs else 0.0
     return CompiledPoly(net, sup_error, sup_error / h)
 
@@ -227,11 +229,6 @@ class CompileResult:
     apriori_bound: float
     synthesis_residual: float
     audit_error: float
-
-
-def _grid_points(p: int, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, per_axis)] * p
-    return np.array(list(product(*axes))).reshape(-1, p)
 
 
 def _oracle_values(oracle: Callable[[np.ndarray], np.ndarray],
@@ -343,7 +340,7 @@ def compile_function_to_shallow(
             compile_poly_to_shallow(lf, sigma, theta0, trial_h).net
             for lf in per_output
         ])
-        outputs = np.stack([shallow(x) for x in audit])
+        outputs = shallow(audit)
         resid = float(np.max(row_norms(outputs - lattice_audit)))
         if best is None or resid < best[1]:
             best = (shallow, resid, trial_h, outputs)

@@ -2,8 +2,8 @@
 
 Subcommands: estimate | compile | eval | certify | bench.
 Exit codes: 0 success, 1 computational failure, 2 usage or validation
-error.  GDN_THREADS sets the audit worker count; fixed seeds make runs
-deterministic (bench rows omit wall time unless --timing is passed).
+error.  Fixed seeds make runs deterministic (bench rows omit wall time
+unless --timing is passed).
 """
 from __future__ import annotations
 

@@ -55,12 +55,12 @@ _UNIT_TOL = 1e-9
 
 # -- stacks ------------------------------------------------------------------
 #
-# exp_map and distance take a single point or a 2-D stack of rows.  A
-# single point is a stack without its leading axis: the same kernel runs the
-# same operations on it, with every per-row quantity (a norm, a dot product)
-# a scalar instead of an (N,) column.  That keeps one code path per family
-# and a single point as cheap as scalar code, and each row of a stack
-# rounds exactly as the same row given alone.
+# exp_map, log_map and distance take a single point or a 2-D stack of rows.
+# A single point is a stack without its leading axis: the same kernel runs
+# the same operations on it, with every per-row quantity (a norm, a dot
+# product) a scalar instead of an (N,) column.  That keeps one code path per
+# family and a single point as cheap as scalar code, and each row of a
+# stack rounds exactly as the same row given alone.
 
 def _rows(x, length: int, what: str) -> np.ndarray:
     """``x`` as a float array: an (N, length) stack if 2-D, otherwise one
@@ -185,10 +185,12 @@ def _poincare_exp0(v: np.ndarray, c: float) -> np.ndarray:
 
 def _poincare_log0(y: np.ndarray, c: float) -> np.ndarray:
     sc = math.sqrt(c)
-    ny = float(np.linalg.norm(y))
-    if ny == 0.0:
-        return np.zeros_like(y)
-    return (2.0 / sc) * math.atanh(min(sc * ny, 1.0 - 1e-16)) / ny * y
+    ny = _norms(y)
+    zero = ny == 0.0
+    n = ny + zero  # a zero row divides by 1, not by 0
+    s = (2.0 / sc) * _scalar_map(math.atanh, np.minimum(sc * n, 1.0 - 1e-16)) / n
+    u = _col(s) * y
+    return np.where(_col(zero), 0.0, u) if _any(zero) else u
 
 
 # -- sphere helpers ----------------------------------------------------------
@@ -221,14 +223,16 @@ def _sphere_distance(x: np.ndarray, y: np.ndarray):
 
 
 def _sphere_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dot = float(np.clip(x @ y, -1.0, 1.0))
-    if dot <= -1.0 + 1e-12:
+    dot = np.clip(np.vecdot(x, y), -1.0, 1.0)
+    if _any(dot <= -1.0 + 1e-12):
         raise OutOfInjectivityError("antipodal pair: sphere log map undefined")
-    w = y - dot * x
-    nw = float(np.linalg.norm(w))
-    if nw < 1e-15:
-        return np.zeros_like(x)
-    return float(_sphere_distance(x, y)) * (w / nw)
+    w = y - _col(dot) * x
+    nw = _norms(w)
+    small = nw < 1e-15
+    n = _col(nw + small)  # a vanishing row divides by about 1, not by 0
+    u = _col(_sphere_distance(x, y)) * (w / n)
+    # a vanishing normal component gives the zero tangent
+    return np.where(_col(small), 0.0, u) if _any(small) else u
 
 
 def _rp_canonical(z: np.ndarray) -> np.ndarray:
@@ -298,9 +302,15 @@ def exp_map(spec: ManifoldSpec, x, v) -> np.ndarray:
 
 
 def log_map(spec: ManifoldSpec, x, y) -> np.ndarray:
-    """Inverse exponential: tangent coordinates of ``y`` about ``x``."""
+    """Inverse exponential: tangent coordinates of ``y`` about ``x``.
+
+    Either argument may be a 2-D stack of points, as in ``exp_map``; a
+    stack gives an (N, chart_dim) result, each row bit for bit the result
+    of that row alone.
+    """
     x = check_point(spec, x, deep=False)
     y = check_point(spec, y, deep=False)
+    _stacked(x, y)  # rejects two stacks of different lengths
     fam = spec.family
     if fam in ("euclidean", "gaussian"):
         return y - x
@@ -309,8 +319,8 @@ def log_map(spec: ManifoldSpec, x, y) -> np.ndarray:
     if fam == "sphere":
         return _sphere_log(x, y)
     if fam == "rp":
-        yy = y if float(x @ y) >= 0.0 else -y
-        if abs(float(x @ yy)) <= 1e-12:
+        yy = np.where(_col(np.vecdot(x, y) >= 0.0), y, -y)
+        if _any(abs(np.vecdot(x, yy)) <= 1e-12):
             raise OutOfInjectivityError("projective cut locus: log map undefined")
         return _sphere_log(x, yy)
     if fam == "poincare":

@@ -65,31 +65,38 @@ class GDNModel:
 
 
 def gdn_eval(model: GDNModel, x) -> np.ndarray:
-    """Evaluate the GDN at a point inside the basepoint's injectivity ball.
+    """Evaluate the GDN at a point inside the basepoint's injectivity ball,
+    or at each row of an (N, point_dim) stack; each row of the result is
+    bit for bit the result of that row alone.
 
-    Raises a domain error when ``x`` is outside the ball, and a range error
-    when the core output leaves the codomain chart ball (positively curved
-    codomains only); the model is undefined there and no wrap-around is
-    attempted.
+    Raises a domain error when an input is outside the ball, and a range
+    error when a core output leaves the codomain chart ball (positively
+    curved codomains only); the model is undefined there and no wrap-around
+    is attempted.  An error reports the value of the first offending row.
     """
     # distance and log_map validate x; on an infinite injectivity radius
     # the ball check cannot fail, so the distance is not computed
     inj_x = model.domain.inj_lower(model.base_x)
     if math.isfinite(inj_x):
         d = distance(model.domain, model.base_x, x)
-        if d >= inj_x:
+        far = d >= inj_x
+        if np.count_nonzero(far):
             raise DomainError(
-                f"input at distance {d!r} from the basepoint is outside the "
-                f"injectivity ball of radius {inj_x!r}"
+                f"input at distance {float(np.extract(far, d)[0])!r} from the "
+                f"basepoint is outside the injectivity ball of radius {inj_x!r}"
             )
     u = log_map(model.domain, model.base_x, x)
     w = eval_net(model.core, u)
     inj_y = model.codomain.inj_lower(model.base_y)
-    if math.isfinite(inj_y) and float(np.linalg.norm(w)) >= inj_y:
-        raise RangeError(
-            f"core output norm {float(np.linalg.norm(w))!r} is outside the "
-            f"codomain chart ball of radius {inj_y!r}; the model is undefined there"
-        )
+    if math.isfinite(inj_y):
+        nw = np.sqrt(np.vecdot(w, w))
+        far = nw >= inj_y
+        if np.count_nonzero(far):
+            raise RangeError(
+                f"core output norm {float(np.extract(far, nw)[0])!r} is outside "
+                f"the codomain chart ball of radius {inj_y!r}; the model is "
+                "undefined there"
+            )
     return exp_map(model.codomain, model.base_y, w)
 
 

@@ -181,19 +181,27 @@ class FeedforwardNet:
 
 
 def eval_net(net: FeedforwardNet, x) -> np.ndarray:
-    """Deterministic forward pass."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != net.in_dim:
-        raise ValidationError(f"input length {x.size} != network input dim {net.in_dim}")
-    if not np.all(np.isfinite(x)):
+    """Deterministic forward pass on one input or an (N, in_dim) stack.
+
+    A stack gives an (N, out_dim) result, each row bit for bit the result
+    of that row alone: every layer is one matrix-vector product per row,
+    which rounds like ``W @ x`` (a single matrix product over the stack
+    does not).
+    """
+    h = np.asarray(x, dtype=float)
+    if h.ndim != 2:
+        h = h.ravel()
+    if h.shape[-1] != net.in_dim:
+        got = h.shape[-1] if h.ndim == 2 else h.size
+        raise ValidationError(f"input length {got} != network input dim {net.in_dim}")
+    if np.count_nonzero(np.isfinite(h)) != h.size:
         raise ValidationError("network input has non-finite entries")
-    h = x
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        h = layer.weights @ h + layer.bias
+        h = (layer.weights @ h[..., None])[..., 0] + layer.bias
         if i != last:
             h = net.activation(h)
-        if not np.all(np.isfinite(h)):
+        if np.count_nonzero(np.isfinite(h)) != h.size:
             raise NumericError(f"non-finite value after layer {i}")
     return h
 

@@ -1,5 +1,4 @@
-"""Deterministic low-discrepancy sampling of geodesic balls and a small
-index-addressed worker pool for grid audits.
+"""Deterministic low-discrepancy sampling of geodesic balls.
 
 Audit grids are Halton points in the tangent ball pushed through the
 exponential map; the mapping is closed-form for intrinsic dimension up to
@@ -8,9 +7,7 @@ three, which covers the desk-scale experiments.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -18,8 +15,7 @@ from .errors import UnsupportedError, ValidationError
 from .manifolds.core import ManifoldSpec
 from .manifolds.zoo import exp_map, tangent_basis
 
-__all__ = ["halton", "ball_points", "geodesic_ball_points", "audit_map",
-           "worker_count"]
+__all__ = ["halton", "ball_points", "geodesic_ball_points"]
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -72,32 +68,3 @@ def geodesic_ball_points(spec: ManifoldSpec, base, radius: float,
     # product over the whole stack rounds differently
     return list(exp_map(spec, base, (E @ tangents[:, :, None])[..., 0]))
 
-
-def worker_count() -> int:
-    """Worker pool size; the GDN_THREADS environment variable overrides."""
-    raw = os.environ.get("GDN_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValidationError(f"GDN_THREADS must be an integer, got {raw!r}")
-        return max(1, n)
-    return 1
-
-
-def audit_map(fn: Callable, items: Sequence, threads: int | None = None) -> list:
-    """Apply ``fn`` over ``items`` with index-addressed results, so the
-    output order is independent of the worker count."""
-    if threads is None:
-        threads = worker_count()
-    items = list(items)
-    if threads <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    results = [None] * len(items)
-
-    def run(i: int):
-        results[i] = fn(items[i])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(len(items))))
-    return results

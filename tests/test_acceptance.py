@@ -180,7 +180,7 @@ def test_criterion_07_verticalization_equivalence():
         res = verticalize(split_outputs(net), (-2.0, 2.0))
         assert width(res.net) <= p + m + 2
         xs = rng.uniform(-2.0, 2.0, size=(1000, p))
-        dev = max(float(np.max(np.abs(res.net(x) - net(x)))) for x in xs)
+        dev = float(np.max(np.abs(res.net(xs) - net(xs))))
         worst = max(worst, dev)
         assert dev <= 1e-9
     report(7, True, f"50 deep-narrow rewrites exact on the box "

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import gdn.manifolds.sym
-from gdn.assemble import estimate_chart_lipschitz, estimate_exp_lipschitz
+from gdn.assemble import audit_gdn, estimate_chart_lipschitz, estimate_exp_lipschitz
 from gdn.cli import main
 from gdn.errors import NumericError
 from gdn.manifolds import resolve_manifold
 from gdn.manifolds.zoo import check_point, distance, exp_map, random_tangent, tangent_basis
+from gdn.model import GDNModel
+from gdn.network import AffineLayer, FeedforwardNet, get_activation
 from gdn.sampling import ball_points, geodesic_ball_points
+from gdn.targets import resolve_target
 
 # (manifold, base point, tangent radius)
 CASES = [
@@ -93,6 +96,43 @@ class TestAuditGrid:
         got = geodesic_ball_points(spec, base, radius, 64)
         assert isinstance(got, list) and len(got) == 64
         np.testing.assert_array_equal(np.array(got), np.array(want))
+
+
+def reference_audit(model, target, radius, count):
+    """The per-point audit loop the stacked audit replaced."""
+    points = geodesic_ball_points(model.domain, model.base_x, radius, count)
+    return max(distance(model.codomain, np.asarray(target(x), dtype=float), model(x))
+               for x in points)
+
+
+class TestAudit:
+    # (domain, codomain, base point, target, audit radius)
+    CASES = [
+        ("sphere:2", "sphere:2", [0.0, 0.0, 1.0], "rotation", 1.5),
+        ("poincare:2:1", "poincare:2:1", [0.1, -0.2], "mobius-shift", 1.0),
+        ("spd:2", "spd:2", [1.0, 0.0, 1.0], "spd-congruence", 1.0),
+        ("euclidean:2", "euclidean:1", [0.0, 0.0], "poly:x1*x2", 0.5),
+    ]
+
+    @pytest.mark.parametrize("dom,cod,base,name,radius", CASES)
+    def test_stacked_audit_equals_per_point_loop(self, dom, cod, base, name, radius):
+        domain, codomain = resolve_manifold(dom), resolve_manifold(cod)
+        target = resolve_target(name, domain, base, seed=3).fn
+        base_y = np.asarray(target(np.array(base, dtype=float)), dtype=float)
+        # a small random core, its outputs tangent at base_y
+        rng = np.random.default_rng(11)
+        E = tangent_basis(codomain, base_y)
+        core = FeedforwardNet(
+            (AffineLayer(0.3 * rng.standard_normal((5, domain.chart_dim)),
+                         0.1 * rng.standard_normal(5)),
+             AffineLayer(E @ (0.3 * rng.standard_normal((codomain.dim, 5))),
+                         E @ (0.1 * rng.standard_normal(codomain.dim)))),
+            get_activation("exp"))
+        model = GDNModel(domain, codomain, base, base_y, core)
+        for count in (1, 37, 200):
+            got = audit_gdn(model, target, radius, count)
+            assert isinstance(got, float)
+            assert got == reference_audit(model, target, radius, count)
 
 
 def test_spd_compile_runs_without_jacobi(monkeypatch, tmp_path, capsys):

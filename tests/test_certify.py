@@ -61,6 +61,30 @@ class TestLagrangePath:
         with pytest.raises(DomainError):
             certify_efficient([south], [north], s2, s2, north, north)
 
+    def test_first_failing_index_is_reported(self):
+        s2 = resolve_manifold("sphere:2")
+        north = np.array([0.0, 0.0, 1.0])
+        south = np.array([0.0, 0.0, -1.0])
+        near = [np.array([0.0, s, math.sqrt(1.0 - s * s)]) for s in (0.1, 0.2, 0.3, 0.4)]
+        # a dataset point at index 2, later values bad too
+        with pytest.raises(DomainError, match="dataset point 2 "):
+            certify_efficient(near[:2] + [south, near[3]],
+                              near[:3] + [south], s2, s2, north, north)
+        # a value at index 1, a later dataset point bad too
+        with pytest.raises(DomainError, match="value 1 "):
+            certify_efficient(near[:3] + [south], [near[0], south] + near[2:],
+                              s2, s2, north, north)
+        # the same index on both sides: the dataset point comes first
+        with pytest.raises(DomainError, match="dataset point 3 "):
+            certify_efficient(near[:3] + [south], near[:3] + [south],
+                              s2, s2, north, north)
+
+    def test_points_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValidationError, match="length 2"):
+            certify_efficient([np.zeros(2), np.zeros(3)], [np.zeros(2)] * 2,
+                              E2, E2, np.zeros(2), np.zeros(2),
+                              candidates=[{(0, 0): np.zeros(2)}] * 2, n=1)
+
     def test_sphere_dataset_uses_intrinsic_chart(self):
         # ambient tangents are 3-vectors; the certifier must work in the
         # 2-dimensional intrinsic frame

@@ -7,7 +7,7 @@ import pytest
 
 from gdn.errors import DomainError, RangeError, ValidationError
 from gdn.manifolds import resolve_manifold
-from gdn.manifolds.zoo import exp_map, tangent_basis
+from gdn.manifolds.zoo import exp_map, random_tangent, tangent_basis
 from gdn.model import (
     GDNModel,
     PipelineModel,
@@ -82,6 +82,57 @@ class TestGdnEval:
     def test_core_dim_validation(self):
         with pytest.raises(ValidationError):
             GDNModel(E2, E2, np.zeros(2), np.zeros(2), zero_net(3, 2))
+
+
+def random_chart_model(ident, base, rng, scale=0.3):
+    """A GDN from ``ident`` to itself with a small random tanh core whose
+    outputs are tangent at the base point."""
+    spec = resolve_manifold(ident)
+    E = tangent_basis(spec, base)
+    hidden = 6
+    core = FeedforwardNet(
+        (AffineLayer(scale * rng.standard_normal((hidden, spec.chart_dim)),
+                     0.1 * rng.standard_normal(hidden)),
+         AffineLayer(E @ (scale * rng.standard_normal((spec.dim, hidden))),
+                     E @ (0.1 * rng.standard_normal(spec.dim)))),
+        get_activation("tanh"))
+    return GDNModel(spec, spec, np.asarray(base, dtype=float),
+                    np.asarray(base, dtype=float), core)
+
+
+class TestStackedGdnEval:
+    CASES = [("sphere:2", [0.0, 0.6, 0.8]), ("poincare:2:1", [0.1, -0.2]),
+             ("spd:2", [1.5, 0.3, 1.0])]
+
+    @pytest.mark.parametrize("ident,base", CASES)
+    def test_rows_equal_per_point_calls(self, ident, base, rng):
+        g = random_chart_model(ident, base, rng)
+        xs = np.array([exp_map(g.domain, g.base_x,
+                               random_tangent(g.domain, g.base_x, rng, 1.2))
+                       for _ in range(50)])
+        got = gdn_eval(g, xs)
+        assert got.shape == (50, g.codomain.point_dim)
+        np.testing.assert_array_equal(got, np.array([gdn_eval(g, x) for x in xs]))
+        np.testing.assert_array_equal(gdn_eval(g, xs[:1]), got[:1])
+        assert gdn_eval(g, xs[0]).shape == (g.codomain.point_dim,)
+
+    def test_one_point_outside_the_ball_raises(self, rng):
+        north = np.array([0.0, 0.0, 1.0])
+        g = random_chart_model("sphere:2", north, rng)
+        xs = np.array([exp_map(S2, north, random_tangent(S2, north, rng, 1.0))
+                       for _ in range(6)])
+        xs[4] = -north
+        with pytest.raises(DomainError, match=f"distance {math.pi!r} "):
+            gdn_eval(g, xs)
+
+    def test_first_core_output_outside_the_chart_ball_is_reported(self):
+        north = np.array([0.0, 0.0, 1.0])
+        E = tangent_basis(S2, north)
+        g = GDNModel(E2, S2, np.zeros(2), north,
+                     affine_net(E @ (4.0 * np.eye(2)), np.zeros(3)))
+        xs = np.array([[0.1, 0.2], [-0.3, 0.1], [1.0, 0.0], [0.0, 1.25], [0.2, 0.2]])
+        with pytest.raises(RangeError, match="norm 4.0 "):
+            gdn_eval(g, xs)
 
 
 class TestParallelize:

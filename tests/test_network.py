@@ -57,6 +57,59 @@ class TestEvalNet:
             eval_net(net, [1000.0])
 
 
+def reference_forward(net, x):
+    """The per-point forward pass the stacked evaluation replaced."""
+    h = np.asarray(x, dtype=float).ravel()
+    for i, l in enumerate(net.layers):
+        h = l.weights @ h + l.bias
+        if i != len(net.layers) - 1:
+            h = net.activation(h)
+    return h
+
+
+def random_net(rng, dims, act):
+    return FeedforwardNet(tuple(
+        layer(rng.standard_normal((o, i)) / np.sqrt(i), rng.standard_normal(o))
+        for i, o in zip(dims, dims[1:])), get_activation(act))
+
+
+class TestStackedEval:
+    @pytest.mark.parametrize("act", ["relu", "exp", "tanh", "softplus", "sigmoid",
+                                     "square"])
+    def test_rows_equal_per_point_calls(self, act, rng):
+        for _ in range(10):
+            dims = [int(d) for d in rng.integers(1, 40, size=int(rng.integers(2, 5)))]
+            net = random_net(rng, dims, act)
+            xs = rng.standard_normal((int(rng.integers(1, 120)), dims[0]))
+            got = eval_net(net, xs)
+            assert got.shape == (len(xs), dims[-1])
+            want = np.array([reference_forward(net, x) for x in xs])
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(eval_net(net, xs[0]), want[0])
+
+    def test_shapes(self, rng):
+        net = random_net(rng, [3, 5, 2], "tanh")
+        assert eval_net(net, np.zeros(3)).shape == (2,)
+        assert eval_net(net, np.zeros((1, 3))).shape == (1, 2)
+        assert eval_net(net, np.zeros((0, 3))).shape == (0, 2)
+        with pytest.raises(ValidationError, match="input length 4"):
+            eval_net(net, np.zeros((6, 4)))
+        xs = np.zeros((6, 3))
+        xs[4, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            eval_net(net, xs)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_one_overflowing_row_raises(self):
+        exp = get_activation("exp")
+        net = FeedforwardNet(
+            (layer([[1.0]], [0.0]), layer([[1.0]], [0.0]),
+             layer([[1.0]], [0.0])), exp)
+        xs = np.array([[0.0], [-1.0], [1000.0], [0.5]])
+        with pytest.raises(NumericError, match="layer 0"):
+            eval_net(net, xs)
+
+
 class TestParamCount:
     def test_hand_values(self):
         one = FeedforwardNet((layer(np.zeros((2, 3)), np.zeros(2)),), RELU)

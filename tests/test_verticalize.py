@@ -95,3 +95,23 @@ class TestScaledIdentity:
         net = random_shallow(rng, 1, 1, 2)
         with pytest.raises(UnsupportedError):
             verticalize(split_outputs(net), (-1.0, 1.0), "scaled-identity")
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_one_draw_equals_a_draw_per_point(self, p):
+        stacked = np.random.default_rng(7).random((256, p))
+        rng = np.random.default_rng(7)
+        np.testing.assert_array_equal(stacked, [rng.random(p) for _ in range(256)])
+
+    @pytest.mark.parametrize("p,m", [(1, 1), (2, 2), (3, 1)])
+    def test_bound_equals_the_per_point_loop(self, p, m, rng):
+        shallows = split_outputs(random_shallow(rng, p, m, 3, act=EXP, scale=0.4))
+        lo, hi = np.array([-1.0, -0.5, 0.0][:p]), np.array([1.0, 0.5, 2.0][:p])
+        res = verticalize(shallows, (lo, hi), "scaled-identity", lam=1e-3)
+        # the per-point loop the stacked bound check replaced
+        draws = np.random.default_rng(7)
+        want = 0.0
+        for _ in range(256):
+            x = lo + (hi - lo) * draws.random(p)
+            ref = np.array([float(s(x)[0]) for s in shallows])
+            want = max(want, float(np.max(np.abs(res.net(x) - ref))))
+        assert res.reported_bound == want

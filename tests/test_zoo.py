@@ -208,8 +208,9 @@ class TestZooProperties:
 
 
 class TestStacks:
-    """exp_map and distance on (N, d) stacks: each row is bit for bit the
-    per-point result, and a bad row fails the whole call the same way."""
+    """exp_map, log_map and distance on (N, d) stacks: each row is bit for
+    bit the per-point result, and a bad row fails the whole call the same
+    way."""
 
     IDENTS = ZOO + ["euclidean:1", "poincare:3:0.5", "spd:3"]
 
@@ -224,6 +225,7 @@ class TestStacks:
     def test_rows_equal_per_point_calls(self, ident, rng):
         spec = resolve_manifold(ident)
         xs, vs, ys = self._sample(spec, rng)
+        ys[5] = xs[5]  # a zero log row
         exps = exp_map(spec, xs, vs)
         np.testing.assert_array_equal(
             exps, np.array([exp_map(spec, x, v) for x, v in zip(xs, vs)]))
@@ -231,6 +233,11 @@ class TestStacks:
         assert dists.shape == (len(xs),)
         np.testing.assert_array_equal(
             dists, np.array([distance(spec, x, y) for x, y in zip(xs, ys)]))
+        for targets in (ys, exps):
+            logs = log_map(spec, xs, targets)
+            assert logs.shape == (len(xs), spec.chart_dim)
+            np.testing.assert_array_equal(
+                logs, np.array([log_map(spec, x, y) for x, y in zip(xs, targets)]))
 
     @pytest.mark.parametrize("ident", IDENTS)
     def test_one_point_against_a_stack(self, ident, rng):
@@ -244,6 +251,10 @@ class TestStacks:
             distance(spec, base, ys), np.array([distance(spec, base, y) for y in ys]))
         np.testing.assert_array_equal(
             distance(spec, ys, base), np.array([distance(spec, y, base) for y in ys]))
+        np.testing.assert_array_equal(
+            log_map(spec, base, ys), np.array([log_map(spec, base, y) for y in ys]))
+        np.testing.assert_array_equal(
+            log_map(spec, ys, base), np.array([log_map(spec, y, base) for y in ys]))
 
     def test_single_point_shapes(self, rng):
         spec = resolve_manifold("sphere:2")
@@ -251,21 +262,26 @@ class TestStacks:
         v = random_tangent(spec, x, rng)
         assert exp_map(spec, x, v).shape == (3,)
         assert isinstance(distance(spec, x, x), float)
+        assert log_map(spec, x, x).shape == (3,)
         assert exp_map(spec, x[None], v).shape == (1, 3)
         assert distance(spec, x[None], x).shape == (1,)
+        assert log_map(spec, x, x[None]).shape == (1, 3)
 
     def test_empty_stack(self):
         spec = resolve_manifold("poincare:2:1")
         assert exp_map(spec, np.zeros(2), np.zeros((0, 2))).shape == (0, 2)
         assert distance(spec, np.zeros((0, 2)), np.zeros(2)).shape == (0,)
+        assert log_map(spec, np.zeros(2), np.zeros((0, 2))).shape == (0, 2)
 
     def test_row_count_mismatch_rejected(self):
         spec = resolve_manifold("euclidean:2")
-        with pytest.raises(ValidationError, match="do not match"):
-            distance(spec, np.zeros((3, 2)), np.zeros((2, 2)))
+        for fn in (distance, log_map):
+            with pytest.raises(ValidationError, match="do not match"):
+                fn(spec, np.zeros((3, 2)), np.zeros((2, 2)))
 
     # (family, kind of bad row, how to spoil a row): point rows are spoiled
-    # for both calls, tangent rows for exp_map only
+    # for every kernel, tangent rows for exp_map only, and log rows spoil
+    # the second point of a log_map pair
     BAD_ROWS = [
         ("euclidean:2", "point", lambda spec, x, v: (np.array([np.nan, 0.0]), v)),
         ("euclidean:2", "tangent", lambda spec, x, v: (x, np.array([0.0, np.inf]))),
@@ -276,6 +292,10 @@ class TestStacks:
         ("poincare:2:1", "point", lambda spec, x, v: (np.array([0.8, 0.8]), v)),
         ("spd:2", "point", lambda spec, x, v: (frob_vec(np.diag([1.0, -0.5])), v)),
         ("torus:2", "point", lambda spec, x, v: (np.array([0.5, np.inf]), v)),
+        ("sphere:2", "log", lambda spec, x, v: (x, -x)),  # antipodal
+        ("rp:2", "log", lambda spec, x, v: (x, v / np.linalg.norm(v))),  # cut locus
+        ("spd:2", "log", lambda spec, x, v: (x, frob_vec(np.diag([1.0, -0.5])))),
+        ("poincare:2:1", "log", lambda spec, x, v: (x, np.array([0.8, 0.8]))),
     ]
 
     @pytest.mark.parametrize("ident,kind,spoil", BAD_ROWS)
@@ -283,9 +303,12 @@ class TestStacks:
         spec = resolve_manifold(ident)
         xs, vs, ys = self._sample(spec, rng, count=6)
         bad_x, bad_v = spoil(spec, xs[3], vs[3])
-        calls = [(exp_map, bad_x, bad_v, vs)]
+        if kind == "log":
+            calls = [(log_map, bad_x, bad_v, ys)]
+        else:
+            calls = [(exp_map, bad_x, bad_v, vs)]
         if kind == "point":
-            calls.append((distance, bad_x, ys[3], ys))
+            calls += [(distance, bad_x, ys[3], ys), (log_map, bad_x, ys[3], ys)]
         for fn, a, b, others in calls:
             with pytest.raises(GdnError) as single:
                 fn(spec, a, b)
