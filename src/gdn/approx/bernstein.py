@@ -12,7 +12,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from ..errors import DomainError, InfeasibleDegreeError, ValidationError
-from .modulus import Modulus
+from .modulus import Modulus, map_rows
 
 __all__ = [
     "BernsteinModel",
@@ -102,13 +102,11 @@ def bernstein_eval(model: BernsteinModel, x) -> np.ndarray:
 
 def bernstein_from_function(f: Callable[[np.ndarray], np.ndarray],
                             n: int, p: int, m: int) -> BernsteinModel:
-    """Sample an oracle on the degree-n lattice of the unit cube."""
-    values = np.empty((n + 1,) * p + (m,))
-    pt = np.empty(p)
-    for idx in product(range(n + 1), repeat=p):
-        np.divide(idx, n, out=pt)
-        values[idx] = np.asarray(f(pt), dtype=float).ravel()
-    return BernsteinModel(n, p, values)
+    """Sample an oracle on the degree-n lattice of the unit cube, one call
+    per lattice point k / n in lexicographic order."""
+    lattice = np.array(list(product(range(n + 1), repeat=p)), dtype=float) / n
+    values = map_rows(f, lattice)
+    return BernsteinModel(n, p, values.reshape((n + 1,) * p + (m,)))
 
 
 def bernstein_degree_for(eps: float, p: int, m: int, omega: Modulus,
@@ -121,10 +119,9 @@ def bernstein_degree_for(eps: float, p: int, m: int, omega: Modulus,
     if eps <= 0.0:
         raise ValidationError("eps must be positive")
     factor = m * (1.0 + p / 4.0)
-    fn = omega if callable(omega) else omega.__call__
 
     def ok(n: int) -> bool:
-        return factor * float(fn(1.0 / math.sqrt(n))) <= eps
+        return factor * float(omega(1.0 / math.sqrt(n))) <= eps
 
     if ok(1):
         return 1
@@ -155,11 +152,10 @@ def _bernstein_to_monomial_matrix(n: int) -> np.ndarray:
     return T
 
 
-def bernstein_to_coefficients(model: BernsteinModel,
-                              tol: float = 1e-10) -> Dict[Tuple[int, ...], np.ndarray]:
+def bernstein_to_coefficients(model: BernsteinModel) -> Dict[Tuple[int, ...], np.ndarray]:
     """Monomial coefficients of the Bernstein polynomial.
 
-    Returns a map exponent-tuple -> m-vector; entries below ``tol`` relative
+    Returns a map exponent-tuple -> m-vector; entries below 1e-10 relative
     to the largest coefficient are dropped.  Intended for the desk-scale
     degrees used in synthesis (binomial growth makes the conversion
     ill-conditioned for large n).
@@ -172,7 +168,7 @@ def bernstein_to_coefficients(model: BernsteinModel,
     coeffs: Dict[Tuple[int, ...], np.ndarray] = {}
     for idx in product(range(model.n + 1), repeat=model.p):
         vec = acc[idx]
-        if float(np.max(np.abs(vec))) > tol * scale:
+        if float(np.max(np.abs(vec))) > 1e-10 * scale:
             coeffs[idx] = np.asarray(vec, dtype=float).copy()
     return coeffs
 

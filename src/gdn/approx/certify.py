@@ -119,15 +119,14 @@ def certify_efficient(dataset: Sequence, values: Sequence,
                       domain: ManifoldSpec, codomain: ManifoldSpec,
                       base_x, base_y,
                       candidates: Optional[Sequence[PolyDict]] = None,
-                      n: Optional[int] = None,
-                      interp_tol: float = 1e-8) -> EfficiencyCertificate:
+                      n: Optional[int] = None) -> EfficiencyCertificate:
     """Certify a finite dataset as n-efficient for the sampled map.
 
     Without candidates (one-dimensional charts only) the certifier builds
     the Lagrange interpolant through the chart data, computes the shared
     derivative bound M, and emits n = #dataset - 1.  With candidates it
-    verifies interpolation, the shared derivative bound, and the pairwise
-    compatibility inequalities with exponent n p - |beta|.
+    verifies interpolation (to 1e-8), the shared derivative bound, and the
+    pairwise compatibility inequalities with exponent n p - |beta|.
     """
     if len(dataset) == 0 or len(dataset) != len(values):
         raise ValidationError("dataset and values must be non-empty and aligned")
@@ -140,8 +139,8 @@ def certify_efficient(dataset: Sequence, values: Sequence,
     xs, ys = _stack(dataset, domain), _stack(values, codomain)
     dx = distance(domain, base_x, xs)
     dy = distance(codomain, base_y, ys)
-    far_x = dx >= domain.inj_lower(np.asarray(base_x, dtype=float))
-    far_y = dy >= codomain.inj_lower(np.asarray(base_y, dtype=float))
+    far_x = dx >= domain.inj_lower
+    far_y = dy >= codomain.inj_lower
     if far_x.any() or far_y.any():
         # the first failing index; there the dataset point goes first
         i = int(np.argmax(far_x | far_y))
@@ -236,8 +235,8 @@ def certify_efficient(dataset: Sequence, values: Sequence,
                             - Y[c])))
         for c in range(count)
     )
-    if resid > interp_tol:
-        notes.append(f"interpolation residual {resid:.3e} exceeds {interp_tol:.1e}")
+    if resid > 1e-8:
+        notes.append(f"interpolation residual {resid:.3e} exceeds 1.0e-08")
 
     tables = [_derivative_table(cand, p, max_order) for cand in candidates]
     M = 0.0

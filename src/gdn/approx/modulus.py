@@ -40,7 +40,6 @@ class ModulusEstimate:
 
     knots: np.ndarray
     values: np.ndarray
-    kind: str = "empirical"
     interp: str = "step"
 
     def __post_init__(self):
@@ -128,7 +127,7 @@ def empirical_modulus(pairs: Sequence[Tuple[float, float]]) -> ModulusEstimate:
     keep = np.append(din[1:] != din[:-1], True) & ~zero
     knots = np.concatenate([[0.0], din[keep]])
     values = np.concatenate([[0.0], running[keep]])
-    return ModulusEstimate(knots, values, kind="empirical")
+    return ModulusEstimate(knots, values)
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -138,6 +137,12 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     single vector, so each entry is bit-identical to the per-row norm.
     """
     return np.sqrt(np.vecdot(a, a))
+
+
+def map_rows(f: Callable[[np.ndarray], np.ndarray], xs) -> np.ndarray:
+    """A per-point oracle at each row of the (N, p) stack ``xs``, one call
+    per row in row order, as the (N, m) stack of its flattened outputs."""
+    return np.array([np.asarray(f(x), dtype=float).ravel() for x in xs])
 
 
 def sample_pairs(xs, ys) -> np.ndarray:
@@ -156,8 +161,7 @@ def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray],
     """Empirical modulus of ``f`` over all pairs from the Euclidean sample
     ``xs`` (O(n^2) pairs; intended for desk-scale grids)."""
     xs = [np.asarray(x, dtype=float).ravel() for x in xs]
-    ys = [np.asarray(f(x), dtype=float).ravel() for x in xs]
-    return empirical_modulus(sample_pairs(xs, ys))
+    return empirical_modulus(sample_pairs(xs, map_rows(f, xs)))
 
 
 _T_MAX = 1e18
@@ -220,12 +224,12 @@ def concave_majorant(omega: ModulusEstimate) -> ModulusEstimate:
     hy = np.array([h[1] for h in hull])
     vals = np.interp(omega.knots, hx, hy)
     vals = np.maximum.accumulate(np.maximum(vals, omega.values * 0.0))
-    return ModulusEstimate(omega.knots.copy(), vals, kind=omega.kind, interp="linear")
+    return ModulusEstimate(omega.knots.copy(), vals, interp="linear")
 
 
-def smooth_modulus(omega: Modulus, t: float, panels: int = 64) -> float:
+def smooth_modulus(omega: Modulus, t: float) -> float:
     """Averaged modulus (1/t') * integral_{t'}^{2t'} omega(s) ds at
-    t' = t (1 + 1e-9), by the trapezoid rule.
+    t' = t (1 + 1e-9), by the trapezoid rule on 64 panels.
 
     This is the literal defining average; note that for omega(t) = L t it
     evaluates to 1.5 L t, not L t.
@@ -235,9 +239,8 @@ def smooth_modulus(omega: Modulus, t: float, panels: int = 64) -> float:
     if t == 0.0:
         return 0.0
     tt = t * (1.0 + 1e-9)
-    ss = np.linspace(tt, 2.0 * tt, panels + 1)
-    fn = omega if callable(omega) else omega.__call__
-    ys = np.array([float(fn(s)) for s in ss])
+    ss = np.linspace(tt, 2.0 * tt, 65)
+    ys = np.array([float(omega(s)) for s in ss])
     integral = float(np.trapezoid(ys, ss))
     return integral / tt
 

@@ -9,7 +9,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -120,15 +120,6 @@ class LinearFormPoly:
             total += float(np.polyval(b[::-1], z))
         return total
 
-    @property
-    def synthesis_width(self) -> int:
-        """Hidden-neuron budget: one neuron per positive degree per term."""
-        w = 0
-        for _a, b in self.terms:
-            nz = np.nonzero(np.abs(b) > 0.0)[0]
-            w += int(nz[-1]) if nz.size else 0
-        return w
-
 
 def _canonical_direction(a: np.ndarray) -> Tuple[Tuple[int, ...], int]:
     nz = np.nonzero(a)[0]
@@ -137,8 +128,7 @@ def _canonical_direction(a: np.ndarray) -> Tuple[Tuple[int, ...], int]:
     return tuple(int(t) for t in a), 1
 
 
-def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int,
-                         check_tol: float = 1e-8) -> LinearFormPoly:
+def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPoly:
     """Rewrite a multivariate polynomial as a sum of univariate polynomials
     of linear forms.
 
@@ -147,9 +137,10 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int,
     with +-a directions merged; pure powers and affine terms map directly.
     Sign patterns are aggregated per coordinate (a monomial x^alpha needs
     only prod_i (alpha_i + 1) distinct directions, not 2^degree patterns).
-    The result is verified against the source on a (degree+1)^dim grid of
-    [-1, 1]^dim and reported alongside the binomial bound
-    r = C(dim - 1 + degree, degree) on the number of forms.
+    The result is verified against the source, to 1e-8 relative to the
+    largest coefficient, on a (degree+1)^dim grid of [-1, 1]^dim, and
+    reported alongside the binomial bound r = C(dim - 1 + degree, degree)
+    on the number of forms.
     """
     if poly_total_degree(coeffs) > degree:
         raise ValidationError("declared degree is below the polynomial's total degree")
@@ -214,7 +205,7 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int,
         x = np.array(pt)
         want = float(poly_eval(coeffs, x))
         got = result(x)
-        if abs(want - got) > check_tol * scale:
+        if abs(want - got) > 1e-8 * scale:
             raise NumericError(
                 f"polarization decomposition failed audit at {x}: {got} vs {want}"
             )

@@ -30,7 +30,7 @@ from .bernstein import (
     bernstein_from_function,
     bernstein_to_coefficients,
 )
-from .modulus import Modulus, empirical_modulus, row_norms, sample_pairs
+from .modulus import Modulus, empirical_modulus, map_rows, row_norms, sample_pairs
 from .polynomials import LinearFormPoly, decompose_polynomial, poly_total_degree
 
 __all__ = [
@@ -64,8 +64,7 @@ def finite_diff_derivative(sigma: ActivationInfo, k: int, z: float,
     return total / h ** k
 
 
-def select_theta0(sigma: ActivationInfo, max_k: int, h: float = 1e-2,
-                  floor: float = 1e-6) -> float:
+def select_theta0(sigma: ActivationInfo, max_k: int, h: float = 1e-2) -> float:
     """Offset with numerically nonvanishing derivatives up to order max_k.
 
     Tries the activation's registered offset first, then grid-searches
@@ -75,6 +74,7 @@ def select_theta0(sigma: ActivationInfo, max_k: int, h: float = 1e-2,
     zero derivative is pure O(h) contamination, which halves with h.
     """
     probe_k = min(max_k, 6)  # higher orders drown in stencil roundoff
+    floor = 1e-6
 
     def score(theta: float) -> float:
         worst = math.inf
@@ -231,79 +231,71 @@ class CompileResult:
     audit_error: float
 
 
-def _oracle_values(oracle: Callable[[np.ndarray], np.ndarray],
-                   pts: np.ndarray) -> np.ndarray:
-    return np.stack([np.asarray(oracle(x), dtype=float).ravel() for x in pts])
+# the Bernstein degrees tried, smallest first; the largest is the synthesis
+# cap, because higher-order difference stencils degenerate in double precision
+_DEGREES = (1, 2, 3, 4, 6, 8, 12)
+_DEGREE_CAP = _DEGREES[-1]
+_AUDIT_PER_AXIS = 10
 
 
 def compile_function_to_shallow(
     target: Union[Callable[[np.ndarray], np.ndarray], BernsteinModel],
     p: int, m: int, eps: float, sigma: ActivationInfo,
-    theta0: Optional[float] = None, h: Optional[float] = None,
-    omega: Optional[Modulus] = None, split: float = 0.5,
-    degree: Optional[int] = None, degree_cap: int = 10 ** 9,
-    synth_degree_cap: int = 12, audit_per_axis: int = 10,
+    omega: Optional[Modulus] = None,
 ) -> CompileResult:
     """Compile a function on the unit cube into a shallow network with a
     certified audit.
 
-    The error budget splits ``split`` to the Bernstein stage and the rest to
-    finite-difference synthesis.  The Bernstein degree is the smallest one
-    whose measured lattice residual fits the budget (checked on a dense
-    grid), further capped by the a-priori degree rule when a modulus is
-    supplied; degrees beyond ``synth_degree_cap`` are refused because the
-    difference stencils degenerate in double precision.
+    The error budget splits evenly: half to the Bernstein stage, half to
+    finite-difference synthesis.  The Bernstein degree is the smallest
+    candidate whose measured lattice residual fits its half (checked on a
+    dense grid), with the a-priori degree rule added as a candidate when a
+    modulus is supplied.  Degrees and total polynomial degrees above 12 are
+    refused, because the difference stencils degenerate in double
+    precision.  The audit grid has 10 points per axis.
 
     The oracle runs once per point of the selection grid, of each Bernstein
     lattice tried and of the audit grid; the audit values serve both the
     audit error and, without ``omega``, the empirical modulus over every
     third audit point.
     """
-    if not (0.0 < split < 1.0):
-        raise ValidationError("split must be in (0, 1)")
     if eps <= 0.0:
         raise ValidationError("eps must be positive")
     per_axis = {1: 41, 2: 21, 3: 9}.get(p, 5)
     grid = _grid_points(p, per_axis)
-    bern_budget = split * eps
-    synth_budget = (1.0 - split) * eps
+    bern_budget = 0.5 * eps
+    synth_budget = 0.5 * eps
 
     if isinstance(target, BernsteinModel):
         model = target
         n = model.n
+        if n > _DEGREE_CAP:
+            raise InfeasibleDegreeError(
+                f"degree {n} exceeds the synthesis cap {_DEGREE_CAP}", _DEGREE_CAP
+            )
     else:
-        targets = _oracle_values(target, grid)
-        if degree is not None:
-            n = degree
-            model = bernstein_from_function(target, n, p, m)
-        else:
-            n = None
-            candidates = [c for c in (1, 2, 3, 4, 6, 8, 12) if c <= synth_degree_cap]
-            if omega is not None:
-                try:
-                    n_apriori = bernstein_degree_for(bern_budget, p, m, omega,
-                                                     cap=degree_cap)
-                    if n_apriori <= synth_degree_cap and n_apriori not in candidates:
-                        candidates = sorted(set(candidates + [n_apriori]))
-                except InfeasibleDegreeError:
-                    pass
-            model = None
-            for cand in candidates:
-                trial = bernstein_from_function(target, cand, p, m)
-                resid = float(np.max(row_norms(bernstein_eval(trial, grid) - targets)))
-                if resid <= bern_budget:
-                    n, model = cand, trial
-                    break
-            if model is None:
-                raise InfeasibleDegreeError(
-                    f"no Bernstein degree <= {synth_degree_cap} meets the "
-                    f"budget {bern_budget!r} on the selection grid",
-                    synth_degree_cap,
-                )
-    if n > synth_degree_cap:
-        raise InfeasibleDegreeError(
-            f"degree {n} exceeds the synthesis cap {synth_degree_cap}", synth_degree_cap
-        )
+        targets = map_rows(target, grid)
+        candidates = list(_DEGREES)
+        if omega is not None:
+            try:
+                n_apriori = bernstein_degree_for(bern_budget, p, m, omega)
+                if n_apriori <= _DEGREE_CAP and n_apriori not in candidates:
+                    candidates = sorted(set(candidates + [n_apriori]))
+            except InfeasibleDegreeError:
+                pass
+        model = None
+        for cand in candidates:
+            trial = bernstein_from_function(target, cand, p, m)
+            resid = float(np.max(row_norms(bernstein_eval(trial, grid) - targets)))
+            if resid <= bern_budget:
+                n, model = cand, trial
+                break
+        if model is None:
+            raise InfeasibleDegreeError(
+                f"no Bernstein degree <= {_DEGREE_CAP} meets the "
+                f"budget {bern_budget!r} on the selection grid",
+                _DEGREE_CAP,
+            )
 
     coeffs = bernstein_to_coefficients(model)
     totals = []
@@ -313,25 +305,23 @@ def compile_function_to_shallow(
     max_total = max((t for _c, t in totals), default=0)
     # the stencil order equals the total degree; double precision cannot
     # support high-order difference stencils
-    if max_total > synth_degree_cap:
+    if max_total > _DEGREE_CAP:
         raise InfeasibleDegreeError(
             f"trimmed polynomial has total degree {max_total}, beyond the "
-            f"synthesis stencil cap {synth_degree_cap}", synth_degree_cap
+            f"synthesis stencil cap {_DEGREE_CAP}", _DEGREE_CAP
         )
     per_output: List[LinearFormPoly] = [
         decompose_polynomial(cj, max(total, 1), p) for cj, total in totals
     ]
 
-    if theta0 is None:
-        theta0 = select_theta0(sigma, max(max_total, 1))
+    theta0 = select_theta0(sigma, max(max_total, 1))
     kmax = max(max_total, 1)
     # below this step a k-th difference drops under the roundoff of its
     # 2^k-term alternating sum and the stencil reads pure noise
     h_floor = max((2.0 ** kmax * np.finfo(float).eps) ** (1.0 / (kmax + 1)), 1e-7)
-    if h is None:
-        h = min(max(synth_budget / kmax * 0.1, h_floor), 1e-2)
+    h = min(max(synth_budget / kmax * 0.1, h_floor), 1e-2)
 
-    audit = _grid_points(p, audit_per_axis)
+    audit = _grid_points(p, _AUDIT_PER_AXIS)
     lattice_audit = bernstein_eval(model, audit)
     best = None
     trial_h = h
@@ -352,12 +342,11 @@ def compile_function_to_shallow(
     shallow, synth_resid, used_h, outputs = best
 
     values = (lattice_audit if isinstance(target, BernsteinModel)
-              else _oracle_values(target, audit))
+              else map_rows(target, audit))
     audit_error = float(np.max(row_norms(outputs - values)))
     if omega is None:
         omega = empirical_modulus(sample_pairs(audit[::3], values[::3]))
-    fn = omega if callable(omega) else omega.__call__
-    apriori = (1.0 + p / 4.0) * m * float(fn(1.0 / math.sqrt(n))) + synth_resid
+    apriori = (1.0 + p / 4.0) * m * float(omega(1.0 / math.sqrt(n))) + synth_resid
 
     from ..network import width as net_width
     return CompileResult(shallow, n, net_width(shallow),

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .approx.modulus import Modulus
+from .approx.modulus import Modulus, map_rows, row_norms
 from .approx.synthesis import CompileResult, compile_function_to_shallow
 from .errors import ValidationError
 from .manifolds.core import ManifoldSpec
@@ -108,7 +108,7 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
                 radius: float, eps: float, sigma: ActivationInfo,
                 omega: Optional[Modulus] = None,
                 audit_count: int = 200,
-                seed: int = 0, **compile_kwargs) -> CompiledGDN:
+                seed: int = 0) -> CompiledGDN:
     """Compile a manifold-to-manifold target into a GDN on the geodesic
     ball of ``radius`` about ``base_x``.
 
@@ -120,26 +120,23 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     """
     base_x = check_point(domain, base_x)
     base_y = check_point(codomain, base_y)
-    inj = domain.inj_lower(base_x)
-    if not (0.0 < radius < inj):
+    if not (0.0 < radius < domain.inj_lower):
         raise ValidationError(
-            f"radius must satisfy 0 < radius < inj({inj!r}), got {radius!r}"
+            f"radius must satisfy 0 < radius < inj({domain.inj_lower!r}), got {radius!r}"
         )
     p, m = domain.dim, codomain.dim
     pulled_back = pullback(domain, codomain, base_x, base_y, target, radius)
 
     # geodesic error <= exp-chart expansion * core chart error; the
     # expansion is sampled on the tangent range the target actually reaches
-    probe = ball_points(64, p, radius)
-    reach = max(float(np.linalg.norm(pulled_back(0.5 * (t / radius + 1.0))))
-                for t in probe)
-    inj_cod = codomain.inj_lower(base_y)
-    rad_cod = max(min(1.2 * reach + 1e-6, 0.95 * inj_cod), 1e-3)
+    probe = 0.5 * (ball_points(64, p, radius) / radius + 1.0)
+    reach = float(np.max(row_norms(map_rows(pulled_back, probe))))
+    rad_cod = max(min(1.2 * reach + 1e-6, 0.95 * codomain.inj_lower), 1e-3)
     expansion = estimate_exp_lipschitz(codomain, base_y, rad_cod, seed=seed + 1)
     core_eps = eps / expansion
 
     result = compile_function_to_shallow(pulled_back, p, m, core_eps, sigma,
-                                         omega=omega, **compile_kwargs)
+                                         omega=omega)
 
     # absorb cube rescale and chart embeddings into the first/last layers
     E_dom = tangent_basis(domain, base_x)
@@ -165,6 +162,6 @@ def audit_gdn(model: GDNModel, target: Callable[[np.ndarray], np.ndarray],
     """Measured sup geodesic error of a GDN against a target oracle over the
     deterministic ball sample: the oracle runs once per point, the model
     and the distance once on the stack."""
-    points = np.array(geodesic_ball_points(model.domain, model.base_x, radius, count))
-    want = np.array([np.asarray(target(x), dtype=float).ravel() for x in points])
+    points = geodesic_ball_points(model.domain, model.base_x, radius, count)
+    want = map_rows(target, points)
     return float(np.max(distance(model.codomain, want, gdn_eval(model, points))))

@@ -85,7 +85,7 @@ def cmd_compile(args, parser) -> int:
     codomain = resolve_manifold(args.codomain)
     base_x = _parse_vector(args.base_x, "--base-x")
     check_point(domain, base_x)
-    inj = domain.inj_lower(base_x)
+    inj = domain.inj_lower
     if not (0.0 < args.radius < inj):
         parser.error(f"--radius must lie in (0, {inj!r}) for {domain.id}")
     target = resolve_target(args.target, domain, base_x, seed=args.seed)
@@ -215,7 +215,7 @@ def cmd_bench(args, parser) -> int:
                                          seed=seed)
         _, k2 = estimate_chart_lipschitz(
             codomain, compiled.model.base_y,
-            max(0.5, min(radius, 0.9 * codomain.inj_lower(compiled.model.base_y))),
+            max(0.5, min(radius, 0.9 * codomain.inj_lower)),
             pairs=2000, seed=seed + 1)
         probe = [0.5 * (t / radius + 1.0) for t in ball_points(24, domain.dim, radius)]
         pulled = pullback(domain, codomain, base_x, compiled.model.base_y,

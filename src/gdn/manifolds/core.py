@@ -58,8 +58,9 @@ class ManifoldSpec:
     curvature_max : float
         Signed upper bound on sectional curvature; this is the quantity the
         K-star map is applied to (nonpositive for Cartan-Hadamard members).
-    inj_lower : callable point -> float
-        Lower bound on the injectivity radius at a point, in (0, +inf].
+    inj_lower : float
+        Lower bound on the injectivity radius, in (0, +inf]; the same at
+        every point of each zoo member.
     volume_of_ball : callable (point, r) -> float, optional
         Intrinsic volume of the metric ball; only wired for geometries with
         a closed-form or 1-D-quadrature radial volume element.
@@ -75,7 +76,7 @@ class ManifoldSpec:
     point_dim: int
     curvature_bound: float
     curvature_max: float
-    inj_lower: Callable[[np.ndarray], float] = field(repr=False)
+    inj_lower: float
     volume_of_ball: Optional[Callable[[np.ndarray, float], float]] = field(
         default=None, repr=False
     )
@@ -92,12 +93,13 @@ def sphere_surface_area(p: int) -> float:
     return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
 
 
-def _quad_radial_volume(area: float, density: Callable[[float], float], r: float,
-                        panels: int = 512) -> float:
-    # composite Simpson on the radial volume element; integrand is smooth
+def _quad_radial_volume(area: float, density: Callable[[float], float],
+                        r: float) -> float:
+    # composite Simpson with 512 panels on the radial volume element; the
+    # integrand is smooth
     if r <= 0.0:
         return 0.0
-    n = 2 * panels
+    n = 1024
     ts = np.linspace(0.0, r, n + 1)
     ys = np.array([density(t) for t in ts])
     h = r / n
@@ -165,30 +167,30 @@ def resolve_manifold(identifier: str) -> ManifoldSpec:
     inf = math.inf
     if family == "euclidean":
         return ManifoldSpec(f"euclidean:{p}", family, p, p, p, 0.0, 0.0,
-                            lambda x: inf, _euclidean_ball_volume(p))
+                            inf, _euclidean_ball_volume(p))
     if family == "sphere":
         return ManifoldSpec(f"sphere:{p}", family, p, p + 1, p + 1, 1.0, 1.0,
-                            lambda x: math.pi, _sphere_ball_volume(p))
+                            math.pi, _sphere_ball_volume(p))
     if family == "poincare":
         cid = f"poincare:{p}:{c!r}"  # repr round-trips the curvature exactly
         return ManifoldSpec(cid, family, p, p, p, c, -c,
-                            lambda x: inf, _poincare_ball_volume(p, c), param=c)
+                            inf, _poincare_ball_volume(p, c), param=c)
     if family == "spd":
         d = p * (p + 1) // 2
         # |K| <= 1/2 for the affine-invariant metric; flat directions exist,
         # so the signed maximum is 0.
         return ManifoldSpec(f"spd:{p}", family, d, d, d, 0.5, 0.0,
-                            lambda x: inf, None, param=float(p))
+                            inf, None, param=float(p))
     if family == "gaussian":
         d = p + p * (p + 1) // 2
         return ManifoldSpec(f"gaussian:{p}", family, d, d, d, 0.0, 0.0,
-                            lambda x: inf, None, param=float(p))
+                            inf, None, param=float(p))
     if family == "torus":
         return ManifoldSpec(f"torus:{p}", family, p, p, p, 0.0, 0.0,
-                            lambda x: 0.5, None)
+                            0.5, None)
     if family == "rp":
         return ManifoldSpec(f"rp:{p}", family, p, p + 1, p + 1, 1.0, 1.0,
-                            lambda x: math.pi / 2.0, None)
+                            math.pi / 2.0, None)
     raise ParseError(f"unrecognized manifold family {family!r}")  # pragma: no cover
 
 

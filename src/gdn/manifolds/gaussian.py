@@ -51,16 +51,11 @@ def gaussian_chart_encode(g: GaussianParam) -> np.ndarray:
     return np.concatenate([g.mean, sym_chart_encode(spd_log(g.cov))])
 
 
-def gaussian_chart_decode(v: np.ndarray, n: int | None = None) -> GaussianParam:
+def gaussian_chart_decode(v: np.ndarray) -> GaussianParam:
     """(mu block, s block) -> Gaussian with covariance exp of the symmetric
     matrix parameterized by the s block."""
     v = np.asarray(v, dtype=float).ravel()
-    if n is None:
-        n = _order_from_chart_dim(v.size)
-    if v.size != n + sym_dim(n):
-        raise ValidationError(
-            f"chart vector length {v.size} does not match n + n(n+1)/2 for n={n}"
-        )
+    n = _order_from_chart_dim(v.size)
     mu = v[:n]
     S = sym_chart_decode(v[n:])
     return GaussianParam(mu, sym_exp(S))
@@ -74,13 +69,13 @@ def _order_from_chart_dim(d: int) -> int:
     return n
 
 
-def gaussian_chart(direction: str, arg, n: int | None = None):
+def gaussian_chart(direction: str, arg):
     """Dispatching form: ``"encode"`` takes a GaussianParam, ``"decode"`` a
     chart vector."""
     if direction == "encode":
         return gaussian_chart_encode(arg)
     if direction == "decode":
-        return gaussian_chart_decode(arg, n)
+        return gaussian_chart_decode(arg)
     raise ValidationError(f"direction must be 'encode' or 'decode', got {direction!r}")
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "frob_unvec",
     "sym_matrix_function",
     "spd_sqrt",
-    "spd_invsqrt",
     "spd_log",
     "sym_exp",
 ]
@@ -52,8 +51,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def check_symmetric(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate symmetry up to ``tol`` relative skew and return the exact
+def check_symmetric(A: np.ndarray) -> np.ndarray:
+    """Validate symmetry up to 1e-12 relative skew and return the exact
     symmetrization (A + A^T)/2.  ``A`` is one square matrix or an
     (N, n, n) stack, each matrix judged against its own scale."""
     A = np.asarray(A, dtype=float)
@@ -66,7 +65,7 @@ def check_symmetric(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     # more than the reduction itself on the 2x2 matrices of a chart call
     skew = np.maximum.reduce(np.abs(A - At), axis=(-2, -1), initial=0.0)
     scale = np.maximum.reduce(np.abs(A), axis=(-2, -1), initial=1.0)
-    bad = skew > tol * scale
+    bad = skew > 1e-12 * scale
     if np.count_nonzero(bad):
         raise ValidationError(f"matrix is not symmetric: max skew {skew[bad].max():.3e}")
     return 0.5 * (A + At)
@@ -94,13 +93,12 @@ def spectral(V: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-12,
-                max_sweeps: int = 30) -> Tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns eigenvalues ascending and the matching orthonormal eigenvector
     columns.  Terminates when the off-diagonal Frobenius norm drops below
-    ``tol`` times the matrix norm; raises after ``max_sweeps`` sweeps.
+    1e-12 times the matrix norm; raises after 30 sweeps.
     This is the reference solver for ``eigh``; no chart calls it.
     """
     A = check_symmetric(A)
@@ -111,6 +109,7 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-12,
     if n == 1:
         return A.diagonal().copy(), V
     norm = max(float(np.linalg.norm(A)), np.finfo(float).tiny)
+    tol, max_sweeps = 1e-12, 30
     upper = np.triu_indices(n, k=1)
     for _ in range(max_sweeps):
         off = math.sqrt(2.0) * float(np.linalg.norm(A[upper]))
@@ -137,19 +136,21 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-12,
     raise NumericError(f"Jacobi failed to converge in {max_sweeps} sweeps")
 
 
-def check_spd(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def check_spd(A: np.ndarray) -> np.ndarray:
     """Validate symmetry and strict positive-definiteness (via ``eigh``)."""
-    A = check_symmetric(A, tol)
+    A = check_symmetric(A)
     w, _ = eigh(A)
     _require_positive(w, "matrix is not SPD")
     return A
 
 
 def _require_positive(w: np.ndarray, what: str) -> None:
-    # w holds ascending spectra, so the first column is each matrix's minimum
+    # w holds ascending spectra, so the first column is each matrix's
+    # minimum; the message names the first matrix that is not positive
     lowest = w[..., 0]
-    if (lowest <= 0.0).any():
-        raise DomainError(f"{what}: smallest eigenvalue {lowest.min():.6e}")
+    bad = lowest <= 0.0
+    if bad.any():
+        raise DomainError(f"{what}: smallest eigenvalue {np.extract(bad, lowest)[0]:.6e}")
 
 
 def sym_dim(n: int) -> int:
@@ -262,10 +263,6 @@ def sym_matrix_function(fn: str, A: np.ndarray) -> np.ndarray:
 
 def spd_sqrt(A: np.ndarray) -> np.ndarray:
     return sym_matrix_function("sqrt", A)
-
-
-def spd_invsqrt(A: np.ndarray) -> np.ndarray:
-    return sym_matrix_function("invsqrt", A)
 
 
 def spd_log(A: np.ndarray) -> np.ndarray:

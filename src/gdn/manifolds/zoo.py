@@ -143,9 +143,10 @@ def _spd_sqrt(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     # matrices, from one (stacked) eigendecomposition
     w, V = eigh(frob_unvec(x))
     lowest = w[..., 0]
-    if _any(lowest <= 0.0):
+    bad = lowest <= 0.0
+    if _any(bad):
         raise ValidationError(
-            f"spd point is not positive definite: min eigenvalue {lowest.min():.6e}")
+            f"spd point is not positive definite: min eigenvalue {_first(lowest, bad):.6e}")
     s = np.sqrt(w)
     return spectral(V, 1.0 / s if inverse else s)
 
@@ -267,7 +268,7 @@ def inj_lower(spec: ManifoldSpec, x) -> float:
     member: +inf on the Cartan-Hadamard side, pi on spheres, pi/2 on real
     projective space, 1/2 on the flat torus)."""
     check_point(spec, x)
-    return spec.inj_lower(np.asarray(x, dtype=float))
+    return spec.inj_lower
 
 
 def exp_map(spec: ManifoldSpec, x, v) -> np.ndarray:
@@ -417,7 +418,7 @@ def random_tangent(spec: ManifoldSpec, x, rng: np.random.Generator,
     (default 0.9 of the injectivity radius, capped at 2)."""
     x = check_point(spec, x, deep=False)
     if radius is None:
-        radius = min(0.9 * spec.inj_lower(x), 2.0)
+        radius = min(0.9 * spec.inj_lower, 2.0)
     v = rng.standard_normal(spec.chart_dim)
     if spec.family in ("sphere", "rp"):
         v = v - (v @ x) * x

@@ -76,7 +76,7 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
     """
     # distance and log_map validate x; on an infinite injectivity radius
     # the ball check cannot fail, so the distance is not computed
-    inj_x = model.domain.inj_lower(model.base_x)
+    inj_x = model.domain.inj_lower
     if math.isfinite(inj_x):
         d = distance(model.domain, model.base_x, x)
         far = d >= inj_x
@@ -87,7 +87,7 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
             )
     u = log_map(model.domain, model.base_x, x)
     w = eval_net(model.core, u)
-    inj_y = model.codomain.inj_lower(model.base_y)
+    inj_y = model.codomain.inj_lower
     if math.isfinite(inj_y):
         nw = np.sqrt(np.vecdot(w, w))
         far = nw >= inj_y

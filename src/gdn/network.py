@@ -63,9 +63,11 @@ class ActivationInfo:
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
 
-    def spot_check(self, at: float = 0.5, h: float = 1e-5) -> bool:
-        """One-point numerical probe of the standing activation assumption."""
+    def spot_check(self) -> bool:
+        """One-point numerical probe of the standing activation assumption,
+        with a central difference of step 1e-5 at 0.5."""
         f = self.eval
+        at, h = 0.5, 1e-5
         d = (float(f(np.array(at + h))) - float(f(np.array(at - h)))) / (2 * h)
         probes = np.array([-1.3, at, 2.7])
         vals = f(probes)

@@ -192,9 +192,9 @@ class GroupAxiomReport:
 
 
 def check_group_axioms(action: GroupAction, sample: Sequence[np.ndarray],
-                       base: Optional[ManifoldSpec] = None,
-                       tol: float = 1e-9) -> GroupAxiomReport:
-    """Sample-based verification of the group/compatibility axioms.
+                       base: Optional[ManifoldSpec] = None) -> GroupAxiomReport:
+    """Sample-based verification of the group/compatibility axioms, to an
+    absolute tolerance of 1e-9.
 
     Checks, in order: identity membership, closure under g1 o g2^{-1},
     isometry of every listed element, and fixed-point freeness of
@@ -208,6 +208,7 @@ def check_group_axioms(action: GroupAction, sample: Sequence[np.ndarray],
     if action.elements is None:
         raise UnsupportedError("axiom check requires an enumerable action")
     els = action.elements()
+    tol = 1e-9
 
     def dist(a: np.ndarray, b: np.ndarray) -> float:
         if base is not None:

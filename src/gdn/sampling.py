@@ -7,7 +7,6 @@ three, which covers the desk-scale experiments.
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
@@ -29,12 +28,13 @@ def _van_der_corput(i: int, base: int) -> float:
     return x
 
 
-def halton(count: int, dim: int, skip: int = 1) -> np.ndarray:
-    """First ``count`` Halton points in [0,1]^dim (bases 2,3,5,...)."""
+def halton(count: int, dim: int) -> np.ndarray:
+    """First ``count`` Halton points in [0,1]^dim (bases 2,3,5,...), from
+    index 1: the all-zero point at index 0 is skipped."""
     if dim > len(_PRIMES):
         raise ValidationError(f"halton supports up to {len(_PRIMES)} dimensions")
     return np.array([
-        [_van_der_corput(i + skip, _PRIMES[d]) for d in range(dim)]
+        [_van_der_corput(i + 1, _PRIMES[d]) for d in range(dim)]
         for i in range(count)
     ])
 
@@ -59,12 +59,13 @@ def ball_points(count: int, dim: int, radius: float) -> np.ndarray:
 
 
 def geodesic_ball_points(spec: ManifoldSpec, base, radius: float,
-                         count: int) -> List[np.ndarray]:
-    """Deterministic samples of the closed geodesic ball about ``base``:
-    tangent-ball Halton points pushed through the exponential map."""
+                         count: int) -> np.ndarray:
+    """Deterministic samples of the closed geodesic ball about ``base``, as
+    a (count, point_dim) stack: tangent-ball Halton points pushed through
+    the exponential map."""
     E = tangent_basis(spec, base)
     tangents = ball_points(count, spec.dim, radius)
     # one matrix-vector product per tangent, as E @ t: a single matrix
     # product over the whole stack rounds differently
-    return list(exp_map(spec, base, (E @ tangents[:, :, None])[..., 0]))
+    return exp_map(spec, base, (E @ tangents[:, :, None])[..., 0])
 

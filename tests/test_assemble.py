@@ -94,8 +94,8 @@ class TestAuditGrid:
         E = tangent_basis(spec, base)
         want = [exp_map(spec, base, E @ t) for t in ball_points(64, spec.dim, radius)]
         got = geodesic_ball_points(spec, base, radius, 64)
-        assert isinstance(got, list) and len(got) == 64
-        np.testing.assert_array_equal(np.array(got), np.array(want))
+        assert got.shape == (64, spec.point_dim)
+        np.testing.assert_array_equal(got, np.array(want))
 
 
 def reference_audit(model, target, radius, count):

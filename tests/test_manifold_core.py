@@ -15,19 +15,19 @@ class TestResolveManifold:
         spec = resolve_manifold("euclidean:3")
         assert (spec.dim, spec.chart_dim, spec.point_dim) == (3, 3, 3)
         assert spec.curvature_bound == 0.0
-        assert spec.inj_lower(np.zeros(3)) == math.inf
+        assert spec.inj_lower == math.inf
 
     def test_sphere_dims_and_inj(self):
         spec = resolve_manifold("sphere:2")
         assert spec.dim == 2
         assert spec.point_dim == 3
-        assert spec.inj_lower(np.array([0, 0, 1.0])) == math.pi
+        assert spec.inj_lower == math.pi
 
     def test_spd_dims(self):
         spec = resolve_manifold("spd:2")
         assert spec.dim == 3
         assert spec.chart_dim == 3
-        assert spec.inj_lower(np.array([1.0, 0.0, 1.0])) == math.inf
+        assert spec.inj_lower == math.inf
 
     def test_gaussian_dims(self):
         spec = resolve_manifold("gaussian:2")
@@ -108,7 +108,7 @@ class TestDeltaBound:
                  else np.zeros(spec.point_dim))
             res = delta_bound(spec, x, k_star(spec.curvature_max), grid=64,
                               r_max=10.0)
-            assert res.value <= spec.inj_lower(x) + 1e-6
+            assert res.value <= spec.inj_lower + 1e-6
 
     def test_monotone_under_grid_refinement(self):
         spec = resolve_manifold("sphere:2")

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_orthogonal, random_spd
 from gdn.errors import DomainError, ValidationError
 from gdn.manifolds.sym import (
+    check_spd,
     eigh,
     frob_unvec,
     frob_vec,
@@ -159,6 +160,18 @@ class TestMatrixFunctions:
         A = np.stack([np.eye(2), np.diag([1.0, -2.0]), np.eye(2)])
         with pytest.raises(DomainError, match="smallest eigenvalue"):
             sym_matrix_function("log", A)
+
+    def test_stack_error_names_the_first_bad_matrix(self):
+        # matrices 1 and 2 are not positive definite; the stacked message
+        # gives matrix 1's smallest eigenvalue, as a call on it alone does
+        A = np.stack([np.eye(2), np.diag([-0.5, 1.0]), np.diag([-3.0, 1.0])])
+        for check in (lambda M: sym_matrix_function("log", M), check_spd):
+            with pytest.raises(DomainError) as single:
+                check(A[1])
+            with pytest.raises(DomainError) as stacked:
+                check(A)
+            assert str(stacked.value) == str(single.value)
+            assert "smallest eigenvalue -5.000000e-01" in str(stacked.value)
 
     def test_high_condition_round_trips(self, rng):
         # condition number up to 1e6

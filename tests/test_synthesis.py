@@ -17,7 +17,7 @@ from gdn.approx.synthesis import (
     riemann_smooth_activation,
     select_theta0,
 )
-from gdn.errors import UnsupportedError, ValidationError
+from gdn.errors import InfeasibleDegreeError, UnsupportedError, ValidationError
 from gdn.network import get_activation, width
 
 EXP = get_activation("exp")
@@ -124,6 +124,11 @@ class TestCompileFunction:
         res = compile_function_to_shallow(model, 1, 1, 0.05, EXP)
         assert res.degree == 2
         assert res.audit_error <= 0.05
+
+    def test_bernstein_model_above_the_degree_cap_refused(self):
+        model = bernstein_from_function(lambda x: np.array([x[0]]), 13, 1, 1)
+        with pytest.raises(InfeasibleDegreeError, match="synthesis cap 12"):
+            compile_function_to_shallow(model, 1, 1, 0.1, EXP)
 
     def test_genuine_high_degree_synthesis(self):
         # a sine target forces Bernstein degree > 1 and a deep stencil

@@ -279,6 +279,19 @@ class TestStacks:
             with pytest.raises(ValidationError, match="do not match"):
                 fn(spec, np.zeros((3, 2)), np.zeros((2, 2)))
 
+    def test_spd_error_names_the_first_bad_row(self):
+        # rows 1 and 2 are not positive definite; the stacked message gives
+        # row 1's smallest eigenvalue, as a call on row 1 alone does
+        spec = resolve_manifold("spd:2")
+        stack = np.stack([frob_vec(np.diag(w))
+                          for w in ([1.0, 1.0], [-0.5, 1.0], [-3.0, 1.0])])
+        with pytest.raises(ValidationError) as single:
+            log_map(spec, stack[1], stack[0])
+        with pytest.raises(ValidationError) as stacked:
+            log_map(spec, stack, stack[0])
+        assert str(stacked.value) == str(single.value)
+        assert "min eigenvalue -5.000000e-01" in str(stacked.value)
+
     # (family, kind of bad row, how to spoil a row): point rows are spoiled
     # for every kernel, tangent rows for exp_map only, and log rows spoil
     # the second point of a log_map pair
