@@ -50,10 +50,8 @@ from .network import (
     FeedforwardNet,
     eval_net,
     get_activation,
-    load_net,
     param_count,
     register_activation,
-    save_net,
     width,
 )
 from .quotient import (

@@ -12,7 +12,7 @@ import numpy as np
 from .approx.modulus import Modulus, map_rows, row_norms
 from .approx.synthesis import CompileResult, compile_function_to_shallow
 from .errors import ValidationError
-from .manifolds.core import ManifoldSpec
+from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
 from .manifolds.zoo import (
     check_point,
     distance,
@@ -26,7 +26,7 @@ from .network import ActivationInfo, AffineLayer, FeedforwardNet
 from .sampling import ball_points, geodesic_ball_points
 
 __all__ = ["CompiledGDN", "compile_gdn", "audit_gdn", "pullback",
-           "estimate_chart_lipschitz", "estimate_exp_lipschitz"]
+           "estimate_chart_lipschitz"]
 
 
 @dataclass(frozen=True)
@@ -92,29 +92,19 @@ def estimate_chart_lipschitz(spec: ManifoldSpec, base, radius: float,
     return 1.1 * float((gap / d).max()), float((d / gap).min()) / 1.1
 
 
-def estimate_exp_lipschitz(spec: ManifoldSpec, base, radius: float,
-                           pairs: int = 2000, seed: int = 1) -> float:
-    """Sampled Lipschitz constant of the exponential chart on the tangent
-    ball (at least 1, inflated by 1.1); bounds geodesic error by core
-    chart error."""
-    gap, d = _sample_pairs(spec, base, radius, pairs, seed)
-    ok = gap >= 1e-9
-    return 1.1 * float((d[ok] / gap[ok]).max(initial=1.0))
-
-
 def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
                 base_x, base_y,
                 target: Callable[[np.ndarray], np.ndarray],
                 radius: float, eps: float, sigma: ActivationInfo,
                 omega: Optional[Modulus] = None,
-                audit_count: int = 200,
-                seed: int = 0) -> CompiledGDN:
+                audit_count: int = 200) -> CompiledGDN:
     """Compile a manifold-to-manifold target into a GDN on the geodesic
     ball of ``radius`` about ``base_x``.
 
     The target is pulled back to intrinsic tangent coordinates, rescaled to
     the unit cube, compiled to a shallow core with an error budget deflated
-    by the sampled expansion of the codomain exponential, and audited
+    by the closed-form, curvature-derived Lipschitz constant of the codomain
+    exponential chart (``exp_chart_lipschitz``), and audited
     geodesically on a deterministic ball sample; ``audit_error`` is the
     measured supremum.
     """
@@ -128,11 +118,11 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     pulled_back = pullback(domain, codomain, base_x, base_y, target, radius)
 
     # geodesic error <= exp-chart expansion * core chart error; the
-    # expansion is sampled on the tangent range the target actually reaches
+    # expansion is bounded on the tangent range the target actually reaches
     probe = 0.5 * (ball_points(64, p, radius) / radius + 1.0)
     reach = float(np.max(row_norms(map_rows(pulled_back, probe))))
     rad_cod = max(min(1.2 * reach + 1e-6, 0.95 * codomain.inj_lower), 1e-3)
-    expansion = estimate_exp_lipschitz(codomain, base_y, rad_cod, seed=seed + 1)
+    expansion = exp_chart_lipschitz(codomain, rad_cod)
     core_eps = eps / expansion
 
     result = compile_function_to_shallow(pulled_back, p, m, core_eps, sigma,

@@ -98,7 +98,7 @@ def cmd_compile(args, parser) -> int:
 
     compiled = compile_gdn(domain, codomain, base_x, base_y, target.fn,
                            args.radius, args.eps, sigma, omega=modulus,
-                           audit_count=args.grid, seed=args.seed)
+                           audit_count=args.grid)
     model = compiled.model
     measured = compiled.audit_error
     if args.verticalize is not None:
@@ -209,7 +209,7 @@ def cmd_bench(args, parser) -> int:
         grid = int(run.get("grid", 200))
 
         compiled = compile_gdn(domain, codomain, base_x, base_y, target.fn,
-                               radius, eps, sigma, audit_count=grid, seed=seed)
+                               radius, eps, sigma, audit_count=grid)
         # order-level depth prediction from sampled chart data
         k1, _ = estimate_chart_lipschitz(domain, base_x, radius, pairs=2000,
                                          seed=seed)

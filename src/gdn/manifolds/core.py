@@ -20,6 +20,7 @@ __all__ = [
     "DeltaBound",
     "resolve_manifold",
     "k_star",
+    "exp_chart_lipschitz",
     "delta_bound",
     "universality_radius",
     "unit_ball_volume",
@@ -58,12 +59,17 @@ class ManifoldSpec:
     curvature_max : float
         Signed upper bound on sectional curvature; this is the quantity the
         K-star map is applied to (nonpositive for Cartan-Hadamard members).
+    curvature_min : float
+        Signed lower bound on sectional curvature (1 on sphere and rp, -c
+        on poincare, -1/2 on spd, 0 otherwise); ``exp_chart_lipschitz``
+        turns it into the exp-chart expansion.
     inj_lower : float
         Lower bound on the injectivity radius, in (0, +inf]; the same at
         every point of each zoo member.
     volume_of_ball : callable (point, r) -> float, optional
         Intrinsic volume of the metric ball; only wired for geometries with
-        a closed-form or 1-D-quadrature radial volume element.
+        a closed-form or 1-D-quadrature radial volume element.  Left out of
+        equality, so equal specs mean the same geometry.
     param : float
         Family parameter: matrix order n for spd/gaussian, curvature c for
         poincare, 0 otherwise.
@@ -76,9 +82,10 @@ class ManifoldSpec:
     point_dim: int
     curvature_bound: float
     curvature_max: float
+    curvature_min: float
     inj_lower: float
     volume_of_ball: Optional[Callable[[np.ndarray, float], float]] = field(
-        default=None, repr=False
+        default=None, repr=False, compare=False
     )
     param: float = 0.0
 
@@ -166,30 +173,30 @@ def resolve_manifold(identifier: str) -> ManifoldSpec:
 
     inf = math.inf
     if family == "euclidean":
-        return ManifoldSpec(f"euclidean:{p}", family, p, p, p, 0.0, 0.0,
+        return ManifoldSpec(f"euclidean:{p}", family, p, p, p, 0.0, 0.0, 0.0,
                             inf, _euclidean_ball_volume(p))
     if family == "sphere":
-        return ManifoldSpec(f"sphere:{p}", family, p, p + 1, p + 1, 1.0, 1.0,
+        return ManifoldSpec(f"sphere:{p}", family, p, p + 1, p + 1, 1.0, 1.0, 1.0,
                             math.pi, _sphere_ball_volume(p))
     if family == "poincare":
         cid = f"poincare:{p}:{c!r}"  # repr round-trips the curvature exactly
-        return ManifoldSpec(cid, family, p, p, p, c, -c,
+        return ManifoldSpec(cid, family, p, p, p, c, -c, -c,
                             inf, _poincare_ball_volume(p, c), param=c)
     if family == "spd":
         d = p * (p + 1) // 2
-        # |K| <= 1/2 for the affine-invariant metric; flat directions exist,
-        # so the signed maximum is 0.
-        return ManifoldSpec(f"spd:{p}", family, d, d, d, 0.5, 0.0,
+        # -1/2 <= K <= 0 for the affine-invariant metric; flat directions
+        # exist, so the signed maximum is 0.
+        return ManifoldSpec(f"spd:{p}", family, d, d, d, 0.5, 0.0, -0.5,
                             inf, None, param=float(p))
     if family == "gaussian":
         d = p + p * (p + 1) // 2
-        return ManifoldSpec(f"gaussian:{p}", family, d, d, d, 0.0, 0.0,
+        return ManifoldSpec(f"gaussian:{p}", family, d, d, d, 0.0, 0.0, 0.0,
                             inf, None, param=float(p))
     if family == "torus":
-        return ManifoldSpec(f"torus:{p}", family, p, p, p, 0.0, 0.0,
+        return ManifoldSpec(f"torus:{p}", family, p, p, p, 0.0, 0.0, 0.0,
                             0.5, None)
     if family == "rp":
-        return ManifoldSpec(f"rp:{p}", family, p, p + 1, p + 1, 1.0, 1.0,
+        return ManifoldSpec(f"rp:{p}", family, p, p + 1, p + 1, 1.0, 1.0, 1.0,
                             math.pi / 2.0, None)
     raise ParseError(f"unrecognized manifold family {family!r}")  # pragma: no cover
 
@@ -201,6 +208,16 @@ def k_star(K: float) -> float:
     if K > 0.0:
         return math.pi / (4.0 * math.sqrt(K))
     return math.inf
+
+
+def exp_chart_lipschitz(spec: ManifoldSpec, r: float) -> float:
+    """Certified Lipschitz constant of the exponential chart on the tangent
+    ball of radius r: sinh(s)/s with s = sqrt(k) r when sec >= -k, k > 0,
+    and 1 when the curvature is nonnegative (Rauch comparison, do Carmo,
+    *Riemannian Geometry*, ch. 10).  On positively curved members r must
+    stay below the conjugate radius pi/sqrt(K)."""
+    s = math.sqrt(max(-spec.curvature_min, 0.0)) * r
+    return math.sinh(s) / s if s > 0.0 else 1.0
 
 
 class DeltaBound(NamedTuple):

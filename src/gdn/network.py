@@ -4,7 +4,6 @@ with bit-exact float round trips.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -23,8 +22,6 @@ __all__ = [
     "width",
     "net_to_dict",
     "net_from_dict",
-    "save_net",
-    "load_net",
 ]
 
 ACTIVATION_CLASSES = ("smooth-nonpoly", "continuous-nonpoly", "nonaffine-poly",
@@ -250,15 +247,3 @@ def net_from_dict(d: dict) -> FeedforwardNet:
             f"activation class mismatch: file says {declared!r}, registry says {act.cls!r}"
         )
     return FeedforwardNet(layers, act)
-
-
-def save_net(net: FeedforwardNet, path: str) -> None:
-    # json's repr-based float encoding round-trips doubles bit-exactly
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(net_to_dict(net), f)
-        f.write("\n")
-
-
-def load_net(path: str) -> FeedforwardNet:
-    with open(path, "r", encoding="utf-8") as f:
-        return net_from_dict(json.load(f))

@@ -1,5 +1,7 @@
-"""Chart-Lipschitz sampling, the audit grid, and an SPD compile that never
+"""Chart-Lipschitz sampling against the closed-form exp-chart constant, the
+audit grid, a seed-free chart compile, and an SPD compile that never
 touches the Jacobi solver."""
+import hashlib
 import json
 import math
 import sys
@@ -8,11 +10,13 @@ import numpy as np
 import pytest
 
 import gdn.manifolds.sym
-from gdn.assemble import audit_gdn, estimate_chart_lipschitz, estimate_exp_lipschitz
+from gdn.assemble import _sample_pairs, audit_gdn, estimate_chart_lipschitz
 from gdn.cli import main
 from gdn.errors import NumericError
 from gdn.manifolds import resolve_manifold
-from gdn.manifolds.zoo import check_point, distance, exp_map, random_tangent, tangent_basis
+from gdn.manifolds.core import exp_chart_lipschitz
+from gdn.manifolds.zoo import (check_point, distance, exp_map, random_point,
+                               random_tangent, tangent_basis)
 from gdn.model import GDNModel
 from gdn.network import AffineLayer, FeedforwardNet, get_activation
 from gdn.sampling import ball_points, geodesic_ball_points
@@ -25,6 +29,16 @@ CASES = [
     ("spd:2", [1.0, 0.0, 1.0], 1.2),
     ("euclidean:1", [0.3], 0.7),
 ]
+
+
+def estimate_exp_lipschitz(spec, base, radius: float,
+                           pairs: int = 2000, seed: int = 1) -> float:
+    """Sampled Lipschitz constant of the exponential chart on the tangent
+    ball (at least 1, inflated by 1.1); bounds geodesic error by core
+    chart error."""
+    gap, d = _sample_pairs(spec, base, radius, pairs, seed)
+    ok = gap >= 1e-9
+    return 1.1 * float((d[ok] / gap[ok]).max(initial=1.0))
 
 
 def reference_exp_lipschitz(spec, base, radius, pairs=2000, seed=1):
@@ -81,6 +95,51 @@ class TestLipschitzEstimators:
         # the flat chart has expansion exactly 1
         spec = resolve_manifold("euclidean:1")
         assert estimate_exp_lipschitz(spec, [0.0], 1.0, pairs=50) == 1.1
+
+
+BOUND_IDS = ["euclidean:1", "euclidean:3", "sphere:2", "sphere:3", "rp:2", "torus:2",
+             "gaussian:2", "poincare:2:1", "poincare:3:0.5", "poincare:2:4", "spd:2",
+             "spd:3"]
+
+
+class TestExpChartLipschitz:
+    @pytest.mark.parametrize("ident", BOUND_IDS)
+    def test_sampled_ratio_never_exceeds_closed_form(self, ident):
+        spec = resolve_manifold(ident)
+        base = random_point(spec, np.random.default_rng(5))
+        for radius in (0.3, 1.0, min(2.5, 0.95 * spec.inj_lower)):
+            gap, d = _sample_pairs(spec, base, radius, 2000, seed=2)
+            ok = gap >= 1e-9
+            sampled = float((d[ok] / gap[ok]).max())
+            # the flat charts are isometries up to rounding in the last bit
+            assert sampled <= exp_chart_lipschitz(spec, radius) * (1.0 + 1e-12), radius
+
+    @pytest.mark.parametrize("ident", ["euclidean:1", "euclidean:3", "gaussian:2",
+                                       "torus:2", "sphere:2", "sphere:3", "rp:2"])
+    def test_flat_and_positive_curvature_give_one(self, ident):
+        spec = resolve_manifold(ident)
+        for radius in (0.3, 1.0, min(2.5, 0.95 * spec.inj_lower)):
+            assert exp_chart_lipschitz(spec, radius) == 1.0
+
+    def test_negative_curvature_values(self):
+        assert exp_chart_lipschitz(resolve_manifold("poincare:2:1"), 1.0) == math.sinh(1.0)
+        # sec >= -1/2 on spd; sqrt(0.5) and 1/sqrt(2) differ in the last bit
+        s = 1.0 / math.sqrt(2.0)
+        assert exp_chart_lipschitz(resolve_manifold("spd:2"), 1.0) == pytest.approx(
+            math.sinh(s) / s, rel=1e-15, abs=0.0)
+
+
+def test_chart_compile_does_not_depend_on_the_seed(tmp_path, capsys):
+    shas = []
+    for seed in (0, 9):
+        out = tmp_path / f"model{seed}.json"
+        assert main(["compile", "--target", "mobius-shift", "--domain", "poincare:2:1",
+                     "--codomain", "poincare:2:1", "--base-x", "[0, 0]",
+                     "--radius", "1.0", "--eps", "0.05", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        shas.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert shas[0] == shas[1]
 
 
 class TestAuditGrid:

@@ -22,31 +22,31 @@ COMPILES = {
     "sphere2-rotation": (
         ["--target", "rotation", "--domain", "sphere:2", "--codomain", "sphere:2",
          "--base-x", "[0, 0, 1]", "--radius", "1.5707", "--eps", "0.1"],
-        {"apriori_bound": 10.369362581822738, "audit_points": 200,
+        {"apriori_bound": 9.426942604661795, "audit_points": 200,
          "bernstein_degree": 1, "depth": 1, "eps": 0.1,
-         "measured_error": 0.002517015418844584, "param_count": 31,
+         "measured_error": 0.002768710480482164, "param_count": 31,
          "target": "rotation", "width": 4},
-        "01bf4134aa1becd23f655a13745e4741fbf0765f293d17629d9edae9600f0016",
+        "eb34ce2cc121587a6364bdd2152a1a3d50ce0828a19a7084839414a573bb44e4",
     ),
     "poincare2-mobius": (
         ["--target", "mobius-shift", "--domain", "poincare:2:1",
          "--codomain", "poincare:2:1", "--base-x", "[0, 0]", "--radius", "1.0",
          "--eps", "0.05"],
-        {"apriori_bound": 8.206940566367983, "audit_points": 200,
+        {"apriori_bound": 7.522299379136211, "audit_points": 200,
          "bernstein_degree": 1, "depth": 1, "eps": 0.05,
-         "measured_error": 0.0006452287500098072, "param_count": 12,
+         "measured_error": 0.0007039603963894114, "param_count": 12,
          "target": "mobius-shift", "width": 2},
-        "307631f31f7ecaf16092840bdddf6eb0bc662369a07041681a3b6656a4b18fa1",
+        "484ff4935668363ef27d57961b47f76e6d20798f39dc2881cbe99865f5cb18f2",
     ),
     "cube2-mixed": (
         ["--target", "poly:x1^2-x2^2+x1*x2", "--domain", "euclidean:2",
          "--codomain", "euclidean:1", "--base-x", "[0, 0]", "--radius", "0.3",
          "--eps", "0.08"],
-        {"apriori_bound": 0.2720543161757637, "audit_points": 200,
+        {"apriori_bound": 0.24738774787331902, "audit_points": 200,
          "bernstein_degree": 3, "depth": 1, "eps": 0.08,
-         "measured_error": 0.02861059905317087, "param_count": 33,
+         "measured_error": 0.028614435698987917, "param_count": 33,
          "target": "poly:x1^2-x2^2+x1*x2", "width": 8},
-        "8e80d1528690898af183a44f2d0c69cfcd01399c7d28af5f2be9f0a11a908aaf",
+        "c644cddac1cc21d58b12c482d4ea0c8d94b0f6ea0acabf770f395b2b966cdbb8",
     ),
 }
 
@@ -61,9 +61,9 @@ BENCH_RUNS = [
 
 BENCH_CSV = (
     "target,eps,measured_error,width,depth,param_count,predicted_depth_order\n"
-    "rotation,0.10000000000000001,0.0015913890378463551,4,1,31,768560.97066045296\n"
-    "mobius-shift,0.10000000000000001,0.00075389709538568504,2,1,12,25057.606407227137\n"
-    "poly:x1*x2,0.10000000000000001,0.0010230983069935418,4,1,17,5404.4441112402474\n"
+    "rotation,0.10000000000000001,0.0017505219469371963,4,1,31,768560.97066045296\n"
+    "mobius-shift,0.10000000000000001,0.00082763920102902548,2,1,12,25057.606407227137\n"
+    "poly:x1*x2,0.10000000000000001,0.0011255442250709402,4,1,17,5404.4441112402474\n"
 )
 
 

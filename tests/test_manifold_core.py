@@ -51,6 +51,24 @@ class TestResolveManifold:
         with pytest.raises((ParseError, ValidationError)):
             resolve_manifold(bad)
 
+    @pytest.mark.parametrize("ident", [
+        "euclidean:2", "sphere:2", "poincare:2:1", "spd:2", "gaussian:2", "torus:2",
+        "rp:2",
+    ])
+    def test_equal_specs_mean_the_same_geometry(self, ident):
+        assert resolve_manifold(ident) == resolve_manifold(ident)
+
+    def test_different_geometries_differ(self):
+        assert resolve_manifold("sphere:2") != resolve_manifold("sphere:3")
+        assert resolve_manifold("poincare:2:1") != resolve_manifold("poincare:2:0.5")
+
+    @pytest.mark.parametrize("ident,kmin", [
+        ("euclidean:2", 0.0), ("gaussian:2", 0.0), ("torus:2", 0.0), ("sphere:2", 1.0),
+        ("rp:2", 1.0), ("poincare:2:0.5", -0.5), ("spd:3", -0.5),
+    ])
+    def test_curvature_min(self, ident, kmin):
+        assert resolve_manifold(ident).curvature_min == kmin
+
 
 class TestKStar:
     def test_zero_and_negative_are_infinite(self):
