@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from ..errors import DomainError, InfeasibleDegreeError, ValidationError
-from .modulus import Modulus, map_rows
+from .modulus import Modulus, oracle_rows
 
 __all__ = [
     "BernsteinModel",
@@ -58,9 +59,6 @@ class BernsteinModel:
         return bernstein_eval(self, x)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=64)
 def _binomial_row(n: int) -> np.ndarray:
     row = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
@@ -102,10 +100,11 @@ def bernstein_eval(model: BernsteinModel, x) -> np.ndarray:
 
 def bernstein_from_function(f: Callable[[np.ndarray], np.ndarray],
                             n: int, p: int, m: int) -> BernsteinModel:
-    """Sample an oracle on the degree-n lattice of the unit cube, one call
-    per lattice point k / n in lexicographic order."""
+    """Sample an oracle on the degree-n lattice of the unit cube: one call
+    on the ((n+1)^p, p) stack of lattice points k / n in lexicographic
+    order, which must return an ((n+1)^p, m) stack."""
     lattice = np.array(list(product(range(n + 1), repeat=p)), dtype=float) / n
-    values = map_rows(f, lattice)
+    values = oracle_rows(f, lattice, m)
     return BernsteinModel(n, p, values.reshape((n + 1,) * p + (m,)))
 
 

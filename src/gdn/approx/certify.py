@@ -184,9 +184,7 @@ def certify_efficient(dataset: Sequence, values: Sequence,
         coeff_rows = _lagrange_1d(xs1, Y)
         poly: PolyDict = {(d,): coeff_rows[d] for d in range(count)
                           if np.any(coeff_rows[d] != 0.0) or d == 0}
-        resid = max(
-            float(np.max(np.abs(poly_eval(poly, X[c]) - Y[c]))) for c in range(count)
-        )
+        resid = float(np.max(np.abs(poly_eval(poly, X) - Y)))
         max_order = p * count
         table = _derivative_table(poly, p, max_order)
         deriv_sum = 0.0
@@ -194,16 +192,13 @@ def certify_efficient(dataset: Sequence, values: Sequence,
         for beta, dpoly in table.items():
             if sum(beta) == 0:
                 continue
-            mags = [float(np.max(np.abs(poly_eval(dpoly, X[c])))) for c in range(count)]
-            biggest = max(mags) if mags else 0.0
+            biggest = float(np.max(np.abs(poly_eval(dpoly, X))))
             deriv_sum += biggest
             deriv_max = max(deriv_max, biggest)
-        diam = float(max(abs(xs1[i] - xs1[j]) for i in range(count)
-                         for j in range(count))) if count > 1 else 0.0
+        diam = float(np.max(xs1) - np.min(xs1))  # the largest |xs1[i] - xs1[j]|
         span = float(np.max(np.abs(xs1))) if count else 1.0
         zs = np.linspace(-span, span, 201)
-        sup_val = max(float(np.max(np.abs(poly_eval(poly, np.array([z])))))
-                      for z in zs) if count else 0.0
+        sup_val = float(np.max(np.abs(poly_eval(poly, zs[:, None]))))
         M = 2.0 * diam * sup_val + deriv_sum
         notes: List[str] = []
         if resid > 1e-10:
@@ -245,27 +240,18 @@ def certify_efficient(dataset: Sequence, values: Sequence,
             M = max(M, float(np.max(np.abs(np.asarray(
                 poly_eval(dpoly, X[c]), dtype=float)))))
 
-    for c in range(count):
-        for j in range(count):
-            if c == j:
-                continue
-            gap = float(np.linalg.norm(X[c] - X[j]))
-            for beta in _multi_indices(p, max_order):
-                dc = np.asarray(poly_eval(tables[c][beta], X[c]), dtype=float)
-                dj = np.asarray(poly_eval(tables[j][beta], X[c]), dtype=float)
-                lhs = float(np.max(np.abs(dc - dj)))
-                rhs = M * gap ** (max_order - sum(beta))
-                if lhs > rhs + 1e-12:
-                    notes.append(
-                        f"compatibility failed for pair ({c},{j}) at |beta|={sum(beta)}"
-                    )
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+    def incompatible(c: int, j: int, beta: Tuple[int, ...]) -> bool:
+        gap = float(np.linalg.norm(X[c] - X[j]))
+        dc = np.asarray(poly_eval(tables[c][beta], X[c]), dtype=float)
+        dj = np.asarray(poly_eval(tables[j][beta], X[c]), dtype=float)
+        return float(np.max(np.abs(dc - dj))) > M * gap ** (max_order - sum(beta)) + 1e-12
+
+    failed = next(((c, j, beta) for c in range(count) for j in range(count) if c != j
+                   for beta in _multi_indices(p, max_order) if incompatible(c, j, beta)),
+                  None)
+    if failed is not None:
+        c, j, beta = failed
+        notes.append(f"compatibility failed for pair ({c},{j}) at |beta|={sum(beta)}")
 
     return EfficiencyCertificate(
         normalizable=True, witness_base=base_list,

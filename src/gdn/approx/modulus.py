@@ -66,11 +66,8 @@ class ModulusEstimate:
         k, v = self.knots, self.values
         if t >= k[-1]:
             return float(v[-1])
-        if self.interp == "step":
-            i = int(np.searchsorted(k, t, side="right")) - 1
-            return float(v[i])
         i = int(np.searchsorted(k, t, side="right")) - 1
-        if k[i] == t:
+        if self.interp == "step" or k[i] == t:
             return float(v[i])
         w = (t - k[i]) / (k[i + 1] - k[i])
         return float(v[i] + w * (v[i + 1] - v[i]))
@@ -139,10 +136,15 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def map_rows(f: Callable[[np.ndarray], np.ndarray], xs) -> np.ndarray:
-    """A per-point oracle at each row of the (N, p) stack ``xs``, one call
-    per row in row order, as the (N, m) stack of its flattened outputs."""
-    return np.array([np.asarray(f(x), dtype=float).ravel() for x in xs])
+def oracle_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
+                m: Optional[int]) -> np.ndarray:
+    """The oracle ``f`` called once on the (N, p) stack ``xs``, refused unless
+    it returns an (N, m) stack (any m if None); every compile stage uses it."""
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.ndim != 2 or len(ys) != len(xs) or m not in (None, ys.shape[1]):
+        raise ValidationError(f"oracle output must have shape ({len(xs)}, {m or 'm'}) "
+                              f"for a stack of {len(xs)} points, got {ys.shape}")
+    return ys
 
 
 def sample_pairs(xs, ys) -> np.ndarray:
@@ -156,12 +158,11 @@ def sample_pairs(xs, ys) -> np.ndarray:
     return np.column_stack([row_norms(xs[i] - xs[j]), row_norms(ys[i] - ys[j])])
 
 
-def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray],
-                         xs: Sequence[np.ndarray]) -> ModulusEstimate:
-    """Empirical modulus of ``f`` over all pairs from the Euclidean sample
-    ``xs`` (O(n^2) pairs; intended for desk-scale grids)."""
-    xs = [np.asarray(x, dtype=float).ravel() for x in xs]
-    return empirical_modulus(sample_pairs(xs, map_rows(f, xs)))
+def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray], xs) -> ModulusEstimate:
+    """Empirical modulus of ``f``, run once on the (N, p) stack ``xs``, over
+    all pairs of it (O(N^2) pairs; intended for desk-scale grids)."""
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    return empirical_modulus(sample_pairs(xs, oracle_rows(f, xs, None)))
 
 
 _T_MAX = 1e18

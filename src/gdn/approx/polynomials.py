@@ -31,19 +31,21 @@ Coeffs = Dict[Tuple[int, ...], float]
 
 
 def poly_eval(coeffs: Dict[Tuple[int, ...], object], x) -> np.ndarray:
-    """Evaluate a sparse exponent-dict polynomial; coefficients may be
-    scalars or vectors (all of one shape)."""
-    x = np.asarray(x, dtype=float).ravel()
+    """Evaluate a sparse exponent-dict polynomial, with scalar or vector
+    coefficients, at a point or at each row of an (N, dim) stack; powers are
+    scalar per element (numpy's vector power rounds differently)."""
+    x = np.asarray(x, dtype=float)
+    x = x if x.ndim == 2 else x.ravel()
     total = None
     for exps, c in coeffs.items():
-        mono = 1.0
-        for xi, e in zip(x, exps):
+        mono = np.ones(x.shape[:-1])
+        for xi, e in zip(x.T, exps):
             if e:
-                mono *= xi ** e
-        term = np.asarray(c, dtype=float) * mono
+                mono = mono * (np.array([t ** e for t in xi]) if xi.ndim else xi ** e)
+        term = np.multiply.outer(mono, np.asarray(c, dtype=float))
         total = term if total is None else total + term
     if total is None:
-        return np.float64(0.0)
+        return np.zeros(x.shape[:-1])[()]
     return total
 
 
@@ -112,13 +114,14 @@ class LinearFormPoly:
     degree: int
     r_bound: int
 
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float).ravel()
-        total = 0.0
+    def __call__(self, x):
+        """h at a point, or at each row of an (N, dim) stack (bit for bit)."""
+        x = np.asarray(x, dtype=float)
+        x = x if x.ndim == 2 else x.ravel()
+        total = np.zeros(x.shape[:-1])
         for a, b in self.terms:
-            z = float(a @ x)
-            total += float(np.polyval(b[::-1], z))
-        return total
+            total = total + np.polyval(b[::-1], np.vecdot(x, a))
+        return total if x.ndim == 2 else float(total)
 
 
 def _canonical_direction(a: np.ndarray) -> Tuple[Tuple[int, ...], int]:
@@ -200,15 +203,15 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPol
 
     # round-trip audit on the test grid
     axes = [np.linspace(-1.0, 1.0, degree + 1)] * dim
+    grid = np.array(list(product(*axes))).reshape(-1, dim)
     scale = max(1.0, max((abs(float(np.asarray(c))) for c in coeffs.values()), default=1.0))
-    for pt in product(*axes):
-        x = np.array(pt)
-        want = float(poly_eval(coeffs, x))
-        got = result(x)
-        if abs(want - got) > 1e-8 * scale:
-            raise NumericError(
-                f"polarization decomposition failed audit at {x}: {got} vs {want}"
-            )
+    want, got = poly_eval(coeffs, grid), result(grid)
+    bad = np.flatnonzero(np.abs(want - got) > 1e-8 * scale)
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"polarization decomposition failed audit at {grid[i]}: {got[i]} vs {want[i]}"
+        )
     return result
 
 

@@ -22,7 +22,7 @@ from ..errors import (
     UnsupportedError,
     ValidationError,
 )
-from ..network import ActivationInfo, AffineLayer, FeedforwardNet
+from ..network import ActivationInfo, AffineLayer, FeedforwardNet, width as net_width
 from .bernstein import (
     BernsteinModel,
     bernstein_degree_for,
@@ -30,7 +30,7 @@ from .bernstein import (
     bernstein_from_function,
     bernstein_to_coefficients,
 )
-from .modulus import Modulus, empirical_modulus, map_rows, row_norms, sample_pairs
+from .modulus import Modulus, empirical_modulus, oracle_rows, row_norms, sample_pairs
 from .polynomials import LinearFormPoly, decompose_polynomial, poly_total_degree
 
 __all__ = [
@@ -173,8 +173,7 @@ def compile_poly_to_shallow(terms: LinearFormPoly, sigma: ActivationInfo,
             (AffineLayer(np.zeros((1, terms.dim)), np.array([out_b])),), sigma)
 
     grid = _grid_points(terms.dim, 9 if terms.dim > 1 else 201, lo=-1.0)
-    errs = [abs(y - terms(x)) for y, x in zip(net(grid)[:, 0], grid)]
-    sup_error = max(errs) if errs else 0.0
+    sup_error = float(np.max(np.abs(net(grid)[:, 0] - terms(grid))))
     return CompiledPoly(net, sup_error, sup_error / h)
 
 
@@ -254,10 +253,11 @@ def compile_function_to_shallow(
     refused, because the difference stencils degenerate in double
     precision.  The audit grid has 10 points per axis.
 
-    The oracle runs once per point of the selection grid, of each Bernstein
-    lattice tried and of the audit grid; the audit values serve both the
-    audit error and, without ``omega``, the empirical modulus over every
-    third audit point.
+    A callable target takes an (N, p) stack and returns an (N, m) stack.
+    It runs once on each of the selection grid, each Bernstein lattice
+    tried and the audit grid, so every point is evaluated once; the audit
+    values serve both the audit error and, without ``omega``, the
+    empirical modulus over every third audit point.
     """
     if eps <= 0.0:
         raise ValidationError("eps must be positive")
@@ -274,7 +274,7 @@ def compile_function_to_shallow(
                 f"degree {n} exceeds the synthesis cap {_DEGREE_CAP}", _DEGREE_CAP
             )
     else:
-        targets = map_rows(target, grid)
+        targets = oracle_rows(target, grid, m)
         candidates = list(_DEGREES)
         if omega is not None:
             try:
@@ -342,13 +342,11 @@ def compile_function_to_shallow(
     shallow, synth_resid, used_h, outputs = best
 
     values = (lattice_audit if isinstance(target, BernsteinModel)
-              else map_rows(target, audit))
+              else oracle_rows(target, audit, m))
     audit_error = float(np.max(row_norms(outputs - values)))
     if omega is None:
         omega = empirical_modulus(sample_pairs(audit[::3], values[::3]))
     apriori = (1.0 + p / 4.0) * m * float(omega(1.0 / math.sqrt(n))) + synth_resid
-
-    from ..network import width as net_width
     return CompileResult(shallow, n, net_width(shallow),
                          sum(len(lf.terms) for lf in per_output),
                          theta0, used_h, apriori, synth_resid, audit_error)

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .approx.modulus import Modulus, map_rows, row_norms
+from .approx.modulus import Modulus, oracle_rows, row_norms
 from .approx.synthesis import CompileResult, compile_function_to_shallow
 from .errors import ValidationError
 from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
@@ -43,15 +43,17 @@ def pullback(domain: ManifoldSpec, codomain: ManifoldSpec, base_x, base_y,
              radius: float) -> Callable[[np.ndarray], np.ndarray]:
     """The target pulled back to the unit cube: t in [0,1]^p maps to the
     intrinsic tangent coordinates, about ``base_y``, of the target at
-    Exp_{base_x}(radius (2t - 1))."""
+    Exp_{base_x}(radius (2t - 1)).  Like ``target``, it maps one point or an
+    (N, p) stack with one target call, each row bit for bit its value alone."""
     E_dom = tangent_basis(domain, base_x)
     E_cod = tangent_basis(codomain, base_y)
 
     def pulled_back(t: np.ndarray) -> np.ndarray:
         u = radius * (2.0 * np.asarray(t, dtype=float) - 1.0)
-        x = exp_map(domain, base_x, E_dom @ u)
-        w = log_map(codomain, base_y, np.asarray(target(x), dtype=float))
-        return E_cod.T @ w
+        # matrix-vector products row by row: one matrix product rounds differently
+        x = exp_map(domain, base_x, (E_dom @ u[..., None])[..., 0])
+        w = log_map(codomain, base_y, target(x))
+        return (E_cod.T @ w[..., None])[..., 0]
 
     return pulled_back
 
@@ -106,7 +108,8 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     by the closed-form, curvature-derived Lipschitz constant of the codomain
     exponential chart (``exp_chart_lipschitz``), and audited
     geodesically on a deterministic ball sample; ``audit_error`` is the
-    measured supremum.
+    measured supremum.  ``target`` maps one point or an (N, point_dim)
+    stack, like ``exp_map``, and each compile stage calls it once.
     """
     base_x = check_point(domain, base_x)
     base_y = check_point(codomain, base_y)
@@ -114,13 +117,15 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
         raise ValidationError(
             f"radius must satisfy 0 < radius < inj({domain.inj_lower!r}), got {radius!r}"
         )
+    if audit_count < 1:
+        raise ValidationError(f"the audit needs at least 1 point, got {audit_count!r}")
     p, m = domain.dim, codomain.dim
     pulled_back = pullback(domain, codomain, base_x, base_y, target, radius)
 
     # geodesic error <= exp-chart expansion * core chart error; the
     # expansion is bounded on the tangent range the target actually reaches
     probe = 0.5 * (ball_points(64, p, radius) / radius + 1.0)
-    reach = float(np.max(row_norms(map_rows(pulled_back, probe))))
+    reach = float(np.max(row_norms(oracle_rows(pulled_back, probe, m))))
     rad_cod = max(min(1.2 * reach + 1e-6, 0.95 * codomain.inj_lower), 1e-3)
     expansion = exp_chart_lipschitz(codomain, rad_cod)
     core_eps = eps / expansion
@@ -150,8 +155,8 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
 def audit_gdn(model: GDNModel, target: Callable[[np.ndarray], np.ndarray],
               radius: float, count: int) -> float:
     """Measured sup geodesic error of a GDN against a target oracle over the
-    deterministic ball sample: the oracle runs once per point, the model
-    and the distance once on the stack."""
+    deterministic ball sample of ``count`` points: the oracle, the model
+    and the distance each run once on the (count, point_dim) stack."""
     points = geodesic_ball_points(model.domain, model.base_x, radius, count)
-    want = map_rows(target, points)
+    want = oracle_rows(target, points, model.codomain.point_dim)
     return float(np.max(distance(model.codomain, want, gdn_eval(model, points))))

@@ -39,16 +39,22 @@ def _json_out(payload: dict) -> None:
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
-        data = json.loads(text)
-        return np.asarray(data, dtype=float).ravel()
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
+        return np.asarray(json.loads(text), dtype=float).ravel()
+    except (TypeError, ValueError) as e:
         raise ParseError(f"{what} must be a JSON array of numbers: {e}") from e
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise ParseError(f"{path}: malformed JSON: {e}") from e
 
 
 def _load_modulus(args) -> object:
     if args.modulus_file:
-        with open(args.modulus_file, "r", encoding="utf-8") as f:
-            d = json.load(f)
+        d = _load_json(args.modulus_file)
         try:
             return ModulusEstimate(np.array(d["knots"], dtype=float),
                                    np.array(d["values"], dtype=float))
@@ -89,12 +95,15 @@ def cmd_compile(args, parser) -> int:
     if not (0.0 < args.radius < inj):
         parser.error(f"--radius must lie in (0, {inj!r}) for {domain.id}")
     target = resolve_target(args.target, domain, base_x, seed=args.seed)
-    if args.base_y == "auto":
-        base_y = np.asarray(target.fn(base_x), dtype=float)
-    else:
-        base_y = _parse_vector(args.base_y, "--base-y")
+    base_y = (np.asarray(target.fn(base_x), dtype=float) if args.base_y == "auto"
+              else _parse_vector(args.base_y, "--base-y"))
     sigma = get_activation(args.activation)
     modulus = LipschitzModulus(args.lip) if args.lip else None
+    if args.verticalize is not None:
+        try:
+            lo, hi = (float(t) for t in args.verticalize.split(","))
+        except ValueError as e:
+            raise ParseError(f"--verticalize must be LO,HI, got {args.verticalize!r}") from e
 
     compiled = compile_gdn(domain, codomain, base_x, base_y, target.fn,
                            args.radius, args.eps, sigma, omega=modulus,
@@ -102,7 +111,6 @@ def cmd_compile(args, parser) -> int:
     model = compiled.model
     measured = compiled.audit_error
     if args.verticalize is not None:
-        lo, hi = (float(t) for t in args.verticalize.split(","))
         strategy = ("exact-pwl" if sigma.cls == "piecewise-linear"
                     else "scaled-identity")
         # lam ~ sqrt(2 eps_machine) balances linearization error against
@@ -135,14 +143,9 @@ def cmd_compile(args, parser) -> int:
 
 
 def cmd_eval(args, parser) -> int:
-    with open(args.model, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = _load_json(args.model)
     x = _parse_vector(args.input, "--input")
-    if "domain" in payload:
-        model = gdn_from_dict(payload)
-        y = model(x)
-    else:
-        y = net_from_dict(payload)(x)
+    y = (gdn_from_dict(payload) if "domain" in payload else net_from_dict(payload))(x)
     _json_out({"output": [float(t) for t in np.asarray(y).ravel()]})
     return 0
 
@@ -186,27 +189,31 @@ _BENCH_COLUMNS = ("target", "eps", "measured_error", "width", "depth",
 
 
 def cmd_bench(args, parser) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        config = json.load(f)
-    runs = config.get("runs")
+    config = _load_json(args.config)
+    runs = config.get("runs") if isinstance(config, dict) else None
     if not runs:
         raise ParseError("bench config needs a non-empty 'runs' list")
     header = list(_BENCH_COLUMNS) + (["wall_time_s"] if args.timing else [])
     rows = [",".join(header)]
-    for run in runs:
+    for i, run in enumerate(runs):
         t0 = time.perf_counter()
-        domain = resolve_manifold(run["domain"])
-        codomain = resolve_manifold(run["codomain"])
-        base_x = np.asarray(run["base_x"], dtype=float)
-        seed = int(run.get("seed", 0))
-        target = resolve_target(run["target"], domain, base_x, seed=seed)
-        base_y = (np.asarray(target.fn(base_x), dtype=float)
-                  if run.get("base_y", "auto") == "auto"
-                  else np.asarray(run["base_y"], dtype=float))
-        sigma = get_activation(run.get("activation", "exp"))
-        radius = float(run["radius"])
-        eps = float(run["eps"])
-        grid = int(run.get("grid", 200))
+        try:
+            domain = resolve_manifold(run["domain"])
+            codomain = resolve_manifold(run["codomain"])
+            base_x = np.asarray(run["base_x"], dtype=float)
+            seed = int(run.get("seed", 0))
+            target = resolve_target(run["target"], domain, base_x, seed=seed)
+            base_y = (np.asarray(target.fn(base_x), dtype=float)
+                      if run.get("base_y", "auto") == "auto"
+                      else np.asarray(run["base_y"], dtype=float))
+            sigma = get_activation(run.get("activation", "exp"))
+            radius = float(run["radius"])
+            eps = float(run["eps"])
+            grid = int(run.get("grid", 200))
+        except KeyError as e:
+            raise ParseError(f"bench run {i}: missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"bench run {i}: {e}") from e
 
         compiled = compile_gdn(domain, codomain, base_x, base_y, target.fn,
                                radius, eps, sigma, audit_count=grid)
@@ -217,7 +224,7 @@ def cmd_bench(args, parser) -> int:
             codomain, compiled.model.base_y,
             max(0.5, min(radius, 0.9 * codomain.inj_lower)),
             pairs=2000, seed=seed + 1)
-        probe = [0.5 * (t / radius + 1.0) for t in ball_points(24, domain.dim, radius)]
+        probe = 0.5 * (ball_points(24, domain.dim, radius) / radius + 1.0)
         pulled = pullback(domain, codomain, base_x, compiled.model.base_y,
                           target.fn, radius)
         omega = modulus_from_samples(pulled, probe)

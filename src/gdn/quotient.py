@@ -68,16 +68,8 @@ def lattice_action(m: int) -> GroupAction:
             out.append((f"shift{tuple(int(t) for t in k)}", k))
         return out
 
-    def window() -> List[Element]:
-        out: List[Element] = []
-        for offset in np.ndindex(*(3,) * m):
-            k = np.asarray(offset, dtype=float) - 1.0
-            out.append((f"shift{tuple(int(t) for t in k)}", k))
-        return out
-
-    return GroupAction("lattice-translation",
-                       lambda g, z: apply(g, z),
-                       near, window)
+    return GroupAction("lattice-translation", apply, near,
+                       lambda: near(np.zeros(m), np.zeros(m)))
 
 
 def antipodal_action(m: int) -> GroupAction:

@@ -9,12 +9,15 @@ evaluation oracle, so compiled models can be audited against ground truth:
   a = t * e1 (default t = 0.3 / sqrt(c)).
 * ``spd-congruence[:seed]`` - A -> X^T A X for a seeded random orthogonal X.
 * ``poly:EXPR`` - Euclidean polynomial target, e.g. ``poly:x1*x2``.
+
+Each ``Target.fn`` takes one point or an (N, point_dim) stack, row for row
+bit-identical to one call per row, as the chart kernels do.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,26 +47,32 @@ def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
+def _number(kind: str, arg: str, convert: Callable[[str], object]):
+    try:
+        return convert(arg)
+    except ValueError as e:
+        raise ParseError(f"bad {kind} target argument {arg!r}: {e}") from e
+
+
 def resolve_target(name: str, domain: ManifoldSpec, base_x,
                    seed: int = 0) -> Target:
-    """Build a target oracle acting on points of ``domain``."""
-    parts = name.split(":", 1)
-    kind = parts[0]
-    arg: Optional[str] = parts[1] if len(parts) > 1 else None
+    """Build a target oracle acting on points of ``domain`` (or stacks)."""
+    kind, _, arg = name.partition(":")
 
     if kind == "rotation":
         if domain.family != "sphere" or domain.dim != 2:
             raise ValidationError("rotation target requires domain sphere:2")
-        angle = float(arg) if arg else math.pi / 4.0
+        angle = _number(kind, arg, float) if arg else math.pi / 4.0
         base = check_point(domain, base_x)
         R = _rotation_about_axis(base, angle)
-        return Target(name, lambda x: R @ np.asarray(x, dtype=float), 3)
+        # matrix-vector products row by row: one matrix product rounds differently
+        return Target(name, lambda x: (R @ np.asarray(x, dtype=float)[..., None])[..., 0], 3)
 
     if kind == "mobius-shift":
         if domain.family != "poincare":
             raise ValidationError("mobius-shift target requires a poincare domain")
         c = domain.param
-        t = float(arg) if arg else 0.3 / math.sqrt(c)
+        t = _number(kind, arg, float) if arg else 0.3 / math.sqrt(c)
         a = np.zeros(domain.point_dim)
         a[0] = t
         if c * float(a @ a) >= 1.0:
@@ -75,7 +84,7 @@ def resolve_target(name: str, domain: ManifoldSpec, base_x,
         if domain.family != "spd":
             raise ValidationError("spd-congruence target requires an spd domain")
         n = int(domain.param)
-        rng = np.random.default_rng(int(arg) if arg else seed)
+        rng = np.random.default_rng(_number(kind, arg, int) if arg else seed)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
 
         def congruence(x: np.ndarray) -> np.ndarray:
@@ -93,7 +102,7 @@ def resolve_target(name: str, domain: ManifoldSpec, base_x,
         polys = [parse_poly_expr(e, domain.dim) for e in exprs]
 
         def evaluate(x: np.ndarray) -> np.ndarray:
-            return np.array([float(poly_eval(c, x)) for c in polys])
+            return np.stack([poly_eval(c, x) for c in polys], axis=-1)
 
         return Target(name, evaluate, len(polys))
 

@@ -44,7 +44,7 @@ def test_criterion_01_bernstein_bound():
     """sup |B_n f - f| <= (1 + p/4) omega(f, 1/sqrt(n)) for f(x) = |x - 1/2|."""
     t0 = time.perf_counter()
     worst_margin = math.inf
-    f1 = lambda x: np.array([abs(x[0] - 0.5)])
+    f1 = lambda x: np.abs(x[:, :1] - 0.5)
     grid1 = np.linspace(0.0, 1.0, 1001)
     for n in (4, 16, 64, 256):
         model = bernstein_from_function(f1, n, 1, 1)
@@ -148,7 +148,7 @@ def test_criterion_05_quotient_oracle_equivalence():
 def test_criterion_06_constructive_compile():
     t0 = time.perf_counter()
     exp = get_activation("exp")
-    res = compile_function_to_shallow(lambda x: np.array([x[0] * x[1]]),
+    res = compile_function_to_shallow(lambda x: x[:, :1] * x[:, 1:2],
                                       2, 1, 0.05, exp)
     assert res.audit_error <= 0.05, res.audit_error
 

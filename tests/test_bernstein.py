@@ -25,30 +25,30 @@ def brute_bernstein_1d(f, n, x):
 
 class TestBernsteinEval:
     def test_partition_of_unity(self, rng):
-        model = bernstein_from_function(lambda x: np.array([4.2]), 5, 2, 1)
+        model = bernstein_from_function(lambda x: np.full((len(x), 1), 4.2), 5, 2, 1)
         for _ in range(20):
             x = rng.random(2)
             assert bernstein_eval(model, x)[0] == pytest.approx(4.2, abs=1e-12)
 
     def test_reproduces_linear(self):
-        model = bernstein_from_function(lambda x: np.array([x[0]]), 3, 1, 1)
+        model = bernstein_from_function(lambda x: x[:, :1], 3, 1, 1)
         assert bernstein_eval(model, [0.5])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_square_hand_value(self):
         # B_n(x^2) = x^2 + x(1-x)/n; at n=2, x=1/2: 0.25 + 0.125 = 0.375
-        model = bernstein_from_function(lambda x: np.array([x[0] ** 2]), 2, 1, 1)
+        model = bernstein_from_function(lambda x: x[:, :1] ** 2, 2, 1, 1)
         assert bernstein_eval(model, [0.5])[0] == pytest.approx(0.375, abs=1e-15)
 
     def test_matches_brute_force_sum(self, rng):
         f = lambda t: math.sin(3 * t)
-        model = bernstein_from_function(lambda x: np.array([f(x[0])]), 7, 1, 1)
+        model = bernstein_from_function(lambda x: np.sin(3 * x), 7, 1, 1)
         for _ in range(25):
             x = float(rng.random())
             assert bernstein_eval(model, [x])[0] == pytest.approx(
                 brute_bernstein_1d(f, 7, x), abs=1e-12)
 
     def test_outside_cube_rejected(self):
-        model = bernstein_from_function(lambda x: np.array([0.0]), 2, 1, 1)
+        model = bernstein_from_function(lambda x: np.zeros((len(x), 1)), 2, 1, 1)
         with pytest.raises(DomainError):
             bernstein_eval(model, [1.5])
 
@@ -67,11 +67,11 @@ class TestBernsteinEvalStack:
                     np.testing.assert_array_equal(bernstein_eval(model, x), row)
 
     def test_empty_stack(self):
-        model = bernstein_from_function(lambda x: np.array([x[0], x[1]]), 2, 2, 2)
+        model = bernstein_from_function(lambda x: x[:, :2], 2, 2, 2)
         assert bernstein_eval(model, np.zeros((0, 2))).shape == (0, 2)
 
     def test_off_cube_row_rejected(self):
-        model = bernstein_from_function(lambda x: np.array([x[0]]), 2, 2, 1)
+        model = bernstein_from_function(lambda x: x[:, :1], 2, 2, 1)
         pts = np.full((5, 2), 0.5)
         pts[3, 1] = 1.5
         with pytest.raises(DomainError):
@@ -81,7 +81,7 @@ class TestBernsteinEvalStack:
             bernstein_eval(model, pts)
 
     def test_wrong_shape_rejected(self):
-        model = bernstein_from_function(lambda x: np.array([x[0]]), 2, 2, 1)
+        model = bernstein_from_function(lambda x: x[:, :1], 2, 2, 1)
         with pytest.raises(ValidationError):
             bernstein_eval(model, np.full((5, 3), 0.5))
         with pytest.raises(ValidationError):
@@ -114,7 +114,7 @@ class TestBernsteinBound:
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_one_dimensional_bound(self, n):
         f = lambda x: abs(x[0] - 0.5)
-        model = bernstein_from_function(lambda x: np.array([f(x)]), n, 1, 1)
+        model = bernstein_from_function(lambda x: np.abs(x[:, :1] - 0.5), n, 1, 1)
         grid = np.linspace(0, 1, 301)
         err = max(abs(bernstein_eval(model, [x])[0] - f([x])) for x in grid)
         assert err <= (1 + 0.25) / math.sqrt(n)
@@ -122,7 +122,7 @@ class TestBernsteinBound:
     def test_two_dimensional_bound(self):
         n = 16
         f = lambda x: abs(x[0] - 0.5)
-        model = bernstein_from_function(lambda x: np.array([f(x)]), n, 2, 1)
+        model = bernstein_from_function(lambda x: np.abs(x[:, :1] - 0.5), n, 2, 1)
         pts = [np.array([a, b]) for a in np.linspace(0, 1, 18)
                for b in np.linspace(0, 1, 18)]
         err = max(abs(bernstein_eval(model, x)[0] - f(x)) for x in pts)
@@ -138,20 +138,20 @@ class TestBernsteinBound:
         ]
         grid = np.linspace(0.0, 1.0, 401)
         for f, L in targets:
-            model = bernstein_from_function(lambda x: np.array([f(x[0])]), n, 1, 1)
+            model = bernstein_from_function(lambda x: f(x[:, :1]), n, 1, 1)
             err = max(abs(bernstein_eval(model, [x])[0] - f(x)) for x in grid)
             assert err <= 1.25 * L / math.sqrt(n)
 
 
 class TestCoefficients:
     def test_product_is_recovered_exactly(self):
-        model = bernstein_from_function(lambda x: np.array([x[0] * x[1]]), 2, 2, 1)
+        model = bernstein_from_function(lambda x: x[:, :1] * x[:, 1:2], 2, 2, 1)
         coeffs = bernstein_to_coefficients(model)
         assert set(coeffs) == {(1, 1)}
         assert coeffs[(1, 1)][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_coefficients_evaluate_like_the_operator(self, rng):
-        f = lambda x: np.array([x[0] ** 2 - 0.3 * x[0] + 0.1])
+        f = lambda x: x[:, :1] ** 2 - 0.3 * x[:, :1] + 0.1
         model = bernstein_from_function(f, 4, 1, 1)
         coeffs = bernstein_to_coefficients(model)
         for _ in range(20):
@@ -163,7 +163,7 @@ class TestCoefficients:
 class TestSerialization:
     def test_round_trip(self, rng):
         model = bernstein_from_function(
-            lambda x: np.array([x[0], x[0] ** 2]), 3, 1, 2)
+            lambda x: np.hstack([x[:, :1], x[:, :1] ** 2]), 3, 1, 2)
         d = bernstein_model_to_dict(model)
         assert d["n"] == 3 and d["p"] == 1 and d["m"] == 2
         back = bernstein_model_from_dict(d)

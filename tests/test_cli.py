@@ -163,3 +163,69 @@ class TestBench:
         _, out1, _ = run(capsys, "bench", str(cfg))
         _, out2, _ = run(capsys, "bench", str(cfg))
         assert out1 == out2
+
+
+class TestUsageErrors:
+    """Malformed input exits 2 with one ``error:`` line, not a traceback."""
+
+    COMPILE = ["compile", "--target", "poly:x1*x2", "--domain", "euclidean:2",
+               "--codomain", "euclidean:1", "--base-x", "[0.5,0.5]",
+               "--radius", "0.5", "--eps", "0.1"]
+
+    def assert_usage_error(self, capsys, argv, *needles):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for needle in needles:
+            assert needle in err
+
+    def test_verticalize_needs_two_numbers(self, capsys):
+        self.assert_usage_error(capsys, self.COMPILE + ["--verticalize", "1"],
+                                "--verticalize", "'1'")
+
+    def test_empty_audit_grid(self, capsys):
+        self.assert_usage_error(capsys, self.COMPILE + ["--grid", "0"], "got 0")
+
+    @pytest.mark.parametrize("target,domain,base", [
+        ("rotation:abc", "sphere:2", "[0,0,1]"),
+        ("mobius-shift:abc", "poincare:2:1", "[0,0]"),
+        ("spd-congruence:abc", "spd:2", "[1,0,1]"),
+    ])
+    def test_target_argument_must_be_a_number(self, capsys, target, domain, base):
+        self.assert_usage_error(
+            capsys, ["compile", "--target", target, "--domain", domain,
+                     "--codomain", domain, "--base-x", base, "--radius", "0.5",
+                     "--eps", "0.1"], "'abc'", target.split(":")[0])
+
+    def bench(self, capsys, tmp_path, bad_run, *needles):
+        good = TestBench.CONFIG["runs"][0]
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"runs": [good, bad_run]}))
+        self.assert_usage_error(capsys, ["bench", str(cfg)], "bench run 1", *needles)
+
+    def test_bench_run_missing_codomain(self, capsys, tmp_path):
+        run_ = {k: v for k, v in TestBench.CONFIG["runs"][0].items() if k != "codomain"}
+        self.bench(capsys, tmp_path, run_, "codomain")
+
+    def test_bench_run_radius_not_a_number(self, capsys, tmp_path):
+        self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "radius": "abc"},
+                   "'abc'")
+
+    def test_malformed_bench_config(self, capsys, tmp_path):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text('{"runs": [')
+        self.assert_usage_error(capsys, ["bench", str(cfg)], "malformed JSON")
+
+    def test_malformed_model_file(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text("{not json")
+        self.assert_usage_error(capsys, ["eval", "--model", str(model), "--input", "[0]"],
+                                "malformed JSON")
+
+    def test_malformed_modulus_file(self, capsys, tmp_path):
+        mod = tmp_path / "mod.json"
+        mod.write_text('{"knots": [0.0,')
+        self.assert_usage_error(
+            capsys, ["estimate", "--class", "smooth", "--p", "1", "--m", "1",
+                     "--eps", "0.1", "--delta", "0.5", "--modulus-file", str(mod),
+                     "--kappa1", "1", "--kappa2", "1"], "malformed JSON")

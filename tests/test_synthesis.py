@@ -98,62 +98,65 @@ class TestCompilePoly:
 
 class TestCompileFunction:
     def test_constant_target(self):
-        res = compile_function_to_shallow(lambda x: np.array([2.0]), 1, 1, 0.1, EXP)
+        res = compile_function_to_shallow(lambda x: np.full((len(x), 1), 2.0),
+                                          1, 1, 0.1, EXP)
         assert res.audit_error <= 1e-9
         assert width(res.net) == 0
 
     def test_identity_on_unit_interval(self):
-        res = compile_function_to_shallow(lambda x: np.array([x[0]]), 1, 1, 0.1, EXP,
+        res = compile_function_to_shallow(lambda x: x[:, :1], 1, 1, 0.1, EXP,
                                           omega=LipschitzModulus(1.0))
         assert res.audit_error <= 0.1
 
     def test_product_target(self):
-        res = compile_function_to_shallow(lambda x: np.array([x[0] * x[1]]),
+        res = compile_function_to_shallow(lambda x: x[:, :1] * x[:, 1:2],
                                           2, 1, 0.1, EXP)
         assert res.audit_error <= 0.1
         assert res.degree == 1
 
     def test_two_outputs(self):
         res = compile_function_to_shallow(
-            lambda x: np.array([x[0], x[0] ** 2]), 1, 2, 0.1, EXP)
+            lambda x: np.hstack([x[:, :1], x[:, :1] ** 2]), 1, 2, 0.1, EXP)
         assert res.audit_error <= 0.1
         assert res.net.out_dim == 2
 
     def test_bernstein_model_input(self):
-        model = bernstein_from_function(lambda x: np.array([x[0] ** 2]), 2, 1, 1)
+        model = bernstein_from_function(lambda x: x[:, :1] ** 2, 2, 1, 1)
         res = compile_function_to_shallow(model, 1, 1, 0.05, EXP)
         assert res.degree == 2
         assert res.audit_error <= 0.05
 
     def test_bernstein_model_above_the_degree_cap_refused(self):
-        model = bernstein_from_function(lambda x: np.array([x[0]]), 13, 1, 1)
+        model = bernstein_from_function(lambda x: x[:, :1], 13, 1, 1)
         with pytest.raises(InfeasibleDegreeError, match="synthesis cap 12"):
             compile_function_to_shallow(model, 1, 1, 0.1, EXP)
 
     def test_genuine_high_degree_synthesis(self):
         # a sine target forces Bernstein degree > 1 and a deep stencil
-        res = compile_function_to_shallow(lambda x: np.array([np.sin(3.0 * x[0])]),
+        res = compile_function_to_shallow(lambda x: np.sin(3.0 * x[:, :1]),
                                           1, 1, 0.3, EXP)
         assert res.degree > 1
         assert res.audit_error <= 0.3
 
     def test_oracle_runs_once_per_point(self):
-        calls = []
+        rows = []
 
         def f(x):
-            calls.append(1)
-            return np.array([x[0] ** 2 + x[1] ** 2 + x[2] ** 2])
+            rows.append(len(x))
+            return x[:, :1] ** 2 + x[:, 1:2] ** 2 + x[:, 2:3] ** 2
 
         res = compile_function_to_shallow(f, 3, 1, 0.5, EXP)
         assert res.degree > 1
+        tried = [c for c in (1, 2, 3, 4, 6, 8, 12) if c <= res.degree]
         # 9^3 selection grid, 10^3 audit grid, and each lattice tried
-        lattices = sum((c + 1) ** 3 for c in (1, 2, 3, 4, 6, 8, 12) if c <= res.degree)
-        assert len(calls) <= 9 ** 3 + 10 ** 3 + lattices
+        assert sum(rows) <= 9 ** 3 + 10 ** 3 + sum((c + 1) ** 3 for c in tried)
+        # one call per stage: the selection grid, each lattice, the audit grid
+        assert len(rows) <= 2 + len(tried)
 
     def test_infeasible_budgets_fail_fast(self):
         import time
         from gdn.errors import InfeasibleDegreeError
-        f = lambda x: np.array([np.sin(3.0 * x[0]) * np.cos(2.0 * x[1])])
+        f = lambda x: np.sin(3.0 * x[:, :1]) * np.cos(2.0 * x[:, 1:2])
         t0 = time.perf_counter()
         with pytest.raises(InfeasibleDegreeError):
             compile_function_to_shallow(f, 2, 1, 0.1, EXP)
