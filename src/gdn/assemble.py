@@ -13,14 +13,7 @@ from .approx.modulus import Modulus, oracle_rows, row_norms
 from .approx.synthesis import CompileResult, compile_function_to_shallow
 from .errors import ValidationError
 from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
-from .manifolds.zoo import (
-    check_point,
-    distance,
-    exp_map,
-    log_map,
-    random_tangent,
-    tangent_basis,
-)
+from .manifolds.zoo import as_point, check_point, distance, exp_map, random_tangent
 from .model import GDNModel, gdn_eval
 from .network import ActivationInfo, AffineLayer, FeedforwardNet
 from .sampling import ball_points, geodesic_ball_points
@@ -44,15 +37,20 @@ def pullback(domain: ManifoldSpec, codomain: ManifoldSpec, base_x, base_y,
     """The target pulled back to the unit cube: t in [0,1]^p maps to the
     intrinsic tangent coordinates, about ``base_y``, of the target at
     Exp_{base_x}(radius (2t - 1)).  Like ``target``, it maps one point or an
-    (N, p) stack with one target call, each row bit for bit its value alone."""
-    E_dom = tangent_basis(domain, base_x)
-    E_cod = tangent_basis(codomain, base_y)
+    (N, p) stack with one target call, each row bit for bit its value alone.
+    The base points are checked once, here, and each call checks only the
+    target's output."""
+    dom, cod = domain.geometry, codomain.geometry
+    base_x = check_point(domain, base_x)
+    base_y = check_point(codomain, base_y)
+    E_dom = dom.tangent_basis(base_x)
+    E_cod = cod.tangent_basis(base_y)
 
     def pulled_back(t: np.ndarray) -> np.ndarray:
         u = radius * (2.0 * np.asarray(t, dtype=float) - 1.0)
         # matrix-vector products row by row: one matrix product rounds differently
-        x = exp_map(domain, base_x, (E_dom @ u[..., None])[..., 0])
-        w = log_map(codomain, base_y, target(x))
+        x = dom.exp(base_x, (E_dom @ u[..., None])[..., 0])
+        w = cod.log(base_y, as_point(codomain, target(x)))
         return (E_cod.T @ w[..., None])[..., 0]
 
     return pulled_back
@@ -134,8 +132,8 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
                                          omega=omega)
 
     # absorb cube rescale and chart embeddings into the first/last layers
-    E_dom = tangent_basis(domain, base_x)
-    E_cod = tangent_basis(codomain, base_y)
+    E_dom = domain.geometry.tangent_basis(base_x)
+    E_cod = codomain.geometry.tangent_basis(base_y)
     W_pre = E_dom.T / (2.0 * radius)
     b_pre = np.full(p, 0.5)
     layers = list(result.net.layers)
@@ -157,6 +155,9 @@ def audit_gdn(model: GDNModel, target: Callable[[np.ndarray], np.ndarray],
     """Measured sup geodesic error of a GDN against a target oracle over the
     deterministic ball sample of ``count`` points: the oracle, the model
     and the distance each run once on the (count, point_dim) stack."""
+    if count < 1:
+        raise ValidationError(f"the audit needs at least 1 point, got {count!r}")
+    codomain = model.codomain
     points = geodesic_ball_points(model.domain, model.base_x, radius, count)
-    want = oracle_rows(target, points, model.codomain.point_dim)
-    return float(np.max(distance(model.codomain, want, gdn_eval(model, points))))
+    want = as_point(codomain, oracle_rows(target, points, codomain.point_dim))
+    return float(np.max(codomain.geometry.distance(want, gdn_eval(model, points))))

@@ -91,9 +91,6 @@ def cmd_compile(args, parser) -> int:
     codomain = resolve_manifold(args.codomain)
     base_x = _parse_vector(args.base_x, "--base-x")
     check_point(domain, base_x)
-    inj = domain.inj_lower
-    if not (0.0 < args.radius < inj):
-        parser.error(f"--radius must lie in (0, {inj!r}) for {domain.id}")
     target = resolve_target(args.target, domain, base_x, seed=args.seed)
     base_y = (np.asarray(target.fn(base_x), dtype=float) if args.base_y == "auto"
               else _parse_vector(args.base_y, "--base-y"))

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ..errors import NumericError, ParseError, UnsupportedError, ValidationError
+from .zoo import FAMILIES, Geometry, euclidean_ball_volume
 
 __all__ = [
     "ManifoldSpec",
@@ -23,8 +24,6 @@ __all__ = [
     "exp_chart_lipschitz",
     "delta_bound",
     "universality_radius",
-    "unit_ball_volume",
-    "sphere_surface_area",
 ]
 
 _ID_RE = re.compile(
@@ -73,6 +72,9 @@ class ManifoldSpec:
     param : float
         Family parameter: matrix order n for spd/gaussian, curvature c for
         poincare, 0 otherwise.
+    geometry : zoo.Geometry
+        The family's geometry object, which the fields above are copied
+        from and which holds the chart kernels; left out of equality.
     """
 
     id: str
@@ -85,62 +87,9 @@ class ManifoldSpec:
     curvature_min: float
     inj_lower: float
     volume_of_ball: Optional[Callable[[np.ndarray, float], float]] = field(
-        default=None, repr=False, compare=False
-    )
-    param: float = 0.0
-
-
-def unit_ball_volume(p: int) -> float:
-    """Volume of the Euclidean unit ball in dimension p."""
-    return math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0)
-
-
-def sphere_surface_area(p: int) -> float:
-    """Surface area of the unit sphere S^(p-1) embedded in R^p."""
-    return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
-
-
-def _quad_radial_volume(area: float, density: Callable[[float], float],
-                        r: float) -> float:
-    # composite Simpson with 512 panels on the radial volume element; the
-    # integrand is smooth
-    if r <= 0.0:
-        return 0.0
-    n = 1024
-    ts = np.linspace(0.0, r, n + 1)
-    ys = np.array([density(t) for t in ts])
-    h = r / n
-    simpson = ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()
-    return area * simpson * h / 3.0
-
-
-def _sphere_ball_volume(p: int) -> Callable[[np.ndarray, float], float]:
-    area = sphere_surface_area(p)
-
-    def vol(_x: np.ndarray, r: float) -> float:
-        r = min(r, math.pi)
-        return _quad_radial_volume(area, lambda t: math.sin(t) ** (p - 1), r)
-
-    return vol
-
-
-def _poincare_ball_volume(p: int, c: float) -> Callable[[np.ndarray, float], float]:
-    area = sphere_surface_area(p)
-    sc = math.sqrt(c)
-
-    def vol(_x: np.ndarray, r: float) -> float:
-        return _quad_radial_volume(area, lambda t: (math.sinh(sc * t) / sc) ** (p - 1), r)
-
-    return vol
-
-
-def _euclidean_ball_volume(p: int) -> Callable[[np.ndarray, float], float]:
-    w = unit_ball_volume(p)
-
-    def vol(_x: np.ndarray, r: float) -> float:
-        return w * r ** p
-
-    return vol
+        repr=False, compare=False)
+    param: float
+    geometry: Geometry = field(repr=False, compare=False)
 
 
 def resolve_manifold(identifier: str) -> ManifoldSpec:
@@ -159,46 +108,24 @@ def resolve_manifold(identifier: str) -> ManifoldSpec:
             f"unrecognized manifold identifier {identifier!r}; valid forms: {_VALID_FORMS}"
         )
     family, p_str, c_str = m.group(1), m.group(2), m.group(3)
+    curved, make = FAMILIES[family]
     p = int(p_str)
     if p < 1:
         raise ValidationError(f"manifold parameter must be positive, got {p}")
-    if family == "poincare":
+    c, ident = None, f"{family}:{p}"
+    if curved:
         if c_str is None:
-            raise ParseError("poincare requires a curvature parameter: poincare:p:c")
+            raise ParseError(f"{family} requires a curvature parameter: {family}:p:c")
         c = float(c_str)
         if not (c > 0.0 and math.isfinite(c)):
-            raise ValidationError(f"poincare curvature must be finite and > 0, got {c}")
+            raise ValidationError(f"{family} curvature must be finite and > 0, got {c}")
+        ident = f"{ident}:{c!r}"  # repr round-trips the curvature exactly
     elif c_str is not None:
         raise ParseError(f"{family} takes a single integer parameter")
-
-    inf = math.inf
-    if family == "euclidean":
-        return ManifoldSpec(f"euclidean:{p}", family, p, p, p, 0.0, 0.0, 0.0,
-                            inf, _euclidean_ball_volume(p))
-    if family == "sphere":
-        return ManifoldSpec(f"sphere:{p}", family, p, p + 1, p + 1, 1.0, 1.0, 1.0,
-                            math.pi, _sphere_ball_volume(p))
-    if family == "poincare":
-        cid = f"poincare:{p}:{c!r}"  # repr round-trips the curvature exactly
-        return ManifoldSpec(cid, family, p, p, p, c, -c, -c,
-                            inf, _poincare_ball_volume(p, c), param=c)
-    if family == "spd":
-        d = p * (p + 1) // 2
-        # -1/2 <= K <= 0 for the affine-invariant metric; flat directions
-        # exist, so the signed maximum is 0.
-        return ManifoldSpec(f"spd:{p}", family, d, d, d, 0.5, 0.0, -0.5,
-                            inf, None, param=float(p))
-    if family == "gaussian":
-        d = p + p * (p + 1) // 2
-        return ManifoldSpec(f"gaussian:{p}", family, d, d, d, 0.0, 0.0, 0.0,
-                            inf, None, param=float(p))
-    if family == "torus":
-        return ManifoldSpec(f"torus:{p}", family, p, p, p, 0.0, 0.0, 0.0,
-                            0.5, None)
-    if family == "rp":
-        return ManifoldSpec(f"rp:{p}", family, p, p + 1, p + 1, 1.0, 1.0, 1.0,
-                            math.pi / 2.0, None)
-    raise ParseError(f"unrecognized manifold family {family!r}")  # pragma: no cover
+    g = make(p, c)
+    return ManifoldSpec(ident, family, g.dim, g.chart_dim, g.point_dim,
+                        g.curvature_bound, g.curvature_max, g.curvature_min,
+                        g.inj_lower, g.volume_of_ball, g.param, g)
 
 
 def k_star(K: float) -> float:
@@ -253,7 +180,7 @@ def delta_bound(spec: ManifoldSpec, x: np.ndarray, K_cap: float,
     hi = min(K_cap, r_max)
     if not (hi > 0.0):
         raise ValidationError("radius cap must be positive")
-    tangent_vol = _euclidean_ball_volume(spec.dim)
+    tangent_vol = euclidean_ball_volume(spec.dim)
     rs = np.geomspace(hi * 1e-6, hi, grid)
     best, best_r = 0.0, rs[0]
     for i, r in enumerate(rs):

@@ -12,12 +12,10 @@ from ..errors import ValidationError
 from .sym import (
     check_spd,
     eigh,
-    spd_sqrt,
-    spd_log,
-    sym_exp,
     sym_chart_decode,
     sym_chart_encode,
     sym_dim,
+    sym_matrix_function,
 )
 
 __all__ = ["GaussianParam", "gaussian_chart_encode", "gaussian_chart_decode",
@@ -48,7 +46,7 @@ class GaussianParam:
 
 def gaussian_chart_encode(g: GaussianParam) -> np.ndarray:
     """Gaussian -> (mean block, upper-triangle block of log(cov))."""
-    return np.concatenate([g.mean, sym_chart_encode(spd_log(g.cov))])
+    return np.concatenate([g.mean, sym_chart_encode(sym_matrix_function("log", g.cov))])
 
 
 def gaussian_chart_decode(v: np.ndarray) -> GaussianParam:
@@ -58,7 +56,7 @@ def gaussian_chart_decode(v: np.ndarray) -> GaussianParam:
     n = _order_from_chart_dim(v.size)
     mu = v[:n]
     S = sym_chart_decode(v[n:])
-    return GaussianParam(mu, sym_exp(S))
+    return GaussianParam(mu, sym_matrix_function("exp", S))
 
 
 def _order_from_chart_dim(d: int) -> int:
@@ -91,8 +89,8 @@ def wasserstein2(a: GaussianParam, b: GaussianParam) -> float:
     """
     if a.order != b.order:
         raise ValidationError(f"order mismatch: {a.order} vs {b.order}")
-    s1 = spd_sqrt(a.cov)
-    s2 = spd_sqrt(b.cov)
+    s1 = sym_matrix_function("sqrt", a.cov)
+    s2 = sym_matrix_function("sqrt", b.cov)
     # G = S1^{1/2} S2 S1^{1/2}; its eigen-sqrt gives the singular data of
     # M = S2^{1/2} S1^{1/2}
     G = s1 @ b.cov @ s1

@@ -3,10 +3,12 @@ spectral matrix functions, and the two vectorizations of symmetric
 matrices used across the package.
 
 The hot path is ``eigh``: LAPACK's ``np.linalg.eigh`` on one matrix or on
-an (N, n, n) stack, after the symmetry check.  The spectral functions and
-the SPD charts all go through it, so a stack of points costs one LAPACK
-call and one array operation per step.  ``jacobi_eigh``, a pure-Python
-cyclic Jacobi solver, is kept as the reference the tests compare against.
+an (N, n, n) stack, after the symmetry check.  The spectral functions go
+through it, and the SPD charts through ``symmetric_eigh``, which skips the
+symmetry check on the matrices they build exactly symmetric; a stack of
+points costs one LAPACK call and one array operation per step.
+``jacobi_eigh``, a pure-Python cyclic Jacobi solver, is kept as the
+reference the tests compare against.
 
 Two vector layouts coexist on purpose:
 
@@ -31,8 +33,10 @@ from ..errors import DomainError, NumericError, ValidationError
 
 __all__ = [
     "eigh",
+    "symmetric_eigh",
     "spectral",
     "jacobi_eigh",
+    "check_finite",
     "check_symmetric",
     "check_spd",
     "sym_dim",
@@ -41,14 +45,19 @@ __all__ = [
     "sym_chart_decode",
     "sym_chart",
     "frob_vec",
+    "frob_entries",
     "frob_unvec",
     "sym_matrix_function",
-    "spd_sqrt",
-    "spd_log",
-    "sym_exp",
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def check_finite(A: np.ndarray) -> np.ndarray:
+    """``A`` itself, once every entry is checked to be finite."""
+    if np.count_nonzero(np.isfinite(A)) != A.size:
+        raise ValidationError("matrix entries must be finite")
+    return A
 
 
 def check_symmetric(A: np.ndarray) -> np.ndarray:
@@ -58,9 +67,7 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
-    if np.count_nonzero(np.isfinite(A)) != A.size:
-        raise ValidationError("matrix entries must be finite")
-    At = A.swapaxes(-1, -2)
+    At = check_finite(A).swapaxes(-1, -2)
     # the ufunc reductions skip numpy's Python-level wrappers, which cost
     # more than the reduction itself on the 2x2 matrices of a chart call
     skew = np.maximum.reduce(np.abs(A - At), axis=(-2, -1), initial=0.0)
@@ -79,7 +86,15 @@ def eigh(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     orthonormal eigenvector columns.  Symmetry is checked first, as in
     ``jacobi_eigh``, which is the reference this is tested against.
     """
-    A = check_symmetric(A)
+    return symmetric_eigh(check_symmetric(A))
+
+
+def symmetric_eigh(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a matrix or stack that is exactly symmetric by
+    construction, as ``frob_unvec`` and ``spectral`` build them: only the
+    finite-entry guard runs, since the symmetrization of ``check_symmetric``
+    would return such a matrix unchanged, bit for bit."""
+    check_finite(A)
     try:
         return np.linalg.eigh(A)
     except np.linalg.LinAlgError as e:
@@ -232,7 +247,12 @@ def frob_vec(A: np.ndarray) -> np.ndarray:
     """Symmetric matrix -> Frobenius-isometric vector (off-diagonals *sqrt2),
     so that ||frob_vec(A)||_2 == ||A||_F.  An (N, n, n) stack gives an
     (N, d) stack."""
-    A = check_symmetric(A)
+    return frob_entries(check_symmetric(A))
+
+
+def frob_entries(A: np.ndarray) -> np.ndarray:
+    """``frob_vec`` of a matrix or stack that is exactly symmetric by
+    construction, without the symmetry check."""
     iu, ju, weight = _triu_indices(A.shape[-1])
     return A[..., iu, ju] * weight
 
@@ -259,15 +279,3 @@ def sym_matrix_function(fn: str, A: np.ndarray) -> np.ndarray:
     if needs_spd:
         _require_positive(w, f"matrix function {fn!r} requires SPD input")
     return spectral(V, func(w))
-
-
-def spd_sqrt(A: np.ndarray) -> np.ndarray:
-    return sym_matrix_function("sqrt", A)
-
-
-def spd_log(A: np.ndarray) -> np.ndarray:
-    return sym_matrix_function("log", A)
-
-
-def sym_exp(A: np.ndarray) -> np.ndarray:
-    return sym_matrix_function("exp", A)

@@ -2,6 +2,16 @@
 manifold zoo: euclidean:p, sphere:p, poincare:p:c, spd:n, gaussian:n,
 torus:m, rp:m.
 
+Each family is one small geometry class next to its kernels: ``Flat``
+(euclidean and gaussian), ``Torus``, ``Sphere``, ``Projective`` (rp),
+``Poincare`` and ``SPD``.  It holds the constants ``resolve_manifold``
+copies into the spec and the kernels; ``FAMILIES`` is the one table from
+family name to class, and each spec holds its instance as ``spec.geometry``.
+Points are checked only by the public functions at the end of this module,
+once per call.  The kernels trust their arguments, so a caller holding
+checked points, such as a ``GDNModel`` with its base points, calls them
+directly.
+
 Representation conventions
 --------------------------
 * Sphere and real-projective points are ambient unit (p+1)-vectors; their
@@ -26,17 +36,15 @@ Representation conventions
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..errors import (
-    DomainError,
-    OutOfInjectivityError,
-    UnsupportedError,
-    ValidationError,
-)
-from .core import ManifoldSpec
-from .sym import eigh, frob_unvec, frob_vec, spd_log, spectral, sym_exp
+from ..errors import OutOfInjectivityError, ValidationError
+from .sym import check_finite, frob_entries, frob_unvec, spectral, sym_dim, symmetric_eigh
+
+if TYPE_CHECKING:  # core imports this module for FAMILIES
+    from .core import ManifoldSpec
 
 __all__ = [
     "exp_map",
@@ -44,6 +52,7 @@ __all__ = [
     "distance",
     "inj_lower",
     "check_point",
+    "as_point",
     "random_point",
     "random_tangent",
     "tangent_basis",
@@ -55,12 +64,12 @@ _UNIT_TOL = 1e-9
 
 # -- stacks ------------------------------------------------------------------
 #
-# exp_map, log_map and distance take a single point or a 2-D stack of rows.
-# A single point is a stack without its leading axis: the same kernel runs
-# the same operations on it, with every per-row quantity (a norm, a dot
-# product) a scalar instead of an (N,) column.  That keeps one code path per
-# family and a single point as cheap as scalar code, and each row of a
-# stack rounds exactly as the same row given alone.
+# The kernels take a single point or a 2-D stack of rows.  A single point is
+# a stack without its leading axis: the same kernel runs the same operations
+# on it, with every per-row quantity (a norm, a dot product) a scalar instead
+# of an (N,) column.  That keeps one code path per family and a single point
+# as cheap as scalar code, and each row of a stack rounds exactly as the
+# same row given alone.
 
 def _rows(x, length: int, what: str) -> np.ndarray:
     """``x`` as a float array: an (N, length) stack if 2-D, otherwise one
@@ -112,128 +121,205 @@ def _stacked(x: np.ndarray, y: np.ndarray) -> bool:
     return x.ndim == 2 or y.ndim == 2
 
 
-def check_point(spec: ManifoldSpec, x, deep: bool = True) -> np.ndarray:
-    """Validate a point of ``spec``, or an (N, point_dim) stack of points,
-    and return it as a float vector (or stack).
-
-    ``deep=False`` skips the SPD eigenvalue check; internal callers that
-    eigendecompose anyway use it to avoid duplicate work (positivity is
-    still enforced by the decomposition itself).
-    """
-    x = _rows(x, spec.point_dim, f"point of {spec.id}")
-    fam = spec.family
-    if fam in ("sphere", "rp"):
-        nrm = _norms(x)
-        bad = abs(nrm - 1.0) > _UNIT_TOL
-        if _any(bad):
-            raise ValidationError(
-                f"point of {spec.id} must be unit norm, got |x|={_first(nrm, bad)!r}")
-    elif fam == "poincare":
-        if _any(spec.param * np.vecdot(x, x) >= 1.0):
-            raise ValidationError(f"point of {spec.id} must satisfy c|x|^2 < 1")
-    elif fam == "spd" and deep:
-        _spd_sqrt(x)  # raises if not SPD
-    return x
-
-
-# -- SPD helpers -------------------------------------------------------------
-
-def _spd_sqrt(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    # Frobenius vectors -> the square roots (or inverse square roots) of the
-    # matrices, from one (stacked) eigendecomposition
-    w, V = eigh(frob_unvec(x))
-    lowest = w[..., 0]
-    bad = lowest <= 0.0
-    if _any(bad):
-        raise ValidationError(
-            f"spd point is not positive definite: min eigenvalue {_first(lowest, bad):.6e}")
-    s = np.sqrt(w)
-    return spectral(V, 1.0 / s if inverse else s)
-
-
-def _spd_log_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # normal-coordinate log: log(sqrt(A)^-1 B sqrt(A)^-1); its Frobenius
-    # norm is the affine-invariant distance, making the chart radially
-    # isometric in plain Euclidean tangent coordinates
-    isA = _spd_sqrt(x, inverse=True)
-    inner = isA @ frob_unvec(y) @ isA
-    inner = 0.5 * (inner + inner.swapaxes(-1, -2))
-    try:
-        return spd_log(inner)
-    except DomainError as e:
-        raise ValidationError(f"target of spd log map is not SPD: {e}") from e
-
-
-# -- Poincare helpers --------------------------------------------------------
-
-def mobius_add(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """Moebius addition on the curvature-c ball, row-wise on stacks."""
-    xy = _col(np.vecdot(x, y))
-    x2 = _col(np.vecdot(x, x))
-    y2 = _col(np.vecdot(y, y))
-    a = 1.0 + 2.0 * c * xy
-    return ((a + c * y2) * x + (1.0 - c * x2) * y) / (a + c * c * x2 * y2)
-
-
-def _poincare_exp0(v: np.ndarray, c: float) -> np.ndarray:
-    sc = math.sqrt(c)
-    nv = _norms(v)
-    zero = nv == 0.0
-    t = sc * (nv + zero)  # a zero row divides by sc, not by 0
-    u = _col(_scalar_map(math.tanh, t / 2.0) / t) * v
-    return np.where(_col(zero), 0.0, u) if _any(zero) else u
-
-
-def _poincare_log0(y: np.ndarray, c: float) -> np.ndarray:
-    sc = math.sqrt(c)
-    ny = _norms(y)
-    zero = ny == 0.0
-    n = ny + zero  # a zero row divides by 1, not by 0
-    s = (2.0 / sc) * _scalar_map(math.atanh, np.minimum(sc * n, 1.0 - 1e-16)) / n
-    u = _col(s) * y
-    return np.where(_col(zero), 0.0, u) if _any(zero) else u
-
-
-# -- sphere helpers ----------------------------------------------------------
-
 def _check_tangent_norms(nv, inj: float, what: str) -> None:
     far = nv >= inj
     if _any(far):
         raise OutOfInjectivityError(f"tangent norm {_first(nv, far)!r} is outside {what}")
 
 
-def _sphere_exp(x: np.ndarray, v: np.ndarray, inj: float) -> np.ndarray:
-    nv = _norms(v)
-    if _any(abs(np.vecdot(x, v)) > _UNIT_TOL * np.maximum(1.0, nv)):
-        raise ValidationError("sphere tangent must be orthogonal to the base point")
-    _check_tangent_norms(nv, inj, f"the injectivity radius {inj!r}")
-    zero = nv == 0.0
-    n = _col(nv + zero)  # a zero row divides by 1, not by 0
-    y = np.cos(n) * x + np.sin(n) * (v / n)
-    y = y / _col(_norms(y))
-    # a zero tangent gives the base point itself, unnormalized
-    return np.where(_col(zero), x, y) if _any(zero) else y
+# -- ball volumes ------------------------------------------------------------
+
+def unit_ball_volume(p: int) -> float:
+    """Volume of the Euclidean unit ball in dimension p."""
+    return math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0)
 
 
-def _sphere_distance(x: np.ndarray, y: np.ndarray):
-    # chordal form: accurate at both ends of [0, pi], exactly 0 for x == y
-    c1 = 0.5 * _norms(x - y)
-    c2 = 0.5 * _norms(x + y)
-    half = 2.0 * _scalar_map(math.asin, np.minimum(np.minimum(c1, c2), 1.0))
-    return np.where(c1 <= c2, half, math.pi - half)
+def sphere_surface_area(p: int) -> float:
+    """Surface area of the unit sphere S^(p-1) embedded in R^p."""
+    return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
 
 
-def _sphere_log(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dot = np.clip(np.vecdot(x, y), -1.0, 1.0)
-    if _any(dot <= -1.0 + 1e-12):
-        raise OutOfInjectivityError("antipodal pair: sphere log map undefined")
-    w = y - _col(dot) * x
-    nw = _norms(w)
-    small = nw < 1e-15
-    n = _col(nw + small)  # a vanishing row divides by about 1, not by 0
-    u = _col(_sphere_distance(x, y)) * (w / n)
-    # a vanishing normal component gives the zero tangent
-    return np.where(_col(small), 0.0, u) if _any(small) else u
+def _quad_radial_volume(area: float, density: Callable[[float], float],
+                        r: float) -> float:
+    # composite Simpson with 512 panels on the radial volume element; the
+    # integrand is smooth
+    if r <= 0.0:
+        return 0.0
+    n = 1024
+    ts = np.linspace(0.0, r, n + 1)
+    ys = np.array([density(t) for t in ts])
+    h = r / n
+    simpson = ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()
+    return area * simpson * h / 3.0
+
+
+def euclidean_ball_volume(p: int) -> Callable[[np.ndarray, float], float]:
+    w = unit_ball_volume(p)
+
+    def vol(_x: np.ndarray, r: float) -> float:
+        return w * r ** p
+
+    return vol
+
+
+# -- the geometry classes ----------------------------------------------------
+
+class Geometry:
+    """One family at one size: the constants of its spec and its kernels.
+    A kernel takes finite float rows of the right length, or stacks of
+    them, and points that pass ``check``; it checks tangents itself."""
+
+    curvature_bound = curvature_max = curvature_min = 0.0
+    inj_lower = math.inf
+    volume_of_ball = None
+    param = 0.0
+    quotient_of = None  # the family a quotient family is taken of
+
+    def __init__(self, dim: int, chart_dim: int):
+        self.dim = dim
+        self.chart_dim = self.point_dim = chart_dim
+
+    def check(self, x: np.ndarray, what: str) -> None:
+        """Raise ValidationError for a row of ``x`` off the manifold that
+        the kernels do not find themselves."""
+
+    def check_point(self, x: np.ndarray, what: str) -> None:
+        """Raise ValidationError for any row of ``x`` off the manifold."""
+        self.check(x, what)
+
+    def project(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The tangent at the single point ``x`` nearest to ``v``."""
+        return v
+
+    def tangent_basis(self, x: np.ndarray) -> np.ndarray:
+        return np.eye(self.dim)
+
+
+class Flat(Geometry):
+    """R^d in its identity chart: euclidean:p, and gaussian:n through its
+    mean/log-covariance chart (d = n + n(n+1)/2)."""
+
+    def __init__(self, dim: int, param: float, volume_of_ball):
+        super().__init__(dim, dim)
+        self.param, self.volume_of_ball = param, volume_of_ball
+
+    def exp(self, x, v):
+        return x + v
+
+    def log(self, x, y):
+        return y - x
+
+    def distance(self, x, y):
+        return _norms(y - x)
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(self.point_dim)
+
+
+def _torus_distance(y1: np.ndarray, y2: np.ndarray):
+    d = np.abs(y1 - y2)
+    d = np.minimum(d, 1.0 - d)
+    return np.sqrt(np.sum(d * d, axis=-1))
+
+
+class Torus(Geometry):
+    """The flat torus R^m / Z^m on representatives; exp wraps mod 1."""
+
+    inj_lower = 0.5
+    quotient_of = "euclidean"
+
+    def __init__(self, m: int):
+        super().__init__(m, m)
+
+    def exp(self, x, v):
+        return np.mod(x + v, 1.0)
+
+    def log(self, x, y):
+        # the shortest lattice representative of the displacement
+        d = y - x
+        return d - np.round(d)
+
+    def distance(self, x, y):
+        return _torus_distance(np.mod(x, 1.0), np.mod(y, 1.0))
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.random(self.point_dim)
+
+
+class Sphere(Geometry):
+    """S^p as unit vectors of R^(p+1)."""
+
+    curvature_bound = curvature_max = curvature_min = 1.0
+    inj_lower = math.pi
+
+    def __init__(self, p: int):
+        super().__init__(p, p + 1)
+
+    def check(self, x, what):
+        nrm = _norms(x)
+        bad = abs(nrm - 1.0) > _UNIT_TOL
+        if _any(bad):
+            raise ValidationError(f"{what} must be unit norm, got |x|={_first(nrm, bad)!r}")
+
+    def exp(self, x, v):
+        nv = _norms(v)
+        if _any(abs(np.vecdot(x, v)) > _UNIT_TOL * np.maximum(1.0, nv)):
+            raise ValidationError("sphere tangent must be orthogonal to the base point")
+        _check_tangent_norms(nv, math.pi, f"the injectivity radius {math.pi!r}")
+        zero = nv == 0.0
+        n = _col(nv + zero)  # a zero row divides by 1, not by 0
+        y = np.cos(n) * x + np.sin(n) * (v / n)
+        y = y / _col(_norms(y))
+        # a zero tangent gives the base point itself, unnormalized
+        return np.where(_col(zero), x, y) if _any(zero) else y
+
+    def log(self, x, y):
+        dot = np.clip(np.vecdot(x, y), -1.0, 1.0)
+        if _any(dot <= -1.0 + 1e-12):
+            raise OutOfInjectivityError("antipodal pair: sphere log map undefined")
+        w = y - _col(dot) * x
+        nw = _norms(w)
+        small = nw < 1e-15
+        n = _col(nw + small)  # a vanishing row divides by about 1, not by 0
+        u = _col(Sphere.distance(self, x, y)) * (w / n)
+        # a vanishing normal component gives the zero tangent
+        return np.where(_col(small), 0.0, u) if _any(small) else u
+
+    def distance(self, x, y):
+        # chordal form: accurate at both ends of [0, pi], exactly 0 for x == y
+        c1 = 0.5 * _norms(x - y)
+        c2 = 0.5 * _norms(x + y)
+        half = 2.0 * _scalar_map(math.asin, np.minimum(np.minimum(c1, c2), 1.0))
+        return np.where(c1 <= c2, half, math.pi - half)
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(self.point_dim)
+        z /= np.linalg.norm(z)
+        return z
+
+    def project(self, x, v):
+        return v - (v @ x) * x
+
+    def tangent_basis(self, x):
+        # complete x to an orthonormal frame of the ambient space
+        basis = []
+        for i in range(self.point_dim):
+            e = np.zeros(self.point_dim)
+            e[i] = 1.0
+            w = e - (e @ x) * x
+            for b in basis:
+                w = w - (w @ b) * b
+            nw = float(np.linalg.norm(w))
+            if nw > 1e-8:
+                basis.append(w / nw)
+            if len(basis) == self.dim:
+                break
+        return np.stack(basis, axis=1)
+
+    def volume_of_ball(self, _x: np.ndarray, r: float) -> float:
+        p = self.dim
+        return _quad_radial_volume(sphere_surface_area(p),
+                                   lambda t: math.sin(t) ** (p - 1), min(r, math.pi))
 
 
 def _rp_canonical(z: np.ndarray) -> np.ndarray:
@@ -244,24 +330,189 @@ def _rp_canonical(z: np.ndarray) -> np.ndarray:
     return np.where(nz.any(axis=-1)[..., None] & (lead < 0.0), -z, z)
 
 
-# -- torus helpers -----------------------------------------------------------
+class Projective(Sphere):
+    """RP^m: sphere points modulo sign, kept on the canonical representative."""
 
-def _torus_wrap(d: np.ndarray) -> np.ndarray:
-    # shortest lattice representative of a displacement, in [-0.5, 0.5]
-    return d - np.round(d)
+    inj_lower = math.pi / 2.0
+    volume_of_ball = None
+    quotient_of = "sphere"
+
+    def exp(self, x, v):
+        _check_tangent_norms(_norms(v), math.pi / 2.0,
+                             "the projective injectivity radius pi/2")
+        return _rp_canonical(super().exp(x, v))
+
+    def log(self, x, y):
+        yy = np.where(_col(np.vecdot(x, y) >= 0.0), y, -y)  # y's class on x's side
+        if _any(abs(np.vecdot(x, yy)) <= 1e-12):
+            raise OutOfInjectivityError("projective cut locus: log map undefined")
+        return super().log(x, yy)
+
+    def distance(self, x, y):
+        # arccos|x.y| realized on the sign-aligned representative, which
+        # keeps the chordal form's accuracy near coincident classes
+        return super().distance(x, np.where(_col(np.vecdot(x, y) >= 0.0), y, -y))
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        return _rp_canonical(super().random_point(rng))
 
 
-def _torus_distance(y1: np.ndarray, y2: np.ndarray):
-    d = np.abs(y1 - y2)
-    d = np.minimum(d, 1.0 - d)
-    return np.sqrt(np.sum(d * d, axis=-1))
+def mobius_add(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    """Moebius addition on the curvature-c ball, row-wise on stacks."""
+    xy = _col(np.vecdot(x, y))
+    x2 = _col(np.vecdot(x, x))
+    y2 = _col(np.vecdot(y, y))
+    a = 1.0 + 2.0 * c * xy
+    return ((a + c * y2) * x + (1.0 - c * x2) * y) / (a + c * c * x2 * y2)
 
 
-def torus_closed_distance(y1: np.ndarray, y2: np.ndarray) -> float:
-    return float(_torus_distance(y1, y2))
+def _poincare_log0_scale(n, c: float):
+    # 2/sqrt(c) atanh(sqrt(c) n), the distance from 0 at ball norm n
+    sc = math.sqrt(c)
+    return (2.0 / sc) * _scalar_map(math.atanh, np.minimum(sc * n, 1.0 - 1e-16))
 
 
-# -- public dispatch ---------------------------------------------------------
+class Poincare(Geometry):
+    """The Poincare ball c|x|^2 < 1 of curvature -c."""
+
+    def __init__(self, p: int, c: float):
+        super().__init__(p, p)
+        self.param = c
+        self.curvature_bound, self.curvature_max, self.curvature_min = c, -c, -c
+
+    def check(self, x, what):
+        if _any(self.param * np.vecdot(x, x) >= 1.0):
+            raise ValidationError(f"{what} must satisfy c|x|^2 < 1")
+
+    def exp(self, x, v):
+        c = self.param
+        sc = math.sqrt(c)
+        nv = _norms(v)
+        zero = nv == 0.0
+        t = sc * (nv + zero)  # a zero row divides by sc, not by 0
+        u = _col(_scalar_map(math.tanh, t / 2.0) / t) * v
+        return mobius_add(x, np.where(_col(zero), 0.0, u) if _any(zero) else u, c)
+
+    def log(self, x, y):
+        z = mobius_add(-x, y, self.param)
+        nz = _norms(z)
+        zero = nz == 0.0
+        n = nz + zero  # a zero row divides by 1, not by 0
+        u = _col(_poincare_log0_scale(n, self.param) / n) * z
+        return np.where(_col(zero), 0.0, u) if _any(zero) else u
+
+    def distance(self, x, y):
+        return _poincare_log0_scale(_norms(mobius_add(-x, y, self.param)), self.param)
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal(self.point_dim)
+        z /= np.linalg.norm(z)
+        r = 0.9 * rng.random() ** (1.0 / self.dim) / math.sqrt(self.param)
+        return r * z
+
+    def volume_of_ball(self, _x: np.ndarray, r: float) -> float:
+        p, sc = self.dim, math.sqrt(self.param)
+        return _quad_radial_volume(sphere_surface_area(p),
+                                   lambda t: (math.sinh(sc * t) / sc) ** (p - 1), r)
+
+
+def _positive(w: np.ndarray, what: str) -> None:
+    # ascending spectra: the message names the first matrix that is not SPD
+    lowest = w[..., 0]
+    bad = lowest <= 0.0
+    if _any(bad):
+        raise ValidationError(f"{what} {_first(lowest, bad):.6e}")
+
+
+def _spd_root(x: np.ndarray, inverse: bool) -> np.ndarray:
+    # Frobenius vectors -> the square roots (or inverse square roots) of the
+    # matrices, from one (stacked) eigendecomposition
+    w, V = symmetric_eigh(frob_unvec(x))
+    _positive(w, "spd point is not positive definite: min eigenvalue")
+    s = np.sqrt(w)
+    return spectral(V, 1.0 / s if inverse else s)
+
+
+def _spd_log_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # normal-coordinate log: log(sqrt(A)^-1 B sqrt(A)^-1); its Frobenius
+    # norm is the affine-invariant distance, making the chart radially
+    # isometric in plain Euclidean tangent coordinates
+    isA = _spd_root(x, True)
+    inner = isA @ frob_unvec(y) @ isA
+    w, V = symmetric_eigh(0.5 * (inner + inner.swapaxes(-1, -2)))
+    _positive(w, "target of spd log map is not SPD: matrix function 'log' requires "
+              "SPD input: smallest eigenvalue")
+    return spectral(V, np.log(w))
+
+
+class SPD(Geometry):
+    """n x n SPD matrices, affine-invariant: -1/2 <= K <= 0, with flat
+    directions.  The kernels build every matrix they decompose exactly
+    symmetric, so it goes to LAPACK without ``check_symmetric``."""
+
+    curvature_bound, curvature_max, curvature_min = 0.5, 0.0, -0.5
+
+    def __init__(self, n: int):
+        super().__init__(sym_dim(n), sym_dim(n))
+        self.param = float(n)
+
+    def check_point(self, x, what):
+        _spd_root(x, False)  # the decomposition rejects what is not SPD
+
+    def exp(self, x, v):
+        sA = _spd_root(x, False)
+        w, V = symmetric_eigh(frob_unvec(v))
+        M = sA @ spectral(V, np.exp(w)) @ sA
+        # an overflowing exponential leaves non-finite entries
+        return frob_entries(check_finite(0.5 * (M + M.swapaxes(-1, -2))))
+
+    def log(self, x, y):
+        return frob_entries(_spd_log_matrix(x, y))
+
+    def distance(self, x, y):
+        L = _spd_log_matrix(x, y)
+        return _norms(L.reshape(L.shape[:-2] + (-1,)))
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        n = int(self.param)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(0.4, 2.5, size=n)
+        A = (Q * w) @ Q.T
+        return frob_entries(0.5 * (A + A.T))
+
+
+# family -> (whether its identifier carries a curvature, its geometry from
+# the integer parameter and the curvature)
+FAMILIES = {
+    "euclidean": (False, lambda p, c: Flat(p, 0.0, euclidean_ball_volume(p))),
+    "gaussian": (False, lambda p, c: Flat(p + sym_dim(p), float(p), None)),
+    "torus": (False, lambda p, c: Torus(p)),
+    "sphere": (False, lambda p, c: Sphere(p)),
+    "rp": (False, lambda p, c: Projective(p)),
+    "poincare": (True, Poincare),
+    "spd": (False, lambda p, c: SPD(p)),
+}
+
+
+# -- the public functions: check once, then run the kernel ------------------
+
+def as_point(spec: ManifoldSpec, x) -> np.ndarray:
+    """``x`` as a point of ``spec``, or an (N, point_dim) stack, checked as
+    the chart functions check it: all but SPD positive definiteness, which
+    the SPD kernels find themselves."""
+    x = _rows(x, spec.point_dim, f"point of {spec.id}")
+    spec.geometry.check(x, f"point of {spec.id}")
+    return x
+
+
+def check_point(spec: ManifoldSpec, x) -> np.ndarray:
+    """Validate a point of ``spec``, or an (N, point_dim) stack of points,
+    and return it as a float vector (or stack).  SPD points are decomposed
+    to check that they are positive definite."""
+    x = _rows(x, spec.point_dim, f"point of {spec.id}")
+    spec.geometry.check_point(x, f"point of {spec.id}")
+    return x
+
 
 def inj_lower(spec: ManifoldSpec, x) -> float:
     """Lower bound on the injectivity radius at ``x`` (a constant per zoo
@@ -279,27 +530,10 @@ def exp_map(spec: ManifoldSpec, x, v) -> np.ndarray:
     pairs.  A stack gives an (N, point_dim) result, each row bit for bit
     the result of that row alone.
     """
-    x = check_point(spec, x, deep=False)
+    x = as_point(spec, x)
     v = _rows(v, spec.chart_dim, f"tangent of {spec.id}")
     _stacked(x, v)  # rejects two stacks of different lengths
-    fam = spec.family
-    if fam in ("euclidean", "gaussian"):
-        return x + v
-    if fam == "torus":
-        return np.mod(x + v, 1.0)
-    if fam == "sphere":
-        return _sphere_exp(x, v, math.pi)
-    if fam == "rp":
-        _check_tangent_norms(_norms(v), math.pi / 2.0,
-                             "the projective injectivity radius pi/2")
-        return _rp_canonical(_sphere_exp(x, v, math.pi))
-    if fam == "poincare":
-        return mobius_add(x, _poincare_exp0(v, spec.param), spec.param)
-    if fam == "spd":
-        sA = _spd_sqrt(x)
-        M = sA @ sym_exp(frob_unvec(v)) @ sA
-        return frob_vec(0.5 * (M + M.swapaxes(-1, -2)))
-    raise UnsupportedError(f"exp_map not implemented for {spec.id}")
+    return spec.geometry.exp(x, v)
 
 
 def log_map(spec: ManifoldSpec, x, y) -> np.ndarray:
@@ -309,26 +543,10 @@ def log_map(spec: ManifoldSpec, x, y) -> np.ndarray:
     stack gives an (N, chart_dim) result, each row bit for bit the result
     of that row alone.
     """
-    x = check_point(spec, x, deep=False)
-    y = check_point(spec, y, deep=False)
+    x = as_point(spec, x)
+    y = as_point(spec, y)
     _stacked(x, y)  # rejects two stacks of different lengths
-    fam = spec.family
-    if fam in ("euclidean", "gaussian"):
-        return y - x
-    if fam == "torus":
-        return _torus_wrap(y - x)
-    if fam == "sphere":
-        return _sphere_log(x, y)
-    if fam == "rp":
-        yy = np.where(_col(np.vecdot(x, y) >= 0.0), y, -y)
-        if _any(abs(np.vecdot(x, yy)) <= 1e-12):
-            raise OutOfInjectivityError("projective cut locus: log map undefined")
-        return _sphere_log(x, yy)
-    if fam == "poincare":
-        return _poincare_log0(mobius_add(-x, y, spec.param), spec.param)
-    if fam == "spd":
-        return frob_vec(_spd_log_matrix(x, y))
-    raise UnsupportedError(f"log_map not implemented for {spec.id}")
+    return spec.geometry.log(x, y)
 
 
 def distance(spec: ManifoldSpec, x, y):
@@ -337,30 +555,10 @@ def distance(spec: ManifoldSpec, x, y):
     Either argument may be a 2-D stack of points, as in ``exp_map``; a
     stack gives an (N,) array, two points give a float.
     """
-    x = check_point(spec, x, deep=False)
-    y = check_point(spec, y, deep=False)
+    x = as_point(spec, x)
+    y = as_point(spec, y)
     stacked = _stacked(x, y)
-    fam = spec.family
-    if fam in ("euclidean", "gaussian"):
-        d = _norms(y - x)
-    elif fam == "torus":
-        d = _torus_distance(np.mod(x, 1.0), np.mod(y, 1.0))
-    elif fam == "sphere":
-        d = _sphere_distance(x, y)
-    elif fam == "rp":
-        # arccos|x.y| realized on the sign-aligned representative, which
-        # keeps the chordal form's accuracy near coincident classes
-        d = _sphere_distance(x, np.where(_col(np.vecdot(x, y) >= 0.0), y, -y))
-    elif fam == "poincare":
-        c = spec.param
-        sc = math.sqrt(c)
-        n = _norms(mobius_add(-x, y, c))
-        d = (2.0 / sc) * _scalar_map(math.atanh, np.minimum(sc * n, 1.0 - 1e-16))
-    elif fam == "spd":
-        L = _spd_log_matrix(x, y)
-        d = _norms(L.reshape(L.shape[:-2] + (-1,)))
-    else:
-        raise UnsupportedError(f"distance not implemented for {spec.id}")
+    d = spec.geometry.distance(x, y)
     return d if stacked else float(d)
 
 
@@ -368,60 +566,22 @@ def tangent_basis(spec: ManifoldSpec, x) -> np.ndarray:
     """Orthonormal basis of the tangent space at ``x`` as a
     (chart_dim, dim) matrix; identity when chart and intrinsic dimensions
     coincide."""
-    x = check_point(spec, x)
-    if spec.chart_dim == spec.dim:
-        return np.eye(spec.dim)
-    # ambient representation (sphere / rp): complete x to an orthonormal frame
-    basis = []
-    for i in range(spec.point_dim):
-        e = np.zeros(spec.point_dim)
-        e[i] = 1.0
-        w = e - (e @ x) * x
-        for b in basis:
-            w = w - (w @ b) * b
-        nw = float(np.linalg.norm(w))
-        if nw > 1e-8:
-            basis.append(w / nw)
-        if len(basis) == spec.dim:
-            break
-    return np.stack(basis, axis=1)
+    return spec.geometry.tangent_basis(check_point(spec, x))
 
 
 def random_point(spec: ManifoldSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw a generic point of ``spec`` (for tests and audits)."""
-    fam = spec.family
-    if fam in ("euclidean", "gaussian"):
-        return rng.standard_normal(spec.point_dim)
-    if fam == "torus":
-        return rng.random(spec.point_dim)
-    if fam in ("sphere", "rp"):
-        z = rng.standard_normal(spec.point_dim)
-        z /= np.linalg.norm(z)
-        return _rp_canonical(z) if fam == "rp" else z
-    if fam == "poincare":
-        z = rng.standard_normal(spec.point_dim)
-        z /= np.linalg.norm(z)
-        r = 0.9 * rng.random() ** (1.0 / spec.dim) / math.sqrt(spec.param)
-        return r * z
-    if fam == "spd":
-        n = int(spec.param)
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        w = rng.uniform(0.4, 2.5, size=n)
-        A = (Q * w) @ Q.T
-        return frob_vec(0.5 * (A + A.T))
-    raise UnsupportedError(f"random_point not implemented for {spec.id}")
+    return spec.geometry.random_point(rng)
 
 
 def random_tangent(spec: ManifoldSpec, x, rng: np.random.Generator,
                    radius: float | None = None) -> np.ndarray:
     """Draw a tangent vector at ``x`` with norm below ``radius``
     (default 0.9 of the injectivity radius, capped at 2)."""
-    x = check_point(spec, x, deep=False)
+    x = as_point(spec, x)
     if radius is None:
         radius = min(0.9 * spec.inj_lower, 2.0)
-    v = rng.standard_normal(spec.chart_dim)
-    if spec.family in ("sphere", "rp"):
-        v = v - (v @ x) * x
+    v = spec.geometry.project(x, rng.standard_normal(spec.chart_dim))
     nv = float(np.linalg.norm(v))
     scale = radius * rng.random() ** (1.0 / spec.dim)
     return (scale / nv) * v

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, ValidationError
 from .manifolds.core import ManifoldSpec, resolve_manifold
-from .manifolds.zoo import check_point, distance, exp_map, log_map
+from .manifolds.zoo import as_point, check_point
 from .network import FeedforwardNet, eval_net, net_from_dict, net_to_dict
 from .quotient import QuotientSpace, canonical_rep
 from .readouts import ReadoutSpec
@@ -36,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GDNModel:
-    """Exp/log-chart lift of a Euclidean core network."""
+    """Exp/log-chart lift of a Euclidean core network.  The base points are
+    checked once, here, and stored as read-only copies."""
 
     domain: ManifoldSpec
     codomain: ManifoldSpec
@@ -45,8 +46,8 @@ class GDNModel:
     core: FeedforwardNet
 
     def __post_init__(self):
-        bx = check_point(self.domain, self.base_x)
-        by = check_point(self.codomain, self.base_y)
+        bx = check_point(self.domain, self.base_x).copy()
+        by = check_point(self.codomain, self.base_y).copy()
         if self.core.in_dim != self.domain.chart_dim:
             raise ValidationError(
                 f"core input dim {self.core.in_dim} != domain chart dim "
@@ -57,6 +58,7 @@ class GDNModel:
                 f"core output dim {self.core.out_dim} != codomain chart dim "
                 f"{self.codomain.chart_dim}"
             )
+        bx.flags.writeable = by.flags.writeable = False
         object.__setattr__(self, "base_x", bx)
         object.__setattr__(self, "base_y", by)
 
@@ -74,19 +76,21 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
     curved codomains only); the model is undefined there and no wrap-around
     is attempted.  An error reports the value of the first offending row.
     """
-    # distance and log_map validate x; on an infinite injectivity radius
-    # the ball check cannot fail, so the distance is not computed
+    # x is checked once, here; the kernels run on it and on the base points
+    # the model checked when it was built.  On an infinite injectivity
+    # radius the ball check cannot fail, so the distance is not computed.
+    dom, cod = model.domain.geometry, model.codomain.geometry
+    x = as_point(model.domain, x)
     inj_x = model.domain.inj_lower
     if math.isfinite(inj_x):
-        d = distance(model.domain, model.base_x, x)
+        d = dom.distance(model.base_x, x)
         far = d >= inj_x
         if np.count_nonzero(far):
             raise DomainError(
                 f"input at distance {float(np.extract(far, d)[0])!r} from the "
                 f"basepoint is outside the injectivity ball of radius {inj_x!r}"
             )
-    u = log_map(model.domain, model.base_x, x)
-    w = eval_net(model.core, u)
+    w = eval_net(model.core, dom.log(model.base_x, x))
     inj_y = model.codomain.inj_lower
     if math.isfinite(inj_y):
         nw = np.sqrt(np.vecdot(w, w))
@@ -97,7 +101,8 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
                 f"the codomain chart ball of radius {inj_y!r}; the model is "
                 "undefined there"
             )
-    return exp_map(model.codomain, model.base_y, w)
+    # eval_net has checked that w is finite
+    return cod.exp(model.base_y, w)
 
 
 Branch = Tuple[GDNModel, Optional[QuotientSpace]]

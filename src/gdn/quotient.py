@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UnsupportedError, ValidationError
 from .manifolds.core import ManifoldSpec, resolve_manifold
-from .manifolds.zoo import check_point, distance, torus_closed_distance, _rp_canonical
+from .manifolds.zoo import _rp_canonical, _torus_distance, check_point, distance
 
 __all__ = [
     "GroupAction",
@@ -111,16 +111,18 @@ class QuotientSpace:
         return self.base.dim
 
 
+# the group a quotient family divides its base family by
+_ACTIONS = {"euclidean": lattice_action, "sphere": antipodal_action}
+
+
 def resolve_quotient(identifier: str) -> QuotientSpace:
     """Build the torus:m or rp:m quotient from its shared identifier."""
     spec = resolve_manifold(identifier)
-    if spec.family == "torus":
-        base = resolve_manifold(f"euclidean:{spec.dim}")
-        return QuotientSpace(base, lattice_action(spec.dim), spec.id)
-    if spec.family == "rp":
-        base = resolve_manifold(f"sphere:{spec.dim}")
-        return QuotientSpace(base, antipodal_action(spec.dim), spec.id)
-    raise ValidationError(f"{identifier!r} is not a quotient identifier (torus:m or rp:m)")
+    base = spec.geometry.quotient_of
+    if base is None:
+        raise ValidationError(f"{identifier!r} is not a quotient identifier (torus:m or rp:m)")
+    return QuotientSpace(resolve_manifold(f"{base}:{spec.dim}"), _ACTIONS[base](spec.dim),
+                         spec.id)
 
 
 def _check_rep(Q: QuotientSpace, y) -> np.ndarray:
@@ -146,7 +148,7 @@ def quotient_distance(Q: QuotientSpace, y1, y2) -> float:
     y2 = _check_rep(Q, y2)
     kind = Q.action.kind
     if kind == "lattice-translation":
-        return torus_closed_distance(y1, y2)
+        return float(_torus_distance(y1, y2))
     if kind == "antipodal":
         # arccos|x.y|, realized as the base distance to the sign-aligned
         # representative (analytically the two-element infimum)

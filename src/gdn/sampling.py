@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import UnsupportedError, ValidationError
 from .manifolds.core import ManifoldSpec
-from .manifolds.zoo import exp_map, tangent_basis
+from .manifolds.zoo import check_point
 
 __all__ = ["halton", "ball_points", "geodesic_ball_points"]
 
@@ -36,7 +36,7 @@ def halton(count: int, dim: int) -> np.ndarray:
     return np.array([
         [_van_der_corput(i + 1, _PRIMES[d]) for d in range(dim)]
         for i in range(count)
-    ])
+    ]).reshape(count, dim)
 
 
 def ball_points(count: int, dim: int, radius: float) -> np.ndarray:
@@ -63,9 +63,10 @@ def geodesic_ball_points(spec: ManifoldSpec, base, radius: float,
     """Deterministic samples of the closed geodesic ball about ``base``, as
     a (count, point_dim) stack: tangent-ball Halton points pushed through
     the exponential map."""
-    E = tangent_basis(spec, base)
+    base = check_point(spec, base)
+    E = spec.geometry.tangent_basis(base)
     tangents = ball_points(count, spec.dim, radius)
     # one matrix-vector product per tangent, as E @ t: a single matrix
     # product over the whole stack rounds differently
-    return exp_map(spec, base, (E @ tangents[:, :, None])[..., 0])
+    return spec.geometry.exp(base, (E @ tangents[:, :, None])[..., 0])
 

@@ -12,14 +12,14 @@ import pytest
 import gdn.manifolds.sym
 from gdn.assemble import _sample_pairs, audit_gdn, estimate_chart_lipschitz
 from gdn.cli import main
-from gdn.errors import NumericError
+from gdn.errors import NumericError, ValidationError
 from gdn.manifolds import resolve_manifold
 from gdn.manifolds.core import exp_chart_lipschitz
 from gdn.manifolds.zoo import (check_point, distance, exp_map, random_point,
                                random_tangent, tangent_basis)
 from gdn.model import GDNModel
 from gdn.network import AffineLayer, FeedforwardNet, get_activation
-from gdn.sampling import ball_points, geodesic_ball_points
+from gdn.sampling import ball_points, geodesic_ball_points, halton
 from gdn.targets import resolve_target
 
 # (manifold, base point, tangent radius)
@@ -156,6 +156,13 @@ class TestAuditGrid:
         assert got.shape == (64, spec.point_dim)
         np.testing.assert_array_equal(got, np.array(want))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_samples_keep_their_columns(self, dim):
+        assert halton(0, dim).shape == (0, dim)
+        assert ball_points(0, dim, 1.0).shape == (0, dim)
+        spec = resolve_manifold("sphere:2")
+        assert geodesic_ball_points(spec, [0.0, 0.0, 1.0], 1.0, 0).shape == (0, 3)
+
 
 def reference_audit(model, target, radius, count):
     """The per-point audit loop the stacked audit replaced."""
@@ -192,6 +199,14 @@ class TestAudit:
             got = audit_gdn(model, target, radius, count)
             assert isinstance(got, float)
             assert got == reference_audit(model, target, radius, count)
+
+    def test_empty_audit_refused(self):
+        spec = resolve_manifold("euclidean:1")
+        model = GDNModel(spec, spec, [0.0], [0.0], FeedforwardNet(
+            (AffineLayer(np.eye(1), np.zeros(1)),), get_activation("exp")))
+        for count in (0, -3):
+            with pytest.raises(ValidationError, match="at least 1 point"):
+                audit_gdn(model, lambda x: x, 0.5, count)
 
 
 def test_spd_compile_runs_without_jacobi(monkeypatch, tmp_path, capsys):

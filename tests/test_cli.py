@@ -80,12 +80,15 @@ class TestCompileAndEval:
         assert summary["depth"] >= 2  # deep-narrow rewrite
         assert summary["width"] <= 2 + 1 + 2
 
-    def test_radius_guard_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["compile", "--target", "rotation", "--domain", "sphere:2",
-                  "--codomain", "sphere:2", "--base-x", "[0,0,1]",
-                  "--radius", "3.5", "--eps", "0.1"])
-        assert exc.value.code == 2
+    def test_radius_guard_exits_2(self, capsys):
+        # checked once, by compile_gdn: one error line and no usage text
+        code, out, err = run(capsys, "compile", "--target", "rotation",
+                             "--domain", "sphere:2", "--codomain", "sphere:2",
+                             "--base-x", "[0,0,1]", "--radius", "3.5", "--eps", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: radius must satisfy 0 < radius < "
+                       "inj(3.141592653589793), got 3.5\n")
 
     def test_unknown_target_exits_2(self, capsys):
         code, _, err = run(capsys, "compile", "--target", "frobnicate",

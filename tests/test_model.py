@@ -1,10 +1,15 @@
 """GDN evaluation, guards, parallelization, and pipeline composition."""
+import collections
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gdn.manifolds.sym
+import gdn.manifolds.zoo
 from gdn.errors import DomainError, RangeError, ValidationError
 from gdn.manifolds import resolve_manifold
 from gdn.manifolds.zoo import exp_map, random_tangent, tangent_basis
@@ -217,3 +222,122 @@ class TestGdnSerialization:
         for a, b in zip(g.core.layers, back.core.layers):
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.bias, b.bias)
+
+
+# -- validated once ------------------------------------------------------------
+
+MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    # replace the function wherever gdn binds it, as a from-import copies it
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("gdn") and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+class TestValidatedOnce:
+    @pytest.mark.parametrize("case", ["sphere2-rotation", "poincare2-mobius",
+                                      "spd2-congruence"])
+    def test_one_point_check_per_evaluation(self, case, monkeypatch):
+        model = gdn_from_dict(json.loads((MODELS / f"{case}.json").read_text()))
+        x = np.array(model.base_x)
+        counts = collections.Counter()
+        for name in ("check_point", "as_point"):
+            _count_calls(monkeypatch, counts, gdn.manifolds.zoo, name)
+        _count_calls(monkeypatch, counts, gdn.manifolds.sym, "check_symmetric")
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a):
+            counts["eigh"] += 1
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        model(x)
+        assert counts["check_point"] + counts["as_point"] == 1
+        assert counts["check_symmetric"] == 0
+        # two per SPD chart: the base root and the spectral function
+        assert counts["eigh"] <= 4
+
+    def test_stored_bases_are_read_only_copies(self):
+        bx, by = np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+        g = GDNModel(S2, S2, bx, by, zero_net(3, 3))
+        for stored in (g.base_x, g.base_y):
+            with pytest.raises(ValueError):
+                stored[0] = 0.5
+        bx[2] = by[1] = 0.5  # the caller's arrays stay writable, and apart
+        np.testing.assert_array_equal(g.base_x, [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(g.base_y, [0.0, 1.0, 0.0])
+
+    def test_spd_overflow_raises_through_gdn_eval(self):
+        spd = resolve_manifold("spd:2")
+        eye = [1.0, 0.0, 1.0]
+        g = GDNModel(spd, spd, eye, eye, affine_net(np.zeros((3, 3)), [800.0, 0.0, 0.0]))
+        with np.errstate(all="ignore"), pytest.raises(
+                ValidationError, match="^matrix entries must be finite$"):
+            g(np.array(eye))
+
+    # (manifold, base point, input, error class, message), as the checks
+    # inside distance, log_map and exp_map raised them on every call
+    BAD_INPUTS = [
+        ("euclidean:2", [0.0, 0.0], [1.0], ValidationError,
+         "point of euclidean:2 must have length 2, got 1"),
+        ("euclidean:2", [0.0, 0.0], [np.nan, 0.0], ValidationError,
+         "point of euclidean:2 has non-finite entries"),
+        ("gaussian:1", [0.0, 0.0], [0.0, 0.0, 0.0], ValidationError,
+         "point of gaussian:1 must have length 2, got 3"),
+        ("gaussian:1", [0.0, 0.0], [np.inf, 0.0], ValidationError,
+         "point of gaussian:1 has non-finite entries"),
+        ("torus:2", [0.0, 0.0], [0.1], ValidationError,
+         "point of torus:2 must have length 2, got 1"),
+        ("torus:2", [0.0, 0.0], [0.1, np.nan], ValidationError,
+         "point of torus:2 has non-finite entries"),
+        ("torus:2", [0.0, 0.0], [0.5, 0.5], DomainError,
+         "input at distance 0.7071067811865476 from the basepoint is outside the "
+         "injectivity ball of radius 0.5"),
+        ("sphere:2", [0.0, 0.0, 1.0], [0.0, 1.0], ValidationError,
+         "point of sphere:2 must have length 3, got 2"),
+        ("sphere:2", [0.0, 0.0, 1.0], [0.0, np.inf, 1.0], ValidationError,
+         "point of sphere:2 has non-finite entries"),
+        ("sphere:2", [0.0, 0.0, 1.0], [0.0, 0.0, 2.0], ValidationError,
+         "point of sphere:2 must be unit norm, got |x|=2.0"),
+        ("sphere:2", [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], DomainError,
+         "input at distance 3.141592653589793 from the basepoint is outside the "
+         "injectivity ball of radius 3.141592653589793"),
+        ("rp:2", [0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], ValidationError,
+         "point of rp:2 must have length 3, got 4"),
+        ("rp:2", [0.0, 0.0, 1.0], [np.nan, 0.0, 1.0], ValidationError,
+         "point of rp:2 has non-finite entries"),
+        ("rp:2", [0.0, 0.0, 1.0], [0.0, 0.6, 0.6], ValidationError,
+         "point of rp:2 must be unit norm, got |x|=0.848528137423857"),
+        ("poincare:2:1", [0.0, 0.0], [0.1, 0.1, 0.1], ValidationError,
+         "point of poincare:2:1.0 must have length 2, got 3"),
+        ("poincare:2:1", [0.0, 0.0], [0.1, -np.inf], ValidationError,
+         "point of poincare:2:1.0 has non-finite entries"),
+        ("poincare:2:1", [0.0, 0.0], [0.8, 0.8], ValidationError,
+         "point of poincare:2:1.0 must satisfy c|x|^2 < 1"),
+        ("spd:2", [1.0, 0.0, 1.0], [1.0, 1.0], ValidationError,
+         "point of spd:2 must have length 3, got 2"),
+        ("spd:2", [1.0, 0.0, 1.0], [1.0, np.nan, 1.0], ValidationError,
+         "point of spd:2 has non-finite entries"),
+        ("spd:2", [1.0, 0.0, 1.0], [1.0, 0.0, -0.5], ValidationError,
+         "target of spd log map is not SPD: matrix function 'log' requires SPD "
+         "input: smallest eigenvalue -5.000000e-01"),
+    ]
+
+    @pytest.mark.parametrize("ident,base,x,error,message", BAD_INPUTS)
+    def test_bad_input_raises_as_before(self, ident, base, x, error, message):
+        spec = resolve_manifold(ident)
+        g = GDNModel(spec, spec, base, base, zero_net(spec.chart_dim, spec.chart_dim))
+        givens = [np.array(x)] + ([np.array([base, x])] if len(x) == len(base) else [])
+        for given in givens:  # a point, and a stack with it as its second row
+            with pytest.raises(error) as raised:
+                gdn_eval(g, given)
+            assert str(raised.value) == message

@@ -1,9 +1,12 @@
 """Closed-form exp/log/distance across the manifold zoo."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gdn
 from conftest import random_orthogonal, random_spd
 from gdn.errors import GdnError, OutOfInjectivityError, ValidationError
 from gdn.manifolds import resolve_manifold
@@ -388,3 +391,40 @@ def test_stacked_kernels_keep_the_scalar_arithmetic(ident, exp_ref, dist_ref, rn
     np.testing.assert_array_equal(distance(spec, xs, ys), want_dist)
     np.testing.assert_array_equal(exp_map(spec, xs[3], vs[3]), want_exp[3])
     assert distance(spec, xs[3], ys[3]) == want_dist[3]
+
+
+class TestOneGeometryPerFamily:
+    def test_spd_exp_overflow_raises(self):
+        spec = resolve_manifold("spd:2")
+        with np.errstate(all="ignore"), pytest.raises(
+                ValidationError, match="^matrix entries must be finite$"):
+            exp_map(spec, [1.0, 0.0, 1.0], [800.0, 0.0, 0.0])
+
+    def test_check_point_still_decomposes_spd_points(self):
+        spec = resolve_manifold("spd:2")
+        with pytest.raises(ValidationError, match="not positive definite"):
+            check_point(spec, frob_vec(np.diag([1.0, -0.5])))
+
+    def test_no_family_string_comparisons(self):
+        """The kernels are picked once, through ``spec.geometry``: no
+        comparison against ``.family`` or a family name may come back in
+        the manifold modules or in the quotient module."""
+        families = {"euclidean", "sphere", "poincare", "spd", "gaussian", "torus", "rp"}
+
+        def is_family_test(node):
+            if isinstance(node, ast.Attribute):
+                return node.attr == "family"
+            if isinstance(node, ast.Constant):
+                return node.value in families
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                return any(is_family_test(e) for e in node.elts)
+            return False
+
+        src = Path(gdn.__file__).parent
+        found = []
+        for path in sorted(src.glob("manifolds/*.py")) + [src / "quotient.py"]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare) and any(
+                        is_family_test(op) for op in [node.left, *node.comparators]):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
