@@ -17,6 +17,7 @@ __all__ = [
     "AnalyticModulus",
     "LipschitzModulus",
     "empirical_modulus",
+    "empirical_modulus_at",
     "modulus_from_samples",
     "sample_pairs",
     "modulus_inverse",
@@ -96,12 +97,10 @@ def LipschitzModulus(L: float) -> AnalyticModulus:
 Modulus = Union[ModulusEstimate, AnalyticModulus, Callable[[float], float]]
 
 
-def empirical_modulus(pairs: Sequence[Tuple[float, float]]) -> ModulusEstimate:
-    """Running-max estimate from (input distance, output distance) pairs.
-
-    The estimate is piecewise constant and right-continuous, and bounds the
-    true modulus from below by construction.
-    """
+def _checked_pairs(pairs: Sequence[Tuple[float, float]]) -> np.ndarray:
+    # (input distance, output distance) rows as an (N, 2) array, refused
+    # unless every distance is finite and nonnegative and every pair at zero
+    # input distance has zero output distance
     if not len(pairs):
         raise ValidationError("empirical modulus needs at least one pair")
     arr = np.asarray(pairs, dtype=float)
@@ -111,20 +110,39 @@ def empirical_modulus(pairs: Sequence[Tuple[float, float]]) -> ModulusEstimate:
         raise ValidationError("distances must be nonnegative")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("distances must be finite")
-    order = np.argsort(arr[:, 0], kind="stable")
-    din = arr[order, 0]
-    running = np.maximum.accumulate(arr[order, 1])
-    zero = din == 0.0
-    if np.any(running[zero] > 0.0):
+    if np.any(arr[arr[:, 0] == 0.0, 1] > 0.0):
         raise ValidationError(
             "pairs at zero input distance must have zero output distance"
         )
+    return arr
+
+
+def empirical_modulus(pairs: Sequence[Tuple[float, float]]) -> ModulusEstimate:
+    """Running-max estimate from (input distance, output distance) pairs.
+
+    The estimate is piecewise constant and right-continuous, and bounds the
+    true modulus from below by construction.
+    """
+    arr = _checked_pairs(pairs)
+    order = np.argsort(arr[:, 0], kind="stable")
+    din = arr[order, 0]
+    running = np.maximum.accumulate(arr[order, 1])
     # one knot per distinct positive distance, holding the running max at
     # the last pair of its run of ties
-    keep = np.append(din[1:] != din[:-1], True) & ~zero
+    keep = np.append(din[1:] != din[:-1], True) & (din != 0.0)
     knots = np.concatenate([[0.0], din[keep]])
     values = np.concatenate([[0.0], running[keep]])
     return ModulusEstimate(knots, values)
+
+
+def empirical_modulus_at(pairs: Sequence[Tuple[float, float]], t: float) -> float:
+    """``empirical_modulus(pairs)(t)``, read without building the estimate:
+    the largest output distance over the pairs whose input distance is at
+    most ``t`` (0 when there are none), after the same checks."""
+    if t < 0.0:
+        raise ValidationError("modulus argument must be nonnegative")
+    arr = _checked_pairs(pairs)
+    return float(np.max(arr[arr[:, 0] <= t, 1], initial=0.0))
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .bernstein import (
     bernstein_from_function,
     bernstein_to_coefficients,
 )
-from .modulus import Modulus, empirical_modulus, oracle_rows, row_norms, sample_pairs
+from .modulus import Modulus, empirical_modulus_at, oracle_rows, row_norms, sample_pairs
 from .polynomials import LinearFormPoly, decompose_polynomial, poly_total_degree
 
 __all__ = [
@@ -344,9 +344,12 @@ def compile_function_to_shallow(
     values = (lattice_audit if isinstance(target, BernsteinModel)
               else oracle_rows(target, audit, m))
     audit_error = float(np.max(row_norms(outputs - values)))
-    if omega is None:
-        omega = empirical_modulus(sample_pairs(audit[::3], values[::3]))
-    apriori = (1.0 + p / 4.0) * m * float(omega(1.0 / math.sqrt(n))) + synth_resid
+    # the bound reads the modulus at its one point 1/sqrt(n); without
+    # ``omega``, the empirical modulus is read there directly
+    t = 1.0 / math.sqrt(n)
+    omega_t = (empirical_modulus_at(sample_pairs(audit[::3], values[::3]), t)
+               if omega is None else float(omega(t)))
+    apriori = (1.0 + p / 4.0) * m * omega_t + synth_resid
     return CompileResult(shallow, n, net_width(shallow),
                          sum(len(lf.terms) for lf in per_output),
                          theta0, used_h, apriori, synth_resid, audit_error)

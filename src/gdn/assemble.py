@@ -13,7 +13,8 @@ from .approx.modulus import Modulus, oracle_rows, row_norms
 from .approx.synthesis import CompileResult, compile_function_to_shallow
 from .errors import ValidationError
 from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
-from .manifolds.zoo import as_point, check_point, distance, exp_map, random_tangent
+from .manifolds.zoo import (as_point, chart_at, check_point, distance, exp_map,
+                            random_tangent)
 from .model import GDNModel, gdn_eval
 from .network import ActivationInfo, AffineLayer, FeedforwardNet
 from .sampling import ball_points, geodesic_ball_points
@@ -38,19 +39,18 @@ def pullback(domain: ManifoldSpec, codomain: ManifoldSpec, base_x, base_y,
     intrinsic tangent coordinates, about ``base_y``, of the target at
     Exp_{base_x}(radius (2t - 1)).  Like ``target``, it maps one point or an
     (N, p) stack with one target call, each row bit for bit its value alone.
-    The base points are checked once, here, and each call checks only the
-    target's output."""
-    dom, cod = domain.geometry, codomain.geometry
-    base_x = check_point(domain, base_x)
-    base_y = check_point(codomain, base_y)
-    E_dom = dom.tangent_basis(base_x)
-    E_cod = cod.tangent_basis(base_y)
+    The base points are checked and bound to their charts once, here, and
+    each call checks only the target's output."""
+    chart_x = chart_at(domain, base_x)
+    chart_y = chart_at(codomain, base_y)
+    E_dom = domain.geometry.tangent_basis(chart_x.x)
+    E_cod = codomain.geometry.tangent_basis(chart_y.x)
 
     def pulled_back(t: np.ndarray) -> np.ndarray:
         u = radius * (2.0 * np.asarray(t, dtype=float) - 1.0)
         # matrix-vector products row by row: one matrix product rounds differently
-        x = dom.exp(base_x, (E_dom @ u[..., None])[..., 0])
-        w = cod.log(base_y, as_point(codomain, target(x)))
+        x = chart_x.exp((E_dom @ u[..., None])[..., 0])
+        w = chart_y.log(as_point(codomain, target(x)))
         return (E_cod.T @ w[..., None])[..., 0]
 
     return pulled_back

@@ -9,8 +9,10 @@ copies into the spec and the kernels; ``FAMILIES`` is the one table from
 family name to class, and each spec holds its instance as ``spec.geometry``.
 Points are checked only by the public functions at the end of this module,
 once per call.  The kernels trust their arguments, so a caller holding
-checked points, such as a ``GDNModel`` with its base points, calls them
-directly.
+checked points calls them directly.  ``Geometry.at(x)`` binds the kernels
+to one fixed point as a ``Chart``, which a ``GDNModel`` keeps for each of
+its base points; ``SPD.at`` keeps the base's sqrt(A) and sqrt(A)^-1, from
+one eigendecomposition, so no evaluation decomposes the base again.
 
 Representation conventions
 --------------------------
@@ -53,6 +55,7 @@ __all__ = [
     "inj_lower",
     "check_point",
     "as_point",
+    "chart_at",
     "random_point",
     "random_tangent",
     "tangent_basis",
@@ -193,6 +196,30 @@ class Geometry:
 
     def tangent_basis(self, x: np.ndarray) -> np.ndarray:
         return np.eye(self.dim)
+
+    def at(self, x: np.ndarray) -> "Chart":
+        """The kernels bound to the single point ``x``, which passes
+        ``check``; a family with work that depends on ``x`` alone does it
+        here, once."""
+        return Chart(self, x)
+
+
+class Chart:
+    """A geometry's kernels about one fixed point ``x``: ``exp(v)``,
+    ``log(y)`` and ``distance(y)`` give the unbound kernels' results about
+    ``x``, bit for bit."""
+
+    def __init__(self, geometry: Geometry, x: np.ndarray):
+        self.geometry, self.x = geometry, x
+
+    def exp(self, v):
+        return self.geometry.exp(self.x, v)
+
+    def log(self, y):
+        return self.geometry.log(self.x, y)
+
+    def distance(self, y):
+        return self.geometry.distance(self.x, y)
 
 
 class Flat(Geometry):
@@ -424,25 +451,44 @@ def _positive(w: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} {_first(lowest, bad):.6e}")
 
 
-def _spd_root(x: np.ndarray, inverse: bool) -> np.ndarray:
-    # Frobenius vectors -> the square roots (or inverse square roots) of the
-    # matrices, from one (stacked) eigendecomposition
+def _spd_spectrum(x: np.ndarray):
+    # Frobenius vectors -> the eigenvectors and the square roots of the
+    # eigenvalues of the matrices, from one (stacked) eigendecomposition
+    # that also checks that they are positive definite
     w, V = symmetric_eigh(frob_unvec(x))
     _positive(w, "spd point is not positive definite: min eigenvalue")
-    s = np.sqrt(w)
+    return V, np.sqrt(w)
+
+
+def _spd_root(x: np.ndarray, inverse: bool) -> np.ndarray:
+    # the square roots (or inverse square roots) of the matrices
+    V, s = _spd_spectrum(x)
     return spectral(V, 1.0 / s if inverse else s)
 
 
-def _spd_log_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # normal-coordinate log: log(sqrt(A)^-1 B sqrt(A)^-1); its Frobenius
-    # norm is the affine-invariant distance, making the chart radially
-    # isometric in plain Euclidean tangent coordinates
-    isA = _spd_root(x, True)
+def _spd_exp(sA: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base
+    w, V = symmetric_eigh(frob_unvec(v))
+    M = sA @ spectral(V, np.exp(w)) @ sA
+    # an overflowing exponential leaves non-finite entries
+    return frob_entries(check_finite(0.5 * (M + M.swapaxes(-1, -2))))
+
+
+def _spd_log_matrix(isA: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # normal-coordinate log: log(sqrt(A)^-1 B sqrt(A)^-1), from the inverse
+    # root isA of the base; its Frobenius norm is the affine-invariant
+    # distance, making the chart radially isometric in plain Euclidean
+    # tangent coordinates
     inner = isA @ frob_unvec(y) @ isA
     w, V = symmetric_eigh(0.5 * (inner + inner.swapaxes(-1, -2)))
     _positive(w, "target of spd log map is not SPD: matrix function 'log' requires "
               "SPD input: smallest eigenvalue")
     return spectral(V, np.log(w))
+
+
+def _spd_distance(isA: np.ndarray, y: np.ndarray):
+    L = _spd_log_matrix(isA, y)
+    return _norms(L.reshape(L.shape[:-2] + (-1,)))
 
 
 class SPD(Geometry):
@@ -460,18 +506,19 @@ class SPD(Geometry):
         _spd_root(x, False)  # the decomposition rejects what is not SPD
 
     def exp(self, x, v):
-        sA = _spd_root(x, False)
-        w, V = symmetric_eigh(frob_unvec(v))
-        M = sA @ spectral(V, np.exp(w)) @ sA
-        # an overflowing exponential leaves non-finite entries
-        return frob_entries(check_finite(0.5 * (M + M.swapaxes(-1, -2))))
+        return _spd_exp(_spd_root(x, False), v)
 
     def log(self, x, y):
-        return frob_entries(_spd_log_matrix(x, y))
+        return frob_entries(_spd_log_matrix(_spd_root(x, True), y))
 
     def distance(self, x, y):
-        L = _spd_log_matrix(x, y)
-        return _norms(L.reshape(L.shape[:-2] + (-1,)))
+        return _spd_distance(_spd_root(x, True), y)
+
+    def at(self, x):
+        """Keeps sqrt(A) and sqrt(A)^-1 of the base, from the one
+        eigendecomposition that also checks that it is positive definite."""
+        V, s = _spd_spectrum(x)
+        return _SPDChart(self, x, spectral(V, s), spectral(V, 1.0 / s))
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         n = int(self.param)
@@ -479,6 +526,26 @@ class SPD(Geometry):
         w = rng.uniform(0.4, 2.5, size=n)
         A = (Q * w) @ Q.T
         return frob_entries(0.5 * (A + A.T))
+
+
+class _SPDChart(Chart):
+    """The SPD kernels about a base A, on its stored read-only ``root``
+    sqrt(A) and ``inv_root`` sqrt(A)^-1."""
+
+    def __init__(self, geometry: SPD, x: np.ndarray, root: np.ndarray,
+                 inv_root: np.ndarray):
+        super().__init__(geometry, x)
+        root.flags.writeable = inv_root.flags.writeable = False
+        self.root, self.inv_root = root, inv_root
+
+    def exp(self, v):
+        return _spd_exp(self.root, v)
+
+    def log(self, y):
+        return frob_entries(_spd_log_matrix(self.inv_root, y))
+
+    def distance(self, y):
+        return _spd_distance(self.inv_root, y)
 
 
 # family -> (whether its identifier carries a curvature, its geometry from
@@ -512,6 +579,15 @@ def check_point(spec: ManifoldSpec, x) -> np.ndarray:
     x = _rows(x, spec.point_dim, f"point of {spec.id}")
     spec.geometry.check_point(x, f"point of {spec.id}")
     return x
+
+
+def chart_at(spec: ManifoldSpec, x) -> Chart:
+    """The kernels of ``spec`` bound to a read-only copy of the point ``x``,
+    checked as ``check_point`` checks it: ``at`` finds what ``as_point``
+    leaves to the kernels, with the decomposition SPD keeps."""
+    x = as_point(spec, x).copy()
+    x.flags.writeable = False
+    return spec.geometry.at(x)
 
 
 def inj_lower(spec: ManifoldSpec, x) -> float:

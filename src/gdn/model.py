@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, ValidationError
 from .manifolds.core import ManifoldSpec, resolve_manifold
-from .manifolds.zoo import as_point, check_point
+from .manifolds.zoo import Chart, as_point, chart_at
 from .network import FeedforwardNet, eval_net, net_from_dict, net_to_dict
 from .quotient import QuotientSpace, canonical_rep
 from .readouts import ReadoutSpec
@@ -37,17 +37,20 @@ __all__ = [
 @dataclass(frozen=True)
 class GDNModel:
     """Exp/log-chart lift of a Euclidean core network.  The base points are
-    checked once, here, and stored as read-only copies."""
+    checked once, here, and stored as read-only copies, with the chart
+    kernels bound to them (``chart_x``, ``chart_y``, from ``chart_at``)."""
 
     domain: ManifoldSpec
     codomain: ManifoldSpec
     base_x: np.ndarray
     base_y: np.ndarray
     core: FeedforwardNet
+    chart_x: Chart = field(init=False, repr=False, compare=False)
+    chart_y: Chart = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bx = check_point(self.domain, self.base_x).copy()
-        by = check_point(self.codomain, self.base_y).copy()
+        chart_x = chart_at(self.domain, self.base_x)
+        chart_y = chart_at(self.codomain, self.base_y)
         if self.core.in_dim != self.domain.chart_dim:
             raise ValidationError(
                 f"core input dim {self.core.in_dim} != domain chart dim "
@@ -58,9 +61,10 @@ class GDNModel:
                 f"core output dim {self.core.out_dim} != codomain chart dim "
                 f"{self.codomain.chart_dim}"
             )
-        bx.flags.writeable = by.flags.writeable = False
-        object.__setattr__(self, "base_x", bx)
-        object.__setattr__(self, "base_y", by)
+        object.__setattr__(self, "base_x", chart_x.x)
+        object.__setattr__(self, "base_y", chart_y.x)
+        object.__setattr__(self, "chart_x", chart_x)
+        object.__setattr__(self, "chart_y", chart_y)
 
     def __call__(self, x):
         return gdn_eval(self, x)
@@ -76,21 +80,21 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
     curved codomains only); the model is undefined there and no wrap-around
     is attempted.  An error reports the value of the first offending row.
     """
-    # x is checked once, here; the kernels run on it and on the base points
-    # the model checked when it was built.  On an infinite injectivity
-    # radius the ball check cannot fail, so the distance is not computed.
-    dom, cod = model.domain.geometry, model.codomain.geometry
+    # x is checked once, here; the kernels run on it through the charts the
+    # model bound to its base points when it was built.  On an infinite
+    # injectivity radius the ball check cannot fail, so the distance is not
+    # computed.
     x = as_point(model.domain, x)
     inj_x = model.domain.inj_lower
     if math.isfinite(inj_x):
-        d = dom.distance(model.base_x, x)
+        d = model.chart_x.distance(x)
         far = d >= inj_x
         if np.count_nonzero(far):
             raise DomainError(
                 f"input at distance {float(np.extract(far, d)[0])!r} from the "
                 f"basepoint is outside the injectivity ball of radius {inj_x!r}"
             )
-    w = eval_net(model.core, dom.log(model.base_x, x))
+    w = eval_net(model.core, model.chart_x.log(x))
     inj_y = model.codomain.inj_lower
     if math.isfinite(inj_y):
         nw = np.sqrt(np.vecdot(w, w))
@@ -102,7 +106,7 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
                 "undefined there"
             )
     # eval_net has checked that w is finite
-    return cod.exp(model.base_y, w)
+    return model.chart_y.exp(w)
 
 
 Branch = Tuple[GDNModel, Optional[QuotientSpace]]

@@ -151,8 +151,9 @@ def quotient_distance(Q: QuotientSpace, y1, y2) -> float:
         return float(_torus_distance(y1, y2))
     if kind == "antipodal":
         # arccos|x.y|, realized as the base distance to the sign-aligned
-        # representative (analytically the two-element infimum)
-        return distance(Q.base, y1, y2 if float(y1 @ y2) >= 0.0 else -y2)
+        # representative (analytically the two-element infimum), picked by
+        # the ``Projective`` kernel's own test
+        return distance(Q.base, y1, y2 if np.vecdot(y1, y2) >= 0.0 else -y2)
     best = math.inf
     for g in Q.action.enumerate_near(y1, y2):
         best = min(best, distance(Q.base, y1, Q.action.apply(g, y2)))

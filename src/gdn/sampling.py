@@ -2,7 +2,9 @@
 
 Audit grids are Halton points in the tangent ball pushed through the
 exponential map; the mapping is closed-form for intrinsic dimension up to
-three, which covers the desk-scale experiments.
+three, which covers the desk-scale experiments.  ``halton`` builds each
+coordinate for all indices at once, with the bits of the scalar radical
+inverse, and the exponential map runs once on the whole stack of tangents.
 """
 from __future__ import annotations
 
@@ -19,24 +21,26 @@ __all__ = ["halton", "ball_points", "geodesic_ball_points"]
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
-def _van_der_corput(i: int, base: int) -> float:
-    x, denom = 0.0, 1.0
-    while i:
-        denom *= base
-        i, rem = divmod(i, base)
-        x += rem / denom
-    return x
-
-
 def halton(count: int, dim: int) -> np.ndarray:
     """First ``count`` Halton points in [0,1]^dim (bases 2,3,5,...), from
-    index 1: the all-zero point at index 0 is skipped."""
+    index 1: the all-zero point at index 0 is skipped.
+
+    Each base's radical inverse runs on the whole index array at once,
+    digit by digit, in the order of the scalar recurrence
+    ``denom *= base; i, rem = divmod(i, base); x += rem / denom``, so each
+    coordinate has that recurrence's bits; an index out of digits adds 0.
+    """
     if dim > len(_PRIMES):
         raise ValidationError(f"halton supports up to {len(_PRIMES)} dimensions")
-    return np.array([
-        [_van_der_corput(i + 1, _PRIMES[d]) for d in range(dim)]
-        for i in range(count)
-    ]).reshape(count, dim)
+    out = np.zeros((count, dim))
+    for d, base in enumerate(_PRIMES[:dim]):
+        x = out[:, d]  # a view: the sums land in out
+        i, denom = np.arange(1, count + 1), 1.0
+        while np.any(i):
+            denom *= base
+            i, rem = np.divmod(i, base)
+            x += rem / denom
+    return out
 
 
 def ball_points(count: int, dim: int, radius: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Pinned outputs: the bytes every "same outputs" claim in CHANGES.md rests on.
 
-Three ``gdn compile`` runs (the sphere2-rotation, poincare2-mobius and
-cube2-mixed cases of the benchmark, with its arguments) and one 3-run
-``gdn bench`` config go through ``gdn.cli.main`` at seed 0.  Each compile
+Four ``gdn compile`` runs (the sphere2-rotation, poincare2-mobius,
+cube3-product and cube2-mixed cases of the benchmark, with its arguments;
+cube3-product is the one p = 3 compile, whose modulus reads the 55,611
+audit-grid pairs) and one 3-run ``gdn bench`` config go through
+``gdn.cli.main`` at seed 0.  Each compile
 must reproduce its summary JSON (without ``out``) and the sha256 of its
 model file, and the bench its CSV, exactly.  spd is left out: its bytes
 depend on LAPACK rounding.
@@ -37,6 +39,16 @@ COMPILES = {
          "measured_error": 0.0007039603963894114, "param_count": 12,
          "target": "mobius-shift", "width": 2},
         "484ff4935668363ef27d57961b47f76e6d20798f39dc2881cbe99865f5cb18f2",
+    ),
+    "cube3-product": (
+        ["--target", "poly:x1*x2*x3", "--domain", "euclidean:3",
+         "--codomain", "euclidean:1", "--base-x", "[0, 0, 0]", "--radius", "0.5",
+         "--eps", "0.05"],
+        {"apriori_bound": 0.43917073183615685, "audit_points": 200,
+         "bernstein_degree": 1, "depth": 1, "eps": 0.05,
+         "measured_error": 0.0005004717860871075, "param_count": 136,
+         "target": "poly:x1*x2*x3", "width": 27},
+        "45da57c107454d9141f7a808a11cd2597d78771eaa81c25c7b80002dba390357",
     ),
     "cube2-mixed": (
         ["--target", "poly:x1^2-x2^2+x1*x2", "--domain", "euclidean:2",

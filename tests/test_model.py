@@ -263,8 +263,9 @@ class TestValidatedOnce:
         model(x)
         assert counts["check_point"] + counts["as_point"] == 1
         assert counts["check_symmetric"] == 0
-        # two per SPD chart: the base root and the spectral function
-        assert counts["eigh"] <= 4
+        # one per SPD chart, for its spectral function: the model keeps the
+        # base roots
+        assert counts["eigh"] <= 2
 
     def test_stored_bases_are_read_only_copies(self):
         bx, by = np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
@@ -275,6 +276,14 @@ class TestValidatedOnce:
         bx[2] = by[1] = 0.5  # the caller's arrays stay writable, and apart
         np.testing.assert_array_equal(g.base_x, [0.0, 0.0, 1.0])
         np.testing.assert_array_equal(g.base_y, [0.0, 1.0, 0.0])
+
+    def test_stored_spd_roots_are_read_only(self):
+        spd = resolve_manifold("spd:2")
+        g = GDNModel(spd, spd, [2.0, 0.0, 1.0], [1.0, 0.5, 3.0], zero_net(3, 3))
+        for chart in (g.chart_x, g.chart_y):
+            for stored in (chart.root, chart.inv_root, chart.x):
+                with pytest.raises(ValueError):
+                    stored[0] = 0.5
 
     def test_spd_overflow_raises_through_gdn_eval(self):
         spd = resolve_manifold("spd:2")

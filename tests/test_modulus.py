@@ -12,6 +12,7 @@ from gdn.approx.modulus import (
     ModulusEstimate,
     concave_majorant,
     empirical_modulus,
+    empirical_modulus_at,
     mcshane_extend,
     modulus_from_samples,
     modulus_inverse,
@@ -100,6 +101,78 @@ class TestEmpiricalModulus:
         # true modulus is 3-Lipschitz
         for t in w.knots[1:]:
             assert w(float(t)) <= 3.0 * float(t) + 1e-12
+
+
+class TestEmpiricalModulusAt:
+    """The one-point read ``compile_function_to_shallow`` uses in place of
+    building the whole estimate."""
+
+    @staticmethod
+    def read_points(pairs):
+        # every knot, a point inside each gap, below the first positive knot
+        # and above the last one
+        knots = np.unique(np.asarray(pairs, dtype=float)[:, 0])
+        inner = 0.5 * (knots[1:] + knots[:-1])
+        return np.concatenate([[0.0, 0.5 * knots[knots > 0.0].min(initial=1.0)],
+                               knots, inner, [knots[-1] + 1.0, 1e9]])
+
+    def test_equals_estimate_exactly(self, rng):
+        for size in (1, 2, 7, 60, 500, 3000):
+            # ties: few distinct distances; zero-distance pairs with zero output
+            din = rng.integers(0, 9, size) / 8.0
+            dout = np.where(din == 0.0, 0.0, rng.random(size) * din)
+            pairs = np.column_stack([din, dout])
+            w = empirical_modulus(pairs)
+            for t in self.read_points(pairs):
+                assert empirical_modulus_at(pairs, float(t)) == w(float(t))
+
+    def test_equals_estimate_on_sampled_function_pairs(self, rng):
+        xs = rng.random((80, 3))
+        pairs = sample_pairs(xs, np.sin(4.0 * xs[:, :1]) * xs[:, 1:2])
+        w = empirical_modulus(pairs)
+        for t in [*self.read_points(pairs)[::37], 1.0 / math.sqrt(3.0)]:
+            assert empirical_modulus_at(pairs, float(t)) == w(float(t))
+
+    def test_all_zero_outputs_and_distances(self):
+        for pairs in ([(0.0, 0.0)], [(0.0, 0.0), (0.0, 0.0)],
+                      [(0.3, 0.0), (0.7, 0.0), (0.0, 0.0)]):
+            for t in (0.0, 0.2, 0.3, 0.5, 0.7, 5.0):
+                got = empirical_modulus_at(pairs, t)
+                assert got == empirical_modulus(pairs)(t) == 0.0
+
+    def test_hand_values(self):
+        pairs = [(0.5, 0.2), (0.25, 0.3), (0.5, 0.1), (1.0, 0.25)]
+        assert empirical_modulus_at(pairs, 0.1) == 0.0
+        assert empirical_modulus_at(pairs, 0.25) == 0.3
+        assert empirical_modulus_at(pairs, 0.75) == 0.3
+        assert empirical_modulus_at(pairs, 2.0) == 0.3
+
+    # (pairs, message): the errors ``empirical_modulus`` raised, unchanged
+    BAD_PAIRS = [
+        ([], "empirical modulus needs at least one pair"),
+        ([(0.1, 0.2, 0.3)], r"pairs must be \(input distance, output distance\) tuples"),
+        ([(-0.1, 0.0)], "distances must be nonnegative"),
+        ([(0.1, np.nan)], "distances must be finite"),
+        ([(np.inf, 0.2)], "distances must be finite"),
+        ([(0.3, 0.1), (0.2, np.inf)], "distances must be finite"),
+        ([(0.0, 0.1)], "pairs at zero input distance must have zero output distance"),
+        ([(0.5, 0.3), (0.0, 0.0), (0.0, 0.2)],
+         "pairs at zero input distance must have zero output distance"),
+        (np.array([[0.2, 0.0], [0.0, 1e-300]]),
+         "pairs at zero input distance must have zero output distance"),
+    ]
+
+    @pytest.mark.parametrize("pairs, message", BAD_PAIRS)
+    def test_bad_pairs_raise_the_estimates_errors(self, pairs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            empirical_modulus(pairs)
+        for t in (0.0, 0.25, 10.0):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                empirical_modulus_at(pairs, t)
+
+    def test_negative_argument_refused(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            empirical_modulus_at([(0.1, 0.1)], -1e-9)
 
 
 class TestModulusInverse:

@@ -8,6 +8,7 @@ import pytest
 
 from gdn.errors import ValidationError
 from gdn.manifolds import resolve_manifold
+from gdn.manifolds.zoo import distance
 from gdn.quotient import (
     ProductSpace,
     canonical_rep,
@@ -85,6 +86,26 @@ class TestQuotientDistance:
             a, b = rng.standard_normal(2), rng.standard_normal(2)
             want = min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
             assert quotient_distance(Q, a, b) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_rp_distance_is_the_projective_kernel(self, m):
+        # one sign rule: the quotient's antipodal branch gives the rp:m
+        # distance bit for bit, also on nearly orthogonal classes, where the
+        # representative it picks turns on the sign of a tiny dot product
+        rng = np.random.default_rng(m)
+        Q, rp = resolve_quotient(f"rp:{m}"), resolve_manifold(f"rp:{m}")
+        tiny = 0
+        for k in range(1000):
+            y1 = rng.standard_normal(m + 1)
+            y1 /= np.linalg.norm(y1)
+            y2 = rng.standard_normal(m + 1)
+            if k % 2:
+                y2 -= np.vecdot(y1, y2) * y1
+            y2 /= np.linalg.norm(y2)
+            tiny += abs(float(np.vecdot(y1, y2))) < 1e-15
+            got = quotient_distance(Q, y1, y2)
+            assert np.float64(got).tobytes() == np.float64(distance(rp, y1, y2)).tobytes()
+        assert tiny >= 100
 
     def test_invalid_representative(self):
         Q = resolve_quotient("torus:2")

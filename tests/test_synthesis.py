@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from gdn.approx.bernstein import bernstein_from_function
-from gdn.approx.modulus import LipschitzModulus
+from gdn.approx.modulus import LipschitzModulus, empirical_modulus, sample_pairs
 from gdn.approx.polynomials import decompose_polynomial
 from gdn.approx.synthesis import (
+    _grid_points,
     compile_function_to_shallow,
     compile_poly_to_shallow,
     finite_diff_derivative,
@@ -137,6 +138,30 @@ class TestCompileFunction:
                                           1, 1, 0.3, EXP)
         assert res.degree > 1
         assert res.audit_error <= 0.3
+
+    @pytest.mark.parametrize("p, f", [
+        (1, lambda x: np.sin(3.0 * x[:, :1])),
+        (2, lambda x: x[:, :1] ** 2 - x[:, 1:2] ** 2 + x[:, :1] * x[:, 1:2]),
+        (3, lambda x: x[:, :1] * x[:, 1:2] * x[:, 2:3]),
+    ])
+    def test_apriori_bound_reads_the_empirical_modulus(self, p, f):
+        # without omega, the bound is the step estimate over every third
+        # audit point, read at 1/sqrt(n)
+        res = compile_function_to_shallow(f, p, 1, 0.3, EXP)
+        audit = _grid_points(p, 10)
+        omega = empirical_modulus(sample_pairs(audit[::3], f(audit)[::3]))
+        want = ((1.0 + p / 4.0) * omega(1.0 / math.sqrt(res.degree))
+                + res.synthesis_residual)
+        assert res.apriori_bound == want
+
+    def test_non_finite_audit_value_refused_by_the_modulus(self):
+        # the target is the identity except at the audit point 1/3, which
+        # no Bernstein lattice tried and no selection-grid point hits
+        def f(x):
+            return np.where(np.isclose(x[:, :1], 1.0 / 3.0), np.inf, x[:, :1])
+
+        with pytest.raises(ValidationError, match="^distances must be finite$"):
+            compile_function_to_shallow(f, 1, 1, 0.1, EXP)
 
     def test_oracle_runs_once_per_point(self):
         rows = []

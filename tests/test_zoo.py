@@ -105,6 +105,45 @@ class TestSPD:
             assert w[0] > 0.0
 
 
+class TestBoundChart:
+    """``Geometry.at(x)``: the kernels about a fixed point, bit for bit the
+    unbound ones; SPD keeps the base roots it decomposed once."""
+
+    @pytest.mark.parametrize("ident", ZOO + ["spd:3"])
+    def test_bound_kernels_equal_unbound_bit_for_bit(self, ident, rng):
+        spec = resolve_manifold(ident)
+        geo = spec.geometry
+        for _ in range(3):
+            x = random_point(spec, rng)
+            chart = geo.at(x)
+            vs = np.array([random_tangent(spec, x, rng) for _ in range(16)])
+            ys = exp_map(spec, x, vs)
+            for v, y in [(vs[0], ys[0]), (vs, ys)]:
+                assert chart.exp(v).tobytes() == geo.exp(x, v).tobytes()
+                assert chart.log(y).tobytes() == geo.log(x, y).tobytes()
+                assert (np.asarray(chart.distance(y)).tobytes()
+                        == np.asarray(geo.distance(x, y)).tobytes())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spd_chart_keeps_both_roots(self, n, rng):
+        A = random_spd(n, rng)
+        chart = resolve_manifold(f"spd:{n}").geometry.at(frob_vec(A))
+        np.testing.assert_allclose(chart.root @ chart.root, A, atol=1e-12)
+        np.testing.assert_allclose(chart.root @ chart.inv_root, np.eye(n), atol=1e-12)
+        for root in (chart.root, chart.inv_root):
+            with pytest.raises(ValueError):
+                root[0, 0] = 1.0
+
+    def test_spd_base_that_is_not_positive_definite_refused(self):
+        spec = resolve_manifold("spd:2")
+        bad = frob_vec(np.diag([1.0, -0.5]))
+        message = "spd point is not positive definite: min eigenvalue -5.000000e-01"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            spec.geometry.at(bad)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            check_point(spec, bad)
+
+
 class TestTorus:
     spec = resolve_manifold("torus:2")
 
