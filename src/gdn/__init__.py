@@ -6,7 +6,7 @@ depth/width estimators with a dataset-efficiency certifier.
 __version__ = "0.1.0"
 
 from . import approx, manifolds
-from .assemble import CompiledGDN, compile_gdn, estimate_chart_lipschitz
+from .assemble import CompiledGDN, compile_gdn
 from .errors import (
     BadThetaError,
     DomainError,

@@ -5,7 +5,7 @@ and wrap it with the chart embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -13,14 +13,12 @@ from .approx.modulus import Modulus, oracle_rows, row_norms
 from .approx.synthesis import CompileResult, compile_function_to_shallow
 from .errors import ValidationError
 from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
-from .manifolds.zoo import (as_point, chart_at, check_point, distance, exp_map,
-                            random_tangent)
+from .manifolds.zoo import as_point, chart_at, check_point
 from .model import GDNModel, gdn_eval
 from .network import ActivationInfo, AffineLayer, FeedforwardNet
 from .sampling import ball_points, geodesic_ball_points
 
-__all__ = ["CompiledGDN", "compile_gdn", "audit_gdn", "pullback",
-           "estimate_chart_lipschitz"]
+__all__ = ["CompiledGDN", "compile_gdn", "audit_gdn", "pullback"]
 
 
 @dataclass(frozen=True)
@@ -54,42 +52,6 @@ def pullback(domain: ManifoldSpec, codomain: ManifoldSpec, base_x, base_y,
         return (E_cod.T @ w[..., None])[..., 0]
 
     return pulled_back
-
-
-def _sample_pairs(spec: ManifoldSpec, base, radius: float, pairs: int,
-                  seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Tangent gaps |v1 - v2| and geodesic distances d(Exp v1, Exp v2) of
-    ``pairs`` random tangent pairs in the ball of ``radius`` about ``base``.
-
-    The tangents are drawn pair by pair, v1 then v2, so the draws do not
-    depend on how the pairs are used; the charts run once on each stack.
-    """
-    base = check_point(spec, base)
-    rng = np.random.default_rng(seed)
-    draws = np.array([random_tangent(spec, base, rng, radius)
-                      for _ in range(2 * pairs)]).reshape(2 * pairs, spec.chart_dim)
-    v1, v2 = draws[0::2], draws[1::2]
-    diff = v1 - v2
-    gap = np.sqrt(np.vecdot(diff, diff))
-    return gap, distance(spec, exp_map(spec, base, v1), exp_map(spec, base, v2))
-
-
-def estimate_chart_lipschitz(spec: ManifoldSpec, base, radius: float,
-                             pairs: int = 10_000,
-                             seed: int = 0) -> Tuple[float, float]:
-    """Sampled Lipschitz data of the basepoint charts on the working ball.
-
-    Returns (kappa1, kappa2): kappa1 inflates the largest observed
-    difference quotient of the log chart by 1.1, kappa2 deflates the
-    smallest observed expansion of the exp chart by 1.1.  These are
-    estimates, not certified constants.
-    """
-    gap, d = _sample_pairs(spec, base, radius, pairs, seed)
-    ok = (gap >= 1e-9) & (d >= 1e-12)
-    if not ok.any():
-        raise ValidationError("could not sample enough separated pairs for kappa")
-    gap, d = gap[ok], d[ok]
-    return 1.1 * float((gap / d).max()), float((d / gap).min()) / 1.1
 
 
 def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,

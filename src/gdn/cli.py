@@ -20,9 +20,9 @@ from .approx.estimates import depth_estimate, efficient_complexity
 from .approx.certify import certify_efficient
 from .approx.modulus import LipschitzModulus, ModulusEstimate, modulus_from_samples
 from .approx.verticalize import split_outputs, verticalize
-from .assemble import audit_gdn, compile_gdn, estimate_chart_lipschitz, pullback
+from .assemble import audit_gdn, compile_gdn, pullback
 from .errors import GdnError, ParseError, ValidationError
-from .manifolds.core import resolve_manifold
+from .manifolds.core import log_chart_lipschitz, resolve_manifold
 from .manifolds.zoo import check_point
 from .model import GDNModel, gdn_from_dict, save_gdn
 from .network import get_activation, net_from_dict, param_count, width
@@ -86,15 +86,24 @@ def cmd_estimate(args, parser) -> int:
     return 0
 
 
+def _resolve_run(domain, codomain, base_x, target, base_y, activation, seed):
+    """The manifolds, base points, target and activation of a ``compile`` or
+    of a ``bench`` run; base_x is checked before the target sees it, and
+    base_y "auto" is the target's value there."""
+    domain, codomain = resolve_manifold(domain), resolve_manifold(codomain)
+    base_x = check_point(domain, np.asarray(base_x, dtype=float).ravel())
+    target = resolve_target(target, domain, base_x, seed=seed)
+    if isinstance(base_y, str) and base_y == "auto":
+        base_y = target.fn(base_x)
+    return (domain, codomain, base_x, target,
+            np.asarray(base_y, dtype=float).ravel(), get_activation(activation))
+
+
 def cmd_compile(args, parser) -> int:
-    domain = resolve_manifold(args.domain)
-    codomain = resolve_manifold(args.codomain)
-    base_x = _parse_vector(args.base_x, "--base-x")
-    check_point(domain, base_x)
-    target = resolve_target(args.target, domain, base_x, seed=args.seed)
-    base_y = (np.asarray(target.fn(base_x), dtype=float) if args.base_y == "auto"
-              else _parse_vector(args.base_y, "--base-y"))
-    sigma = get_activation(args.activation)
+    domain, codomain, base_x, target, base_y, sigma = _resolve_run(
+        args.domain, args.codomain, _parse_vector(args.base_x, "--base-x"),
+        args.target, args.base_y if args.base_y == "auto"
+        else _parse_vector(args.base_y, "--base-y"), args.activation, args.seed)
     modulus = LipschitzModulus(args.lip) if args.lip else None
     if args.verticalize is not None:
         try:
@@ -195,15 +204,10 @@ def cmd_bench(args, parser) -> int:
     for i, run in enumerate(runs):
         t0 = time.perf_counter()
         try:
-            domain = resolve_manifold(run["domain"])
-            codomain = resolve_manifold(run["codomain"])
-            base_x = np.asarray(run["base_x"], dtype=float)
             seed = int(run.get("seed", 0))
-            target = resolve_target(run["target"], domain, base_x, seed=seed)
-            base_y = (np.asarray(target.fn(base_x), dtype=float)
-                      if run.get("base_y", "auto") == "auto"
-                      else np.asarray(run["base_y"], dtype=float))
-            sigma = get_activation(run.get("activation", "exp"))
+            domain, codomain, base_x, target, base_y, sigma = _resolve_run(
+                run["domain"], run["codomain"], run["base_x"], run["target"],
+                run.get("base_y", "auto"), run.get("activation", "exp"), seed)
             radius = float(run["radius"])
             eps = float(run["eps"])
             grid = int(run.get("grid", 200))
@@ -214,13 +218,11 @@ def cmd_bench(args, parser) -> int:
 
         compiled = compile_gdn(domain, codomain, base_x, base_y, target.fn,
                                radius, eps, sigma, audit_count=grid)
-        # order-level depth prediction from sampled chart data
-        k1, _ = estimate_chart_lipschitz(domain, base_x, radius, pairs=2000,
-                                         seed=seed)
-        _, k2 = estimate_chart_lipschitz(
-            codomain, compiled.model.base_y,
-            max(0.5, min(radius, 0.9 * codomain.inj_lower)),
-            pairs=2000, seed=seed + 1)
+        # order-level depth prediction from the closed-form chart constants;
+        # the smallest exp-chart expansion is the log chart's reciprocal
+        k1 = log_chart_lipschitz(domain, radius)
+        k2 = 1.0 / log_chart_lipschitz(
+            codomain, min(radius, 0.9 * codomain.inj_lower))
         probe = 0.5 * (ball_points(24, domain.dim, radius) / radius + 1.0)
         pulled = pullback(domain, codomain, base_x, compiled.model.base_y,
                           target.fn, radius)

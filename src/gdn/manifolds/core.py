@@ -22,6 +22,7 @@ __all__ = [
     "resolve_manifold",
     "k_star",
     "exp_chart_lipschitz",
+    "log_chart_lipschitz",
     "delta_bound",
     "universality_radius",
 ]
@@ -56,8 +57,10 @@ class ManifoldSpec:
     curvature_bound : float
         Nonnegative bound on |sectional curvature|.
     curvature_max : float
-        Signed upper bound on sectional curvature; this is the quantity the
-        K-star map is applied to (nonpositive for Cartan-Hadamard members).
+        Signed upper bound on sectional curvature (1 on sphere and rp, -c
+        on poincare, 0 otherwise); this is the quantity the K-star map is
+        applied to (nonpositive for Cartan-Hadamard members), and
+        ``log_chart_lipschitz`` turns it into the log-chart constant.
     curvature_min : float
         Signed lower bound on sectional curvature (1 on sphere and rp, -c
         on poincare, -1/2 on spd, 0 otherwise); ``exp_chart_lipschitz``
@@ -145,6 +148,20 @@ def exp_chart_lipschitz(spec: ManifoldSpec, r: float) -> float:
     stay below the conjugate radius pi/sqrt(K)."""
     s = math.sqrt(max(-spec.curvature_min, 0.0)) * r
     return math.sinh(s) / s if s > 0.0 else 1.0
+
+
+def log_chart_lipschitz(spec: ManifoldSpec, r: float) -> float:
+    """Certified Lipschitz constant of the log chart on the geodesic ball of
+    radius r, max |v1 - v2| / d(Exp v1, Exp v2) over tangents of norm <= r:
+    s/sin(s) with s = sqrt(K) r when sec <= K, K > 0, and 1 when the
+    curvature is nonpositive (Rauch, as in ``exp_chart_lipschitz``), or a
+    quotient's ``wrap_ratio`` if larger.  Its reciprocal is the smallest
+    exp-chart expansion on the ball."""
+    if not (0.0 <= r < spec.inj_lower):
+        raise ValidationError(
+            f"r must satisfy 0 <= r < inj({spec.inj_lower!r}), got {r!r}")
+    s = math.sqrt(max(spec.curvature_max, 0.0)) * r
+    return max(s / math.sin(s) if s > 0.0 else 1.0, spec.geometry.wrap_ratio(r))
 
 
 class DeltaBound(NamedTuple):

@@ -197,6 +197,11 @@ class Geometry:
     def tangent_basis(self, x: np.ndarray) -> np.ndarray:
         return np.eye(self.dim)
 
+    def wrap_ratio(self, r: float) -> float:
+        """max |v1 - v2| / d(Exp v1, Exp v2) over tangents of norm <= r whose
+        images meet round a quotient; 0 where nothing wraps."""
+        return 0.0
+
     def at(self, x: np.ndarray) -> "Chart":
         """The kernels bound to the single point ``x``, which passes
         ``check``; a family with work that depends on ``x`` alone does it
@@ -271,6 +276,10 @@ class Torus(Geometry):
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return rng.random(self.point_dim)
+
+    def wrap_ratio(self, r):
+        # x + re and x - re are 1 - 2r apart through the opposite face
+        return 2.0 * r / (1.0 - 2.0 * r)
 
 
 class Sphere(Geometry):
@@ -382,6 +391,10 @@ class Projective(Sphere):
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return _rp_canonical(super().random_point(rng))
+
+    def wrap_ratio(self, r):
+        # Exp(re) and Exp(-re) are 2r apart on the sphere, pi - 2r as classes
+        return 2.0 * r / (math.pi - 2.0 * r)
 
 
 def mobius_add(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:

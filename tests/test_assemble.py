@@ -1,6 +1,10 @@
-"""Chart-Lipschitz sampling against the closed-form exp-chart constant, the
-audit grid, a seed-free chart compile, and an SPD compile that never
-touches the Jacobi solver."""
+"""The closed-form chart constants against sampled chart ratios, the
+audit grid, seed-free chart compiles and bench reports, and an SPD compile
+that never touches the Jacobi solver.
+
+The random tangent-pair sampler lives here, as the reference that
+``exp_chart_lipschitz`` and ``log_chart_lipschitz`` are checked against;
+no code under ``src/`` samples chart constants."""
 import hashlib
 import json
 import math
@@ -10,17 +14,18 @@ import numpy as np
 import pytest
 
 import gdn.manifolds.sym
-from gdn.assemble import _sample_pairs, audit_gdn, estimate_chart_lipschitz
+from gdn.assemble import audit_gdn
 from gdn.cli import main
 from gdn.errors import NumericError, ValidationError
 from gdn.manifolds import resolve_manifold
-from gdn.manifolds.core import exp_chart_lipschitz
+from gdn.manifolds.core import exp_chart_lipschitz, log_chart_lipschitz
 from gdn.manifolds.zoo import (check_point, distance, exp_map, random_point,
                                random_tangent, tangent_basis)
 from gdn.model import GDNModel
 from gdn.network import AffineLayer, FeedforwardNet, get_activation
 from gdn.sampling import ball_points, geodesic_ball_points, halton
 from gdn.targets import resolve_target
+from test_golden import BENCH_CSV, BENCH_RUNS
 
 # (manifold, base point, tangent radius)
 CASES = [
@@ -31,12 +36,47 @@ CASES = [
 ]
 
 
+def pair_data(spec, base, v1, v2):
+    """Tangent gaps |v1 - v2| and geodesic distances d(Exp v1, Exp v2),
+    the charts run once on each stack."""
+    diff = v1 - v2
+    gap = np.sqrt(np.vecdot(diff, diff))
+    return gap, distance(spec, exp_map(spec, base, v1), exp_map(spec, base, v2))
+
+
+def draw_tangents(spec, base, radius: float, count: int, seed: int):
+    """``count`` random tangents at the point ``base`` with norm below
+    ``radius``, as a (count, chart_dim) stack."""
+    rng = np.random.default_rng(seed)
+    return np.array([random_tangent(spec, base, rng, radius)
+                     for _ in range(count)]).reshape(count, spec.chart_dim)
+
+
+def sample_pairs(spec, base, radius: float, pairs: int, seed: int):
+    """``pair_data`` of ``pairs`` random tangent pairs in the ball of
+    ``radius`` about ``base``, drawn pair by pair, v1 then v2."""
+    base = check_point(spec, base)
+    draws = draw_tangents(spec, base, radius, 2 * pairs, seed)
+    return pair_data(spec, base, draws[0::2], draws[1::2])
+
+
+def boundary_pairs(spec, base, radius: float, pairs: int, seed: int):
+    """``pair_data`` of 2 ``pairs`` tangent pairs on the sphere of ``radius``:
+    v with another boundary tangent, and v with a near-opposite one, whose
+    images come closest round a quotient."""
+    base = check_point(spec, base)
+    v, w = draw_tangents(spec, base, radius, 2 * pairs, seed).reshape(2, pairs, -1)
+    v1, v2 = (radius * a / np.linalg.norm(a, axis=1, keepdims=True)
+              for a in (np.concatenate([v, v]), np.concatenate([w, 0.05 * w - v])))
+    return pair_data(spec, base, v1, v2)
+
+
 def estimate_exp_lipschitz(spec, base, radius: float,
                            pairs: int = 2000, seed: int = 1) -> float:
     """Sampled Lipschitz constant of the exponential chart on the tangent
     ball (at least 1, inflated by 1.1); bounds geodesic error by core
     chart error."""
-    gap, d = _sample_pairs(spec, base, radius, pairs, seed)
+    gap, d = sample_pairs(spec, base, radius, pairs, seed)
     ok = gap >= 1e-9
     return 1.1 * float((d[ok] / gap[ok]).max(initial=1.0))
 
@@ -57,25 +97,6 @@ def reference_exp_lipschitz(spec, base, radius, pairs=2000, seed=1):
     return 1.1 * worst
 
 
-def reference_chart_lipschitz(spec, base, radius, pairs=10_000, seed=0):
-    """The per-pair loop the stacked chart estimator replaced."""
-    base = check_point(spec, base)
-    rng = np.random.default_rng(seed)
-    k1, k2 = 0.0, math.inf
-    for _ in range(pairs):
-        v1 = random_tangent(spec, base, rng, radius)
-        v2 = random_tangent(spec, base, rng, radius)
-        gap = float(np.linalg.norm(v1 - v2))
-        if gap < 1e-9:
-            continue
-        d = distance(spec, exp_map(spec, base, v1), exp_map(spec, base, v2))
-        if d < 1e-12:
-            continue
-        k1 = max(k1, gap / d)
-        k2 = min(k2, d / gap)
-    return 1.1 * k1, k2 / 1.1
-
-
 class TestLipschitzEstimators:
     @pytest.mark.parametrize("ident,base,radius", CASES)
     def test_exp_estimate_equals_per_pair_loop(self, ident, base, radius):
@@ -84,12 +105,6 @@ class TestLipschitzEstimators:
             got = estimate_exp_lipschitz(spec, base, radius, pairs=500, seed=seed)
             assert got == reference_exp_lipschitz(spec, base, radius, pairs=500,
                                                    seed=seed)
-
-    @pytest.mark.parametrize("ident,base,radius", CASES)
-    def test_chart_estimate_equals_per_pair_loop(self, ident, base, radius):
-        spec = resolve_manifold(ident)
-        got = estimate_chart_lipschitz(spec, base, radius, pairs=500, seed=3)
-        assert got == reference_chart_lipschitz(spec, base, radius, pairs=500, seed=3)
 
     def test_exp_estimate_is_at_least_the_inflation(self):
         # the flat chart has expansion exactly 1
@@ -108,7 +123,7 @@ class TestExpChartLipschitz:
         spec = resolve_manifold(ident)
         base = random_point(spec, np.random.default_rng(5))
         for radius in (0.3, 1.0, min(2.5, 0.95 * spec.inj_lower)):
-            gap, d = _sample_pairs(spec, base, radius, 2000, seed=2)
+            gap, d = sample_pairs(spec, base, radius, 2000, seed=2)
             ok = gap >= 1e-9
             sampled = float((d[ok] / gap[ok]).max())
             # the flat charts are isometries up to rounding in the last bit
@@ -127,6 +142,58 @@ class TestExpChartLipschitz:
         s = 1.0 / math.sqrt(2.0)
         assert exp_chart_lipschitz(resolve_manifold("spd:2"), 1.0) == pytest.approx(
             math.sinh(s) / s, rel=1e-15, abs=0.0)
+
+
+def bound_radii(spec):
+    # the radii the bound tests sample, inside the injectivity radius
+    return [r for r in (0.3, 1.0, 0.95 * min(spec.inj_lower, 2.5))
+            if r < spec.inj_lower]
+
+
+class TestLogChartLipschitz:
+    @pytest.mark.parametrize("ident", BOUND_IDS)
+    def test_sampled_ratio_never_exceeds_closed_form(self, ident):
+        spec = resolve_manifold(ident)
+        base = random_point(spec, np.random.default_rng(5))
+        for radius in bound_radii(spec):
+            inner = sample_pairs(spec, base, radius, 2000, seed=2)
+            edge = boundary_pairs(spec, base, radius, 1000, seed=3)
+            gap, d = (np.concatenate(a) for a in zip(inner, edge))
+            ok = (gap >= 1e-9) & (d >= 1e-12)
+            sampled = float((gap[ok] / d[ok]).max())
+            # the flat charts are isometries up to rounding in the last bit
+            assert sampled <= log_chart_lipschitz(spec, radius) * (1.0 + 1e-12), radius
+
+    @pytest.mark.parametrize("ident", ["euclidean:3", "gaussian:2", "poincare:2:4",
+                                       "spd:3"])
+    def test_nonpositive_curvature_gives_one(self, ident):
+        spec = resolve_manifold(ident)
+        for radius in bound_radii(spec):
+            assert log_chart_lipschitz(spec, radius) == 1.0
+
+    def test_exact_values(self):
+        assert log_chart_lipschitz(resolve_manifold("sphere:2"), 1.0) == 1.0 / math.sin(1.0)
+        # the rp wrap: Exp(re) and Exp(-re) are pi - 2r apart as classes
+        assert log_chart_lipschitz(resolve_manifold("rp:2"), 1.5) == 3.0 / (math.pi - 3.0)
+        assert log_chart_lipschitz(resolve_manifold("torus:2"), 0.475) == pytest.approx(
+            19.0, rel=1e-12, abs=0.0)
+        # below a quarter period nothing wraps closer than it started
+        assert log_chart_lipschitz(resolve_manifold("torus:2"), 0.2) == 1.0
+
+    @pytest.mark.parametrize("ident,radius", [("torus:2", 0.5), ("rp:2", math.pi / 2),
+                                              ("sphere:2", -0.1)])
+    def test_refused_outside_the_injectivity_ball(self, ident, radius):
+        with pytest.raises(ValidationError, match="inj"):
+            log_chart_lipschitz(resolve_manifold(ident), radius)
+
+
+def test_bench_does_not_depend_on_the_seed(tmp_path, capsys):
+    # the chart constants are closed forms; no golden target draws at random
+    cfg = tmp_path / "bench.json"
+    for seed in (0, 5):
+        cfg.write_text(json.dumps({"runs": [{**r, "seed": seed} for r in BENCH_RUNS]}))
+        assert main(["bench", str(cfg)]) == 0
+        assert capsys.readouterr().out == BENCH_CSV
 
 
 def test_chart_compile_does_not_depend_on_the_seed(tmp_path, capsys):

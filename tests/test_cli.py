@@ -167,6 +167,25 @@ class TestBench:
         _, out2, _ = run(capsys, "bench", str(cfg))
         assert out1 == out2
 
+    def test_torus_codomain_predicts_like_the_line(self, capsys, tmp_path):
+        # poly:x1 stays within 0.2 of base 0.25, where the torus chart is the
+        # line's: the codomain chart constant must not wrap round the torus
+        runs = [{"target": "poly:x1", "domain": "euclidean:1", "codomain": cod,
+                 "base_x": [0.25], "radius": 0.2, "eps": 0.1, "grid": 50}
+                for cod in ("torus:1", "euclidean:1")]
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"runs": runs}))
+        code, out, _ = run(capsys, "bench", str(cfg))
+        assert code == 0
+        torus, line = (float(row.split(",")[-1]) for row in out.splitlines()[1:])
+        assert torus == line < 10.0
+
+    def test_base_x_of_the_wrong_length_is_a_usage_error(self, capsys, tmp_path):
+        bad = {"target": "mobius-shift", "domain": "poincare:2:1",
+               "codomain": "poincare:2:1", "base_x": [0, 0, 0], "radius": 0.5,
+               "eps": 0.1}
+        TestUsageErrors().bench(capsys, tmp_path, bad, "must have length 2, got 3")
+
 
 class TestUsageErrors:
     """Malformed input exits 2 with one ``error:`` line, not a traceback."""

@@ -73,9 +73,9 @@ BENCH_RUNS = [
 
 BENCH_CSV = (
     "target,eps,measured_error,width,depth,param_count,predicted_depth_order\n"
-    "rotation,0.10000000000000001,0.0017505219469371963,4,1,31,768560.97066045296\n"
-    "mobius-shift,0.10000000000000001,0.00082763920102902548,2,1,12,25057.606407227137\n"
-    "poly:x1*x2,0.10000000000000001,0.0011255442250709402,4,1,17,5404.4441112402474\n"
+    "rotation,0.10000000000000001,0.0017505219469371963,4,1,31,546175.54286804609\n"
+    "mobius-shift,0.10000000000000001,0.00082763920102902548,2,1,12,17114.682551504236\n"
+    "poly:x1*x2,0.10000000000000001,0.0011255442250709402,4,1,17,3691.3080467453565\n"
 )
 
 
