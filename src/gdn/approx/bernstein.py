@@ -7,13 +7,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from ..errors import DomainError, InfeasibleDegreeError, ValidationError
 from .modulus import Modulus, oracle_rows
+from .polynomials import product_grid
 
 __all__ = [
     "BernsteinModel",
@@ -103,7 +103,7 @@ def bernstein_from_function(f: Callable[[np.ndarray], np.ndarray],
     """Sample an oracle on the degree-n lattice of the unit cube: one call
     on the ((n+1)^p, p) stack of lattice points k / n in lexicographic
     order, which must return an ((n+1)^p, m) stack."""
-    lattice = np.array(list(product(range(n + 1), repeat=p)), dtype=float) / n
+    lattice = product_grid(np.arange(n + 1) / n, p)
     values = oracle_rows(f, lattice, m)
     return BernsteinModel(n, p, values.reshape((n + 1,) * p + (m,)))
 
@@ -164,12 +164,9 @@ def bernstein_to_coefficients(model: BernsteinModel) -> Dict[Tuple[int, ...], np
     for axis in range(model.p):
         acc = np.moveaxis(np.tensordot(T, np.moveaxis(acc, axis, 0), axes=(1, 0)), 0, axis)
     scale = max(float(np.max(np.abs(acc))), 1.0)
-    coeffs: Dict[Tuple[int, ...], np.ndarray] = {}
-    for idx in product(range(model.n + 1), repeat=model.p):
-        vec = acc[idx]
-        if float(np.max(np.abs(vec))) > 1e-10 * scale:
-            coeffs[idx] = np.asarray(vec, dtype=float).copy()
-    return coeffs
+    # kept exponents in C (lexicographic) order, each with its m-vector
+    keep = np.max(np.abs(acc), axis=-1) > 1e-10 * scale
+    return dict(zip(map(tuple, np.argwhere(keep).tolist()), acc[keep]))
 
 
 def bernstein_model_to_dict(model: BernsteinModel) -> dict:

@@ -20,6 +20,7 @@ __all__ = [
     "empirical_modulus_at",
     "modulus_from_samples",
     "sample_pairs",
+    "sampled_modulus_at",
     "modulus_inverse",
     "concave_majorant",
     "smooth_modulus",
@@ -97,23 +98,27 @@ def LipschitzModulus(L: float) -> AnalyticModulus:
 Modulus = Union[ModulusEstimate, AnalyticModulus, Callable[[float], float]]
 
 
+def _check_distances(din: np.ndarray, dout: np.ndarray) -> None:
+    # refused unless every distance is finite and nonnegative and every pair
+    # at zero input distance has zero output distance
+    if np.any(din < 0.0) or np.any(dout < 0.0):
+        raise ValidationError("distances must be nonnegative")
+    if not (np.all(np.isfinite(din)) and np.all(np.isfinite(dout))):
+        raise ValidationError("distances must be finite")
+    if np.any(dout[din == 0.0] > 0.0):
+        raise ValidationError(
+            "pairs at zero input distance must have zero output distance"
+        )
+
+
 def _checked_pairs(pairs: Sequence[Tuple[float, float]]) -> np.ndarray:
-    # (input distance, output distance) rows as an (N, 2) array, refused
-    # unless every distance is finite and nonnegative and every pair at zero
-    # input distance has zero output distance
+    # (input distance, output distance) rows as a checked (N, 2) array
     if not len(pairs):
         raise ValidationError("empirical modulus needs at least one pair")
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError("pairs must be (input distance, output distance) tuples")
-    if np.any(arr < 0.0):
-        raise ValidationError("distances must be nonnegative")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("distances must be finite")
-    if np.any(arr[arr[:, 0] == 0.0, 1] > 0.0):
-        raise ValidationError(
-            "pairs at zero input distance must have zero output distance"
-        )
+    _check_distances(arr[:, 0], arr[:, 1])
     return arr
 
 
@@ -165,15 +170,39 @@ def oracle_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
     return ys
 
 
-def sample_pairs(xs, ys) -> np.ndarray:
-    """(input distance, output distance) rows for every pair i < j of the
-    samples ``xs[i] -> ys[i]``, in the order (0, 1), (0, 2), ..., (1, 2), ..."""
+def _pair_distances(xs, ys) -> Tuple[np.ndarray, np.ndarray]:
+    # input and output distances of every pair i < j, in the order (0, 1),
+    # (0, 2), ..., (1, 2), ...; np.take gathers the rows faster than fancy
+    # indexing with the same bits, and row_norms keeps each norm's dot kernel
     if len(xs) < 2 or len(xs) != len(ys):
         raise ValidationError("need at least two samples, each with one output")
     xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
     ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
     i, j = np.triu_indices(len(xs), k=1)
-    return np.column_stack([row_norms(xs[i] - xs[j]), row_norms(ys[i] - ys[j])])
+    return (row_norms(np.take(xs, i, axis=0) - np.take(xs, j, axis=0)),
+            row_norms(np.take(ys, i, axis=0) - np.take(ys, j, axis=0)))
+
+
+def sample_pairs(xs, ys) -> np.ndarray:
+    """(input distance, output distance) rows for every pair i < j of the
+    samples ``xs[i] -> ys[i]``, in the order (0, 1), (0, 2), ..., (1, 2), ...
+
+    ``modulus_from_samples`` builds its estimate from these rows; a read of
+    the modulus at one point goes through ``sampled_modulus_at``, which skips
+    the (pairs, 2) array."""
+    return np.column_stack(_pair_distances(xs, ys))
+
+
+def sampled_modulus_at(xs, ys, t: float) -> float:
+    """``empirical_modulus_at(sample_pairs(xs, ys), t)``, bit for bit and with
+    the same errors in the same order, read straight from the two distance
+    vectors: no (pairs, 2) copy and no second pass over it."""
+    din, dout = _pair_distances(xs, ys)
+    if t < 0.0:
+        raise ValidationError("modulus argument must be nonnegative")
+    _check_distances(din, dout)
+    # a boolean gather reads twice as fast as np.max(..., where=...)
+    return float(np.max(dout[din <= t], initial=0.0))
 
 
 def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray], xs) -> ModulusEstimate:

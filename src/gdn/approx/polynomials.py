@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import DomainError, NumericError, ParseError, ValidationError
 
 __all__ = [
+    "product_grid",
     "poly_eval",
     "poly_derivative",
     "poly_total_degree",
@@ -30,17 +31,34 @@ __all__ = [
 Coeffs = Dict[Tuple[int, ...], float]
 
 
+def product_grid(axis, p: int) -> np.ndarray:
+    """Every point of ``axis``^p as a C-ordered (len(axis)^p, p) stack, in
+    lexicographic order (the last coordinate varies fastest), which is the
+    order of ``itertools.product(axis, repeat=p)``."""
+    axis = np.asarray(axis, dtype=float)
+    k = len(axis)
+    # coordinate d broadcasts along lattice axis d; unlike np.meshgrid, this
+    # has no fixed cost that outweighs itertools on the small lattices
+    grid = np.empty((k,) * p + (p,))
+    for d in range(p):
+        grid[..., d] = axis.reshape((k,) + (1,) * (p - 1 - d))
+    return grid.reshape(-1, p)
+
+
 def poly_eval(coeffs: Dict[Tuple[int, ...], object], x) -> np.ndarray:
     """Evaluate a sparse exponent-dict polynomial, with scalar or vector
-    coefficients, at a point or at each row of an (N, dim) stack; powers are
-    scalar per element (numpy's vector power rounds differently)."""
+    coefficients, at a point or at each row of an (N, dim) stack; powers
+    above 1 are scalar per element (numpy's vector power rounds
+    differently), and a power of 1 is the coordinate itself."""
     x = np.asarray(x, dtype=float)
     x = x if x.ndim == 2 else x.ravel()
     total = None
     for exps, c in coeffs.items():
         mono = np.ones(x.shape[:-1])
         for xi, e in zip(x.T, exps):
-            if e:
+            if e == 1:
+                mono = mono * xi
+            elif e:
                 mono = mono * (np.array([t ** e for t in xi]) if xi.ndim else xi ** e)
         term = np.multiply.outer(mono, np.asarray(c, dtype=float))
         total = term if total is None else total + term
@@ -202,8 +220,7 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPol
     result = LinearFormPoly(tuple(terms), dim, degree, r_bound)
 
     # round-trip audit on the test grid
-    axes = [np.linspace(-1.0, 1.0, degree + 1)] * dim
-    grid = np.array(list(product(*axes))).reshape(-1, dim)
+    grid = product_grid(np.linspace(-1.0, 1.0, degree + 1), dim)
     scale = max(1.0, max((abs(float(np.asarray(c))) for c in coeffs.values()), default=1.0))
     want, got = poly_eval(coeffs, grid), result(grid)
     bad = np.flatnonzero(np.abs(want - got) > 1e-8 * scale)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,8 +29,13 @@ from .bernstein import (
     bernstein_from_function,
     bernstein_to_coefficients,
 )
-from .modulus import Modulus, empirical_modulus_at, oracle_rows, row_norms, sample_pairs
-from .polynomials import LinearFormPoly, decompose_polynomial, poly_total_degree
+from .modulus import Modulus, oracle_rows, row_norms, sampled_modulus_at
+from .polynomials import (
+    LinearFormPoly,
+    decompose_polynomial,
+    poly_total_degree,
+    product_grid,
+)
 
 __all__ = [
     "finite_diff_derivative",
@@ -110,8 +114,7 @@ class CompiledPoly:
 
 def _grid_points(p: int, per_axis: int, lo: float = 0.0) -> np.ndarray:
     # the (per_axis)^p grid on [lo, 1]^p, as an (N, p) stack
-    axes = [np.linspace(lo, 1.0, per_axis)] * p
-    return np.array(list(product(*axes))).reshape(-1, p)
+    return product_grid(np.linspace(lo, 1.0, per_axis), p)
 
 
 def compile_poly_to_shallow(terms: LinearFormPoly, sigma: ActivationInfo,
@@ -257,7 +260,9 @@ def compile_function_to_shallow(
     It runs once on each of the selection grid, each Bernstein lattice
     tried and the audit grid, so every point is evaluated once; the audit
     values serve both the audit error and, without ``omega``, the
-    empirical modulus over every third audit point.
+    empirical modulus over every pair of every third audit point, read at
+    its one point 1/sqrt(n) by ``sampled_modulus_at`` (55,611 pairs at
+    p = 3) without building the pair array.
     """
     if eps <= 0.0:
         raise ValidationError("eps must be positive")
@@ -347,7 +352,7 @@ def compile_function_to_shallow(
     # the bound reads the modulus at its one point 1/sqrt(n); without
     # ``omega``, the empirical modulus is read there directly
     t = 1.0 / math.sqrt(n)
-    omega_t = (empirical_modulus_at(sample_pairs(audit[::3], values[::3]), t)
+    omega_t = (sampled_modulus_at(audit[::3], values[::3], t)
                if omega is None else float(omega(t)))
     apriori = (1.0 + p / 4.0) * m * omega_t + synth_resid
     return CompileResult(shallow, n, net_width(shallow),

@@ -8,6 +8,7 @@ unless --timing is passed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -194,28 +195,23 @@ _BENCH_COLUMNS = ("target", "eps", "measured_error", "width", "depth",
                   "param_count", "predicted_depth_order")
 
 
-def cmd_bench(args, parser) -> int:
-    config = _load_json(args.config)
-    runs = config.get("runs") if isinstance(config, dict) else None
-    if not runs:
-        raise ParseError("bench config needs a non-empty 'runs' list")
-    header = list(_BENCH_COLUMNS) + (["wall_time_s"] if args.timing else [])
-    rows = [",".join(header)]
-    for i, run in enumerate(runs):
-        t0 = time.perf_counter()
-        try:
-            seed = int(run.get("seed", 0))
-            domain, codomain, base_x, target, base_y, sigma = _resolve_run(
-                run["domain"], run["codomain"], run["base_x"], run["target"],
-                run.get("base_y", "auto"), run.get("activation", "exp"), seed)
-            radius = float(run["radius"])
-            eps = float(run["eps"])
-            grid = int(run.get("grid", 200))
-        except KeyError as e:
-            raise ParseError(f"bench run {i}: missing key {e}") from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"bench run {i}: {e}") from e
+def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
+    # the CSV fields of bench run i; every error it raises names the run
+    t0 = time.perf_counter()
+    try:
+        seed = int(run.get("seed", 0))
+        domain, codomain, base_x, target, base_y, sigma = _resolve_run(
+            run["domain"], run["codomain"], run["base_x"], run["target"],
+            run.get("base_y", "auto"), run.get("activation", "exp"), seed)
+        radius = float(run["radius"])
+        eps = float(run["eps"])
+        grid = int(run.get("grid", 200))
+    except KeyError as e:
+        raise ParseError(f"bench run {i}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bench run {i}: {e}") from e
 
+    try:
         compiled = compile_gdn(domain, codomain, base_x, base_y, target.fn,
                                radius, eps, sigma, audit_count=grid)
         # order-level depth prediction from the closed-form chart constants;
@@ -229,25 +225,39 @@ def cmd_bench(args, parser) -> int:
         omega = modulus_from_samples(pulled, probe)
         est = depth_estimate("smooth", domain.dim, codomain.dim, eps, radius,
                              omega, k1, k2)
-        wall = time.perf_counter() - t0
-        row = [
-            run["target"],
-            _FMT % eps,
-            _FMT % compiled.audit_error,
-            str(width(compiled.model.core)),
-            str(compiled.model.core.depth),
-            str(param_count(compiled.model.core)),
-            _FMT % est.depth_order,
-        ]
-        if args.timing:
-            row.append(_FMT % wall)
-        rows.append(",".join(row))
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    except GdnError as e:
+        # same class, attributes and exit code, with the run named
+        e.args = (f"bench run {i}: {e}",)
+        raise
+    wall = time.perf_counter() - t0
+    row = [
+        run["target"],
+        _FMT % eps,
+        _FMT % compiled.audit_error,
+        str(width(compiled.model.core)),
+        str(compiled.model.core.depth),
+        str(param_count(compiled.model.core)),
+        _FMT % est.depth_order,
+    ]
+    if timing:
+        row.append(_FMT % wall)
+    return row
+
+
+def cmd_bench(args, parser) -> int:
+    config = _load_json(args.config)
+    runs = config.get("runs") if isinstance(config, dict) else None
+    if not runs:
+        raise ParseError("bench config needs a non-empty 'runs' list")
+    header = list(_BENCH_COLUMNS) + (["wall_time_s"] if args.timing else [])
+    # each row is written as soon as its run finishes, so a failing run
+    # leaves the rows before it in the report
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as report:
+        report.write(",".join(header) + "\n")
+        for i, run in enumerate(runs):
+            report.write(",".join(_bench_row(i, run, args.timing)) + "\n")
+            report.flush()
     return 0
 
 

@@ -191,9 +191,10 @@ def gdn_from_dict(d: dict) -> GDNModel:
 
 
 def save_gdn(model: GDNModel, path: str) -> None:
+    # json.dumps runs the C encoder; json.dump would stream through the
+    # pure-Python one, with the same bytes
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(gdn_to_dict(model), f)
-        f.write("\n")
+        f.write(json.dumps(gdn_to_dict(model)) + "\n")
 
 
 def load_gdn(path: str) -> GDNModel:

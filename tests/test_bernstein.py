@@ -1,5 +1,6 @@
 """Bernstein operator: evaluation oracles, degree selection, and the
 classical error bound."""
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from gdn.approx.bernstein import (
     bernstein_to_coefficients,
 )
 from gdn.approx.modulus import AnalyticModulus, LipschitzModulus
+from gdn.approx.synthesis import _DEGREES
 from gdn.errors import DomainError, InfeasibleDegreeError, ValidationError
 
 
@@ -158,6 +160,59 @@ class TestCoefficients:
             x = rng.random(1)
             val = sum(c[0] * x[0] ** e[0] for e, c in coeffs.items())
             assert val == pytest.approx(bernstein_eval(model, x)[0], abs=1e-10)
+
+
+def itertools_coefficients(model):
+    """``bernstein_to_coefficients`` as a loop over every lattice index."""
+    acc = model.values
+    T = np.zeros((model.n + 1, model.n + 1))
+    for k in range(model.n + 1):
+        for c in range(model.n - k + 1):
+            T[k + c, k] += math.comb(model.n, k) * math.comb(model.n - k, c) * (-1.0) ** c
+    for axis in range(model.p):
+        acc = np.moveaxis(np.tensordot(T, np.moveaxis(acc, axis, 0), axes=(1, 0)), 0, axis)
+    scale = max(float(np.max(np.abs(acc))), 1.0)
+    out = {}
+    for idx in itertools.product(range(model.n + 1), repeat=model.p):
+        if float(np.max(np.abs(acc[idx]))) > 1e-10 * scale:
+            out[idx] = np.asarray(acc[idx], dtype=float).copy()
+    return out
+
+
+class TestArrayLattices:
+    """The lattice and the kept coefficients match the itertools loops they
+    replace, bit for bit and in the same order."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", _DEGREES)
+    def test_lattice_points(self, n, p):
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return x[:, :1]
+
+        bernstein_from_function(f, n, p, 1)
+        want = np.array(list(itertools.product(range(n + 1), repeat=p)), dtype=float) / n
+        assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", _DEGREES[:5])
+    def test_coefficients(self, rng, n, p):
+        W = rng.standard_normal((p, 2))
+        targets = [
+            lambda x: np.sin(x @ W),  # dense: few coefficients dropped
+            lambda x: np.column_stack([np.prod(x, axis=1), x[:, 0] ** 2]),  # sparse
+            lambda x: np.zeros((len(x), 3)),  # every coefficient dropped
+        ]
+        for f in targets:
+            model = bernstein_from_function(f, n, p, f(np.zeros((1, p))).shape[1])
+            got, want = bernstein_to_coefficients(model), itertools_coefficients(model)
+            assert list(got) == list(want)
+            assert all(type(k) is int for key in got for k in key)
+            for key in want:
+                assert got[key].shape == want[key].shape
+                assert got[key].tobytes() == want[key].tobytes()
 
 
 class TestSerialization:

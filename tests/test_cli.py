@@ -1,10 +1,12 @@
 """Command-line front end: subcommand behavior and exit codes."""
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from gdn.cli import main
+from gdn.cli import cmd_bench, main
+from gdn.errors import InfeasibleDegreeError
 from gdn.model import load_gdn
 
 
@@ -179,6 +181,41 @@ class TestBench:
         assert code == 0
         torus, line = (float(row.split(",")[-1]) for row in out.splitlines()[1:])
         assert torus == line < 10.0
+
+    ROTATION = {"target": "rotation", "domain": "sphere:2", "codomain": "sphere:2",
+                "base_x": [0, 0, 1], "radius": 1.0, "eps": 0.1, "grid": 50}
+    # poly:x1^2 on the line at eps 0.1 fits no Bernstein degree up to the cap
+    INFEASIBLE = {"target": "poly:x1^2", "domain": "euclidean:1",
+                  "codomain": "euclidean:1", "base_x": [0.0], "radius": 1.0,
+                  "eps": 0.1, "grid": 50}
+
+    def report(self, capsys, tmp_path, runs, to_file):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"runs": runs}))
+        out = tmp_path / "report.csv"
+        code, stdout, err = run(capsys, "bench", str(cfg),
+                                *(["--out", str(out)] if to_file else []))
+        return code, out.read_text() if to_file else stdout, err
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_failing_compile_names_its_run_after_the_rows_before_it(
+            self, capsys, tmp_path, to_file):
+        _, first, _ = self.report(capsys, tmp_path, [self.ROTATION], to_file)
+        code, text, err = self.report(
+            capsys, tmp_path, [self.ROTATION, {**self.ROTATION, "radius": 4.0}], to_file)
+        assert code == 2
+        assert err.startswith("error: bench run 1: radius must satisfy")
+        assert text == first and text.count("\n") == 2
+
+    def test_infeasible_compile_keeps_its_class_cap_and_exit_code(self, capsys, tmp_path):
+        code, text, err = self.report(
+            capsys, tmp_path, [self.CONFIG["runs"][0], self.INFEASIBLE], False)
+        assert code == 1 and text.count("\n") == 2
+        assert err.startswith("error: bench run 1: no Bernstein degree <= 12")
+        cfg = tmp_path / "bench.json"
+        with pytest.raises(InfeasibleDegreeError) as info:
+            cmd_bench(argparse.Namespace(config=str(cfg), out=None, timing=False), None)
+        assert info.value.cap == 12 and str(info.value).startswith("bench run 1: ")
 
     def test_base_x_of_the_wrong_length_is_a_usage_error(self, capsys, tmp_path):
         bad = {"target": "mobius-shift", "domain": "poincare:2:1",

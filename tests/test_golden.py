@@ -1,10 +1,11 @@
 """Pinned outputs: the bytes every "same outputs" claim in CHANGES.md rests on.
 
-Four ``gdn compile`` runs (the sphere2-rotation, poincare2-mobius,
-cube3-product and cube2-mixed cases of the benchmark, with its arguments;
-cube3-product is the one p = 3 compile, whose modulus reads the 55,611
-audit-grid pairs) and one 3-run ``gdn bench`` config go through
-``gdn.cli.main`` at seed 0.  Each compile
+Five ``gdn compile`` runs (the sphere2-rotation, poincare2-mobius,
+cube3-product, cube3-quadratic and cube2-mixed cases of the benchmark, with
+its arguments) and one 3-run ``gdn bench`` config go through
+``gdn.cli.main`` at seed 0.  The two p = 3 compiles read their modulus from
+the 55,611 audit-grid pairs; cube3-quadratic is also the one that walks
+Bernstein degrees 1 to 4 and evaluates exponent-2 powers.  Each compile
 must reproduce its summary JSON (without ``out``) and the sha256 of its
 model file, and the bench its CSV, exactly.  spd is left out: its bytes
 depend on LAPACK rounding.
@@ -49,6 +50,16 @@ COMPILES = {
          "measured_error": 0.0005004717860871075, "param_count": 136,
          "target": "poly:x1*x2*x3", "width": 27},
         "45da57c107454d9141f7a808a11cd2597d78771eaa81c25c7b80002dba390357",
+    ),
+    "cube3-quadratic": (
+        ["--target", "poly:x1^2+x2^2+x3^2", "--domain", "euclidean:3",
+         "--codomain", "euclidean:1", "--base-x", "[0, 0, 0]", "--radius", "0.3",
+         "--eps", "0.15"],
+        {"apriori_bound": 0.35792364547491573, "audit_points": 200,
+         "bernstein_degree": 4, "depth": 1, "eps": 0.15,
+         "measured_error": 0.06695560130048563, "param_count": 31,
+         "target": "poly:x1^2+x2^2+x3^2", "width": 6},
+        "d31a53804f1d36bbf4978c4e5a83067a91066f007f0eadff023a4e781687b932",
     ),
     "cube2-mixed": (
         ["--target", "poly:x1^2-x2^2+x1*x2", "--domain", "euclidean:2",

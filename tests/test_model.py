@@ -19,8 +19,10 @@ from gdn.model import (
     gdn_eval,
     gdn_from_dict,
     gdn_to_dict,
+    load_gdn,
     parallelize,
     pipeline_eval,
+    save_gdn,
 )
 from gdn.network import AffineLayer, FeedforwardNet, get_activation
 from gdn.quotient import resolve_quotient
@@ -222,6 +224,18 @@ class TestGdnSerialization:
         for a, b in zip(g.core.layers, back.core.layers):
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.bias, b.bias)
+
+    @pytest.mark.parametrize("name", ["sphere2-rotation", "poincare2-mobius",
+                                      "spd2-congruence"])
+    def test_save_writes_the_streamed_encoders_bytes(self, name, tmp_path):
+        model = load_gdn(str(MODELS / f"{name}.json"))
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as f:
+            json.dump(gdn_to_dict(model), f)
+            f.write("\n")
+        out = tmp_path / "out.json"
+        save_gdn(model, str(out))
+        assert out.read_bytes() == ref.read_bytes()
 
 
 # -- validated once ------------------------------------------------------------

@@ -17,8 +17,10 @@ from gdn.approx.modulus import (
     modulus_from_samples,
     modulus_inverse,
     sample_pairs,
+    sampled_modulus_at,
     smooth_modulus,
 )
+from gdn.approx.synthesis import _DEGREES, _grid_points
 from gdn.errors import ValidationError
 
 STEP = ModulusEstimate(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -173,6 +175,82 @@ class TestEmpiricalModulusAt:
     def test_negative_argument_refused(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             empirical_modulus_at([(0.1, 0.1)], -1e-9)
+
+
+def fancy_index_pairs(xs, ys):
+    """The pair rows as ``sample_pairs`` built them with fancy indexing."""
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
+    i, j = np.triu_indices(len(xs), k=1)
+    din = np.sqrt(np.vecdot(xs[i] - xs[j], xs[i] - xs[j]))
+    dout = np.sqrt(np.vecdot(ys[i] - ys[j], ys[i] - ys[j]))
+    return np.column_stack([din, dout])
+
+
+class TestSampledModulusAt:
+    """The modulus read of ``compile_function_to_shallow``: it must equal
+    ``empirical_modulus_at(sample_pairs(xs, ys), t)`` bit for bit and raise
+    its errors, without the (pairs, 2) array."""
+
+    @staticmethod
+    def reads(xs, ys):
+        pairs = sample_pairs(xs, ys)
+        ts = np.unique(pairs[:, 0])
+        return pairs, [0.0, *ts[:: max(1, len(ts) // 25)], *(1.0 / np.sqrt(_DEGREES)),
+                       float(ts[-1]), 1e9]
+
+    def test_random_stacks(self, rng):
+        for _ in range(60):
+            n, p, m = int(rng.integers(2, 201)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            xs = rng.random((n, p))
+            if rng.random() < 0.5:
+                xs = np.round(xs * 4.0) / 4.0  # ties and duplicate inputs
+            ys = np.sin(xs @ rng.standard_normal((p, m)))
+            pairs, ts = self.reads(xs, ys)
+            np.testing.assert_array_equal(pairs, fancy_index_pairs(xs, ys))
+            for t in ts:
+                assert sampled_modulus_at(xs, ys, t) == empirical_modulus_at(pairs, t)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_strided_audit_views(self, p):
+        # the compile's own read: every third point of the audit grid
+        audit = _grid_points(p, 10)
+        values = np.column_stack([np.prod(audit, axis=1), np.sum(audit ** 2, axis=1)])
+        xs, ys = audit[::3], values[::3]
+        pairs = sample_pairs(xs, ys)
+        np.testing.assert_array_equal(pairs, fancy_index_pairs(xs, ys))
+        for n in _DEGREES:
+            t = 1.0 / math.sqrt(n)
+            assert sampled_modulus_at(xs, ys, t) == empirical_modulus_at(pairs, t)
+
+    BAD = [
+        (np.zeros((1, 2)), np.zeros((1, 1)), "need at least two samples, each with one output"),
+        (np.zeros((3, 2)), np.zeros((2, 1)), "need at least two samples, each with one output"),
+        (np.eye(3), np.array([[0.1], [np.nan], [0.3]]), "distances must be finite"),
+        (np.eye(3), np.array([[0.1], [np.inf], [0.3]]), "distances must be finite"),
+        (np.array([[0.0], [np.inf]]), np.zeros((2, 1)), "distances must be finite"),
+        (np.array([[0.5, 0.5], [0.2, 0.1], [0.5, 0.5]]), np.array([[1.0], [0.0], [1.5]]),
+         "pairs at zero input distance must have zero output distance"),
+    ]
+
+    @pytest.mark.parametrize("xs, ys, message", BAD)
+    def test_same_errors(self, xs, ys, message):
+        for t in (0.0, 0.25, 10.0):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                empirical_modulus_at(sample_pairs(xs, ys), t)
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                sampled_modulus_at(xs, ys, t)
+
+    def test_negative_argument_refused(self):
+        xs, ys = np.eye(2), np.zeros((2, 1))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            sampled_modulus_at(xs, ys, -1e-9)
+
+    def test_equal_outputs_at_duplicate_inputs_pass(self):
+        xs = np.array([[0.5], [0.5], [0.0]])
+        ys = np.array([[2.0], [2.0], [1.0]])
+        assert sampled_modulus_at(xs, ys, 0.5) == 1.0
+        assert sampled_modulus_at(xs, ys, 0.4) == 0.0
 
 
 class TestModulusInverse:

@@ -12,6 +12,7 @@ from gdn.approx.polynomials import (
     parse_poly_expr,
     poly_derivative,
     poly_eval,
+    product_grid,
     reciprocal_approx,
 )
 from gdn.errors import DomainError, ParseError
@@ -65,6 +66,45 @@ class TestDecompose:
     def test_reports_binomial_bound(self):
         lf = decompose_polynomial({(1, 1): 1.0}, 2, 2)
         assert lf.r_bound == math.comb(2 - 1 + 2, 2)
+
+
+def elementwise_poly_eval(coeffs, x):
+    """``poly_eval`` with every power, exponent 1 included, taken per element."""
+    x = np.asarray(x, dtype=float)
+    x = x if x.ndim == 2 else x.ravel()
+    total = None
+    for exps, c in coeffs.items():
+        mono = np.ones(x.shape[:-1])
+        for xi, e in zip(x.T, exps):
+            if e:
+                mono = mono * (np.array([t ** e for t in xi]) if xi.ndim else xi ** e)
+        term = np.multiply.outer(mono, np.asarray(c, dtype=float))
+        total = term if total is None else total + term
+    return total
+
+
+class TestArrayKernels:
+    def test_poly_eval_bits_with_exponent_one(self, rng):
+        for trial in range(40):
+            dim = int(rng.integers(1, 5))
+            # scalar coefficients, then m-vector ones; exponents 0 to 2
+            shape = () if trial % 2 else (int(rng.integers(1, 3)),)
+            coeffs = {tuple(int(e) for e in rng.integers(0, 3, dim)): rng.standard_normal(shape)
+                      for _ in range(int(rng.integers(1, 6)))}
+            coeffs[(1,) * dim] = rng.standard_normal(shape)
+            x = rng.standard_normal((int(rng.integers(1, 50)), dim)) * 10.0 ** rng.integers(-3, 4)
+            for pts in (x, x[0], x[::2]):
+                got, want = poly_eval(coeffs, pts), elementwise_poly_eval(coeffs, pts)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_product_grid_matches_itertools(self, dim):
+        # the round-trip grids of decompose_polynomial, degrees 1 to 12
+        for degree in range(1, 13 if dim < 4 else 5):
+            axis = np.linspace(-1.0, 1.0, degree + 1)
+            want = np.array(list(itertools.product(*[axis] * dim))).reshape(-1, dim)
+            got = product_grid(axis, dim)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestMonomialCounts:

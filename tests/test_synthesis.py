@@ -1,6 +1,7 @@
 """Finite-difference synthesis: derivative stencils, shallow compilation of
 polynomials and functions, and Riemann smoothing of continuous
 activations."""
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,22 @@ from gdn.network import get_activation, width
 
 EXP = get_activation("exp")
 RELU = get_activation("relu")
+
+
+class TestGridPoints:
+    # (p, per_axis, lo) of every _grid_points call: the selection grid,
+    # the audit grid and compile_poly_to_shallow's residual grid
+    USES = sorted({(p, {1: 41, 2: 21, 3: 9}.get(p, 5), 0.0) for p in range(1, 6)}
+                  | {(p, 10, 0.0) for p in range(1, 6)}
+                  | {(p, 9 if p > 1 else 201, -1.0) for p in range(1, 6)})
+
+    @pytest.mark.parametrize("p, per_axis, lo", USES)
+    def test_same_points_as_itertools_product(self, p, per_axis, lo):
+        axes = [np.linspace(lo, 1.0, per_axis)] * p
+        want = np.array(list(itertools.product(*axes))).reshape(-1, p)
+        got = _grid_points(p, per_axis, lo)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFiniteDiff:
