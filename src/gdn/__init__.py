@@ -1,6 +1,7 @@
-"""Geometric deep networks: manifold exp/log charts, quotient and product
-composition, constructive Bernstein network compilation, and quantitative
-depth/width estimators with a dataset-efficiency certifier.
+"""Geometric deep networks: manifold exp/log charts (the torus and real
+projective quotients among them), constructive Bernstein network
+compilation, and quantitative depth/width estimators with a
+dataset-efficiency certifier.
 """
 
 __version__ = "0.1.0"
@@ -25,23 +26,18 @@ from .manifolds import (
     delta_bound,
     distance,
     exp_map,
-    gaussian_chart,
     inj_lower,
     k_star,
     log_map,
     resolve_manifold,
-    sym_chart,
     sym_matrix_function,
     universality_radius,
     wasserstein2,
 )
 from .model import (
     GDNModel,
-    PipelineModel,
     gdn_eval,
     load_gdn,
-    parallelize,
-    pipeline_eval,
     save_gdn,
 )
 from .network import (
@@ -54,23 +50,9 @@ from .network import (
     register_activation,
     width,
 )
-from .quotient import (
-    GroupAction,
-    ProductSpace,
-    QuotientSpace,
-    antipodal_action,
-    canonical_rep,
-    check_group_axioms,
-    finite_list_action,
-    lattice_action,
-    product_distance,
-    quotient_distance,
-    resolve_quotient,
-)
 from .readouts import (
     Ball,
     Box,
-    ReadoutSpec,
     Simplex,
     Star,
     gauge_chart,

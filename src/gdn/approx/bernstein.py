@@ -21,8 +21,6 @@ __all__ = [
     "bernstein_degree_for",
     "bernstein_from_function",
     "bernstein_to_coefficients",
-    "bernstein_model_to_dict",
-    "bernstein_model_from_dict",
 ]
 
 
@@ -168,20 +166,3 @@ def bernstein_to_coefficients(model: BernsteinModel) -> Dict[Tuple[int, ...], np
     keep = np.max(np.abs(acc), axis=-1) > 1e-10 * scale
     return dict(zip(map(tuple, np.argwhere(keep).tolist()), acc[keep]))
 
-
-def bernstein_model_to_dict(model: BernsteinModel) -> dict:
-    return {
-        "n": model.n,
-        "p": model.p,
-        "m": model.m,
-        "values": model.values.reshape(-1, model.m).tolist(),
-    }
-
-
-def bernstein_model_from_dict(d: dict) -> BernsteinModel:
-    try:
-        n, p, m = int(d["n"]), int(d["p"]), int(d["m"])
-        flat = np.array(d["values"], dtype=float)
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"malformed Bernstein dictionary: {e}") from e
-    return BernsteinModel(n, p, flat.reshape((n + 1,) * p + (m,)))

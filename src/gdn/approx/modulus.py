@@ -1,12 +1,11 @@
-"""Moduli of continuity: empirical estimation, generalized inversion, least
-concave majorants, the averaged (continuous) modulus, and the sup-form
-modulus-preserving extension of sampled functions.
+"""Moduli of continuity: empirical estimation, generalized inversion and
+the averaged (continuous) modulus.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,27 +21,21 @@ __all__ = [
     "sample_pairs",
     "sampled_modulus_at",
     "modulus_inverse",
-    "concave_majorant",
     "smooth_modulus",
     "smooth_modulus_inverse",
-    "mcshane_extend",
 ]
 
 
 @dataclass(frozen=True)
 class ModulusEstimate:
-    """Tabulated nondecreasing modulus with omega(0) = 0.
-
-    ``interp`` selects evaluation semantics: ``"step"`` is the
-    right-continuous running-max estimate (a lower bound of the true
-    modulus by construction), ``"linear"`` interpolates between knots
-    (used by concave majorants).  Beyond the last knot the value is held
-    constant.
+    """Tabulated nondecreasing modulus with omega(0) = 0, evaluated as the
+    right-continuous step function through its knots (the running-max
+    estimate, a lower bound of the true modulus by construction).  Beyond
+    the last knot the value is held constant.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    interp: str = "step"
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float).ravel()
@@ -57,8 +50,6 @@ class ModulusEstimate:
             raise ValidationError("modulus values must be nondecreasing")
         if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
             raise ValidationError("modulus data must be finite")
-        if self.interp not in ("step", "linear"):
-            raise ValidationError(f"unknown interpolation {self.interp!r}")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
@@ -68,11 +59,7 @@ class ModulusEstimate:
         k, v = self.knots, self.values
         if t >= k[-1]:
             return float(v[-1])
-        i = int(np.searchsorted(k, t, side="right")) - 1
-        if self.interp == "step" or k[i] == t:
-            return float(v[i])
-        w = (t - k[i]) / (k[i + 1] - k[i])
-        return float(v[i] + w * (v[i + 1] - v[i]))
+        return float(v[int(np.searchsorted(k, t, side="right")) - 1])
 
 
 @dataclass(frozen=True)
@@ -231,11 +218,7 @@ def modulus_inverse(omega: Modulus, eps: float) -> float:
         v = omega.values
         if v[-1] <= eps:
             return math.inf
-        i = int(np.searchsorted(v, eps, side="right"))
-        if omega.interp == "step":
-            return float(omega.knots[i])
-        k = omega.knots
-        return float(k[i - 1] + (eps - v[i - 1]) * (k[i] - k[i - 1]) / (v[i] - v[i - 1]))
+        return float(omega.knots[int(np.searchsorted(v, eps, side="right"))])
     fn = omega
     if fn(1e-300) > eps:
         # the sublevel set collapses to {0}
@@ -253,26 +236,6 @@ def modulus_inverse(omega: Modulus, eps: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def concave_majorant(omega: ModulusEstimate) -> ModulusEstimate:
-    """Least concave majorant over the knot set: the upper hull of the graph
-    points augmented with the origin, re-sampled at the original knots."""
-    pts = list(zip(omega.knots.tolist(), omega.values.tolist()))
-    hull: List[Tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    hx = np.array([h[0] for h in hull])
-    hy = np.array([h[1] for h in hull])
-    vals = np.interp(omega.knots, hx, hy)
-    vals = np.maximum.accumulate(np.maximum(vals, omega.values * 0.0))
-    return ModulusEstimate(omega.knots.copy(), vals, interp="linear")
 
 
 def smooth_modulus(omega: Modulus, t: float) -> float:
@@ -297,27 +260,3 @@ def smooth_modulus_inverse(omega: Modulus, eps: float) -> float:
     """Generalized inverse of the averaged modulus (bisection)."""
     return modulus_inverse(lambda t: smooth_modulus(omega, t), eps)
 
-
-def mcshane_extend(samples: Sequence[Tuple[np.ndarray, float]],
-                   omega_c: ModulusEstimate, x,
-                   variant: str = "plain") -> float:
-    """Sup-form modulus-controlled extension of sampled scalar data.
-
-    plain:  F(x) = sup_y { f(y) - omega_c(|x - y|) }
-    halved: half that value.
-
-    Only the plain variant interpolates the samples (the halved one returns
-    f/2 on the sample set); it is the default.  With a concave majorant
-    dominating the sampled variation, the plain extension inherits the
-    majorant as a modulus on sampled pairs.
-    """
-    if not len(samples):
-        raise ValidationError("extension needs at least one sample")
-    if variant not in ("plain", "halved"):
-        raise ValidationError(f"unknown variant {variant!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    best = -math.inf
-    for y, fy in samples:
-        y = np.asarray(y, dtype=float).ravel()
-        best = max(best, float(fy) - omega_c(float(np.linalg.norm(x - y))))
-    return 0.5 * best if variant == "halved" else best

@@ -2,16 +2,15 @@
 
 * finite-difference realization of derivatives of ``sigma(w z - theta)``,
 * compilation of univariate-form polynomials into one-hidden-layer nets
-  with a smooth non-polynomial activation,
+  with a smooth non-polynomial activation, and
 * the full function-to-shallow pipeline (Bernstein lattice -> monomial
-  coefficients -> polarization -> finite-difference synthesis), and
-* Riemann-sum smoothing of merely-continuous activations.
+  coefficients -> polarization -> finite-difference synthesis).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "merge_shallow",
     "compile_function_to_shallow",
     "CompileResult",
-    "riemann_smooth_activation",
 ]
 
 
@@ -359,54 +357,3 @@ def compile_function_to_shallow(
                          sum(len(lf.terms) for lf in per_output),
                          theta0, used_h, apriori, synth_resid, audit_error)
 
-
-# -- Riemann smoothing of continuous activations ------------------------------
-
-def _bump(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    return out
-
-
-def riemann_smooth_activation(sigma: ActivationInfo, support: Tuple[float, float],
-                              L: int, t: float) -> Tuple[float, float]:
-    """L-term Riemann approximation of the mollified activation
-    (sigma * phi)(t) with midpoint nodes, plus its modulus bound.
-
-    phi is the standard smooth bump on the support interval, normalized to
-    unit L1 mass by quadrature; the returned bound is
-    omega(sigma, (b-a)/L) measured on the relevant window of sigma.
-    """
-    a, b = float(support[0]), float(support[1])
-    if L < 1:
-        raise ValidationError("L must be at least 1")
-    if not b > a:
-        raise ValidationError("support must be a nondegenerate interval")
-
-    # normalize the bump to unit mass on [a, b]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    fine = np.linspace(a, b, 8193)
-    mass = float(np.trapezoid(_bump((fine - mid) / half), fine))
-
-    edges = np.linspace(a, b, L + 1)
-    value = 0.0
-    for l in range(L):
-        lo, hi = edges[l], edges[l + 1]
-        ys = np.linspace(lo, hi, 33)
-        c_l = float(np.trapezoid(_bump((ys - mid) / half), ys)) / mass
-        y_l = 0.5 * (lo + hi)
-        value += c_l * float(sigma(np.array(t - y_l)))
-
-    # empirical modulus of sigma at scale (b-a)/L over the window sigma sees
-    delta = (b - a) / L
-    us = np.linspace(t - b, t - a, max(20 * L + 1, 201))
-    vals = np.asarray(sigma(us), dtype=float)
-    step = us[1] - us[0]
-    w = max(1, int(math.ceil(delta / step)))
-    bound = 0.0
-    for k in range(1, w + 1):
-        if us[k] - us[0] > delta * (1.0 + 1e-12):
-            break
-        bound = max(bound, float(np.max(np.abs(vals[k:] - vals[:-k]))))
-    return value, bound

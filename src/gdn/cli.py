@@ -342,15 +342,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args, parser)
-    except (ParseError, ValidationError) as e:
+    except (ParseError, ValidationError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except GdnError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    except FileNotFoundError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,7 @@ from .sym import (
 )
 
 __all__ = ["GaussianParam", "gaussian_chart_encode", "gaussian_chart_decode",
-           "gaussian_chart", "wasserstein2"]
+           "wasserstein2"]
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,6 @@ def _order_from_chart_dim(d: int) -> int:
     if n + sym_dim(n) != d:
         raise ValidationError(f"length {d} is not of the form n + n(n+1)/2")
     return n
-
-
-def gaussian_chart(direction: str, arg):
-    """Dispatching form: ``"encode"`` takes a GaussianParam, ``"decode"`` a
-    chart vector."""
-    if direction == "encode":
-        return gaussian_chart_encode(arg)
-    if direction == "decode":
-        return gaussian_chart_decode(arg)
-    raise ValidationError(f"direction must be 'encode' or 'decode', got {direction!r}")
 
 
 def wasserstein2(a: GaussianParam, b: GaussianParam) -> float:

@@ -12,9 +12,10 @@ reference the tests compare against.
 
 Two vector layouts coexist on purpose:
 
-* ``sym_chart`` is the plain row-wise upper-triangle parameterization
-  (a11, a12, ..., a1p, a22, ..., app) <-> symmetric matrix.  It is the
-  parameterization used by the Gaussian feature chart.
+* ``sym_chart_encode``/``sym_chart_decode`` are the plain row-wise
+  upper-triangle parameterization (a11, a12, ..., a1p, a22, ..., app) <->
+  symmetric matrix.  It is the parameterization used by the Gaussian
+  feature chart.
 * ``frob_vec``/``frob_unvec`` scale off-diagonal entries by sqrt(2) so the
   Euclidean norm of the vector equals the Frobenius norm of the matrix.
   The spd manifold represents points and tangents this way, which is what
@@ -43,7 +44,6 @@ __all__ = [
     "order_from_sym_dim",
     "sym_chart_encode",
     "sym_chart_decode",
-    "sym_chart",
     "frob_vec",
     "frob_entries",
     "frob_unvec",
@@ -210,19 +210,6 @@ def sym_chart_encode(A: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
     iu, ju, _ = _triu_indices(A.shape[0])
     return A[iu, ju].copy()
-
-
-def sym_chart(direction: str, arg):
-    """Dispatching form of the symmetrization chart.
-
-    ``direction="encode"`` expects a vector of length p(p+1)/2 and returns
-    the symmetric matrix; ``"decode"`` inverts it.
-    """
-    if direction == "encode":
-        return sym_chart_decode(arg)
-    if direction == "decode":
-        return sym_chart_encode(arg)
-    raise ValidationError(f"direction must be 'encode' or 'decode', got {direction!r}")
 
 
 def frob_unvec(v: np.ndarray) -> np.ndarray:

@@ -176,7 +176,6 @@ class Geometry:
     inj_lower = math.inf
     volume_of_ball = None
     param = 0.0
-    quotient_of = None  # the family a quotient family is taken of
 
     def __init__(self, dim: int, chart_dim: int):
         self.dim = dim
@@ -258,7 +257,6 @@ class Torus(Geometry):
     """The flat torus R^m / Z^m on representatives; exp wraps mod 1."""
 
     inj_lower = 0.5
-    quotient_of = "euclidean"
 
     def __init__(self, m: int):
         super().__init__(m, m)
@@ -371,7 +369,6 @@ class Projective(Sphere):
 
     inj_lower = math.pi / 2.0
     volume_of_ball = None
-    quotient_of = "sphere"
 
     def exp(self, x, v):
         _check_tangent_norms(_norms(v), math.pi / 2.0,

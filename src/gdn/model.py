@@ -1,16 +1,13 @@
-"""Geometric deep networks and their pipeline composition.
+"""Geometric deep networks and their serialization.
 
 A GDN lifts a Euclidean feedforward core ``g`` to a manifold-to-manifold
-map ``Exp_{Y, base_y} o g o Exp^{-1}_{X, base_x}``.  Pipelines add an
-optional feature map in front, per-branch quotient projections behind each
-GDN, parallelization across branches, and a readout over the product.
+map ``Exp_{Y, base_y} o g o Exp^{-1}_{X, base_x}``.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,15 +15,10 @@ from .errors import DomainError, RangeError, ValidationError
 from .manifolds.core import ManifoldSpec, resolve_manifold
 from .manifolds.zoo import Chart, as_point, chart_at
 from .network import FeedforwardNet, eval_net, net_from_dict, net_to_dict
-from .quotient import QuotientSpace, canonical_rep
-from .readouts import ReadoutSpec
 
 __all__ = [
     "GDNModel",
     "gdn_eval",
-    "PipelineModel",
-    "parallelize",
-    "pipeline_eval",
     "gdn_to_dict",
     "gdn_from_dict",
     "save_gdn",
@@ -107,65 +99,6 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
             )
     # eval_net has checked that w is finite
     return model.chart_y.exp(w)
-
-
-Branch = Tuple[GDNModel, Optional[QuotientSpace]]
-
-
-@dataclass(frozen=True)
-class PipelineModel:
-    """Feature map -> parallel GDN branches (each with an optional quotient
-    projection) -> readout over the concatenated branch outputs.
-
-    The feature map must be continuous and injective for the composite to
-    retain the approximation property; injectivity of an arbitrary callable
-    is not checkable and is the caller's obligation.
-    """
-
-    branches: Tuple[Branch, ...]
-    feature: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
-    readout: Optional[ReadoutSpec] = None
-
-    def __post_init__(self):
-        branches = tuple(self.branches)
-        if not branches:
-            raise ValidationError("a pipeline needs at least one branch")
-        first = branches[0][0]
-        for gdn, _proj in branches[1:]:
-            if gdn.domain.id != first.domain.id or not np.array_equal(
-                    gdn.base_x, first.base_x):
-                raise ValidationError("branches must share domain and basepoint")
-        object.__setattr__(self, "branches", branches)
-
-    def __call__(self, x):
-        return pipeline_eval(self, x)
-
-
-def parallelize(models: Sequence[GDNModel]) -> PipelineModel:
-    """Bundle GDNs sharing domain and basepoint into a tuple-valued model."""
-    return PipelineModel(tuple((m, None) for m in models))
-
-
-def pipeline_eval(p: PipelineModel, x):
-    """Run the pipeline.  With no feature, projections, or readout this is
-    exactly gdn_eval (single branch) or the tuple of branch outputs."""
-    x = np.asarray(x, dtype=float).ravel()
-    if p.feature is not None:
-        x = np.asarray(p.feature(x), dtype=float).ravel()
-    outs: List[np.ndarray] = []
-    for i, (gdn, proj) in enumerate(p.branches):
-        try:
-            y = gdn_eval(gdn, x)
-        except (DomainError, ValidationError) as e:
-            raise type(e)(f"branch {i}: {e}") from e
-        if proj is not None:
-            y = canonical_rep(proj, y)
-        outs.append(y)
-    if p.readout is not None:
-        return p.readout.apply(np.concatenate(outs))
-    if len(outs) == 1:
-        return outs[0]
-    return tuple(outs)
 
 
 # -- serialization -----------------------------------------------------------

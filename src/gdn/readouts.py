@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "Ball",
     "Simplex",
     "Star",
-    "ReadoutSpec",
 ]
 
 
@@ -188,51 +187,3 @@ def homotopy_shrink(shape: Union[Star, Simplex], t: float, y) -> np.ndarray:
         return bary + t * (y - bary)
     raise ValidationError(f"unsupported shape {shape!r}")
 
-
-# -- closed readout descriptors for pipelines --------------------------------
-
-@dataclass(frozen=True)
-class ReadoutSpec:
-    """Closed readout descriptor applied to the concatenated branch outputs.
-
-    kind: "softmax" (needs C), "gauge" (needs mu), or "project"
-    (needs shape).  Closed descriptors keep right-inverse availability a
-    static property of the model.
-    """
-
-    kind: str
-    C: int = 0
-    mu: Optional[Callable[[np.ndarray], float]] = None
-    shape: Optional[Shape] = None
-
-    def __post_init__(self):
-        if self.kind == "softmax":
-            if self.C < 2:
-                raise ValidationError("softmax readout needs C >= 2")
-        elif self.kind == "gauge":
-            if self.mu is None:
-                raise ValidationError("gauge readout needs a gauge callable")
-        elif self.kind == "project":
-            if self.shape is None:
-                raise ValidationError("projection readout needs a shape")
-        else:
-            raise ValidationError(f"unknown readout kind {self.kind!r}")
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "softmax":
-            if v.size != self.C - 1:
-                raise ValidationError(
-                    f"softmax readout expects {self.C - 1} inputs, got {v.size}"
-                )
-            return softmax_chart("forward", v)
-        if self.kind == "gauge":
-            return gauge_chart(self.mu, "forward", v)
-        return project_convex(self.shape, v)
-
-    def right_inverse(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "softmax":
-            return softmax_chart("inverse", y)
-        if self.kind == "gauge":
-            return gauge_chart(self.mu, "inverse", y)
-        # metric projection: inclusion is a right inverse on the shape
-        return np.asarray(y, dtype=float).ravel().copy()

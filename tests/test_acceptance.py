@@ -27,7 +27,6 @@ from gdn.manifolds import GaussianParam, resolve_manifold, wasserstein2
 from gdn.manifolds.sym import frob_vec
 from gdn.manifolds.zoo import distance, exp_map, log_map, random_point, random_tangent
 from gdn.network import AffineLayer, FeedforwardNet, get_activation, width
-from gdn.quotient import quotient_distance, resolve_quotient
 from gdn.readouts import Simplex, gauge_chart, project_convex, softmax_chart
 from gdn.sampling import halton
 from gdn.targets import resolve_target
@@ -125,7 +124,7 @@ def test_criterion_04_wasserstein_closed_forms():
 def test_criterion_05_quotient_oracle_equivalence():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3, 4):
-        Q = resolve_quotient(f"torus:{m}")
+        torus = resolve_manifold(f"torus:{m}")
         for _ in range(250):
             y1, y2 = rng.random(m), rng.random(m)
             d = y1 - y2
@@ -133,14 +132,14 @@ def test_criterion_05_quotient_oracle_equivalence():
                 float(np.sqrt(np.sum((d - np.array(k)) ** 2)))
                 for k in itertools.product((-1.0, 0.0, 1.0), repeat=m)
             )
-            assert quotient_distance(Q, y1, y2) == brute
-    Qrp = resolve_quotient("rp:2")
+            assert distance(torus, y1, y2) == brute
+    rp = resolve_manifold("rp:2")
     s2 = resolve_manifold("sphere:2")
     for _ in range(1000):
         a = rng.standard_normal(3); a /= np.linalg.norm(a)
         b = rng.standard_normal(3); b /= np.linalg.norm(b)
         two_candidate = min(distance(s2, a, b), distance(s2, a, -b))
-        assert quotient_distance(Qrp, a, b) == two_candidate
+        assert distance(rp, a, b) == two_candidate
     report(5, True, "torus brute-force window and projective two-candidate "
                     "minima match exactly")
 

@@ -11,8 +11,6 @@ from gdn.approx.bernstein import (
     bernstein_degree_for,
     bernstein_eval,
     bernstein_from_function,
-    bernstein_model_from_dict,
-    bernstein_model_to_dict,
     bernstein_to_coefficients,
 )
 from gdn.approx.modulus import AnalyticModulus, LipschitzModulus
@@ -213,13 +211,3 @@ class TestArrayLattices:
             for key in want:
                 assert got[key].shape == want[key].shape
                 assert got[key].tobytes() == want[key].tobytes()
-
-
-class TestSerialization:
-    def test_round_trip(self, rng):
-        model = bernstein_from_function(
-            lambda x: np.hstack([x[:, :1], x[:, :1] ** 2]), 3, 1, 2)
-        d = bernstein_model_to_dict(model)
-        assert d["n"] == 3 and d["p"] == 1 and d["m"] == 2
-        back = bernstein_model_from_dict(d)
-        np.testing.assert_array_equal(back.values, model.values)

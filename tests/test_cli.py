@@ -270,6 +270,13 @@ class TestUsageErrors:
         self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "radius": "abc"},
                    "'abc'")
 
+    @pytest.mark.parametrize("command", ["compile", "eval", "bench"])
+    def test_directory_in_place_of_a_file(self, capsys, tmp_path, command):
+        argv = {"compile": self.COMPILE + ["--out", str(tmp_path)],
+                "eval": ["eval", "--model", str(tmp_path), "--input", "[0]"],
+                "bench": ["bench", str(tmp_path)]}[command]
+        self.assert_usage_error(capsys, argv, str(tmp_path))
+
     def test_malformed_bench_config(self, capsys, tmp_path):
         cfg = tmp_path / "bench.json"
         cfg.write_text('{"runs": [')

@@ -1,4 +1,4 @@
-"""GDN evaluation, guards, parallelization, and pipeline composition."""
+"""GDN evaluation, guards and serialization."""
 import collections
 import json
 import math
@@ -15,18 +15,13 @@ from gdn.manifolds import resolve_manifold
 from gdn.manifolds.zoo import exp_map, random_tangent, tangent_basis
 from gdn.model import (
     GDNModel,
-    PipelineModel,
     gdn_eval,
     gdn_from_dict,
     gdn_to_dict,
     load_gdn,
-    parallelize,
-    pipeline_eval,
     save_gdn,
 )
 from gdn.network import AffineLayer, FeedforwardNet, get_activation
-from gdn.quotient import resolve_quotient
-from gdn.readouts import ReadoutSpec, softmax_chart
 
 RELU = get_activation("relu")
 E2 = resolve_manifold("euclidean:2")
@@ -140,73 +135,6 @@ class TestStackedGdnEval:
         xs = np.array([[0.1, 0.2], [-0.3, 0.1], [1.0, 0.0], [0.0, 1.25], [0.2, 0.2]])
         with pytest.raises(RangeError, match="norm 4.0 "):
             gdn_eval(g, xs)
-
-
-class TestParallelize:
-    def test_single_branch_equals_branch(self, rng):
-        g = GDNModel(E2, E2, np.zeros(2), np.ones(2), affine_net(np.eye(2), np.zeros(2)))
-        p = parallelize([g])
-        x = rng.standard_normal(2)
-        np.testing.assert_array_equal(pipeline_eval(p, x), gdn_eval(g, x))
-
-    def test_two_translations(self, rng):
-        g1 = GDNModel(E2, E2, np.zeros(2), np.array([1.0, 0.0]),
-                      affine_net(np.eye(2), np.zeros(2)))
-        g2 = GDNModel(E2, E2, np.zeros(2), np.array([0.0, -1.0]),
-                      affine_net(np.eye(2), np.zeros(2)))
-        out = pipeline_eval(parallelize([g1, g2]), np.array([0.25, 0.5]))
-        np.testing.assert_allclose(out[0], [1.25, 0.5])
-        np.testing.assert_allclose(out[1], [0.25, -0.5])
-
-    def test_error_tuple_matches_product_distance(self, rng):
-        from gdn.quotient import ProductSpace, product_distance
-        models = [GDNModel(E2, E2, np.zeros(2), rng.standard_normal(2),
-                           affine_net(np.eye(2), np.zeros(2))) for _ in range(3)]
-        p = parallelize(models)
-        x = rng.standard_normal(2)
-        outs = pipeline_eval(p, x)
-        targets = [rng.standard_normal(2) for _ in range(3)]
-        P = ProductSpace((E2, E2, E2))
-        want = max(float(np.linalg.norm(o - t)) for o, t in zip(outs, targets))
-        assert product_distance(P, outs, targets) == pytest.approx(want)
-
-    def test_mismatched_domains_rejected(self):
-        g1 = GDNModel(E2, E2, np.zeros(2), np.zeros(2), zero_net(2, 2))
-        g2 = GDNModel(E2, E2, np.ones(2), np.zeros(2), zero_net(2, 2))
-        with pytest.raises(ValidationError):
-            parallelize([g1, g2])
-
-
-class TestPipeline:
-    def test_degenerate_pipeline_is_gdn_eval_bit_for_bit(self, rng):
-        g = GDNModel(E2, E2, np.zeros(2), np.ones(2),
-                     affine_net(rng.standard_normal((2, 2)), rng.standard_normal(2)))
-        p = PipelineModel(((g, None),))
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            a, b = pipeline_eval(p, x), gdn_eval(g, x)
-            assert np.array_equal(a, b)
-
-    def test_softmax_readout_of_translated_input(self):
-        e1 = resolve_manifold("euclidean:1")
-        g = GDNModel(e1, e1, np.zeros(1), np.zeros(1), affine_net(np.eye(1), np.zeros(1)))
-        p = PipelineModel(((g, None),), feature=lambda x: x,
-                          readout=ReadoutSpec("softmax", C=2))
-        np.testing.assert_allclose(pipeline_eval(p, [0.0]),
-                                   softmax_chart("forward", [0.0]))
-
-    def test_torus_projection_branch(self):
-        const = affine_net(np.zeros((2, 2)), np.array([1.4, -0.25]))
-        g = GDNModel(E2, E2, np.zeros(2), np.zeros(2), const)
-        p = PipelineModel(((g, resolve_quotient("torus:2")),))
-        np.testing.assert_allclose(pipeline_eval(p, np.zeros(2)), [0.4, 0.75])
-
-    def test_branch_errors_annotated(self):
-        g = GDNModel(S2, S2, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
-                     zero_net(3, 3))
-        p = PipelineModel(((g, None),))
-        with pytest.raises(DomainError, match="branch 0"):
-            pipeline_eval(p, np.array([0.0, 0.0, -1.0]))
 
 
 class TestGdnSerialization:

@@ -1,5 +1,4 @@
-"""Moduli of continuity: estimation, inversion, majorants, averaging, and
-the sup-form extension."""
+"""Moduli of continuity: estimation, inversion and averaging."""
 import math
 
 import numpy as np
@@ -10,10 +9,8 @@ from gdn.approx.modulus import (
     AnalyticModulus,
     LipschitzModulus,
     ModulusEstimate,
-    concave_majorant,
     empirical_modulus,
     empirical_modulus_at,
-    mcshane_extend,
     modulus_from_samples,
     modulus_inverse,
     sample_pairs,
@@ -279,47 +276,6 @@ class TestModulusInverse:
         assert modulus_inverse(STEP, math.inf) == math.inf
 
 
-class TestConcaveMajorant:
-    def test_linear_is_fixed(self):
-        lin = ModulusEstimate(np.linspace(0, 1, 5), 2.0 * np.linspace(0, 1, 5))
-        maj = concave_majorant(lin)
-        np.testing.assert_allclose(maj.values, lin.values, atol=1e-12)
-
-    def test_convex_is_chorded(self):
-        knots = np.linspace(0.0, 1.0, 9)
-        sq = ModulusEstimate(knots, knots ** 2)
-        maj = concave_majorant(sq)
-        np.testing.assert_allclose(maj.values, knots, atol=1e-12)  # chord t * omega(1)
-
-    def test_step_majorant_hand_value(self):
-        maj = concave_majorant(STEP)
-        assert maj(0.5) == pytest.approx(0.5)
-
-    def test_dominates_arbitrary_estimates(self, rng):
-        for _ in range(20):
-            knots = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 2.0, 8))])
-            values = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 8))])
-            w = ModulusEstimate(knots, values)
-            maj = concave_majorant(w)
-            for t, v in zip(knots, values):
-                assert maj(float(t)) >= v - 1e-12
-
-    def test_within_factor_two_for_function_moduli(self):
-        # the 2x bound holds for moduli of continuous functions; build them
-        # from dense samples on a dyadic grid (exact pairwise-distance
-        # classes) so the estimate tracks the true modulus
-        for f in (lambda t: abs(math.sin(2.0 * t)),
-                  lambda t: math.sqrt(t),
-                  lambda t: 0.5 * t):
-            xs = np.arange(65) / 32.0
-            pairs = [(abs(a - b), abs(f(a) - f(b))) for a in xs for b in xs]
-            w = empirical_modulus(pairs)
-            maj = concave_majorant(w)
-            for t, v in zip(w.knots[1:], w.values[1:]):
-                if v > 0:
-                    assert maj(float(t)) <= 2.0 * v * 1.05 + 1e-12
-
-
 class TestSmoothModulus:
     def test_lipschitz_average_is_three_halves(self):
         w = AnalyticModulus(lambda t: 2.0 * t)
@@ -329,45 +285,3 @@ class TestSmoothModulus:
     def test_zero_cases(self):
         assert smooth_modulus(AnalyticModulus(lambda t: 0.0), 1.0) == 0.0
         assert smooth_modulus(LipschitzModulus(3.0), 0.0) == 0.0
-
-
-class TestMcshaneExtend:
-    def test_interpolates_samples(self):
-        samples = [(np.array([0.0]), 0.0), (np.array([1.0]), 1.0)]
-        maj = concave_majorant(ModulusEstimate(np.array([0.0, 1.0]),
-                                               np.array([0.0, 1.0])))
-        assert mcshane_extend(samples, maj, np.array([0.0])) == pytest.approx(0.0)
-        assert mcshane_extend(samples, maj, np.array([1.0])) == pytest.approx(1.0)
-
-    def test_two_point_hand_value(self):
-        # with the unit-step majorant, F(1/2) = max(0 - 1/2, 1 - 1/2) = 1/2
-        samples = [(np.array([0.0]), 0.0), (np.array([1.0]), 1.0)]
-        maj = concave_majorant(STEP)
-        assert mcshane_extend(samples, maj, np.array([0.5])) == pytest.approx(0.5)
-        assert mcshane_extend(samples, maj, np.array([0.5]), variant="halved") \
-            == pytest.approx(0.25)
-
-    def test_constant_samples_extend_constantly(self, rng):
-        samples = [(rng.standard_normal(2), 4.2) for _ in range(5)]
-        maj = concave_majorant(ModulusEstimate(np.array([0.0, 1.0]),
-                                               np.array([0.0, 0.0])))
-        for _ in range(10):
-            assert mcshane_extend(samples, maj, rng.standard_normal(2)) \
-                == pytest.approx(4.2)
-
-    def test_preserves_majorant_on_sampled_pairs(self, rng):
-        xs = [np.array([t]) for t in np.linspace(0, 2, 9)]
-        f = lambda x: abs(math.sin(2.0 * x[0]))
-        pairs = [(abs(float(a[0] - b[0])), abs(f(a) - f(b))) for a in xs for b in xs]
-        maj = concave_majorant(empirical_modulus(pairs))
-        samples = [(x, f(x)) for x in xs]
-        grid = [np.array([t]) for t in np.linspace(-0.5, 2.5, 31)]
-        vals = [mcshane_extend(samples, maj, g) for g in grid]
-        for i, a in enumerate(grid):
-            for j, b in enumerate(grid):
-                gap = float(np.linalg.norm(a - b))
-                assert abs(vals[i] - vals[j]) <= maj(gap) + 1e-9
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValidationError):
-            mcshane_extend([], concave_majorant(STEP), np.zeros(1))

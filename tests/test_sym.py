@@ -12,7 +12,8 @@ from gdn.manifolds.sym import (
     frob_unvec,
     frob_vec,
     jacobi_eigh,
-    sym_chart,
+    sym_chart_decode,
+    sym_chart_encode,
     sym_matrix_function,
 )
 
@@ -83,23 +84,25 @@ class TestJacobi:
 
 
 class TestSymChart:
+    # sym_chart_decode builds the matrix from its row-wise upper-triangle
+    # vector, sym_chart_encode reads the vector back off the matrix
     def test_encode_layout(self):
-        M = sym_chart("encode", [1.0, 2.0, 3.0])
+        M = sym_chart_decode([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(M, [[1.0, 2.0], [2.0, 3.0]])
 
     def test_decode_inverse(self):
-        v = sym_chart("decode", np.array([[1.0, 2.0], [2.0, 3.0]]))
+        v = sym_chart_encode(np.array([[1.0, 2.0], [2.0, 3.0]]))
         np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
 
     def test_round_trips_exact(self, rng):
         for n in (1, 2, 4):
             v = rng.standard_normal(n * (n + 1) // 2)
-            np.testing.assert_array_equal(sym_chart("decode", sym_chart("encode", v)), v)
+            np.testing.assert_array_equal(sym_chart_encode(sym_chart_decode(v)), v)
             A = random_spd(n, rng)
-            np.testing.assert_array_equal(sym_chart("encode", sym_chart("decode", A)), A)
+            np.testing.assert_array_equal(sym_chart_decode(sym_chart_encode(A)), A)
 
     def test_zero_maps_to_zero(self):
-        np.testing.assert_array_equal(sym_chart("encode", np.zeros(6)), np.zeros((3, 3)))
+        np.testing.assert_array_equal(sym_chart_decode(np.zeros(6)), np.zeros((3, 3)))
 
 
 class TestFrobeniusVectorization:

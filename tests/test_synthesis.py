@@ -1,6 +1,5 @@
-"""Finite-difference synthesis: derivative stencils, shallow compilation of
-polynomials and functions, and Riemann smoothing of continuous
-activations."""
+"""Finite-difference synthesis: derivative stencils and shallow
+compilation of polynomials and functions."""
 import itertools
 import math
 
@@ -16,7 +15,6 @@ from gdn.approx.synthesis import (
     compile_poly_to_shallow,
     finite_diff_derivative,
     merge_shallow,
-    riemann_smooth_activation,
     select_theta0,
 )
 from gdn.errors import InfeasibleDegreeError, UnsupportedError, ValidationError
@@ -215,28 +213,3 @@ class TestMergeShallow:
         for _ in range(10):
             x = rng.uniform(-1, 1, 1)
             np.testing.assert_allclose(merged(x), [n1(x)[0], n2(x)[0]], atol=1e-12)
-
-
-class TestRiemannSmoothing:
-    def test_linear_activation_exact_to_quadrature(self):
-        # locally linear sigma: Riemann sum agrees with the convolution
-        lin = get_activation("relu")  # linear on [1, inf)
-        val, bound = riemann_smooth_activation(lin, (-0.5, 0.5), 64, 5.0)
-        # oracle: 10x-finer quadrature of the mollified activation
-        oracle, _ = riemann_smooth_activation(lin, (-0.5, 0.5), 640, 5.0)
-        assert val == pytest.approx(oracle, abs=1e-8)
-
-    def test_bound_halves_with_doubled_l(self):
-        _, b1 = riemann_smooth_activation(RELU, (-1.0, 1.0), 50, 0.0)
-        _, b2 = riemann_smooth_activation(RELU, (-1.0, 1.0), 100, 0.0)
-        assert b2 == pytest.approx(b1 / 2.0, rel=0.05)
-
-    def test_relu_within_modulus_bound_of_oracle(self):
-        val, bound = riemann_smooth_activation(RELU, (-1.0, 1.0), 100, 0.0)
-        assert bound == pytest.approx(0.02, rel=0.05)
-        oracle, _ = riemann_smooth_activation(RELU, (-1.0, 1.0), 1000, 0.0)
-        assert abs(val - oracle) <= bound
-
-    def test_l_validation(self):
-        with pytest.raises(ValidationError):
-            riemann_smooth_activation(RELU, (-1.0, 1.0), 0, 0.0)
