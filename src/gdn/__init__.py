@@ -26,7 +26,6 @@ from .manifolds import (
     delta_bound,
     distance,
     exp_map,
-    inj_lower,
     k_star,
     log_map,
     resolve_manifold,

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DomainError, UnsupportedError, ValidationError
 from ..manifolds.core import ManifoldSpec
-from ..manifolds.zoo import distance, log_map, tangent_basis
+from ..manifolds.zoo import as_point, chart_at
 from .polynomials import poly_derivative, poly_eval, poly_total_degree
 
 __all__ = ["EfficiencyCertificate", "certify_efficient"]
@@ -131,14 +131,12 @@ def certify_efficient(dataset: Sequence, values: Sequence,
     if len(dataset) == 0 or len(dataset) != len(values):
         raise ValidationError("dataset and values must be non-empty and aligned")
     p = domain.dim
-    # intrinsic tangent coordinates (identity for flat charts; orthonormal
-    # frames for ambient representations like the sphere)
-    E_dom = tangent_basis(domain, base_x)
-    E_cod = tangent_basis(codomain, base_y)
+    # each base is checked once, as it is bound to its chart
+    chart_x, chart_y = chart_at(domain, base_x), chart_at(codomain, base_y)
 
     xs, ys = _stack(dataset, domain), _stack(values, codomain)
-    dx = distance(domain, base_x, xs)
-    dy = distance(codomain, base_y, ys)
+    dx = chart_x.distance(as_point(domain, xs))
+    dy = chart_y.distance(as_point(codomain, ys))
     far_x = dx >= domain.inj_lower
     far_y = dy >= codomain.inj_lower
     if far_x.any() or far_y.any():
@@ -153,11 +151,13 @@ def certify_efficient(dataset: Sequence, values: Sequence,
             f"value {i} at distance {float(dy[i])!r} is outside the codomain "
             "basepoint's injectivity ball"
         )
-    # one matrix-vector product per row, which rounds like E.T @ v on a
-    # single point
-    X = (E_dom.T @ log_map(domain, base_x, xs)[..., None])[..., 0]
-    Y = (E_cod.T @ log_map(codomain, base_y, ys)[..., None])[..., 0]
-    base_list = [float(t) for t in np.asarray(base_x, dtype=float).ravel()]
+    # intrinsic tangent coordinates (identity for flat charts; orthonormal
+    # frames for ambient representations like the sphere), with one
+    # matrix-vector product per row, which rounds like E.T @ v on a single
+    # point
+    X = (chart_x.frame.T @ chart_x.log(xs)[..., None])[..., 0]
+    Y = (chart_y.frame.T @ chart_y.log(ys)[..., None])[..., 0]
+    base_list = chart_x.x.tolist()
 
     lo = np.minimum(X.min(axis=0), 0.0)
     hi = np.maximum(X.max(axis=0), 0.0)

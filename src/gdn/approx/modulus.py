@@ -10,6 +10,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ValidationError
+from ..manifolds.zoo import row_norms
 
 __all__ = [
     "ModulusEstimate",
@@ -135,15 +136,6 @@ def empirical_modulus_at(pairs: Sequence[Tuple[float, float]], t: float) -> floa
         raise ValidationError("modulus argument must be nonnegative")
     arr = _checked_pairs(pairs)
     return float(np.max(arr[arr[:, 0] <= t, 1], initial=0.0))
-
-
-def row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array.
-
-    ``np.vecdot`` runs the same dot kernel as ``np.linalg.norm`` does on a
-    single vector, so each entry is bit-identical to the per-row norm.
-    """
-    return np.sqrt(np.vecdot(a, a))
 
 
 def oracle_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,

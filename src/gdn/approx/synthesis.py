@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -20,15 +20,15 @@ from ..errors import (
     UnsupportedError,
     ValidationError,
 )
+from ..manifolds.zoo import row_norms
 from ..network import ActivationInfo, AffineLayer, FeedforwardNet, width as net_width
 from .bernstein import (
-    BernsteinModel,
     bernstein_degree_for,
     bernstein_eval,
     bernstein_from_function,
     bernstein_to_coefficients,
 )
-from .modulus import Modulus, oracle_rows, row_norms, sampled_modulus_at
+from .modulus import Modulus, oracle_rows, sampled_modulus_at
 from .polynomials import (
     LinearFormPoly,
     decompose_polynomial,
@@ -239,7 +239,7 @@ _AUDIT_PER_AXIS = 10
 
 
 def compile_function_to_shallow(
-    target: Union[Callable[[np.ndarray], np.ndarray], BernsteinModel],
+    target: Callable[[np.ndarray], np.ndarray],
     p: int, m: int, eps: float, sigma: ActivationInfo,
     omega: Optional[Modulus] = None,
 ) -> CompileResult:
@@ -254,7 +254,7 @@ def compile_function_to_shallow(
     refused, because the difference stencils degenerate in double
     precision.  The audit grid has 10 points per axis.
 
-    A callable target takes an (N, p) stack and returns an (N, m) stack.
+    The target takes an (N, p) stack and returns an (N, m) stack.
     It runs once on each of the selection grid, each Bernstein lattice
     tried and the audit grid, so every point is evaluated once; the audit
     values serve both the audit error and, without ``omega``, the
@@ -269,36 +269,28 @@ def compile_function_to_shallow(
     bern_budget = 0.5 * eps
     synth_budget = 0.5 * eps
 
-    if isinstance(target, BernsteinModel):
-        model = target
-        n = model.n
-        if n > _DEGREE_CAP:
-            raise InfeasibleDegreeError(
-                f"degree {n} exceeds the synthesis cap {_DEGREE_CAP}", _DEGREE_CAP
-            )
-    else:
-        targets = oracle_rows(target, grid, m)
-        candidates = list(_DEGREES)
-        if omega is not None:
-            try:
-                n_apriori = bernstein_degree_for(bern_budget, p, m, omega)
-                if n_apriori <= _DEGREE_CAP and n_apriori not in candidates:
-                    candidates = sorted(set(candidates + [n_apriori]))
-            except InfeasibleDegreeError:
-                pass
-        model = None
-        for cand in candidates:
-            trial = bernstein_from_function(target, cand, p, m)
-            resid = float(np.max(row_norms(bernstein_eval(trial, grid) - targets)))
-            if resid <= bern_budget:
-                n, model = cand, trial
-                break
-        if model is None:
-            raise InfeasibleDegreeError(
-                f"no Bernstein degree <= {_DEGREE_CAP} meets the "
-                f"budget {bern_budget!r} on the selection grid",
-                _DEGREE_CAP,
-            )
+    targets = oracle_rows(target, grid, m)
+    candidates = list(_DEGREES)
+    if omega is not None:
+        try:
+            n_apriori = bernstein_degree_for(bern_budget, p, m, omega)
+            if n_apriori <= _DEGREE_CAP and n_apriori not in candidates:
+                candidates = sorted(set(candidates + [n_apriori]))
+        except InfeasibleDegreeError:
+            pass
+    model = None
+    for cand in candidates:
+        trial = bernstein_from_function(target, cand, p, m)
+        resid = float(np.max(row_norms(bernstein_eval(trial, grid) - targets)))
+        if resid <= bern_budget:
+            n, model = cand, trial
+            break
+    if model is None:
+        raise InfeasibleDegreeError(
+            f"no Bernstein degree <= {_DEGREE_CAP} meets the "
+            f"budget {bern_budget!r} on the selection grid",
+            _DEGREE_CAP,
+        )
 
     coeffs = bernstein_to_coefficients(model)
     totals = []
@@ -344,8 +336,7 @@ def compile_function_to_shallow(
             break
     shallow, synth_resid, used_h, outputs = best
 
-    values = (lattice_audit if isinstance(target, BernsteinModel)
-              else oracle_rows(target, audit, m))
+    values = oracle_rows(target, audit, m)
     audit_error = float(np.max(row_norms(outputs - values)))
     # the bound reads the modulus at its one point 1/sqrt(n); without
     # ``omega``, the empirical modulus is read there directly

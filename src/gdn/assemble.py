@@ -9,11 +9,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .approx.modulus import Modulus, oracle_rows, row_norms
+from .approx.modulus import Modulus, oracle_rows
 from .approx.synthesis import CompileResult, compile_function_to_shallow
 from .errors import ValidationError
 from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
-from .manifolds.zoo import as_point, chart_at, check_point
+from .manifolds.zoo import Chart, as_point, chart_at, row_norms
 from .model import GDNModel, gdn_eval
 from .network import ActivationInfo, AffineLayer, FeedforwardNet
 from .sampling import ball_points, geodesic_ball_points
@@ -30,19 +30,16 @@ class CompiledGDN:
     audit_count: int
 
 
-def pullback(domain: ManifoldSpec, codomain: ManifoldSpec, base_x, base_y,
+def pullback(chart_x: Chart, chart_y: Chart,
              target: Callable[[np.ndarray], np.ndarray],
              radius: float) -> Callable[[np.ndarray], np.ndarray]:
     """The target pulled back to the unit cube: t in [0,1]^p maps to the
-    intrinsic tangent coordinates, about ``base_y``, of the target at
-    Exp_{base_x}(radius (2t - 1)).  Like ``target``, it maps one point or an
-    (N, p) stack with one target call, each row bit for bit its value alone.
-    The base points are checked and bound to their charts once, here, and
-    each call checks only the target's output."""
-    chart_x = chart_at(domain, base_x)
-    chart_y = chart_at(codomain, base_y)
-    E_dom = domain.geometry.tangent_basis(chart_x.x)
-    E_cod = codomain.geometry.tangent_basis(chart_y.x)
+    intrinsic tangent coordinates, about the base of ``chart_y``, of the
+    target at Exp_{base_x}(radius (2t - 1)).  Like ``target``, it maps one
+    point or an (N, p) stack with one target call, each row bit for bit its
+    value alone.  Each call checks only the target's output."""
+    codomain = chart_y.spec
+    E_dom, E_cod = chart_x.frame, chart_y.frame
 
     def pulled_back(t: np.ndarray) -> np.ndarray:
         u = radius * (2.0 * np.asarray(t, dtype=float) - 1.0)
@@ -69,10 +66,12 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     exponential chart (``exp_chart_lipschitz``), and audited
     geodesically on a deterministic ball sample; ``audit_error`` is the
     measured supremum.  ``target`` maps one point or an (N, point_dim)
-    stack, like ``exp_map``, and each compile stage calls it once.
+    stack, like ``exp_map``, and each compile stage calls it once.  The
+    base points are checked once, here, by binding them to their charts,
+    which every later stage and the model share.
     """
-    base_x = check_point(domain, base_x)
-    base_y = check_point(codomain, base_y)
+    chart_x = chart_at(domain, base_x)
+    chart_y = chart_at(codomain, base_y)
     if not (0.0 < radius < domain.inj_lower):
         raise ValidationError(
             f"radius must satisfy 0 < radius < inj({domain.inj_lower!r}), got {radius!r}"
@@ -80,7 +79,7 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     if audit_count < 1:
         raise ValidationError(f"the audit needs at least 1 point, got {audit_count!r}")
     p, m = domain.dim, codomain.dim
-    pulled_back = pullback(domain, codomain, base_x, base_y, target, radius)
+    pulled_back = pullback(chart_x, chart_y, target, radius)
 
     # geodesic error <= exp-chart expansion * core chart error; the
     # expansion is bounded on the tangent range the target actually reaches
@@ -94,8 +93,7 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
                                          omega=omega)
 
     # absorb cube rescale and chart embeddings into the first/last layers
-    E_dom = domain.geometry.tangent_basis(base_x)
-    E_cod = codomain.geometry.tangent_basis(base_y)
+    E_dom, E_cod = chart_x.frame, chart_y.frame
     W_pre = E_dom.T / (2.0 * radius)
     b_pre = np.full(p, 0.5)
     layers = list(result.net.layers)
@@ -105,7 +103,7 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     last = layers[-1]
     layers[-1] = AffineLayer(E_cod @ last.weights, E_cod @ last.bias)
     core = FeedforwardNet(tuple(layers), result.net.activation)
-    model = GDNModel(domain, codomain, base_x, base_y, core)
+    model = GDNModel(chart_x, chart_y, core)
 
     audit_error = audit_gdn(model, target, radius, audit_count)
     return CompiledGDN(model, result, audit_error,
@@ -120,6 +118,6 @@ def audit_gdn(model: GDNModel, target: Callable[[np.ndarray], np.ndarray],
     if count < 1:
         raise ValidationError(f"the audit needs at least 1 point, got {count!r}")
     codomain = model.codomain
-    points = geodesic_ball_points(model.domain, model.base_x, radius, count)
+    points = geodesic_ball_points(model.chart_x, radius, count)
     want = as_point(codomain, oracle_rows(target, points, codomain.point_dim))
     return float(np.max(codomain.geometry.distance(want, gdn_eval(model, points))))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -24,7 +25,7 @@ from .approx.verticalize import split_outputs, verticalize
 from .assemble import audit_gdn, compile_gdn, pullback
 from .errors import GdnError, ParseError, ValidationError
 from .manifolds.core import log_chart_lipschitz, resolve_manifold
-from .manifolds.zoo import check_point
+from .manifolds.zoo import as_point
 from .model import GDNModel, gdn_from_dict, save_gdn
 from .network import get_activation, net_from_dict, param_count, width
 from .sampling import ball_points
@@ -89,10 +90,11 @@ def cmd_estimate(args, parser) -> int:
 
 def _resolve_run(domain, codomain, base_x, target, base_y, activation, seed):
     """The manifolds, base points, target and activation of a ``compile`` or
-    of a ``bench`` run; base_x is checked before the target sees it, and
-    base_y "auto" is the target's value there."""
+    of a ``bench`` run; base_x is checked by ``as_point`` before the target
+    sees it (the compile's chart finds a base that is not SPD), and base_y
+    "auto" is the target's value there."""
     domain, codomain = resolve_manifold(domain), resolve_manifold(codomain)
-    base_x = check_point(domain, np.asarray(base_x, dtype=float).ravel())
+    base_x = as_point(domain, np.asarray(base_x, dtype=float).ravel())
     target = resolve_target(target, domain, base_x, seed=seed)
     if isinstance(base_y, str) and base_y == "auto":
         base_y = target.fn(base_x)
@@ -100,7 +102,19 @@ def _resolve_run(domain, codomain, base_x, target, base_y, activation, seed):
             np.asarray(base_y, dtype=float).ravel(), get_activation(activation))
 
 
+def _check_out_path(path: str) -> None:
+    # refuse an output file that cannot be created before the work that
+    # fills it, and create nothing
+    if os.path.isdir(path):
+        raise ValidationError(f"--out {path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValidationError(f"--out {path}: no directory {parent}")
+
+
 def cmd_compile(args, parser) -> int:
+    if args.out:
+        _check_out_path(args.out)
     domain, codomain, base_x, target, base_y, sigma = _resolve_run(
         args.domain, args.codomain, _parse_vector(args.base_x, "--base-x"),
         args.target, args.base_y if args.base_y == "auto"
@@ -124,7 +138,7 @@ def cmd_compile(args, parser) -> int:
         # decode roundoff for registers of any magnitude
         deep = verticalize(split_outputs(model.core), (lo, hi), strategy,
                            lam=2.1e-8)
-        model = GDNModel(domain, codomain, model.base_x, model.base_y, deep.net)
+        model = GDNModel(model.chart_x, model.chart_y, deep.net)
         measured = audit_gdn(model, target.fn, args.radius, args.grid)
 
     if args.out:
@@ -180,8 +194,7 @@ def cmd_certify(args, parser) -> int:
     values = _read_csv_points(args.values)
     base_x = _parse_vector(args.base_x, "--base-x")
     base_y = _parse_vector(args.base_y, "--base-y")
-    cert = certify_efficient(dataset, values, domain, codomain, base_x, base_y,
-                             n=args.n)
+    cert = certify_efficient(dataset, values, domain, codomain, base_x, base_y)
     payload = cert.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -220,7 +233,7 @@ def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
         k2 = 1.0 / log_chart_lipschitz(
             codomain, min(radius, 0.9 * codomain.inj_lower))
         probe = 0.5 * (ball_points(24, domain.dim, radius) / radius + 1.0)
-        pulled = pullback(domain, codomain, base_x, compiled.model.base_y,
+        pulled = pullback(compiled.model.chart_x, compiled.model.chart_y,
                           target.fn, radius)
         omega = modulus_from_samples(pulled, probe)
         est = depth_estimate("smooth", domain.dim, codomain.dim, eps, radius,
@@ -316,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--codomain", required=True)
     cert.add_argument("--base-x", required=True)
     cert.add_argument("--base-y", required=True)
-    cert.add_argument("--n", type=int)
     cert.add_argument("--out")
 
     bench = sub.add_parser("bench", help="batch compile-and-audit runs")

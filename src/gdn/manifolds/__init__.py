@@ -23,15 +23,12 @@ from .sym import (
     sym_matrix_function,
 )
 from .zoo import (
-    check_point,
     distance,
     exp_map,
-    inj_lower,
     log_map,
     mobius_add,
     random_point,
     random_tangent,
-    tangent_basis,
 )
 
 __all__ = [
@@ -53,13 +50,10 @@ __all__ = [
     "sym_chart_decode",
     "sym_chart_encode",
     "sym_matrix_function",
-    "check_point",
     "distance",
     "exp_map",
-    "inj_lower",
     "log_map",
     "mobius_add",
     "random_point",
     "random_tangent",
-    "tangent_basis",
 ]

@@ -7,12 +7,15 @@ Each family is one small geometry class next to its kernels: ``Flat``
 ``Poincare`` and ``SPD``.  It holds the constants ``resolve_manifold``
 copies into the spec and the kernels; ``FAMILIES`` is the one table from
 family name to class, and each spec holds its instance as ``spec.geometry``.
-Points are checked only by the public functions at the end of this module,
-once per call.  The kernels trust their arguments, so a caller holding
-checked points calls them directly.  ``Geometry.at(x)`` binds the kernels
-to one fixed point as a ``Chart``, which a ``GDNModel`` keeps for each of
-its base points; ``SPD.at`` keeps the base's sqrt(A) and sqrt(A)^-1, from
-one eigendecomposition, so no evaluation decomposes the base again.
+The kernels trust their arguments.  A point is checked in one of two ways:
+a point or a stack of points by ``as_point``, which the public functions
+at the end of this module call once per argument, or a base point by
+``chart_at``, which checks it once and returns it bound to its kernels as a
+read-only ``Chart``.  The chart records the spec and builds the tangent
+frame the first time it is asked for; a bound SPD chart keeps the base's
+sqrt(A) and sqrt(A)^-1, from one eigendecomposition, so no evaluation
+decomposes the base again.  A compile binds each of its two base points
+once, and a ``GDNModel`` holds the two charts.
 
 Representation conventions
 --------------------------
@@ -38,6 +41,7 @@ Representation conventions
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -52,14 +56,12 @@ __all__ = [
     "exp_map",
     "log_map",
     "distance",
-    "inj_lower",
-    "check_point",
     "as_point",
     "chart_at",
     "random_point",
     "random_tangent",
-    "tangent_basis",
     "mobius_add",
+    "row_norms",
 ]
 
 _UNIT_TOL = 1e-9
@@ -93,8 +95,12 @@ def _col(s):
     return s[..., None] if s.ndim else s
 
 
-def _norms(a: np.ndarray):
-    # row norms; the same dot kernel as np.linalg.norm on one vector
+def row_norms(a: np.ndarray):
+    """The Euclidean norm of each row of a 2-D array, or of one vector.
+
+    ``np.vecdot`` runs the same dot kernel as ``np.linalg.norm`` does on a
+    single vector, so each entry is bit-identical to the per-row norm.
+    """
     return np.sqrt(np.vecdot(a, a))
 
 
@@ -167,54 +173,26 @@ def euclidean_ball_volume(p: int) -> Callable[[np.ndarray, float], float]:
 
 # -- the geometry classes ----------------------------------------------------
 
-class Geometry:
-    """One family at one size: the constants of its spec and its kernels.
-    A kernel takes finite float rows of the right length, or stacks of
-    them, and points that pass ``check``; it checks tangents itself."""
-
-    curvature_bound = curvature_max = curvature_min = 0.0
-    inj_lower = math.inf
-    volume_of_ball = None
-    param = 0.0
-
-    def __init__(self, dim: int, chart_dim: int):
-        self.dim = dim
-        self.chart_dim = self.point_dim = chart_dim
-
-    def check(self, x: np.ndarray, what: str) -> None:
-        """Raise ValidationError for a row of ``x`` off the manifold that
-        the kernels do not find themselves."""
-
-    def check_point(self, x: np.ndarray, what: str) -> None:
-        """Raise ValidationError for any row of ``x`` off the manifold."""
-        self.check(x, what)
-
-    def project(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The tangent at the single point ``x`` nearest to ``v``."""
-        return v
-
-    def tangent_basis(self, x: np.ndarray) -> np.ndarray:
-        return np.eye(self.dim)
-
-    def wrap_ratio(self, r: float) -> float:
-        """max |v1 - v2| / d(Exp v1, Exp v2) over tangents of norm <= r whose
-        images meet round a quotient; 0 where nothing wraps."""
-        return 0.0
-
-    def at(self, x: np.ndarray) -> "Chart":
-        """The kernels bound to the single point ``x``, which passes
-        ``check``; a family with work that depends on ``x`` alone does it
-        here, once."""
-        return Chart(self, x)
-
-
 class Chart:
-    """A geometry's kernels about one fixed point ``x``: ``exp(v)``,
-    ``log(y)`` and ``distance(y)`` give the unbound kernels' results about
-    ``x``, bit for bit."""
+    """A checked base point ``x`` of ``spec`` with its geometry's kernels
+    bound to it: ``exp(v)``, ``log(y)`` and ``distance(y)`` give the
+    unbound kernels' results about ``x``, bit for bit.  Built by
+    ``chart_at``; a family with work that depends on ``x`` alone does it in
+    its chart's constructor, once."""
 
-    def __init__(self, geometry: Geometry, x: np.ndarray):
-        self.geometry, self.x = geometry, x
+    def __init__(self, spec: ManifoldSpec, x: np.ndarray):
+        self.spec, self.geometry, self.x = spec, spec.geometry, x
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.spec.id}, {self.x.tolist()})"
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The read-only tangent frame at ``x`` (``tangent_basis``), built
+        on first use: evaluating a model never needs it."""
+        frame = self.geometry.tangent_basis(self.x)
+        frame.flags.writeable = False
+        return frame
 
     def exp(self, v):
         return self.geometry.exp(self.x, v)
@@ -224,6 +202,40 @@ class Chart:
 
     def distance(self, y):
         return self.geometry.distance(self.x, y)
+
+
+class Geometry:
+    """One family at one size: the constants of its spec and its kernels.
+    A kernel takes finite float rows of the right length, or stacks of
+    them, and points that pass ``check``; it checks tangents itself."""
+
+    curvature_bound = curvature_max = curvature_min = 0.0
+    inj_lower = math.inf
+    volume_of_ball = None
+    param = 0.0
+    chart = Chart  # the class ``chart_at`` binds a point of the family to
+
+    def __init__(self, dim: int, chart_dim: int):
+        self.dim = dim
+        self.chart_dim = self.point_dim = chart_dim
+
+    def check(self, x: np.ndarray, what: str) -> None:
+        """Raise ValidationError for a row of ``x`` off the manifold that
+        the kernels do not find themselves."""
+
+    def project(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The tangent at the single point ``x`` nearest to ``v``."""
+        return v
+
+    def tangent_basis(self, x: np.ndarray) -> np.ndarray:
+        """An orthonormal basis of the tangent space at the single point
+        ``x``, as a (chart_dim, dim) matrix."""
+        return np.eye(self.dim)
+
+    def wrap_ratio(self, r: float) -> float:
+        """max |v1 - v2| / d(Exp v1, Exp v2) over tangents of norm <= r whose
+        images meet round a quotient; 0 where nothing wraps."""
+        return 0.0
 
 
 class Flat(Geometry):
@@ -241,7 +253,7 @@ class Flat(Geometry):
         return y - x
 
     def distance(self, x, y):
-        return _norms(y - x)
+        return row_norms(y - x)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.point_dim)
@@ -290,20 +302,20 @@ class Sphere(Geometry):
         super().__init__(p, p + 1)
 
     def check(self, x, what):
-        nrm = _norms(x)
+        nrm = row_norms(x)
         bad = abs(nrm - 1.0) > _UNIT_TOL
         if _any(bad):
             raise ValidationError(f"{what} must be unit norm, got |x|={_first(nrm, bad)!r}")
 
     def exp(self, x, v):
-        nv = _norms(v)
+        nv = row_norms(v)
         if _any(abs(np.vecdot(x, v)) > _UNIT_TOL * np.maximum(1.0, nv)):
             raise ValidationError("sphere tangent must be orthogonal to the base point")
         _check_tangent_norms(nv, math.pi, f"the injectivity radius {math.pi!r}")
         zero = nv == 0.0
         n = _col(nv + zero)  # a zero row divides by 1, not by 0
         y = np.cos(n) * x + np.sin(n) * (v / n)
-        y = y / _col(_norms(y))
+        y = y / _col(row_norms(y))
         # a zero tangent gives the base point itself, unnormalized
         return np.where(_col(zero), x, y) if _any(zero) else y
 
@@ -312,7 +324,7 @@ class Sphere(Geometry):
         if _any(dot <= -1.0 + 1e-12):
             raise OutOfInjectivityError("antipodal pair: sphere log map undefined")
         w = y - _col(dot) * x
-        nw = _norms(w)
+        nw = row_norms(w)
         small = nw < 1e-15
         n = _col(nw + small)  # a vanishing row divides by about 1, not by 0
         u = _col(Sphere.distance(self, x, y)) * (w / n)
@@ -321,8 +333,8 @@ class Sphere(Geometry):
 
     def distance(self, x, y):
         # chordal form: accurate at both ends of [0, pi], exactly 0 for x == y
-        c1 = 0.5 * _norms(x - y)
-        c2 = 0.5 * _norms(x + y)
+        c1 = 0.5 * row_norms(x - y)
+        c2 = 0.5 * row_norms(x + y)
         half = 2.0 * _scalar_map(math.asin, np.minimum(np.minimum(c1, c2), 1.0))
         return np.where(c1 <= c2, half, math.pi - half)
 
@@ -371,7 +383,7 @@ class Projective(Sphere):
     volume_of_ball = None
 
     def exp(self, x, v):
-        _check_tangent_norms(_norms(v), math.pi / 2.0,
+        _check_tangent_norms(row_norms(v), math.pi / 2.0,
                              "the projective injectivity radius pi/2")
         return _rp_canonical(super().exp(x, v))
 
@@ -424,7 +436,7 @@ class Poincare(Geometry):
     def exp(self, x, v):
         c = self.param
         sc = math.sqrt(c)
-        nv = _norms(v)
+        nv = row_norms(v)
         zero = nv == 0.0
         t = sc * (nv + zero)  # a zero row divides by sc, not by 0
         u = _col(_scalar_map(math.tanh, t / 2.0) / t) * v
@@ -432,14 +444,14 @@ class Poincare(Geometry):
 
     def log(self, x, y):
         z = mobius_add(-x, y, self.param)
-        nz = _norms(z)
+        nz = row_norms(z)
         zero = nz == 0.0
         n = nz + zero  # a zero row divides by 1, not by 0
         u = _col(_poincare_log0_scale(n, self.param) / n) * z
         return np.where(_col(zero), 0.0, u) if _any(zero) else u
 
     def distance(self, x, y):
-        return _poincare_log0_scale(_norms(mobius_add(-x, y, self.param)), self.param)
+        return _poincare_log0_scale(row_norms(mobius_add(-x, y, self.param)), self.param)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal(self.point_dim)
@@ -498,53 +510,18 @@ def _spd_log_matrix(isA: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _spd_distance(isA: np.ndarray, y: np.ndarray):
     L = _spd_log_matrix(isA, y)
-    return _norms(L.reshape(L.shape[:-2] + (-1,)))
-
-
-class SPD(Geometry):
-    """n x n SPD matrices, affine-invariant: -1/2 <= K <= 0, with flat
-    directions.  The kernels build every matrix they decompose exactly
-    symmetric, so it goes to LAPACK without ``check_symmetric``."""
-
-    curvature_bound, curvature_max, curvature_min = 0.5, 0.0, -0.5
-
-    def __init__(self, n: int):
-        super().__init__(sym_dim(n), sym_dim(n))
-        self.param = float(n)
-
-    def check_point(self, x, what):
-        _spd_root(x, False)  # the decomposition rejects what is not SPD
-
-    def exp(self, x, v):
-        return _spd_exp(_spd_root(x, False), v)
-
-    def log(self, x, y):
-        return frob_entries(_spd_log_matrix(_spd_root(x, True), y))
-
-    def distance(self, x, y):
-        return _spd_distance(_spd_root(x, True), y)
-
-    def at(self, x):
-        """Keeps sqrt(A) and sqrt(A)^-1 of the base, from the one
-        eigendecomposition that also checks that it is positive definite."""
-        V, s = _spd_spectrum(x)
-        return _SPDChart(self, x, spectral(V, s), spectral(V, 1.0 / s))
-
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        n = int(self.param)
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        w = rng.uniform(0.4, 2.5, size=n)
-        A = (Q * w) @ Q.T
-        return frob_entries(0.5 * (A + A.T))
+    return row_norms(L.reshape(L.shape[:-2] + (-1,)))
 
 
 class _SPDChart(Chart):
     """The SPD kernels about a base A, on its stored read-only ``root``
-    sqrt(A) and ``inv_root`` sqrt(A)^-1."""
+    sqrt(A) and ``inv_root`` sqrt(A)^-1, from the one eigendecomposition
+    that also checks that A is positive definite."""
 
-    def __init__(self, geometry: SPD, x: np.ndarray, root: np.ndarray,
-                 inv_root: np.ndarray):
-        super().__init__(geometry, x)
+    def __init__(self, spec: ManifoldSpec, x: np.ndarray):
+        super().__init__(spec, x)
+        V, s = _spd_spectrum(x)
+        root, inv_root = spectral(V, s), spectral(V, 1.0 / s)
         root.flags.writeable = inv_root.flags.writeable = False
         self.root, self.inv_root = root, inv_root
 
@@ -556,6 +533,35 @@ class _SPDChart(Chart):
 
     def distance(self, y):
         return _spd_distance(self.inv_root, y)
+
+
+class SPD(Geometry):
+    """n x n SPD matrices, affine-invariant: -1/2 <= K <= 0, with flat
+    directions.  The kernels build every matrix they decompose exactly
+    symmetric, so it goes to LAPACK without ``check_symmetric``."""
+
+    curvature_bound, curvature_max, curvature_min = 0.5, 0.0, -0.5
+    chart = _SPDChart
+
+    def __init__(self, n: int):
+        super().__init__(sym_dim(n), sym_dim(n))
+        self.param = float(n)
+
+    def exp(self, x, v):
+        return _spd_exp(_spd_root(x, False), v)
+
+    def log(self, x, y):
+        return frob_entries(_spd_log_matrix(_spd_root(x, True), y))
+
+    def distance(self, x, y):
+        return _spd_distance(_spd_root(x, True), y)
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        n = int(self.param)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(0.4, 2.5, size=n)
+        A = (Q * w) @ Q.T
+        return frob_entries(0.5 * (A + A.T))
 
 
 # family -> (whether its identifier carries a curvature, its geometry from
@@ -582,30 +588,17 @@ def as_point(spec: ManifoldSpec, x) -> np.ndarray:
     return x
 
 
-def check_point(spec: ManifoldSpec, x) -> np.ndarray:
-    """Validate a point of ``spec``, or an (N, point_dim) stack of points,
-    and return it as a float vector (or stack).  SPD points are decomposed
-    to check that they are positive definite."""
-    x = _rows(x, spec.point_dim, f"point of {spec.id}")
-    spec.geometry.check_point(x, f"point of {spec.id}")
-    return x
-
-
 def chart_at(spec: ManifoldSpec, x) -> Chart:
-    """The kernels of ``spec`` bound to a read-only copy of the point ``x``,
-    checked as ``check_point`` checks it: ``at`` finds what ``as_point``
-    leaves to the kernels, with the decomposition SPD keeps."""
+    """The point ``x`` of ``spec``, checked, as a read-only copy bound to
+    the kernels: ``as_point``'s checks, that ``x`` is one point and not a
+    stack, and SPD positive definiteness from the decomposition the SPD
+    chart keeps."""
     x = as_point(spec, x).copy()
+    if x.ndim == 2:
+        raise ValidationError(f"base point of {spec.id} must be one point, "
+                              f"got a stack of {len(x)}")
     x.flags.writeable = False
-    return spec.geometry.at(x)
-
-
-def inj_lower(spec: ManifoldSpec, x) -> float:
-    """Lower bound on the injectivity radius at ``x`` (a constant per zoo
-    member: +inf on the Cartan-Hadamard side, pi on spheres, pi/2 on real
-    projective space, 1/2 on the flat torus)."""
-    check_point(spec, x)
-    return spec.inj_lower
+    return spec.geometry.chart(spec, x)
 
 
 def exp_map(spec: ManifoldSpec, x, v) -> np.ndarray:
@@ -646,13 +639,6 @@ def distance(spec: ManifoldSpec, x, y):
     stacked = _stacked(x, y)
     d = spec.geometry.distance(x, y)
     return d if stacked else float(d)
-
-
-def tangent_basis(spec: ManifoldSpec, x) -> np.ndarray:
-    """Orthonormal basis of the tangent space at ``x`` as a
-    (chart_dim, dim) matrix; identity when chart and intrinsic dimensions
-    coincide."""
-    return spec.geometry.tangent_basis(check_point(spec, x))
 
 
 def random_point(spec: ManifoldSpec, rng: np.random.Generator) -> np.ndarray:

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RangeError, ValidationError
 from .manifolds.core import ManifoldSpec, resolve_manifold
-from .manifolds.zoo import Chart, as_point, chart_at
+from .manifolds.zoo import Chart, as_point, chart_at, row_norms
 from .network import FeedforwardNet, eval_net, net_from_dict, net_to_dict
 
 __all__ = [
@@ -28,21 +28,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GDNModel:
-    """Exp/log-chart lift of a Euclidean core network.  The base points are
-    checked once, here, and stored as read-only copies, with the chart
-    kernels bound to them (``chart_x``, ``chart_y``, from ``chart_at``)."""
+    """Exp/log-chart lift of a Euclidean core network about the base points
+    of two charts from ``chart_at``, which checked them and holds them
+    read-only; the manifolds and base points are read from the charts."""
 
-    domain: ManifoldSpec
-    codomain: ManifoldSpec
-    base_x: np.ndarray
-    base_y: np.ndarray
+    chart_x: Chart
+    chart_y: Chart
     core: FeedforwardNet
-    chart_x: Chart = field(init=False, repr=False, compare=False)
-    chart_y: Chart = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        chart_x = chart_at(self.domain, self.base_x)
-        chart_y = chart_at(self.codomain, self.base_y)
         if self.core.in_dim != self.domain.chart_dim:
             raise ValidationError(
                 f"core input dim {self.core.in_dim} != domain chart dim "
@@ -53,10 +47,22 @@ class GDNModel:
                 f"core output dim {self.core.out_dim} != codomain chart dim "
                 f"{self.codomain.chart_dim}"
             )
-        object.__setattr__(self, "base_x", chart_x.x)
-        object.__setattr__(self, "base_y", chart_y.x)
-        object.__setattr__(self, "chart_x", chart_x)
-        object.__setattr__(self, "chart_y", chart_y)
+
+    @property
+    def domain(self) -> ManifoldSpec:
+        return self.chart_x.spec
+
+    @property
+    def codomain(self) -> ManifoldSpec:
+        return self.chart_y.spec
+
+    @property
+    def base_x(self) -> np.ndarray:
+        return self.chart_x.x
+
+    @property
+    def base_y(self) -> np.ndarray:
+        return self.chart_y.x
 
     def __call__(self, x):
         return gdn_eval(self, x)
@@ -72,24 +78,24 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
     curved codomains only); the model is undefined there and no wrap-around
     is attempted.  An error reports the value of the first offending row.
     """
-    # x is checked once, here; the kernels run on it through the charts the
-    # model bound to its base points when it was built.  On an infinite
-    # injectivity radius the ball check cannot fail, so the distance is not
-    # computed.
-    x = as_point(model.domain, x)
-    inj_x = model.domain.inj_lower
+    # x is checked once, here; the kernels run on it through the charts
+    # bound to the model's base points.  On an infinite injectivity radius
+    # the ball check cannot fail, so the distance is not computed.
+    chart_x, chart_y = model.chart_x, model.chart_y
+    x = as_point(chart_x.spec, x)
+    inj_x = chart_x.spec.inj_lower
     if math.isfinite(inj_x):
-        d = model.chart_x.distance(x)
+        d = chart_x.distance(x)
         far = d >= inj_x
         if np.count_nonzero(far):
             raise DomainError(
                 f"input at distance {float(np.extract(far, d)[0])!r} from the "
                 f"basepoint is outside the injectivity ball of radius {inj_x!r}"
             )
-    w = eval_net(model.core, model.chart_x.log(x))
-    inj_y = model.codomain.inj_lower
+    w = eval_net(model.core, chart_x.log(x))
+    inj_y = chart_y.spec.inj_lower
     if math.isfinite(inj_y):
-        nw = np.sqrt(np.vecdot(w, w))
+        nw = row_norms(w)
         far = nw >= inj_y
         if np.count_nonzero(far):
             raise RangeError(
@@ -98,7 +104,7 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
                 "undefined there"
             )
     # eval_net has checked that w is finite
-    return model.chart_y.exp(w)
+    return chart_y.exp(w)
 
 
 # -- serialization -----------------------------------------------------------
@@ -113,6 +119,8 @@ def gdn_to_dict(model: GDNModel) -> dict:
 
 
 def gdn_from_dict(d: dict) -> GDNModel:
+    """The model a ``gdn_to_dict`` dictionary describes; its base points are
+    checked here, as they are bound to their charts."""
     try:
         domain = resolve_manifold(d["domain"])
         codomain = resolve_manifold(d["codomain"])
@@ -120,7 +128,8 @@ def gdn_from_dict(d: dict) -> GDNModel:
         base_y = np.array(d["base_y"], dtype=float)
     except (KeyError, TypeError) as e:
         raise ValidationError(f"malformed GDN dictionary: {e}") from e
-    return GDNModel(domain, codomain, base_x, base_y, net_from_dict(d))
+    core = net_from_dict(d)  # a malformed core is reported before a bad base
+    return GDNModel(chart_at(domain, base_x), chart_at(codomain, base_y), core)
 
 
 def save_gdn(model: GDNModel, path: str) -> None:

@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedError, ValidationError
-from .manifolds.core import ManifoldSpec
-from .manifolds.zoo import check_point
+from .manifolds.zoo import Chart
 
 __all__ = ["halton", "ball_points", "geodesic_ball_points"]
 
@@ -62,15 +61,12 @@ def ball_points(count: int, dim: int, radius: float) -> np.ndarray:
     raise UnsupportedError("deterministic ball sampling is wired for dim <= 3")
 
 
-def geodesic_ball_points(spec: ManifoldSpec, base, radius: float,
-                         count: int) -> np.ndarray:
-    """Deterministic samples of the closed geodesic ball about ``base``, as
-    a (count, point_dim) stack: tangent-ball Halton points pushed through
-    the exponential map."""
-    base = check_point(spec, base)
-    E = spec.geometry.tangent_basis(base)
-    tangents = ball_points(count, spec.dim, radius)
+def geodesic_ball_points(chart: Chart, radius: float, count: int) -> np.ndarray:
+    """Deterministic samples of the closed geodesic ball about the base
+    point of ``chart``, as a (count, point_dim) stack: tangent-ball Halton
+    points pushed through the exponential map."""
+    tangents = ball_points(count, chart.spec.dim, radius)
     # one matrix-vector product per tangent, as E @ t: a single matrix
     # product over the whole stack rounds differently
-    return spec.geometry.exp(base, (E @ tangents[:, :, None])[..., 0])
+    return chart.exp((chart.frame @ tangents[:, :, None])[..., 0])
 

@@ -25,7 +25,7 @@ from .approx.polynomials import parse_poly_expr, poly_eval
 from .errors import ParseError, ValidationError
 from .manifolds.core import ManifoldSpec
 from .manifolds.sym import frob_unvec, frob_vec
-from .manifolds.zoo import check_point, mobius_add
+from .manifolds.zoo import as_point, mobius_add
 
 __all__ = ["Target", "resolve_target"]
 
@@ -63,7 +63,7 @@ def resolve_target(name: str, domain: ManifoldSpec, base_x,
         if domain.family != "sphere" or domain.dim != 2:
             raise ValidationError("rotation target requires domain sphere:2")
         angle = _number(kind, arg, float) if arg else math.pi / 4.0
-        base = check_point(domain, base_x)
+        base = as_point(domain, base_x)
         R = _rotation_about_axis(base, angle)
         # matrix-vector products row by row: one matrix product rounds differently
         return Target(name, lambda x: (R @ np.asarray(x, dtype=float)[..., None])[..., 0], 3)

@@ -19,8 +19,7 @@ from gdn.cli import main
 from gdn.errors import NumericError, ValidationError
 from gdn.manifolds import resolve_manifold
 from gdn.manifolds.core import exp_chart_lipschitz, log_chart_lipschitz
-from gdn.manifolds.zoo import (check_point, distance, exp_map, random_point,
-                               random_tangent, tangent_basis)
+from gdn.manifolds.zoo import chart_at, distance, exp_map, random_point, random_tangent
 from gdn.model import GDNModel
 from gdn.network import AffineLayer, FeedforwardNet, get_activation
 from gdn.sampling import ball_points, geodesic_ball_points, halton
@@ -55,7 +54,7 @@ def draw_tangents(spec, base, radius: float, count: int, seed: int):
 def sample_pairs(spec, base, radius: float, pairs: int, seed: int):
     """``pair_data`` of ``pairs`` random tangent pairs in the ball of
     ``radius`` about ``base``, drawn pair by pair, v1 then v2."""
-    base = check_point(spec, base)
+    base = chart_at(spec, base).x
     draws = draw_tangents(spec, base, radius, 2 * pairs, seed)
     return pair_data(spec, base, draws[0::2], draws[1::2])
 
@@ -64,7 +63,7 @@ def boundary_pairs(spec, base, radius: float, pairs: int, seed: int):
     """``pair_data`` of 2 ``pairs`` tangent pairs on the sphere of ``radius``:
     v with another boundary tangent, and v with a near-opposite one, whose
     images come closest round a quotient."""
-    base = check_point(spec, base)
+    base = chart_at(spec, base).x
     v, w = draw_tangents(spec, base, radius, 2 * pairs, seed).reshape(2, pairs, -1)
     v1, v2 = (radius * a / np.linalg.norm(a, axis=1, keepdims=True)
               for a in (np.concatenate([v, v]), np.concatenate([w, 0.05 * w - v])))
@@ -83,7 +82,7 @@ def estimate_exp_lipschitz(spec, base, radius: float,
 
 def reference_exp_lipschitz(spec, base, radius, pairs=2000, seed=1):
     """The per-pair loop the stacked estimator replaced."""
-    base = check_point(spec, base)
+    base = chart_at(spec, base).x
     rng = np.random.default_rng(seed)
     worst = 1.0
     for _ in range(pairs):
@@ -217,9 +216,10 @@ class TestAuditGrid:
     def test_points_equal_one_exp_per_tangent(self, ident, base):
         spec = resolve_manifold(ident)
         radius = 0.4
-        E = tangent_basis(spec, base)
+        chart = chart_at(spec, base)
+        E = chart.frame
         want = [exp_map(spec, base, E @ t) for t in ball_points(64, spec.dim, radius)]
-        got = geodesic_ball_points(spec, base, radius, 64)
+        got = geodesic_ball_points(chart, radius, 64)
         assert got.shape == (64, spec.point_dim)
         np.testing.assert_array_equal(got, np.array(want))
 
@@ -228,12 +228,13 @@ class TestAuditGrid:
         assert halton(0, dim).shape == (0, dim)
         assert ball_points(0, dim, 1.0).shape == (0, dim)
         spec = resolve_manifold("sphere:2")
-        assert geodesic_ball_points(spec, [0.0, 0.0, 1.0], 1.0, 0).shape == (0, 3)
+        chart = chart_at(spec, [0.0, 0.0, 1.0])
+        assert geodesic_ball_points(chart, 1.0, 0).shape == (0, 3)
 
 
 def reference_audit(model, target, radius, count):
     """The per-point audit loop the stacked audit replaced."""
-    points = geodesic_ball_points(model.domain, model.base_x, radius, count)
+    points = geodesic_ball_points(model.chart_x, radius, count)
     return max(distance(model.codomain, np.asarray(target(x), dtype=float), model(x))
                for x in points)
 
@@ -254,14 +255,15 @@ class TestAudit:
         base_y = np.asarray(target(np.array(base, dtype=float)), dtype=float)
         # a small random core, its outputs tangent at base_y
         rng = np.random.default_rng(11)
-        E = tangent_basis(codomain, base_y)
+        chart_y = chart_at(codomain, base_y)
+        E = chart_y.frame
         core = FeedforwardNet(
             (AffineLayer(0.3 * rng.standard_normal((5, domain.chart_dim)),
                          0.1 * rng.standard_normal(5)),
              AffineLayer(E @ (0.3 * rng.standard_normal((codomain.dim, 5))),
                          E @ (0.1 * rng.standard_normal(codomain.dim)))),
             get_activation("exp"))
-        model = GDNModel(domain, codomain, base, base_y, core)
+        model = GDNModel(chart_at(domain, base), chart_y, core)
         for count in (1, 37, 200):
             got = audit_gdn(model, target, radius, count)
             assert isinstance(got, float)
@@ -269,7 +271,8 @@ class TestAudit:
 
     def test_empty_audit_refused(self):
         spec = resolve_manifold("euclidean:1")
-        model = GDNModel(spec, spec, [0.0], [0.0], FeedforwardNet(
+        chart = chart_at(spec, [0.0])
+        model = GDNModel(chart, chart, FeedforwardNet(
             (AffineLayer(np.eye(1), np.zeros(1)),), get_activation("exp")))
         for count in (0, -3):
             with pytest.raises(ValidationError, match="at least 1 point"):

@@ -90,8 +90,8 @@ class TestLagrangePath:
         # 2-dimensional intrinsic frame
         s2 = resolve_manifold("sphere:2")
         north = np.array([0.0, 0.0, 1.0])
-        from gdn.manifolds.zoo import exp_map, tangent_basis
-        E = tangent_basis(s2, north)
+        from gdn.manifolds.zoo import chart_at, exp_map
+        E = chart_at(s2, north).frame
         pts = [exp_map(s2, north, E @ np.array(u))
                for u in ([0.1, 0.2], [0.4, 0.1], [0.2, 0.6])]
         cert = certify_efficient(pts, pts, s2, s2, north, north,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import gdn.cli
 from gdn.cli import cmd_bench, main
 from gdn.errors import InfeasibleDegreeError
 from gdn.model import load_gdn
@@ -113,6 +114,18 @@ class TestCertify:
         assert code == 0
         cert = json.loads(out)
         assert cert["certified"] and cert["n"] == 2
+
+    def test_n_is_not_an_option(self, capsys, tmp_path):
+        # the order n is read only with candidate polynomials, which the
+        # command does not take
+        ds = tmp_path / "ds.csv"
+        ds.write_text("0\n0.5\n1\n")
+        with pytest.raises(SystemExit) as info:
+            main(["certify", "--dataset", str(ds), "--values", str(ds),
+                  "--domain", "euclidean:1", "--codomain", "euclidean:1",
+                  "--base-x", "[0]", "--base-y", "[0]", "--n", "7"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --n 7" in capsys.readouterr().err
 
     def test_malformed_csv_names_line(self, capsys, tmp_path):
         ds = tmp_path / "ds.csv"
@@ -276,6 +289,17 @@ class TestUsageErrors:
                 "eval": ["eval", "--model", str(tmp_path), "--input", "[0]"],
                 "bench": ["bench", str(tmp_path)]}[command]
         self.assert_usage_error(capsys, argv, str(tmp_path))
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_is_refused_before_compiling(self, capsys, tmp_path,
+                                                        monkeypatch, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled before the output path was checked")
+
+        monkeypatch.setattr(gdn.cli, "compile_gdn", refuse)
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "m.json"
+        self.assert_usage_error(capsys, self.COMPILE + ["--out", str(out)], str(out))
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_bench_config(self, capsys, tmp_path):
         cfg = tmp_path / "bench.json"

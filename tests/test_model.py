@@ -12,7 +12,8 @@ import gdn.manifolds.sym
 import gdn.manifolds.zoo
 from gdn.errors import DomainError, RangeError, ValidationError
 from gdn.manifolds import resolve_manifold
-from gdn.manifolds.zoo import exp_map, random_tangent, tangent_basis
+from gdn.cli import main
+from gdn.manifolds.zoo import chart_at, exp_map, random_tangent
 from gdn.model import (
     GDNModel,
     gdn_eval,
@@ -37,9 +38,14 @@ def zero_net(p, m):
     return affine_net(np.zeros((m, p)), np.zeros(m))
 
 
+def model_at(domain, codomain, base_x, base_y, core):
+    """The GDN about ``base_x`` and ``base_y``, bound to their charts."""
+    return GDNModel(chart_at(domain, base_x), chart_at(codomain, base_y), core)
+
+
 class TestGdnEval:
     def test_zero_core_collapses_to_base_y(self, rng):
-        g = GDNModel(E2, E2, np.array([1.0, 1.0]), np.array([5.0, -2.0]),
+        g = model_at(E2, E2, np.array([1.0, 1.0]), np.array([5.0, -2.0]),
                      zero_net(2, 2))
         for _ in range(10):
             x = np.array([1.0, 1.0]) + rng.uniform(-1, 1, 2)
@@ -47,7 +53,7 @@ class TestGdnEval:
 
     def test_euclidean_identity_is_translation(self, rng):
         bx, by = np.array([1.0, 1.0]), np.array([5.0, 5.0])
-        g = GDNModel(E2, E2, bx, by, affine_net(np.eye(2), np.zeros(2)))
+        g = model_at(E2, E2, bx, by, affine_net(np.eye(2), np.zeros(2)))
         x = rng.standard_normal(2)
         np.testing.assert_allclose(gdn_eval(g, x), x - bx + by)
 
@@ -58,8 +64,8 @@ class TestGdnEval:
         R = np.array([[math.cos(ang), -math.sin(ang), 0.0],
                       [math.sin(ang), math.cos(ang), 0.0],
                       [0.0, 0.0, 1.0]])
-        g = GDNModel(S2, S2, base, base, affine_net(R, np.zeros(3)))
-        E = tangent_basis(S2, base)
+        g = model_at(S2, S2, base, base, affine_net(R, np.zeros(3)))
+        E = g.chart_x.frame
         for _ in range(50):
             v = E @ rng.uniform(-1, 1, 2)
             v *= min(1.0, (math.pi / 2 - 1e-6) / np.linalg.norm(v))
@@ -67,14 +73,14 @@ class TestGdnEval:
             np.testing.assert_allclose(gdn_eval(g, x), R @ x, atol=1e-8)
 
     def test_domain_guard_reports_distance(self):
-        g = GDNModel(S2, S2, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
+        g = model_at(S2, S2, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
                      zero_net(3, 3))
         with pytest.raises(DomainError, match="injectivity"):
             gdn_eval(g, np.array([0.0, 0.0, -1.0]))
 
     def test_sphere_range_guard(self):
         big = affine_net(np.zeros((3, 3)), [4.0, 0.0, 0.0])  # norm 4 > pi
-        g = GDNModel(E2, S2,
+        g = model_at(E2, S2,
                      np.zeros(2), np.array([0.0, 0.0, 1.0]),
                      FeedforwardNet((AffineLayer(np.zeros((3, 2)), np.array([4.0, 0, 0])),),
                                     RELU))
@@ -83,14 +89,14 @@ class TestGdnEval:
 
     def test_core_dim_validation(self):
         with pytest.raises(ValidationError):
-            GDNModel(E2, E2, np.zeros(2), np.zeros(2), zero_net(3, 2))
+            model_at(E2, E2, np.zeros(2), np.zeros(2), zero_net(3, 2))
 
 
 def random_chart_model(ident, base, rng, scale=0.3):
     """A GDN from ``ident`` to itself with a small random tanh core whose
     outputs are tangent at the base point."""
     spec = resolve_manifold(ident)
-    E = tangent_basis(spec, base)
+    E = chart_at(spec, base).frame
     hidden = 6
     core = FeedforwardNet(
         (AffineLayer(scale * rng.standard_normal((hidden, spec.chart_dim)),
@@ -98,7 +104,7 @@ def random_chart_model(ident, base, rng, scale=0.3):
          AffineLayer(E @ (scale * rng.standard_normal((spec.dim, hidden))),
                      E @ (0.1 * rng.standard_normal(spec.dim)))),
         get_activation("tanh"))
-    return GDNModel(spec, spec, np.asarray(base, dtype=float),
+    return model_at(spec, spec, np.asarray(base, dtype=float),
                     np.asarray(base, dtype=float), core)
 
 
@@ -129,8 +135,8 @@ class TestStackedGdnEval:
 
     def test_first_core_output_outside_the_chart_ball_is_reported(self):
         north = np.array([0.0, 0.0, 1.0])
-        E = tangent_basis(S2, north)
-        g = GDNModel(E2, S2, np.zeros(2), north,
+        E = chart_at(S2, north).frame
+        g = model_at(E2, S2, np.zeros(2), north,
                      affine_net(E @ (4.0 * np.eye(2)), np.zeros(3)))
         xs = np.array([[0.1, 0.2], [-0.3, 0.1], [1.0, 0.0], [0.0, 1.25], [0.2, 0.2]])
         with pytest.raises(RangeError, match="norm 4.0 "):
@@ -144,7 +150,7 @@ class TestGdnSerialization:
              AffineLayer(rng.standard_normal((3, 4)), rng.standard_normal(3))),
             get_activation("exp"))
         base = np.array([0.0, 0.0, 1.0])
-        g = GDNModel(S2, S2, base, base, core)
+        g = model_at(S2, S2, base, base, core)
         d = json.loads(json.dumps(gdn_to_dict(g)))
         back = gdn_from_dict(d)
         assert back.domain.id == "sphere:2"
@@ -185,6 +191,19 @@ def _count_calls(monkeypatch, counts, module, name):
             monkeypatch.setattr(mod, name, counted)
 
 
+def _count_frames(monkeypatch, counts):
+    # every tangent frame a chart builds comes from a geometry's tangent_basis
+    for cls in vars(gdn.manifolds.zoo).values():
+        if isinstance(cls, type) and "tangent_basis" in vars(cls):
+            original = vars(cls)["tangent_basis"]
+
+            def counted(self, x, original=original):
+                counts["frame"] += 1
+                return original(self, x)
+
+            monkeypatch.setattr(cls, "tangent_basis", counted)
+
+
 class TestValidatedOnce:
     @pytest.mark.parametrize("case", ["sphere2-rotation", "poincare2-mobius",
                                       "spd2-congruence"])
@@ -192,9 +211,9 @@ class TestValidatedOnce:
         model = gdn_from_dict(json.loads((MODELS / f"{case}.json").read_text()))
         x = np.array(model.base_x)
         counts = collections.Counter()
-        for name in ("check_point", "as_point"):
-            _count_calls(monkeypatch, counts, gdn.manifolds.zoo, name)
+        _count_calls(monkeypatch, counts, gdn.manifolds.zoo, "as_point")
         _count_calls(monkeypatch, counts, gdn.manifolds.sym, "check_symmetric")
+        _count_frames(monkeypatch, counts)
         eigh = np.linalg.eigh
 
         def counted_eigh(a):
@@ -203,15 +222,62 @@ class TestValidatedOnce:
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         model(x)
-        assert counts["check_point"] + counts["as_point"] == 1
+        assert counts["as_point"] == 1
         assert counts["check_symmetric"] == 0
         # one per SPD chart, for its spectral function: the model keeps the
         # base roots
         assert counts["eigh"] <= 2
+        # loading and evaluating never build a tangent frame
+        assert counts["frame"] == 0
+        assert "frame" not in vars(model.chart_x) and "frame" not in vars(model.chart_y)
+
+    # one command-line compile of each perfbench chart case and of
+    # cube3-product, as perfbench runs them
+    COMPILES = {
+        "sphere2-rotation": ["rotation", "sphere:2", "sphere:2", "[0, 0, 1]",
+                             "1.5707", "0.1"],
+        "poincare2-mobius": ["mobius-shift", "poincare:2:1", "poincare:2:1", "[0, 0]",
+                             "1.0", "0.05"],
+        "spd2-congruence": ["spd-congruence", "spd:2", "spd:2", "[1, 0, 1]", "1.0",
+                            "0.05", "--lip", "2.0"],
+        "cube3-product": ["poly:x1*x2*x3", "euclidean:3", "euclidean:1", "[0, 0, 0]",
+                          "0.5", "0.05"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(COMPILES))
+    def test_each_base_is_bound_once_per_compile(self, case, monkeypatch, tmp_path,
+                                                 capsys):
+        target, domain, codomain, base_x, radius, eps, *lip = self.COMPILES[case]
+        counts = collections.Counter()
+        for name in ("chart_at", "_spd_spectrum"):
+            _count_calls(monkeypatch, counts, gdn.manifolds.zoo, name)
+        _count_frames(monkeypatch, counts)
+        out = tmp_path / "model.json"
+        assert main(["compile", "--target", target, "--domain", domain,
+                     "--codomain", codomain, "--base-x", base_x, "--radius", radius,
+                     "--eps", eps, "--out", str(out), *lip]) == 0
+        capsys.readouterr()
+        assert counts["chart_at"] == 2
+        assert counts["frame"] <= 2
+        # one decomposition per SPD base, kept by its chart
+        assert counts["_spd_spectrum"] <= (3 if domain.startswith("spd") else 0)
+
+    def test_model_reads_manifolds_and_bases_from_its_charts(self):
+        chart_x, chart_y = chart_at(E2, [1.0, 2.0]), chart_at(S2, [0.0, 1.0, 0.0])
+        g = GDNModel(chart_x, chart_y, zero_net(2, 3))
+        assert g.domain is E2 and g.codomain is S2
+        assert g.base_x is chart_x.x and g.base_y is chart_y.x
+
+    def test_stored_bases_are_checked_as_they_are_bound(self):
+        d = json.loads((MODELS / "spd2-congruence.json").read_text())
+        d["base_y"] = [1.0, 0.0, -0.5]
+        with pytest.raises(ValidationError, match="^spd point is not positive definite: "
+                                                  "min eigenvalue -5.000000e-01$"):
+            gdn_from_dict(d)
 
     def test_stored_bases_are_read_only_copies(self):
         bx, by = np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
-        g = GDNModel(S2, S2, bx, by, zero_net(3, 3))
+        g = model_at(S2, S2, bx, by, zero_net(3, 3))
         for stored in (g.base_x, g.base_y):
             with pytest.raises(ValueError):
                 stored[0] = 0.5
@@ -221,7 +287,7 @@ class TestValidatedOnce:
 
     def test_stored_spd_roots_are_read_only(self):
         spd = resolve_manifold("spd:2")
-        g = GDNModel(spd, spd, [2.0, 0.0, 1.0], [1.0, 0.5, 3.0], zero_net(3, 3))
+        g = model_at(spd, spd, [2.0, 0.0, 1.0], [1.0, 0.5, 3.0], zero_net(3, 3))
         for chart in (g.chart_x, g.chart_y):
             for stored in (chart.root, chart.inv_root, chart.x):
                 with pytest.raises(ValueError):
@@ -230,7 +296,7 @@ class TestValidatedOnce:
     def test_spd_overflow_raises_through_gdn_eval(self):
         spd = resolve_manifold("spd:2")
         eye = [1.0, 0.0, 1.0]
-        g = GDNModel(spd, spd, eye, eye, affine_net(np.zeros((3, 3)), [800.0, 0.0, 0.0]))
+        g = model_at(spd, spd, eye, eye, affine_net(np.zeros((3, 3)), [800.0, 0.0, 0.0]))
         with np.errstate(all="ignore"), pytest.raises(
                 ValidationError, match="^matrix entries must be finite$"):
             g(np.array(eye))
@@ -286,7 +352,7 @@ class TestValidatedOnce:
     @pytest.mark.parametrize("ident,base,x,error,message", BAD_INPUTS)
     def test_bad_input_raises_as_before(self, ident, base, x, error, message):
         spec = resolve_manifold(ident)
-        g = GDNModel(spec, spec, base, base, zero_net(spec.chart_dim, spec.chart_dim))
+        g = model_at(spec, spec, base, base, zero_net(spec.chart_dim, spec.chart_dim))
         givens = [np.array(x)] + ([np.array([base, x])] if len(x) == len(base) else [])
         for given in givens:  # a point, and a stack with it as its second row
             with pytest.raises(error) as raised:

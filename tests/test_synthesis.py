@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from gdn.approx.bernstein import bernstein_from_function
 from gdn.approx.modulus import LipschitzModulus, empirical_modulus, sample_pairs
 from gdn.approx.polynomials import decompose_polynomial
 from gdn.approx.synthesis import (
@@ -17,7 +16,7 @@ from gdn.approx.synthesis import (
     merge_shallow,
     select_theta0,
 )
-from gdn.errors import InfeasibleDegreeError, UnsupportedError, ValidationError
+from gdn.errors import UnsupportedError, ValidationError
 from gdn.network import get_activation, width
 
 EXP = get_activation("exp")
@@ -135,17 +134,6 @@ class TestCompileFunction:
             lambda x: np.hstack([x[:, :1], x[:, :1] ** 2]), 1, 2, 0.1, EXP)
         assert res.audit_error <= 0.1
         assert res.net.out_dim == 2
-
-    def test_bernstein_model_input(self):
-        model = bernstein_from_function(lambda x: x[:, :1] ** 2, 2, 1, 1)
-        res = compile_function_to_shallow(model, 1, 1, 0.05, EXP)
-        assert res.degree == 2
-        assert res.audit_error <= 0.05
-
-    def test_bernstein_model_above_the_degree_cap_refused(self):
-        model = bernstein_from_function(lambda x: x[:, :1], 13, 1, 1)
-        with pytest.raises(InfeasibleDegreeError, match="synthesis cap 12"):
-            compile_function_to_shallow(model, 1, 1, 0.1, EXP)
 
     def test_genuine_high_degree_synthesis(self):
         # a sine target forces Bernstein degree > 1 and a deep stencil

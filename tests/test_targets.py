@@ -21,12 +21,12 @@ from gdn.errors import ValidationError
 from gdn.manifolds.core import resolve_manifold
 from gdn.manifolds.sym import frob_unvec, frob_vec
 from gdn.manifolds.zoo import (
-    check_point,
+    as_point,
+    chart_at,
     exp_map,
     log_map,
     mobius_add,
     random_point,
-    tangent_basis,
 )
 from gdn.network import get_activation
 from gdn.targets import _rotation_about_axis, resolve_target
@@ -61,7 +61,7 @@ def per_point_linear_form_poly(lf, x):
 def per_point_target(name, domain, base_x, seed=0):
     kind, _, arg = name.partition(":")
     if kind == "rotation":
-        R = _rotation_about_axis(check_point(domain, base_x),
+        R = _rotation_about_axis(as_point(domain, base_x),
                                  float(arg) if arg else math.pi / 4.0)
         return lambda x: R @ np.asarray(x, dtype=float)
     if kind == "mobius-shift":
@@ -79,8 +79,8 @@ def per_point_target(name, domain, base_x, seed=0):
 
 
 def per_point_pullback(domain, codomain, base_x, base_y, target, radius):
-    E_dom = tangent_basis(domain, base_x)
-    E_cod = tangent_basis(codomain, base_y)
+    E_dom = chart_at(domain, base_x).frame
+    E_cod = chart_at(codomain, base_y).frame
 
     def pulled_back(t):
         u = radius * (2.0 * np.asarray(t, dtype=float) - 1.0)
@@ -140,7 +140,7 @@ def test_pullback_rows_equal_per_point_pullback(dom, cod, base, name, radius):
     domain, codomain = resolve_manifold(dom), resolve_manifold(cod)
     fn = resolve_target(name, domain, base, seed=5).fn
     base_y = fn(np.array(base, dtype=float))
-    pulled = pullback(domain, codomain, base, base_y, fn, radius)
+    pulled = pullback(chart_at(domain, base), chart_at(codomain, base_y), fn, radius)
     reference = per_point_pullback(domain, codomain, np.array(base, dtype=float),
                                    base_y, per_point_target(name, domain, base, seed=5),
                                    radius)

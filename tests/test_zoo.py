@@ -12,10 +12,10 @@ from gdn.errors import GdnError, OutOfInjectivityError, ValidationError
 from gdn.manifolds import resolve_manifold
 from gdn.manifolds.sym import frob_unvec, frob_vec
 from gdn.manifolds.zoo import (
-    check_point,
+    as_point,
+    chart_at,
     distance,
     exp_map,
-    inj_lower,
     log_map,
     random_point,
     random_tangent,
@@ -64,8 +64,9 @@ class TestPoincare:
         assert d == pytest.approx(2.0 * math.atanh(0.5), abs=1e-12)
 
     def test_point_validation(self):
-        with pytest.raises(ValidationError):
-            check_point(self.spec, np.array([1.0, 0.2]))
+        for check in (as_point, chart_at):
+            with pytest.raises(ValidationError, match=r"must satisfy c\|x\|\^2 < 1$"):
+                check(self.spec, np.array([1.0, 0.2]))
 
 
 class TestSPD:
@@ -106,8 +107,8 @@ class TestSPD:
 
 
 class TestBoundChart:
-    """``Geometry.at(x)``: the kernels about a fixed point, bit for bit the
-    unbound ones; SPD keeps the base roots it decomposed once."""
+    """``chart_at(spec, x)``: the kernels about a fixed point, bit for bit
+    the unbound ones; SPD keeps the base roots it decomposed once."""
 
     @pytest.mark.parametrize("ident", ZOO + ["spd:3"])
     def test_bound_kernels_equal_unbound_bit_for_bit(self, ident, rng):
@@ -115,7 +116,7 @@ class TestBoundChart:
         geo = spec.geometry
         for _ in range(3):
             x = random_point(spec, rng)
-            chart = geo.at(x)
+            chart = chart_at(spec, x)
             vs = np.array([random_tangent(spec, x, rng) for _ in range(16)])
             ys = exp_map(spec, x, vs)
             for v, y in [(vs[0], ys[0]), (vs, ys)]:
@@ -127,7 +128,7 @@ class TestBoundChart:
     @pytest.mark.parametrize("n", [2, 3])
     def test_spd_chart_keeps_both_roots(self, n, rng):
         A = random_spd(n, rng)
-        chart = resolve_manifold(f"spd:{n}").geometry.at(frob_vec(A))
+        chart = chart_at(resolve_manifold(f"spd:{n}"), frob_vec(A))
         np.testing.assert_allclose(chart.root @ chart.root, A, atol=1e-12)
         np.testing.assert_allclose(chart.root @ chart.inv_root, np.eye(n), atol=1e-12)
         for root in (chart.root, chart.inv_root):
@@ -139,9 +140,31 @@ class TestBoundChart:
         bad = frob_vec(np.diag([1.0, -0.5]))
         message = "spd point is not positive definite: min eigenvalue -5.000000e-01"
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            spec.geometry.at(bad)
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            check_point(spec, bad)
+            chart_at(spec, bad)
+
+    def test_a_stack_is_not_a_base_point(self):
+        spec = resolve_manifold("sphere:2")
+        for stack, rows in (([[0.0, 0.0, 1.0]], 1), (np.eye(3)[:2], 2)):
+            with pytest.raises(ValidationError, match=f"^base point of sphere:2 must be "
+                                                      f"one point, got a stack of {rows}$"):
+                chart_at(spec, stack)
+
+    @pytest.mark.parametrize("ident", ZOO + ["rp:3", "sphere:3", "spd:3"])
+    def test_chart_records_its_spec_and_a_read_only_orthonormal_frame(self, ident, rng):
+        spec = resolve_manifold(ident)
+        x = random_point(spec, rng)
+        chart = chart_at(spec, x)
+        assert chart.spec is spec and chart.geometry is spec.geometry
+        frame = chart.frame
+        assert frame is chart.frame  # built once
+        assert frame.shape == (spec.chart_dim, spec.dim)
+        np.testing.assert_allclose(frame.T @ frame, np.eye(spec.dim), atol=1e-12)
+        # every column is tangent at x: its projection leaves it unchanged
+        for column in frame.T:
+            np.testing.assert_allclose(spec.geometry.project(x, column), column,
+                                       atol=1e-12)
+        with pytest.raises(ValueError):
+            frame[0, 0] = 0.5
 
 
 class TestTorus:
@@ -157,7 +180,7 @@ class TestTorus:
             == pytest.approx(0.2)
 
     def test_injectivity(self):
-        assert inj_lower(self.spec, np.zeros(2)) == 0.5
+        assert self.spec.inj_lower == 0.5
 
 
 class TestProjectiveGuards:
@@ -189,9 +212,8 @@ class TestInjLower:
         ("poincare:4:0.5", math.inf), ("sphere:7", math.pi), ("euclidean:2", math.inf),
         ("spd:3", math.inf), ("gaussian:2", math.inf), ("rp:2", math.pi / 2.0),
     ])
-    def test_constants(self, ident, value, rng):
-        spec = resolve_manifold(ident)
-        assert inj_lower(spec, random_point(spec, rng)) == value
+    def test_constants(self, ident, value):
+        assert resolve_manifold(ident).inj_lower == value
 
 
 class TestZooProperties:
@@ -451,10 +473,12 @@ class TestOneGeometryPerFamily:
                 ValidationError, match="^matrix entries must be finite$"):
             exp_map(spec, [1.0, 0.0, 1.0], [800.0, 0.0, 0.0])
 
-    def test_check_point_still_decomposes_spd_points(self):
+    def test_spd_positive_definiteness_is_found_by_the_chart(self):
         spec = resolve_manifold("spd:2")
+        bad = frob_vec(np.diag([1.0, -0.5]))
+        as_point(spec, bad)  # left to the decomposition, as the kernels find it
         with pytest.raises(ValidationError, match="not positive definite"):
-            check_point(spec, frob_vec(np.diag([1.0, -0.5])))
+            chart_at(spec, bad)
 
     def test_no_family_string_comparisons(self):
         """The kernels are picked once, through ``spec.geometry``: no
