@@ -1,10 +1,12 @@
 """Constructive network synthesis:
 
 * finite-difference realization of derivatives of ``sigma(w z - theta)``,
-* compilation of univariate-form polynomials into one-hidden-layer nets
-  with a smooth non-polynomial activation, and
+* compilation of univariate-form polynomials, one per output, into one
+  multi-output one-hidden-layer net with a smooth non-polynomial
+  activation, in one pass per step h, and
 * the full function-to-shallow pipeline (Bernstein lattice -> monomial
-  coefficients -> polarization -> finite-difference synthesis).
+  coefficients -> polarization -> finite-difference synthesis), which
+  retries smaller steps h until the net fits its half of the budget.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from ..errors import (
     ValidationError,
 )
 from ..manifolds.zoo import row_norms
-from ..network import ActivationInfo, AffineLayer, FeedforwardNet, width as net_width
+from ..network import ActivationInfo, AffineLayer, FeedforwardNet
 from .bernstein import (
     bernstein_degree_for,
     bernstein_eval,
@@ -40,8 +42,6 @@ __all__ = [
     "finite_diff_derivative",
     "select_theta0",
     "compile_poly_to_shallow",
-    "CompiledPoly",
-    "merge_shallow",
     "compile_function_to_shallow",
     "CompileResult",
 ]
@@ -66,14 +66,19 @@ def finite_diff_derivative(sigma: ActivationInfo, k: int, z: float,
     return total / h ** k
 
 
-def select_theta0(sigma: ActivationInfo, max_k: int, h: float = 1e-2) -> float:
+# the stencil step of the offset search
+_THETA_PROBE_H = 1e-2
+
+
+def select_theta0(sigma: ActivationInfo, max_k: int) -> float:
     """Offset with numerically nonvanishing derivatives up to order max_k.
 
     Tries the activation's registered offset first, then grid-searches
     [-3, 3] maximizing the minimum finite-difference derivative estimate.
-    A derivative whose estimate is unstable under halving h (relative
-    change above 30%) is treated as vanishing: the stencil value of a true
-    zero derivative is pure O(h) contamination, which halves with h.
+    A derivative whose estimate is unstable under halving the step 1e-2
+    (relative change above 30%) is treated as vanishing: the stencil value
+    of a true zero derivative is pure O(h) contamination, which halves
+    with h.
     """
     probe_k = min(max_k, 6)  # higher orders drown in stencil roundoff
     floor = 1e-6
@@ -81,8 +86,8 @@ def select_theta0(sigma: ActivationInfo, max_k: int, h: float = 1e-2) -> float:
     def score(theta: float) -> float:
         worst = math.inf
         for k in range(probe_k + 1):
-            d1 = finite_diff_derivative(sigma, k, 1.0, theta, h)
-            d2 = finite_diff_derivative(sigma, k, 1.0, theta, h / 2.0)
+            d1 = finite_diff_derivative(sigma, k, 1.0, theta, _THETA_PROBE_H)
+            d2 = finite_diff_derivative(sigma, k, 1.0, theta, _THETA_PROBE_H / 2.0)
             if abs(d2) <= floor or abs(d1 - d2) > 0.3 * max(abs(d1), abs(d2)):
                 return 0.0
             worst = min(worst, abs(d2))
@@ -100,40 +105,34 @@ def select_theta0(sigma: ActivationInfo, max_k: int, h: float = 1e-2) -> float:
     return float(grid[best])
 
 
-@dataclass(frozen=True)
-class CompiledPoly:
-    """A shallow net realizing a polynomial, with its measured sup error on
-    the [-1, 1]^p audit grid and the empirical constant of the O(h) bound."""
-
-    net: FeedforwardNet
-    sup_error: float
-    empirical_c: float
+def _grid_points(p: int, per_axis: int) -> np.ndarray:
+    # the (per_axis)^p grid on [0, 1]^p, as an (N, p) stack
+    return product_grid(np.linspace(0.0, 1.0, per_axis), p)
 
 
-def _grid_points(p: int, per_axis: int, lo: float = 0.0) -> np.ndarray:
-    # the (per_axis)^p grid on [lo, 1]^p, as an (N, p) stack
-    return product_grid(np.linspace(lo, 1.0, per_axis), p)
+def _form_degree(b: np.ndarray) -> int:
+    # the degree of a univariate coefficient vector (0 when it is all zero)
+    nz = np.nonzero(np.abs(b) > 0.0)[0]
+    return int(nz[-1]) if nz.size else 0
 
 
-def compile_poly_to_shallow(terms: LinearFormPoly, sigma: ActivationInfo,
-                            theta0: Optional[float] = None,
-                            h: float = 1e-3) -> CompiledPoly:
-    """One-hidden-layer realization of a sum of univariate polynomials of
-    linear forms.
+def compile_poly_to_shallow(forms: Sequence[LinearFormPoly], sigma: ActivationInfo,
+                            theta0: float, h: float) -> FeedforwardNet:
+    """One-hidden-layer realization of sums of univariate polynomials of
+    linear forms, one output per form.
 
-    Each positive degree of each form costs one neuron (weights j*h*a,
-    shared bias -theta0); the zero-order stencil evaluations fold into the
-    output bias.  Requires a smooth non-polynomial activation whose
-    derivative estimates at -theta0 stay above 1e-6 up to the needed order.
+    Each positive degree of each term costs one neuron (weights j*h*a,
+    shared bias -theta0), laid out in output order; the zero-order stencil
+    evaluations fold into the output biases.  Without any neuron the net is
+    one affine layer of zeros plus the biases.  Requires a smooth
+    non-polynomial activation whose derivative estimates at -theta0 stay
+    above 1e-6 up to the largest degree.
     """
     if sigma.cls != "smooth-nonpoly":
         raise UnsupportedError(
             f"shallow synthesis needs a smooth non-polynomial activation, got {sigma.cls}"
         )
-    max_k = max((int(np.nonzero(np.abs(b) > 0.0)[0][-1]) if np.any(np.abs(b) > 0.0) else 0)
-                for _a, b in terms.terms) if terms.terms else 0
-    if theta0 is None:
-        theta0 = select_theta0(sigma, max_k, h=max(h, 1e-3))
+    max_k = max((_form_degree(b) for lf in forms for _a, b in lf.terms), default=0)
     # derivative estimates with the synthesis step, so stencil errors track O(h)
     derivs = [finite_diff_derivative(sigma, k, 1.0, theta0, h)
               for k in range(max_k + 1)]
@@ -146,74 +145,38 @@ def compile_poly_to_shallow(terms: LinearFormPoly, sigma: ActivationInfo,
     sigma_at_theta = float(sigma(np.array(-theta0)))
 
     rows: List[np.ndarray] = []
-    out_w: List[float] = []
-    out_b = 0.0
-    for a, b in terms.terms:
-        nz = np.nonzero(np.abs(b) > 0.0)[0]
-        deg = int(nz[-1]) if nz.size else 0
-        out_b += float(b[0])
-        for j in range(1, deg + 1):
-            rows.append(j * h * a)
-            c = 0.0
-            for k in range(j, deg + 1):
+    blocks = []  # per output: (first hidden row, output weights)
+    out_b = np.zeros(len(forms))
+    for q, lf in enumerate(forms):
+        first = len(rows)
+        out_w: List[float] = []
+        bias = 0.0
+        for a, b in lf.terms:
+            deg = _form_degree(b)
+            bias += float(b[0])
+            for j in range(1, deg + 1):
+                rows.append(j * h * a)
+                c = 0.0
+                for k in range(j, deg + 1):
+                    if b[k] == 0.0:
+                        continue
+                    c += b[k] / (derivs[k] * h ** k) * (-1.0) ** (k - j) * math.comb(k, j)
+                out_w.append(c)
+            for k in range(1, deg + 1):
                 if b[k] == 0.0:
                     continue
-                c += b[k] / (derivs[k] * h ** k) * (-1.0) ** (k - j) * math.comb(k, j)
-            out_w.append(c)
-        for k in range(1, deg + 1):
-            if b[k] == 0.0:
-                continue
-            out_b += b[k] / (derivs[k] * h ** k) * (-1.0) ** k * sigma_at_theta
+                bias += b[k] / (derivs[k] * h ** k) * (-1.0) ** k * sigma_at_theta
+        blocks.append((first, out_w))
+        out_b[q] = bias
 
-    if rows:
-        hidden = AffineLayer(np.stack(rows), np.full(len(rows), -theta0))
-        out = AffineLayer(np.array(out_w)[None, :], np.array([out_b]))
-        net = FeedforwardNet((hidden, out), sigma)
-    else:
-        net = FeedforwardNet(
-            (AffineLayer(np.zeros((1, terms.dim)), np.array([out_b])),), sigma)
-
-    grid = _grid_points(terms.dim, 9 if terms.dim > 1 else 201, lo=-1.0)
-    sup_error = float(np.max(np.abs(net(grid)[:, 0] - terms(grid))))
-    return CompiledPoly(net, sup_error, sup_error / h)
-
-
-def merge_shallow(nets: Sequence[FeedforwardNet]) -> FeedforwardNet:
-    """Stack single-output shallow nets sharing input dim and activation
-    into one shallow net with one output per input net."""
-    if not nets:
-        raise ValidationError("nothing to merge")
-    act = nets[0].activation
-    p = nets[0].in_dim
-    for net in nets:
-        if net.in_dim != p or net.activation.name != act.name or len(net.layers) > 2:
-            raise ValidationError("merge needs shallow nets over one input space")
-    rows, biases = [], []
-    blocks = []
-    offset = 0
-    for net in nets:
-        if len(net.layers) == 1:
-            blocks.append((offset, 0, None, float(net.layers[0].bias[0])))
-            continue
-        hid = net.layers[0]
-        rows.append(hid.weights)
-        biases.append(hid.bias)
-        blocks.append((offset, hid.out_dim, net.layers[1].weights[0],
-                       float(net.layers[1].bias[0])))
-        offset += hid.out_dim
     if not rows:
-        W = np.zeros((len(nets), p))
-        b = np.array([blk[3] for blk in blocks])
-        return FeedforwardNet((AffineLayer(W, b),), act)
-    H = np.concatenate(rows, axis=0)
-    hb = np.concatenate(biases)
-    W2 = np.zeros((len(nets), H.shape[0]))
-    b2 = np.zeros(len(nets))
-    for j, (off, width_j, w_row, bias_j) in enumerate(blocks):
-        if width_j:
-            W2[j, off:off + width_j] = w_row
-        b2[j] = bias_j
-    return FeedforwardNet((AffineLayer(H, hb), AffineLayer(W2, b2)), act)
+        return FeedforwardNet(
+            (AffineLayer(np.zeros((len(forms), forms[0].dim)), out_b),), sigma)
+    W2 = np.zeros((len(forms), len(rows)))
+    for q, (first, out_w) in enumerate(blocks):
+        W2[q, first:first + len(out_w)] = out_w
+    hidden = AffineLayer(np.stack(rows), np.full(len(rows), -theta0))
+    return FeedforwardNet((hidden, AffineLayer(W2, out_b)), sigma)
 
 
 @dataclass(frozen=True)
@@ -222,8 +185,6 @@ class CompileResult:
 
     net: FeedforwardNet
     degree: int
-    width: int
-    forms: int
     theta0: float
     h: float
     apriori_bound: float
@@ -321,10 +282,7 @@ def compile_function_to_shallow(
     best = None
     trial_h = h
     for _ in range(6):
-        shallow = merge_shallow([
-            compile_poly_to_shallow(lf, sigma, theta0, trial_h).net
-            for lf in per_output
-        ])
+        shallow = compile_poly_to_shallow(per_output, sigma, theta0, trial_h)
         outputs = shallow(audit)
         resid = float(np.max(row_norms(outputs - lattice_audit)))
         if best is None or resid < best[1]:
@@ -344,7 +302,6 @@ def compile_function_to_shallow(
     omega_t = (sampled_modulus_at(audit[::3], values[::3], t)
                if omega is None else float(omega(t)))
     apriori = (1.0 + p / 4.0) * m * omega_t + synth_resid
-    return CompileResult(shallow, n, net_width(shallow),
-                         sum(len(lf.terms) for lf in per_output),
-                         theta0, used_h, apriori, synth_resid, audit_error)
+    return CompileResult(shallow, n, theta0, used_h, apriori, synth_resid,
+                         audit_error)
 

@@ -3,7 +3,10 @@
 A list of m single-output shallow nets over R^p becomes one deep net of
 width at most p + m + 1 (within the p + m + 2 budget): registers carry the
 inputs and one accumulator per output, and each layer spends its one free
-neuron on one hidden unit of one shallow net.
+neuron on one hidden unit with a nonzero output weight of one shallow net.
+The nets ``split_outputs`` cuts from a multi-output core share its whole
+hidden layer, so each sees zero weights on the other outputs' units; those
+units get no layer.
 
 Carried registers must survive the componentwise activation between
 layers.  Two strategies are provided:
@@ -64,7 +67,8 @@ def _as_box(box, p: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _neuron_schedule(shallows: Sequence[FeedforwardNet]):
-    """Flatten hidden neurons as (net index, weights, bias, out coeff)."""
+    """Flatten hidden neurons as (net index, weights, bias, out coeff),
+    skipping those with a zero output coefficient: they add nothing."""
     sched = []
     affine_parts = []
     for j, net in enumerate(shallows):
@@ -74,6 +78,8 @@ def _neuron_schedule(shallows: Sequence[FeedforwardNet]):
         hid, out = net.layers
         affine_parts.append((j, np.zeros(net.in_dim), float(out.bias[0])))
         for t in range(hid.out_dim):
+            if out.weights[0, t] == 0.0:
+                continue
             sched.append((j, hid.weights[t].copy(), float(hid.bias[t]),
                           float(out.weights[0, t])))
     return sched, affine_parts
@@ -200,8 +206,8 @@ def verticalize(shallows: Sequence[FeedforwardNet], box,
                 strategy: str = "exact-pwl",
                 lam: float = 1e-3) -> VerticalizeResult:
     """Rewrite m single-output shallow nets over a common box as one deep
-    net of width <= p + m + 2 whose depth is the total hidden-neuron count
-    (plus the output layer).
+    net of width <= p + m + 2 whose depth is the count of hidden neurons
+    with a nonzero output weight (plus the output layer).
 
     ``exact-pwl`` reproduces the shallow outputs exactly on the box (needs a
     piecewise-linear activation with a known affine half-line);

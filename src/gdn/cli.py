@@ -212,19 +212,21 @@ def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
     # the CSV fields of bench run i; every error it raises names the run
     t0 = time.perf_counter()
     try:
-        seed = int(run.get("seed", 0))
-        domain, codomain, base_x, target, base_y, sigma = _resolve_run(
-            run["domain"], run["codomain"], run["base_x"], run["target"],
-            run.get("base_y", "auto"), run.get("activation", "exp"), seed)
-        radius = float(run["radius"])
-        eps = float(run["eps"])
-        grid = int(run.get("grid", 200))
-    except KeyError as e:
-        raise ParseError(f"bench run {i}: missing key {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bench run {i}: {e}") from e
+        try:
+            seed = int(run.get("seed", 0))
+            domain, codomain, base_x, target, base_y, sigma = _resolve_run(
+                run["domain"], run["codomain"], run["base_x"], run["target"],
+                run.get("base_y", "auto"), run.get("activation", "exp"), seed)
+            radius = float(run["radius"])
+            eps = float(run["eps"])
+            grid = int(run.get("grid", 200))
+        except KeyError as e:
+            raise ParseError(f"missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            if isinstance(e, GdnError):
+                raise
+            raise ParseError(str(e)) from e
 
-    try:
         compiled = compile_gdn(domain, codomain, base_x, base_y, target.fn,
                                radius, eps, sigma, audit_count=grid)
         # order-level depth prediction from the closed-form chart constants;

@@ -7,7 +7,7 @@ import pytest
 
 import gdn.cli
 from gdn.cli import cmd_bench, main
-from gdn.errors import InfeasibleDegreeError
+from gdn.errors import InfeasibleDegreeError, ValidationError
 from gdn.model import load_gdn
 
 
@@ -82,6 +82,40 @@ class TestCompileAndEval:
         assert summary["measured_error"] <= 0.1
         assert summary["depth"] >= 2  # deep-narrow rewrite
         assert summary["width"] <= 2 + 1 + 2
+
+    def test_verticalized_rotation_skips_zero_weights(self, capsys):
+        # the rotation core has 3 outputs over one 4-unit hidden layer with
+        # block output weights: one deep layer per nonzero weight
+        code, out, _ = run(capsys, "compile", "--target", "rotation",
+                           "--domain", "sphere:2", "--codomain", "sphere:2",
+                           "--base-x", "[0,0,1]", "--radius", "0.5", "--eps", "0.1",
+                           "--activation", "softplus", "--verticalize=-0.1,1.1")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["depth"] == 4
+        assert summary["measured_error"] <= 0.1
+
+    @pytest.mark.parametrize("case", [
+        ["--target", "rotation", "--domain", "sphere:2", "--codomain", "sphere:2",
+         "--base-x", "[0,0,1]", "--radius", "1.5707", "--eps", "0.1"],
+        ["--target", "spd-congruence", "--domain", "spd:2", "--codomain", "spd:2",
+         "--base-x", "[1,0,1]", "--radius", "1.0", "--eps", "0.05", "--lip", "2.0"],
+    ])
+    def test_one_synthesis_pass_per_h_try(self, capsys, monkeypatch, case):
+        # every output of the core comes out of one compile_poly_to_shallow
+        # call per step h, and these compiles fit at the first h
+        import gdn.approx.synthesis as synthesis
+        steps = []
+        inner = synthesis.compile_poly_to_shallow
+
+        def counted(forms, sigma, theta0, h):
+            steps.append(h)
+            return inner(forms, sigma, theta0, h)
+
+        monkeypatch.setattr(synthesis, "compile_poly_to_shallow", counted)
+        code, _, _ = run(capsys, "compile", *case)
+        assert code == 0
+        assert len(steps) == 1
 
     def test_radius_guard_exits_2(self, capsys):
         # checked once, by compile_gdn: one error line and no usage text
@@ -235,6 +269,20 @@ class TestBench:
                "codomain": "poincare:2:1", "base_x": [0, 0, 0], "radius": 0.5,
                "eps": 0.1}
         TestUsageErrors().bench(capsys, tmp_path, bad, "must have length 2, got 3")
+
+    @pytest.mark.parametrize("base_x", [[1, 0, 1, 0], [1, 2, 1]])
+    def test_bad_base_x_keeps_its_class_at_every_stage(self, capsys, tmp_path, base_x):
+        # a wrong length is found while resolving the run, a matrix that is
+        # not SPD by the compile's chart: both are the same ValidationError
+        bad = {"target": "spd-congruence", "domain": "spd:2", "codomain": "spd:2",
+               "base_x": base_x, "radius": 0.5, "eps": 0.1}
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"runs": [bad]}))
+        with pytest.raises(ValidationError) as info:
+            cmd_bench(argparse.Namespace(config=str(cfg), out=None, timing=False), None)
+        assert type(info.value) is ValidationError
+        assert str(info.value).startswith("bench run 0: ")
+        TestUsageErrors().bench(capsys, tmp_path, bad)
 
 
 class TestUsageErrors:

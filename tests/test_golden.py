@@ -2,8 +2,10 @@
 
 Five ``gdn compile`` runs (the sphere2-rotation, poincare2-mobius,
 cube3-product, cube3-quadratic and cube2-mixed cases of the benchmark, with
-its arguments) and one 3-run ``gdn bench`` config go through
-``gdn.cli.main`` at seed 0.  The two p = 3 compiles read their modulus from
+its arguments), two two-output polynomial compiles and one 3-run ``gdn
+bench`` config go through ``gdn.cli.main`` at seed 0.  The two-output
+compiles are the edge cases of the multi-output shallow core: a constant
+output next to a hidden block, and no hidden layer at all.  The two p = 3 compiles read their modulus from
 the 55,611 audit-grid pairs; cube3-quadratic is also the one that walks
 Bernstein degrees 1 to 4 and evaluates exponent-2 powers.  Each compile
 must reproduce its summary JSON (without ``out``) and the sha256 of its
@@ -70,6 +72,26 @@ COMPILES = {
          "measured_error": 0.028614435698987917, "param_count": 33,
          "target": "poly:x1^2-x2^2+x1*x2", "width": 8},
         "c644cddac1cc21d58b12c482d4ea0c8d94b0f6ea0acabf770f395b2b966cdbb8",
+    ),
+    "poly-hidden-and-constant": (
+        ["--target", "poly:x1*x2,3", "--domain", "euclidean:2",
+         "--codomain", "euclidean:2", "--base-x", "[0.5, 0.5]", "--radius", "0.5",
+         "--eps", "0.1"],
+        {"apriori_bound": 3.0025046939990716, "audit_points": 200,
+         "bernstein_degree": 1, "depth": 1, "eps": 0.1,
+         "measured_error": 0.0012435190929425133, "param_count": 22,
+         "target": "poly:x1*x2,3", "width": 4},
+        "f227c41343c598bd32a0b6c1955b5ce9bc095810670ec33b2ca51e2cf3adb1c7",
+    ),
+    "poly-constants-only": (
+        ["--target", "poly:2,3", "--domain", "euclidean:2",
+         "--codomain", "euclidean:2", "--base-x", "[0.5, 0.5]", "--radius", "0.5",
+         "--eps", "0.1"],
+        {"apriori_bound": 0.0, "audit_points": 200,
+         "bernstein_degree": 1, "depth": 0, "eps": 0.1,
+         "measured_error": 0.0, "param_count": 6,
+         "target": "poly:2,3", "width": 0},
+        "9af848ae53cb590eae5ddbdac0cd2918bf446182590cd3f6bb6d128008b92782",
     ),
 }
 

@@ -13,7 +13,6 @@ from gdn.approx.synthesis import (
     compile_function_to_shallow,
     compile_poly_to_shallow,
     finite_diff_derivative,
-    merge_shallow,
     select_theta0,
 )
 from gdn.errors import UnsupportedError, ValidationError
@@ -24,17 +23,16 @@ RELU = get_activation("relu")
 
 
 class TestGridPoints:
-    # (p, per_axis, lo) of every _grid_points call: the selection grid,
-    # the audit grid and compile_poly_to_shallow's residual grid
+    # (p, per_axis, lower corner) of every _grid_points call: the selection
+    # grid and the audit grid, both on [0, 1]^p
     USES = sorted({(p, {1: 41, 2: 21, 3: 9}.get(p, 5), 0.0) for p in range(1, 6)}
-                  | {(p, 10, 0.0) for p in range(1, 6)}
-                  | {(p, 9 if p > 1 else 201, -1.0) for p in range(1, 6)})
+                  | {(p, 10, 0.0) for p in range(1, 6)})
 
     @pytest.mark.parametrize("p, per_axis, lo", USES)
     def test_same_points_as_itertools_product(self, p, per_axis, lo):
         axes = [np.linspace(lo, 1.0, per_axis)] * p
         want = np.array(list(itertools.product(*axes))).reshape(-1, p)
-        got = _grid_points(p, per_axis, lo)
+        got = _grid_points(p, per_axis)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
@@ -78,29 +76,29 @@ class TestSelectTheta0:
 class TestCompilePoly:
     def test_constant_is_bias_only(self):
         lf = decompose_polynomial({(0, 0): 3.5}, 1, 2)
-        res = compile_poly_to_shallow(lf, EXP, 0.0, 1e-3)
-        assert width(res.net) == 0
-        assert res.net([0.3, -0.8])[0] == pytest.approx(3.5)
+        net = compile_poly_to_shallow([lf], EXP, 0.0, 1e-3)
+        assert width(net) == 0
+        assert net([0.3, -0.8])[0] == pytest.approx(3.5)
 
     def test_square_width_two_and_error(self):
         lf = decompose_polynomial({(2,): 1.0}, 2, 1)
-        res = compile_poly_to_shallow(lf, EXP, 0.0, 1e-3)
-        assert res.net.layers[0].out_dim == 2
+        net = compile_poly_to_shallow([lf], EXP, 0.0, 1e-3)
+        assert net.layers[0].out_dim == 2
         grid = np.linspace(-1, 1, 201)
-        err = max(abs(res.net([z])[0] - z * z) for z in grid)
+        err = max(abs(net([z])[0] - z * z) for z in grid)
         assert err <= 5e-3
 
     def test_product_width_four(self):
         lf = decompose_polynomial({(1, 1): 1.0}, 2, 2)
-        res = compile_poly_to_shallow(lf, EXP, 0.0, 1e-3)
-        assert res.net.layers[0].out_dim == 4
+        net = compile_poly_to_shallow([lf], EXP, 0.0, 1e-3)
+        assert net.layers[0].out_dim == 4
 
     def test_error_scales_linearly_in_h(self):
         lf = decompose_polynomial({(3,): 1.0}, 3, 1)
         grid = np.linspace(-1, 1, 101)
         errs = []
         for h in (2e-3, 1e-3, 5e-4):
-            net = compile_poly_to_shallow(lf, EXP, 0.0, h).net
+            net = compile_poly_to_shallow([lf], EXP, 0.0, h)
             errs.append(max(abs(net([z])[0] - z ** 3) for z in grid))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[2] == pytest.approx(4.0, rel=0.5)
@@ -108,7 +106,7 @@ class TestCompilePoly:
     def test_rejects_nonsmooth_activation(self):
         lf = decompose_polynomial({(1,): 1.0}, 1, 1)
         with pytest.raises(UnsupportedError):
-            compile_poly_to_shallow(lf, RELU, 0.0, 1e-3)
+            compile_poly_to_shallow([lf], RELU, 0.0, 1e-3)
 
 
 class TestCompileFunction:
@@ -191,13 +189,43 @@ class TestCompileFunction:
         assert time.perf_counter() - t0 < 30.0
 
 
-class TestMergeShallow:
-    def test_outputs_stack(self, rng):
-        lf1 = decompose_polynomial({(1,): 1.0}, 1, 1)
-        lf2 = decompose_polynomial({(2,): 1.0}, 2, 1)
-        n1 = compile_poly_to_shallow(lf1, EXP, 0.0, 1e-3).net
-        n2 = compile_poly_to_shallow(lf2, EXP, 0.0, 1e-3).net
-        merged = merge_shallow([n1, n2])
-        for _ in range(10):
-            x = rng.uniform(-1, 1, 1)
-            np.testing.assert_allclose(merged(x), [n1(x)[0], n2(x)[0]], atol=1e-12)
+class TestMultiOutput:
+    FORMS = [decompose_polynomial({(1, 0): 1.0}, 1, 2),
+             decompose_polynomial({(0, 0): -2.5}, 1, 2),
+             decompose_polynomial({(1, 1): 1.0, (2, 0): 0.5}, 2, 2)]
+
+    def test_each_output_is_its_one_form_net(self, rng):
+        multi = compile_poly_to_shallow(self.FORMS, EXP, 0.0, 1e-3)
+        singles = [compile_poly_to_shallow([lf], EXP, 0.0, 1e-3) for lf in self.FORMS]
+        assert multi.out_dim == 3
+        hidden = [net.layers[0] for net in singles if len(net.layers) == 2]
+        np.testing.assert_array_equal(multi.layers[0].weights,
+                                      np.vstack([h.weights for h in hidden]))
+        np.testing.assert_array_equal(multi.layers[0].bias,
+                                      np.concatenate([h.bias for h in hidden]))
+        W, b = multi.layers[1].weights, multi.layers[1].bias
+        for q, net in enumerate(singles):
+            w_q = net.layers[-1].weights[0] if len(net.layers) == 2 else []
+            np.testing.assert_array_equal(W[q][np.flatnonzero(W[q])], w_q)
+            assert b[q] == net.layers[-1].bias[0]
+        x = rng.uniform(-1, 1, (10, 2))
+        want = np.hstack([net(x) for net in singles])
+        # the product's output weights reach 1/h^2 = 1e6 and cancel to O(1),
+        # so a wider matrix product may round its sum differently
+        np.testing.assert_allclose(multi(x)[:, :2], want[:, :2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(multi(x)[:, 2], want[:, 2], rtol=0, atol=1e-9)
+
+    def test_hidden_rows_in_output_order(self):
+        multi = compile_poly_to_shallow(self.FORMS, EXP, 0.0, 1e-3)
+        W = multi.layers[1].weights
+        # the linear form owns row 0, the constant none, the quadratic the rest
+        assert np.flatnonzero(W[0]).tolist() == [0]
+        assert not W[1].any()
+        assert np.flatnonzero(W[2]).tolist() == list(range(1, W.shape[1]))
+
+    def test_constants_only_is_one_affine_layer(self):
+        forms = [decompose_polynomial({(0,): c}, 1, 1) for c in (2.0, 3.0)]
+        net = compile_poly_to_shallow(forms, EXP, 0.0, 1e-3)
+        assert len(net.layers) == 1
+        assert not net.layers[0].weights.any()
+        assert net.layers[0].bias.tolist() == [2.0, 3.0]

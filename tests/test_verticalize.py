@@ -48,6 +48,21 @@ class TestExactPwl:
             x = rng.uniform(-2, 2, 2)
             np.testing.assert_allclose(res.net(x), [n1(x)[0], n2(x)[0]], atol=1e-9)
 
+    def test_zero_output_weights_get_no_layer(self, rng):
+        # a block output matrix, as the compile builds: each output reads
+        # its own hidden units and has exact zeros on the others'
+        net = random_shallow(rng, 2, 2, 5)
+        W = net.layers[1].weights.copy()
+        W[0, 3:] = 0.0
+        W[1, :3] = 0.0
+        W[1, 4] = 0.0
+        net = FeedforwardNet((net.layers[0], AffineLayer(W, net.layers[1].bias)), RELU)
+        res = verticalize(split_outputs(net), (-2.0, 2.0))
+        assert res.net.depth == np.count_nonzero(W) == 4
+        for _ in range(300):
+            x = rng.uniform(-2, 2, 2)
+            np.testing.assert_allclose(res.net(x), net(x), atol=1e-9)
+
     def test_random_sweep_meets_budget(self, rng):
         for _ in range(15):
             p = int(rng.integers(1, 4))
