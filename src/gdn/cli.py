@@ -21,7 +21,7 @@ from . import __version__
 from .approx.estimates import depth_estimate, efficient_complexity
 from .approx.certify import certify_efficient
 from .approx.modulus import LipschitzModulus, ModulusEstimate, modulus_from_samples
-from .approx.verticalize import split_outputs, verticalize
+from .approx.verticalize import as_box, verticalize
 from .assemble import audit_gdn, compile_gdn, pullback
 from .errors import GdnError, ParseError, ValidationError
 from .manifolds.core import log_chart_lipschitz, resolve_manifold
@@ -80,7 +80,8 @@ def cmd_estimate(args, parser) -> int:
         if getattr(args, name) is None:
             parser.error(f"--{name} is required for depth estimates")
     modulus = _load_modulus(args)
-    sigma_modulus = LipschitzModulus(args.sigma_lip) if args.sigma_lip else None
+    sigma_modulus = (LipschitzModulus(args.sigma_lip)
+                     if args.sigma_lip is not None else None)
     est = depth_estimate(args.activation_class, args.p, args.m, args.eps,
                          args.delta, modulus, args.kappa1, args.kappa2,
                          B=args.B, sigma_modulus=sigma_modulus)
@@ -119,12 +120,14 @@ def cmd_compile(args, parser) -> int:
         args.domain, args.codomain, _parse_vector(args.base_x, "--base-x"),
         args.target, args.base_y if args.base_y == "auto"
         else _parse_vector(args.base_y, "--base-y"), args.activation, args.seed)
-    modulus = LipschitzModulus(args.lip) if args.lip else None
+    modulus = LipschitzModulus(args.lip) if args.lip is not None else None
     if args.verticalize is not None:
         try:
             lo, hi = (float(t) for t in args.verticalize.split(","))
         except ValueError as e:
             raise ParseError(f"--verticalize must be LO,HI, got {args.verticalize!r}") from e
+        # a box verticalize would refuse is refused before the compile
+        box = as_box((lo, hi), domain.chart_dim)
 
     compiled = compile_gdn(domain, codomain, base_x, base_y, target.fn,
                            args.radius, args.eps, sigma, omega=modulus,
@@ -132,12 +135,7 @@ def cmd_compile(args, parser) -> int:
     model = compiled.model
     measured = compiled.audit_error
     if args.verticalize is not None:
-        strategy = ("exact-pwl" if sigma.cls == "piecewise-linear"
-                    else "scaled-identity")
-        # lam ~ sqrt(2 eps_machine) balances linearization error against
-        # decode roundoff for registers of any magnitude
-        deep = verticalize(split_outputs(model.core), (lo, hi), strategy,
-                           lam=2.1e-8)
+        deep = verticalize(model.core, box)
         model = GDNModel(model.chart_x, model.chart_y, deep.net)
         measured = audit_gdn(model, target.fn, args.radius, args.grid)
 
@@ -318,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--out")
     comp.add_argument("--verticalize", metavar="LO,HI",
-                      help="rewrite the core deep-narrow over the given box")
+                      help="rewrite the core deep-narrow over the given box: "
+                           "one layer per nonzero output weight, carrying "
+                           "registers exactly (piecewise-linear activation) or "
+                           "through a small smooth window (smooth activation)")
 
     ev = sub.add_parser("eval", help="evaluate a saved net or GDN")
     ev.add_argument("--model", required=True)

@@ -36,9 +36,10 @@ class ActivationInfo:
     the standing assumption (non-affine, some point with nonzero derivative)
     at a single location.  ``linear_piece`` marks a half-line on which a
     piecewise-linear activation is exactly affine, ``(lo, slope, intercept)``
-    meaning sigma(u) = slope*u + intercept for u >= lo; exact-pwl
+    meaning sigma(u) = slope*u + intercept for u >= lo; exact
     verticalization needs it.  ``smooth_point`` is a point with nonzero
-    derivative used by the scaled-identity strategy.
+    derivative, where verticalization carries registers of a smooth
+    activation.
     """
 
     name: str

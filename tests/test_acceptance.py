@@ -21,7 +21,7 @@ from gdn.approx.modulus import LipschitzModulus
 from gdn.approx.polynomials import monomial_counts, poly_derivative, poly_eval, \
     reciprocal_approx
 from gdn.approx.synthesis import compile_function_to_shallow
-from gdn.approx.verticalize import split_outputs, verticalize
+from gdn.approx.verticalize import verticalize
 from gdn.assemble import compile_gdn
 from gdn.manifolds import GaussianParam, resolve_manifold, wasserstein2
 from gdn.manifolds.sym import frob_vec
@@ -176,7 +176,7 @@ def test_criterion_07_verticalization_equivalence():
             (AffineLayer(rng.standard_normal((hidden, p)), rng.standard_normal(hidden)),
              AffineLayer(rng.standard_normal((m, hidden)), rng.standard_normal(m))),
             relu)
-        res = verticalize(split_outputs(net), (-2.0, 2.0))
+        res = verticalize(net, (-2.0, 2.0))
         assert width(res.net) <= p + m + 2
         xs = rng.uniform(-2.0, 2.0, size=(1000, p))
         dev = float(np.max(np.abs(res.net(xs) - net(xs))))

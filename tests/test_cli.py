@@ -39,6 +39,16 @@ class TestEstimate:
                   "--kappa1", "1", "--kappa2", "1"])
         assert exc.value.code == 2
 
+    def test_zero_sigma_lip_is_a_modulus(self, capsys):
+        # LipschitzModulus(0) is valid: its inverse is +inf, so the depth
+        # order is 0, not a missing-modulus usage error
+        code, out, _ = run(capsys, "estimate", "--class", "continuous", "--p", "1",
+                           "--m", "1", "--eps", "0.1", "--delta", "0.5", "--lip", "1",
+                           "--kappa1", "1", "--kappa2", "1", "--B", "1",
+                           "--sigma-lip", "0")
+        assert code == 0
+        assert json.loads(out)["depth_order"] == 0.0
+
     def test_modulus_file(self, capsys, tmp_path):
         mod = tmp_path / "mod.json"
         mod.write_text(json.dumps({"knots": [0.0, 0.08, 1.0],
@@ -94,6 +104,24 @@ class TestCompileAndEval:
         summary = json.loads(out)
         assert summary["depth"] == 4
         assert summary["measured_error"] <= 0.1
+
+    def test_zero_lip_is_honored(self, capsys, monkeypatch):
+        # --lip 0 is a modulus like --lip 1e-300: no empirical modulus read
+        import gdn.approx.synthesis as synthesis
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the empirical modulus despite --lip")
+
+        monkeypatch.setattr(synthesis, "sampled_modulus_at", refuse)
+        bounds = []
+        for lip in ("0", "1e-300"):
+            code, out, _ = run(capsys, "compile", "--target", "poly:x1*x2",
+                               "--domain", "euclidean:2", "--codomain", "euclidean:1",
+                               "--base-x", "[0.5,0.5]", "--radius", "0.5",
+                               "--eps", "0.1", "--lip", lip)
+            assert code == 0
+            bounds.append(json.loads(out)["apriori_bound"])
+        assert bounds[0] == bounds[1] < 0.01
 
     @pytest.mark.parametrize("case", [
         ["--target", "rotation", "--domain", "sphere:2", "--codomain", "sphere:2",
@@ -302,6 +330,16 @@ class TestUsageErrors:
     def test_verticalize_needs_two_numbers(self, capsys):
         self.assert_usage_error(capsys, self.COMPILE + ["--verticalize", "1"],
                                 "--verticalize", "'1'")
+
+    @pytest.mark.parametrize("box,needle", [("1,0", "lo <= hi"), ("nan,1", "finite")])
+    def test_bad_verticalize_box_is_refused_before_compiling(self, capsys, monkeypatch,
+                                                             box, needle):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled before the box was checked")
+
+        monkeypatch.setattr(gdn.cli, "compile_gdn", refuse)
+        self.assert_usage_error(capsys, self.COMPILE + [f"--verticalize={box}"],
+                                "verticalization box", needle)
 
     def test_empty_audit_grid(self, capsys):
         self.assert_usage_error(capsys, self.COMPILE + ["--grid", "0"], "got 0")

@@ -2,15 +2,18 @@
 
 Five ``gdn compile`` runs (the sphere2-rotation, poincare2-mobius,
 cube3-product, cube3-quadratic and cube2-mixed cases of the benchmark, with
-its arguments), two two-output polynomial compiles and one 3-run ``gdn
-bench`` config go through ``gdn.cli.main`` at seed 0.  The two-output
-compiles are the edge cases of the multi-output shallow core: a constant
-output next to a hidden block, and no hidden layer at all.  The two p = 3 compiles read their modulus from
-the 55,611 audit-grid pairs; cube3-quadratic is also the one that walks
-Bernstein degrees 1 to 4 and evaluates exponent-2 powers.  Each compile
-must reproduce its summary JSON (without ``out``) and the sha256 of its
-model file, and the bench its CSV, exactly.  spd is left out: its bytes
-depend on LAPACK rounding.
+its arguments), two two-output polynomial compiles, two ``--verticalize``
+compiles and one 3-run ``gdn bench`` config go through ``gdn.cli.main`` at
+seed 0.  The two-output compiles are the edge cases of the multi-output
+shallow core: a constant output next to a hidden block, and no hidden layer
+at all.  The ``--verticalize`` compiles rewrite a core deep-narrow with a
+smooth activation: softplus over a 3-output core with block output weights,
+and the default exp over a 2-output core.  The two p = 3 compiles read
+their modulus from the 55,611 audit-grid pairs; cube3-quadratic is also the
+one that walks Bernstein degrees 1 to 4 and evaluates exponent-2 powers.
+Each compile must reproduce its summary JSON (without ``out``) and the
+sha256 of its model file, and the bench its CSV, exactly.  spd is left out:
+its bytes depend on LAPACK rounding.
 
 The values were recorded with numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64
 Linux; another numpy build may round differently.  Re-record them only
@@ -92,6 +95,26 @@ COMPILES = {
          "measured_error": 0.0, "param_count": 6,
          "target": "poly:2,3", "width": 0},
         "9af848ae53cb590eae5ddbdac0cd2918bf446182590cd3f6bb6d128008b92782",
+    ),
+    "rotation-verticalized-softplus": (
+        ["--target", "rotation", "--domain", "sphere:2", "--codomain", "sphere:2",
+         "--base-x", "[0, 0, 1]", "--radius", "0.5", "--eps", "0.1",
+         "--activation", "softplus", "--verticalize=-0.1,1.1"],
+        {"apriori_bound": 3.000435939996516, "audit_points": 200,
+         "bernstein_degree": 1, "depth": 4, "eps": 0.1,
+         "measured_error": 0.0004386534087774914, "param_count": 220,
+         "target": "rotation", "width": 7},
+        "54d05873d6aa850017e2a270da4f98a932d265502f0153af990c824decb5cfc8",
+    ),
+    "poly-verticalized-exp": (
+        ["--target", "poly:x1*x2,x1^2", "--domain", "euclidean:2",
+         "--codomain", "euclidean:2", "--base-x", "[0.5, 0.5]", "--radius", "0.5",
+         "--eps", "0.1", "--verticalize=-0.6,0.6"],
+        {"apriori_bound": 1.946155325614172, "audit_points": 200,
+         "bernstein_degree": 6, "depth": 6, "eps": 0.1,
+         "measured_error": 0.0459370856817706, "param_count": 177,
+         "target": "poly:x1*x2,x1^2", "width": 5},
+        "61e1ecb3bc79a140ce17f67be1619e76d82de3fbfd3436d97fc8db7a8db98880",
     ),
 }
 

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from gdn.approx.verticalize import split_outputs, verticalize
+from gdn.approx.verticalize import verticalize
 from gdn.errors import UnsupportedError, ValidationError
 from gdn.network import AffineLayer, FeedforwardNet, get_activation, width
 
 RELU = get_activation("relu")
 EXP = get_activation("exp")
+SQUARE = get_activation("square")
 
 
 def random_shallow(rng, p, m, hidden, act=RELU, scale=1.0):
@@ -21,7 +22,7 @@ def random_shallow(rng, p, m, hidden, act=RELU, scale=1.0):
 class TestExactPwl:
     def test_single_neuron_identity(self, rng):
         net = random_shallow(rng, 1, 1, 1)
-        res = verticalize(split_outputs(net), (-2.0, 2.0))
+        res = verticalize(net, (-2.0, 2.0))
         assert res.net.depth == 1
         for _ in range(50):
             x = rng.uniform(-2, 2, 1)
@@ -29,7 +30,7 @@ class TestExactPwl:
 
     def test_width_five_depth_five(self, rng):
         net = random_shallow(rng, 2, 1, 5)
-        res = verticalize(split_outputs(net), (-2.0, 2.0))
+        res = verticalize(net, (-2.0, 2.0))
         assert res.net.depth == 5
         assert width(res.net) <= 2 + 1 + 2
         worst = 0.0
@@ -39,9 +40,17 @@ class TestExactPwl:
         assert worst <= 1e-9
 
     def test_two_nets_sum_depths(self, rng):
+        # two single-output nets stacked into one core: the hidden layers
+        # one above the other, a block output matrix
         n1 = random_shallow(rng, 2, 1, 3)
         n2 = random_shallow(rng, 2, 1, 4)
-        res = verticalize([n1, n2], (-2.0, 2.0))
+        (h1, o1), (h2, o2) = n1.layers, n2.layers
+        hid = AffineLayer(np.vstack([h1.weights, h2.weights]),
+                          np.concatenate([h1.bias, h2.bias]))
+        W = np.zeros((2, 7))
+        W[0, :3], W[1, 3:] = o1.weights[0], o2.weights[0]
+        out = AffineLayer(W, np.concatenate([o1.bias, o2.bias]))
+        res = verticalize(FeedforwardNet((hid, out), RELU), (-2.0, 2.0))
         assert res.net.depth == 7
         assert width(res.net) <= 2 + 2 + 2
         for _ in range(300):
@@ -57,7 +66,7 @@ class TestExactPwl:
         W[1, :3] = 0.0
         W[1, 4] = 0.0
         net = FeedforwardNet((net.layers[0], AffineLayer(W, net.layers[1].bias)), RELU)
-        res = verticalize(split_outputs(net), (-2.0, 2.0))
+        res = verticalize(net, (-2.0, 2.0))
         assert res.net.depth == np.count_nonzero(W) == 4
         for _ in range(300):
             x = rng.uniform(-2, 2, 2)
@@ -69,7 +78,7 @@ class TestExactPwl:
             m = int(rng.integers(1, 3))
             hidden = int(rng.integers(1, 9))
             net = random_shallow(rng, p, m, hidden)
-            res = verticalize(split_outputs(net), (-2.0, 2.0))
+            res = verticalize(net, (-2.0, 2.0))
             assert width(res.net) <= p + m + 2
             for _ in range(100):
                 x = rng.uniform(-2, 2, p)
@@ -78,26 +87,39 @@ class TestExactPwl:
     def test_unbounded_box_rejected(self, rng):
         net = random_shallow(rng, 1, 1, 2)
         with pytest.raises(ValidationError):
-            verticalize(split_outputs(net), (-np.inf, np.inf))
+            verticalize(net, (-np.inf, np.inf))
 
-    def test_smooth_activation_rejected(self, rng):
-        net = random_shallow(rng, 1, 1, 2, act=EXP)
-        with pytest.raises(UnsupportedError):
-            verticalize(split_outputs(net), (-1.0, 1.0), "exact-pwl")
+    def test_nonaffine_poly_activation_rejected(self, rng):
+        # square has neither an affine half-line nor a smooth window codec
+        net = random_shallow(rng, 1, 1, 2, act=SQUARE)
+        with pytest.raises(UnsupportedError, match="nonaffine-poly"):
+            verticalize(net, (-1.0, 1.0))
+
+    def test_two_hidden_layers_rejected(self, rng):
+        net = random_shallow(rng, 2, 2, 3)
+        mid = AffineLayer(rng.standard_normal((3, 3)), rng.standard_normal(3))
+        deeper = FeedforwardNet((net.layers[0], mid, net.layers[1]), RELU)
+        with pytest.raises(ValidationError):
+            verticalize(deeper, (-1.0, 1.0))
+
+    def test_one_affine_layer_is_kept(self, rng):
+        layer = AffineLayer(rng.standard_normal((2, 3)), rng.standard_normal(2))
+        res = verticalize(FeedforwardNet((layer,), RELU), (-1.0, 1.0))
+        assert res.net.depth == 0
+        np.testing.assert_array_equal(res.net.layers[0].weights, layer.weights)
+        np.testing.assert_array_equal(res.net.layers[0].bias, layer.bias)
 
 
 class TestScaledIdentity:
     def test_bound_decreases_when_lambda_halves(self, rng):
         net = random_shallow(rng, 2, 1, 3, act=EXP, scale=0.4)
-        bounds = [verticalize(split_outputs(net), (-1.0, 1.0), "scaled-identity",
-                              lam=lam).reported_bound
+        bounds = [verticalize(net, (-1.0, 1.0), lam=lam).reported_bound
                   for lam in (4e-3, 2e-3, 1e-3)]
         assert bounds[0] > bounds[1] > bounds[2]
 
     def test_reported_bound_is_honest(self, rng):
         net = random_shallow(rng, 1, 2, 3, act=EXP, scale=0.4)
-        res = verticalize(split_outputs(net), (-1.0, 1.0), "scaled-identity",
-                          lam=1e-3)
+        res = verticalize(net, (-1.0, 1.0), lam=1e-3)
         assert width(res.net) <= 1 + 2 + 2
         worst = 0.0
         for _ in range(200):
@@ -105,11 +127,6 @@ class TestScaledIdentity:
             want = net(x)
             worst = max(worst, float(np.max(np.abs(res.net(x) - want))))
         assert worst <= res.reported_bound * 1.5 + 1e-12
-
-    def test_pwl_activation_rejected(self, rng):
-        net = random_shallow(rng, 1, 1, 2)
-        with pytest.raises(UnsupportedError):
-            verticalize(split_outputs(net), (-1.0, 1.0), "scaled-identity")
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_one_draw_equals_a_draw_per_point(self, p):
@@ -119,14 +136,13 @@ class TestScaledIdentity:
 
     @pytest.mark.parametrize("p,m", [(1, 1), (2, 2), (3, 1)])
     def test_bound_equals_the_per_point_loop(self, p, m, rng):
-        shallows = split_outputs(random_shallow(rng, p, m, 3, act=EXP, scale=0.4))
+        net = random_shallow(rng, p, m, 3, act=EXP, scale=0.4)
         lo, hi = np.array([-1.0, -0.5, 0.0][:p]), np.array([1.0, 0.5, 2.0][:p])
-        res = verticalize(shallows, (lo, hi), "scaled-identity", lam=1e-3)
+        res = verticalize(net, (lo, hi), lam=1e-3)
         # the per-point loop the stacked bound check replaced
         draws = np.random.default_rng(7)
         want = 0.0
         for _ in range(256):
             x = lo + (hi - lo) * draws.random(p)
-            ref = np.array([float(s(x)[0]) for s in shallows])
-            want = max(want, float(np.max(np.abs(res.net(x) - ref))))
+            want = max(want, float(np.max(np.abs(res.net(x) - net(x)))))
         assert res.reported_bound == want
