@@ -23,7 +23,6 @@ from .errors import (
 from .manifolds import (
     GaussianParam,
     ManifoldSpec,
-    delta_bound,
     distance,
     exp_map,
     k_star,
@@ -36,7 +35,6 @@ from .manifolds import (
 from .model import (
     GDNModel,
     gdn_eval,
-    load_gdn,
     save_gdn,
 )
 from .network import (
@@ -53,9 +51,7 @@ from .readouts import (
     Ball,
     Box,
     Simplex,
-    Star,
     gauge_chart,
-    homotopy_shrink,
     project_convex,
     softmax_chart,
 )

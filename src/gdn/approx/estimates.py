@@ -117,6 +117,10 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
         r_sigma = modulus_inverse(sigma_modulus, denom_arg)
         if r_sigma == 0.0:
             raise NumericError("activation modulus inverse vanished: singular estimate")
+        if math.isinf(r_sigma):
+            # a modulus that never grows is a constant activation's, which
+            # approximates nothing
+            raise NumericError("activation modulus inverse is infinite: singular estimate")
         depth = (m * (2.0 * delta) ** (2 * p)
                  / ((kappa2 * r) ** (2 * p) * (kappa2 * r_sigma)))
         w = p + m + 2

@@ -240,16 +240,19 @@ def compile_function_to_shallow(
         except InfeasibleDegreeError:
             pass
     model = None
+    tried = []  # each degree with its selection-grid residual, for the refusal
     for cand in candidates:
         trial = bernstein_from_function(target, cand, p, m)
         resid = float(np.max(row_norms(bernstein_eval(trial, grid) - targets)))
+        tried.append(f"{cand}: {resid:.3g}")
         if resid <= bern_budget:
             n, model = cand, trial
             break
     if model is None:
         raise InfeasibleDegreeError(
             f"no Bernstein degree <= {_DEGREE_CAP} meets the "
-            f"budget {bern_budget!r} on the selection grid",
+            f"budget {bern_budget!r} on the selection grid; residual by "
+            f"degree: {', '.join(tried)}",
             _DEGREE_CAP,
         )
 

@@ -135,8 +135,7 @@ def cmd_compile(args, parser) -> int:
     model = compiled.model
     measured = compiled.audit_error
     if args.verticalize is not None:
-        deep = verticalize(model.core, box)
-        model = GDNModel(model.chart_x, model.chart_y, deep.net)
+        model = GDNModel(model.chart_x, model.chart_y, verticalize(model.core, box))
         measured = audit_gdn(model, target.fn, args.radius, args.grid)
 
     if args.out:

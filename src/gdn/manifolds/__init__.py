@@ -1,7 +1,5 @@
 from .core import (
-    DeltaBound,
     ManifoldSpec,
-    delta_bound,
     k_star,
     resolve_manifold,
     universality_radius,
@@ -32,9 +30,7 @@ from .zoo import (
 )
 
 __all__ = [
-    "DeltaBound",
     "ManifoldSpec",
-    "delta_bound",
     "k_star",
     "resolve_manifold",
     "universality_radius",

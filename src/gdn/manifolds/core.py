@@ -9,21 +9,17 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
-import numpy as np
-
-from ..errors import NumericError, ParseError, UnsupportedError, ValidationError
-from .zoo import FAMILIES, Geometry, euclidean_ball_volume
+from ..errors import ParseError, ValidationError
+from .zoo import FAMILIES, Geometry
 
 __all__ = [
     "ManifoldSpec",
-    "DeltaBound",
     "resolve_manifold",
     "k_star",
     "exp_chart_lipschitz",
     "log_chart_lipschitz",
-    "delta_bound",
     "universality_radius",
 ]
 
@@ -67,11 +63,7 @@ class ManifoldSpec:
         turns it into the exp-chart expansion.
     inj_lower : float
         Lower bound on the injectivity radius, in (0, +inf]; the same at
-        every point of each zoo member.
-    volume_of_ball : callable (point, r) -> float, optional
-        Intrinsic volume of the metric ball; only wired for geometries with
-        a closed-form or 1-D-quadrature radial volume element.  Left out of
-        equality, so equal specs mean the same geometry.
+        every point of each zoo member, in closed form.
     param : float
         Family parameter: matrix order n for spd/gaussian, curvature c for
         poincare, 0 otherwise.
@@ -89,8 +81,6 @@ class ManifoldSpec:
     curvature_max: float
     curvature_min: float
     inj_lower: float
-    volume_of_ball: Optional[Callable[[np.ndarray, float], float]] = field(
-        repr=False, compare=False)
     param: float
     geometry: Geometry = field(repr=False, compare=False)
 
@@ -128,7 +118,7 @@ def resolve_manifold(identifier: str) -> ManifoldSpec:
     g = make(p, c)
     return ManifoldSpec(ident, family, g.dim, g.chart_dim, g.point_dim,
                         g.curvature_bound, g.curvature_max, g.curvature_min,
-                        g.inj_lower, g.volume_of_ball, g.param, g)
+                        g.inj_lower, g.param, g)
 
 
 def k_star(K: float) -> float:
@@ -162,53 +152,6 @@ def log_chart_lipschitz(spec: ManifoldSpec, r: float) -> float:
             f"r must satisfy 0 <= r < inj({spec.inj_lower!r}), got {r!r}")
     s = math.sqrt(max(spec.curvature_max, 0.0)) * r
     return max(s / math.sin(s) if s > 0.0 else 1.0, spec.geometry.wrap_ratio(r))
-
-
-class DeltaBound(NamedTuple):
-    """Result of the volume-ratio injectivity bound.
-
-    ``unbounded`` flags a supremum still increasing at the truncation radius
-    (the flat Euclidean case, where the true supremum is infinite).
-    """
-
-    value: float
-    r_at: float
-    unbounded: bool
-
-
-def delta_bound(spec: ManifoldSpec, x: np.ndarray, K_cap: float,
-                grid: int = 256, r_max: float = 1e6) -> DeltaBound:
-    """Certified lower bound on the injectivity radius at ``x``.
-
-    Evaluates sup over 0 < r < min(K_cap, r_max) of
-
-        r * Vol(B(x, r)) / (Vol(B(x, r)) + Vol_tangent(B(0, 2r)))
-
-    by grid search over log-spaced radii.  Any feasible r certifies the
-    bound, so the grid search is sound; refinement can only improve it.
-    The tangent ball uses the intrinsic dimension.
-    """
-    if spec.volume_of_ball is None:
-        raise UnsupportedError(
-            f"{spec.id} has no ball-volume callable; delta_bound is unavailable"
-        )
-    if grid < 16:
-        raise ValidationError(f"grid must be at least 16, got {grid}")
-    hi = min(K_cap, r_max)
-    if not (hi > 0.0):
-        raise ValidationError("radius cap must be positive")
-    tangent_vol = euclidean_ball_volume(spec.dim)
-    rs = np.geomspace(hi * 1e-6, hi, grid)
-    best, best_r = 0.0, rs[0]
-    for i, r in enumerate(rs):
-        vol = spec.volume_of_ball(x, float(r))
-        if not math.isfinite(vol) or vol < 0.0:
-            raise NumericError(f"ball volume at r={r!r} is not finite")
-        ratio = float(r) * vol / (vol + tangent_vol(x, 2.0 * float(r)))
-        if ratio > best:
-            best, best_r = ratio, float(r)
-    unbounded = math.isinf(K_cap) and best_r == float(rs[-1])
-    return DeltaBound(best, best_r, unbounded)
 
 
 def universality_radius(inj_x: float, inj_fx: float,

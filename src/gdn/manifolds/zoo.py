@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -136,41 +136,6 @@ def _check_tangent_norms(nv, inj: float, what: str) -> None:
         raise OutOfInjectivityError(f"tangent norm {_first(nv, far)!r} is outside {what}")
 
 
-# -- ball volumes ------------------------------------------------------------
-
-def unit_ball_volume(p: int) -> float:
-    """Volume of the Euclidean unit ball in dimension p."""
-    return math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0)
-
-
-def sphere_surface_area(p: int) -> float:
-    """Surface area of the unit sphere S^(p-1) embedded in R^p."""
-    return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
-
-
-def _quad_radial_volume(area: float, density: Callable[[float], float],
-                        r: float) -> float:
-    # composite Simpson with 512 panels on the radial volume element; the
-    # integrand is smooth
-    if r <= 0.0:
-        return 0.0
-    n = 1024
-    ts = np.linspace(0.0, r, n + 1)
-    ys = np.array([density(t) for t in ts])
-    h = r / n
-    simpson = ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()
-    return area * simpson * h / 3.0
-
-
-def euclidean_ball_volume(p: int) -> Callable[[np.ndarray, float], float]:
-    w = unit_ball_volume(p)
-
-    def vol(_x: np.ndarray, r: float) -> float:
-        return w * r ** p
-
-    return vol
-
-
 # -- the geometry classes ----------------------------------------------------
 
 class Chart:
@@ -211,7 +176,6 @@ class Geometry:
 
     curvature_bound = curvature_max = curvature_min = 0.0
     inj_lower = math.inf
-    volume_of_ball = None
     param = 0.0
     chart = Chart  # the class ``chart_at`` binds a point of the family to
 
@@ -242,9 +206,9 @@ class Flat(Geometry):
     """R^d in its identity chart: euclidean:p, and gaussian:n through its
     mean/log-covariance chart (d = n + n(n+1)/2)."""
 
-    def __init__(self, dim: int, param: float, volume_of_ball):
+    def __init__(self, dim: int, param: float):
         super().__init__(dim, dim)
-        self.param, self.volume_of_ball = param, volume_of_ball
+        self.param = param
 
     def exp(self, x, v):
         return x + v
@@ -362,11 +326,6 @@ class Sphere(Geometry):
                 break
         return np.stack(basis, axis=1)
 
-    def volume_of_ball(self, _x: np.ndarray, r: float) -> float:
-        p = self.dim
-        return _quad_radial_volume(sphere_surface_area(p),
-                                   lambda t: math.sin(t) ** (p - 1), min(r, math.pi))
-
 
 def _rp_canonical(z: np.ndarray) -> np.ndarray:
     # the representative whose first non-negligible entry is positive,
@@ -380,7 +339,6 @@ class Projective(Sphere):
     """RP^m: sphere points modulo sign, kept on the canonical representative."""
 
     inj_lower = math.pi / 2.0
-    volume_of_ball = None
 
     def exp(self, x, v):
         _check_tangent_norms(row_norms(v), math.pi / 2.0,
@@ -458,11 +416,6 @@ class Poincare(Geometry):
         z /= np.linalg.norm(z)
         r = 0.9 * rng.random() ** (1.0 / self.dim) / math.sqrt(self.param)
         return r * z
-
-    def volume_of_ball(self, _x: np.ndarray, r: float) -> float:
-        p, sc = self.dim, math.sqrt(self.param)
-        return _quad_radial_volume(sphere_surface_area(p),
-                                   lambda t: (math.sinh(sc * t) / sc) ** (p - 1), r)
 
 
 def _positive(w: np.ndarray, what: str) -> None:
@@ -567,8 +520,8 @@ class SPD(Geometry):
 # family -> (whether its identifier carries a curvature, its geometry from
 # the integer parameter and the curvature)
 FAMILIES = {
-    "euclidean": (False, lambda p, c: Flat(p, 0.0, euclidean_ball_volume(p))),
-    "gaussian": (False, lambda p, c: Flat(p + sym_dim(p), float(p), None)),
+    "euclidean": (False, lambda p, c: Flat(p, 0.0)),
+    "gaussian": (False, lambda p, c: Flat(p + sym_dim(p), float(p))),
     "torus": (False, lambda p, c: Torus(p)),
     "sphere": (False, lambda p, c: Sphere(p)),
     "rp": (False, lambda p, c: Projective(p)),

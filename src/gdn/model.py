@@ -22,7 +22,6 @@ __all__ = [
     "gdn_to_dict",
     "gdn_from_dict",
     "save_gdn",
-    "load_gdn",
 ]
 
 
@@ -137,8 +136,3 @@ def save_gdn(model: GDNModel, path: str) -> None:
     # pure-Python one, with the same bytes
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(gdn_to_dict(model)) + "\n")
-
-
-def load_gdn(path: str) -> GDNModel:
-    with open(path, "r", encoding="utf-8") as f:
-        return gdn_from_dict(json.load(f))

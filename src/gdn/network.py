@@ -32,14 +32,12 @@ ACTIVATION_CLASSES = ("smooth-nonpoly", "continuous-nonpoly", "nonaffine-poly",
 class ActivationInfo:
     """An activation function plus declared regularity metadata.
 
-    ``cls`` is declared, not inferred; :meth:`spot_check` numerically probes
-    the standing assumption (non-affine, some point with nonzero derivative)
-    at a single location.  ``linear_piece`` marks a half-line on which a
-    piecewise-linear activation is exactly affine, ``(lo, slope, intercept)``
-    meaning sigma(u) = slope*u + intercept for u >= lo; exact
-    verticalization needs it.  ``smooth_point`` is a point with nonzero
-    derivative, where verticalization carries registers of a smooth
-    activation.
+    ``cls`` is declared, not inferred.  ``linear_piece`` marks a half-line
+    on which a piecewise-linear activation is exactly affine,
+    ``(lo, slope, intercept)`` meaning sigma(u) = slope*u + intercept for
+    u >= lo; exact verticalization needs it.  ``smooth_point`` is a point
+    with nonzero derivative, where verticalization carries registers of a
+    smooth activation.
     """
 
     name: str
@@ -61,19 +59,6 @@ class ActivationInfo:
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
 
-    def spot_check(self) -> bool:
-        """One-point numerical probe of the standing activation assumption,
-        with a central difference of step 1e-5 at 0.5."""
-        f = self.eval
-        at, h = 0.5, 1e-5
-        d = (float(f(np.array(at + h))) - float(f(np.array(at - h)))) / (2 * h)
-        probes = np.array([-1.3, at, 2.7])
-        vals = f(probes)
-        # affine functions have zero second difference everywhere
-        second = vals[0] - 2 * vals[1] + vals[2] + (2 * at + 1.3 - 2.7) * d
-        nonaffine = abs(float(vals[2] - vals[1] - d * (2.7 - at))) > 1e-8 or abs(
-            float(second)) > 1e-8
-        return d != 0.0 and nonaffine
 
 
 _REGISTRY: dict[str, ActivationInfo] = {}

@@ -1,7 +1,6 @@
 """Readout maps with known right-inverses: the softmax simplex chart, gauge
-(Minkowski functional) charts onto convex bodies, metric projections onto
-simple convex shapes, and the shrinking homotopies that make boundaries
-negligible.
+(Minkowski functional) charts onto convex bodies, and metric projections
+onto simple convex shapes.
 """
 from __future__ import annotations
 
@@ -17,11 +16,9 @@ __all__ = [
     "softmax_chart",
     "gauge_chart",
     "project_convex",
-    "homotopy_shrink",
     "Box",
     "Ball",
     "Simplex",
-    "Star",
 ]
 
 
@@ -117,14 +114,6 @@ class Simplex:
             raise ValidationError("simplex needs C >= 1")
 
 
-@dataclass(frozen=True)
-class Star:
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float).ravel())
-
-
 Shape = Union[Box, Ball, Simplex]
 
 
@@ -159,31 +148,3 @@ def project_convex(shape: Shape, y) -> np.ndarray:
     if isinstance(shape, Simplex):
         return _project_simplex(y, shape.C)
     raise ValidationError(f"unsupported shape {shape!r}")
-
-
-# -- shrinking homotopies ----------------------------------------------------
-
-def homotopy_shrink(shape: Union[Star, Simplex], t: float, y) -> np.ndarray:
-    """Straight-line homotopy pulling a star-shaped set toward its anchor.
-
-    H_1 = identity; H_0 maps everything to the anchor (0 for a star about
-    the origin, the barycenter for the simplex); for t < 1 the simplex image
-    is interior.
-    """
-    y = _vec(y)
-    if not (0.0 <= t <= 1.0):
-        raise ValidationError(f"homotopy time must be in [0,1], got {t!r}")
-    if isinstance(shape, Star):
-        a = shape.anchor
-        if a.size != y.size:
-            raise ValidationError("point dimension does not match the anchor")
-        return a + t * (y - a)
-    if isinstance(shape, Simplex):
-        if y.size != shape.C:
-            raise ValidationError(f"expected a length-{shape.C} vector, got {y.size}")
-        if abs(float(y.sum()) - 1.0) > 1e-9 or np.any(y < -1e-12):
-            raise ValidationError("simplex homotopy needs a simplex point")
-        bary = np.full(shape.C, 1.0 / shape.C)
-        return bary + t * (y - bary)
-    raise ValidationError(f"unsupported shape {shape!r}")
-

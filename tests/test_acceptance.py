@@ -176,10 +176,10 @@ def test_criterion_07_verticalization_equivalence():
             (AffineLayer(rng.standard_normal((hidden, p)), rng.standard_normal(hidden)),
              AffineLayer(rng.standard_normal((m, hidden)), rng.standard_normal(m))),
             relu)
-        res = verticalize(net, (-2.0, 2.0))
-        assert width(res.net) <= p + m + 2
+        deep = verticalize(net, (-2.0, 2.0))
+        assert width(deep) <= p + m + 2
         xs = rng.uniform(-2.0, 2.0, size=(1000, p))
-        dev = float(np.max(np.abs(res.net(xs) - net(xs))))
+        dev = float(np.max(np.abs(deep(xs) - net(xs))))
         worst = max(worst, dev)
         assert dev <= 1e-9
     report(7, True, f"50 deep-narrow rewrites exact on the box "

@@ -8,7 +8,7 @@ import pytest
 import gdn.cli
 from gdn.cli import cmd_bench, main
 from gdn.errors import InfeasibleDegreeError, ValidationError
-from gdn.model import load_gdn
+from gdn.model import gdn_from_dict
 
 
 def run(capsys, *argv):
@@ -40,14 +40,16 @@ class TestEstimate:
         assert exc.value.code == 2
 
     def test_zero_sigma_lip_is_a_modulus(self, capsys):
-        # LipschitzModulus(0) is valid: its inverse is +inf, so the depth
-        # order is 0, not a missing-modulus usage error
-        code, out, _ = run(capsys, "estimate", "--class", "continuous", "--p", "1",
-                           "--m", "1", "--eps", "0.1", "--delta", "0.5", "--lip", "1",
-                           "--kappa1", "1", "--kappa2", "1", "--B", "1",
-                           "--sigma-lip", "0")
-        assert code == 0
-        assert json.loads(out)["depth_order"] == 0.0
+        # LipschitzModulus(0) is a modulus, not a missing one (a usage
+        # error, exit 2); its inverse is +inf, a constant activation's, so
+        # the estimate is refused as singular, as a vanishing inverse is
+        code, out, err = run(capsys, "estimate", "--class", "continuous", "--p", "1",
+                             "--m", "1", "--eps", "0.1", "--delta", "0.5", "--lip", "1",
+                             "--kappa1", "1", "--kappa2", "1", "--B", "1",
+                             "--sigma-lip", "0")
+        assert code == 1
+        assert out == ""
+        assert "activation modulus inverse is infinite" in err
 
     def test_modulus_file(self, capsys, tmp_path):
         mod = tmp_path / "mod.json"
@@ -71,7 +73,8 @@ class TestCompileAndEval:
         assert code == 0
         summary = json.loads(out)
         assert summary["measured_error"] <= 0.1
-        model = load_gdn(str(out_path))
+        with open(out_path, encoding="utf-8") as f:
+            model = gdn_from_dict(json.load(f))
         x = np.array([0.7, 0.6])
         assert abs(model(x)[0] - 0.42) <= 0.1
 
@@ -154,6 +157,20 @@ class TestCompileAndEval:
         assert out == ""
         assert err == ("error: radius must satisfy 0 < radius < "
                        "inj(3.141592653589793), got 3.5\n")
+
+    def test_infeasible_degree_lists_what_it_tried(self, capsys):
+        code, out, err = run(capsys, "compile", "--target", "poly:x1^2",
+                             "--domain", "euclidean:1", "--codomain", "euclidean:1",
+                             "--base-x", "[0]", "--radius", "1", "--eps", "0.1")
+        assert code == 1 and out == ""
+        prefix = ("error: no Bernstein degree <= 12 meets the budget 0.05 on the "
+                  "selection grid; residual by degree: ")
+        assert err.startswith(prefix)
+        tried = [pair.split(": ") for pair in err[len(prefix):].strip().split(", ")]
+        assert [int(n) for n, _r in tried] == [1, 2, 3, 4, 6, 8, 12]
+        residuals = [float(r) for _n, r in tried]
+        assert all(r > 0.05 for r in residuals)
+        assert residuals == sorted(residuals, reverse=True)
 
     def test_unknown_target_exits_2(self, capsys):
         code, _, err = run(capsys, "compile", "--target", "frobnicate",

@@ -2,12 +2,11 @@
 calculus."""
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gdn.errors import ParseError, UnsupportedError, ValidationError
-from gdn.manifolds import delta_bound, k_star, resolve_manifold, universality_radius
+from gdn.errors import ParseError, ValidationError
+from gdn.manifolds import k_star, resolve_manifold, universality_radius
 
 
 class TestResolveManifold:
@@ -90,55 +89,6 @@ class TestKStar:
             assert k_star(K) == math.inf
         for K in (1e-12, 1.0, 1e9):
             assert math.isfinite(k_star(K))
-
-
-class TestDeltaBound:
-    def test_euclidean_line_truncated(self):
-        # Vol(B) = 2r, tangent Vol(B(0, 2r)) = 4r: ratio r/3, sup at r_max
-        spec = resolve_manifold("euclidean:1")
-        res = delta_bound(spec, np.zeros(1), math.inf, grid=256, r_max=3.0)
-        assert res.value == pytest.approx(1.0, rel=1e-12)
-        assert res.unbounded
-
-    def test_sphere_against_fine_quadrature(self):
-        spec = resolve_manifold("sphere:2")
-        x = np.array([0.0, 0.0, 1.0])
-        cap = k_star(1.0)
-        res = delta_bound(spec, x, cap, grid=256)
-        assert 0.0 < res.value < cap
-        assert not res.unbounded
-
-        # oracle: Vol(B_{S^2}(x,r)) = 2 pi (1 - cos r), brute force on a 10x
-        # finer radius grid
-        def ratio(r):
-            vol = 2.0 * math.pi * (1.0 - math.cos(r))
-            tangent = math.pi * (2.0 * r) ** 2
-            return r * vol / (vol + tangent)
-
-        rs = np.geomspace(cap * 1e-6, cap, 2560)
-        oracle = max(ratio(float(r)) for r in rs)
-        assert res.value == pytest.approx(oracle, rel=1e-2)
-
-    def test_below_injectivity_radius(self):
-        for ident in ("euclidean:2", "sphere:2", "poincare:2:1"):
-            spec = resolve_manifold(ident)
-            x = (np.array([0.0, 0.0, 1.0]) if ident == "sphere:2"
-                 else np.zeros(spec.point_dim))
-            res = delta_bound(spec, x, k_star(spec.curvature_max), grid=64,
-                              r_max=10.0)
-            assert res.value <= spec.inj_lower + 1e-6
-
-    def test_monotone_under_grid_refinement(self):
-        spec = resolve_manifold("sphere:2")
-        x = np.array([0.0, 0.0, 1.0])
-        coarse = delta_bound(spec, x, k_star(1.0), grid=65)
-        fine = delta_bound(spec, x, k_star(1.0), grid=129)  # nested log grid
-        assert fine.value >= coarse.value - 1e-6
-
-    def test_unsupported_without_volume(self):
-        spec = resolve_manifold("spd:2")
-        with pytest.raises(UnsupportedError):
-            delta_bound(spec, np.array([1.0, 0.0, 1.0]), math.inf)
 
 
 class TestUniversalityRadius:

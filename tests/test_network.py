@@ -129,11 +129,6 @@ class TestParamCount:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("name", ["relu", "leaky-relu", "exp", "softplus",
-                                      "sigmoid", "tanh", "square"])
-    def test_spot_check_passes(self, name):
-        assert get_activation(name).spot_check()
-
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             get_activation("swish-42")

@@ -1,5 +1,17 @@
-"""Every public top-level function and class in the package is reached by
-the code that uses it, by the acceptance suite, or is kept on purpose."""
+"""Every public top-level function and class in the package, and every public
+method of such a class, is reached from a command, from module-level code or
+from the acceptance suite, or is kept on purpose; and no module imports a
+name it never uses.
+
+Reached is transitive: the roots are ``cli.main``, every module-level
+statement that is not a definition, an import or ``__all__`` (``FAMILIES``,
+``_DISPATCH``, the ``register_activation`` calls), the acceptance suite and
+the ``KEEP`` names.  A definition is reached when a reached definition or a
+root refers to it by name; a method is reached when its class is reached and
+a reached definition refers to it by name, or it is a dunder method.  Names
+are matched without their module, so a name reaches every definition that
+bears it.
+"""
 import ast
 from pathlib import Path
 
@@ -8,17 +20,14 @@ import gdn
 SRC = Path(gdn.__file__).parent
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 
-# public names that nothing in the package calls, each with why it stays
+# public names that no command and no criterion reaches, each with who will
 KEEP = {
-    "k_star": "the paper's radius formula; waits to be wired into compile reports",
-    "delta_bound": "the paper's radius formula; waits to be wired into compile reports",
-    "universality_radius": "the paper's headline radius; waits to be wired into compile reports",
-    "empirical_modulus_at": "the reference the fused modulus read is tested against",
+    "k_star": "ROADMAP item 3's radius report prints the paper's curvature cap",
+    "universality_radius": "ROADMAP item 3's radius report prints the paper's radius",
     "jacobi_eigh": "the reference eigensolver the LAPACK path is tested against",
-    "load_gdn": "the public pair of save_gdn, for reading a compiled model back",
-    "homotopy_shrink": "the shrinking homotopy of the readout construction",
-    "gaussian_chart_encode": "the Gaussian feature chart, one half of the pair",
-    "gaussian_chart_decode": "the Gaussian feature chart, one half of the pair",
+    "empirical_modulus_at": "the reference the fused modulus read is tested against",
+    "gaussian_chart_encode": "decodes gaussian:n points for ROADMAP item 6's Kalman target",
+    "gaussian_chart_decode": "decodes gaussian:n points for ROADMAP item 6's Kalman target",
 }
 
 
@@ -41,35 +50,111 @@ def _is_all(stmt):
         isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
 
 
-def _scan():
-    """(public top-level definitions as name -> "module.py:line", the names
-    that code other than their own definition or the acceptance suite
-    refers to)."""
-    defined = {}
-    reached = set()
-    for path in sorted(SRC.rglob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _modules():
+    return [(path, ast.parse(path.read_text())) for path in sorted(SRC.rglob("*.py"))]
+
+
+def _definitions():
+    """(top-level definitions as (name, "module.py:line", own references,
+    methods as (name, references)), the references of module-level code)."""
+    defs, roots = [], set()
+    for path, tree in _modules():
+        for stmt in tree.body:
+            if isinstance(stmt, _DEFS):
+                where = f"{path.relative_to(SRC)}:{stmt.lineno}"
+                methods = []
+                if isinstance(stmt, ast.ClassDef):
+                    body = [s for s in stmt.body if not isinstance(s, _DEFS)]
+                    methods = [(s.name, _references(s)) for s in stmt.body
+                               if isinstance(s, _DEFS)]
+                    refs = set().union(*map(_references, body + stmt.bases
+                                            + stmt.keywords + stmt.decorator_list))
+                else:
+                    refs = _references(stmt)
+                defs.append((stmt.name, where, refs, methods))
             # a module-level import re-exports a name; it does not use it
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)) or _is_all(stmt):
+            elif not (isinstance(stmt, (ast.Import, ast.ImportFrom)) or _is_all(stmt)):
+                roots |= _references(stmt)
+    return defs, roots
+
+
+def _reached(extra_roots=()):
+    """The names reached from the roots, ``extra_roots`` among them."""
+    defs, roots = _definitions()
+    reached = roots | {"main"} | _references(ast.parse(ACCEPTANCE.read_text()))
+    reached |= set(extra_roots)
+    expanded = set()  # indices of definitions and (definition, method) pairs
+    grew = True
+    while grew:
+        grew = False
+        for i, (name, _where, refs, methods) in enumerate(defs):
+            if name not in reached:
                 continue
-            refs = _references(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                refs.discard(stmt.name)  # a definition does not reach itself
-                if not stmt.name.startswith("_"):
-                    defined[stmt.name] = f"{path.relative_to(SRC)}:{stmt.lineno}"
-            reached |= refs
-    reached |= _references(ast.parse(ACCEPTANCE.read_text()))
-    return defined, reached
+            if i not in expanded:
+                expanded.add(i)
+                reached |= refs
+                grew = True
+            for mname, mrefs in methods:
+                dunder = mname.startswith("__") and mname.endswith("__")
+                if (i, mname) not in expanded and (dunder or mname in reached):
+                    expanded.add((i, mname))
+                    reached |= mrefs
+                    grew = True
+    return defs, reached
 
 
 def test_every_public_definition_is_reached():
-    defined, reached = _scan()
-    unreached = sorted(f"{name} ({where})" for name, where in defined.items()
-                       if name not in reached and name not in KEEP)
-    assert not unreached, "reached by nothing: " + ", ".join(unreached)
+    defs, reached = _reached(KEEP)
+    unreached = []
+    for name, where, _refs, methods in defs:
+        if name in reached:
+            # a public method of a reached class
+            unreached += [f"{name}.{m} ({where})" for m, _r in methods
+                          if not m.startswith("_") and m not in reached]
+        elif not name.startswith("_"):
+            unreached.append(f"{name} ({where})")
+    assert not unreached, "reached by nothing: " + ", ".join(sorted(unreached))
 
 
 def test_keep_holds_only_defined_unreached_names():
-    defined, reached = _scan()
+    defs, reached = _reached()
+    defined = {name for name, _w, _r, _m in defs}
     stale = sorted(name for name in KEEP if name not in defined or name in reached)
     assert not stale, "undefined or reached, so not kept on purpose: " + ", ".join(stale)
+
+
+def test_reach_is_transitive():
+    # a name referred to only by an unreached definition is not reached
+    _defs, reached = _reached()
+    assert "sym_chart_encode" not in reached
+    assert "sym_chart_encode" in _reached(["gaussian_chart_encode"])[1]
+
+
+def _module_imports(body):
+    """The imports among module-level statements, also under an ``if`` or a
+    ``try`` (``if TYPE_CHECKING:``), never inside a definition."""
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            yield stmt
+        elif isinstance(stmt, (ast.If, ast.Try)):
+            for block in (stmt.body, stmt.orelse, getattr(stmt, "finalbody", []),
+                          *(h.body for h in getattr(stmt, "handlers", []))):
+                yield from _module_imports(block)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path, tree in _modules():
+        if path.name == "__init__.py":  # re-exports
+            continue
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for stmt in _module_imports(tree.body):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            unused += [f"{name} ({path.relative_to(SRC)}:{stmt.lineno})"
+                       for name in (a.asname or a.name.split(".")[0] for a in stmt.names)
+                       if name not in used]
+    assert not unused, "imported and never used: " + ", ".join(unused)

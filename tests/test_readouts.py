@@ -1,4 +1,4 @@
-"""Readout charts: softmax, gauge, metric projection, and shrink homotopies."""
+"""Readout charts: softmax, gauge, and metric projection."""
 import itertools
 import math
 
@@ -10,9 +10,7 @@ from gdn.readouts import (
     Ball,
     Box,
     Simplex,
-    Star,
     gauge_chart,
-    homotopy_shrink,
     project_convex,
     softmax_chart,
 )
@@ -144,35 +142,3 @@ class TestProjectConvex:
         with pytest.raises(ValidationError):
             Ball(np.zeros(2), 0.0)
 
-
-class TestHomotopyShrink:
-    def test_t_one_is_identity(self, rng):
-        y = rng.standard_normal(3)
-        np.testing.assert_array_equal(homotopy_shrink(Star(np.zeros(3)), 1.0, y), y)
-
-    def test_simplex_t_zero_hits_barycenter(self):
-        np.testing.assert_allclose(homotopy_shrink(Simplex(2), 0.0, [1.0, 0.0]),
-                                   [0.5, 0.5])
-
-    def test_star_halfway(self):
-        np.testing.assert_allclose(
-            homotopy_shrink(Star(np.zeros(2)), 0.5, [2.0, 0.0]), [1.0, 0.0])
-
-    def test_distance_identity(self, rng):
-        a = rng.standard_normal(2)
-        y = rng.standard_normal(2)
-        for t in (0.0, 0.25, 0.5, 0.9, 1.0):
-            h = homotopy_shrink(Star(a), t, y)
-            assert float(np.linalg.norm(h - y)) == pytest.approx(
-                (1.0 - t) * float(np.linalg.norm(y - a)), abs=1e-12)
-
-    def test_simplex_interior_for_t_below_one(self, rng):
-        for _ in range(50):
-            w = rng.random(3)
-            y = w / w.sum()
-            h = homotopy_shrink(Simplex(3), 0.7, y)
-            assert np.all(h > 0.0)
-
-    def test_time_domain(self):
-        with pytest.raises(ValidationError):
-            homotopy_shrink(Star(np.zeros(1)), 1.5, [0.0])
