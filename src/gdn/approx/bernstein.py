@@ -18,6 +18,8 @@ from .polynomials import product_grid
 __all__ = [
     "BernsteinModel",
     "bernstein_eval",
+    "bernstein_weights",
+    "bernstein_contract",
     "bernstein_degree_for",
     "bernstein_from_function",
     "bernstein_to_coefficients",
@@ -71,20 +73,25 @@ def _basis_weights(n: int, x: np.ndarray) -> np.ndarray:
     return _binomial_row(n) * np.power(x, ks) * np.power(1.0 - x, n - ks)
 
 
-def bernstein_eval(model: BernsteinModel, x) -> np.ndarray:
-    """Exact finite Bernstein sum at a point of the unit cube, shape (m,);
-    or at each row of an (N, p) stack of such points, shape (N, m).
+def bernstein_weights(n: int, p: int, pts) -> np.ndarray:
+    """The degree-n basis weights p_{n,k}(x_i) = C(n,k) x_i^k (1-x_i)^(n-k)
+    of each row of an (N, p) stack of points of the unit cube, as an
+    (N, p, n+1) stack, after checking the rows."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[1] != p:
+        raise ValidationError(f"point must have length {p}, got {pts.shape[1]}")
+    if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
+        raise DomainError("Bernstein evaluation requires a point of the unit cube")
+    return _basis_weights(n, np.clip(pts, 0.0, 1.0))
+
+
+def bernstein_contract(model: BernsteinModel, weights: np.ndarray) -> np.ndarray:
+    """The Bernstein sum of each row of ``bernstein_weights(model.n,
+    model.p, pts)``, shape (N, m).
 
     Each row is contracted one axis at a time by its own vector-matrix
     product, so a row's value does not depend on the rest of the stack.
     """
-    x = np.asarray(x, dtype=float)
-    pts = x if x.ndim == 2 else x.reshape(1, -1)
-    if pts.shape[1] != model.p:
-        raise ValidationError(f"point must have length {model.p}, got {pts.shape[1]}")
-    if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
-        raise DomainError("Bernstein evaluation requires a point of the unit cube")
-    weights = _basis_weights(model.n, np.clip(pts, 0.0, 1.0))
     n1 = model.n + 1
     # the lattice is one (1, n+1, rest) block shared by every row; after the
     # first contraction each row carries its own (1, rest) partial sum
@@ -92,7 +99,16 @@ def bernstein_eval(model: BernsteinModel, x) -> np.ndarray:
     for i in range(model.p):
         rest = n1 ** (model.p - 1 - i) * model.m
         acc = np.matmul(weights[:, i, None, :], acc.reshape(-1, n1, rest))
-    out = acc.reshape(len(pts), model.m)
+    return acc.reshape(len(weights), model.m)
+
+
+def bernstein_eval(model: BernsteinModel, x) -> np.ndarray:
+    """Exact finite Bernstein sum at a point of the unit cube, shape (m,);
+    or at each row of an (N, p) stack of such points, shape (N, m): the
+    contraction of the rows' checked basis weights."""
+    x = np.asarray(x, dtype=float)
+    pts = x if x.ndim == 2 else x.reshape(1, -1)
+    out = bernstein_contract(model, bernstein_weights(model.n, model.p, pts))
     return out if x.ndim == 2 else out[0]
 
 

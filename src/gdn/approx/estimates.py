@@ -74,6 +74,8 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
     """
     if activation_class not in _CLASSES:
         raise ValidationError(f"activation class must be one of {_CLASSES}")
+    if p < 1 or m < 1:
+        raise ValidationError("p and m must be positive integers")
     for name, val in (("eps", eps), ("delta", delta), ("kappa1", kappa1),
                       ("kappa2", kappa2)):
         if not (val > 0.0):

@@ -19,6 +19,8 @@ __all__ = [
     "empirical_modulus",
     "empirical_modulus_at",
     "modulus_from_samples",
+    "PairInputs",
+    "pair_inputs",
     "sample_pairs",
     "sampled_modulus_at",
     "modulus_inverse",
@@ -149,17 +151,39 @@ def oracle_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
     return ys
 
 
-def _pair_distances(xs, ys) -> Tuple[np.ndarray, np.ndarray]:
-    # input and output distances of every pair i < j, in the order (0, 1),
-    # (0, 2), ..., (1, 2), ...; np.take gathers the rows faster than fancy
-    # indexing with the same bits, and row_norms keeps each norm's dot kernel
-    if len(xs) < 2 or len(xs) != len(ys):
+@dataclass(frozen=True)
+class PairInputs:
+    """The input side of every pair i < j of ``n`` samples, in the order
+    (0, 1), (0, 2), ..., (1, 2), ...: the pair index ``i``, ``j`` and the
+    input distances ``din``, all read-only.  It depends on the inputs alone,
+    so a fixed sample grid builds it once and reads it with any outputs."""
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    din: np.ndarray
+
+
+def pair_inputs(xs) -> PairInputs:
+    """The ``PairInputs`` of the samples ``xs``; np.take gathers the rows
+    faster than fancy indexing with the same bits, and row_norms keeps each
+    norm's dot kernel."""
+    if len(xs) < 2:
         raise ValidationError("need at least two samples, each with one output")
     xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
-    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
     i, j = np.triu_indices(len(xs), k=1)
-    return (row_norms(np.take(xs, i, axis=0) - np.take(xs, j, axis=0)),
-            row_norms(np.take(ys, i, axis=0) - np.take(ys, j, axis=0)))
+    din = row_norms(np.take(xs, i, axis=0) - np.take(xs, j, axis=0))
+    for a in (i, j, din):
+        a.setflags(write=False)
+    return PairInputs(len(xs), i, j, din)
+
+
+def _output_distances(pairs: PairInputs, ys) -> np.ndarray:
+    # the output distance of every pair, from one output row per sample
+    if len(ys) != pairs.n:
+        raise ValidationError("need at least two samples, each with one output")
+    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
+    return row_norms(np.take(ys, pairs.i, axis=0) - np.take(ys, pairs.j, axis=0))
 
 
 def sample_pairs(xs, ys) -> np.ndarray:
@@ -169,19 +193,21 @@ def sample_pairs(xs, ys) -> np.ndarray:
     ``modulus_from_samples`` builds its estimate from these rows; a read of
     the modulus at one point goes through ``sampled_modulus_at``, which skips
     the (pairs, 2) array."""
-    return np.column_stack(_pair_distances(xs, ys))
+    pairs = pair_inputs(xs)
+    return np.column_stack([pairs.din, _output_distances(pairs, ys)])
 
 
-def sampled_modulus_at(xs, ys, t: float) -> float:
-    """``empirical_modulus_at(sample_pairs(xs, ys), t)``, bit for bit and with
-    the same errors in the same order, read straight from the two distance
-    vectors: no (pairs, 2) copy and no second pass over it."""
-    din, dout = _pair_distances(xs, ys)
+def sampled_modulus_at(pairs: PairInputs, ys, t: float) -> float:
+    """``empirical_modulus_at(sample_pairs(xs, ys), t)`` for
+    ``pairs = pair_inputs(xs)``, bit for bit and with the same errors in the
+    same order, read straight from the two distance vectors: no (pairs, 2)
+    copy and no second pass over it."""
+    dout = _output_distances(pairs, ys)
     if t < 0.0:
         raise ValidationError("modulus argument must be nonnegative")
-    _check_distances(din, dout)
+    _check_distances(pairs.din, dout)
     # a boolean gather reads twice as fast as np.max(..., where=...)
-    return float(np.max(dout[din <= t], initial=0.0))
+    return float(np.max(dout[pairs.din <= t], initial=0.0))
 
 
 def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray], xs) -> ModulusEstimate:

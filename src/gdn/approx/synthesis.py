@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -25,12 +26,13 @@ from ..errors import (
 from ..manifolds.zoo import row_norms
 from ..network import ActivationInfo, AffineLayer, FeedforwardNet
 from .bernstein import (
+    bernstein_contract,
     bernstein_degree_for,
-    bernstein_eval,
     bernstein_from_function,
     bernstein_to_coefficients,
+    bernstein_weights,
 )
-from .modulus import Modulus, oracle_rows, sampled_modulus_at
+from .modulus import Modulus, PairInputs, oracle_rows, pair_inputs, sampled_modulus_at
 from .polynomials import (
     LinearFormPoly,
     decompose_polynomial,
@@ -199,6 +201,66 @@ _DEGREE_CAP = _DEGREES[-1]
 _AUDIT_PER_AXIS = 10
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _CubeGrid:
+    """The (per_axis)^p grid on [0, 1]^p and its Bernstein basis weights,
+    each built on first use and kept read-only.
+
+    A point's weights are its coordinates' weights, so the grid keeps one
+    (per_axis, n+1) table per degree n and gathers the (N, p, n+1) stack
+    from it: the same bits as weighing every point, in O(per_axis n) bytes.
+    """
+
+    def __init__(self, p: int, per_axis: int):
+        self.p, self.per_axis = p, per_axis
+        self._tables = {}
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return _read_only(_grid_points(self.p, self.per_axis))
+
+    @cached_property
+    def _axis_index(self) -> np.ndarray:
+        # the axis position of each coordinate of each point
+        return _read_only(product_grid(np.arange(self.per_axis), self.p).astype(np.intp))
+
+    def weights(self, n: int) -> np.ndarray:
+        table = self._tables.get(n)
+        if table is None:
+            axis = np.linspace(0.0, 1.0, self.per_axis)[:, None]
+            table = self._tables[n] = _read_only(bernstein_weights(n, 1, axis)[:, 0])
+        return np.take(table, self._axis_index, axis=0)
+
+
+class _CubeSamples:
+    """The samples of a compile on [0, 1]^p that depend on p alone: the
+    selection grid, the audit grid and the audit pairs' input side."""
+
+    def __init__(self, p: int):
+        self.selection = _CubeGrid(p, {1: 41, 2: 21, 3: 9}.get(p, 5))
+        self.audit = _CubeGrid(p, _AUDIT_PER_AXIS)
+
+    @cached_property
+    def audit_pairs(self) -> PairInputs:
+        # every pair of every third audit point, read by the empirical modulus
+        return pair_inputs(self.audit.points[::3])
+
+
+@lru_cache(maxsize=None)
+def _memo_samples(p: int) -> _CubeSamples:
+    return _CubeSamples(p)
+
+
+def _cube_samples(p: int) -> _CubeSamples:
+    # each process builds the samples of p <= 3 once; no compile reaches a
+    # larger p (sampling.ball_points refuses it), so nothing else is kept
+    return _memo_samples(p) if p in (1, 2, 3) else _CubeSamples(p)
+
+
 def compile_function_to_shallow(
     target: Callable[[np.ndarray], np.ndarray],
     p: int, m: int, eps: float, sigma: ActivationInfo,
@@ -222,15 +284,21 @@ def compile_function_to_shallow(
     empirical modulus over every pair of every third audit point, read at
     its one point 1/sqrt(n) by ``sampled_modulus_at`` (55,611 pairs at
     p = 3) without building the pair array.
+
+    The samples that depend on p alone are built once per process for
+    p <= 3, each on first use: the selection and audit grids, their
+    Bernstein basis weights per degree, and the pair index and input
+    distances of every third audit point (only when the empirical modulus
+    is read).  They are read-only, so a target must not write to its
+    input; at p = 3 they hold under 2 MB.
     """
-    if eps <= 0.0:
+    if not (eps > 0.0):
         raise ValidationError("eps must be positive")
-    per_axis = {1: 41, 2: 21, 3: 9}.get(p, 5)
-    grid = _grid_points(p, per_axis)
+    samples = _cube_samples(p)
     bern_budget = 0.5 * eps
     synth_budget = 0.5 * eps
 
-    targets = oracle_rows(target, grid, m)
+    targets = oracle_rows(target, samples.selection.points, m)
     candidates = list(_DEGREES)
     if omega is not None:
         try:
@@ -243,7 +311,8 @@ def compile_function_to_shallow(
     tried = []  # each degree with its selection-grid residual, for the refusal
     for cand in candidates:
         trial = bernstein_from_function(target, cand, p, m)
-        resid = float(np.max(row_norms(bernstein_eval(trial, grid) - targets)))
+        fitted = bernstein_contract(trial, samples.selection.weights(cand))
+        resid = float(np.max(row_norms(fitted - targets)))
         tried.append(f"{cand}: {resid:.3g}")
         if resid <= bern_budget:
             n, model = cand, trial
@@ -280,8 +349,8 @@ def compile_function_to_shallow(
     h_floor = max((2.0 ** kmax * np.finfo(float).eps) ** (1.0 / (kmax + 1)), 1e-7)
     h = min(max(synth_budget / kmax * 0.1, h_floor), 1e-2)
 
-    audit = _grid_points(p, _AUDIT_PER_AXIS)
-    lattice_audit = bernstein_eval(model, audit)
+    audit = samples.audit.points
+    lattice_audit = bernstein_contract(model, samples.audit.weights(n))
     best = None
     trial_h = h
     for _ in range(6):
@@ -302,7 +371,7 @@ def compile_function_to_shallow(
     # the bound reads the modulus at its one point 1/sqrt(n); without
     # ``omega``, the empirical modulus is read there directly
     t = 1.0 / math.sqrt(n)
-    omega_t = (sampled_modulus_at(audit[::3], values[::3], t)
+    omega_t = (sampled_modulus_at(samples.audit_pairs, values[::3], t)
                if omega is None else float(omega(t)))
     apriori = (1.0 + p / 4.0) * m * omega_t + synth_resid
     return CompileResult(shallow, n, theta0, used_h, apriori, synth_resid,

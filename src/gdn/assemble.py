@@ -78,6 +78,8 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
         )
     if audit_count < 1:
         raise ValidationError(f"the audit needs at least 1 point, got {audit_count!r}")
+    if not (eps > 0.0):
+        raise ValidationError("eps must be positive")
     p, m = domain.dim, codomain.dim
     pulled_back = pullback(chart_x, chart_y, target, radius)
 

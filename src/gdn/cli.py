@@ -209,6 +209,8 @@ def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
     # the CSV fields of bench run i; every error it raises names the run
     t0 = time.perf_counter()
     try:
+        if not isinstance(run, dict):
+            raise ParseError(f"a run must be a JSON object, got {run!r}")
         try:
             seed = int(run.get("seed", 0))
             domain, codomain, base_x, target, base_y, sigma = _resolve_run(
@@ -259,7 +261,7 @@ def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
 def cmd_bench(args, parser) -> int:
     config = _load_json(args.config)
     runs = config.get("runs") if isinstance(config, dict) else None
-    if not runs:
+    if not runs or not isinstance(runs, list):
         raise ParseError("bench config needs a non-empty 'runs' list")
     header = list(_BENCH_COLUMNS) + (["wall_time_s"] if args.timing else [])
     # each row is written as soon as its run finishes, so a failing run

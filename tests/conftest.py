@@ -1,10 +1,23 @@
+import functools
+
 import numpy as np
 import pytest
+
+import gdn.approx.synthesis as synthesis
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def fresh_cube_samples(monkeypatch):
+    """An empty per-process cube sample memo for the test, so that its first
+    compile at each dimension builds the samples; the process memo is left
+    as it was."""
+    monkeypatch.setattr(synthesis, "_memo_samples",
+                        functools.lru_cache(maxsize=None)(synthesis._CubeSamples))
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

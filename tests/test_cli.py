@@ -51,6 +51,14 @@ class TestEstimate:
         assert out == ""
         assert "activation modulus inverse is infinite" in err
 
+    @pytest.mark.parametrize("bad", [["--m", "0"], ["--p", "0"], ["--p", "-3"]])
+    def test_nonpositive_dimensions_exit_2(self, capsys, bad):
+        code, out, err = run(capsys, "estimate", "--class", "smooth", "--p", "1",
+                             "--m", "1", *bad, "--eps", "0.1", "--delta", "0.5",
+                             "--lip", "1", "--kappa1", "1", "--kappa2", "1")
+        assert code == 2 and out == ""
+        assert err == "error: p and m must be positive integers\n"
+
     def test_modulus_file(self, capsys, tmp_path):
         mod = tmp_path / "mod.json"
         mod.write_text(json.dumps({"knots": [0.0, 0.08, 1.0],
@@ -125,6 +133,30 @@ class TestCompileAndEval:
             assert code == 0
             bounds.append(json.loads(out)["apriori_bound"])
         assert bounds[0] == bounds[1] < 0.01
+
+    def test_audit_pairs_built_once_per_dimension(self, capsys, monkeypatch,
+                                                  fresh_cube_samples):
+        # an spd2 --lip compile (p = 3) never builds the audit pairs' input
+        # side, and two cube3 compiles build it once
+        import gdn.approx.synthesis as synthesis
+
+        built = []
+        inner = synthesis.pair_inputs
+        monkeypatch.setattr(synthesis, "pair_inputs",
+                            lambda xs: built.append(len(xs)) or inner(xs))
+        code, _, _ = run(capsys, "compile", "--target", "spd-congruence",
+                         "--domain", "spd:2", "--codomain", "spd:2", "--base-x", "[1,0,1]",
+                         "--radius", "1.0", "--eps", "0.05", "--lip", "2.0")
+        assert code == 0 and built == []
+        outs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, "compile", "--target", "poly:x1*x2*x3",
+                               "--domain", "euclidean:3", "--codomain", "euclidean:1",
+                               "--base-x", "[0,0,0]", "--radius", "0.5", "--eps", "0.05")
+            assert code == 0
+            outs.append(out)
+        assert built == [334]
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("case", [
         ["--target", "rotation", "--domain", "sphere:2", "--codomain", "sphere:2",
@@ -358,6 +390,16 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, self.COMPILE + [f"--verticalize={box}"],
                                 "verticalization box", needle)
 
+    def test_nan_eps_is_refused_before_any_oracle_call(self, capsys, monkeypatch):
+        import gdn.assemble
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called the oracle with eps nan")
+
+        monkeypatch.setattr(gdn.assemble, "oracle_rows", refuse)
+        argv = [a if a != "0.1" else "nan" for a in self.COMPILE]
+        self.assert_usage_error(capsys, argv, "eps must be positive")
+
     def test_empty_audit_grid(self, capsys):
         self.assert_usage_error(capsys, self.COMPILE + ["--grid", "0"], "got 0")
 
@@ -385,6 +427,18 @@ class TestUsageErrors:
     def test_bench_run_radius_not_a_number(self, capsys, tmp_path):
         self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "radius": "abc"},
                    "'abc'")
+
+    def test_bench_run_nan_eps(self, capsys, tmp_path):
+        self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "eps": float("nan")},
+                   "eps must be positive")
+
+    def test_bench_run_not_an_object(self, capsys, tmp_path):
+        self.bench(capsys, tmp_path, 1, "a run must be a JSON object, got 1")
+
+    def test_bench_runs_not_a_list(self, capsys, tmp_path):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"runs": {"a": 1}}))
+        self.assert_usage_error(capsys, ["bench", str(cfg)], "non-empty 'runs' list")
 
     @pytest.mark.parametrize("command", ["compile", "eval", "bench"])
     def test_directory_in_place_of_a_file(self, capsys, tmp_path, command):

@@ -11,8 +11,9 @@ smooth activation: softplus over a 3-output core with block output weights,
 and the default exp over a 2-output core.  The two p = 3 compiles read
 their modulus from the 55,611 audit-grid pairs; cube3-quadratic is also the
 one that walks Bernstein degrees 1 to 4 and evaluates exponent-2 powers.
-Each compile must reproduce its summary JSON (without ``out``) and the
-sha256 of its model file, and the bench its CSV, exactly.  spd is left out:
+Each compile, run twice in one process, must reproduce its summary JSON
+(without ``out``) and the sha256 of its model file both times, and the
+bench its CSV, exactly.  spd is left out:
 its bytes depend on LAPACK rounding.
 
 The values were recorded with numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64
@@ -136,14 +137,17 @@ BENCH_CSV = (
 
 
 @pytest.mark.parametrize("case", sorted(COMPILES))
-def test_compile_outputs_pinned(case, capsys, tmp_path):
+def test_compile_outputs_pinned(case, capsys, tmp_path, fresh_cube_samples):
+    # twice: the first compile builds the cube samples of its dimension, the
+    # second reads them
     args, summary, model_sha = COMPILES[case]
     out = tmp_path / "model.json"
-    assert main(["compile", *args, "--seed", "0", "--out", str(out)]) == 0
-    got = json.loads(capsys.readouterr().out)
-    assert got.pop("out") == str(out)
-    assert got == summary
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == model_sha
+    for _ in range(2):
+        assert main(["compile", *args, "--seed", "0", "--out", str(out)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got.pop("out") == str(out)
+        assert got == summary
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == model_sha
 
 
 def test_bench_csv_pinned(capsys, tmp_path):

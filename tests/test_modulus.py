@@ -13,11 +13,12 @@ from gdn.approx.modulus import (
     empirical_modulus_at,
     modulus_from_samples,
     modulus_inverse,
+    pair_inputs,
     sample_pairs,
     sampled_modulus_at,
     smooth_modulus,
 )
-from gdn.approx.synthesis import _DEGREES, _grid_points
+from gdn.approx.synthesis import _DEGREES, _cube_samples, _grid_points
 from gdn.errors import ValidationError
 
 STEP = ModulusEstimate(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -185,7 +186,8 @@ def fancy_index_pairs(xs, ys):
 
 
 class TestSampledModulusAt:
-    """The modulus read of ``compile_function_to_shallow``: it must equal
+    """The modulus read of ``compile_function_to_shallow``: from
+    ``pair_inputs(xs)`` it must equal
     ``empirical_modulus_at(sample_pairs(xs, ys), t)`` bit for bit and raise
     its errors, without the (pairs, 2) array."""
 
@@ -205,12 +207,14 @@ class TestSampledModulusAt:
             ys = np.sin(xs @ rng.standard_normal((p, m)))
             pairs, ts = self.reads(xs, ys)
             np.testing.assert_array_equal(pairs, fancy_index_pairs(xs, ys))
+            inputs = pair_inputs(xs)
             for t in ts:
-                assert sampled_modulus_at(xs, ys, t) == empirical_modulus_at(pairs, t)
+                assert sampled_modulus_at(inputs, ys, t) == empirical_modulus_at(pairs, t)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_strided_audit_views(self, p):
-        # the compile's own read: every third point of the audit grid
+        # the compile's own read: every third point of the audit grid, from
+        # the input side built for it once per process
         audit = _grid_points(p, 10)
         values = np.column_stack([np.prod(audit, axis=1), np.sum(audit ** 2, axis=1)])
         xs, ys = audit[::3], values[::3]
@@ -218,7 +222,8 @@ class TestSampledModulusAt:
         np.testing.assert_array_equal(pairs, fancy_index_pairs(xs, ys))
         for n in _DEGREES:
             t = 1.0 / math.sqrt(n)
-            assert sampled_modulus_at(xs, ys, t) == empirical_modulus_at(pairs, t)
+            for inputs in (pair_inputs(xs), _cube_samples(p).audit_pairs):
+                assert sampled_modulus_at(inputs, ys, t) == empirical_modulus_at(pairs, t)
 
     BAD = [
         (np.zeros((1, 2)), np.zeros((1, 1)), "need at least two samples, each with one output"),
@@ -236,18 +241,18 @@ class TestSampledModulusAt:
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 empirical_modulus_at(sample_pairs(xs, ys), t)
             with pytest.raises(ValidationError, match=f"^{message}$"):
-                sampled_modulus_at(xs, ys, t)
+                sampled_modulus_at(pair_inputs(xs), ys, t)
 
     def test_negative_argument_refused(self):
         xs, ys = np.eye(2), np.zeros((2, 1))
         with pytest.raises(ValidationError, match="nonnegative"):
-            sampled_modulus_at(xs, ys, -1e-9)
+            sampled_modulus_at(pair_inputs(xs), ys, -1e-9)
 
     def test_equal_outputs_at_duplicate_inputs_pass(self):
         xs = np.array([[0.5], [0.5], [0.0]])
         ys = np.array([[2.0], [2.0], [1.0]])
-        assert sampled_modulus_at(xs, ys, 0.5) == 1.0
-        assert sampled_modulus_at(xs, ys, 0.4) == 0.0
+        assert sampled_modulus_at(pair_inputs(xs), ys, 0.5) == 1.0
+        assert sampled_modulus_at(pair_inputs(xs), ys, 0.4) == 0.0
 
 
 class TestModulusInverse:

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from gdn.approx.bernstein import bernstein_weights
 from gdn.approx.modulus import LipschitzModulus, empirical_modulus, sample_pairs
 from gdn.approx.polynomials import decompose_polynomial
 from gdn.approx.synthesis import (
+    _DEGREE_CAP,
+    _cube_samples,
     _grid_points,
     compile_function_to_shallow,
     compile_poly_to_shallow,
@@ -35,6 +38,50 @@ class TestGridPoints:
         got = _grid_points(p, per_axis)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+class TestCubeSamples:
+    """The samples a compile at p <= 3 builds once per process."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_grid_weights_equal_weighing_every_point(self, p):
+        # the per-axis tables gathered give the bits of the point-by-point weights
+        samples = _cube_samples(p)
+        for grid in (samples.selection, samples.audit):
+            for n in range(1, _DEGREE_CAP + 1):
+                got = grid.weights(n)
+                want = bernstein_weights(n, p, grid.points)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_memoized_arrays_are_read_only(self):
+        samples = _cube_samples(3)
+        for n in (1, 4):
+            samples.selection.weights(n)
+            samples.audit.weights(n)
+        pairs = samples.audit_pairs
+        arrays = [pairs.i, pairs.j, pairs.din]
+        for grid in (samples.selection, samples.audit):
+            arrays += [grid.points, grid._axis_index, *grid._tables.values()]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+    def test_only_p_up_to_3_is_kept(self):
+        assert _cube_samples(3) is _cube_samples(3)
+        assert _cube_samples(4) is not _cube_samples(4)
+
+    def test_retained_bytes_at_p_3(self):
+        # every grid weight table a compile can build, and the audit pairs
+        samples = _cube_samples(3)
+        total = sum(a.nbytes for a in (samples.audit_pairs.i, samples.audit_pairs.j,
+                                        samples.audit_pairs.din))
+        for grid in (samples.selection, samples.audit):
+            for n in range(1, _DEGREE_CAP + 1):
+                grid.weights(n)
+            total += grid.points.nbytes + grid._axis_index.nbytes
+            total += sum(t.nbytes for t in grid._tables.values())
+        assert len(samples.audit_pairs.din) == 55_611
+        assert total < 2_000_000
 
 
 class TestFiniteDiff:
@@ -178,6 +225,14 @@ class TestCompileFunction:
         assert sum(rows) <= 9 ** 3 + 10 ** 3 + sum((c + 1) ** 3 for c in tried)
         # one call per stage: the selection grid, each lattice, the audit grid
         assert len(rows) <= 2 + len(tried)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_eps_refused_before_any_oracle_call(self, eps):
+        def f(x):
+            raise AssertionError("called the oracle with a bad eps")
+
+        with pytest.raises(ValidationError, match="^eps must be positive$"):
+            compile_function_to_shallow(f, 1, 1, eps, EXP)
 
     def test_infeasible_budgets_fail_fast(self):
         import time
