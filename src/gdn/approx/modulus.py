@@ -78,8 +78,9 @@ class AnalyticModulus:
 
 def LipschitzModulus(L: float) -> AnalyticModulus:
     """omega(t) = L t with the exact generalized inverse eps / L."""
-    if not (L >= 0.0):
-        raise ValidationError(f"Lipschitz constant must be nonnegative, got {L!r}")
+    if not (0.0 <= L < math.inf):
+        raise ValidationError(
+            f"Lipschitz constant must be finite and nonnegative, got {L!r}")
     if L == 0.0:
         return AnalyticModulus(lambda t: 0.0, lambda eps: math.inf)
     return AnalyticModulus(lambda t: L * t, lambda eps: eps / L)

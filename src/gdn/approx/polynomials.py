@@ -129,8 +129,6 @@ class LinearFormPoly:
 
     terms: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     dim: int
-    degree: int
-    r_bound: int
 
     def __call__(self, x):
         """h at a point, or at each row of an (N, dim) stack (bit for bit)."""
@@ -159,9 +157,7 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPol
     Sign patterns are aggregated per coordinate (a monomial x^alpha needs
     only prod_i (alpha_i + 1) distinct directions, not 2^degree patterns).
     The result is verified against the source, to 1e-8 relative to the
-    largest coefficient, on a (degree+1)^dim grid of [-1, 1]^dim, and
-    reported alongside the binomial bound r = C(dim - 1 + degree, degree)
-    on the number of forms.
+    largest coefficient, on a (degree+1)^dim grid of [-1, 1]^dim.
     """
     if poly_total_degree(coeffs) > degree:
         raise ValidationError("declared degree is below the polynomial's total degree")
@@ -216,8 +212,7 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPol
             b[0] = constant
             terms.append((a, b))
 
-    r_bound = math.comb(dim - 1 + degree, degree)
-    result = LinearFormPoly(tuple(terms), dim, degree, r_bound)
+    result = LinearFormPoly(tuple(terms), dim)
 
     # round-trip audit on the test grid
     grid = product_grid(np.linspace(-1.0, 1.0, degree + 1), dim)

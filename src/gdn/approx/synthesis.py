@@ -26,6 +26,7 @@ from ..errors import (
 from ..manifolds.zoo import row_norms
 from ..network import ActivationInfo, AffineLayer, FeedforwardNet
 from .bernstein import (
+    BernsteinModel,
     bernstein_contract,
     bernstein_degree_for,
     bernstein_from_function,
@@ -187,11 +188,7 @@ class CompileResult:
 
     net: FeedforwardNet
     degree: int
-    theta0: float
-    h: float
     apriori_bound: float
-    synthesis_residual: float
-    audit_error: float
 
 
 # the Bernstein degrees tried, smallest first; the largest is the synthesis
@@ -261,73 +258,48 @@ def _cube_samples(p: int) -> _CubeSamples:
     return _memo_samples(p) if p in (1, 2, 3) else _CubeSamples(p)
 
 
-def compile_function_to_shallow(
-    target: Callable[[np.ndarray], np.ndarray],
-    p: int, m: int, eps: float, sigma: ActivationInfo,
-    omega: Optional[Modulus] = None,
-) -> CompileResult:
-    """Compile a function on the unit cube into a shallow network with a
-    certified audit.
-
-    The error budget splits evenly: half to the Bernstein stage, half to
-    finite-difference synthesis.  The Bernstein degree is the smallest
-    candidate whose measured lattice residual fits its half (checked on a
-    dense grid), with the a-priori degree rule added as a candidate when a
-    modulus is supplied.  Degrees and total polynomial degrees above 12 are
-    refused, because the difference stencils degenerate in double
-    precision.  The audit grid has 10 points per axis.
-
-    The target takes an (N, p) stack and returns an (N, m) stack.
-    It runs once on each of the selection grid, each Bernstein lattice
-    tried and the audit grid, so every point is evaluated once; the audit
-    values serve both the audit error and, without ``omega``, the
-    empirical modulus over every pair of every third audit point, read at
-    its one point 1/sqrt(n) by ``sampled_modulus_at`` (55,611 pairs at
-    p = 3) without building the pair array.
-
-    The samples that depend on p alone are built once per process for
-    p <= 3, each on first use: the selection and audit grids, their
-    Bernstein basis weights per degree, and the pair index and input
-    distances of every third audit point (only when the empirical modulus
-    is read).  They are read-only, so a target must not write to its
-    input; at p = 3 they hold under 2 MB.
-    """
-    if not (eps > 0.0):
-        raise ValidationError("eps must be positive")
-    samples = _cube_samples(p)
-    bern_budget = 0.5 * eps
-    synth_budget = 0.5 * eps
-
+def _select_degree(target: Callable[[np.ndarray], np.ndarray],
+                   samples: _CubeSamples, m: int, budget: float,
+                   omega: Optional[Modulus]):
+    """(n, Bernstein model) of the smallest candidate degree whose lattice
+    residual on the selection grid fits ``budget``, with the a-priori degree
+    rule of ``omega`` added as a candidate; refused with every candidate's
+    residual when none fits."""
+    p = samples.selection.p
     targets = oracle_rows(target, samples.selection.points, m)
     candidates = list(_DEGREES)
     if omega is not None:
         try:
-            n_apriori = bernstein_degree_for(bern_budget, p, m, omega)
+            n_apriori = bernstein_degree_for(budget, p, m, omega)
             if n_apriori <= _DEGREE_CAP and n_apriori not in candidates:
                 candidates = sorted(set(candidates + [n_apriori]))
         except InfeasibleDegreeError:
             pass
-    model = None
     tried = []  # each degree with its selection-grid residual, for the refusal
     for cand in candidates:
-        trial = bernstein_from_function(target, cand, p, m)
-        fitted = bernstein_contract(trial, samples.selection.weights(cand))
+        model = bernstein_from_function(target, cand, p, m)
+        fitted = bernstein_contract(model, samples.selection.weights(cand))
         resid = float(np.max(row_norms(fitted - targets)))
+        if resid <= budget:
+            return cand, model
         tried.append(f"{cand}: {resid:.3g}")
-        if resid <= bern_budget:
-            n, model = cand, trial
-            break
-    if model is None:
-        raise InfeasibleDegreeError(
-            f"no Bernstein degree <= {_DEGREE_CAP} meets the "
-            f"budget {bern_budget!r} on the selection grid; residual by "
-            f"degree: {', '.join(tried)}",
-            _DEGREE_CAP,
-        )
+    raise InfeasibleDegreeError(
+        f"no Bernstein degree <= {_DEGREE_CAP} meets the "
+        f"budget {budget!r} on the selection grid; residual by "
+        f"degree: {', '.join(tried)}",
+        _DEGREE_CAP,
+    )
 
+
+def _synthesize(model: BernsteinModel, audit: _CubeGrid, sigma: ActivationInfo,
+                budget: float):
+    """(net, residual): the finite-difference shallow net of the Bernstein
+    polynomial and its sup distance from that polynomial on the audit grid.
+    Smaller steps h are tried until the residual fits ``budget``; the net of
+    the smallest residual is kept."""
     coeffs = bernstein_to_coefficients(model)
     totals = []
-    for j in range(m):
+    for j in range(model.m):
         cj = {exps: float(vec[j]) for exps, vec in coeffs.items() if vec[j] != 0.0}
         totals.append((cj, poly_total_degree(cj)))
     max_total = max((t for _c, t in totals), default=0)
@@ -339,41 +311,67 @@ def compile_function_to_shallow(
             f"synthesis stencil cap {_DEGREE_CAP}", _DEGREE_CAP
         )
     per_output: List[LinearFormPoly] = [
-        decompose_polynomial(cj, max(total, 1), p) for cj, total in totals
+        decompose_polynomial(cj, max(total, 1), model.p) for cj, total in totals
     ]
 
-    theta0 = select_theta0(sigma, max(max_total, 1))
     kmax = max(max_total, 1)
+    theta0 = select_theta0(sigma, kmax)
     # below this step a k-th difference drops under the roundoff of its
     # 2^k-term alternating sum and the stencil reads pure noise
     h_floor = max((2.0 ** kmax * np.finfo(float).eps) ** (1.0 / (kmax + 1)), 1e-7)
-    h = min(max(synth_budget / kmax * 0.1, h_floor), 1e-2)
+    h = min(max(budget / kmax * 0.1, h_floor), 1e-2)
 
-    audit = samples.audit.points
-    lattice_audit = bernstein_contract(model, samples.audit.weights(n))
+    lattice_audit = bernstein_contract(model, audit.weights(model.n))
     best = None
-    trial_h = h
     for _ in range(6):
-        shallow = compile_poly_to_shallow(per_output, sigma, theta0, trial_h)
-        outputs = shallow(audit)
-        resid = float(np.max(row_norms(outputs - lattice_audit)))
+        shallow = compile_poly_to_shallow(per_output, sigma, theta0, h)
+        resid = float(np.max(row_norms(shallow(audit.points) - lattice_audit)))
         if best is None or resid < best[1]:
-            best = (shallow, resid, trial_h, outputs)
-        if resid <= synth_budget:
+            best = (shallow, resid)
+        if resid <= budget or h / 4.0 < h_floor:
             break
-        trial_h /= 4.0
-        if trial_h < h_floor:
-            break
-    shallow, synth_resid, used_h, outputs = best
+        h /= 4.0
+    return best
 
-    values = oracle_rows(target, audit, m)
-    audit_error = float(np.max(row_norms(outputs - values)))
+
+def compile_function_to_shallow(
+    target: Callable[[np.ndarray], np.ndarray],
+    p: int, m: int, eps: float, sigma: ActivationInfo,
+    omega: Optional[Modulus] = None,
+) -> CompileResult:
+    """Compile a function on the unit cube into a shallow network, with the
+    a-priori bound of its error: the degree stage, then the synthesis stage.
+
+    The error budget splits evenly: half to the Bernstein stage, half to
+    finite-difference synthesis.  The Bernstein degree is the smallest
+    candidate whose measured lattice residual fits its half (checked on a
+    dense grid), with the a-priori degree rule added as a candidate when a
+    modulus is supplied.  Degrees and total polynomial degrees above 12 are
+    refused, because the difference stencils degenerate in double
+    precision.  The synthesis residual is measured against the Bernstein
+    polynomial on the audit grid of 10 points per axis; the error against
+    the target is measured by the caller (``compile_gdn`` audits the GDN
+    on the geodesic ball).
+
+    The target takes an (N, p) stack and returns an (N, m) stack.  It runs
+    once on the selection grid and once on each Bernstein lattice tried,
+    and, without ``omega`` only, once on every third audit point, whose
+    empirical modulus over every pair (55,611 at p = 3) is read at its one
+    point 1/sqrt(n) by ``sampled_modulus_at``.
+
+    The samples that depend on p alone (the grids, their Bernstein weights
+    per degree, and the audit pairs' input side, built only when read) are
+    built once per process for p <= 3.  They are read-only, so a target
+    must not write to its input; at p = 3 they hold under 2 MB.
+    """
+    if not (eps > 0.0):
+        raise ValidationError("eps must be positive")
+    samples = _cube_samples(p)
+    n, model = _select_degree(target, samples, m, 0.5 * eps, omega)
+    net, residual = _synthesize(model, samples.audit, sigma, 0.5 * eps)
     # the bound reads the modulus at its one point 1/sqrt(n); without
     # ``omega``, the empirical modulus is read there directly
     t = 1.0 / math.sqrt(n)
-    omega_t = (sampled_modulus_at(samples.audit_pairs, values[::3], t)
-               if omega is None else float(omega(t)))
-    apriori = (1.0 + p / 4.0) * m * omega_t + synth_resid
-    return CompileResult(shallow, n, theta0, used_h, apriori, synth_resid,
-                         audit_error)
-
+    omega_t = (float(omega(t)) if omega is not None else sampled_modulus_at(
+        samples.audit_pairs, oracle_rows(target, samples.audit.points[::3], m), t))
+    return CompileResult(net, n, (1.0 + p / 4.0) * m * omega_t + residual)

@@ -4,13 +4,14 @@ and wrap it with the chart embeddings.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .approx.modulus import Modulus, oracle_rows
-from .approx.synthesis import CompileResult, compile_function_to_shallow
+from .approx.synthesis import compile_function_to_shallow
 from .errors import ValidationError
 from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
 from .manifolds.zoo import Chart, as_point, chart_at, row_norms
@@ -24,10 +25,9 @@ __all__ = ["CompiledGDN", "compile_gdn", "audit_gdn", "pullback"]
 @dataclass(frozen=True)
 class CompiledGDN:
     model: GDNModel
-    compile_result: CompileResult
+    degree: int
     audit_error: float
     apriori_bound: float
-    audit_count: int
 
 
 def pullback(chart_x: Chart, chart_y: Chart,
@@ -64,11 +64,16 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     the unit cube, compiled to a shallow core with an error budget deflated
     by the closed-form, curvature-derived Lipschitz constant of the codomain
     exponential chart (``exp_chart_lipschitz``), and audited
-    geodesically on a deterministic ball sample; ``audit_error`` is the
-    measured supremum.  ``target`` maps one point or an (N, point_dim)
-    stack, like ``exp_map``, and each compile stage calls it once.  The
-    base points are checked once, here, by binding them to their charts,
-    which every later stage and the model share.
+    geodesically on a deterministic ball sample of ``audit_count`` points;
+    ``audit_error``, the measured sup geodesic error that the theorem
+    bounds, is the check of the compile.  ``target`` maps one point or an
+    (N, point_dim) stack, like ``exp_map``, and each stage calls it once:
+    on 64 ball points (the reached tangent range), through the pullback on
+    the core's selection grid, its lattices and, without ``omega``, every
+    third cube audit point, then on the geodesic audit sample.  The base
+    points and eps are checked once, here, before any oracle call; the
+    charts the base points are bound to serve every later stage and the
+    model.
     """
     chart_x = chart_at(domain, base_x)
     chart_y = chart_at(codomain, base_y)
@@ -78,8 +83,8 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
         )
     if audit_count < 1:
         raise ValidationError(f"the audit needs at least 1 point, got {audit_count!r}")
-    if not (eps > 0.0):
-        raise ValidationError("eps must be positive")
+    if not (0.0 < eps < math.inf):
+        raise ValidationError(f"eps must be positive and finite, got {eps!r}")
     p, m = domain.dim, codomain.dim
     pulled_back = pullback(chart_x, chart_y, target, radius)
 
@@ -108,8 +113,8 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     model = GDNModel(chart_x, chart_y, core)
 
     audit_error = audit_gdn(model, target, radius, audit_count)
-    return CompiledGDN(model, result, audit_error,
-                       expansion * result.apriori_bound, audit_count)
+    return CompiledGDN(model, result.degree, audit_error,
+                       expansion * result.apriori_bound)
 
 
 def audit_gdn(model: GDNModel, target: Callable[[np.ndarray], np.ndarray],

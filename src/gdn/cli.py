@@ -145,11 +145,11 @@ def cmd_compile(args, parser) -> int:
         "eps": args.eps,
         "measured_error": measured,
         "apriori_bound": compiled.apriori_bound,
-        "bernstein_degree": compiled.compile_result.degree,
+        "bernstein_degree": compiled.degree,
         "width": width(model.core),
         "depth": model.core.depth,
         "param_count": param_count(model.core),
-        "audit_points": compiled.audit_count,
+        "audit_points": args.grid,
         "out": args.out,
     }
     _json_out(summary)

@@ -51,6 +51,17 @@ class TestEstimate:
         assert out == ""
         assert "activation modulus inverse is infinite" in err
 
+    @pytest.mark.parametrize("modulus", [
+        ["--class", "smooth", "--lip", "inf"],
+        ["--class", "continuous", "--lip", "1", "--B", "1", "--sigma-lip", "inf"],
+    ])
+    def test_infinite_lipschitz_constant_exits_2(self, capsys, modulus):
+        code, out, err = run(capsys, "estimate", *modulus, "--p", "1", "--m", "1",
+                             "--eps", "0.1", "--delta", "0.5",
+                             "--kappa1", "1", "--kappa2", "1")
+        assert code == 2 and out == ""
+        assert err == "error: Lipschitz constant must be finite and nonnegative, got inf\n"
+
     @pytest.mark.parametrize("bad", [["--m", "0"], ["--p", "0"], ["--p", "-3"]])
     def test_nonpositive_dimensions_exit_2(self, capsys, bad):
         code, out, err = run(capsys, "estimate", "--class", "smooth", "--p", "1",
@@ -397,8 +408,17 @@ class TestUsageErrors:
             raise AssertionError("called the oracle with eps nan")
 
         monkeypatch.setattr(gdn.assemble, "oracle_rows", refuse)
-        argv = [a if a != "0.1" else "nan" for a in self.COMPILE]
-        self.assert_usage_error(capsys, argv, "eps must be positive")
+        for eps in ("nan", "inf"):
+            argv = [a if a != "0.1" else eps for a in self.COMPILE]
+            self.assert_usage_error(capsys, argv, "eps must be positive")
+
+    def test_infinite_lip_is_refused_before_compiling(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled with an infinite Lipschitz constant")
+
+        monkeypatch.setattr(gdn.cli, "compile_gdn", refuse)
+        self.assert_usage_error(capsys, self.COMPILE + ["--lip", "inf"],
+                                "Lipschitz constant must be finite")
 
     def test_empty_audit_grid(self, capsys):
         self.assert_usage_error(capsys, self.COMPILE + ["--grid", "0"], "got 0")
@@ -429,8 +449,9 @@ class TestUsageErrors:
                    "'abc'")
 
     def test_bench_run_nan_eps(self, capsys, tmp_path):
-        self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "eps": float("nan")},
-                   "eps must be positive")
+        for eps in (float("nan"), float("inf")):
+            self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "eps": eps},
+                       "eps must be positive")
 
     def test_bench_run_not_an_object(self, capsys, tmp_path):
         self.bench(capsys, tmp_path, 1, "a run must be a JSON object, got 1")

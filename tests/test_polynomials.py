@@ -1,7 +1,6 @@
 """Polynomial utilities: polarization decomposition, monomial counting, and
 the reciprocal approximant."""
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -62,10 +61,6 @@ class TestDecompose:
                     x = np.array(pt)
                     want = float(np.prod([xi ** e for xi, e in zip(x, exps)]))
                     assert lf(x) == pytest.approx(want, abs=1e-8)
-
-    def test_reports_binomial_bound(self):
-        lf = decompose_polynomial({(1, 1): 1.0}, 2, 2)
-        assert lf.r_bound == math.comb(2 - 1 + 2, 2)
 
 
 def elementwise_poly_eval(coeffs, x):

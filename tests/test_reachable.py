@@ -1,7 +1,7 @@
 """Every public top-level function and class in the package, and every public
 method of such a class, is reached from a command, from module-level code or
-from the acceptance suite, or is kept on purpose; and no module imports a
-name it never uses.
+from the acceptance suite, or is kept on purpose; every field of a dataclass
+is read; and no module imports a name it never uses.
 
 Reached is transitive: the roots are ``cli.main``, every module-level
 statement that is not a definition, an import or ``__all__`` (``FAMILIES``,
@@ -11,6 +11,10 @@ root refers to it by name; a method is reached when its class is reached and
 a reached definition refers to it by name, or it is a dunder method.  Names
 are matched without their module, so a name reaches every definition that
 bears it.
+
+A dataclass field is read when package code or the acceptance suite loads
+an attribute of its name (``result.degree``), or it sits in ``KEEP`` as
+``Class.field``.  Fields are matched without their class, like definitions.
 """
 import ast
 from pathlib import Path
@@ -20,7 +24,8 @@ import gdn
 SRC = Path(gdn.__file__).parent
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 
-# public names that no command and no criterion reaches, each with who will
+# public names that no command and no criterion reaches, and dataclass
+# fields (as "Class.field") that nothing reads, each with who will
 KEEP = {
     "k_star": "ROADMAP item 3's radius report prints the paper's curvature cap",
     "universality_radius": "ROADMAP item 3's radius report prints the paper's radius",
@@ -122,8 +127,50 @@ def test_every_public_definition_is_reached():
 def test_keep_holds_only_defined_unreached_names():
     defs, reached = _reached()
     defined = {name for name, _w, _r, _m in defs}
-    stale = sorted(name for name in KEEP if name not in defined or name in reached)
+    fields = {qual: field for qual, field, _where in _dataclass_fields()}
+    reads = _attribute_reads()
+
+    def is_stale(name):
+        if "." in name:  # a kept field must be a dataclass field nothing reads
+            return name not in fields or fields[name] in reads
+        return name not in defined or name in reached
+
+    stale = sorted(filter(is_stale, KEEP))
     assert not stale, "undefined or reached, so not kept on purpose: " + ", ".join(stale)
+
+
+def _is_dataclass(decorator):
+    # @dataclass, @dataclass(...) and their dotted forms
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields():
+    """("Class.field", field, "module.py:line") of every annotated field of
+    every top-level dataclass in the package."""
+    for path, tree in _modules():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(map(_is_dataclass, cls.decorator_list))):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield (f"{cls.name}.{stmt.target.id}", stmt.target.id,
+                           f"{path.relative_to(SRC)}:{stmt.lineno}")
+
+
+def _attribute_reads():
+    """The attribute names that package code and the acceptance suite load."""
+    trees = [tree for _path, tree in _modules()] + [ast.parse(ACCEPTANCE.read_text())]
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    reads = _attribute_reads()
+    unread = [f"{qual} ({where})" for qual, field, where in _dataclass_fields()
+              if field not in reads and qual not in KEEP]
+    assert not unread, "fields read by nothing: " + ", ".join(unread)
 
 
 def test_reach_is_transitive():

@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from gdn.approx.bernstein import bernstein_weights
+from gdn.approx.bernstein import (
+    bernstein_degree_for,
+    bernstein_eval,
+    bernstein_from_function,
+    bernstein_weights,
+)
 from gdn.approx.modulus import LipschitzModulus, empirical_modulus, sample_pairs
 from gdn.approx.polynomials import decompose_polynomial
 from gdn.approx.synthesis import (
@@ -18,7 +23,8 @@ from gdn.approx.synthesis import (
     finite_diff_derivative,
     select_theta0,
 )
-from gdn.errors import UnsupportedError, ValidationError
+from gdn.errors import InfeasibleDegreeError, UnsupportedError, ValidationError
+from gdn.manifolds.zoo import row_norms
 from gdn.network import get_activation, width
 
 EXP = get_activation("exp")
@@ -156,36 +162,44 @@ class TestCompilePoly:
             compile_poly_to_shallow([lf], RELU, 0.0, 1e-3)
 
 
+def cube_audit_error(res, f, p):
+    """Sup error of the compiled net against the target on the 10^p audit
+    grid of [0, 1]^p."""
+    grid = _grid_points(p, 10)
+    return float(np.max(row_norms(res.net(grid) - f(grid))))
+
+
 class TestCompileFunction:
     def test_constant_target(self):
-        res = compile_function_to_shallow(lambda x: np.full((len(x), 1), 2.0),
-                                          1, 1, 0.1, EXP)
-        assert res.audit_error <= 1e-9
+        f = lambda x: np.full((len(x), 1), 2.0)
+        res = compile_function_to_shallow(f, 1, 1, 0.1, EXP)
+        assert cube_audit_error(res, f, 1) <= 1e-9
         assert width(res.net) == 0
 
     def test_identity_on_unit_interval(self):
-        res = compile_function_to_shallow(lambda x: x[:, :1], 1, 1, 0.1, EXP,
+        f = lambda x: x[:, :1]
+        res = compile_function_to_shallow(f, 1, 1, 0.1, EXP,
                                           omega=LipschitzModulus(1.0))
-        assert res.audit_error <= 0.1
+        assert cube_audit_error(res, f, 1) <= 0.1
 
     def test_product_target(self):
-        res = compile_function_to_shallow(lambda x: x[:, :1] * x[:, 1:2],
-                                          2, 1, 0.1, EXP)
-        assert res.audit_error <= 0.1
+        f = lambda x: x[:, :1] * x[:, 1:2]
+        res = compile_function_to_shallow(f, 2, 1, 0.1, EXP)
+        assert cube_audit_error(res, f, 2) <= 0.1
         assert res.degree == 1
 
     def test_two_outputs(self):
-        res = compile_function_to_shallow(
-            lambda x: np.hstack([x[:, :1], x[:, :1] ** 2]), 1, 2, 0.1, EXP)
-        assert res.audit_error <= 0.1
+        f = lambda x: np.hstack([x[:, :1], x[:, :1] ** 2])
+        res = compile_function_to_shallow(f, 1, 2, 0.1, EXP)
+        assert cube_audit_error(res, f, 1) <= 0.1
         assert res.net.out_dim == 2
 
     def test_genuine_high_degree_synthesis(self):
         # a sine target forces Bernstein degree > 1 and a deep stencil
-        res = compile_function_to_shallow(lambda x: np.sin(3.0 * x[:, :1]),
-                                          1, 1, 0.3, EXP)
+        f = lambda x: np.sin(3.0 * x[:, :1])
+        res = compile_function_to_shallow(f, 1, 1, 0.3, EXP)
         assert res.degree > 1
-        assert res.audit_error <= 0.3
+        assert cube_audit_error(res, f, 1) <= 0.3
 
     @pytest.mark.parametrize("p, f", [
         (1, lambda x: np.sin(3.0 * x[:, :1])),
@@ -194,12 +208,14 @@ class TestCompileFunction:
     ])
     def test_apriori_bound_reads_the_empirical_modulus(self, p, f):
         # without omega, the bound is the step estimate over every third
-        # audit point, read at 1/sqrt(n)
+        # audit point, read at 1/sqrt(n), plus the synthesis residual: the
+        # net's sup distance from the Bernstein polynomial on the audit grid
         res = compile_function_to_shallow(f, p, 1, 0.3, EXP)
         audit = _grid_points(p, 10)
         omega = empirical_modulus(sample_pairs(audit[::3], f(audit)[::3]))
-        want = ((1.0 + p / 4.0) * omega(1.0 / math.sqrt(res.degree))
-                + res.synthesis_residual)
+        lattice = bernstein_eval(bernstein_from_function(f, res.degree, p, 1), audit)
+        residual = float(np.max(row_norms(res.net(audit) - lattice)))
+        want = (1.0 + p / 4.0) * omega(1.0 / math.sqrt(res.degree)) + residual
         assert res.apriori_bound == want
 
     def test_non_finite_audit_value_refused_by_the_modulus(self):
@@ -221,10 +237,26 @@ class TestCompileFunction:
         res = compile_function_to_shallow(f, 3, 1, 0.5, EXP)
         assert res.degree > 1
         tried = [c for c in (1, 2, 3, 4, 6, 8, 12) if c <= res.degree]
-        # 9^3 selection grid, 10^3 audit grid, and each lattice tried
-        assert sum(rows) <= 9 ** 3 + 10 ** 3 + sum((c + 1) ** 3 for c in tried)
-        # one call per stage: the selection grid, each lattice, the audit grid
-        assert len(rows) <= 2 + len(tried)
+        # one call per stage, 9^3 + sum (c+1)^3 + 334 rows in all: the
+        # selection grid, each lattice tried, and every third audit point
+        # (the samples of the empirical modulus)
+        assert rows == [9 ** 3] + [(c + 1) ** 3 for c in tried] + [334]
+
+    def test_oracle_sees_no_audit_point_given_omega(self):
+        rows = []
+
+        def f(x):
+            rows.append(len(x))
+            return x[:, :1] ** 2 + x[:, 1:2] ** 2 + x[:, 2:3] ** 2
+
+        omega = LipschitzModulus(2.0)
+        # omega's a-priori degree is beyond the cap, so it adds no candidate
+        assert bernstein_degree_for(0.25, 3, 1, omega) > _DEGREE_CAP
+        res = compile_function_to_shallow(f, 3, 1, 0.5, EXP, omega=omega)
+        assert res.degree > 1
+        tried = [c for c in (1, 2, 3, 4, 6, 8, 12) if c <= res.degree]
+        # only the selection grid and the lattices
+        assert rows == [9 ** 3] + [(c + 1) ** 3 for c in tried]
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
     def test_eps_refused_before_any_oracle_call(self, eps):
@@ -236,7 +268,6 @@ class TestCompileFunction:
 
     def test_infeasible_budgets_fail_fast(self):
         import time
-        from gdn.errors import InfeasibleDegreeError
         f = lambda x: np.sin(3.0 * x[:, :1]) * np.cos(2.0 * x[:, 1:2])
         t0 = time.perf_counter()
         with pytest.raises(InfeasibleDegreeError):
