@@ -78,8 +78,10 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
         raise ValidationError("p and m must be positive integers")
     for name, val in (("eps", eps), ("delta", delta), ("kappa1", kappa1),
                       ("kappa2", kappa2)):
-        if not (val > 0.0):
-            raise ValidationError(f"{name} must be positive, got {val!r}")
+        if not (0.0 < val < math.inf):
+            raise ValidationError(f"{name} must be positive and finite, got {val!r}")
+    if B is not None and not math.isfinite(B):
+        raise ValidationError(f"B must be finite, got {B!r}")
     if activation_class == "continuous":
         if B is None or not (B > 0.0):
             raise ValidationError("the continuous class requires B > 0")

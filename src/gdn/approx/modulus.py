@@ -154,10 +154,11 @@ def oracle_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
 
 @dataclass(frozen=True)
 class PairInputs:
-    """The input side of every pair i < j of ``n`` samples, in the order
-    (0, 1), (0, 2), ..., (1, 2), ...: the pair index ``i``, ``j`` and the
-    input distances ``din``, all read-only.  It depends on the inputs alone,
-    so a fixed sample grid builds it once and reads it with any outputs."""
+    """The input side of every pair i < j of ``n`` samples, stably sorted
+    by input distance: the pair index ``i``, ``j`` and the input distances
+    ``din``, all read-only.  It depends on the inputs alone, so a fixed
+    sample grid builds it once and reads it with any outputs; the sort makes
+    the pairs within an input distance t a prefix."""
 
     n: int
     i: np.ndarray
@@ -165,26 +166,37 @@ class PairInputs:
     din: np.ndarray
 
 
-def pair_inputs(xs) -> PairInputs:
-    """The ``PairInputs`` of the samples ``xs``; np.take gathers the rows
-    faster than fancy indexing with the same bits, and row_norms keeps each
-    norm's dot kernel."""
-    if len(xs) < 2:
+def _distances(vals: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    # |vals[i] - vals[j]| for each pair; np.take gathers the rows faster than
+    # fancy indexing with the same bits, and row_norms keeps each norm's dot
+    # kernel, so a pair's distance does not depend on the other pairs
+    return row_norms(np.take(vals, i, axis=0) - np.take(vals, j, axis=0))
+
+
+def _samples(vals) -> np.ndarray:
+    # the samples as an (N, k) stack, refused below two
+    if len(vals) < 2:
         raise ValidationError("need at least two samples, each with one output")
-    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    return np.asarray(vals, dtype=float).reshape(len(vals), -1)
+
+
+def _outputs(n: int, ys) -> np.ndarray:
+    # one output row per sample, as an (n, m) stack
+    if len(ys) != n:
+        raise ValidationError("need at least two samples, each with one output")
+    return np.asarray(ys, dtype=float).reshape(n, -1)
+
+
+def pair_inputs(xs) -> PairInputs:
+    """The ``PairInputs`` of the samples ``xs``."""
+    xs = _samples(xs)
     i, j = np.triu_indices(len(xs), k=1)
-    din = row_norms(np.take(xs, i, axis=0) - np.take(xs, j, axis=0))
+    din = _distances(xs, i, j)
+    order = np.argsort(din, kind="stable")
+    i, j, din = np.take(i, order), np.take(j, order), np.take(din, order)
     for a in (i, j, din):
         a.setflags(write=False)
     return PairInputs(len(xs), i, j, din)
-
-
-def _output_distances(pairs: PairInputs, ys) -> np.ndarray:
-    # the output distance of every pair, from one output row per sample
-    if len(ys) != pairs.n:
-        raise ValidationError("need at least two samples, each with one output")
-    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
-    return row_norms(np.take(ys, pairs.i, axis=0) - np.take(ys, pairs.j, axis=0))
 
 
 def sample_pairs(xs, ys) -> np.ndarray:
@@ -194,21 +206,43 @@ def sample_pairs(xs, ys) -> np.ndarray:
     ``modulus_from_samples`` builds its estimate from these rows; a read of
     the modulus at one point goes through ``sampled_modulus_at``, which skips
     the (pairs, 2) array."""
-    pairs = pair_inputs(xs)
-    return np.column_stack([pairs.din, _output_distances(pairs, ys)])
+    xs = _samples(xs)
+    ys = _outputs(len(xs), ys)
+    i, j = np.triu_indices(len(xs), k=1)
+    return np.column_stack([_distances(xs, i, j), _distances(ys, i, j)])
+
+
+# outputs within this bound, in fewer than 2^20 columns, have only finite
+# pair distances: each square is at most 2^1002, and their sum below 2^1022
+_Y_BOUND = 2.0 ** 500
+_M_BOUND = 2 ** 20
 
 
 def sampled_modulus_at(pairs: PairInputs, ys, t: float) -> float:
     """``empirical_modulus_at(sample_pairs(xs, ys), t)`` for
     ``pairs = pair_inputs(xs)``, bit for bit and with the same errors in the
-    same order, read straight from the two distance vectors: no (pairs, 2)
-    copy and no second pass over it."""
-    dout = _output_distances(pairs, ys)
+    same order, read straight from the distance vectors: no (pairs, 2) copy.
+
+    Only the pairs that can change the read or its checks get an output
+    distance: the window din <= t, a prefix of the sorted pairs, which holds
+    every pair at zero input distance.  That needs every input distance
+    finite (the last sorted one is the largest or a NaN) and outputs within
+    ``_Y_BOUND``, which keeps every output distance finite; otherwise every
+    pair is read and checked."""
+    ys = _outputs(pairs.n, ys)
     if t < 0.0:
         raise ValidationError("modulus argument must be nonnegative")
-    _check_distances(pairs.din, dout)
-    # a boolean gather reads twice as fast as np.max(..., where=...)
-    return float(np.max(dout[pairs.din <= t], initial=0.0))
+    din = pairs.din
+    # a NaN t reads no pair, but the checks still see the zero-distance pairs
+    k = int(np.searchsorted(din, t, side="right")) if t >= 0.0 else 0
+    if (np.isfinite(din[-1]) and ys.shape[1] < _M_BOUND
+            and np.all(np.abs(ys) <= _Y_BOUND)):
+        w = max(k, int(np.searchsorted(din, 0.0, side="right")))
+    else:
+        w = len(din)
+    dout = _distances(ys, pairs.i[:w], pairs.j[:w])
+    _check_distances(din[:w], dout)
+    return float(np.max(dout[:k], initial=0.0))
 
 
 def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray], xs) -> ModulusEstimate:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
@@ -45,6 +45,16 @@ def product_grid(axis, p: int) -> np.ndarray:
     return grid.reshape(-1, p)
 
 
+def _powers(xi: np.ndarray, e: int) -> np.ndarray:
+    # the C pow of each element, as numpy's scalar power takes it; Python's
+    # float pow has the same bits but raises on overflow, where the numpy
+    # scalar gives inf
+    try:
+        return np.fromiter(map(pow, xi.tolist(), repeat(e)), float, len(xi))
+    except OverflowError:
+        return np.array([t ** e for t in xi])
+
+
 def poly_eval(coeffs: Dict[Tuple[int, ...], object], x) -> np.ndarray:
     """Evaluate a sparse exponent-dict polynomial, with scalar or vector
     coefficients, at a point or at each row of an (N, dim) stack; powers
@@ -59,7 +69,7 @@ def poly_eval(coeffs: Dict[Tuple[int, ...], object], x) -> np.ndarray:
             if e == 1:
                 mono = mono * xi
             elif e:
-                mono = mono * (np.array([t ** e for t in xi]) if xi.ndim else xi ** e)
+                mono = mono * (_powers(xi, e) if xi.ndim else xi ** e)
         term = np.multiply.outer(mono, np.asarray(c, dtype=float))
         total = term if total is None else total + term
     if total is None:
@@ -140,11 +150,11 @@ class LinearFormPoly:
         return total if x.ndim == 2 else float(total)
 
 
-def _canonical_direction(a: np.ndarray) -> Tuple[Tuple[int, ...], int]:
-    nz = np.nonzero(a)[0]
-    if nz.size and a[nz[0]] < 0:
-        return tuple(int(t) for t in -a), -1
-    return tuple(int(t) for t in a), 1
+def _canonical_direction(a: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    # +-a as the one whose first nonzero component is positive, with the sign
+    if next(t for t in a if t) < 0:
+        return tuple(-t for t in a), -1
+    return a, 1
 
 
 def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPoly:
@@ -178,9 +188,7 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPol
             continue
         support = [i for i, e in enumerate(exps) if e]
         if len(support) == 1:
-            a = np.zeros(dim, dtype=int)
-            a[support[0]] = 1
-            add(tuple(int(t) for t in a), d, coef)
+            add(tuple(int(i == support[0]) for i in range(dim)), d, coef)
             continue
         # polarization, aggregated: choosing j_i of the alpha_i copies of
         # coordinate i to carry +1 gives direction component 2 j_i - alpha_i
@@ -188,14 +196,14 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPol
         norm = coef / (2.0 ** d * math.factorial(d))
         alphas = [exps[i] for i in support]
         for js in product(*(range(a_i + 1) for a_i in alphas)):
-            a = np.zeros(dim, dtype=int)
+            a = [0] * dim
             weight = 1.0
             for i, a_i, j_i in zip(support, alphas, js):
                 a[i] = 2 * j_i - a_i
                 weight *= math.comb(a_i, j_i) * (-1.0) ** (a_i - j_i)
-            if not np.any(a):
+            if not any(a):
                 continue
-            key, flip = _canonical_direction(a)
+            key, flip = _canonical_direction(tuple(a))
             add(key, d, norm * weight * (flip ** d))
 
     terms = []

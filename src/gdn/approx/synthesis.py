@@ -27,7 +27,6 @@ from ..manifolds.zoo import row_norms
 from ..network import ActivationInfo, AffineLayer, FeedforwardNet
 from .bernstein import (
     BernsteinModel,
-    bernstein_contract,
     bernstein_degree_for,
     bernstein_from_function,
     bernstein_to_coefficients,
@@ -204,12 +203,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _CubeGrid:
-    """The (per_axis)^p grid on [0, 1]^p and its Bernstein basis weights,
-    each built on first use and kept read-only.
+    """The (per_axis)^p grid on [0, 1]^p, built on first use and kept
+    read-only, and the Bernstein sums of a model over it.
 
-    A point's weights are its coordinates' weights, so the grid keeps one
-    (per_axis, n+1) table per degree n and gathers the (N, p, n+1) stack
-    from it: the same bits as weighing every point, in O(per_axis n) bytes.
+    A point's basis weights are its coordinates' weights, so the grid keeps
+    one read-only (per_axis, n+1) table per degree n and contracts a model
+    axis by axis straight from it: after axis i a row depends only on the
+    point's first i+1 grid indices, so axis i takes one (1, n+1) @ (n+1,
+    rest) product per distinct index prefix, per_axis^(i+1) of them, not N.
+    Each product is the one ``bernstein_contract`` takes for every point
+    with that prefix, so the sums have its bits.
     """
 
     def __init__(self, p: int, per_axis: int):
@@ -220,17 +223,23 @@ class _CubeGrid:
     def points(self) -> np.ndarray:
         return _read_only(_grid_points(self.p, self.per_axis))
 
-    @cached_property
-    def _axis_index(self) -> np.ndarray:
-        # the axis position of each coordinate of each point
-        return _read_only(product_grid(np.arange(self.per_axis), self.p).astype(np.intp))
-
-    def weights(self, n: int) -> np.ndarray:
+    def _table(self, n: int) -> np.ndarray:
         table = self._tables.get(n)
         if table is None:
             axis = np.linspace(0.0, 1.0, self.per_axis)[:, None]
             table = self._tables[n] = _read_only(bernstein_weights(n, 1, axis)[:, 0])
-        return np.take(table, self._axis_index, axis=0)
+        return table
+
+    def contract(self, model: BernsteinModel) -> np.ndarray:
+        """The Bernstein sum of ``model`` at every grid point, (N, m)."""
+        n1 = model.n + 1
+        table = self._table(model.n)[None, :, None, :]
+        acc = model.values
+        for i in range(self.p):
+            rest = n1 ** (self.p - 1 - i) * model.m
+            # (prefixes, 1, n+1, rest) -> (prefixes, per_axis, 1, rest)
+            acc = np.matmul(table, acc.reshape(-1, 1, n1, rest))
+        return acc.reshape(-1, model.m)
 
 
 class _CubeSamples:
@@ -278,7 +287,7 @@ def _select_degree(target: Callable[[np.ndarray], np.ndarray],
     tried = []  # each degree with its selection-grid residual, for the refusal
     for cand in candidates:
         model = bernstein_from_function(target, cand, p, m)
-        fitted = bernstein_contract(model, samples.selection.weights(cand))
+        fitted = samples.selection.contract(model)
         resid = float(np.max(row_norms(fitted - targets)))
         if resid <= budget:
             return cand, model
@@ -321,7 +330,7 @@ def _synthesize(model: BernsteinModel, audit: _CubeGrid, sigma: ActivationInfo,
     h_floor = max((2.0 ** kmax * np.finfo(float).eps) ** (1.0 / (kmax + 1)), 1e-7)
     h = min(max(budget / kmax * 0.1, h_floor), 1e-2)
 
-    lattice_audit = bernstein_contract(model, audit.weights(model.n))
+    lattice_audit = audit.contract(model)
     best = None
     for _ in range(6):
         shallow = compile_poly_to_shallow(per_output, sigma, theta0, h)
@@ -356,13 +365,15 @@ def compile_function_to_shallow(
     The target takes an (N, p) stack and returns an (N, m) stack.  It runs
     once on the selection grid and once on each Bernstein lattice tried,
     and, without ``omega`` only, once on every third audit point, whose
-    empirical modulus over every pair (55,611 at p = 3) is read at its one
-    point 1/sqrt(n) by ``sampled_modulus_at``.
+    empirical modulus is read at its one point t = 1/sqrt(n) by
+    ``sampled_modulus_at``: of the 55,611 pairs at p = 3, only the pairs
+    within input distance t get an output distance (12,791 at n = 4).
 
-    The samples that depend on p alone (the grids, their Bernstein weights
-    per degree, and the audit pairs' input side, built only when read) are
-    built once per process for p <= 3.  They are read-only, so a target
-    must not write to its input; at p = 3 they hold under 2 MB.
+    The samples that depend on p alone (the grids, their Bernstein basis
+    tables per degree, and the audit pairs' input side sorted by input
+    distance, built only when read) are built once per process for p <= 3.
+    They are read-only, so a target must not write to its input; at p = 3
+    they hold under 1.4 MB.
     """
     if not (eps > 0.0):
         raise ValidationError("eps must be positive")

@@ -71,9 +71,10 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     on 64 ball points (the reached tangent range), through the pullback on
     the core's selection grid, its lattices and, without ``omega``, every
     third cube audit point, then on the geodesic audit sample.  The base
-    points and eps are checked once, here, before any oracle call; the
-    charts the base points are bound to serve every later stage and the
-    model.
+    points, eps and ``audit_count`` (which must be positive and keep the
+    audit's arrays within ``_AUDIT_BUDGET``) are checked once, here, before
+    any oracle call; the charts the base points are bound to serve every
+    later stage and the model.
     """
     chart_x = chart_at(domain, base_x)
     chart_y = chart_at(codomain, base_y)
@@ -81,8 +82,7 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
         raise ValidationError(
             f"radius must satisfy 0 < radius < inj({domain.inj_lower!r}), got {radius!r}"
         )
-    if audit_count < 1:
-        raise ValidationError(f"the audit needs at least 1 point, got {audit_count!r}")
+    _check_audit_count(audit_count, domain, codomain)
     if not (0.0 < eps < math.inf):
         raise ValidationError(f"eps must be positive and finite, got {eps!r}")
     p, m = domain.dim, codomain.dim
@@ -117,14 +117,34 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
                        expansion * result.apriori_bound)
 
 
+# the most bytes the arrays of one geodesic audit may hold
+_AUDIT_BUDGET = 2 ** 28
+
+
+def _check_audit_count(count: int, domain: ManifoldSpec, codomain: ManifoldSpec) -> None:
+    """Refuse an audit sample that is empty or whose arrays would pass
+    ``_AUDIT_BUDGET``, before any is allocated.  Per point, the audit holds
+    the Halton sample and its tangent (dim floats each), the frame image
+    (chart_dim), the ball point (point_dim), the target's and the model's
+    outputs (codomain point_dim each) and the distance."""
+    if count < 1:
+        raise ValidationError(f"the audit needs at least 1 point, got {count!r}")
+    per_point = (2 * domain.dim + domain.chart_dim + domain.point_dim
+                 + 2 * codomain.point_dim + 1)
+    nbytes = 8 * per_point * count
+    if nbytes > _AUDIT_BUDGET:
+        raise ValidationError(
+            f"an audit of {count} points would hold {nbytes} bytes of arrays, "
+            f"past the budget of {_AUDIT_BUDGET} bytes")
+
+
 def audit_gdn(model: GDNModel, target: Callable[[np.ndarray], np.ndarray],
               radius: float, count: int) -> float:
     """Measured sup geodesic error of a GDN against a target oracle over the
     deterministic ball sample of ``count`` points: the oracle, the model
     and the distance each run once on the (count, point_dim) stack."""
-    if count < 1:
-        raise ValidationError(f"the audit needs at least 1 point, got {count!r}")
     codomain = model.codomain
+    _check_audit_count(count, model.domain, codomain)
     points = geodesic_ball_points(model.chart_x, radius, count)
     want = as_point(codomain, oracle_rows(target, points, codomain.point_dim))
     return float(np.max(codomain.geometry.distance(want, gdn_eval(model, points))))

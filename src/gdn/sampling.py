@@ -9,6 +9,7 @@ inverse, and the exponential map runs once on the whole stack of tangents.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,12 +43,22 @@ def halton(count: int, dim: int) -> np.ndarray:
     return out
 
 
-def ball_points(count: int, dim: int, radius: float) -> np.ndarray:
-    """Halton points mapped into the solid Euclidean ball of ``radius``."""
+@lru_cache(maxsize=8)
+def _memo_halton(count: int, dim: int) -> np.ndarray:
+    # a compile samples the same few (count, dim) shapes (its probe and its
+    # audit), so each is built once and kept read-only
     u = halton(count, dim)
+    u.setflags(write=False)
+    return u
+
+
+def ball_points(count: int, dim: int, radius: float) -> np.ndarray:
+    """Halton points mapped into the solid Euclidean ball of ``radius``;
+    the Halton sample of each (count, dim) is built once per process."""
+    u = _memo_halton(count, dim)
     r = radius * u[:, 0] ** (1.0 / dim)
     if dim == 1:
-        signs = np.where(halton(count, 2)[:, 1] < 0.5, -1.0, 1.0)
+        signs = np.where(_memo_halton(count, 2)[:, 1] < 0.5, -1.0, 1.0)
         return (r * signs)[:, None]
     if dim == 2:
         ang = 2.0 * math.pi * u[:, 1]

@@ -278,6 +278,17 @@ class TestAudit:
             with pytest.raises(ValidationError, match="at least 1 point"):
                 audit_gdn(model, lambda x: x, 0.5, count)
 
+    def test_audit_past_the_budget_refused(self):
+        # euclidean:1: 2 + 1 + 1 + 2 + 1 = 7 floats a point
+        spec = resolve_manifold("euclidean:1")
+        chart = chart_at(spec, [0.0])
+        model = GDNModel(chart, chart, FeedforwardNet(
+            (AffineLayer(np.eye(1), np.zeros(1)),), get_activation("exp")))
+        with pytest.raises(ValidationError, match="^an audit of 4793491 points would "
+                                                  "hold 268435496 bytes of arrays"):
+            audit_gdn(model, lambda x: x, 0.5, 4_793_491)
+        assert audit_gdn(model, lambda x: x, 0.5, 100) == 0.0
+
 
 def test_spd_compile_runs_without_jacobi(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):

@@ -1,10 +1,12 @@
 """Command-line front end: subcommand behavior and exit codes."""
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
 
+import gdn.approx.estimates
 import gdn.cli
 from gdn.cli import cmd_bench, main
 from gdn.errors import InfeasibleDegreeError, ValidationError
@@ -61,6 +63,30 @@ class TestEstimate:
                              "--kappa1", "1", "--kappa2", "1")
         assert code == 2 and out == ""
         assert err == "error: Lipschitz constant must be finite and nonnegative, got inf\n"
+
+    ESTIMATE = {"--eps": "0.1", "--delta": "0.5", "--kappa1": "1", "--kappa2": "1",
+                "--B": "1"}
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--eps", "eps must be positive and finite, got inf"),
+        ("--delta", "delta must be positive and finite, got inf"),
+        ("--kappa1", "kappa1 must be positive and finite, got inf"),
+        ("--kappa2", "kappa2 must be positive and finite, got inf"),
+        ("--B", "B must be finite, got inf"),
+    ])
+    @pytest.mark.parametrize("cls", ["smooth", "continuous"])
+    def test_infinite_input_exits_2_before_any_computation(self, capsys, monkeypatch,
+                                                           flag, message, cls):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"computed with {flag} inf")
+
+        monkeypatch.setattr(gdn.approx.estimates, "modulus_inverse", refuse)
+        values = {**self.ESTIMATE, flag: "inf"}
+        code, out, err = run(capsys, "estimate", "--class", cls, "--p", "1", "--m", "1",
+                             "--lip", "1", "--sigma-lip", "1",
+                             *(t for kv in values.items() for t in kv))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("bad", [["--m", "0"], ["--p", "0"], ["--p", "-3"]])
     def test_nonpositive_dimensions_exit_2(self, capsys, bad):
@@ -422,6 +448,25 @@ class TestUsageErrors:
 
     def test_empty_audit_grid(self, capsys):
         self.assert_usage_error(capsys, self.COMPILE + ["--grid", "0"], "got 0")
+
+    def test_audit_grid_past_the_budget_is_refused_before_compiling(self, capsys,
+                                                                    monkeypatch):
+        # euclidean:2 -> euclidean:1: 2*2 + 2 + 2 + 2*1 + 1 = 11 floats a point
+        import gdn.assemble
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called the oracle before the audit size was checked")
+
+        monkeypatch.setattr(gdn.assemble, "oracle_rows", refuse)
+        t0 = time.perf_counter()
+        self.assert_usage_error(capsys, self.COMPILE + ["--grid", "1000000000"],
+                                "an audit of 1000000000 points would hold 88000000000 "
+                                "bytes of arrays, past the budget of 268435456 bytes")
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_bench_run_audit_grid_past_the_budget(self, capsys, tmp_path):
+        self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "grid": 10 ** 9},
+                   "an audit of 1000000000 points would hold", "past the budget")
 
     @pytest.mark.parametrize("target,domain,base", [
         ("rotation:abc", "sphere:2", "[0,0,1]"),

@@ -9,7 +9,8 @@ shallow core: a constant output next to a hidden block, and no hidden layer
 at all.  The ``--verticalize`` compiles rewrite a core deep-narrow with a
 smooth activation: softplus over a 3-output core with block output weights,
 and the default exp over a 2-output core.  The two p = 3 compiles read
-their modulus from the 55,611 audit-grid pairs; cube3-quadratic is also the
+their modulus over the 55,611 audit-grid pairs (``apriori_bound`` pins the
+windowed read); cube3-quadratic is also the
 one that walks Bernstein degrees 1 to 4 and evaluates exponent-2 powers.
 Each compile, run twice in one process, must reproduce its summary JSON
 (without ``out``) and the sha256 of its model file both times, and the

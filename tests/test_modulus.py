@@ -243,10 +243,57 @@ class TestSampledModulusAt:
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 sampled_modulus_at(pair_inputs(xs), ys, t)
 
+    # a bad pair beyond the read's window din <= 0.5: (0, 2) and (1, 2) are
+    # 4.9 and 5 apart, and only (0, 1) lies within it
+    OUTSIDE = [
+        np.array([[0.0], [0.1], [1e200]]),  # outputs 1e200 apart: the square overflows
+        np.array([[0.0], [0.1], [np.nan]]),
+    ]
+
+    @pytest.mark.parametrize("ys", OUTSIDE)
+    def test_non_finite_distances_outside_the_window_refused(self, ys):
+        xs = np.array([[0.0], [0.1], [5.0]])
+        for t in (0.0, 0.05, 0.5):
+            with pytest.raises(ValidationError, match="^distances must be finite$"), \
+                    np.errstate(over="ignore"):
+                empirical_modulus_at(sample_pairs(xs, ys), t)
+            with pytest.raises(ValidationError, match="^distances must be finite$"), \
+                    np.errstate(over="ignore"):
+                sampled_modulus_at(pair_inputs(xs), ys, t)
+
+    def test_outputs_past_the_bound_read_every_pair(self, rng):
+        # outputs above 2^500 with finite distances between them: every pair
+        # is read and checked, with the same result
+        xs = np.round(rng.random((40, 2)) * 4.0) / 4.0
+        ys = np.sin(xs @ rng.standard_normal((2, 1)))
+        for scale in (1e151, 1e-151):
+            pairs, ts = self.reads(xs, scale * ys)
+            inputs = pair_inputs(xs)
+            for t in ts + [math.nan]:
+                assert sampled_modulus_at(inputs, scale * ys, t) \
+                    == empirical_modulus_at(pairs, t)
+
+    def test_pairs_sorted_stably_by_input_distance(self, rng):
+        xs = np.round(rng.random((50, 2)) * 3.0) / 3.0
+        inputs = pair_inputs(xs)
+        i, j = np.triu_indices(50, k=1)
+        rows = sample_pairs(xs, np.zeros((50, 1)))
+        order = np.argsort(rows[:, 0], kind="stable")
+        np.testing.assert_array_equal(inputs.i, i[order])
+        np.testing.assert_array_equal(inputs.j, j[order])
+        assert inputs.din.tobytes() == rows[order, 0].tobytes()
+
     def test_negative_argument_refused(self):
         xs, ys = np.eye(2), np.zeros((2, 1))
         with pytest.raises(ValidationError, match="nonnegative"):
             sampled_modulus_at(pair_inputs(xs), ys, -1e-9)
+
+    def test_nan_argument_reads_no_pair_but_checks_zero_distances(self):
+        xs = np.array([[0.5], [0.5], [0.0]])
+        assert sampled_modulus_at(pair_inputs(xs), np.array([[2.0], [2.0], [1.0]]),
+                                  math.nan) == 0.0
+        with pytest.raises(ValidationError, match="zero input distance"):
+            sampled_modulus_at(pair_inputs(xs), np.array([[2.0], [3.0], [1.0]]), math.nan)
 
     def test_equal_outputs_at_duplicate_inputs_pass(self):
         xs = np.array([[0.5], [0.5], [0.0]])

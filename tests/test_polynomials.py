@@ -92,6 +92,27 @@ class TestArrayKernels:
                 got, want = poly_eval(coeffs, pts), elementwise_poly_eval(coeffs, pts)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("e", range(2, 13))
+    def test_poly_eval_powers_are_the_per_element_pow(self, e, rng):
+        # random bit patterns of either sign whose e-th power is finite,
+        # with +-0.0, subnormals, values near 1 and the largest such values
+        top = 2.0 ** (1000 / e)
+        bits = rng.integers(0, 2 ** 63, 20_000, dtype=np.uint64).view(np.float64)
+        xs = bits[np.isfinite(bits) & (np.abs(bits) < top)]
+        special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-20,
+                   1.0 - 2 ** -53, 1.0, 1.0 + 2 ** -52, 1.5, 1e25, top]
+        xs = np.concatenate([xs, special, np.negative(special)])
+        want = np.array([pow(t, e) for t in xs.tolist()])
+        got = poly_eval({(e,): 1.0}, xs[:, None])
+        assert got.tobytes() == want.tobytes()
+
+    def test_poly_eval_power_overflow_is_inf(self):
+        # as numpy's scalar power gives it, where Python's float pow raises
+        xs = np.array([[1e200], [-1e200], [2.0]])
+        with np.errstate(over="ignore"):
+            got = poly_eval({(3,): 1.0}, xs)
+        assert got.tolist() == [np.inf, -np.inf, 8.0]
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_product_grid_matches_itertools(self, dim):
         # the round-trip grids of decompose_polynomial, degrees 1 to 12

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from gdn.approx.bernstein import (
+    BernsteinModel,
+    bernstein_contract,
     bernstein_degree_for,
     bernstein_eval,
     bernstein_from_function,
@@ -26,6 +28,7 @@ from gdn.approx.synthesis import (
 from gdn.errors import InfeasibleDegreeError, UnsupportedError, ValidationError
 from gdn.manifolds.zoo import row_norms
 from gdn.network import get_activation, width
+from gdn.sampling import _memo_halton, ball_points
 
 EXP = get_activation("exp")
 RELU = get_activation("relu")
@@ -50,25 +53,44 @@ class TestCubeSamples:
     """The samples a compile at p <= 3 builds once per process."""
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_grid_weights_equal_weighing_every_point(self, p):
-        # the per-axis tables gathered give the bits of the point-by-point weights
+    def test_grid_contraction_equals_weighing_every_point(self, p, rng):
+        # the per-prefix products give the bits of the point-by-point
+        # contraction, on random lattices at scales 1e-3 to 1e3
         samples = _cube_samples(p)
         for grid in (samples.selection, samples.audit):
-            for n in range(1, _DEGREE_CAP + 1):
-                got = grid.weights(n)
-                want = bernstein_weights(n, p, grid.points)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            weights = {n: bernstein_weights(n, p, grid.points)
+                       for n in range(1, _DEGREE_CAP + 1)}
+            for n, w in weights.items():
+                for m in (1, 2, 3):
+                    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+                    model = BernsteinModel(
+                        n, p, scale * rng.standard_normal((n + 1,) * p + (m,)))
+                    got = grid.contract(model)
+                    want = bernstein_contract(model, w)
+                    assert got.shape == want.shape == (len(grid.points), m)
+                    assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def memo_arrays(samples):
+        # every array the cube sample memo of one p holds, and the Halton
+        # samples of a compile's two ball samples (64 probe, 200 audit points)
+        pairs = samples.audit_pairs
+        arrays = [pairs.i, pairs.j, pairs.din]
+        for grid in (samples.selection, samples.audit):
+            arrays += [grid.points, *grid._tables.values()]
+        p = samples.audit.p
+        return arrays + [_memo_halton(count, p) for count in (64, 200)]
 
     def test_memoized_arrays_are_read_only(self):
         samples = _cube_samples(3)
         for n in (1, 4):
-            samples.selection.weights(n)
-            samples.audit.weights(n)
-        pairs = samples.audit_pairs
-        arrays = [pairs.i, pairs.j, pairs.din]
+            for grid in (samples.selection, samples.audit):
+                grid.contract(BernsteinModel(n, 3, np.zeros((n + 1,) * 3 + (1,))))
+        for count in (64, 200):
+            ball_points(count, 3, 1.0)
         for grid in (samples.selection, samples.audit):
-            arrays += [grid.points, grid._axis_index, *grid._tables.values()]
-        for a in arrays:
+            assert {1, 4} <= set(grid._tables)
+        for a in self.memo_arrays(samples):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
 
@@ -77,17 +99,15 @@ class TestCubeSamples:
         assert _cube_samples(4) is not _cube_samples(4)
 
     def test_retained_bytes_at_p_3(self):
-        # every grid weight table a compile can build, and the audit pairs
+        # every grid weight table a compile can build, the sorted audit
+        # pairs and the Halton samples of the compile's ball samples
         samples = _cube_samples(3)
-        total = sum(a.nbytes for a in (samples.audit_pairs.i, samples.audit_pairs.j,
-                                        samples.audit_pairs.din))
         for grid in (samples.selection, samples.audit):
             for n in range(1, _DEGREE_CAP + 1):
-                grid.weights(n)
-            total += grid.points.nbytes + grid._axis_index.nbytes
-            total += sum(t.nbytes for t in grid._tables.values())
+                grid._table(n)
+        total = sum(a.nbytes for a in self.memo_arrays(samples))
         assert len(samples.audit_pairs.din) == 55_611
-        assert total < 2_000_000
+        assert total < 1_500_000
 
 
 class TestFiniteDiff:
