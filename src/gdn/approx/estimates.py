@@ -82,8 +82,10 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
             raise ValidationError(f"{name} must be positive and finite, got {val!r}")
     if B is not None and not math.isfinite(B):
         raise ValidationError(f"B must be finite, got {B!r}")
+    if B is not None and B <= 0.0:
+        raise ValidationError(f"B must be positive, got {B!r}")
     if activation_class == "continuous":
-        if B is None or not (B > 0.0):
+        if B is None:
             raise ValidationError("the continuous class requires B > 0")
         if sigma_modulus is None:
             raise ValidationError("the continuous class requires an activation modulus")

@@ -4,6 +4,10 @@ Subcommands: estimate | compile | eval | certify | bench.
 Exit codes: 0 success, 1 computational failure, 2 usage or validation
 error.  Fixed seeds make runs deterministic (bench rows omit wall time
 unless --timing is passed).
+
+A call builds and imports only what its command runs: the parser gets the
+arguments of the invoked command alone, and the compiler (``approx``,
+``assemble``, ``sampling``) is imported inside the commands that use it.
 """
 from __future__ import annotations
 
@@ -18,17 +22,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .approx.estimates import depth_estimate, efficient_complexity
-from .approx.certify import certify_efficient
-from .approx.modulus import LipschitzModulus, ModulusEstimate, modulus_from_samples
-from .approx.verticalize import as_box, verticalize
-from .assemble import audit_gdn, compile_gdn, pullback
 from .errors import GdnError, ParseError, ValidationError
 from .manifolds.core import log_chart_lipschitz, resolve_manifold
 from .manifolds.zoo import as_point
 from .model import GDNModel, gdn_from_dict, save_gdn
 from .network import get_activation, net_from_dict, param_count, width
-from .sampling import ball_points
+# a module-level name: perfbench/spans.py reads gdn.cli.resolve_target to
+# count the target oracle's calls
 from .targets import resolve_target
 
 _FMT = "%.17g"
@@ -55,6 +55,8 @@ def _load_json(path: str):
 
 
 def _load_modulus(args) -> object:
+    from .approx.modulus import LipschitzModulus, ModulusEstimate
+
     if args.modulus_file:
         d = _load_json(args.modulus_file)
         try:
@@ -68,6 +70,9 @@ def _load_modulus(args) -> object:
 
 
 def cmd_estimate(args, parser) -> int:
+    from .approx.estimates import depth_estimate, efficient_complexity
+    from .approx.modulus import LipschitzModulus
+
     if args.efficient_n is not None:
         result = efficient_complexity(args.p, args.m, args.efficient_n, args.eps)
         _json_out(result.to_dict())
@@ -114,6 +119,9 @@ def _check_out_path(path: str) -> None:
 
 
 def cmd_compile(args, parser) -> int:
+    from .approx.modulus import LipschitzModulus
+    from .assemble import audit_gdn, compile_gdn
+
     if args.out:
         _check_out_path(args.out)
     domain, codomain, base_x, target, base_y, sigma = _resolve_run(
@@ -126,6 +134,8 @@ def cmd_compile(args, parser) -> int:
             lo, hi = (float(t) for t in args.verticalize.split(","))
         except ValueError as e:
             raise ParseError(f"--verticalize must be LO,HI, got {args.verticalize!r}") from e
+        from .approx.verticalize import as_box, verticalize
+
         # a box verticalize would refuse is refused before the compile
         box = as_box((lo, hi), domain.chart_dim)
 
@@ -185,6 +195,8 @@ def _read_csv_points(path: str) -> List[np.ndarray]:
 
 
 def cmd_certify(args, parser) -> int:
+    from .approx.certify import certify_efficient
+
     domain = resolve_manifold(args.domain)
     codomain = resolve_manifold(args.codomain)
     dataset = _read_csv_points(args.dataset)
@@ -207,6 +219,11 @@ _BENCH_COLUMNS = ("target", "eps", "measured_error", "width", "depth",
 
 def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
     # the CSV fields of bench run i; every error it raises names the run
+    from .approx.estimates import depth_estimate
+    from .approx.modulus import modulus_from_samples
+    from .assemble import compile_gdn, pullback
+    from .sampling import ball_points
+
     t0 = time.perf_counter()
     try:
         if not isinstance(run, dict):
@@ -275,16 +292,7 @@ def cmd_bench(args, parser) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gdn",
-        description="Geometric deep networks: estimators, constructive "
-                    "compilation, dataset certification, and benchmarks.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    est = sub.add_parser("estimate", help="depth/width/parameter estimates")
+def _estimate_arguments(est: argparse.ArgumentParser) -> None:
     est.add_argument("--class", dest="activation_class",
                      choices=("smooth", "poly", "continuous"))
     est.add_argument("--p", type=int, required=True)
@@ -301,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--efficient-n", type=int,
                      help="report polynomial rates for an n-efficient dataset")
 
-    comp = sub.add_parser("compile", help="compile a target into a GDN")
+
+def _compile_arguments(comp: argparse.ArgumentParser) -> None:
     comp.add_argument("--target", required=True)
     comp.add_argument("--domain", required=True)
     comp.add_argument("--codomain", required=True)
@@ -322,11 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "registers exactly (piecewise-linear activation) or "
                            "through a small smooth window (smooth activation)")
 
-    ev = sub.add_parser("eval", help="evaluate a saved net or GDN")
+
+def _eval_arguments(ev: argparse.ArgumentParser) -> None:
     ev.add_argument("--model", required=True)
     ev.add_argument("--input", required=True)
 
-    cert = sub.add_parser("certify", help="certify dataset efficiency")
+
+def _certify_arguments(cert: argparse.ArgumentParser) -> None:
     cert.add_argument("--dataset", required=True)
     cert.add_argument("--values", required=True)
     cert.add_argument("--domain", required=True)
@@ -335,29 +346,50 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--base-y", required=True)
     cert.add_argument("--out")
 
-    bench = sub.add_parser("bench", help="batch compile-and-audit runs")
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("config", help="bench config JSON path")
     bench.add_argument("--out")
     bench.add_argument("--timing", action="store_true",
                        help="append wall-clock times (breaks byte-identical reports)")
 
-    return parser
 
-
-_DISPATCH = {
-    "estimate": cmd_estimate,
-    "compile": cmd_compile,
-    "eval": cmd_eval,
-    "certify": cmd_certify,
-    "bench": cmd_bench,
+# name -> (help, adds the command's arguments to its subparser, runner)
+_COMMANDS = {
+    "estimate": ("depth/width/parameter estimates", _estimate_arguments, cmd_estimate),
+    "compile": ("compile a target into a GDN", _compile_arguments, cmd_compile),
+    "eval": ("evaluate a saved net or GDN", _eval_arguments, cmd_eval),
+    "certify": ("certify dataset efficiency", _certify_arguments, cmd_certify),
+    "bench": ("batch compile-and-audit runs", _bench_arguments, cmd_bench),
 }
 
 
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``gdn`` parser.  It lists every subcommand, but only the subparser
+    of ``command`` gets its arguments: a call parses one command's."""
+    parser = argparse.ArgumentParser(
+        prog="gdn",
+        description="Geometric deep networks: estimators, constructive "
+                    "compilation, dataset certification, and benchmarks.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _run) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(subparser)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no positional before the command and no
+    # option with a value, so the first command name in argv is the command
+    parser = build_parser(next((a for a in argv if a in _COMMANDS), None))
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args, parser)
+        return _COMMANDS[args.command][2](args, parser)
     except (ParseError, ValidationError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gdn.approx.estimates
+import gdn.assemble
 import gdn.cli
 from gdn.cli import cmd_bench, main
 from gdn.errors import InfeasibleDegreeError, ValidationError
@@ -87,6 +88,25 @@ class TestEstimate:
                              *(t for kv in values.items() for t in kv))
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("B", ["-1", "0", "-0.0"])
+    @pytest.mark.parametrize("cls", ["smooth", "poly", "continuous"])
+    def test_nonpositive_b_exits_2_for_every_class(self, capsys, cls, B):
+        values = {**self.ESTIMATE, "--B": B}
+        code, out, err = run(capsys, "estimate", "--class", cls, "--p", "1", "--m", "1",
+                             "--lip", "1", "--sigma-lip", "1",
+                             *(t for kv in values.items() for t in kv))
+        assert code == 2 and out == ""
+        assert err == f"error: B must be positive, got {float(B)!r}\n"
+
+    @pytest.mark.parametrize("cls", ["smooth", "poly"])
+    def test_positive_b_is_reported_and_changes_nothing_else(self, capsys, cls):
+        argv = ["estimate", "--class", cls, "--p", "1", "--m", "1", "--eps", "0.1",
+                "--delta", "0.5", "--lip", "1", "--kappa1", "1", "--kappa2", "1"]
+        code, out, _ = run(capsys, *argv)
+        code_b, out_b, _ = run(capsys, *argv, "--B", "2")
+        assert code == code_b == 0
+        assert json.loads(out_b) == {**json.loads(out), "B": 2.0}
 
     @pytest.mark.parametrize("bad", [["--m", "0"], ["--p", "0"], ["--p", "-3"]])
     def test_nonpositive_dimensions_exit_2(self, capsys, bad):
@@ -423,13 +443,11 @@ class TestUsageErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("compiled before the box was checked")
 
-        monkeypatch.setattr(gdn.cli, "compile_gdn", refuse)
+        monkeypatch.setattr(gdn.assemble, "compile_gdn", refuse)
         self.assert_usage_error(capsys, self.COMPILE + [f"--verticalize={box}"],
                                 "verticalization box", needle)
 
     def test_nan_eps_is_refused_before_any_oracle_call(self, capsys, monkeypatch):
-        import gdn.assemble
-
         def refuse(*args, **kwargs):
             raise AssertionError("called the oracle with eps nan")
 
@@ -442,7 +460,7 @@ class TestUsageErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("compiled with an infinite Lipschitz constant")
 
-        monkeypatch.setattr(gdn.cli, "compile_gdn", refuse)
+        monkeypatch.setattr(gdn.assemble, "compile_gdn", refuse)
         self.assert_usage_error(capsys, self.COMPILE + ["--lip", "inf"],
                                 "Lipschitz constant must be finite")
 
@@ -452,8 +470,6 @@ class TestUsageErrors:
     def test_audit_grid_past_the_budget_is_refused_before_compiling(self, capsys,
                                                                     monkeypatch):
         # euclidean:2 -> euclidean:1: 2*2 + 2 + 2 + 2*1 + 1 = 11 floats a point
-        import gdn.assemble
-
         def refuse(*args, **kwargs):
             raise AssertionError("called the oracle before the audit size was checked")
 
@@ -519,7 +535,7 @@ class TestUsageErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("compiled before the output path was checked")
 
-        monkeypatch.setattr(gdn.cli, "compile_gdn", refuse)
+        monkeypatch.setattr(gdn.assemble, "compile_gdn", refuse)
         out = tmp_path if where == "directory" else tmp_path / "missing" / "m.json"
         self.assert_usage_error(capsys, self.COMPILE + ["--out", str(out)], str(out))
         assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,186 @@
+"""Pinned help and error text of ``gdn``: stdout, stderr and exit code of each
+argv below, byte for byte, at an 80-column terminal.  A call's parser gets
+the arguments of its own command only, so these pin that the help, the
+version, the usage errors and ``cmd_estimate``'s ``parser.error`` do not
+depend on which subparsers were left empty.  The text is argparse's on
+Python 3.11.
+"""
+import pytest
+
+from gdn.cli import main
+
+# name -> (argv, exit code, stdout, stderr)
+PINNED = {
+    "help": (
+        ["-h"], 0,
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "\n"
+        "Geometric deep networks: estimators, constructive compilation, dataset\n"
+        "certification, and benchmarks.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {estimate,compile,eval,certify,bench}\n"
+        "    estimate            depth/width/parameter estimates\n"
+        "    compile             compile a target into a GDN\n"
+        "    eval                evaluate a saved net or GDN\n"
+        "    certify             certify dataset efficiency\n"
+        "    bench               batch compile-and-audit runs\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --version             show program's version number and exit\n",
+        "",
+    ),
+    "version": (
+        ["--version"], 0,
+        "0.1.0\n",
+        "",
+    ),
+    "no-command": (
+        [], 2,
+        "",
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "gdn: error: the following arguments are required: command\n",
+    ),
+    "unknown-command": (
+        ["bogus"], 2,
+        "",
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "gdn: error: argument command: invalid choice: 'bogus' (choose from "
+        "'estimate', 'compile', 'eval', 'certify', 'bench')\n",
+    ),
+    "double-dash": (
+        ["--", "eval", "--model", "x", "--input", "[0]"], 2,
+        "",
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "gdn: error: argument command: invalid choice: '--' (choose from "
+        "'estimate', 'compile', 'eval', 'certify', 'bench')\n",
+    ),
+    "estimate-help": (
+        ["estimate", "-h"], 0,
+        "usage: gdn estimate [-h] [--class {smooth,poly,continuous}] --p P --m "
+        "M --eps\n"
+        "                    EPS [--delta DELTA] [--lip LIP]\n"
+        "                    [--modulus-file MODULUS_FILE] [--kappa1 KAPPA1]\n"
+        "                    [--kappa2 KAPPA2] [--B B] [--sigma-lip SIGMA_LIP]\n"
+        "                    [--efficient-n EFFICIENT_N]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --class {smooth,poly,continuous}\n"
+        "  --p P\n"
+        "  --m M\n"
+        "  --eps EPS\n"
+        "  --delta DELTA\n"
+        "  --lip LIP\n"
+        "  --modulus-file MODULUS_FILE\n"
+        "  --kappa1 KAPPA1\n"
+        "  --kappa2 KAPPA2\n"
+        "  --B B\n"
+        "  --sigma-lip SIGMA_LIP\n"
+        "                        Lipschitz constant of the activation (continuous\n"
+        "                        class)\n"
+        "  --efficient-n EFFICIENT_N\n"
+        "                        report polynomial rates for an n-efficient dataset\n",
+        "",
+    ),
+    "compile-help": (
+        ["compile", "-h"], 0,
+        "usage: gdn compile [-h] --target TARGET --domain DOMAIN --codomain CODOMAIN\n"
+        "                   --base-x BASE_X [--base-y BASE_Y] --radius RADIUS "
+        "--eps EPS\n"
+        "                   [--activation ACTIVATION] [--lip LIP] [--grid GRID]\n"
+        "                   [--seed SEED] [--out OUT] [--verticalize LO,HI]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --target TARGET\n"
+        "  --domain DOMAIN\n"
+        "  --codomain CODOMAIN\n"
+        "  --base-x BASE_X\n"
+        "  --base-y BASE_Y\n"
+        "  --radius RADIUS\n"
+        "  --eps EPS\n"
+        "  --activation ACTIVATION\n"
+        "  --lip LIP             Lipschitz constant of the target (optional)\n"
+        "  --grid GRID           audit sample count\n"
+        "  --seed SEED\n"
+        "  --out OUT\n"
+        "  --verticalize LO,HI   rewrite the core deep-narrow over the given box: one\n"
+        "                        layer per nonzero output weight, carrying registers\n"
+        "                        exactly (piecewise-linear activation) or through a\n"
+        "                        small smooth window (smooth activation)\n",
+        "",
+    ),
+    "eval-help": (
+        ["eval", "-h"], 0,
+        "usage: gdn eval [-h] --model MODEL --input INPUT\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --model MODEL\n"
+        "  --input INPUT\n",
+        "",
+    ),
+    "certify-help": (
+        ["certify", "-h"], 0,
+        "usage: gdn certify [-h] --dataset DATASET --values VALUES --domain DOMAIN\n"
+        "                   --codomain CODOMAIN --base-x BASE_X --base-y BASE_Y\n"
+        "                   [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --dataset DATASET\n"
+        "  --values VALUES\n"
+        "  --domain DOMAIN\n"
+        "  --codomain CODOMAIN\n"
+        "  --base-x BASE_X\n"
+        "  --base-y BASE_Y\n"
+        "  --out OUT\n",
+        "",
+    ),
+    "bench-help": (
+        ["bench", "-h"], 0,
+        "usage: gdn bench [-h] [--out OUT] [--timing] config\n"
+        "\n"
+        "positional arguments:\n"
+        "  config      bench config JSON path\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --out OUT\n"
+        "  --timing    append wall-clock times (breaks byte-identical reports)\n",
+        "",
+    ),
+    "estimate-no-class": (
+        ["estimate", "--p", "1", "--m", "1", "--eps", "0.1"], 2,
+        "",
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "gdn: error: either --class or --efficient-n is required\n",
+    ),
+    "eval-model-without-value": (
+        ["eval", "--model"], 2,
+        "",
+        "usage: gdn eval [-h] --model MODEL --input INPUT\n"
+        "gdn eval: error: argument --model: expected one argument\n",
+    ),
+    # the command's arguments are added though the command is not argv[0]
+    "option-before-command": (
+        ["--foo", "eval", "--model", "x", "--input", "[0]"], 2,
+        "",
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "gdn: error: unrecognized arguments: --foo\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_cli_text_is_pinned(capsys, monkeypatch, name):
+    argv, code, stdout, stderr = PINNED[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(list(argv))
+    except SystemExit as e:
+        got = e.code
+    out = capsys.readouterr()
+    assert (got, out.out, out.err) == (code, stdout, stderr)
