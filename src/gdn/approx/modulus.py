@@ -89,6 +89,9 @@ def LipschitzModulus(L: float) -> AnalyticModulus:
 Modulus = Union[ModulusEstimate, AnalyticModulus, Callable[[float], float]]
 
 
+_ZERO_DISTANCE_MESSAGE = "pairs at zero input distance must have zero output distance"
+
+
 def _check_distances(din: np.ndarray, dout: np.ndarray) -> None:
     # refused unless every distance is finite and nonnegative and every pair
     # at zero input distance has zero output distance
@@ -97,9 +100,7 @@ def _check_distances(din: np.ndarray, dout: np.ndarray) -> None:
     if not (np.all(np.isfinite(din)) and np.all(np.isfinite(dout))):
         raise ValidationError("distances must be finite")
     if np.any(dout[din == 0.0] > 0.0):
-        raise ValidationError(
-            "pairs at zero input distance must have zero output distance"
-        )
+        raise ValidationError(_ZERO_DISTANCE_MESSAGE)
 
 
 def _checked_pairs(pairs: Sequence[Tuple[float, float]]) -> np.ndarray:
@@ -237,12 +238,28 @@ def sampled_modulus_at(pairs: PairInputs, ys, t: float) -> float:
     k = int(np.searchsorted(din, t, side="right")) if t >= 0.0 else 0
     if (np.isfinite(din[-1]) and ys.shape[1] < _M_BOUND
             and np.all(np.abs(ys) <= _Y_BOUND)):
-        w = max(k, int(np.searchsorted(din, 0.0, side="right")))
+        z = int(np.searchsorted(din, 0.0, side="right"))
+        w = max(k, z)
+        if ys.shape[1] == 1:
+            return _one_output_read(ys[:, 0], pairs.i[:w], pairs.j[:w], z, k)
     else:
         w = len(din)
     dout = _distances(ys, pairs.i[:w], pairs.j[:w])
     _check_distances(din[:w], dout)
     return float(np.max(dout[:k], initial=0.0))
+
+
+def _one_output_read(y: np.ndarray, i: np.ndarray, j: np.ndarray, z: int, k: int) -> float:
+    # the windowed read of one output, from |dy| without a norm per pair: a
+    # pair's distance is sqrt(fl(dy^2)), which is monotone in |dy|, so the
+    # read is sqrt(fl(max |dy|)^2), and a distance is positive exactly when
+    # fl(dy^2) is.  Every distance is finite here, so of the checks only the
+    # one on the z pairs at zero input distance remains
+    dy = np.abs(np.take(y, i) - np.take(y, j))
+    if np.any(dy[:z] * dy[:z] > 0.0):
+        raise ValidationError(_ZERO_DISTANCE_MESSAGE)
+    top = float(np.max(dy[:k], initial=0.0))
+    return math.sqrt(top * top)
 
 
 def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray], xs) -> ModulusEstimate:

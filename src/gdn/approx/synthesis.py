@@ -123,12 +123,15 @@ def compile_poly_to_shallow(forms: Sequence[LinearFormPoly], sigma: ActivationIn
     """One-hidden-layer realization of sums of univariate polynomials of
     linear forms, one output per form.
 
-    Each positive degree of each term costs one neuron (weights j*h*a,
-    shared bias -theta0), laid out in output order; the zero-order stencil
-    evaluations fold into the output biases.  Without any neuron the net is
-    one affine layer of zeros plus the biases.  Requires a smooth
-    non-polynomial activation whose derivative estimates at -theta0 stay
-    above 1e-6 up to the largest degree.
+    Each positive degree j of each term reads the row j*h*a (shared bias
+    -theta0).  The hidden layer has one neuron per distinct row, compared by
+    value over all outputs' terms and laid out in order of first use, so
+    outputs whose forms share directions share neurons; an output that
+    reads one row from two terms gets the sum of the two weights, in term
+    order.  The zero-order stencil evaluations fold into the output biases.
+    Without any neuron the net is one affine layer of zeros plus the biases.
+    Requires a smooth non-polynomial activation whose derivative estimates
+    at -theta0 stay above 1e-6 up to the largest degree.
     """
     if sigma.cls != "smooth-nonpoly":
         raise UnsupportedError(
@@ -146,37 +149,41 @@ def compile_poly_to_shallow(forms: Sequence[LinearFormPoly], sigma: ActivationIn
             )
     sigma_at_theta = float(sigma(np.array(-theta0)))
 
+    units = {}  # hidden row, by value -> its unit
     rows: List[np.ndarray] = []
-    blocks = []  # per output: (first hidden row, output weights)
+    weights = []  # per output: {unit: output weight}
     out_b = np.zeros(len(forms))
     for q, lf in enumerate(forms):
-        first = len(rows)
-        out_w: List[float] = []
+        out_w = {}
         bias = 0.0
         for a, b in lf.terms:
             deg = _form_degree(b)
             bias += float(b[0])
             for j in range(1, deg + 1):
-                rows.append(j * h * a)
+                row = j * h * a
+                u = units.setdefault(tuple(row.tolist()), len(rows))
+                if u == len(rows):
+                    rows.append(row)
                 c = 0.0
                 for k in range(j, deg + 1):
                     if b[k] == 0.0:
                         continue
                     c += b[k] / (derivs[k] * h ** k) * (-1.0) ** (k - j) * math.comb(k, j)
-                out_w.append(c)
+                # a row the output already reads gets the sum, in term order
+                out_w[u] = out_w[u] + c if u in out_w else c
             for k in range(1, deg + 1):
                 if b[k] == 0.0:
                     continue
                 bias += b[k] / (derivs[k] * h ** k) * (-1.0) ** k * sigma_at_theta
-        blocks.append((first, out_w))
+        weights.append(out_w)
         out_b[q] = bias
 
     if not rows:
         return FeedforwardNet(
             (AffineLayer(np.zeros((len(forms), forms[0].dim)), out_b),), sigma)
     W2 = np.zeros((len(forms), len(rows)))
-    for q, (first, out_w) in enumerate(blocks):
-        W2[q, first:first + len(out_w)] = out_w
+    for q, out_w in enumerate(weights):
+        W2[q, list(out_w)] = list(out_w.values())
     hidden = AffineLayer(np.stack(rows), np.full(len(rows), -theta0))
     return FeedforwardNet((hidden, AffineLayer(W2, out_b)), sigma)
 

@@ -3,10 +3,11 @@
 A shallow net over R^p with m outputs (one hidden layer, or one affine
 layer) becomes one deep net of width at most p + m + 1 (within the
 p + m + 2 budget): registers carry the inputs and one accumulator per
-output, and each layer spends its one free neuron on one (hidden unit,
-output) pair with a nonzero output weight.  A core with block output
-weights, where each output reads only its own units, gets no layer for
-its zeros.
+output, and each layer spends its one free neuron on one hidden unit that
+some output reads.  The next layer, or the output layer, folds that neuron
+into every accumulator with a nonzero weight for it, so m outputs share a
+unit through their registers (Kidger & Lyons 2020), and a unit that no
+output reads gets no layer.
 
 Carried registers must survive the componentwise activation between
 layers.  The activation's class picks the register codec:
@@ -98,8 +99,8 @@ def _build(net: FeedforwardNet, lo: np.ndarray, hi: np.ndarray, encode) -> Feedf
     n = p + m  # register channels: inputs, then accumulators; channel n is the neuron
     if len(net.layers) == 2:
         hid, out = net.layers
-        # one layer per nonzero output weight, in output-then-unit order
-        sched = list(zip(*np.nonzero(out.weights)))
+        # one layer per hidden unit with a nonzero output weight, in unit order
+        sched = np.flatnonzero(np.any(out.weights != 0.0, axis=0))
     else:
         sched = []
     # decode state: register r holds value scale[r] * y[r] + offset[r]
@@ -110,17 +111,17 @@ def _build(net: FeedforwardNet, lo: np.ndarray, hi: np.ndarray, encode) -> Feedf
     regs = np.arange(n)
 
     layers = []
-    prev = None
-    for j, u in sched:
-        w, b, c = hid.weights[u], float(hid.bias[u]), float(out.weights[j, u])
+    prev = ()  # (output, weight) of each accumulator that reads the last neuron
+    for u in sched:
+        w, b = hid.weights[u], float(hid.bias[u])
         k, add, dscale, doff = encode(iv_lo, iv_hi)
         W = np.zeros((n + 1, n + 1))
         bias = np.zeros(n + 1)
         W[regs, regs] = k * scale
         bias[:n] = k * offset + add
-        if prev is not None:
-            # fold the previous layer's neuron into its output's accumulator
-            W[p + prev[0], n] = k[p + prev[0]] * prev[1]
+        # fold the previous layer's neuron into the accumulators that read it
+        for j, c in prev:
+            W[p + j, n] = k[p + j] * c
         # the genuine neuron reads the decoded inputs
         W[n, :p] = 0.0 + w * scale[:p]
         u_b = b
@@ -132,19 +133,21 @@ def _build(net: FeedforwardNet, lo: np.ndarray, hi: np.ndarray, encode) -> Feedf
         u_lo = b + sum(min(w[i] * lo[i], w[i] * hi[i]) for i in range(p))
         u_hi = b + sum(max(w[i] * lo[i], w[i] * hi[i]) for i in range(p))
         s_lo, s_hi = _sigma_interval(net.activation, u_lo, u_hi)
-        iv_lo[p + j] += min(c * s_lo, c * s_hi)
-        iv_hi[p + j] += max(c * s_lo, c * s_hi)
+        prev = [(j, float(out.weights[j, u])) for j in np.flatnonzero(out.weights[:, u])]
+        for j, c in prev:
+            iv_lo[p + j] += min(c * s_lo, c * s_hi)
+            iv_hi[p + j] += max(c * s_lo, c * s_hi)
 
         # the first layer reads the p inputs only
         layers.append(AffineLayer(W if layers else W[:, :p].copy(), bias))
         scale[:], offset[:] = dscale, doff
-        prev = (j, c)
 
     # output layer: decode accumulators, add the last neuron and the biases
     W = np.zeros((m, n + 1 if layers else p))
     if layers:
         W[regs[:m], p + regs[:m]] = scale[p:]
-        W[prev[0], n] = prev[1]
+        for j, c in prev:
+            W[j, n] = c
     elif len(net.layers) == 1:
         W += net.layers[0].weights
     layers.append(AffineLayer(W, offset[p:] + net.layers[-1].bias))
@@ -153,8 +156,8 @@ def _build(net: FeedforwardNet, lo: np.ndarray, hi: np.ndarray, encode) -> Feedf
 
 def verticalize(net: FeedforwardNet, box, lam: float = 2.1e-8) -> FeedforwardNet:
     """Rewrite a shallow net over a box as one deep net of width
-    <= p + m + 2 whose depth is the count of nonzero output weights (plus
-    the output layer), and return the deep net.
+    <= p + m + 2 whose depth is the count of hidden units with a nonzero
+    output weight (plus the output layer), and return the deep net.
 
     A piecewise-linear activation reproduces the shallow outputs exactly on
     the box (it needs the activation's linear-piece metadata).  A smooth

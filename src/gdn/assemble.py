@@ -73,8 +73,11 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     third cube audit point, then on the geodesic audit sample.  The base
     points, eps and ``audit_count`` (which must be positive and keep the
     audit's arrays within ``_AUDIT_BUDGET``) are checked once, here, before
-    any oracle call; the charts the base points are bound to serve every
-    later stage and the model.
+    any oracle call, and so are the radius (its cube corners, at tangent
+    norm radius * sqrt(p), must lie within the domain's injectivity radius)
+    and the activation (synthesis needs a smooth non-polynomial one); the
+    charts the base points are bound to serve every later stage and the
+    model.
     """
     chart_x = chart_at(domain, base_x)
     chart_y = chart_at(codomain, base_y)
@@ -82,10 +85,19 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
         raise ValidationError(
             f"radius must satisfy 0 < radius < inj({domain.inj_lower!r}), got {radius!r}"
         )
+    p, m = domain.dim, codomain.dim
+    corner = radius * math.sqrt(p)
+    if corner >= domain.inj_lower:
+        raise ValidationError(
+            f"radius * sqrt(p) must be below inj({domain.inj_lower!r}), since the "
+            f"pullback reads the cube corners at that tangent norm; got {corner!r} "
+            f"(radius {radius!r}, p = {p})")
     _check_audit_count(audit_count, domain, codomain)
     if not (0.0 < eps < math.inf):
         raise ValidationError(f"eps must be positive and finite, got {eps!r}")
-    p, m = domain.dim, codomain.dim
+    if sigma.cls != "smooth-nonpoly":
+        raise ValidationError(
+            f"shallow synthesis needs a smooth non-polynomial activation, got {sigma.cls}")
     pulled_back = pullback(chart_x, chart_y, target, radius)
 
     # geodesic error <= exp-chart expansion * core chart error; the

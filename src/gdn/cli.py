@@ -327,7 +327,7 @@ def _compile_arguments(comp: argparse.ArgumentParser) -> None:
     comp.add_argument("--out")
     comp.add_argument("--verticalize", metavar="LO,HI",
                       help="rewrite the core deep-narrow over the given box: "
-                           "one layer per nonzero output weight, carrying "
+                           "one layer per hidden unit that an output reads, carrying "
                            "registers exactly (piecewise-linear activation) or "
                            "through a small smooth window (smooth activation)")
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gdn.manifolds.sym
-from gdn.assemble import audit_gdn
+from gdn.assemble import audit_gdn, compile_gdn
 from gdn.cli import main
 from gdn.errors import NumericError, ValidationError
 from gdn.manifolds import resolve_manifold
@@ -288,6 +288,67 @@ class TestAudit:
                                                   "hold 268435496 bytes of arrays"):
             audit_gdn(model, lambda x: x, 0.5, 4_793_491)
         assert audit_gdn(model, lambda x: x, 0.5, 100) == 0.0
+
+
+class TestRefusedBeforeAnyOracleCall:
+    """A compile the synthesis cannot finish is refused before the target
+    sees a point: cube corners past the injectivity radius, or an activation
+    that is not smooth non-polynomial."""
+
+    SPHERE = resolve_manifold("sphere:2")
+    BASE = np.array([0.0, 0.0, 1.0])
+
+    def compile(self, radius, activation, calls):
+        # the rotation compile, each target call's row count put in ``calls``
+        target = resolve_target("rotation", self.SPHERE, self.BASE, seed=0).fn
+        base_y = target(self.BASE)
+
+        def counted(x):
+            calls.append(len(np.atleast_2d(x)))
+            return target(x)
+
+        compile_gdn(self.SPHERE, self.SPHERE, self.BASE, base_y, counted,
+                    radius, 0.1, get_activation(activation), audit_count=50)
+
+    @pytest.mark.parametrize("radius,activation,message", [
+        # 2.23 * sqrt(2) = 3.1537 >= pi
+        (2.23, "exp", r"^radius \* sqrt\(p\) must be below inj\(3\.141592653589793\), "
+                      r"since the pullback reads the cube corners at that tangent "
+                      r"norm; got 3\.153696244092002 \(radius 2\.23, p = 2\)$"),
+        (1.0, "relu", "^shallow synthesis needs a smooth non-polynomial activation, "
+                      "got piecewise-linear$"),
+        (1.0, "square", "got nonaffine-poly$"),
+    ])
+    def test_counts_zero_oracle_calls(self, radius, activation, message):
+        calls = []
+        with pytest.raises(ValidationError, match=message):
+            self.compile(radius, activation, calls)
+        assert calls == []
+
+    def test_corners_within_the_injectivity_radius_compile(self):
+        # 2.22 * sqrt(2) = 3.1396 < pi
+        calls = []
+        self.compile(2.22, "exp", calls)
+        assert sum(calls) > 0
+
+
+@pytest.mark.parametrize("argv,width,params", [
+    (["--target", "rotation", "--domain", "sphere:2", "--codomain", "sphere:2",
+      "--base-x", "[0, 0, 1]", "--radius", "1.5707", "--eps", "0.1"], 2, 17),
+    (["--target", "mobius-shift", "--domain", "poincare:2:1", "--codomain",
+      "poincare:2:1", "--base-x", "[0, 0]", "--radius", "1.0", "--eps", "0.05"], 2, 12),
+    (["--target", "spd-congruence", "--domain", "spd:2", "--codomain", "spd:2",
+      "--base-x", "[1, 0, 1]", "--radius", "1.0", "--eps", "0.05", "--lip", "2"], 3, 24),
+])
+def test_chart_cores_have_one_unit_per_distinct_row(capsys, argv, width, params):
+    # the chart targets are degree 1, so every output reads the same p rows
+    # h e_i, and the core has one unit per row; the structure only, since
+    # spd's bytes depend on LAPACK rounding
+    assert main(["compile", *argv, "--seed", "0"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    got = (summary["width"], summary["depth"], summary["param_count"])
+    assert got == (width, 1, params)
+    assert summary["measured_error"] <= summary["eps"]
 
 
 def test_spd_compile_runs_without_jacobi(monkeypatch, tmp_path, capsys):

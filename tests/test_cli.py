@@ -162,15 +162,15 @@ class TestCompileAndEval:
         assert summary["width"] <= 2 + 1 + 2
 
     def test_verticalized_rotation_skips_zero_weights(self, capsys):
-        # the rotation core has 3 outputs over one 4-unit hidden layer with
-        # block output weights: one deep layer per nonzero weight
+        # the rotation core has 3 outputs over one 2-unit hidden layer, and
+        # its third output reads no unit: one deep layer per unit
         code, out, _ = run(capsys, "compile", "--target", "rotation",
                            "--domain", "sphere:2", "--codomain", "sphere:2",
                            "--base-x", "[0,0,1]", "--radius", "0.5", "--eps", "0.1",
                            "--activation", "softplus", "--verticalize=-0.1,1.1")
         assert code == 0
         summary = json.loads(out)
-        assert summary["depth"] == 4
+        assert summary["depth"] == 2
         assert summary["measured_error"] <= 0.1
 
     def test_zero_lip_is_honored(self, capsys, monkeypatch):
@@ -500,6 +500,30 @@ class TestUsageErrors:
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"runs": [good, bad_run]}))
         self.assert_usage_error(capsys, ["bench", str(cfg)], "bench run 1", *needles)
+
+    # a rotation compile whose cube corners lie at 2.23 * sqrt(2) = 3.1537,
+    # past inj(sphere:2) = pi, and one with a piecewise-linear activation
+    ROTATION = {"target": "rotation", "domain": "sphere:2", "codomain": "sphere:2",
+                "base_x": [0, 0, 1], "radius": 1.0, "eps": 0.1, "grid": 50}
+    UNREACHABLE = [({"radius": 2.23}, "radius * sqrt(p) must be below inj("),
+                   ({"activation": "relu"}, "activation, got piecewise-linear")]
+
+    @pytest.mark.parametrize("change,needle", UNREACHABLE)
+    def test_unreachable_compile_is_refused_before_any_oracle_call(
+            self, capsys, monkeypatch, change, needle):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called the oracle before the compile was checked")
+
+        monkeypatch.setattr(gdn.assemble, "oracle_rows", refuse)
+        argv = ["compile"]
+        for key, value in {**self.ROTATION, **change}.items():
+            argv += [f"--{key.replace('_', '-')}",
+                     value if isinstance(value, str) else json.dumps(value)]
+        self.assert_usage_error(capsys, argv, needle)
+
+    @pytest.mark.parametrize("change,needle", UNREACHABLE)
+    def test_bench_run_unreachable(self, capsys, tmp_path, change, needle):
+        self.bench(capsys, tmp_path, {**self.ROTATION, **change}, needle)
 
     def test_bench_run_missing_codomain(self, capsys, tmp_path):
         run_ = {k: v for k, v in TestBench.CONFIG["runs"][0].items() if k != "codomain"}

@@ -3,7 +3,8 @@ argv below, byte for byte, at an 80-column terminal.  A call's parser gets
 the arguments of its own command only, so these pin that the help, the
 version, the usage errors and ``cmd_estimate``'s ``parser.error`` do not
 depend on which subparsers were left empty.  The text is argparse's on
-Python 3.11.
+Python 3.11.  Two compile refusals that ``compile_gdn`` raises before any
+oracle call are pinned with them.
 """
 import pytest
 
@@ -107,10 +108,27 @@ PINNED = {
         "  --seed SEED\n"
         "  --out OUT\n"
         "  --verticalize LO,HI   rewrite the core deep-narrow over the given box: one\n"
-        "                        layer per nonzero output weight, carrying registers\n"
-        "                        exactly (piecewise-linear activation) or through a\n"
-        "                        small smooth window (smooth activation)\n",
+        "                        layer per hidden unit that an output reads, carrying\n"
+        "                        registers exactly (piecewise-linear activation) or\n"
+        "                        through a small smooth window (smooth activation)\n",
         "",
+    ),
+    # cube corners at 2.23 * sqrt(2) = 3.1537, past inj(sphere:2) = pi
+    "compile-corners-past-inj": (
+        ["compile", "--target", "rotation", "--domain", "sphere:2", "--codomain",
+         "sphere:2", "--base-x", "[0,0,1]", "--radius", "2.23", "--eps", "0.1"], 2,
+        "",
+        "error: radius * sqrt(p) must be below inj(3.141592653589793), since the "
+        "pullback reads the cube corners at that tangent norm; got 3.153696244092002 "
+        "(radius 2.23, p = 2)\n",
+    ),
+    "compile-piecewise-linear-activation": (
+        ["compile", "--target", "rotation", "--domain", "sphere:2", "--codomain",
+         "sphere:2", "--base-x", "[0,0,1]", "--radius", "1", "--eps", "0.1",
+         "--activation", "relu"], 2,
+        "",
+        "error: shallow synthesis needs a smooth non-polynomial activation, got "
+        "piecewise-linear\n",
     ),
     "eval-help": (
         ["eval", "-h"], 0,

@@ -7,8 +7,8 @@ compiles and one 3-run ``gdn bench`` config go through ``gdn.cli.main`` at
 seed 0.  The two-output compiles are the edge cases of the multi-output
 shallow core: a constant output next to a hidden block, and no hidden layer
 at all.  The ``--verticalize`` compiles rewrite a core deep-narrow with a
-smooth activation: softplus over a 3-output core with block output weights,
-and the default exp over a 2-output core.  The two p = 3 compiles read
+smooth activation: softplus over a 3-output core whose outputs share its
+two hidden units, and the default exp over a 2-output core.  The two p = 3 compiles read
 their modulus over the 55,611 audit-grid pairs (``apriori_bound`` pins the
 windowed read); cube3-quadratic is also the
 one that walks Bernstein degrees 1 to 4 and evaluates exponent-2 powers.
@@ -34,9 +34,9 @@ COMPILES = {
          "--base-x", "[0, 0, 1]", "--radius", "1.5707", "--eps", "0.1"],
         {"apriori_bound": 9.426942604661795, "audit_points": 200,
          "bernstein_degree": 1, "depth": 1, "eps": 0.1,
-         "measured_error": 0.002768710480482164, "param_count": 31,
-         "target": "rotation", "width": 4},
-        "eb34ce2cc121587a6364bdd2152a1a3d50ce0828a19a7084839414a573bb44e4",
+         "measured_error": 0.0027687104804821577, "param_count": 17,
+         "target": "rotation", "width": 2},
+        "e00bc0b03724ea22cc5302e108c309249586443a700e6ed4003d24ac7a14d6fa",
     ),
     "poincare2-mobius": (
         ["--target", "mobius-shift", "--domain", "poincare:2:1",
@@ -103,10 +103,10 @@ COMPILES = {
          "--base-x", "[0, 0, 1]", "--radius", "0.5", "--eps", "0.1",
          "--activation", "softplus", "--verticalize=-0.1,1.1"],
         {"apriori_bound": 3.000435939996516, "audit_points": 200,
-         "bernstein_degree": 1, "depth": 4, "eps": 0.1,
-         "measured_error": 0.0004386534087774914, "param_count": 220,
+         "bernstein_degree": 1, "depth": 2, "eps": 0.1,
+         "measured_error": 0.0004386528937689594, "param_count": 108,
          "target": "rotation", "width": 7},
-        "54d05873d6aa850017e2a270da4f98a932d265502f0153af990c824decb5cfc8",
+        "1e0a740905677d8ce7d1ca98ddbeda9be977404031b0f8c9db58c85de997f1f2",
     ),
     "poly-verticalized-exp": (
         ["--target", "poly:x1*x2,x1^2", "--domain", "euclidean:2",
@@ -131,7 +131,7 @@ BENCH_RUNS = [
 
 BENCH_CSV = (
     "target,eps,measured_error,width,depth,param_count,predicted_depth_order\n"
-    "rotation,0.10000000000000001,0.0017505219469371963,4,1,31,546175.54286804609\n"
+    "rotation,0.10000000000000001,0.0017505219469371057,2,1,17,546175.54286804609\n"
     "mobius-shift,0.10000000000000001,0.00082763920102902548,2,1,12,17114.682551504236\n"
     "poly:x1*x2,0.10000000000000001,0.0011255442250709402,4,1,17,3691.3080467453565\n"
 )

@@ -9,6 +9,7 @@ from gdn.approx.modulus import (
     AnalyticModulus,
     LipschitzModulus,
     ModulusEstimate,
+    _distances,
     empirical_modulus,
     empirical_modulus_at,
     modulus_from_samples,
@@ -272,6 +273,33 @@ class TestSampledModulusAt:
             for t in ts + [math.nan]:
                 assert sampled_modulus_at(inputs, scale * ys, t) \
                     == empirical_modulus_at(pairs, t)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-154, 1.0, 2.0 ** 499])
+    def test_one_output_read_has_the_norm_bits(self, rng, scale):
+        # one output is read from |dy|, without a norm per pair; it must give
+        # the bits of the per-pair norms, also where dy^2 underflows to 0 or
+        # to a subnormal and where differences come near 2^499, inside the
+        # 2^500 output bound
+        xs = np.round(rng.random((60, 2)) * 4.0) / 4.0
+        ys = scale * np.sin(xs @ rng.standard_normal((2, 1)))
+        inputs = pair_inputs(xs)
+        for t in [0.0, 0.25, 0.5, *(1.0 / np.sqrt(_DEGREES)), 1e9]:
+            k = int(np.searchsorted(inputs.din, t, side="right"))
+            want = float(np.max(_distances(ys, inputs.i[:k], inputs.j[:k]), initial=0.0))
+            got = sampled_modulus_at(inputs, ys, t)
+            assert got == want == empirical_modulus_at(sample_pairs(xs, ys), t)
+            assert math.copysign(1.0, got) == 1.0
+
+    def test_one_output_zero_distance_check_reads_the_square(self):
+        # duplicate inputs whose outputs differ by 1e-150 (a square of 1e-300)
+        # are refused; by 1e-170 (a square that underflows to 0) they pass
+        xs = np.array([[0.5], [0.5], [0.0]])
+        with pytest.raises(ValidationError, match="zero input distance"):
+            sampled_modulus_at(pair_inputs(xs), np.array([[0.0], [1e-150], [1.0]]), 0.5)
+        ys = np.array([[0.0], [1e-170], [1.0]])
+        assert sampled_modulus_at(pair_inputs(xs), ys, 0.5) == 1.0
+        assert sampled_modulus_at(pair_inputs(xs), ys, 0.4) == 0.0
+        assert empirical_modulus_at(sample_pairs(xs, ys), 0.4) == 0.0
 
     def test_pairs_sorted_stably_by_input_distance(self, rng):
         xs = np.round(rng.random((50, 2)) * 3.0) / 3.0

@@ -15,7 +15,7 @@ from gdn.approx.bernstein import (
     bernstein_weights,
 )
 from gdn.approx.modulus import LipschitzModulus, empirical_modulus, sample_pairs
-from gdn.approx.polynomials import decompose_polynomial
+from gdn.approx.polynomials import LinearFormPoly, decompose_polynomial
 from gdn.approx.synthesis import (
     _DEGREE_CAP,
     _cube_samples,
@@ -300,19 +300,27 @@ class TestMultiOutput:
              decompose_polynomial({(0, 0): -2.5}, 1, 2),
              decompose_polynomial({(1, 1): 1.0, (2, 0): 0.5}, 2, 2)]
 
+    @staticmethod
+    def weight_by_row(net, q):
+        """Output q's nonzero weights, keyed by the hidden row they read."""
+        if len(net.layers) == 1:
+            return {}
+        hidden, out = net.layers
+        return {tuple(hidden.weights[u].tolist()): out.weights[q, u]
+                for u in np.flatnonzero(out.weights[q])}
+
     def test_each_output_is_its_one_form_net(self, rng):
         multi = compile_poly_to_shallow(self.FORMS, EXP, 0.0, 1e-3)
         singles = [compile_poly_to_shallow([lf], EXP, 0.0, 1e-3) for lf in self.FORMS]
         assert multi.out_dim == 3
-        hidden = [net.layers[0] for net in singles if len(net.layers) == 2]
-        np.testing.assert_array_equal(multi.layers[0].weights,
-                                      np.vstack([h.weights for h in hidden]))
-        np.testing.assert_array_equal(multi.layers[0].bias,
-                                      np.concatenate([h.bias for h in hidden]))
+        # each output reads, bit for bit, the weights of its own net, on the
+        # same rows; shared rows are one hidden unit
+        rows = [tuple(r) for r in multi.layers[0].weights.tolist()]
+        assert len(set(rows)) == len(rows)
+        np.testing.assert_array_equal(multi.layers[0].bias, np.zeros(len(rows)))
         W, b = multi.layers[1].weights, multi.layers[1].bias
         for q, net in enumerate(singles):
-            w_q = net.layers[-1].weights[0] if len(net.layers) == 2 else []
-            np.testing.assert_array_equal(W[q][np.flatnonzero(W[q])], w_q)
+            assert self.weight_by_row(multi, q) == self.weight_by_row(net, 0)
             assert b[q] == net.layers[-1].bias[0]
         x = rng.uniform(-1, 1, (10, 2))
         want = np.hstack([net(x) for net in singles])
@@ -322,12 +330,44 @@ class TestMultiOutput:
         np.testing.assert_allclose(multi(x)[:, 2], want[:, 2], rtol=0, atol=1e-9)
 
     def test_hidden_rows_in_output_order(self):
-        multi = compile_poly_to_shallow(self.FORMS, EXP, 0.0, 1e-3)
+        # rows are laid out in order of first use, outputs in order: the
+        # linear form's h (1, 0), then the quadratic's rows of its terms
+        # (1, -1), (1, 0), (1, 1), skipping h (1, 0), which it shares
+        h = 1e-3
+        multi = compile_poly_to_shallow(self.FORMS, EXP, 0.0, h)
+        want = [(h, 0.0), (h, -h), (2 * h, -2 * h), (2 * h, 0.0), (h, h), (2 * h, 2 * h)]
+        assert [tuple(r) for r in multi.layers[0].weights.tolist()] == want
         W = multi.layers[1].weights
-        # the linear form owns row 0, the constant none, the quadratic the rest
         assert np.flatnonzero(W[0]).tolist() == [0]
         assert not W[1].any()
-        assert np.flatnonzero(W[2]).tolist() == list(range(1, W.shape[1]))
+        assert np.flatnonzero(W[2]).tolist() == list(range(6))
+
+    def test_one_output_reading_a_row_twice_sums_its_weights(self, rng):
+        # x1^2 reads 2h (1, 0) at j = 2; x1^2 x2^2 polarizes onto the
+        # direction (2, 0), which reads h (2, 0) at j = 1: the same row
+        h = 0.05
+        lf = decompose_polynomial({(2, 0): 1.0, (2, 2): 1.0}, 4, 2)
+        directions = [tuple(a.tolist()) for a, _b in lf.terms]
+        assert directions.index((1.0, 0.0)) < directions.index((2.0, 0.0))
+        net = compile_poly_to_shallow([lf], EXP, 0.0, h)
+        rows = [tuple(r) for r in net.layers[0].weights.tolist()]
+        total = sum(int(np.max(np.nonzero(b)[0])) for _a, b in lf.terms)
+        assert len(set(rows)) == len(rows) == total - 1
+        # the shared unit's weight is the two terms' weights summed in term
+        # order; every other weight is its term's own
+        terms = [compile_poly_to_shallow([LinearFormPoly((t,), 2)], EXP, 0.0, h)
+                 for t in lf.terms]
+        parts = [self.weight_by_row(t, 0) for t in terms]
+        merged = self.weight_by_row(net, 0)
+        shared = (2 * h, 0.0)
+        i, j = directions.index((1.0, 0.0)), directions.index((2.0, 0.0))
+        assert merged[shared] == parts[i][shared] + parts[j][shared]
+        for row, w in merged.items():
+            if row != shared:
+                assert [part[row] for part in parts if row in part] == [w]
+        x = rng.uniform(-1, 1, (50, 2))
+        np.testing.assert_allclose(net(x)[:, 0], sum(t(x)[:, 0] for t in terms),
+                                   rtol=0, atol=1e-8)
 
     def test_constants_only_is_one_affine_layer(self):
         forms = [decompose_polynomial({(0,): c}, 1, 1) for c in (2.0, 3.0)]

@@ -72,6 +72,18 @@ class TestExactPwl:
             x = rng.uniform(-2, 2, 2)
             np.testing.assert_allclose(deep(x), net(x), atol=1e-9)
 
+    def test_dense_outputs_share_one_layer_per_unit(self, rng):
+        # every output reads every unit: each unit's layer folds its neuron
+        # into both accumulators, so the depth is the unit count, not the
+        # count of nonzero weights
+        net = random_shallow(rng, 2, 2, 5)
+        assert np.count_nonzero(net.layers[1].weights) == 10
+        deep = verticalize(net, (-2.0, 2.0))
+        assert deep.depth == 5
+        assert width(deep) <= 2 + 2 + 2
+        xs = rng.uniform(-2, 2, (500, 2))
+        assert float(np.max(np.abs(deep(xs) - net(xs)))) <= 1e-9
+
     def test_random_sweep_meets_budget(self, rng):
         for _ in range(15):
             p = int(rng.integers(1, 4))
