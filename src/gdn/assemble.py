@@ -58,7 +58,8 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
                 omega: Optional[Modulus] = None,
                 audit_count: int = 200) -> CompiledGDN:
     """Compile a manifold-to-manifold target into a GDN on the geodesic
-    ball of ``radius`` about ``base_x``.
+    ball of ``radius`` about ``base_x``, mapped into the codomain about
+    ``base_y``, a point or "auto".
 
     The target is pulled back to intrinsic tangent coordinates, rescaled to
     the unit cube, compiled to a shallow core with an error budget deflated
@@ -70,17 +71,17 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     (N, point_dim) stack, like ``exp_map``, and each stage calls it once:
     on 64 ball points (the reached tangent range), through the pullback on
     the core's selection grid, its lattices and, without ``omega``, every
-    third cube audit point, then on the geodesic audit sample.  The base
-    points, eps and ``audit_count`` (which must be positive and keep the
-    audit's arrays within ``_AUDIT_BUDGET``) are checked once, here, before
-    any oracle call, and so are the radius (its cube corners, at tangent
-    norm radius * sqrt(p), must lie within the domain's injectivity radius)
-    and the activation (synthesis needs a smooth non-polynomial one); the
-    charts the base points are bound to serve every later stage and the
-    model.
+    third cube audit point, then on the geodesic audit sample.  ``base_x``,
+    eps and ``audit_count`` (which must be positive and keep the audit's
+    arrays within ``_AUDIT_BUDGET``) are checked once, here, before any
+    oracle call, and so are the radius (its cube corners, at tangent norm
+    radius * sqrt(p), must lie within the domain's injectivity radius) and
+    the activation (synthesis needs a smooth non-polynomial one).  Only
+    then is ``base_y`` checked, and a ``base_y`` of "auto" is the target's
+    value at ``base_x``, one more call.  The charts the base points are
+    bound to serve every later stage and the model.
     """
     chart_x = chart_at(domain, base_x)
-    chart_y = chart_at(codomain, base_y)
     if not (0.0 < radius < domain.inj_lower):
         raise ValidationError(
             f"radius must satisfy 0 < radius < inj({domain.inj_lower!r}), got {radius!r}"
@@ -98,6 +99,9 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     if sigma.cls != "smooth-nonpoly":
         raise ValidationError(
             f"shallow synthesis needs a smooth non-polynomial activation, got {sigma.cls}")
+    if isinstance(base_y, str) and base_y == "auto":
+        base_y = target(chart_x.x)
+    chart_y = chart_at(codomain, base_y)
     pulled_back = pullback(chart_x, chart_y, target, radius)
 
     # geodesic error <= exp-chart expansion * core chart error; the

@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 computational failure, 2 usage or validation
 error.  Fixed seeds make runs deterministic (bench rows omit wall time
 unless --timing is passed).
 
-A call builds and imports only what its command runs: the parser gets the
-arguments of the invoked command alone, and the compiler (``approx``,
-``assemble``, ``sampling``) is imported inside the commands that use it.
+A call builds and imports only what its command runs: the parser builds
+the invoked command's subparser alone when argv[0] names it (otherwise all
+five, and only the command's gets arguments), and the compiler
+(``approx``, ``assemble``, ``sampling``) is imported inside the commands
+that use it.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -98,14 +100,13 @@ def _resolve_run(domain, codomain, base_x, target, base_y, activation, seed):
     """The manifolds, base points, target and activation of a ``compile`` or
     of a ``bench`` run; base_x is checked by ``as_point`` before the target
     sees it (the compile's chart finds a base that is not SPD), and base_y
-    "auto" is the target's value there."""
+    "auto" is passed on for ``compile_gdn`` to evaluate after its checks."""
     domain, codomain = resolve_manifold(domain), resolve_manifold(codomain)
     base_x = as_point(domain, np.asarray(base_x, dtype=float).ravel())
     target = resolve_target(target, domain, base_x, seed=seed)
-    if isinstance(base_y, str) and base_y == "auto":
-        base_y = target.fn(base_x)
-    return (domain, codomain, base_x, target,
-            np.asarray(base_y, dtype=float).ravel(), get_activation(activation))
+    if not (isinstance(base_y, str) and base_y == "auto"):
+        base_y = np.asarray(base_y, dtype=float).ravel()
+    return domain, codomain, base_x, target, base_y, get_activation(activation)
 
 
 def _check_out_path(path: str) -> None:
@@ -172,6 +173,10 @@ def cmd_compile(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     payload = _load_json(args.model)
+    # a list goes on to net_from_dict, which names it a malformed network
+    if not isinstance(payload, (dict, list)):
+        raise ParseError(f"{args.model}: a model must be a JSON object, "
+                         f"got {json.dumps(payload)}")
     x = _parse_vector(args.input, "--input")
     y = (gdn_from_dict(payload) if "domain" in payload else net_from_dict(payload))(x)
     _json_out({"output": [float(t) for t in np.asarray(y).ravel()]})
@@ -364,17 +369,29 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``gdn`` parser.  It lists every subcommand, but only the subparser
-    of ``command`` gets its arguments: a call parses one command's."""
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The ``gdn`` parser for ``argv``.  The top-level parser takes no
+    positional before the command and no option with a value, so the first
+    command name in argv is the command, and its subparser alone gets
+    arguments.  When argv[0] is that command, its subparser is the only one
+    built, and the subparsers' metavar lists every command, so usage lines
+    read as with all five.  Otherwise (``-h``, ``--version``, an option
+    before the command, a bad or missing command) all five are built with
+    no metavar, since argparse would name the action by it in an "invalid
+    choice" error."""
+    command = next((a for a in argv if a in _COMMANDS), None)
+    alone = bool(argv) and argv[0] == command
     parser = argparse.ArgumentParser(
         prog="gdn",
         description="Geometric deep networks: estimators, constructive "
                     "compilation, dataset certification, and benchmarks.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _run) in _COMMANDS.items():
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
+    for name in (command,) if alone else _COMMANDS:
+        help_text, add_arguments, _run = _COMMANDS[name]
         subparser = sub.add_parser(name, help=help_text)
         if name == command:
             add_arguments(subparser)
@@ -384,9 +401,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser takes no positional before the command and no
-    # option with a value, so the first command name in argv is the command
-    parser = build_parser(next((a for a in argv if a in _COMMANDS), None))
+    # the parser of this argv: argv[0]'s command alone, or all five
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args, parser)

@@ -1,5 +1,6 @@
 """Command-line front end: subcommand behavior and exit codes."""
 import argparse
+import dataclasses
 import json
 import time
 
@@ -515,15 +516,75 @@ class TestUsageErrors:
             raise AssertionError("called the oracle before the compile was checked")
 
         monkeypatch.setattr(gdn.assemble, "oracle_rows", refuse)
+        self.assert_usage_error(capsys, self.compile_argv({**self.ROTATION, **change}),
+                                needle)
+
+    @staticmethod
+    def compile_argv(run_):
         argv = ["compile"]
-        for key, value in {**self.ROTATION, **change}.items():
+        for key, value in run_.items():
             argv += [f"--{key.replace('_', '-')}",
                      value if isinstance(value, str) else json.dumps(value)]
-        self.assert_usage_error(capsys, argv, needle)
+        return argv
 
     @pytest.mark.parametrize("change,needle", UNREACHABLE)
     def test_bench_run_unreachable(self, capsys, tmp_path, change, needle):
         self.bench(capsys, tmp_path, {**self.ROTATION, **change}, needle)
+
+    @staticmethod
+    def count_oracle_calls(monkeypatch):
+        """The shape of every call to the target ``gdn.cli`` resolves."""
+        calls = []
+        resolve = gdn.cli.resolve_target
+
+        def counted(*args, **kwargs):
+            target = resolve(*args, **kwargs)
+
+            def fn(x):
+                calls.append(np.shape(x))
+                return target.fn(x)
+
+            return dataclasses.replace(target, fn=fn)
+
+        monkeypatch.setattr(gdn.cli, "resolve_target", counted)
+        return calls
+
+    # base_y "auto" is the target's value at base_x, read after the checks
+    @pytest.mark.parametrize("change,needle", UNREACHABLE + [
+        ({"eps": -1}, "eps must be positive"), ({"grid": 0}, "at least 1 point, got 0")])
+    @pytest.mark.parametrize("command", ["compile", "bench"])
+    def test_refused_compile_calls_no_oracle(self, capsys, monkeypatch, tmp_path,
+                                             command, change, needle):
+        calls = self.count_oracle_calls(monkeypatch)
+        run_ = {**self.ROTATION, **change}
+        if command == "bench":
+            cfg = tmp_path / "bench.json"
+            cfg.write_text(json.dumps({"runs": [run_]}))
+            self.assert_usage_error(capsys, ["bench", str(cfg)], "bench run 0", needle)
+        else:
+            self.assert_usage_error(capsys, self.compile_argv(run_), needle)
+        assert calls == []
+
+    def test_auto_base_y_is_the_first_oracle_call(self, capsys, monkeypatch, tmp_path):
+        calls = self.count_oracle_calls(monkeypatch)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"runs": [self.ROTATION]}))
+        assert run(capsys, "bench", str(cfg))[0] == 0
+        assert calls[0] == (3,) and len(calls) > 1
+
+    @pytest.mark.parametrize("payload", ["5", "null", "true", "1.5"])
+    def test_model_file_not_an_object(self, capsys, tmp_path, payload):
+        model = tmp_path / "model.json"
+        model.write_text(payload + "\n")
+        self.assert_usage_error(capsys, ["eval", "--model", str(model), "--input", "[0]"],
+                                f"{model}: a model must be a JSON object, got {payload}")
+
+    def test_model_file_holding_a_list(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text("[1]\n")
+        code, out, err = run(capsys, "eval", "--model", str(model), "--input", "[0]")
+        assert (code, out, err) == (2, "", "error: malformed network dictionary: list "
+                                           "indices must be integers or slices, not str\n")
 
     def test_bench_run_missing_codomain(self, capsys, tmp_path):
         run_ = {k: v for k, v in TestBench.CONFIG["runs"][0].items() if k != "codomain"}

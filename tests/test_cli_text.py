@@ -1,35 +1,42 @@
 """Pinned help and error text of ``gdn``: stdout, stderr and exit code of each
-argv below, byte for byte, at an 80-column terminal.  A call's parser gets
-the arguments of its own command only, so these pin that the help, the
-version, the usage errors and ``cmd_estimate``'s ``parser.error`` do not
-depend on which subparsers were left empty.  The text is argparse's on
-Python 3.11.  Two compile refusals that ``compile_gdn`` raises before any
-oracle call are pinned with them.
+argv below, byte for byte, at an 80-column terminal.  A call whose argv[0]
+names a command builds that command's subparser alone, and any other call
+builds all five with only the command's arguments; these pin that the help,
+the version, the usage errors and ``cmd_estimate``'s ``parser.error`` read
+the same either way.  The text is argparse's on Python 3.11.  Two compile
+refusals that ``compile_gdn`` raises before any oracle call are pinned with
+them.  The count of parsers each kind of call builds is checked below.
 """
+import argparse
+
 import pytest
 
-from gdn.cli import main
+from gdn.cli import _COMMANDS, build_parser, main
+
+TOP_HELP = (
+    "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+    "\n"
+    "Geometric deep networks: estimators, constructive compilation, dataset\n"
+    "certification, and benchmarks.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {estimate,compile,eval,certify,bench}\n"
+    "    estimate            depth/width/parameter estimates\n"
+    "    compile             compile a target into a GDN\n"
+    "    eval                evaluate a saved net or GDN\n"
+    "    certify             certify dataset efficiency\n"
+    "    bench               batch compile-and-audit runs\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --version             show program's version number and exit\n"
+)
 
 # name -> (argv, exit code, stdout, stderr)
 PINNED = {
     "help": (
         ["-h"], 0,
-        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
-        "\n"
-        "Geometric deep networks: estimators, constructive compilation, dataset\n"
-        "certification, and benchmarks.\n"
-        "\n"
-        "positional arguments:\n"
-        "  {estimate,compile,eval,certify,bench}\n"
-        "    estimate            depth/width/parameter estimates\n"
-        "    compile             compile a target into a GDN\n"
-        "    eval                evaluate a saved net or GDN\n"
-        "    certify             certify dataset efficiency\n"
-        "    bench               batch compile-and-audit runs\n"
-        "\n"
-        "options:\n"
-        "  -h, --help            show this help message and exit\n"
-        "  --version             show program's version number and exit\n",
+        TOP_HELP,
         "",
     ),
     "version": (
@@ -189,6 +196,24 @@ PINNED = {
         "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
         "gdn: error: unrecognized arguments: --foo\n",
     ),
+    # an option of the top level before the command: all five are built
+    "help-before-command": (
+        ["-h", "eval"], 0,
+        TOP_HELP,
+        "",
+    ),
+    "long-help-before-command": (
+        ["--help", "compile"], 0,
+        TOP_HELP,
+        "",
+    ),
+    # the command's subparser alone, its usage still listing all five
+    "unrecognized-after-command": (
+        ["eval", "--model", "x", "--input", "[0]", "--bogus"], 2,
+        "",
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "gdn: error: unrecognized arguments: --bogus\n",
+    ),
 }
 
 
@@ -202,3 +227,45 @@ def test_cli_text_is_pinned(capsys, monkeypatch, name):
         got = e.code
     out = capsys.readouterr()
     assert (got, out.out, out.err) == (code, stdout, stderr)
+
+
+
+# argv -> ArgumentParser instances one call builds: the top level and the
+# subparsers built.  Counts, as wall time on a shared host is not repeatable
+PARSERS_BUILT = [
+    (["eval", "--model", "x", "--input", "[0]"], 2),
+    (["compile", "--target", "rotation"], 2),
+    (["-h"], 1 + len(_COMMANDS)),
+    (["--foo", "eval", "--model", "x", "--input", "[0]"], 1 + len(_COMMANDS)),
+]
+
+
+@pytest.mark.parametrize("argv,count", PARSERS_BUILT)
+def test_parsers_built_per_call(capsys, monkeypatch, argv, count):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+    assert len(built) == count
+
+
+def _subparsers(argv):
+    [sub] = [a for a in build_parser(argv)._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+def test_one_subparser_usage_lists_every_command():
+    sub = _subparsers(["eval"])
+    assert list(sub.choices) == ["eval"]
+    assert sub.metavar == "{" + ",".join(_COMMANDS) + "}"
+    sub = _subparsers(["-h", "eval"])
+    assert list(sub.choices) == list(_COMMANDS) and sub.metavar is None
