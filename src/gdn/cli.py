@@ -173,8 +173,7 @@ def cmd_compile(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     payload = _load_json(args.model)
-    # a list goes on to net_from_dict, which names it a malformed network
-    if not isinstance(payload, (dict, list)):
+    if not isinstance(payload, dict):
         raise ParseError(f"{args.model}: a model must be a JSON object, "
                          f"got {json.dumps(payload)}")
     x = _parse_vector(args.input, "--input")
@@ -202,6 +201,8 @@ def _read_csv_points(path: str) -> List[np.ndarray]:
 def cmd_certify(args, parser) -> int:
     from .approx.certify import certify_efficient
 
+    if args.out:
+        _check_out_path(args.out)
     domain = resolve_manifold(args.domain)
     codomain = resolve_manifold(args.codomain)
     dataset = _read_csv_points(args.dataset)

@@ -91,10 +91,12 @@ def resolve_manifold(identifier: str) -> ManifoldSpec:
     Raises
     ------
     ParseError
-        Unknown identifier shape or family.
+        Not a string, or unknown identifier shape or family.
     ValidationError
         Nonpositive dimension or curvature parameter.
     """
+    if not isinstance(identifier, str):
+        raise ParseError(f"a manifold identifier must be a string, got {identifier!r}")
     m = _ID_RE.match(identifier.strip())
     if m is None:
         raise ParseError(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ValidationError
+from .errors import DomainError, GdnError, RangeError, ValidationError
 from .manifolds.core import ManifoldSpec, resolve_manifold
 from .manifolds.zoo import Chart, as_point, chart_at, row_norms
 from .network import FeedforwardNet, eval_net, net_from_dict, net_to_dict
@@ -125,7 +125,9 @@ def gdn_from_dict(d: dict) -> GDNModel:
         codomain = resolve_manifold(d["codomain"])
         base_x = np.array(d["base_x"], dtype=float)
         base_y = np.array(d["base_y"], dtype=float)
-    except (KeyError, TypeError) as e:
+    except GdnError:  # a ValueError that already names the problem
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed GDN dictionary: {e}") from e
     core = net_from_dict(d)  # a malformed core is reported before a bad base
     return GDNModel(chart_at(domain, base_x), chart_at(codomain, base_y), core)

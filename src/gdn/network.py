@@ -9,7 +9,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import GdnError, NumericError, ValidationError
 
 __all__ = [
     "ActivationInfo",
@@ -225,7 +225,9 @@ def net_from_dict(d: dict) -> FeedforwardNet:
                         np.array(l["bias"], dtype=float))
             for l in d["layers"]
         )
-    except (KeyError, TypeError) as e:
+    except GdnError:  # a ValueError that already names the problem
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed network dictionary: {e}") from e
     declared = d["activation"].get("class")
     if declared is not None and declared != act.cls:

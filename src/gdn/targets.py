@@ -57,6 +57,8 @@ def _number(kind: str, arg: str, convert: Callable[[str], object]):
 def resolve_target(name: str, domain: ManifoldSpec, base_x,
                    seed: int = 0) -> Target:
     """Build a target oracle acting on points of ``domain`` (or stacks)."""
+    if not isinstance(name, str):
+        raise ParseError(f"a target name must be a string, got {name!r}")
     kind, _, arg = name.partition(":")
 
     if kind == "rotation":

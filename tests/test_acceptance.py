@@ -23,7 +23,8 @@ from gdn.approx.polynomials import monomial_counts, poly_derivative, poly_eval, 
 from gdn.approx.synthesis import _grid_points, compile_function_to_shallow
 from gdn.approx.verticalize import verticalize
 from gdn.assemble import compile_gdn
-from gdn.manifolds import GaussianParam, resolve_manifold, wasserstein2
+from gdn.manifolds.core import resolve_manifold
+from gdn.manifolds.gaussian import GaussianParam, wasserstein2
 from gdn.manifolds.sym import frob_vec
 from gdn.manifolds.zoo import distance, exp_map, log_map, random_point, random_tangent, \
     row_norms

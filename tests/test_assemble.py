@@ -17,8 +17,7 @@ import gdn.manifolds.sym
 from gdn.assemble import audit_gdn, compile_gdn
 from gdn.cli import main
 from gdn.errors import NumericError, ValidationError
-from gdn.manifolds import resolve_manifold
-from gdn.manifolds.core import exp_chart_lipschitz, log_chart_lipschitz
+from gdn.manifolds.core import exp_chart_lipschitz, log_chart_lipschitz, resolve_manifold
 from gdn.manifolds.zoo import chart_at, distance, exp_map, random_point, random_tangent
 from gdn.model import GDNModel
 from gdn.network import AffineLayer, FeedforwardNet, get_activation

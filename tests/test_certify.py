@@ -7,7 +7,7 @@ import pytest
 from gdn.approx.certify import certify_efficient
 from gdn.approx.polynomials import poly_derivative, poly_eval
 from gdn.errors import DomainError, UnsupportedError, ValidationError
-from gdn.manifolds import resolve_manifold
+from gdn.manifolds.core import resolve_manifold
 
 E1 = resolve_manifold("euclidean:1")
 E2 = resolve_manifold("euclidean:2")

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gdn.manifolds import resolve_manifold
+from gdn.manifolds.core import resolve_manifold
 from gdn.manifolds.zoo import distance, exp_map, log_map, random_point, random_tangent
 
 # id -> sha256 of the exp_map, log_map and distance outputs

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import gdn.approx.certify
 import gdn.approx.estimates
 import gdn.assemble
 import gdn.cli
@@ -572,19 +573,40 @@ class TestUsageErrors:
         assert run(capsys, "bench", str(cfg))[0] == 0
         assert calls[0] == (3,) and len(calls) > 1
 
-    @pytest.mark.parametrize("payload", ["5", "null", "true", "1.5"])
+    @pytest.mark.parametrize("payload", ["5", "null", "true", "1.5", "[1]"])
     def test_model_file_not_an_object(self, capsys, tmp_path, payload):
         model = tmp_path / "model.json"
         model.write_text(payload + "\n")
         self.assert_usage_error(capsys, ["eval", "--model", str(model), "--input", "[0]"],
                                 f"{model}: a model must be a JSON object, got {payload}")
 
-    def test_model_file_holding_a_list(self, capsys, tmp_path):
+    # a one-layer euclidean:1 model and the malformed variants of it
+    MODEL = {"layers": [{"weights": [[1.0]], "bias": [0.0]}], "activation": {"name": "exp"},
+             "domain": "euclidean:1", "codomain": "euclidean:1", "base_x": [0.0],
+             "base_y": [0.0]}
+
+    @pytest.mark.parametrize("change,message", [
+        ({"layers": [{"weights": "abc", "bias": [0.0]}]},
+         "malformed network dictionary: could not convert string to float: 'abc'"),
+        ({"layers": [{"weights": [[1, "x"]], "bias": [0.0]}]},
+         "malformed network dictionary: could not convert string to float: 'x'"),
+        ({"base_x": "abc"}, "malformed GDN dictionary: could not convert string to float: 'abc'"),
+        ({"domain": 5}, "a manifold identifier must be a string, got 5"),
+    ], ids=["weights-abc", "weights-x", "base_x-abc", "domain-5"])
+    def test_malformed_model_values(self, capsys, tmp_path, change, message):
         model = tmp_path / "model.json"
-        model.write_text("[1]\n")
-        code, out, err = run(capsys, "eval", "--model", str(model), "--input", "[0]")
-        assert (code, out, err) == (2, "", "error: malformed network dictionary: list "
-                                           "indices must be integers or slices, not str\n")
+        model.write_text(json.dumps(self.MODEL))
+        assert run(capsys, "eval", "--model", str(model), "--input", "[0.5]")[0] == 0
+        model.write_text(json.dumps({**self.MODEL, **change}))
+        code, out, err = run(capsys, "eval", "--model", str(model), "--input", "[0.5]")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("key,needle", [
+        ("domain", "a manifold identifier must be a string, got 5"),
+        ("target", "a target name must be a string, got 5"),
+    ], ids=["domain", "target"])
+    def test_bench_run_name_not_a_string(self, capsys, tmp_path, key, needle):
+        self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], key: 5}, needle)
 
     def test_bench_run_missing_codomain(self, capsys, tmp_path):
         run_ = {k: v for k, v in TestBench.CONFIG["runs"][0].items() if k != "codomain"}
@@ -613,6 +635,23 @@ class TestUsageErrors:
                 "eval": ["eval", "--model", str(tmp_path), "--input", "[0]"],
                 "bench": ["bench", str(tmp_path)]}[command]
         self.assert_usage_error(capsys, argv, str(tmp_path))
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_certify_out_is_refused_before_certifying(self, capsys, tmp_path,
+                                                                 monkeypatch, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certified before the output path was checked")
+
+        monkeypatch.setattr(gdn.approx.certify, "certify_efficient", refuse)
+        ds = tmp_path / "ds.csv"
+        ds.write_text("0\n0.5\n1\n")
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "c.json"
+        code, stdout, err = run(capsys, "certify", "--dataset", str(ds), "--values", str(ds),
+                                "--domain", "euclidean:1", "--codomain", "euclidean:1",
+                                "--base-x", "[0]", "--base-y", "[0]", "--out", str(out))
+        message = "is a directory" if where == "directory" else f"no directory {out.parent}"
+        assert (code, stdout, err) == (2, "", f"error: --out {out}: {message}\n")
+        assert list(tmp_path.iterdir()) == [ds]
 
     @pytest.mark.parametrize("where", ["directory", "missing parent"])
     def test_unwritable_out_is_refused_before_compiling(self, capsys, tmp_path,

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_orthogonal, random_spd
 from gdn.errors import ValidationError
-from gdn.manifolds import (
+from gdn.manifolds.gaussian import (
     GaussianParam,
     gaussian_chart_decode,
     gaussian_chart_encode,

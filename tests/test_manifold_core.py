@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gdn.errors import ParseError, ValidationError
-from gdn.manifolds import k_star, resolve_manifold, universality_radius
+from gdn.manifolds.core import k_star, resolve_manifold, universality_radius
 
 
 class TestResolveManifold:

@@ -11,7 +11,7 @@ import pytest
 import gdn.manifolds.sym
 import gdn.manifolds.zoo
 from gdn.errors import DomainError, RangeError, ValidationError
-from gdn.manifolds import resolve_manifold
+from gdn.manifolds.core import resolve_manifold
 from gdn.cli import main
 from gdn.manifolds.zoo import chart_at, exp_map, random_tangent
 from gdn.model import (

@@ -195,8 +195,6 @@ def _module_imports(body):
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for path, tree in _modules():
-        if path.name == "__init__.py":  # re-exports
-            continue
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for stmt in _module_imports(tree.body):
             if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":

@@ -9,7 +9,7 @@ import pytest
 import gdn
 from conftest import random_orthogonal, random_spd
 from gdn.errors import GdnError, OutOfInjectivityError, ValidationError
-from gdn.manifolds import resolve_manifold
+from gdn.manifolds.core import resolve_manifold
 from gdn.manifolds.sym import frob_unvec, frob_vec
 from gdn.manifolds.zoo import (
     as_point,
