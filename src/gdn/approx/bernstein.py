@@ -122,12 +122,15 @@ def bernstein_from_function(f: Callable[[np.ndarray], np.ndarray],
     return BernsteinModel(n, p, values.reshape((n + 1,) * p + (m,)))
 
 
-def bernstein_degree_for(eps: float, p: int, m: int, omega: Modulus,
-                         cap: int = 10 ** 9) -> int:
+# the doubling search gives up past this degree
+_MAX_DEGREE = 10 ** 9
+
+
+def bernstein_degree_for(eps: float, p: int, m: int, omega: Modulus) -> int:
     """Smallest degree n with m (1 + p/4) omega(1/sqrt(n)) <= eps.
 
     Found by doubling then bisection on the monotone predicate; raises when
-    no degree below ``cap`` satisfies the budget.
+    no degree up to ``_MAX_DEGREE`` satisfies the budget.
     """
     if eps <= 0.0:
         raise ValidationError("eps must be positive")
@@ -142,10 +145,9 @@ def bernstein_degree_for(eps: float, p: int, m: int, omega: Modulus,
     while not ok(hi):
         lo = hi
         hi *= 2
-        if hi > cap:
-            raise InfeasibleDegreeError(
-                f"no Bernstein degree <= {cap} meets the budget eps={eps!r}", cap
-            )
+        if hi > _MAX_DEGREE:
+            raise InfeasibleDegreeError(f"no Bernstein degree <= {_MAX_DEGREE} "
+                                        f"meets the budget eps={eps!r}", _MAX_DEGREE)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):

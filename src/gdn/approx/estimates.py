@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import NumericError, ValidationError
-from .modulus import Modulus, modulus_inverse, smooth_modulus_inverse
+from .modulus import Modulus, modulus_inverse
 
 __all__ = ["DepthEstimate", "depth_estimate", "EfficientComplexity",
            "efficient_complexity"]
@@ -57,8 +57,7 @@ class DepthEstimate:
 def depth_estimate(activation_class: str, p: int, m: int, eps: float,
                    delta: float, modulus: Modulus, kappa1: float, kappa2: float,
                    B: Optional[float] = None,
-                   sigma_modulus: Optional[Modulus] = None,
-                   readout_modulus: Optional[Modulus] = None) -> DepthEstimate:
+                   sigma_modulus: Optional[Modulus] = None) -> DepthEstimate:
     """Evaluate the depth-order expression for the given activation class.
 
     smooth:      m (2 delta)^{2p} / (kappa2 omega^{-1}(eps kappa1 / ((1+p/4) m)))^{2p}
@@ -68,9 +67,8 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
                  kappa2 omega^{-1}(sigma, eps / (2 B m (2^{(2 delta)^2 r^{-2} + 1} - 1)))
                  where r is the f-modulus inverse at the halved budget
 
-    When ``readout_modulus`` is supplied the accuracy is first pulled back
-    through the readout: eps <- generalized inverse of the averaged readout
-    modulus at eps/2.
+    A power past the float range, or a quotient by a power that underflowed
+    to 0, is a ``NumericError`` that names the class and the quantity.
     """
     if activation_class not in _CLASSES:
         raise ValidationError(f"activation class must be one of {_CLASSES}")
@@ -90,47 +88,49 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
         if sigma_modulus is None:
             raise ValidationError("the continuous class requires an activation modulus")
 
-    eff_eps = eps
-    if readout_modulus is not None:
-        eff_eps = smooth_modulus_inverse(readout_modulus, eps / 2.0)
-        if not (eff_eps > 0.0) or math.isinf(eff_eps):
-            raise ValidationError(
-                "readout modulus pullback produced a degenerate accuracy "
-                f"{eff_eps!r}"
-            )
-
     def inv(arg: float) -> float:
         r = modulus_inverse(modulus, arg)
         if r == 0.0:
-            raise NumericError(
-                f"modulus inverse vanished at {arg!r}: singular estimate"
-            )
+            raise NumericError(f"modulus inverse vanished at {arg!r}: singular estimate")
         return r
 
-    if activation_class == "smooth":
-        r = inv(eff_eps * kappa1 / ((1.0 + p / 4.0) * m))
-        depth = m * (2.0 * delta) ** (2 * p) / (kappa2 * r) ** (2 * p)
-        w = p + m + 2
-    elif activation_class == "poly":
-        r = inv(eff_eps * kappa1 / ((1.0 + p / 4.0) * m))
-        depth = (m * (m + p) * (2.0 * delta) ** (4 * p + 2)
-                 / (kappa2 * r) ** (4 * p + 2))
-        w = p + m + 3
-    else:
-        r = inv(eff_eps * kappa1 / (2.0 * m * (1.0 + p / 4.0)))
-        exponent = (2.0 * delta) ** 2 / r ** 2 + 1.0
-        denom_arg = eff_eps / (2.0 * B * m * (2.0 ** exponent - 1.0))
-        r_sigma = modulus_inverse(sigma_modulus, denom_arg)
+    # a float ** past the float range and a division by a power that
+    # underflowed to 0 raise, where * and / give inf
+    def overflow(what: str) -> NumericError:
+        return NumericError(f"{activation_class} estimate: {what} overflows")
+
+    def power(base: float, exponent: float, what: str) -> float:
+        try:
+            return base ** exponent
+        except OverflowError:
+            raise overflow(what) from None
+
+    def ratio(num: float, den: float, what: str) -> float:
+        if den == 0.0:
+            raise overflow(what)
+        return num / den
+
+    poly, continuous = activation_class == "poly", activation_class == "continuous"
+    # the continuous class halves the budget (x 2.0 is exact, so the order
+    # of the products does not change a bit)
+    r = inv(eps * kappa1 / ((1.0 + p / 4.0) * m * (2.0 if continuous else 1.0)))
+    sigma_term = 1.0
+    if continuous:
+        exponent = ratio(power(2.0 * delta, 2, "(2 delta)^2"), power(r, 2, "r^2"),
+                         "(2 delta)^2 / r^2") + 1.0
+        twos = power(2.0, exponent, "2^((2 delta)^2 / r^2 + 1)")
+        r_sigma = modulus_inverse(sigma_modulus, eps / (2.0 * B * m * (twos - 1.0)))
         if r_sigma == 0.0:
             raise NumericError("activation modulus inverse vanished: singular estimate")
         if math.isinf(r_sigma):
             # a modulus that never grows is a constant activation's, which
             # approximates nothing
             raise NumericError("activation modulus inverse is infinite: singular estimate")
-        depth = (m * (2.0 * delta) ** (2 * p)
-                 / ((kappa2 * r) ** (2 * p) * (kappa2 * r_sigma)))
-        w = p + m + 2
-
+        sigma_term = kappa2 * r_sigma
+    k = 4 * p + 2 if poly else 2 * p
+    num = (m * (m + p) if poly else m) * power(2.0 * delta, k, f"(2 delta)^{k}")
+    depth = ratio(num, power(kappa2 * r, k, f"(kappa2 r)^{k}") * sigma_term, "depth_order")
+    w = p + m + (3 if poly else 2)
     params = depth * w * (w + 1)
     return DepthEstimate(activation_class, depth, w, params, p, m, eps, delta,
                          kappa1, kappa2, B)

@@ -1,11 +1,13 @@
-"""Moduli of continuity: empirical estimation, generalized inversion and
-the averaged (continuous) modulus.
+"""Moduli of continuity of two kinds, each with its exact generalized
+inverse sup{t : omega(t) <= eps}: a Lipschitz modulus L t (``--lip``,
+``--sigma-lip``) and a tabulated step estimate (``--modulus-file``, or the
+running max of output over input distance on the sorted sample pairs).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -14,18 +16,13 @@ from ..manifolds.zoo import row_norms
 
 __all__ = [
     "ModulusEstimate",
-    "AnalyticModulus",
     "LipschitzModulus",
     "empirical_modulus",
-    "empirical_modulus_at",
     "modulus_from_samples",
     "PairInputs",
     "pair_inputs",
-    "sample_pairs",
     "sampled_modulus_at",
     "modulus_inverse",
-    "smooth_modulus",
-    "smooth_modulus_inverse",
 ]
 
 
@@ -41,10 +38,10 @@ class ModulusEstimate:
     values: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float).ravel()
-        values = np.asarray(self.values, dtype=float).ravel()
-        if knots.size == 0 or knots.size != values.size:
-            raise ValidationError("knots and values must be non-empty and aligned")
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if knots.ndim != 1 or values.ndim != 1 or not 0 < knots.size == values.size:
+            raise ValidationError("knots and values must be non-empty, aligned 1-D arrays")
         if knots[0] != 0.0 or values[0] != 0.0:
             raise ValidationError("a modulus estimate must start at (0, 0)")
         if np.any(np.diff(knots) <= 0.0):
@@ -64,29 +61,42 @@ class ModulusEstimate:
             return float(v[-1])
         return float(v[int(np.searchsorted(k, t, side="right")) - 1])
 
+    def inverse(self, eps: float) -> float:
+        """The first knot whose value exceeds eps; +inf when none does."""
+        v = self.values
+        if v[-1] <= eps:
+            return math.inf
+        return float(self.knots[int(np.searchsorted(v, eps, side="right"))])
+
 
 @dataclass(frozen=True)
-class AnalyticModulus:
-    """Closed-form modulus; supply ``inverse`` when it is known exactly."""
+class LipschitzModulus:
+    """omega(t) = L t."""
 
-    fn: Callable[[float], float]
-    inverse: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    L: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.L < math.inf):
+            raise ValidationError(
+                f"Lipschitz constant must be finite and nonnegative, got {self.L!r}")
 
     def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+        return float(self.L * t)
+
+    def inverse(self, eps: float) -> float:
+        """eps / L; +inf for L = 0, which never exceeds eps."""
+        return eps / self.L if self.L else math.inf
 
 
-def LipschitzModulus(L: float) -> AnalyticModulus:
-    """omega(t) = L t with the exact generalized inverse eps / L."""
-    if not (0.0 <= L < math.inf):
-        raise ValidationError(
-            f"Lipschitz constant must be finite and nonnegative, got {L!r}")
-    if L == 0.0:
-        return AnalyticModulus(lambda t: 0.0, lambda eps: math.inf)
-    return AnalyticModulus(lambda t: L * t, lambda eps: eps / L)
+Modulus = Union[ModulusEstimate, LipschitzModulus]
 
 
-Modulus = Union[ModulusEstimate, AnalyticModulus, Callable[[float], float]]
+def modulus_inverse(omega: Modulus, eps: float) -> float:
+    """Generalized inverse sup{t : omega(t) <= eps}, exact for both kinds;
+    +inf when omega never exceeds eps."""
+    if eps < 0.0:
+        raise ValidationError("eps must be nonnegative")
+    return omega.inverse(eps)
 
 
 _ZERO_DISTANCE_MESSAGE = "pairs at zero input distance must have zero output distance"
@@ -101,45 +111,6 @@ def _check_distances(din: np.ndarray, dout: np.ndarray) -> None:
         raise ValidationError("distances must be finite")
     if np.any(dout[din == 0.0] > 0.0):
         raise ValidationError(_ZERO_DISTANCE_MESSAGE)
-
-
-def _checked_pairs(pairs: Sequence[Tuple[float, float]]) -> np.ndarray:
-    # (input distance, output distance) rows as a checked (N, 2) array
-    if not len(pairs):
-        raise ValidationError("empirical modulus needs at least one pair")
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError("pairs must be (input distance, output distance) tuples")
-    _check_distances(arr[:, 0], arr[:, 1])
-    return arr
-
-
-def empirical_modulus(pairs: Sequence[Tuple[float, float]]) -> ModulusEstimate:
-    """Running-max estimate from (input distance, output distance) pairs.
-
-    The estimate is piecewise constant and right-continuous, and bounds the
-    true modulus from below by construction.
-    """
-    arr = _checked_pairs(pairs)
-    order = np.argsort(arr[:, 0], kind="stable")
-    din = arr[order, 0]
-    running = np.maximum.accumulate(arr[order, 1])
-    # one knot per distinct positive distance, holding the running max at
-    # the last pair of its run of ties
-    keep = np.append(din[1:] != din[:-1], True) & (din != 0.0)
-    knots = np.concatenate([[0.0], din[keep]])
-    values = np.concatenate([[0.0], running[keep]])
-    return ModulusEstimate(knots, values)
-
-
-def empirical_modulus_at(pairs: Sequence[Tuple[float, float]], t: float) -> float:
-    """``empirical_modulus(pairs)(t)``, read without building the estimate:
-    the largest output distance over the pairs whose input distance is at
-    most ``t`` (0 when there are none), after the same checks."""
-    if t < 0.0:
-        raise ValidationError("modulus argument must be nonnegative")
-    arr = _checked_pairs(pairs)
-    return float(np.max(arr[arr[:, 0] <= t, 1], initial=0.0))
 
 
 def oracle_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
@@ -166,19 +137,16 @@ class PairInputs:
     j: np.ndarray
     din: np.ndarray
 
+    def __len__(self) -> int:
+        """The pair count, which perfbench's empirical_modulus span reads."""
+        return len(self.din)
+
 
 def _distances(vals: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     # |vals[i] - vals[j]| for each pair; np.take gathers the rows faster than
     # fancy indexing with the same bits, and row_norms keeps each norm's dot
     # kernel, so a pair's distance does not depend on the other pairs
     return row_norms(np.take(vals, i, axis=0) - np.take(vals, j, axis=0))
-
-
-def _samples(vals) -> np.ndarray:
-    # the samples as an (N, k) stack, refused below two
-    if len(vals) < 2:
-        raise ValidationError("need at least two samples, each with one output")
-    return np.asarray(vals, dtype=float).reshape(len(vals), -1)
 
 
 def _outputs(n: int, ys) -> np.ndarray:
@@ -189,8 +157,10 @@ def _outputs(n: int, ys) -> np.ndarray:
 
 
 def pair_inputs(xs) -> PairInputs:
-    """The ``PairInputs`` of the samples ``xs``."""
-    xs = _samples(xs)
+    """The ``PairInputs`` of the samples ``xs``, refused below two."""
+    if len(xs) < 2:
+        raise ValidationError("need at least two samples, each with one output")
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
     i, j = np.triu_indices(len(xs), k=1)
     din = _distances(xs, i, j)
     order = np.argsort(din, kind="stable")
@@ -200,17 +170,22 @@ def pair_inputs(xs) -> PairInputs:
     return PairInputs(len(xs), i, j, din)
 
 
-def sample_pairs(xs, ys) -> np.ndarray:
-    """(input distance, output distance) rows for every pair i < j of the
-    samples ``xs[i] -> ys[i]``, in the order (0, 1), (0, 2), ..., (1, 2), ...
-
-    ``modulus_from_samples`` builds its estimate from these rows; a read of
-    the modulus at one point goes through ``sampled_modulus_at``, which skips
-    the (pairs, 2) array."""
-    xs = _samples(xs)
-    ys = _outputs(len(xs), ys)
-    i, j = np.triu_indices(len(xs), k=1)
-    return np.column_stack([_distances(xs, i, j), _distances(ys, i, j)])
+def empirical_modulus(pairs: PairInputs, ys) -> ModulusEstimate:
+    """Running-max estimate of the samples ``xs[i] -> ys[i]`` from
+    ``pairs = pair_inputs(xs)``: one knot per distinct positive input
+    distance, holding the largest output distance over the pairs at most
+    that far apart, a lower bound of the true modulus by construction."""
+    ys = _outputs(pairs.n, ys)
+    din = pairs.din
+    dout = _distances(ys, pairs.i, pairs.j)
+    _check_distances(din, dout)
+    running = np.maximum.accumulate(dout)
+    # the pairs are sorted by input distance, so each knot holds the running
+    # max at the last pair of its run of ties
+    keep = np.append(din[1:] != din[:-1], True) & (din != 0.0)
+    knots = np.concatenate([[0.0], din[keep]])
+    values = np.concatenate([[0.0], running[keep]])
+    return ModulusEstimate(knots, values)
 
 
 # outputs within this bound, in fewer than 2^20 columns, have only finite
@@ -220,9 +195,9 @@ _M_BOUND = 2 ** 20
 
 
 def sampled_modulus_at(pairs: PairInputs, ys, t: float) -> float:
-    """``empirical_modulus_at(sample_pairs(xs, ys), t)`` for
-    ``pairs = pair_inputs(xs)``, bit for bit and with the same errors in the
-    same order, read straight from the distance vectors: no (pairs, 2) copy.
+    """``empirical_modulus(pairs, ys)(t)``, bit for bit and with the same
+    errors (a negative t is refused first), read straight from the distance
+    vectors without building the estimate.
 
     Only the pairs that can change the read or its checks get an output
     distance: the window din <= t, a prefix of the sorted pairs, which holds
@@ -266,67 +241,4 @@ def modulus_from_samples(f: Callable[[np.ndarray], np.ndarray], xs) -> ModulusEs
     """Empirical modulus of ``f``, run once on the (N, p) stack ``xs``, over
     all pairs of it (O(N^2) pairs; intended for desk-scale grids)."""
     xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
-    return empirical_modulus(sample_pairs(xs, oracle_rows(f, xs, None)))
-
-
-_T_MAX = 1e18
-
-
-def modulus_inverse(omega: Modulus, eps: float) -> float:
-    """Generalized inverse sup{t : omega(t) <= eps}.
-
-    Exact for tabulated estimates; bisection to 1e-12 relative accuracy for
-    callables; +inf when omega never exceeds eps.
-    """
-    if eps < 0.0:
-        raise ValidationError("eps must be nonnegative")
-    if math.isinf(eps):
-        return math.inf
-    if isinstance(omega, AnalyticModulus) and omega.inverse is not None:
-        return float(omega.inverse(eps))
-    if isinstance(omega, ModulusEstimate):
-        v = omega.values
-        if v[-1] <= eps:
-            return math.inf
-        return float(omega.knots[int(np.searchsorted(v, eps, side="right"))])
-    fn = omega
-    if fn(1e-300) > eps:
-        # the sublevel set collapses to {0}
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while fn(hi) <= eps:
-        lo = hi
-        hi *= 2.0
-        if hi > _T_MAX:
-            return math.inf
-    while hi - lo > 1e-12 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) <= eps:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def smooth_modulus(omega: Modulus, t: float) -> float:
-    """Averaged modulus (1/t') * integral_{t'}^{2t'} omega(s) ds at
-    t' = t (1 + 1e-9), by the trapezoid rule on 64 panels.
-
-    This is the literal defining average; note that for omega(t) = L t it
-    evaluates to 1.5 L t, not L t.
-    """
-    if t < 0.0:
-        raise ValidationError("argument must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    tt = t * (1.0 + 1e-9)
-    ss = np.linspace(tt, 2.0 * tt, 65)
-    ys = np.array([float(omega(s)) for s in ss])
-    integral = float(np.trapezoid(ys, ss))
-    return integral / tt
-
-
-def smooth_modulus_inverse(omega: Modulus, eps: float) -> float:
-    """Generalized inverse of the averaged modulus (bisection)."""
-    return modulus_inverse(lambda t: smooth_modulus(omega, t), eps)
-
+    return empirical_modulus(pair_inputs(xs), oracle_rows(f, xs, None))

@@ -61,11 +61,14 @@ def _load_modulus(args) -> object:
 
     if args.modulus_file:
         d = _load_json(args.modulus_file)
+        if not isinstance(d, dict):
+            raise ParseError(f"{args.modulus_file}: a modulus file must be a JSON "
+                             f"object, got {json.dumps(d)}")
         try:
-            return ModulusEstimate(np.array(d["knots"], dtype=float),
-                                   np.array(d["values"], dtype=float))
-        except (KeyError, TypeError) as e:
+            knots, values = (np.array(d[key], dtype=float) for key in ("knots", "values"))
+        except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed modulus file: {e}") from e
+        return ModulusEstimate(knots, values)
     if args.lip is None:
         raise ParseError("provide --lip or --modulus-file")
     return LipschitzModulus(args.lip)
@@ -223,6 +226,15 @@ _BENCH_COLUMNS = ("target", "eps", "measured_error", "width", "depth",
                   "param_count", "predicted_depth_order")
 
 
+def _run_number(run: dict, key: str, kind, default=None):
+    # a bench run's number of the JSON type ``kind``; a bool is no number
+    value = run[key] if default is None else run.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"{key} must be {noun}, got {value!r}")
+    return value
+
+
 def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
     # the CSV fields of bench run i; every error it raises names the run
     from .approx.estimates import depth_estimate
@@ -235,16 +247,16 @@ def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
         if not isinstance(run, dict):
             raise ParseError(f"a run must be a JSON object, got {run!r}")
         try:
-            seed = int(run.get("seed", 0))
+            seed = _run_number(run, "seed", int, 0)
             domain, codomain, base_x, target, base_y, sigma = _resolve_run(
                 run["domain"], run["codomain"], run["base_x"], run["target"],
                 run.get("base_y", "auto"), run.get("activation", "exp"), seed)
-            radius = float(run["radius"])
-            eps = float(run["eps"])
-            grid = int(run.get("grid", 200))
+            radius = float(_run_number(run, "radius", (int, float)))
+            eps = float(_run_number(run, "eps", (int, float)))
+            grid = _run_number(run, "grid", int, 200)
         except KeyError as e:
             raise ParseError(f"missing key {e}") from e
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             if isinstance(e, GdnError):
                 raise
             raise ParseError(str(e)) from e

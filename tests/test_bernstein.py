@@ -13,7 +13,7 @@ from gdn.approx.bernstein import (
     bernstein_from_function,
     bernstein_to_coefficients,
 )
-from gdn.approx.modulus import AnalyticModulus, LipschitzModulus
+from gdn.approx.modulus import LipschitzModulus, ModulusEstimate
 from gdn.approx.synthesis import _DEGREES
 from gdn.errors import DomainError, InfeasibleDegreeError, ValidationError
 
@@ -105,9 +105,11 @@ class TestDegreeFor:
         assert factor / math.sqrt(n - 1) > 0.25
 
     def test_cap_raises(self):
-        stuck = AnalyticModulus(lambda t: 1.0 if t > 0 else 0.0)
-        with pytest.raises(InfeasibleDegreeError):
-            bernstein_degree_for(0.5, 1, 1, stuck, cap=10 ** 6)
+        # a unit step at t = 1e-300: omega(1/sqrt(n)) = 1 at every degree
+        stuck = ModulusEstimate(np.array([0.0, 1e-300]), np.array([0.0, 1.0]))
+        with pytest.raises(InfeasibleDegreeError) as info:
+            bernstein_degree_for(0.5, 1, 1, stuck)
+        assert info.value.cap == 10 ** 9
 
 
 class TestBernsteinBound:

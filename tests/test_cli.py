@@ -129,6 +129,27 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["depth_order"] > 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--class", "continuous", "--m", "2", "--delta", "0.5", "--B", "2", "--sigma-lip", "1"],
+         "continuous estimate: 2^((2 delta)^2 / r^2 + 1) overflows"),
+        (["--class", "smooth", "--p", "3", "--delta", "1e100"],
+         "smooth estimate: (2 delta)^6 overflows"),
+        (["--class", "poly", "--delta", "1e60"], "poly estimate: (2 delta)^6 overflows"),
+    ], ids=["continuous", "smooth", "poly"])
+    def test_overflow_exits_1_naming_the_class_and_quantity(self, capsys, argv, message):
+        # finite inputs whose float ** leaves the float range
+        values = {"--p": "1", "--m": "1", "--eps": "0.1", "--lip": "1", "--kappa1": "1",
+                  "--kappa2": "1", **dict(zip(argv[::2], argv[1::2]))}
+        code, out, err = run(capsys, "estimate", *(t for kv in values.items() for t in kv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_vanishing_modulus_inverse_exits_1(self, capsys):
+        code, out, err = run(capsys, "estimate", "--class", "smooth", "--p", "1", "--m", "1",
+                             "--eps", "0.1", "--delta", "0.5", "--lip", "1e300",
+                             "--kappa1", "1e-300", "--kappa2", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: modulus inverse vanished") and err.count("\n") == 1
+
 
 class TestCompileAndEval:
     def test_euclidean_poly_round_trip(self, capsys, tmp_path):
@@ -616,6 +637,31 @@ class TestUsageErrors:
         self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "radius": "abc"},
                    "'abc'")
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("grid", 1.5, "grid must be an integer, got 1.5"),
+        ("grid", "7", "grid must be an integer, got '7'"),
+        ("grid", True, "grid must be an integer, got True"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("radius", True, "radius must be a number, got True"),
+        ("radius", [1.0], "radius must be a number, got [1.0]"),
+        ("eps", "0.1", "eps must be a number, got '0.1'"),
+        ("eps", False, "eps must be a number, got False"),
+    ])
+    def test_bench_run_number_of_the_wrong_json_type(self, capsys, tmp_path, key, value,
+                                                     needle):
+        self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], key: value}, needle)
+
+    def test_bench_run_integer_past_the_float_range(self, capsys, tmp_path):
+        self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "radius": 10 ** 400},
+                   "int too large to convert to float")
+
+    def test_bench_run_integer_radius_and_eps_are_numbers(self, capsys, tmp_path):
+        run_ = {**TestBench.CONFIG["runs"][0], "radius": 1, "eps": 1}
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"runs": [run_]}))
+        assert run(capsys, "bench", str(cfg))[0] == 0
+
     def test_bench_run_nan_eps(self, capsys, tmp_path):
         for eps in (float("nan"), float("inf")):
             self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "eps": eps},
@@ -682,3 +728,21 @@ class TestUsageErrors:
             capsys, ["estimate", "--class", "smooth", "--p", "1", "--m", "1",
                      "--eps", "0.1", "--delta", "0.5", "--modulus-file", str(mod),
                      "--kappa1", "1", "--kappa2", "1"], "malformed JSON")
+
+    @pytest.mark.parametrize("payload, needle", [
+        ({"knots": [0.0, "a"], "values": [0.0, 1.0]},
+         "malformed modulus file: could not convert string to float: 'a'"),
+        ({"knots": [0.0, 1.0], "values": [0.0, "a"]},
+         "malformed modulus file: could not convert string to float: 'a'"),
+        ([1, 2], "a modulus file must be a JSON object, got [1, 2]"),
+        ({"knots": [[0, 1]], "values": [[0, 1]]},
+         "knots and values must be non-empty, aligned 1-D arrays"),
+        ({"knots": [0.0, 1.0]}, "malformed modulus file: 'values'"),
+    ], ids=["knot-a", "value-a", "list", "2-D", "no-values"])
+    def test_malformed_modulus_values(self, capsys, tmp_path, payload, needle):
+        mod = tmp_path / "mod.json"
+        mod.write_text(json.dumps(payload))
+        self.assert_usage_error(
+            capsys, ["estimate", "--class", "smooth", "--p", "1", "--m", "1",
+                     "--eps", "0.1", "--delta", "0.5", "--modulus-file", str(mod),
+                     "--kappa1", "1", "--kappa2", "1"], needle)

@@ -52,18 +52,17 @@ class TestDepthEstimate:
                                     LipschitzModulus(c), 1.0, 1.0).depth_order
             assert scaled == pytest.approx(base, rel=1e-12)
 
-    def test_readout_pullback_shrinks_budget(self):
-        # a 2-Lipschitz readout halves the usable accuracy, deepening the net
-        plain = depth_estimate("smooth", 1, 1, 0.1, 0.5, LIP1, 1.0, 1.0)
-        pulled = depth_estimate("smooth", 1, 1, 0.1, 0.5, LIP1, 1.0, 1.0,
-                                readout_modulus=LipschitzModulus(2.0))
-        assert pulled.depth_order > plain.depth_order
-
     def test_singular_estimate(self):
-        from gdn.approx.modulus import AnalyticModulus
-        jump = AnalyticModulus(lambda t: 1.0 if t > 0 else 0.0)
-        with pytest.raises(NumericError):
-            depth_estimate("smooth", 1, 1, 1e-3, 0.5, jump, 1.0, 1.0)
+        # eps kappa1 / (1 + p/4) = 8e-304, and omega^{-1} of it under
+        # omega(t) = 1e300 t underflows to 0
+        with pytest.raises(NumericError, match="modulus inverse vanished"):
+            depth_estimate("smooth", 1, 1, 1e-3, 0.5, LipschitzModulus(1e300), 1e-300, 1.0)
+
+    def test_denominator_underflow_is_an_overflow(self):
+        # r = 8e-201, so (kappa2 r)^2 underflows to 0 and the depth leaves
+        # the float range
+        with pytest.raises(NumericError, match="^smooth estimate: depth_order overflows$"):
+            depth_estimate("smooth", 1, 1, 0.1, 0.5, LipschitzModulus(1e199), 1.0, 1.0)
 
 
 class TestEfficientComplexity:

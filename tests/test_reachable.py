@@ -1,7 +1,8 @@
 """Every public top-level function and class in the package, and every public
 method of such a class, is reached from a command, from module-level code or
 from the acceptance suite, or is kept on purpose; every field of a dataclass
-is read; and no module imports a name it never uses.
+is read; every parameter with a default is passed somewhere; and no module
+imports a name it never uses.
 
 Reached is transitive: the roots are ``cli.main``, every module-level
 statement that is not a definition, an import or ``__all__`` (``FAMILIES``,
@@ -15,6 +16,13 @@ bears it.
 A dataclass field is read when package code or the acceptance suite loads
 an attribute of its name (``result.degree``), or it sits in ``KEEP`` as
 ``Class.field``.  Fields are matched without their class, like definitions.
+
+A parameter with a default, of any function or method in the package, is
+passed when a call in package code or in the acceptance suite to a callee of
+the function's name gives it by keyword or by position (after ``self`` for a
+method), or spreads a ``*`` or ``**`` argument over it; otherwise it sits in
+``KEEP_PARAMS`` as ``function.param``.  Callees are matched without their
+module or class, like definitions.
 """
 import ast
 from pathlib import Path
@@ -30,9 +38,16 @@ KEEP = {
     "k_star": "ROADMAP item 3's radius report prints the paper's curvature cap",
     "universality_radius": "ROADMAP item 3's radius report prints the paper's radius",
     "jacobi_eigh": "the reference eigensolver the LAPACK path is tested against",
-    "empirical_modulus_at": "the reference the fused modulus read is tested against",
     "gaussian_chart_encode": "decodes gaussian:n points for ROADMAP item 6's Kalman target",
     "gaussian_chart_decode": "decodes gaussian:n points for ROADMAP item 6's Kalman target",
+}
+
+# parameters with a default (as "function.param") that no package call and
+# no criterion passes, each with who does
+KEEP_PARAMS = {
+    "verticalize.lam": "the smooth register window the verticalize tests sweep",
+    "random_tangent.radius": "tests draw tangents inside a ball of their own radius",
+    "main.argv": "the console script calls main() to read sys.argv; tests pass argv",
 }
 
 
@@ -203,3 +218,64 @@ def test_no_module_imports_a_name_it_never_uses():
                        for name in (a.asname or a.name.split(".")[0] for a in stmt.names)
                        if name not in used]
     assert not unused, "imported and never used: " + ", ".join(unused)
+
+
+def _defaulted_params():
+    """("function.param", "module.py:line", positional index at a call or
+    None for a keyword-only parameter) of every parameter with a default."""
+    for path, tree in _modules():
+        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in f.decorator_list)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.relative_to(SRC)}:{fn.lineno}"
+            positional = fn.args.posonlyargs + fn.args.args
+            skip = 1 if id(fn) in methods else 0  # self is not written at a call
+            first = len(positional) - len(fn.args.defaults)
+            for index in range(first, len(positional)):
+                yield f"{fn.name}.{positional[index].arg}", where, index - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{fn.name}.{arg.arg}", where, None
+
+
+def _passed_params():
+    """The "function.param" names that some call in package code or in the
+    acceptance suite passes, and the callee names whose calls spread ``*``
+    (every positional) or ``**`` (every keyword) over their parameters."""
+    passed, spread_args, spread_kwargs = set(), set(), set()
+    trees = [tree for _path, tree in _modules()] + [ast.parse(ACCEPTANCE.read_text())]
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        passed |= {f"{name}.{kw.arg}" for kw in call.keywords if kw.arg is not None}
+        passed |= {f"{name}.#{i}" for i in range(len(call.args))}
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            spread_args.add(name)
+        if any(kw.arg is None for kw in call.keywords):
+            spread_kwargs.add(name)
+    return passed, spread_args, spread_kwargs
+
+
+def _unpassed_params():
+    passed, spread_args, spread_kwargs = _passed_params()
+    for qual, where, index in _defaulted_params():
+        name = qual.split(".")[0]
+        by_position = index is not None and (
+            f"{name}.#{index}" in passed or name in spread_args)
+        if not (qual in passed or by_position or name in spread_kwargs):
+            yield qual, where
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = [f"{qual} ({where})" for qual, where in _unpassed_params()
+                if qual not in KEEP_PARAMS]
+    assert not unpassed, "defaults never overridden: " + ", ".join(unpassed)
+
+
+def test_keep_params_holds_only_unpassed_parameters():
+    unpassed = {qual for qual, _where in _unpassed_params()}
+    stale = sorted(set(KEEP_PARAMS) - unpassed)
+    assert not stale, "passed or not a defaulted parameter, so not kept: " + ", ".join(stale)

@@ -14,7 +14,7 @@ from gdn.approx.bernstein import (
     bernstein_from_function,
     bernstein_weights,
 )
-from gdn.approx.modulus import LipschitzModulus, empirical_modulus, sample_pairs
+from gdn.approx.modulus import LipschitzModulus, empirical_modulus, pair_inputs
 from gdn.approx.polynomials import LinearFormPoly, decompose_polynomial
 from gdn.approx.synthesis import (
     _DEGREE_CAP,
@@ -232,7 +232,7 @@ class TestCompileFunction:
         # net's sup distance from the Bernstein polynomial on the audit grid
         res = compile_function_to_shallow(f, p, 1, 0.3, EXP)
         audit = _grid_points(p, 10)
-        omega = empirical_modulus(sample_pairs(audit[::3], f(audit)[::3]))
+        omega = empirical_modulus(pair_inputs(audit[::3]), f(audit)[::3])
         lattice = bernstein_eval(bernstein_from_function(f, res.degree, p, 1), audit)
         residual = float(np.max(row_norms(res.net(audit) - lattice)))
         want = (1.0 + p / 4.0) * omega(1.0 / math.sqrt(res.degree)) + residual
