@@ -87,6 +87,18 @@ class TestEmpiricalModulus:
                 np.testing.assert_array_equal(w.knots, knots)
                 np.testing.assert_array_equal(w.values, values)
 
+    def test_sample_pairs_match_nested_loop(self, rng):
+        # pair_inputs samples the nested loop's pairs i < j, with the same
+        # input distances, stably sorted by input distance
+        xs = rng.standard_normal((13, 3))
+        ys = rng.standard_normal((13, 2))
+        loop = nested_loop_pairs(xs, ys)
+        index = np.array([(i, j) for i in range(13) for j in range(i + 1, 13)])
+        order = np.argsort(loop[:, 0], kind="stable")
+        inputs = pair_inputs(xs)
+        np.testing.assert_array_equal(np.column_stack([inputs.i, inputs.j]), index[order])
+        np.testing.assert_array_equal(inputs.din, loop[order, 0])
+
     def test_negative_distance_rejected(self):
         # pair_inputs gives none; a hand-built input side is still checked
         inputs = PairInputs(2, np.array([0]), np.array([1]), np.array([-0.1]))
