@@ -67,8 +67,9 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
                  kappa2 omega^{-1}(sigma, eps / (2 B m (2^{(2 delta)^2 r^{-2} + 1} - 1)))
                  where r is the f-modulus inverse at the halved budget
 
-    A power past the float range, or a quotient by a power that underflowed
-    to 0, is a ``NumericError`` that names the class and the quantity.
+    A power, depth or parameter order past the float range, or a quotient
+    by a power that underflowed to 0, is a ``NumericError`` that names the
+    class and the quantity.
     """
     if activation_class not in _CLASSES:
         raise ValidationError(f"activation class must be one of {_CLASSES}")
@@ -95,9 +96,14 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
         return r
 
     # a float ** past the float range and a division by a power that
-    # underflowed to 0 raise, where * and / give inf
+    # underflowed to 0 raise, and so does a * or / that gives inf
     def overflow(what: str) -> NumericError:
         return NumericError(f"{activation_class} estimate: {what} overflows")
+
+    def finite(value: float, what: str) -> float:
+        if not math.isfinite(value):
+            raise overflow(what)
+        return value
 
     def power(base: float, exponent: float, what: str) -> float:
         try:
@@ -108,7 +114,7 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
     def ratio(num: float, den: float, what: str) -> float:
         if den == 0.0:
             raise overflow(what)
-        return num / den
+        return finite(num / den, what)
 
     poly, continuous = activation_class == "poly", activation_class == "continuous"
     # the continuous class halves the budget (x 2.0 is exact, so the order
@@ -131,7 +137,7 @@ def depth_estimate(activation_class: str, p: int, m: int, eps: float,
     num = (m * (m + p) if poly else m) * power(2.0 * delta, k, f"(2 delta)^{k}")
     depth = ratio(num, power(kappa2 * r, k, f"(kappa2 r)^{k}") * sigma_term, "depth_order")
     w = p + m + (3 if poly else 2)
-    params = depth * w * (w + 1)
+    params = finite(depth * w * (w + 1), "params_order")
     return DepthEstimate(activation_class, depth, w, params, p, m, eps, delta,
                          kappa1, kappa2, B)
 

@@ -54,7 +54,7 @@ class ModulusEstimate:
         object.__setattr__(self, "values", values)
 
     def __call__(self, t: float) -> float:
-        if t < 0.0:
+        if not t >= 0.0:  # also refuses NaN, which no knot bounds
             raise ValidationError("modulus argument must be nonnegative")
         k, v = self.knots, self.values
         if t >= k[-1]:
@@ -196,7 +196,7 @@ _M_BOUND = 2 ** 20
 
 def sampled_modulus_at(pairs: PairInputs, ys, t: float) -> float:
     """``empirical_modulus(pairs, ys)(t)``, bit for bit and with the same
-    errors (a negative t is refused first), read straight from the distance
+    errors (a negative or NaN t is refused first), read straight from the distance
     vectors without building the estimate.
 
     Only the pairs that can change the read or its checks get an output
@@ -206,11 +206,10 @@ def sampled_modulus_at(pairs: PairInputs, ys, t: float) -> float:
     ``_Y_BOUND``, which keeps every output distance finite; otherwise every
     pair is read and checked."""
     ys = _outputs(pairs.n, ys)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValidationError("modulus argument must be nonnegative")
     din = pairs.din
-    # a NaN t reads no pair, but the checks still see the zero-distance pairs
-    k = int(np.searchsorted(din, t, side="right")) if t >= 0.0 else 0
+    k = int(np.searchsorted(din, t, side="right"))
     if (np.isfinite(din[-1]) and ys.shape[1] < _M_BOUND
             and np.all(np.abs(ys) <= _Y_BOUND)):
         z = int(np.searchsorted(din, 0.0, side="right"))

@@ -1,13 +1,14 @@
-"""Symmetric-matrix kernels: the eigendecomposition behind every SPD chart,
-spectral matrix functions, and the two vectorizations of symmetric
-matrices used across the package.
+"""Symmetric-matrix kernels: the eigendecomposition behind the SPD charts
+of order 3 and up, spectral matrix functions, and the two vectorizations
+of symmetric matrices used across the package.
 
-The hot path is ``eigh``: LAPACK's ``np.linalg.eigh`` on one matrix or on
-an (N, n, n) stack, after the symmetry check.  The spectral functions go
-through it, and the SPD charts through ``symmetric_eigh``, which skips the
-symmetry check on the matrices they build exactly symmetric; a stack of
-points costs one LAPACK call and one array operation per step.
-``jacobi_eigh``, a pure-Python cyclic Jacobi solver, is kept as the
+``eigh`` is LAPACK's ``np.linalg.eigh`` on one matrix or on an (N, n, n)
+stack, after the symmetry check.  The spectral functions go through it,
+and the SPD charts of order n >= 3 through ``symmetric_eigh``, which skips
+the symmetry check on the matrices they build exactly symmetric; a stack
+of points costs one LAPACK call and one array operation per step.  The
+spd:2 charts call neither: ``zoo`` takes their matrix functions in closed
+form.  ``jacobi_eigh``, a pure-Python cyclic Jacobi solver, is kept as the
 reference the tests compare against.
 
 Two vector layouts coexist on purpose:

@@ -13,8 +13,8 @@ at the end of this module call once per argument, or a base point by
 ``chart_at``, which checks it once and returns it bound to its kernels as a
 read-only ``Chart``.  The chart records the spec and builds the tangent
 frame the first time it is asked for; a bound SPD chart keeps the base's
-sqrt(A) and sqrt(A)^-1, from one eigendecomposition, so no evaluation
-decomposes the base again.  A compile binds each of its two base points
+sqrt(A) and sqrt(A)^-1, from one spectral computation, so no evaluation
+computes them again.  A compile binds each of its two base points
 once, and a ``GDNModel`` holds the two charts.
 
 Representation conventions
@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import OutOfInjectivityError, ValidationError
-from .sym import check_finite, frob_entries, frob_unvec, spectral, sym_dim, symmetric_eigh
+from .sym import _FUNCS, check_finite, frob_entries, frob_unvec, spectral, sym_dim, symmetric_eigh
 
 if TYPE_CHECKING:  # core imports this module for FAMILIES
     from .core import ManifoldSpec
@@ -418,33 +418,93 @@ class Poincare(Geometry):
         return r * z
 
 
-def _positive(w: np.ndarray, what: str) -> None:
-    # ascending spectra: the message names the first matrix that is not SPD
-    lowest = w[..., 0]
-    bad = lowest <= 0.0
+def _positive(lowest, what: str) -> None:
+    # the message names the smallest eigenvalue of the first matrix that is
+    # not positive definite
+    bad = ~(lowest > 0.0)
     if _any(bad):
         raise ValidationError(f"{what} {_first(lowest, bad):.6e}")
 
 
-def _spd_spectrum(x: np.ndarray):
-    # Frobenius vectors -> the eigenvectors and the square roots of the
-    # eigenvalues of the matrices, from one (stacked) eigendecomposition
-    # that also checks that they are positive definite
-    w, V = symmetric_eigh(frob_unvec(x))
-    _positive(w, "spd point is not positive definite: min eigenvalue")
-    return V, np.sqrt(w)
+def _two_sum(x, y):
+    # s = fl(x + y) and the rounding error err, with x + y = s + err exactly
+    # (Knuth's TwoSum)
+    s = x + y
+    z = s - x
+    return s, (x - (s - z)) + (y - z)
 
 
-def _spd_root(x: np.ndarray, inverse: bool) -> np.ndarray:
-    # the square roots (or inverse square roots) of the matrices
-    V, s = _spd_spectrum(x)
-    return spectral(V, 1.0 / s if inverse else s)
+def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> list:
+    """The matrix functions ``kinds`` ("exp", "log", "sqrt", "invsqrt") of
+    a symmetric matrix or (N, n, n) stack ``S`` that is exactly symmetric
+    by construction, each exactly symmetric.  With ``positive`` the
+    matrices must be positive definite: the error gives that text and the
+    smallest eigenvalue of the first matrix that is not.
+
+    Order 2 has closed forms.  S = m I + r N with N = [[u, v], [v, -u]],
+    (u, v) a unit vector, has eigenvalues m -+ r, so f(S) = alpha I +
+    gamma N with alpha the mean and gamma the half-difference of f at
+    them, each in a form that stays finite and accurate where the plain
+    one does not.  Larger orders go through one LAPACK eigendecomposition.
+    """
+    if S.shape[-1] != 2:
+        w, V = symmetric_eigh(S)
+        if positive is not None:
+            _positive(w[..., 0], positive)
+        return [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
+    check_finite(S)
+    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    m, d = 0.5 * (a + c), 0.5 * (a - c)
+    r = np.hypot(d, b)
+    r1 = r + (r == 0.0)  # r = 0 leaves d = b = 0: divide by 1, not by 0
+    hi = m + r
+    if positive is not None or "exp" not in kinds:
+        # the small eigenvalue as LAPACK's dlaev2 gets it, without m - r's
+        # cancellation; hi = 0 (not positive definite) divides by 1
+        h = hi + (hi == 0.0)
+        lo = (np.maximum(a, c) / h) * np.minimum(a, c) - (b / h) * b
+        if positive is not None and _any(~((hi > 0.0) & (lo > 0.0))):
+            _positive(np.where(hi > 0.0, lo, m - r), positive)
+    u, v = d / r1, b / r1
+    out = []
+    for kind in kinds:
+        if kind == "exp":
+            # e^m cosh r and e^m sinh r from e^hi and expm1(-2r): e^m alone
+            # may underflow where cosh r overflows.  e^hi has the relative
+            # error of hi's absolute one, so the rounding errors of a + c
+            # and m + r scale it by e^err = 1 + err, leaving r's own
+            err = _two_sum(m, r)[1] + 0.5 * _two_sum(a, c)[1]
+            e = np.expm1(-2.0 * r)
+            top = np.exp(hi) * (1.0 + err)
+            alpha, gamma = top * (1.0 + 0.5 * e), -0.5 * top * e
+        elif kind == "log":
+            # (log hi - log lo)/2 = atanh(r/m) = log1p(2r/lo)/2, which stays
+            # finite where r/m rounds to 1
+            alpha, gamma = 0.5 * (np.log(hi) + np.log(lo)), 0.5 * np.log1p(2.0 * r / lo)
+        else:
+            sh, sl = np.sqrt(hi), np.sqrt(lo)
+            if kind == "sqrt":
+                alpha, gamma = 0.5 * (sh + sl), r / (sl + sh)
+            else:
+                alpha, gamma = 0.5 * (1.0 / sh + 1.0 / sl), -r / ((sl + sh) * sl * sh)
+        F = np.empty(S.shape)
+        F[..., 0, 0] = alpha + gamma * u
+        F[..., 1, 1] = alpha - gamma * u
+        F[..., 0, 1] = F[..., 1, 0] = gamma * v
+        out.append(F)
+    return out
+
+
+def _spd_roots(x: np.ndarray, *kinds: str) -> list:
+    # the roots ("sqrt", "invsqrt") of the matrices of Frobenius vectors x,
+    # which must be positive definite
+    return _spd_functions(frob_unvec(x), *kinds,
+                          positive="spd point is not positive definite: min eigenvalue")
 
 
 def _spd_exp(sA: np.ndarray, v: np.ndarray) -> np.ndarray:
     # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base
-    w, V = symmetric_eigh(frob_unvec(v))
-    M = sA @ spectral(V, np.exp(w)) @ sA
+    M = sA @ _spd_functions(frob_unvec(v), "exp")[0] @ sA
     # an overflowing exponential leaves non-finite entries
     return frob_entries(check_finite(0.5 * (M + M.swapaxes(-1, -2))))
 
@@ -455,10 +515,9 @@ def _spd_log_matrix(isA: np.ndarray, y: np.ndarray) -> np.ndarray:
     # distance, making the chart radially isometric in plain Euclidean
     # tangent coordinates
     inner = isA @ frob_unvec(y) @ isA
-    w, V = symmetric_eigh(0.5 * (inner + inner.swapaxes(-1, -2)))
-    _positive(w, "target of spd log map is not SPD: matrix function 'log' requires "
-              "SPD input: smallest eigenvalue")
-    return spectral(V, np.log(w))
+    return _spd_functions(0.5 * (inner + inner.swapaxes(-1, -2)), "log",
+                          positive="target of spd log map is not SPD: matrix function "
+                                   "'log' requires SPD input: smallest eigenvalue")[0]
 
 
 def _spd_distance(isA: np.ndarray, y: np.ndarray):
@@ -468,13 +527,12 @@ def _spd_distance(isA: np.ndarray, y: np.ndarray):
 
 class _SPDChart(Chart):
     """The SPD kernels about a base A, on its stored read-only ``root``
-    sqrt(A) and ``inv_root`` sqrt(A)^-1, from the one eigendecomposition
+    sqrt(A) and ``inv_root`` sqrt(A)^-1, from the one spectral computation
     that also checks that A is positive definite."""
 
     def __init__(self, spec: ManifoldSpec, x: np.ndarray):
         super().__init__(spec, x)
-        V, s = _spd_spectrum(x)
-        root, inv_root = spectral(V, s), spectral(V, 1.0 / s)
+        root, inv_root = _spd_roots(x, "sqrt", "invsqrt")
         root.flags.writeable = inv_root.flags.writeable = False
         self.root, self.inv_root = root, inv_root
 
@@ -490,8 +548,8 @@ class _SPDChart(Chart):
 
 class SPD(Geometry):
     """n x n SPD matrices, affine-invariant: -1/2 <= K <= 0, with flat
-    directions.  The kernels build every matrix they decompose exactly
-    symmetric, so it goes to LAPACK without ``check_symmetric``."""
+    directions.  The kernels build every matrix they take a function of
+    exactly symmetric, so it needs no ``check_symmetric``."""
 
     curvature_bound, curvature_max, curvature_min = 0.5, 0.0, -0.5
     chart = _SPDChart
@@ -501,13 +559,13 @@ class SPD(Geometry):
         self.param = float(n)
 
     def exp(self, x, v):
-        return _spd_exp(_spd_root(x, False), v)
+        return _spd_exp(_spd_roots(x, "sqrt")[0], v)
 
     def log(self, x, y):
-        return frob_entries(_spd_log_matrix(_spd_root(x, True), y))
+        return frob_entries(_spd_log_matrix(_spd_roots(x, "invsqrt")[0], y))
 
     def distance(self, x, y):
-        return _spd_distance(_spd_root(x, True), y)
+        return _spd_distance(_spd_roots(x, "invsqrt")[0], y)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         n = int(self.param)

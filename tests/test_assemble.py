@@ -341,8 +341,8 @@ class TestRefusedBeforeAnyOracleCall:
 ])
 def test_chart_cores_have_one_unit_per_distinct_row(capsys, argv, width, params):
     # the chart targets are degree 1, so every output reads the same p rows
-    # h e_i, and the core has one unit per row; the structure only, since
-    # spd's bytes depend on LAPACK rounding
+    # h e_i, and the core has one unit per row; the structure only, as
+    # test_golden.py pins the bytes
     assert main(["compile", *argv, "--seed", "0"]) == 0
     summary = json.loads(capsys.readouterr().out)
     got = (summary["width"], summary["depth"], summary["param_count"])

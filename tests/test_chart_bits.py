@@ -1,10 +1,11 @@
 """Pinned chart bits: the sha256 of exp_map, log_map and distance outputs for
-every non-SPD member of the zoo, on seeded single points and (N, d) stacks
-with a zero tangent and a coincident pair among the rows.
+every member of the zoo but spd:n with n >= 3, on seeded single points and
+(N, d) stacks with a zero tangent and a coincident pair among the rows.
 
-Any change to a chart kernel that moves one bit fails here.  spd is left
-out, as in ``test_golden.py``: its bits depend on LAPACK rounding.  The
-values were recorded with numpy 2.4.6 on x86-64 Linux.
+Any change to a chart kernel that moves one bit fails here.  spd:n with
+n >= 3 is left out, as in ``test_golden.py``: its bits depend on LAPACK's
+eigensolver, which spd:2's closed forms do not call.  The values were
+recorded with numpy 2.4.6 on x86-64 Linux.
 """
 import hashlib
 
@@ -50,6 +51,11 @@ PINNED = {
         "705812bf3f79277fdff596956a232d17a27b7c4d16afa4ee7335cd2db3b0b0b7",
         "473e1705e68c1cf67c7469e09f8a31ebcaf2e79f4309eaad1c1a81a56b4f225e",
         "57e02c0007edd8ad131393c55bb2d5d9cc2819f13bd8d9a27ead91be1b5dd06e",
+    ),
+    "spd:2": (
+        "b6a194ee3704af321b0055ac7a15ee35d693beb22b7ffde6ff91f2c10b5e0841",
+        "701f4c39fe4056f633cb4566ab11ccabd4fc858ae93793d71cc74491898ea872",
+        "a1c21dc3c270764bc16c38189dff218ba34f9069bd2c136a9d3c44762ff33158",
     ),
     "poincare:3:0.5": (
         "06a22e3c4202feb09f9df674f5ef5b18d61301b79915fc6398aeaf04bf81b059",

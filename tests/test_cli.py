@@ -135,9 +135,14 @@ class TestEstimate:
         (["--class", "smooth", "--p", "3", "--delta", "1e100"],
          "smooth estimate: (2 delta)^6 overflows"),
         (["--class", "poly", "--delta", "1e60"], "poly estimate: (2 delta)^6 overflows"),
-    ], ids=["continuous", "smooth", "poly"])
+        (["--class", "smooth", "--delta", "0.5", "--lip", "1e160"],
+         "smooth estimate: depth_order overflows"),
+        (["--class", "smooth", "--delta", "0.5", "--lip", "1e153"],
+         "smooth estimate: params_order overflows"),
+    ], ids=["continuous", "smooth", "poly", "depth-quotient", "params-product"])
     def test_overflow_exits_1_naming_the_class_and_quantity(self, capsys, argv, message):
-        # finite inputs whose float ** leaves the float range
+        # finite inputs whose float **, or whose quotient or product of
+        # finite values, leaves the float range
         values = {"--p": "1", "--m": "1", "--eps": "0.1", "--lip": "1", "--kappa1": "1",
                   "--kappa2": "1", **dict(zip(argv[::2], argv[1::2]))}
         code, out, err = run(capsys, "estimate", *(t for kv in values.items() for t in kv))

@@ -1,8 +1,8 @@
 """Pinned outputs: the bytes every "same outputs" claim in CHANGES.md rests on.
 
-Five ``gdn compile`` runs (the sphere2-rotation, poincare2-mobius,
-cube3-product, cube3-quadratic and cube2-mixed cases of the benchmark, with
-its arguments), two two-output polynomial compiles, two ``--verticalize``
+The six ``gdn compile`` runs of the benchmark (sphere2-rotation,
+poincare2-mobius, spd2-congruence, cube3-product, cube3-quadratic and
+cube2-mixed, with its arguments), two two-output polynomial compiles, two ``--verticalize``
 compiles and one 3-run ``gdn bench`` config go through ``gdn.cli.main`` at
 seed 0.  The two-output compiles are the edge cases of the multi-output
 shallow core: a constant output next to a hidden block, and no hidden layer
@@ -14,8 +14,9 @@ windowed read); cube3-quadratic is also the
 one that walks Bernstein degrees 1 to 4 and evaluates exponent-2 powers.
 Each compile, run twice in one process, must reproduce its summary JSON
 (without ``out``) and the sha256 of its model file both times, and the
-bench its CSV, exactly.  spd is left out:
-its bytes depend on LAPACK rounding.
+bench its CSV, exactly.  spd:2 takes its matrix functions in closed form;
+only spd:n with n >= 3 goes through LAPACK's eigensolver, and none is
+pinned.
 
 The values were recorded with numpy 2.4.6 (OpenBLAS 0.3.31) on x86-64
 Linux; another numpy build may round differently.  Re-record them only
@@ -47,6 +48,15 @@ COMPILES = {
          "measured_error": 0.0007039603963894114, "param_count": 12,
          "target": "mobius-shift", "width": 2},
         "484ff4935668363ef27d57961b47f76e6d20798f39dc2881cbe99865f5cb18f2",
+    ),
+    "spd2-congruence": (
+        ["--target", "spd-congruence", "--domain", "spd:2", "--codomain", "spd:2",
+         "--base-x", "[1, 0, 1]", "--radius", "1.0", "--eps", "0.05", "--lip", "2.0"],
+        {"apriori_bound": 11.793090497681849, "audit_points": 200,
+         "bernstein_degree": 1, "depth": 1, "eps": 0.05,
+         "measured_error": 0.0009564234876710698, "param_count": 24,
+         "target": "spd-congruence", "width": 3},
+        "f56c514841ef838c7e7d65c49ed874a3f59d977d7559c7e77060998f98248210",
     ),
     "cube3-product": (
         ["--target", "poly:x1*x2*x3", "--domain", "euclidean:3",

@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+# loaded before a test patches the names it imports, so that the patch and
+# its undoing reach its bindings, whichever test loads the compiler first
+import gdn.assemble  # noqa: F401
 import gdn.manifolds.sym
 import gdn.manifolds.zoo
 from gdn.errors import DomainError, RangeError, ValidationError
 from gdn.manifolds.core import resolve_manifold
 from gdn.cli import main
-from gdn.manifolds.zoo import chart_at, exp_map, random_tangent
+from gdn.manifolds.zoo import chart_at, exp_map, random_point, random_tangent
 from gdn.model import (
     GDNModel,
     gdn_eval,
@@ -204,29 +207,46 @@ def _count_frames(monkeypatch, counts):
             monkeypatch.setattr(cls, "tangent_basis", counted)
 
 
+def _count_eigh(monkeypatch, counts):
+    # every LAPACK eigendecomposition, whoever asks for it
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        counts["eigh"] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+
+
+def _spd3_model():
+    # an spd:3 model, off the closed forms of order 2
+    spd3 = resolve_manifold("spd:3")
+    rng = np.random.default_rng(0)
+    bx, by = (random_point(spd3, rng) for _ in range(2))
+    return model_at(spd3, spd3, bx, by, affine_net(0.1 * np.eye(6), np.zeros(6)))
+
+
 class TestValidatedOnce:
-    @pytest.mark.parametrize("case", ["sphere2-rotation", "poincare2-mobius",
-                                      "spd2-congruence"])
+    # LAPACK calls one evaluation makes: spd:2 takes its matrix functions in
+    # closed form; spd:3 makes one per SPD chart, for its spectral function,
+    # since the model keeps the base roots
+    EIGH = {"sphere2-rotation": 0, "poincare2-mobius": 0, "spd2-congruence": 0,
+            "spd3": 2}
+
+    @pytest.mark.parametrize("case", sorted(EIGH))
     def test_one_point_check_per_evaluation(self, case, monkeypatch):
-        model = gdn_from_dict(json.loads((MODELS / f"{case}.json").read_text()))
+        model = (_spd3_model() if case == "spd3" else
+                 gdn_from_dict(json.loads((MODELS / f"{case}.json").read_text())))
         x = np.array(model.base_x)
         counts = collections.Counter()
         _count_calls(monkeypatch, counts, gdn.manifolds.zoo, "as_point")
         _count_calls(monkeypatch, counts, gdn.manifolds.sym, "check_symmetric")
         _count_frames(monkeypatch, counts)
-        eigh = np.linalg.eigh
-
-        def counted_eigh(a):
-            counts["eigh"] += 1
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        _count_eigh(monkeypatch, counts)
         model(x)
         assert counts["as_point"] == 1
         assert counts["check_symmetric"] == 0
-        # one per SPD chart, for its spectral function: the model keeps the
-        # base roots
-        assert counts["eigh"] <= 2
+        assert counts["eigh"] == self.EIGH[case]
         # loading and evaluating never build a tangent frame
         assert counts["frame"] == 0
         assert "frame" not in vars(model.chart_x) and "frame" not in vars(model.chart_y)
@@ -249,9 +269,10 @@ class TestValidatedOnce:
                                                  capsys):
         target, domain, codomain, base_x, radius, eps, *lip = self.COMPILES[case]
         counts = collections.Counter()
-        for name in ("chart_at", "_spd_spectrum"):
+        for name in ("chart_at", "_spd_roots"):
             _count_calls(monkeypatch, counts, gdn.manifolds.zoo, name)
         _count_frames(monkeypatch, counts)
+        _count_eigh(monkeypatch, counts)
         out = tmp_path / "model.json"
         assert main(["compile", "--target", target, "--domain", domain,
                      "--codomain", codomain, "--base-x", base_x, "--radius", radius,
@@ -259,8 +280,10 @@ class TestValidatedOnce:
         capsys.readouterr()
         assert counts["chart_at"] == 2
         assert counts["frame"] <= 2
-        # one decomposition per SPD base, kept by its chart
-        assert counts["_spd_spectrum"] <= (3 if domain.startswith("spd") else 0)
+        # one root computation per SPD base, kept by its chart
+        assert counts["_spd_roots"] <= (3 if domain.startswith("spd") else 0)
+        # spd:2 takes every matrix function in closed form, without LAPACK
+        assert counts["eigh"] == 0
 
     def test_model_reads_manifolds_and_bases_from_its_charts(self):
         chart_x, chart_y = chart_at(E2, [1.0, 2.0]), chart_at(S2, [0.0, 1.0, 0.0])

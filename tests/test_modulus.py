@@ -208,7 +208,7 @@ class TestSampledModulusAt:
 
     def test_outputs_past_the_bound_read_every_pair(self, rng):
         # outputs above 2^500 with finite distances between them: every pair
-        # is read and checked, with the same result; a NaN t reads no pair
+        # is read and checked, with the same result; a NaN t is refused
         xs = lattice_points(rng, 40, 2)
         ys = np.sin(xs @ rng.standard_normal((2, 1)))
         inputs = pair_inputs(xs)
@@ -216,7 +216,8 @@ class TestSampledModulusAt:
             w = empirical_modulus(inputs, scale * ys)
             for t in self.reads(inputs):
                 assert sampled_modulus_at(inputs, scale * ys, t) == w(t)
-            assert sampled_modulus_at(inputs, scale * ys, math.nan) == 0.0
+            with pytest.raises(ValidationError, match="^modulus argument must be nonnegative$"):
+                sampled_modulus_at(inputs, scale * ys, math.nan)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-154, 1.0, 2.0 ** 499])
     def test_one_output_read_has_the_norm_bits(self, rng, scale):
@@ -264,12 +265,19 @@ class TestSampledModulusAt:
         with pytest.raises(ValidationError, match="nonnegative"):
             empirical_modulus(pair_inputs(xs), ys)(-1e-9)
 
-    def test_nan_argument_reads_no_pair_but_checks_zero_distances(self):
+    def test_nan_argument_refused_by_both_reads(self):
+        # refused before any read, as a negative argument is: also where the
+        # outputs at duplicate inputs differ, and by the estimate and the
+        # windowed read alike
         xs = np.array([[0.5], [0.5], [0.0]])
-        assert sampled_modulus_at(pair_inputs(xs), np.array([[2.0], [2.0], [1.0]]),
-                                  math.nan) == 0.0
-        with pytest.raises(ValidationError, match="zero input distance"):
-            sampled_modulus_at(pair_inputs(xs), np.array([[2.0], [3.0], [1.0]]), math.nan)
+        for ys in ([[2.0], [2.0], [1.0]], [[2.0], [3.0], [1.0]]):
+            with pytest.raises(ValidationError, match="^modulus argument must be nonnegative$"):
+                sampled_modulus_at(pair_inputs(xs), np.array(ys), math.nan)
+        xs, ys = np.array([[0.0], [0.5], [1.0]]), np.array([[0.0], [1.0], [3.0]])
+        for read in (empirical_modulus(pair_inputs(xs), ys),
+                     lambda t: sampled_modulus_at(pair_inputs(xs), ys, t)):
+            with pytest.raises(ValidationError, match="^modulus argument must be nonnegative$"):
+                read(math.nan)
 
     def test_equal_outputs_at_duplicate_inputs_pass(self):
         xs = np.array([[0.5], [0.5], [0.0]])

@@ -1,6 +1,9 @@
 """Closed-form exp/log/distance across the manifold zoo."""
 import ast
+import decimal
 import math
+import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,9 @@ import gdn
 from conftest import random_orthogonal, random_spd
 from gdn.errors import GdnError, OutOfInjectivityError, ValidationError
 from gdn.manifolds.core import resolve_manifold
-from gdn.manifolds.sym import frob_unvec, frob_vec
+from gdn.manifolds.sym import frob_unvec, frob_vec, sym_matrix_function
 from gdn.manifolds.zoo import (
+    _spd_functions,
     as_point,
     chart_at,
     distance,
@@ -104,6 +108,103 @@ class TestSPD:
             y = exp_map(self.spec, x, v)
             w = np.linalg.eigvalsh(frob_unvec(y))
             assert w[0] > 0.0
+
+
+def _reference_2x2(kind, A):
+    """f(A) of one symmetric 2x2 float matrix, to 60 digits: alpha I + beta N
+    with N = [[d, b], [b, -d]], alpha and beta the mean and the divided
+    difference of f at the eigenvalues m -+ r, from the exact entries."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, b, c = (Decimal(float(t)) for t in (A[0, 0], A[0, 1], A[1, 1]))
+        m, d = (a + c) / 2, (a - c) / 2
+        r = (d * d + b * b).sqrt()
+        f = {"exp": Decimal.exp, "log": Decimal.ln, "sqrt": Decimal.sqrt,
+             "invsqrt": lambda t: 1 / t.sqrt()}[kind]
+        hi, lo = f(m + r), f(m - r)
+        alpha = (hi + lo) / 2
+        beta = (hi - lo) / (2 * r) if r else Decimal(0)
+        return [[alpha + beta * d, beta * b], [beta * b, alpha - beta * d]]
+
+
+def _relative_error(F, R):
+    # Frobenius-norm error of a float matrix against a 60-digit reference
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        diff = sum((Decimal(float(F[i, j])) - R[i][j]) ** 2 for i in (0, 1) for j in (0, 1))
+        norm = sum(R[i][j] ** 2 for i in (0, 1) for j in (0, 1))
+        return float((diff / norm).sqrt())
+
+
+class TestSPD2ClosedForms:
+    """Order 2 takes exp, log, sqrt and sqrt^-1 in closed form; LAPACK's
+    ``eigh``, through ``sym_matrix_function``, is the reference."""
+
+    @staticmethod
+    def stacks(kind, rng):
+        """Conditioning class -> a stack of SPD 2x2 matrices at scales 1e-100
+        to 1e100 (to 300 for exp, whose result overflows past 709): condition
+        numbers 1 to 1e12, exact multiples of I (r = 0) and r/m = 1e-9."""
+        def rotated(w):
+            t = rng.uniform(0.0, math.pi)
+            Q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            A = (Q * w) @ Q.T
+            return 0.5 * (A + A.T)
+
+        def scale():
+            return 10.0 ** (rng.uniform(-2, 2.5) if kind == "exp" else rng.uniform(-100, 100))
+
+        classes = {f"kappa={k:g}": np.array([rotated(scale() * np.array([1.0, 1.0 / k]))
+                                             for _ in range(120)])
+                   for k in (1.0, 1e3, 1e6, 1e12)}
+        classes["r=0"] = np.array([scale() * np.eye(2) for _ in range(60)])
+        near = []
+        for _ in range(60):
+            t = rng.uniform(0.0, math.pi)
+            N = np.array([[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]])
+            near.append(scale() * (np.eye(2) + 1e-9 * N))
+        classes["r/m=1e-9"] = np.array(near)
+        return classes
+
+    @pytest.mark.parametrize("kind", ["exp", "log", "sqrt", "invsqrt"])
+    def test_accuracy_within_4x_of_lapack(self, kind, rng):
+        for name, A in self.stacks(kind, rng).items():
+            (closed,) = _spd_functions(A, kind)
+            lapack = sym_matrix_function(kind, A)
+            refs = [_reference_2x2(kind, a) for a in A]
+            worst = max(_relative_error(F, R) for F, R in zip(closed, refs))
+            worst_lapack = max(_relative_error(F, R) for F, R in zip(lapack, refs))
+            assert worst <= 4.0 * max(worst_lapack, 2.0 ** -53), (name, worst, worst_lapack)
+
+    def test_exp_where_e_to_the_mean_underflows(self):
+        # e^m = e^-800 underflows where cosh r = cosh 805 overflows; the
+        # result is diag(0, e^5), as LAPACK's is
+        A = np.diag([-1605.0, 5.0])
+        (E,) = _spd_functions(A, "exp")
+        np.testing.assert_array_equal(E, np.diag([0.0, math.exp(5.0)]))
+        np.testing.assert_array_equal(E, sym_matrix_function("exp", A))
+
+    @pytest.mark.parametrize("kind", ["exp", "log", "sqrt", "invsqrt"])
+    def test_stack_rows_are_the_single_results(self, kind, rng):
+        A = np.array([random_spd(2, rng) for _ in range(12)])
+        A[3] = 2.5 * np.eye(2)  # r = 0
+        A[5] = np.diag([0.5, 4.0])
+        (F,) = _spd_functions(A, kind, positive="not SPD:")
+        for a, f in zip(A, F):
+            assert _spd_functions(a, kind, positive="not SPD:")[0].tobytes() == f.tobytes()
+            assert np.array_equal(f, f.T)
+
+    @pytest.mark.parametrize("A", [
+        np.diag([1.0, -0.5]), np.diag([-1.0, 0.0]), np.zeros((2, 2)), np.diag([-2.0, -3.0]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+    ], ids=["indefinite", "largest-zero", "zero", "negative", "rotated", "off-diagonal",
+            "singular"])
+    def test_refusal_names_the_smallest_eigenvalue(self, A):
+        # also where the large eigenvalue is 0, which the small one divides by
+        want = f"not SPD: {np.linalg.eigvalsh(A)[0]:.6e}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            _spd_functions(A, "sqrt", positive="not SPD:")
 
 
 class TestBoundChart:
