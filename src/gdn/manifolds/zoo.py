@@ -454,39 +454,53 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
         return [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
     check_finite(S)
     a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
-    m, d = 0.5 * (a + c), 0.5 * (a - c)
+    # halved first, so that no sum overflows (a subnormal half may round)
+    ha, hc = 0.5 * a, 0.5 * c
+    m, d = ha + hc, ha - hc
     r = np.hypot(d, b)
     r1 = r + (r == 0.0)  # r = 0 leaves d = b = 0: divide by 1, not by 0
     hi = m + r
     if positive is not None or "exp" not in kinds:
         # the small eigenvalue as LAPACK's dlaev2 gets it, without m - r's
-        # cancellation; hi = 0 (not positive definite) divides by 1
-        h = hi + (hi == 0.0)
+        # cancellation.  Positivity is decided on the mean eigenvalue m, not
+        # on hi: where m <= 0 the matrix is not positive definite, m + r may
+        # round to either sign, and the smallest eigenvalue m - r has no
+        # cancellation.  |m| + r is hi where m > 0 and keeps the quotients
+        # finite elsewhere (the zero matrix divides by 1)
+        h = abs(m) + r
+        h = h + (h == 0.0)
         lo = (np.maximum(a, c) / h) * np.minimum(a, c) - (b / h) * b
-        if positive is not None and _any(~((hi > 0.0) & (lo > 0.0))):
-            _positive(np.where(hi > 0.0, lo, m - r), positive)
+        if positive is not None and _any(~((m > 0.0) & (lo > 0.0))):
+            _positive(np.where(m > 0.0, lo, m - r), positive)
     u, v = d / r1, b / r1
     out = []
     for kind in kinds:
         if kind == "exp":
             # e^m cosh r and e^m sinh r from e^hi and expm1(-2r): e^m alone
             # may underflow where cosh r overflows.  e^hi has the relative
-            # error of hi's absolute one, so the rounding errors of a + c
-            # and m + r scale it by e^err = 1 + err, leaving r's own
-            err = _two_sum(m, r)[1] + 0.5 * _two_sum(a, c)[1]
+            # error of hi's absolute one, so the rounding errors of m and
+            # m + r scale it by e^err = 1 + err, leaving r's own
+            err = _two_sum(m, r)[1] + _two_sum(ha, hc)[1]
             e = np.expm1(-2.0 * r)
             top = np.exp(hi) * (1.0 + err)
             alpha, gamma = top * (1.0 + 0.5 * e), -0.5 * top * e
         elif kind == "log":
             # (log hi - log lo)/2 = atanh(r/m) = log1p(2r/lo)/2, which stays
-            # finite where r/m rounds to 1
-            alpha, gamma = 0.5 * (np.log(hi) + np.log(lo)), 0.5 * np.log1p(2.0 * r / lo)
+            # finite where r/m rounds to 1; where 2r/lo overflows, log1p of
+            # it is log 2 + log r - log lo
+            x = 2.0 * r / lo
+            g = np.log1p(x)
+            if _any(x == np.inf):
+                g = np.where(x == np.inf, math.log(2.0) + np.log(r) - np.log(lo), g)
+            alpha, gamma = 0.5 * (np.log(hi) + np.log(lo)), 0.5 * g
         else:
             sh, sl = np.sqrt(hi), np.sqrt(lo)
             if kind == "sqrt":
                 alpha, gamma = 0.5 * (sh + sl), r / (sl + sh)
             else:
-                alpha, gamma = 0.5 * (1.0 / sh + 1.0 / sl), -r / ((sl + sh) * sl * sh)
+                # sqrt's gamma over sl sh, whose product stays in range
+                # where (sl + sh) sl sh does not
+                alpha, gamma = 0.5 * (1.0 / sh + 1.0 / sl), -(r / (sl + sh)) / (sl * sh)
         F = np.empty(S.shape)
         F[..., 0, 0] = alpha + gamma * u
         F[..., 1, 1] = alpha - gamma * u

@@ -54,8 +54,8 @@ PINNED = {
     ),
     "spd:2": (
         "b6a194ee3704af321b0055ac7a15ee35d693beb22b7ffde6ff91f2c10b5e0841",
-        "701f4c39fe4056f633cb4566ab11ccabd4fc858ae93793d71cc74491898ea872",
-        "a1c21dc3c270764bc16c38189dff218ba34f9069bd2c136a9d3c44762ff33158",
+        "32aeb420650e282ef85a37f8266979a5bd243bbbe64c086b5de945cce586f8f4",
+        "4320f5f2f0d05a425a4c8bbf396c3c95e89d30017a2232049e992cf56db96bb6",
     ),
     "poincare:3:0.5": (
         "06a22e3c4202feb09f9df674f5ef5b18d61301b79915fc6398aeaf04bf81b059",

@@ -13,7 +13,7 @@ import gdn
 from conftest import random_orthogonal, random_spd
 from gdn.errors import GdnError, OutOfInjectivityError, ValidationError
 from gdn.manifolds.core import resolve_manifold
-from gdn.manifolds.sym import frob_unvec, frob_vec, sym_matrix_function
+from gdn.manifolds.sym import frob_unvec, frob_vec, spectral, sym_matrix_function
 from gdn.manifolds.zoo import (
     _spd_functions,
     as_point,
@@ -176,13 +176,52 @@ class TestSPD2ClosedForms:
             worst_lapack = max(_relative_error(F, R) for F, R in zip(lapack, refs))
             assert worst <= 4.0 * max(worst_lapack, 2.0 ** -53), (name, worst, worst_lapack)
 
-    def test_exp_where_e_to_the_mean_underflows(self):
-        # e^m = e^-800 underflows where cosh r = cosh 805 overflows; the
-        # result is diag(0, e^5), as LAPACK's is
-        A = np.diag([-1605.0, 5.0])
+    @pytest.mark.parametrize("kind", ["log", "sqrt", "invsqrt"])
+    def test_far_scales_within_4x_of_lapack(self, kind, rng):
+        # scales 1e-300 to 1e300 and matrices near the float maximum, where
+        # a + c overflows and (sqrt lo + sqrt hi) sqrt lo sqrt hi leaves the
+        # float range at both ends; LAPACK, called directly (the
+        # symmetrization of sym_matrix_function overflows near 1e308),
+        # scales the matrix
+        A = []
+        for k in (1.0, 1e6):
+            for _ in range(60):
+                t = rng.uniform(0.0, math.pi)
+                Q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+                M = (Q * (10.0 ** rng.uniform(-300, 300) * np.array([1.0, 1.0 / k]))) @ Q.T
+                A.append(0.5 * (M + M.T))
+        big = np.finfo(float).max
+        A += [np.diag([1e308, 1e308]), np.diag([big, big]), np.diag([1.5e308, 1e300]),
+              np.array([[1e308, 5e307], [5e307, 1e308]])]
+        A = np.array(A)
+        (closed,) = _spd_functions(A, kind, positive="not SPD:")
+        w, V = np.linalg.eigh(A)
+        lapack = spectral(V, {"log": np.log, "sqrt": np.sqrt,
+                              "invsqrt": lambda t: 1.0 / np.sqrt(t)}[kind](w))
+        refs = [_reference_2x2(kind, a) for a in A]
+        worst = max(_relative_error(F, R) for F, R in zip(closed, refs))
+        worst_lapack = max(_relative_error(F, R) for F, R in zip(lapack, refs))
+        assert worst <= 4.0 * max(worst_lapack, 2.0 ** -53), (worst, worst_lapack)
+
+    @pytest.mark.parametrize("w", [[1e10, 1e-300], [1e-300, 1e10], [1e308, 1e-10]])
+    def test_log_where_2r_over_lo_overflows(self, w):
+        # a condition number past the float range: log1p(2r/lo) would be
+        # inf.  The error is normwise, as LAPACK's is
+        (L,) = _spd_functions(np.diag(w), "log", positive="not SPD:")
+        want = np.diag(np.log(w))
+        assert np.abs(L - want).max() <= 4.0 * 2.0 ** -53 * np.abs(want).max()
+
+    @pytest.mark.parametrize("w", [[-1605.0, 5.0], [-1e308, -1e308]],
+                             ids=["mean-underflows", "trace-overflows"])
+    def test_exp_of_a_diagonal_out_of_range(self, w):
+        # e^m = e^-800 underflows where cosh r = cosh 805 overflows, and
+        # a + c = -2e308 overflows where its halves do not; the result is
+        # diag(e^w), here diag(0, e^5) and 0, as LAPACK's is
+        A = np.diag(w)
         (E,) = _spd_functions(A, "exp")
-        np.testing.assert_array_equal(E, np.diag([0.0, math.exp(5.0)]))
-        np.testing.assert_array_equal(E, sym_matrix_function("exp", A))
+        np.testing.assert_array_equal(E, np.diag(np.exp(w)))
+        lam, V = np.linalg.eigh(A)
+        np.testing.assert_array_equal(E, spectral(V, np.exp(lam)))
 
     @pytest.mark.parametrize("kind", ["exp", "log", "sqrt", "invsqrt"])
     def test_stack_rows_are_the_single_results(self, kind, rng):
@@ -205,6 +244,19 @@ class TestSPD2ClosedForms:
         want = f"not SPD: {np.linalg.eigvalsh(A)[0]:.6e}"
         with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
             _spd_functions(A, "sqrt", positive="not SPD:")
+
+    @pytest.mark.parametrize("small", [0.0, 1e-17], ids=["rank-1", "tiny-positive"])
+    def test_negative_trace_refused(self, small, rng):
+        # eigenvalues -s and 0 (-s v v^T) or -s and 1e-17: m + r cancels,
+        # and its sign is rounding; each is refused, naming about -s
+        for _ in range(200):
+            t = rng.uniform(0.0, math.pi)
+            Q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            M = (Q * np.array([-(10.0 ** rng.uniform(-3, 3)), small])) @ Q.T
+            A = 0.5 * (M + M.T)
+            want = f"not SPD: {np.linalg.eigvalsh(A)[0]:.6e}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+                _spd_functions(A, "sqrt", positive="not SPD:")
 
 
 class TestBoundChart:
