@@ -5,11 +5,14 @@ Exit codes: 0 success, 1 computational failure, 2 usage or validation
 error.  Fixed seeds make runs deterministic (bench rows omit wall time
 unless --timing is passed).
 
-A call builds and imports only what its command runs: the parser builds
-the invoked command's subparser alone when argv[0] names it (otherwise all
-five, and only the command's gets arguments), and the compiler
-(``approx``, ``assemble``, ``sampling``) is imported inside the commands
-that use it.
+A call builds and imports only what its command runs.  When argv[0] names
+a command, that command's own parser (prog ``gdn <command>``) parses the
+rest of argv: one ``ArgumentParser`` and one parse.  The full parser, the
+top level with all five subparsers, is built only for the text it alone
+gives: the top-level help and version, an argv that does not start with a
+command, arguments the command's parser leaves over, and the usage errors
+``cmd_estimate`` raises.  The compiler (``approx``, ``assemble``,
+``sampling``) is imported inside the commands that use it.
 """
 from __future__ import annotations
 
@@ -34,6 +37,11 @@ from .network import get_activation, net_from_dict, param_count, width
 from .targets import resolve_target
 
 _FMT = "%.17g"
+
+
+class UsageError(Exception):
+    """An argument combination a command refuses; ``main`` reports it
+    through the full parser, as argparse reports its own usage errors."""
 
 
 def _json_out(payload: dict) -> None:
@@ -74,7 +82,7 @@ def _load_modulus(args) -> object:
     return LipschitzModulus(args.lip)
 
 
-def cmd_estimate(args, parser) -> int:
+def cmd_estimate(args) -> int:
     from .approx.estimates import depth_estimate, efficient_complexity
     from .approx.modulus import LipschitzModulus
 
@@ -83,12 +91,12 @@ def cmd_estimate(args, parser) -> int:
         _json_out(result.to_dict())
         return 0
     if args.activation_class is None:
-        parser.error("either --class or --efficient-n is required")
+        raise UsageError("either --class or --efficient-n is required")
     if args.activation_class == "continuous" and args.B is None:
-        parser.error("--class continuous requires --B")
+        raise UsageError("--class continuous requires --B")
     for name in ("delta", "kappa1", "kappa2"):
         if getattr(args, name) is None:
-            parser.error(f"--{name} is required for depth estimates")
+            raise UsageError(f"--{name} is required for depth estimates")
     modulus = _load_modulus(args)
     sigma_modulus = (LipschitzModulus(args.sigma_lip)
                      if args.sigma_lip is not None else None)
@@ -122,7 +130,7 @@ def _check_out_path(path: str) -> None:
         raise ValidationError(f"--out {path}: no directory {parent}")
 
 
-def cmd_compile(args, parser) -> int:
+def cmd_compile(args) -> int:
     from .approx.modulus import LipschitzModulus
     from .assemble import audit_gdn, compile_gdn
 
@@ -174,7 +182,7 @@ def cmd_compile(args, parser) -> int:
     return 1
 
 
-def cmd_eval(args, parser) -> int:
+def cmd_eval(args) -> int:
     payload = _load_json(args.model)
     if not isinstance(payload, dict):
         raise ParseError(f"{args.model}: a model must be a JSON object, "
@@ -201,7 +209,7 @@ def _read_csv_points(path: str) -> List[np.ndarray]:
     return points
 
 
-def cmd_certify(args, parser) -> int:
+def cmd_certify(args) -> int:
     from .approx.certify import certify_efficient
 
     if args.out:
@@ -293,7 +301,7 @@ def _bench_row(i: int, run: dict, timing: bool) -> List[str]:
     return row
 
 
-def cmd_bench(args, parser) -> int:
+def cmd_bench(args) -> int:
     config = _load_json(args.config)
     runs = config.get("runs") if isinstance(config, dict) else None
     if not runs or not isinstance(runs, list):
@@ -346,8 +354,8 @@ def _compile_arguments(comp: argparse.ArgumentParser) -> None:
     comp.add_argument("--verticalize", metavar="LO,HI",
                       help="rewrite the core deep-narrow over the given box: "
                            "one layer per hidden unit that an output reads, carrying "
-                           "registers exactly (piecewise-linear activation) or "
-                           "through a small smooth window (smooth activation)")
+                           "registers through a small first-order window of the "
+                           "smooth activation")
 
 
 def _eval_arguments(ev: argparse.ArgumentParser) -> None:
@@ -372,7 +380,7 @@ def _bench_arguments(bench: argparse.ArgumentParser) -> None:
                        help="append wall-clock times (breaks byte-identical reports)")
 
 
-# name -> (help, adds the command's arguments to its subparser, runner)
+# name -> (help, adds the command's arguments to its parser, runner)
 _COMMANDS = {
     "estimate": ("depth/width/parameter estimates", _estimate_arguments, cmd_estimate),
     "compile": ("compile a target into a GDN", _compile_arguments, cmd_compile),
@@ -382,43 +390,59 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The ``gdn`` parser for ``argv``.  The top-level parser takes no
-    positional before the command and no option with a value, so the first
-    command name in argv is the command, and its subparser alone gets
-    arguments.  When argv[0] is that command, its subparser is the only one
-    built, and the subparsers' metavar lists every command, so usage lines
-    read as with all five.  Otherwise (``-h``, ``--version``, an option
-    before the command, a bad or missing command) all five are built with
-    no metavar, since argparse would name the action by it in an "invalid
-    choice" error."""
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The full ``gdn`` parser: the top level and all five subparsers.  The
+    top level takes no positional before the command and no option with a
+    value, so the first command name in argv is the command, and its
+    subparser alone gets arguments.  ``main`` builds it only where the
+    command's own parser cannot give the text: ``-h``, ``--version``, an
+    argv that does not start with a command, arguments left over after the
+    command's parse (reported as unrecognized), and a ``UsageError``."""
     command = next((a for a in argv if a in _COMMANDS), None)
-    alone = bool(argv) and argv[0] == command
     parser = argparse.ArgumentParser(
         prog="gdn",
         description="Geometric deep networks: estimators, constructive "
                     "compilation, dataset certification, and benchmarks.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
-    for name in (command,) if alone else _COMMANDS:
-        help_text, add_arguments, _run = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _run) in _COMMANDS.items():
         subparser = sub.add_parser(name, help=help_text)
         if name == command:
             add_arguments(subparser)
     return parser
 
 
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, the same as its subparser in
+    ``build_parser``: argparse's subparser action parses the arguments after
+    the command with exactly that parser."""
+    parser = argparse.ArgumentParser(prog=f"gdn {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def parse_argv(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, by the command's own parser
+    where argv[0] names a command and nothing is left over."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    # -h, --version, no command first, or arguments left over: the full
+    # parser, which reports leftovers as unrecognized
+    return build_parser(argv).parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the parser of this argv: argv[0]'s command alone, or all five
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = parse_argv(argv)
     try:
-        return _COMMANDS[args.command][2](args, parser)
+        return _COMMANDS[args.command][2](args)
+    except UsageError as e:
+        build_parser(argv).error(str(e))
     except (ParseError, ValidationError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

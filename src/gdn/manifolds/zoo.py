@@ -40,6 +40,7 @@ Representation conventions
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -105,8 +106,9 @@ def row_norms(a: np.ndarray):
 
 
 def _any(mask) -> bool:
-    # the cheapest reduction on the few entries of a single point
-    return np.count_nonzero(mask) > 0
+    # the cheapest reduction on the few entries of a single point; a scalar
+    # (one point's matrix, or a dot product) needs none
+    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
 
 
 def _first(values, mask) -> float:
@@ -487,8 +489,12 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
         elif kind == "log":
             # (log hi - log lo)/2 = atanh(r/m) = log1p(2r/lo)/2, which stays
             # finite where r/m rounds to 1; where 2r/lo overflows, log1p of
-            # it is log 2 + log r - log lo
-            x = 2.0 * r / lo
+            # it is log 2 + log r - log lo.  2r/lo < 2^1023 where lo >=
+            # 2^-1016 r (and for every r < 2^-51), so only a condition
+            # number past 2^1016 pays for silencing the overflow
+            with (np.errstate(over="ignore") if _any(lo < r * 2.0 ** -1016)
+                  else contextlib.nullcontext()):
+                x = 2.0 * r / lo
             g = np.log1p(x)
             if _any(x == np.inf):
                 g = np.where(x == np.inf, math.log(2.0) + np.log(r) - np.log(lo), g)

@@ -423,7 +423,7 @@ class TestBench:
         assert err.startswith("error: bench run 1: no Bernstein degree <= 12")
         cfg = tmp_path / "bench.json"
         with pytest.raises(InfeasibleDegreeError) as info:
-            cmd_bench(argparse.Namespace(config=str(cfg), out=None, timing=False), None)
+            cmd_bench(argparse.Namespace(config=str(cfg), out=None, timing=False))
         assert info.value.cap == 12 and str(info.value).startswith("bench run 1: ")
 
     def test_base_x_of_the_wrong_length_is_a_usage_error(self, capsys, tmp_path):
@@ -441,7 +441,7 @@ class TestBench:
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({"runs": [bad]}))
         with pytest.raises(ValidationError) as info:
-            cmd_bench(argparse.Namespace(config=str(cfg), out=None, timing=False), None)
+            cmd_bench(argparse.Namespace(config=str(cfg), out=None, timing=False))
         assert type(info.value) is ValidationError
         assert str(info.value).startswith("bench run 0: ")
         TestUsageErrors().bench(capsys, tmp_path, bad)

@@ -1,17 +1,19 @@
 """Pinned help and error text of ``gdn``: stdout, stderr and exit code of each
 argv below, byte for byte, at an 80-column terminal.  A call whose argv[0]
-names a command builds that command's subparser alone, and any other call
-builds all five with only the command's arguments; these pin that the help,
-the version, the usage errors and ``cmd_estimate``'s ``parser.error`` read
-the same either way.  The text is argparse's on Python 3.11.  Two compile
-refusals that ``compile_gdn`` raises before any oracle call are pinned with
-them.  The count of parsers each kind of call builds is checked below.
+names a command parses with that command's own parser, and the full parser
+(the top level and all five subparsers) is built only for the top-level
+help and version, an argv that does not start with a command, arguments
+left over, and ``cmd_estimate``'s usage errors; these pin that every kind of
+call reads as the full parser alone would print it.  The text is
+argparse's on Python 3.11.  Two compile refusals that ``compile_gdn``
+raises before any oracle call are pinned with them.  Below, the count of
+parsers each kind of call builds, and the namespaces of both parsers.
 """
 import argparse
 
 import pytest
 
-from gdn.cli import _COMMANDS, build_parser, main
+from gdn.cli import _COMMANDS, build_parser, command_parser, main, parse_argv
 
 TOP_HELP = (
     "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
@@ -30,6 +32,14 @@ TOP_HELP = (
     "options:\n"
     "  -h, --help            show this help message and exit\n"
     "  --version             show program's version number and exit\n"
+)
+
+COMPILE_USAGE = (
+    "usage: gdn compile [-h] --target TARGET --domain DOMAIN --codomain CODOMAIN\n"
+    "                   --base-x BASE_X [--base-y BASE_Y] --radius RADIUS "
+    "--eps EPS\n"
+    "                   [--activation ACTIVATION] [--lip LIP] [--grid GRID]\n"
+    "                   [--seed SEED] [--out OUT] [--verticalize LO,HI]\n"
 )
 
 # name -> (argv, exit code, stdout, stderr)
@@ -94,11 +104,7 @@ PINNED = {
     ),
     "compile-help": (
         ["compile", "-h"], 0,
-        "usage: gdn compile [-h] --target TARGET --domain DOMAIN --codomain CODOMAIN\n"
-        "                   --base-x BASE_X [--base-y BASE_Y] --radius RADIUS "
-        "--eps EPS\n"
-        "                   [--activation ACTIVATION] [--lip LIP] [--grid GRID]\n"
-        "                   [--seed SEED] [--out OUT] [--verticalize LO,HI]\n"
+        COMPILE_USAGE +
         "\n"
         "options:\n"
         "  -h, --help            show this help message and exit\n"
@@ -116,8 +122,8 @@ PINNED = {
         "  --out OUT\n"
         "  --verticalize LO,HI   rewrite the core deep-narrow over the given box: one\n"
         "                        layer per hidden unit that an output reads, carrying\n"
-        "                        registers exactly (piecewise-linear activation) or\n"
-        "                        through a small smooth window (smooth activation)\n",
+        "                        registers through a small first-order window of the\n"
+        "                        smooth activation\n",
         "",
     ),
     # cube corners at 2.23 * sqrt(2) = 3.1537, past inj(sphere:2) = pi
@@ -207,12 +213,39 @@ PINNED = {
         TOP_HELP,
         "",
     ),
-    # the command's subparser alone, its usage still listing all five
+    # left over by the command's parser: the full parser reports it
     "unrecognized-after-command": (
         ["eval", "--model", "x", "--input", "[0]", "--bogus"], 2,
         "",
         "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
         "gdn: error: unrecognized arguments: --bogus\n",
+    ),
+    # --version belongs to the top level alone, so after a command it is left over
+    "version-after-command": (
+        ["eval", "--model", "x", "--input", "[0]", "--version"], 2,
+        "",
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "gdn: error: unrecognized arguments: --version\n",
+    ),
+    "estimate-continuous-without-B": (
+        ["estimate", "--class", "continuous", "--p", "1", "--m", "1", "--eps", "0.1",
+         "--delta", "0.5", "--kappa1", "1", "--kappa2", "1", "--lip", "1"], 2,
+        "",
+        "usage: gdn [-h] [--version] {estimate,compile,eval,certify,bench} ...\n"
+        "gdn: error: --class continuous requires --B\n",
+    ),
+    "compile-ambiguous-abbreviation": (
+        ["compile", "--b", "[0]", "--target", "rotation"], 2,
+        "",
+        COMPILE_USAGE +
+        "gdn compile: error: ambiguous option: --b could match --base-x, --base-y\n",
+    ),
+    "compile-missing-required": (
+        ["compile", "--target", "rotation"], 2,
+        "",
+        COMPILE_USAGE +
+        "gdn compile: error: the following arguments are required: --domain, "
+        "--codomain, --base-x, --radius, --eps\n",
     ),
 }
 
@@ -230,13 +263,20 @@ def test_cli_text_is_pinned(capsys, monkeypatch, name):
 
 
 
-# argv -> ArgumentParser instances one call builds: the top level and the
-# subparsers built.  Counts, as wall time on a shared host is not repeatable
+# argv -> ArgumentParser instances one call builds: the command's own parser,
+# the full parser's top level and five subparsers, or both.  Counts, as wall
+# time on a shared host is not repeatable
+FULL = 1 + len(_COMMANDS)
 PARSERS_BUILT = [
-    (["eval", "--model", "x", "--input", "[0]"], 2),
-    (["compile", "--target", "rotation"], 2),
-    (["-h"], 1 + len(_COMMANDS)),
-    (["--foo", "eval", "--model", "x", "--input", "[0]"], 1 + len(_COMMANDS)),
+    (["eval", "--model", "x", "--input", "[0]"], 1),
+    (["compile", "--target", "rotation"], 1),
+    (["-h"], FULL),
+    (["--foo", "eval", "--model", "x", "--input", "[0]"], FULL),
+    (["eval", "--model", "x", "--input", "[0]", "--version"], 1 + FULL),
+    (["eval", "--model", "x", "--input", "[0]", "--bogus"], 1 + FULL),
+    (["estimate", "--p", "1", "--m", "1", "--eps", "0.1"], 1 + FULL),
+    (["compile", "--b", "[0]", "--target", "rotation"], 1),
+    (["bench", "-h"], 1),
 ]
 
 
@@ -257,15 +297,46 @@ def test_parsers_built_per_call(capsys, monkeypatch, argv, count):
     assert len(built) == count
 
 
-def _subparsers(argv):
-    [sub] = [a for a in build_parser(argv)._actions
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_command_parser_is_the_full_parsers_subparser(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    [sub] = [a for a in build_parser([name])._actions
              if isinstance(a, argparse._SubParsersAction)]
-    return sub
+    full, own = sub.choices[name], command_parser(name)
+    assert own.prog == full.prog == f"gdn {name}"
+    assert own.format_help() == full.format_help()
 
 
-def test_one_subparser_usage_lists_every_command():
-    sub = _subparsers(["eval"])
-    assert list(sub.choices) == ["eval"]
-    assert sub.metavar == "{" + ",".join(_COMMANDS) + "}"
-    sub = _subparsers(["-h", "eval"])
-    assert list(sub.choices) == list(_COMMANDS) and sub.metavar is None
+# argvs the command's own parser parses with nothing left over
+SAME_NAMESPACE = {
+    "estimate-defaults": ["estimate", "--p", "2", "--m", "1", "--eps", "0.1"],
+    "estimate-equals-and-negative": [
+        "estimate", "--class=smooth", "--p=2", "--m", "1", "--eps", "-0.5",
+        "--kappa1", "-2", "--delta=1e-3"],
+    "compile-defaults": [
+        "compile", "--target", "rotation", "--domain", "sphere:2", "--codomain",
+        "sphere:2", "--base-x", "[0,0,1]", "--radius", "1", "--eps", "0.1"],
+    "compile-abbreviations": [
+        "compile", "--tar", "rotation", "--dom", "sphere:2", "--cod=sphere:2",
+        "--base-x=[0,0,1]", "--rad", "-1", "--eps", "-.01", "--verticalize=-1,1",
+        "--seed", "-3", "--act", "tanh"],
+    "eval-abbreviations": ["eval", "--mod", "m.json", "--in", "[-1, 2]"],
+    "eval-equals": ["eval", "--model=m.json", "--input=[0.5]"],
+    "certify": [
+        "certify", "--dataset", "d.csv", "--values", "v.csv", "--domain",
+        "euclidean:2", "--codomain", "euclidean:1", "--base-x", "[0,0]",
+        "--base-y", "[0]", "--out", "c.json"],
+    "bench-defaults": ["bench", "cfg.json"],
+    "bench-timing": ["bench", "--timing", "cfg.json", "--out=o.csv"],
+    "bench-double-dash": ["bench", "--out", "o.csv", "--timing", "--", "-cfg.json"],
+    "bench-double-dash-option": ["bench", "--", "--timing"],
+}
+
+
+@pytest.mark.parametrize("name", list(SAME_NAMESPACE))
+def test_command_parser_gives_the_full_parsers_namespace(name):
+    argv = SAME_NAMESPACE[name]
+    args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+    assert extras == []
+    full = vars(build_parser(argv).parse_args(argv))
+    assert vars(parse_argv(argv)) == full == {**vars(args), "command": argv[0]}
