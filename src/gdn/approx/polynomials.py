@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
@@ -45,21 +45,15 @@ def product_grid(axis, p: int) -> np.ndarray:
     return grid.reshape(-1, p)
 
 
-def _powers(xi: np.ndarray, e: int) -> np.ndarray:
-    # the C pow of each element, as numpy's scalar power takes it; Python's
-    # float pow has the same bits but raises on overflow, where the numpy
-    # scalar gives inf
-    try:
-        return np.fromiter(map(pow, xi.tolist(), repeat(e)), float, len(xi))
-    except OverflowError:
-        return np.array([t ** e for t in xi])
-
-
 def poly_eval(coeffs: Dict[Tuple[int, ...], object], x) -> np.ndarray:
     """Evaluate a sparse exponent-dict polynomial, with scalar or vector
-    coefficients, at a point or at each row of an (N, dim) stack; powers
-    above 1 are scalar per element (numpy's vector power rounds
-    differently), and a power of 1 is the coordinate itself."""
+    coefficients, at a point or at each row of an (N, dim) stack.
+
+    A power above 1 is ``np.float_power``, whose float64 loop calls libm's
+    ``pow`` per element, so each row has the bits of Python's ``pow`` on
+    that coordinate (``np.power`` and repeated products round differently
+    on some doubles); an overflow gives inf.  A power of 1 is the
+    coordinate itself."""
     x = np.asarray(x, dtype=float)
     x = x if x.ndim == 2 else x.ravel()
     total = None
@@ -69,7 +63,7 @@ def poly_eval(coeffs: Dict[Tuple[int, ...], object], x) -> np.ndarray:
             if e == 1:
                 mono = mono * xi
             elif e:
-                mono = mono * (_powers(xi, e) if xi.ndim else xi ** e)
+                mono = mono * np.float_power(xi, e)
         term = np.multiply.outer(mono, np.asarray(c, dtype=float))
         total = term if total is None else total + term
     if total is None:
@@ -97,29 +91,33 @@ def poly_total_degree(coeffs: Coeffs) -> int:
     return max((sum(e) for e in coeffs), default=0)
 
 
-_TERM_RE = re.compile(r"^\s*([0-9.eE]+)?\s*\*?\s*((?:x\d+(?:\^\d+)?\s*\*?\s*)*)$")
+_TERM_RE = re.compile(
+    r"^\s*([0-9.]+(?:[eE][+-]?[0-9]+)?)?\s*\*?\s*((?:x\d+(?:\^\d+)?\s*\*?\s*)*)$")
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+# a sign that starts a term, not the exponent sign of a number such as 1e-3
+_SIGN_RE = re.compile(r"(?<![0-9.][eE])([+-])")
 
 
 def parse_poly_expr(expr: str, dim: int) -> Coeffs:
-    """Parse expressions like ``"x1*x2 + 0.5*x1^2 - 2"`` into an exponent
-    dict over ``dim`` variables (variables are 1-indexed)."""
-    s = expr.replace("-", "+-").strip()
-    if s.startswith("+"):
-        s = s[1:]
+    """Parse expressions like ``"x1*x2 + 0.5*x1^2 - 2e-3"`` into an
+    exponent dict over ``dim`` variables (variables are 1-indexed)."""
+    parts = _SIGN_RE.split(expr)
     coeffs: Coeffs = {}
-    for raw in s.split("+"):
+    # parts alternate term, sign, term, ...; the first term has no sign
+    for n, (sign, raw) in enumerate(zip(["+"] + parts[1::2], parts[0::2])):
         term = raw.strip()
         if not term:
-            continue
-        sign = 1.0
-        if term.startswith("-"):
-            sign = -1.0
-            term = term[1:].strip()
+            if n == 0:
+                continue
+            raise ParseError(f"polynomial {expr.strip()!r} has a sign with no term after it")
         m = _TERM_RE.match(term)
         if m is None:
-            raise ParseError(f"cannot parse polynomial term {raw.strip()!r}")
-        coef = sign * (float(m.group(1)) if m.group(1) else 1.0)
+            raise ParseError(f"cannot parse polynomial term {term!r}")
+        try:
+            coef = float(m.group(1)) if m.group(1) else 1.0
+        except ValueError:
+            raise ParseError(f"cannot parse the number {m.group(1)!r} in polynomial "
+                             f"term {term!r}") from None
         exps = [0] * dim
         for vm in _VAR_RE.finditer(m.group(2) or ""):
             i = int(vm.group(1))
@@ -127,7 +125,7 @@ def parse_poly_expr(expr: str, dim: int) -> Coeffs:
                 raise ParseError(f"variable x{i} outside dimension {dim}")
             exps[i - 1] += int(vm.group(2)) if vm.group(2) else 1
         key = tuple(exps)
-        coeffs[key] = coeffs.get(key, 0.0) + coef
+        coeffs[key] = coeffs.get(key, 0.0) + (-coef if sign == "-" else coef)
     return {k: v for k, v in coeffs.items() if v != 0.0}
 
 
@@ -140,13 +138,35 @@ class LinearFormPoly:
     terms: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     dim: int
 
+    def __post_init__(self):
+        # the directions as a (T, dim) stack and the coefficient vectors as
+        # (T, width) rows; a shorter vector is padded with zero leading
+        # coefficients, which keep Horner's running value at +0.0
+        bs = [b for _a, b in self.terms]
+        B = np.zeros((len(bs), max(map(len, bs), default=1)))
+        for i, b in enumerate(bs):
+            B[i, :len(b)] = b
+        A = np.array([a for a, _b in self.terms], dtype=float).reshape(-1, self.dim)
+        object.__setattr__(self, "_stacked", (A, B))
+
     def __call__(self, x):
-        """h at a point, or at each row of an (N, dim) stack (bit for bit)."""
+        """h at a point, or at each row of an (N, dim) stack.
+
+        Bit for bit the per-term sum of ``np.polyval(b[::-1], np.vecdot(x,
+        a))`` in term order: one ``vecdot`` per (row, term) pair, Horner's
+        loop over every term at once (``np.polyval``'s own loop), then one
+        addition per term, not ``np.sum``, whose pairwise sum rounds
+        differently."""
         x = np.asarray(x, dtype=float)
         x = x if x.ndim == 2 else x.ravel()
+        A, B = self._stacked
+        z = np.vecdot(x[..., None, :], A)
+        y = np.zeros_like(z)
+        for coefficients in B.T[::-1]:
+            y = y * z + coefficients
         total = np.zeros(x.shape[:-1])
-        for a, b in self.terms:
-            total = total + np.polyval(b[::-1], np.vecdot(x, a))
+        for term in y.T:
+            total = total + term
         return total if x.ndim == 2 else float(total)
 
 

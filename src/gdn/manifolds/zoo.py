@@ -460,6 +460,20 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
     ha, hc = 0.5 * a, 0.5 * c
     m, d = ha + hc, ha - hc
     r = np.hypot(d, b)
+    undo = None
+    if "exp" not in kinds and _any(m > 2.0 ** 1022):
+        # the large eigenvalue m + r may pass the float maximum (r < m where
+        # S is positive definite).  The rows where it does take the forms
+        # on S / 4, exactly, and the scale is undone below: log adds log 4
+        # to alpha, sqrt doubles alpha and gamma and sqrt^-1 halves them.
+        # exp of such a matrix overflows either way
+        with np.errstate(over="ignore"):
+            over = m + r == np.inf
+        if _any(over):
+            scale = np.where(over, 0.25, 1.0)
+            a, b, c, m, d = (scale * t for t in (a, b, c, m, d))
+            r = np.hypot(d, b)
+            undo = np.where(over, 2.0, 1.0)
     r1 = r + (r == 0.0)  # r = 0 leaves d = b = 0: divide by 1, not by 0
     hi = m + r
     if positive is not None or "exp" not in kinds:
@@ -473,7 +487,8 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
         h = h + (h == 0.0)
         lo = (np.maximum(a, c) / h) * np.minimum(a, c) - (b / h) * b
         if positive is not None and _any(~((m > 0.0) & (lo > 0.0))):
-            _positive(np.where(m > 0.0, lo, m - r), positive)
+            low = np.where(m > 0.0, lo, m - r)
+            _positive(low if undo is None else low * undo * undo, positive)
     u, v = d / r1, b / r1
     out = []
     for kind in kinds:
@@ -499,6 +514,8 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
             if _any(x == np.inf):
                 g = np.where(x == np.inf, math.log(2.0) + np.log(r) - np.log(lo), g)
             alpha, gamma = 0.5 * (np.log(hi) + np.log(lo)), 0.5 * g
+            if undo is not None:
+                alpha = alpha + 2.0 * np.log(undo)
         else:
             sh, sl = np.sqrt(hi), np.sqrt(lo)
             if kind == "sqrt":
@@ -507,6 +524,9 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
                 # sqrt's gamma over sl sh, whose product stays in range
                 # where (sl + sh) sl sh does not
                 alpha, gamma = 0.5 * (1.0 / sh + 1.0 / sl), -(r / (sl + sh)) / (sl * sh)
+            if undo is not None:
+                alpha, gamma = ((alpha * undo, gamma * undo) if kind == "sqrt"
+                                else (alpha / undo, gamma / undo))
         F = np.empty(S.shape)
         F[..., 0, 0] = alpha + gamma * u
         F[..., 1, 1] = alpha - gamma * u

@@ -461,6 +461,10 @@ class TestUsageErrors:
         for needle in needles:
             assert needle in err
 
+    def test_malformed_poly_coefficient(self, capsys):
+        argv = [a if a != "poly:x1*x2" else "poly:1.5.2*x1" for a in self.COMPILE]
+        self.assert_usage_error(capsys, argv, "'1.5.2'")
+
     def test_verticalize_needs_two_numbers(self, capsys):
         self.assert_usage_error(capsys, self.COMPILE + ["--verticalize", "1"],
                                 "--verticalize", "'1'")

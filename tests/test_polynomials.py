@@ -92,19 +92,26 @@ class TestArrayKernels:
                 got, want = poly_eval(coeffs, pts), elementwise_poly_eval(coeffs, pts)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("e", range(2, 13))
+    @pytest.mark.parametrize("e", [*range(2, 14), 17, 30])
     def test_poly_eval_powers_are_the_per_element_pow(self, e, rng):
         # random bit patterns of either sign whose e-th power is finite,
-        # with +-0.0, subnormals, values near 1 and the largest such values
+        # with +-0.0, subnormals, values near 1 and the largest such values;
+        # on a contiguous column, on the strided middle column of a C-ordered
+        # (N, 3) stack (what x.T hands over) and on single points
         top = 2.0 ** (1000 / e)
         bits = rng.integers(0, 2 ** 63, 20_000, dtype=np.uint64).view(np.float64)
         xs = bits[np.isfinite(bits) & (np.abs(bits) < top)]
-        special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-20,
-                   1.0 - 2 ** -53, 1.0, 1.0 + 2 ** -52, 1.5, 1e25, top]
-        xs = np.concatenate([xs, special, np.negative(special)])
+        special = [t for t in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-20,
+                               1.0 - 2 ** -53, 1.0, 1.0 + 2 ** -52, 1.5, 1e25) if t < top]
+        xs = np.concatenate([xs, special + [top], np.negative(special + [top])])
         want = np.array([pow(t, e) for t in xs.tolist()])
         got = poly_eval({(e,): 1.0}, xs[:, None])
         assert got.tobytes() == want.tobytes()
+        stack = np.column_stack([rng.standard_normal(len(xs)), xs, rng.standard_normal(len(xs))])
+        assert poly_eval({(0, e, 0): 1.0}, stack).tobytes() == want.tobytes()
+        for t, w in zip(xs[-40:], want[-40:]):
+            got = poly_eval({(e,): 1.0}, np.array([t]))
+            assert got.shape == () and got.tobytes() == w.tobytes()
 
     def test_poly_eval_power_overflow_is_inf(self):
         # as numpy's scalar power gives it, where Python's float pow raises
@@ -182,3 +189,14 @@ class TestParsePoly:
             parse_poly_expr("x1**2", 2)
         with pytest.raises(ParseError):
             parse_poly_expr("x5", 2)
+
+    def test_exponent_notation_coefficients(self):
+        assert parse_poly_expr("1e-3*x1", 1) == {(1,): 1e-3}
+        assert parse_poly_expr("2.5E+3*x1^2", 1) == {(2,): 2.5e3}
+        got = parse_poly_expr("x1 - 1.5e-2*x2^2 + 2E3 - .5e+1x1*x2", 2)
+        assert got == {(1, 0): 1.0, (0, 2): -1.5e-2, (0, 0): 2e3, (1, 1): -5.0}
+
+    @pytest.mark.parametrize("expr", ["1.5.2*x1", "1e*x1", "e-3*x1", "x1 +", "x1 - - x2", "-"])
+    def test_bad_numbers_and_dangling_signs(self, expr):
+        with pytest.raises(ParseError):
+            parse_poly_expr(expr, 2)

@@ -167,25 +167,33 @@ def test_poly_eval_rows_equal_per_point(rng, dim):
 
 
 def test_poly_eval_powers_are_scalar_powers():
-    # numpy's vector power rounds differently from the scalar one on part
-    # of these inputs (77 of 100k standard normals at exponent 2, 2,728 at
-    # exponent 3 with numpy 2.4.6 on x86-64), so a vector ** fails here
+    # np.power, numpy's vector **, rounds differently from Python's pow on
+    # part of these inputs (77 of 100k standard normals at exponent 2, 2,728
+    # at exponent 3 with numpy 2.4.6 on x86-64), so it fails here;
+    # np.float_power calls libm's pow, which Python's pow also calls
     x = np.random.default_rng(0).standard_normal(20_000)
     for e in (2, 3):
         want = np.array([t ** e for t in x])
         np.testing.assert_array_equal(poly_eval({(e,): 1.0}, x[:, None]), want)
 
 
-@pytest.mark.parametrize("expr,dim", [
-    ("x1*x2*x3", 3), ("x1^2-x2^2+x1*x2", 2), ("x1^3-x1+0.5", 1),
-    ("x1^2*x2+3*x2^3-x1*x2*x3+2", 3),
+@pytest.mark.parametrize("expr,dim,n", [
+    pytest.param("x1*x2*x3", 3, 300, id="x1*x2*x3-3"),
+    pytest.param("x1^2-x2^2+x1*x2", 2, 300, id="x1^2-x2^2+x1*x2-2"),
+    pytest.param("x1^3-x1+0.5", 1, 300, id="x1^3-x1+0.5-1"),
+    pytest.param("x1^2*x2+3*x2^3-x1*x2*x3+2", 3, 300, id="x1^2*x2+3*x2^3-x1*x2*x3+2-3"),
+    # 48 terms
+    pytest.param("x1^8-2*x1^3*x2^5+x1^2*x2^2*x3^4-0.5*x2^7*x3+3*x3^8+x1*x2*x3-1", 3, 300,
+                 id="degree-8"),
+    pytest.param("0", 2, 300, id="zero-polynomial"),
+    pytest.param("x1^2*x2-x2^3+x1", 2, 0, id="empty-stack"),
 ])
-def test_linear_form_poly_rows_equal_per_point(rng, expr, dim):
+def test_linear_form_poly_rows_equal_per_point(rng, expr, dim, n):
     coeffs = parse_poly_expr(expr, dim)
-    lf = decompose_polynomial(coeffs, max(sum(e) for e in coeffs), dim)
-    points = rng.uniform(-1.5, 1.5, (300, dim))
+    lf = decompose_polynomial(coeffs, max((sum(e) for e in coeffs), default=1), dim)
+    points = rng.uniform(-1.5, 1.5, (n, dim))
     assert_rows_exact(lf, lambda x: per_point_linear_form_poly(lf, x), points)
-    assert isinstance(lf(points[0]), float)
+    assert isinstance(lf(np.ones(dim)), float)
     assert lf(np.zeros((0, dim))).shape == (0,)
 
 

@@ -214,6 +214,29 @@ class TestSPD2ClosedForms:
         want = np.diag(np.log(w))
         assert np.abs(L - want).max() <= 4.0 * 2.0 ** -53 * np.abs(want).max()
 
+    def test_eigenvalue_past_the_float_maximum(self, rng):
+        # eigenvalues 1.8e308 and 1.6e308: m + r overflows, so the forms run
+        # on A / 4 and undo the scale; the other rows of a stack keep their bits
+        A = np.array([[1.7e308, 1e307], [1e307, 1.7e308]])
+        others = np.array([random_spd(2, rng) for _ in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("log", "sqrt", "invsqrt"):
+                (F,) = _spd_functions(A, kind, positive="not SPD:")
+                assert _relative_error(F, _reference_2x2(kind, A)) <= 4.0 * 2.0 ** -53, kind
+                (G,) = _spd_functions(np.array([others[0], A, others[1], others[2]]), kind,
+                                      positive="not SPD:")
+                assert G[1].tobytes() == F.tobytes()
+                assert G[[0, 2, 3]].tobytes() == _spd_functions(others, kind)[0].tobytes()
+        # one that is not positive definite is refused with its own eigenvalue
+        B = np.array([[1.7e308, 1.65e308], [1.65e308, 1.0e308]])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            a, b, c = (Decimal(t) for t in (1.7e308, 1.65e308, 1.0e308))
+            want = f"not SPD: {float((a + c) / 2 - (((a - c) / 2) ** 2 + b * b).sqrt()):.6e}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            _spd_functions(B, "sqrt", positive="not SPD:")
+
     @pytest.mark.parametrize("w", [[-1605.0, 5.0], [-1e308, -1e308]],
                              ids=["mean-underflows", "trace-overflows"])
     def test_exp_of_a_diagonal_out_of_range(self, w):
