@@ -1,28 +1,26 @@
 """Dataset efficiency certification.
 
 Given manifold data pulled back through the basepoint charts, the
-certifier checks normalizability (chart image inside the unit cube),
-constructs the interpolating polynomial witness in the one-dimensional
-case, and verifies the Whitney-type compatibility conditions against
-user-supplied candidate polynomials otherwise.
+certifier checks normalizability (chart image inside the unit cube) and,
+on one-dimensional charts, builds the interpolating polynomial witness by
+one Vandermonde solve.  One polynomial shared by every point satisfies
+the pairwise compatibility conditions trivially, so the certificate
+checks the interpolation residual and the shared derivative bound M.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DomainError, UnsupportedError, ValidationError
+from ..errors import DomainError, NumericError, UnsupportedError, ValidationError
 from ..manifolds.core import ManifoldSpec
 from ..manifolds.zoo import as_point, chart_at
-from .polynomials import poly_derivative, poly_eval, poly_total_degree
+from .polynomials import poly_derivative, poly_eval
 
 __all__ = ["EfficiencyCertificate", "certify_efficient"]
-
-PolyDict = Dict[Tuple[int, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -76,37 +74,6 @@ def _c_star(count: int, C: int) -> int:
     return int(math.floor(math.exp(threshold)))
 
 
-def _multi_indices(p: int, max_order: int):
-    for beta in product(range(max_order + 1), repeat=p):
-        if sum(beta) <= max_order:
-            yield beta
-
-
-def _derivative_table(poly: PolyDict, p: int, max_order: int):
-    table: Dict[Tuple[int, ...], PolyDict] = {(0,) * p: poly}
-    for beta in sorted(_multi_indices(p, max_order), key=sum):
-        if beta in table:
-            continue
-        axis = next(i for i, b in enumerate(beta) if b > 0)
-        parent = list(beta)
-        parent[axis] -= 1
-        table[beta] = poly_derivative(table[tuple(parent)], axis)
-    return table
-
-
-def _lagrange_1d(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Coefficient rows (ascending degree) of the interpolating polynomial
-    through (xs, ys[:, j]) for each output component j."""
-    N, m = ys.shape
-    coeffs = np.zeros((N, m))
-    for c in range(N):
-        others = np.delete(xs, c)
-        basis = np.poly(others) if others.size else np.array([1.0])  # descending
-        denom = float(np.prod(xs[c] - others)) if others.size else 1.0
-        coeffs += np.outer(basis[::-1] / denom, ys[c])[:N]
-    return coeffs
-
-
 def _stack(points: Sequence, spec: ManifoldSpec) -> np.ndarray:
     # the points as one (N, point_dim) stack
     rows = [np.asarray(pt, dtype=float).ravel() for pt in points]
@@ -117,16 +84,16 @@ def _stack(points: Sequence, spec: ManifoldSpec) -> np.ndarray:
 
 def certify_efficient(dataset: Sequence, values: Sequence,
                       domain: ManifoldSpec, codomain: ManifoldSpec,
-                      base_x, base_y,
-                      candidates: Optional[Sequence[PolyDict]] = None,
-                      n: Optional[int] = None) -> EfficiencyCertificate:
+                      base_x, base_y) -> EfficiencyCertificate:
     """Certify a finite dataset as n-efficient for the sampled map.
 
-    Without candidates (one-dimensional charts only) the certifier builds
-    the Lagrange interpolant through the chart data, computes the shared
-    derivative bound M, and emits n = #dataset - 1.  With candidates it
-    verifies interpolation (to 1e-8), the shared derivative bound, and the
-    pairwise compatibility inequalities with exponent n p - |beta|.
+    The certifier pulls the data back through the basepoint charts and
+    checks normalizability.  On a one-dimensional chart it solves the
+    Vandermonde system for the monomial coefficients of the polynomial
+    through the chart data, computes the shared derivative bound M from
+    that one polynomial, and emits n = #dataset - 1; a residual above 1e-10
+    or an M that is not finite leaves the certificate uncertified.  Higher
+    dimensions are not implemented.
     """
     if len(dataset) == 0 or len(dataset) != len(values):
         raise ValidationError("dataset and values must be non-empty and aligned")
@@ -167,94 +134,54 @@ def certify_efficient(dataset: Sequence, values: Sequence,
             witness_box=[(float(a), float(b)) for a, b in zip(lo, hi)],
             notes=["chart image outside the unit cube"],
         )
+    if p != 1:
+        raise UnsupportedError(
+            f"certification is implemented on one-dimensional charts only, not p = {p}"
+        )
 
     count = len(dataset)
-
-    if candidates is None:
-        if p != 1:
-            raise UnsupportedError(
-                "the constructive interpolation path is one-dimensional only; "
-                "supply candidate polynomials for p > 1"
-            )
-        n_eff = max(count - 1, 1)
-        C = math.comb(p + n_eff * p, p)
-        xs1 = X[:, 0]
-        if np.unique(xs1).size != count:
-            raise ValidationError("chart abscissae must be distinct for interpolation")
-        coeff_rows = _lagrange_1d(xs1, Y)
-        poly: PolyDict = {(d,): coeff_rows[d] for d in range(count)
-                          if np.any(coeff_rows[d] != 0.0) or d == 0}
+    n_eff = max(count - 1, 1)
+    C = n_eff + 1  # C(p + n p, p) at p = 1
+    xs1 = X[:, 0]
+    if np.unique(xs1).size != count:
+        raise ValidationError("chart abscissae must be distinct for interpolation")
+    try:
+        # LU with partial pivoting is backward stable (Higham 2002, ch. 22):
+        # the coefficients solve a nearby system, so the residual is that of
+        # rounding the terms c_d x^d
+        coeff_rows = np.linalg.solve(np.vander(xs1, count, increasing=True), Y)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(
+            f"the Vandermonde matrix of the {count} chart abscissae is singular"
+        ) from e
+    poly = {(d,): coeff_rows[d] for d in range(count)
+            if np.any(coeff_rows[d] != 0.0) or d == 0}
+    # coefficients past the float range leave inf or NaN, which the gates
+    # below refuse
+    with np.errstate(over="ignore", invalid="ignore"):
         resid = float(np.max(np.abs(poly_eval(poly, X) - Y)))
-        max_order = p * count
-        table = _derivative_table(poly, p, max_order)
-        deriv_sum = 0.0
-        deriv_max = 0.0
-        for beta, dpoly in table.items():
-            if sum(beta) == 0:
-                continue
+        deriv_sum = deriv_max = 0.0
+        dpoly = poly
+        for _order in range(count):
+            dpoly = poly_derivative(dpoly, 0)
             biggest = float(np.max(np.abs(poly_eval(dpoly, X))))
             deriv_sum += biggest
             deriv_max = max(deriv_max, biggest)
         diam = float(np.max(xs1) - np.min(xs1))  # the largest |xs1[i] - xs1[j]|
-        span = float(np.max(np.abs(xs1))) if count else 1.0
+        span = float(np.max(np.abs(xs1)))
         zs = np.linspace(-span, span, 201)
         sup_val = float(np.max(np.abs(poly_eval(poly, zs[:, None]))))
         M = 2.0 * diam * sup_val + deriv_sum
-        notes: List[str] = []
-        if resid > 1e-10:
-            notes.append(f"interpolation residual {resid:.3e} exceeds 1e-10")
-        if deriv_max > M + 1e-12:
-            notes.append("derivative bound M does not dominate the derivatives")
-        return EfficiencyCertificate(
-            normalizable=True, witness_base=base_list, n=n_eff,
-            M=M, C=C, C_star=_c_star(count, C),
-            interpolation_residual=resid, notes=notes,
-            polynomial=coeff_rows.tolist(),
-        )
-
-    # -- candidate verification path ------------------------------------
-    if n is None:
-        raise ValidationError("candidate verification requires the efficiency order n")
-    if len(candidates) != count:
-        raise ValidationError("one candidate polynomial per dataset point is required")
-    max_order = n * p
-    C = math.comb(p + max_order, p)
-    c_star = _c_star(count, C)
-    notes = []
-
-    for i, cand in enumerate(candidates):
-        if poly_total_degree({k: 0.0 for k in cand}) > max_order:
-            notes.append(f"candidate {i} exceeds degree {max_order}")
-    resid = max(
-        float(np.max(np.abs(np.asarray(poly_eval(candidates[c], X[c]), dtype=float)
-                            - Y[c])))
-        for c in range(count)
-    )
-    if resid > 1e-8:
-        notes.append(f"interpolation residual {resid:.3e} exceeds 1.0e-08")
-
-    tables = [_derivative_table(cand, p, max_order) for cand in candidates]
-    M = 0.0
-    for c in range(count):
-        for beta, dpoly in tables[c].items():
-            M = max(M, float(np.max(np.abs(np.asarray(
-                poly_eval(dpoly, X[c]), dtype=float)))))
-
-    def incompatible(c: int, j: int, beta: Tuple[int, ...]) -> bool:
-        gap = float(np.linalg.norm(X[c] - X[j]))
-        dc = np.asarray(poly_eval(tables[c][beta], X[c]), dtype=float)
-        dj = np.asarray(poly_eval(tables[j][beta], X[c]), dtype=float)
-        return float(np.max(np.abs(dc - dj))) > M * gap ** (max_order - sum(beta)) + 1e-12
-
-    failed = next(((c, j, beta) for c in range(count) for j in range(count) if c != j
-                   for beta in _multi_indices(p, max_order) if incompatible(c, j, beta)),
-                  None)
-    if failed is not None:
-        c, j, beta = failed
-        notes.append(f"compatibility failed for pair ({c},{j}) at |beta|={sum(beta)}")
-
+    notes: List[str] = []
+    if not resid <= 1e-10:
+        notes.append(f"interpolation residual {resid:.3e} exceeds 1e-10")
+    if not math.isfinite(M):
+        notes.append(f"derivative bound M is {M}")
+    elif not deriv_max <= M + 1e-12:
+        notes.append("derivative bound M does not dominate the derivatives")
     return EfficiencyCertificate(
-        normalizable=True, witness_base=base_list,
-        n=None if notes else n, M=M, C=C, C_star=c_star,
+        normalizable=True, witness_base=base_list, n=n_eff,
+        M=M, C=C, C_star=_c_star(count, C),
         interpolation_residual=resid, notes=notes,
+        polynomial=coeff_rows.tolist(),
     )

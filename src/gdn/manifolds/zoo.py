@@ -459,14 +459,21 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
     # halved first, so that no sum overflows (a subnormal half may round)
     ha, hc = 0.5 * a, 0.5 * c
     m, d = ha + hc, ha - hc
-    r = np.hypot(d, b)
+    # r may pass the float maximum only where |d| or |b| passes 2^1022; the
+    # compares cost less than an errstate on every call of this hot path
+    wide = _any(abs(d) > 2.0 ** 1022) or _any(abs(b) > 2.0 ** 1022)
+    if wide:
+        with np.errstate(over="ignore"):
+            r = np.hypot(d, b)
+    else:
+        r = np.hypot(d, b)
     undo = None
-    if "exp" not in kinds and _any(m > 2.0 ** 1022):
+    if "exp" not in kinds and (wide or _any(m > 2.0 ** 1022)):
         # the large eigenvalue m + r may pass the float maximum (r < m where
-        # S is positive definite).  The rows where it does take the forms
-        # on S / 4, exactly, and the scale is undone below: log adds log 4
-        # to alpha, sqrt doubles alpha and gamma and sqrt^-1 halves them.
-        # exp of such a matrix overflows either way
+        # S is positive definite), and r itself may.  The rows where either
+        # does take the forms on S / 4, exactly, and the scale is undone
+        # below: log adds log 4 to alpha, sqrt doubles alpha and gamma and
+        # sqrt^-1 halves them.  exp of such a matrix overflows either way
         with np.errstate(over="ignore"):
             over = m + r == np.inf
         if _any(over):
@@ -488,7 +495,11 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
         lo = (np.maximum(a, c) / h) * np.minimum(a, c) - (b / h) * b
         if positive is not None and _any(~((m > 0.0) & (lo > 0.0))):
             low = np.where(m > 0.0, lo, m - r)
-            _positive(low if undo is None else low * undo * undo, positive)
+            if undo is not None:
+                # an eigenvalue past the float range is named as -inf
+                with np.errstate(over="ignore"):
+                    low = low * undo * undo
+            _positive(low, positive)
     u, v = d / r1, b / r1
     out = []
     for kind in kinds:

@@ -104,7 +104,15 @@ def resolve_target(name: str, domain: ManifoldSpec, base_x,
         polys = [parse_poly_expr(e, domain.dim) for e in exprs]
 
         def evaluate(x: np.ndarray) -> np.ndarray:
-            return np.stack([poly_eval(c, x) for c in polys], axis=-1)
+            # a power past the float range gives inf (and inf - inf NaN),
+            # refused here rather than as a non-finite codomain point
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.stack([poly_eval(c, x) for c in polys], axis=-1)
+            if not np.isfinite(out).all():
+                finite = np.isfinite(out).all(axis=-1).ravel()
+                point = np.reshape(x, (-1, domain.point_dim))[np.argmin(finite)]
+                raise ValidationError(f"target {name} overflows at {point.tolist()}")
+            return out
 
         return Target(name, evaluate, len(polys))
 

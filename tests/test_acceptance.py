@@ -256,8 +256,7 @@ def test_criterion_11_efficiency_certification():
 
     e2 = resolve_manifold("euclidean:2")
     bad = certify_efficient([np.array([1.2, 0.3])], [np.zeros(2)], e2, e2,
-                            np.zeros(2), np.zeros(2),
-                            candidates=[{(0, 0): np.zeros(2)}], n=1)
+                            np.zeros(2), np.zeros(2))
     assert not bad.normalizable
     assert bad.witness_box == [(0.0, 1.2), (0.0, 0.3)]
     report(11, True, f"3-point dataset certifies with n=2 (residual "

@@ -6,7 +6,7 @@ import pytest
 
 from gdn.approx.certify import certify_efficient
 from gdn.approx.polynomials import poly_derivative, poly_eval
-from gdn.errors import DomainError, UnsupportedError, ValidationError
+from gdn.errors import DomainError, NumericError, UnsupportedError, ValidationError
 from gdn.manifolds.core import resolve_manifold
 
 E1 = resolve_manifold("euclidean:1")
@@ -48,8 +48,7 @@ class TestLagrangePath:
     def test_denormalized_rejected_with_witness(self):
         dataset = [np.array([1.2, 0.3])]
         values = [np.array([0.0, 0.0])]
-        cert = certify_efficient(dataset, values, E2, E2, np.zeros(2), np.zeros(2),
-                                 candidates=[{(0, 0): np.zeros(2)}], n=1)
+        cert = certify_efficient(dataset, values, E2, E2, np.zeros(2), np.zeros(2))
         assert not cert.normalizable
         assert not cert.certified
         assert cert.witness_box == [(0.0, 1.2), (0.0, 0.3)]
@@ -82,79 +81,82 @@ class TestLagrangePath:
     def test_points_of_the_wrong_length_rejected(self):
         with pytest.raises(ValidationError, match="length 2"):
             certify_efficient([np.zeros(2), np.zeros(3)], [np.zeros(2)] * 2,
-                              E2, E2, np.zeros(2), np.zeros(2),
-                              candidates=[{(0, 0): np.zeros(2)}] * 2, n=1)
+                              E2, E2, np.zeros(2), np.zeros(2))
 
     def test_sphere_dataset_uses_intrinsic_chart(self):
-        # ambient tangents are 3-vectors; the certifier must work in the
-        # 2-dimensional intrinsic frame
-        s2 = resolve_manifold("sphere:2")
-        north = np.array([0.0, 0.0, 1.0])
+        # ambient points and tangents are 2-vectors; the certifier must work
+        # in the 1-dimensional intrinsic frame, where the identity map is z
+        s1 = resolve_manifold("sphere:1")
+        base = np.array([0.0, 1.0])
         from gdn.manifolds.zoo import chart_at, exp_map
-        E = chart_at(s2, north).frame
-        pts = [exp_map(s2, north, E @ np.array(u))
-               for u in ([0.1, 0.2], [0.4, 0.1], [0.2, 0.6])]
-        cert = certify_efficient(pts, pts, s2, s2, north, north,
-                                 candidates=[{(1, 0): np.array([1.0, 0.0]),
-                                              (0, 1): np.array([0.0, 1.0])}] * 3,
-                                 n=1)
+        E = chart_at(s1, base).frame
+        pts = [exp_map(s1, base, E @ np.array([u])) for u in (0.1, 0.4, 0.7)]
+        cert = certify_efficient(pts, pts, s1, s1, base, base)
         assert cert.normalizable
         assert cert.certified
+        np.testing.assert_allclose(np.array(cert.polynomial).ravel(),
+                                   [0.0, 1.0, 0.0], atol=1e-12)
 
-    def test_multidim_needs_candidates(self):
-        with pytest.raises(UnsupportedError):
+    def test_multidim_is_refused(self):
+        with pytest.raises(UnsupportedError, match="p = 2") as info:
             certify_efficient([np.zeros(2)], [np.zeros(2)], E2, E2,
                               np.zeros(2), np.zeros(2))
-
-
-class TestCandidatePath:
-    def test_shared_polynomial_passes(self):
-        # both points carry the same quadratic, so compatibility is exact
-        poly = {(2,): np.array([1.0]), (0,): np.array([0.0])}
-        dataset = [np.array([0.2]), np.array([0.8])]
-        values = [np.array([0.04]), np.array([0.64])]
-        cert = certify_efficient(dataset, values, E1, E1, np.zeros(1), np.zeros(1),
-                                 candidates=[poly, poly], n=2)
-        assert cert.certified
-        assert cert.C == math.comb(1 + 2, 1)
-
-    def test_p2_candidates(self):
-        poly = {(1, 1): np.array([1.0, 0.0]), (0, 0): np.array([0.0, 0.5])}
-        dataset = [np.array([0.2, 0.5]), np.array([0.6, 0.1])]
-        values = [np.array([float(poly_eval(poly, x)[0]), float(poly_eval(poly, x)[1])])
-                  for x in dataset]
-        cert = certify_efficient(dataset, values, E2, E2, np.zeros(2), np.zeros(2),
-                                 candidates=[poly, poly], n=1)
-        assert cert.certified
-
-    def test_interpolation_failure_noted(self):
-        poly = {(0,): np.array([0.0])}
-        dataset = [np.array([0.5])]
-        values = [np.array([1.0])]
-        cert = certify_efficient(dataset, values, E1, E1, np.zeros(1), np.zeros(1),
-                                 candidates=[poly], n=1)
-        assert not cert.certified
-        assert any("interpolation" in note for note in cert.notes)
-
-    def test_incompatible_candidates_noted(self):
-        # wildly different polynomials at nearby points break condition (iii)
-        p1 = {(0,): np.array([0.0])}
-        p2 = {(0,): np.array([0.001]), (1,): np.array([500.0])}
-        dataset = [np.array([0.0]), np.array([0.001])]
-        values = [np.array([0.0]), np.array([0.501])]
-        cert = certify_efficient(dataset, values, E1, E1, np.zeros(1), np.zeros(1),
-                                 candidates=[p1, p2], n=1)
-        assert not cert.certified
-        assert any("compatibility" in note for note in cert.notes)
-
-    def test_candidates_need_n(self):
-        with pytest.raises(ValidationError):
-            certify_efficient([np.zeros(1)], [np.zeros(1)], E1, E1,
-                              np.zeros(1), np.zeros(1),
-                              candidates=[{(0,): np.zeros(1)}])
+        assert "candidate" not in str(info.value)
 
     def test_c_star_saturates_at_dataset_size(self):
         dataset = [np.array([t]) for t in np.linspace(0.0, 1.0, 4)]
         values = [np.array([0.0]) for _ in dataset]
         cert = certify_efficient(dataset, values, E1, E1, np.zeros(1), np.zeros(1))
         assert cert.C_star == 4
+
+
+def _certify_1d(xs, ys):
+    # the dataset of abscissae xs with values ys (a float or m outputs each)
+    ys = [np.atleast_1d(y) for y in ys]
+    m = ys[0].size
+    return certify_efficient([np.array([x]) for x in xs], ys, E1,
+                             resolve_manifold(f"euclidean:{m}"), np.zeros(1), np.zeros(m))
+
+
+class TestVandermondeSolve:
+    @pytest.mark.parametrize("count", range(2, 31))
+    def test_sin_on_equispaced_points_certifies(self, count):
+        # the monomial Lagrange builder left residuals past 1e-10 from 10 points
+        xs = np.linspace(0.0, 1.0, count)
+        cert = _certify_1d(xs, np.sin(3.0 * xs))
+        assert cert.certified, cert.notes
+        assert cert.n == count - 1
+        assert cert.interpolation_residual <= 1e-13
+
+    def test_seeded_eight_points_certify(self):
+        # refused by the Lagrange builder with a residual of 1.18e-10
+        rng = np.random.default_rng(1)
+        xs, ys = rng.random(8), rng.random(8)
+        cert = _certify_1d(xs, ys)
+        assert cert.certified, cert.notes
+        assert cert.interpolation_residual <= 1e-10
+
+    def test_cubic_with_two_outputs_recovers_coefficients(self):
+        coeffs = np.array([[0.5, -1.0], [2.0, 0.25], [-3.0, 0.0], [1.5, 4.0]])
+        xs = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+        ys = np.vander(xs, 4, increasing=True) @ coeffs
+        cert = _certify_1d(xs, ys)
+        assert cert.certified
+        got = np.array(cert.polynomial)
+        assert got.shape == (5, 2)
+        np.testing.assert_allclose(got, np.vstack([coeffs, np.zeros((1, 2))]), atol=1e-12)
+
+    def test_singular_vandermonde_raises(self):
+        # x^2 underflows to 0 at both nonzero abscissae
+        with pytest.raises(NumericError, match="Vandermonde matrix of the 3 chart "
+                                               "abscissae is singular"):
+            _certify_1d([0.0, 1e-200, 2e-200], [0.0, 1.0, 0.0])
+
+    def test_non_finite_results_are_never_certified(self):
+        # a solve that overflows leaves NaN residual and M, without a warning
+        cert = _certify_1d([0.0, 1e-160, 2e-160], [0.0, 1.0, 0.0])
+        assert not math.isfinite(cert.interpolation_residual)
+        assert not math.isfinite(cert.M)
+        assert not cert.certified
+        assert any("interpolation residual" in note for note in cert.notes)
+        assert any("derivative bound M is" in note for note in cert.notes)

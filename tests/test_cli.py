@@ -289,6 +289,14 @@ class TestCompileAndEval:
         assert all(r > 0.05 for r in residuals)
         assert residuals == sorted(residuals, reverse=True)
 
+    def test_target_overflow_exits_2_with_one_line(self, capsys):
+        # (-7.5)^400 passes the float range: the first such point the oracle sees
+        code, out, err = run(capsys, "compile", "--target", "poly:x1^400",
+                             "--domain", "euclidean:1", "--codomain", "euclidean:1",
+                             "--base-x", "[0]", "--radius", "10", "--eps", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: target poly:x1^400 overflows at [-7.5]\n"
+
     def test_unknown_target_exits_2(self, capsys):
         code, _, err = run(capsys, "compile", "--target", "frobnicate",
                            "--domain", "euclidean:1", "--codomain", "euclidean:1",
@@ -312,8 +320,7 @@ class TestCertify:
         assert cert["certified"] and cert["n"] == 2
 
     def test_n_is_not_an_option(self, capsys, tmp_path):
-        # the order n is read only with candidate polynomials, which the
-        # command does not take
+        # the order n is the dataset size less one, not an option
         ds = tmp_path / "ds.csv"
         ds.write_text("0\n0.5\n1\n")
         with pytest.raises(SystemExit) as info:
@@ -322,6 +329,20 @@ class TestCertify:
                   "--base-x", "[0]", "--base-y", "[0]", "--n", "7"])
         assert info.value.code == 2
         assert "unrecognized arguments: --n 7" in capsys.readouterr().err
+
+    def test_singular_vandermonde_exits_1(self, capsys, tmp_path):
+        # x^2 underflows to 0 at both nonzero abscissae
+        ds = tmp_path / "ds.csv"
+        vals = tmp_path / "vals.csv"
+        ds.write_text("0\n1e-200\n2e-200\n")
+        vals.write_text("0\n1\n0\n")
+        code, out, err = run(capsys, "certify", "--dataset", str(ds),
+                             "--values", str(vals), "--domain", "euclidean:1",
+                             "--codomain", "euclidean:1", "--base-x", "[0]",
+                             "--base-y", "[0]")
+        assert (code, out) == (1, "")
+        assert err == ("error: the Vandermonde matrix of the 3 chart abscissae "
+                       "is singular\n")
 
     def test_malformed_csv_names_line(self, capsys, tmp_path):
         ds = tmp_path / "ds.csv"

@@ -6,7 +6,8 @@ help and version, an argv that does not start with a command, arguments
 left over, and ``cmd_estimate``'s usage errors; these pin that every kind of
 call reads as the full parser alone would print it.  The text is
 argparse's on Python 3.11.  Two compile refusals that ``compile_gdn``
-raises before any oracle call are pinned with them.  Below, the count of
+raises before any oracle call are pinned with them, and the
+certify refusal of two-dimensional data.  Below, the count of
 parsers each kind of call builds, and the namespaces of both parsers.
 """
 import argparse
@@ -260,6 +261,20 @@ def test_cli_text_is_pinned(capsys, monkeypatch, name):
         got = e.code
     out = capsys.readouterr()
     assert (got, out.out, out.err) == (code, stdout, stderr)
+
+
+def test_certify_refusal_at_p2_is_pinned(capsys, monkeypatch, tmp_path):
+    # a normalizable two-dimensional dataset: exit 1 with one error line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("0.2,0.5\n0.6,0.1\n")
+    (tmp_path / "v.csv").write_text("0.1\n0.3\n")
+    got = main(["certify", "--dataset", "d.csv", "--values", "v.csv", "--domain",
+                "euclidean:2", "--codomain", "euclidean:1", "--base-x", "[0,0]",
+                "--base-y", "[0]"])
+    out = capsys.readouterr()
+    assert (got, out.out, out.err) == (
+        1, "", "error: certification is implemented on one-dimensional charts "
+               "only, not p = 2\n")
 
 
 

@@ -8,6 +8,8 @@ stack and refuse, with a ``ValidationError``, one that returns anything
 but an (N, m) stack.
 """
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +125,19 @@ def test_target_rows_equal_per_point_oracle(rng, dom, base, name):
     assert_rows_exact(fn, reference, points)
     empty = fn(np.zeros((0, domain.point_dim)))
     assert empty.shape == (0, len(reference(points[0])))
+
+
+@pytest.mark.parametrize("name", ["poly:x1^400,x1", "poly:x1^400-x1^399"])
+@pytest.mark.parametrize("x", [[[1.0], [-7.5], [8.0]], [-7.5]], ids=["stack", "point"])
+def test_poly_overflow_is_refused_naming_the_point(name, x):
+    # x^400 passes the float range from |x| = 5.9 (and inf - inf is NaN):
+    # one error naming the first such point, without numpy's warning
+    fn = resolve_target(name, resolve_manifold("euclidean:1"), [0.0]).fn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=f"^target {re.escape(name)} overflows at \\[-7.5\\]$"):
+            fn(np.array(x))
 
 
 # -- the cube pullback --------------------------------------------------------

@@ -237,6 +237,19 @@ class TestSPD2ClosedForms:
         with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
             _spd_functions(B, "sqrt", positive="not SPD:")
 
+    @pytest.mark.parametrize("kind", ["log", "sqrt", "invsqrt"])
+    @pytest.mark.parametrize("A,want", [
+        ([[1.79e308, 1.79e308], [1.79e308, 1e308]], "-4.380644e+307"),
+        ([[1.79e308, 1.79e308], [1.79e308, -1.79e308]], "-inf"),
+    ], ids=["eigenvalue-in-range", "eigenvalue-past-range"])
+    def test_refusal_where_r_passes_the_float_maximum(self, kind, A, want):
+        # r = hypot(d, b) overflows; the forms run on A / 4 and the refusal
+        # names the smallest eigenvalue m - r, without numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^not SPD: {re.escape(want)}$"):
+                _spd_functions(np.array(A), kind, positive="not SPD:")
+
     @pytest.mark.parametrize("w", [[-1605.0, 5.0], [-1e308, -1e308]],
                              ids=["mean-underflows", "trace-overflows"])
     def test_exp_of_a_diagonal_out_of_range(self, w):
