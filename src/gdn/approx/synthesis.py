@@ -45,6 +45,7 @@ __all__ = [
     "select_theta0",
     "compile_poly_to_shallow",
     "compile_function_to_shallow",
+    "cube_points",
     "CompileResult",
 ]
 
@@ -248,14 +249,33 @@ class _CubeGrid:
             acc = np.matmul(table, acc.reshape(-1, 1, n1, rest))
         return acc.reshape(-1, model.m)
 
+    def lattice(self, rows: np.ndarray, n: int) -> Optional[BernsteinModel]:
+        """The degree-n Bernstein model of the target whose rows on this grid
+        are ``rows``, its lattice k / n read off them as a strided subgrid;
+        None unless the lattice points are grid points bit for bit."""
+        step, rest = divmod(self.per_axis - 1, n)
+        if rest or (np.linspace(0.0, 1.0, self.per_axis)[::step].tobytes()
+                    != (np.arange(n + 1) / n).tobytes()):
+            return None
+        grid = rows.reshape((self.per_axis,) * self.p + (rows.shape[1],))
+        values = grid[(slice(None, None, step),) * self.p]
+        return BernsteinModel(n, self.p, np.ascontiguousarray(values))
+
 
 class _CubeSamples:
     """The samples of a compile on [0, 1]^p that depend on p alone: the
-    selection grid, the audit grid and the audit pairs' input side."""
+    selection grid, the audit grid, the stack of the points a compile
+    without a modulus reads and the audit pairs' input side."""
 
     def __init__(self, p: int):
         self.selection = _CubeGrid(p, {1: 41, 2: 21, 3: 9}.get(p, 5))
         self.audit = _CubeGrid(p, _AUDIT_PER_AXIS)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        # the selection grid, then every third audit point
+        return _read_only(np.concatenate([self.selection.points,
+                                          self.audit.points[::3]]))
 
     @cached_property
     def audit_pairs(self) -> PairInputs:
@@ -274,15 +294,24 @@ def _cube_samples(p: int) -> _CubeSamples:
     return _memo_samples(p) if p in (1, 2, 3) else _CubeSamples(p)
 
 
+def cube_points(p: int, audit: bool) -> np.ndarray:
+    """The fixed samples of a compile on [0, 1]^p, which it reads with one
+    oracle call: the selection grid and then, when ``audit`` (the compile
+    has no modulus), every third audit point.  Read-only."""
+    samples = _cube_samples(p)
+    return samples.stack if audit else samples.selection.points
+
+
 def _select_degree(target: Callable[[np.ndarray], np.ndarray],
-                   samples: _CubeSamples, m: int, budget: float,
+                   grid: _CubeGrid, targets: np.ndarray, budget: float,
                    omega: Optional[Modulus]):
     """(n, Bernstein model) of the smallest candidate degree whose lattice
-    residual on the selection grid fits ``budget``, with the a-priori degree
-    rule of ``omega`` added as a candidate; refused with every candidate's
-    residual when none fits."""
-    p = samples.selection.p
-    targets = oracle_rows(target, samples.selection.points, m)
+    residual on the selection ``grid``, where the target's rows are
+    ``targets``, fits ``budget``, with the a-priori degree rule of ``omega``
+    added as a candidate; refused with every candidate's residual when none
+    fits.  A lattice that is a subgrid of the selection grid is read off
+    ``targets``; the target is called only on the others."""
+    p, m = grid.p, targets.shape[1]
     candidates = list(_DEGREES)
     if omega is not None:
         try:
@@ -293,8 +322,10 @@ def _select_degree(target: Callable[[np.ndarray], np.ndarray],
             pass
     tried = []  # each degree with its selection-grid residual, for the refusal
     for cand in candidates:
-        model = bernstein_from_function(target, cand, p, m)
-        fitted = samples.selection.contract(model)
+        model = grid.lattice(targets, cand)
+        if model is None:
+            model = bernstein_from_function(target, cand, p, m)
+        fitted = grid.contract(model)
         resid = float(np.max(row_norms(fitted - targets)))
         if resid <= budget:
             return cand, model
@@ -353,7 +384,7 @@ def _synthesize(model: BernsteinModel, audit: _CubeGrid, sigma: ActivationInfo,
 def compile_function_to_shallow(
     target: Callable[[np.ndarray], np.ndarray],
     p: int, m: int, eps: float, sigma: ActivationInfo,
-    omega: Optional[Modulus] = None,
+    omega: Optional[Modulus] = None, rows: Optional[np.ndarray] = None,
 ) -> CompileResult:
     """Compile a function on the unit cube into a shallow network, with the
     a-priori bound of its error: the degree stage, then the synthesis stage.
@@ -370,26 +401,34 @@ def compile_function_to_shallow(
     on the geodesic ball).
 
     The target takes an (N, p) stack and returns an (N, m) stack.  It runs
-    once on the selection grid and once on each Bernstein lattice tried,
-    and, without ``omega`` only, once on every third audit point, whose
-    empirical modulus is read at its one point t = 1/sqrt(n) by
+    once on ``cube_points(p, omega is None)``: the selection grid and,
+    without ``omega`` only, every third audit point, whose empirical
+    modulus is read at its one point t = 1/sqrt(n) by
     ``sampled_modulus_at``: of the 55,611 pairs at p = 3, only the pairs
     within input distance t get an output distance (12,791 at n = 4).
+    ``rows``, when given, are the target's rows on those points, read by
+    the caller, and the target is not called on them again.  A Bernstein
+    lattice that is a subgrid of the selection grid bit for bit (degrees
+    1, 2, 4 and 8 at p = 1 and 3; 1, 2 and 4 at p = 2) is read off its
+    rows, and the target runs once more only on each other lattice tried.
 
     The samples that depend on p alone (the grids, their Bernstein basis
-    tables per degree, and the audit pairs' input side sorted by input
-    distance, built only when read) are built once per process for p <= 3.
+    tables per degree, the stack of ``cube_points`` and the audit pairs'
+    input side sorted by input distance, built only when read) are built once per process for p <= 3.
     They are read-only, so a target must not write to its input; at p = 3
-    they hold under 1.4 MB.
+    they hold under 1.5 MB.
     """
     if not (eps > 0.0):
         raise ValidationError("eps must be positive")
     samples = _cube_samples(p)
-    n, model = _select_degree(target, samples, m, 0.5 * eps, omega)
+    if rows is None:
+        rows = oracle_rows(target, cube_points(p, omega is None), m)
+    k = len(samples.selection.points)
+    n, model = _select_degree(target, samples.selection, rows[:k], 0.5 * eps, omega)
     net, residual = _synthesize(model, samples.audit, sigma, 0.5 * eps)
     # the bound reads the modulus at its one point 1/sqrt(n); without
     # ``omega``, the empirical modulus is read there directly
     t = 1.0 / math.sqrt(n)
     omega_t = (float(omega(t)) if omega is not None else sampled_modulus_at(
-        samples.audit_pairs, oracle_rows(target, samples.audit.points[::3], m), t))
+        samples.audit_pairs, rows[k:], t))
     return CompileResult(net, n, (1.0 + p / 4.0) * m * omega_t + residual)

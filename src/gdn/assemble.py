@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .approx.modulus import Modulus, oracle_rows
-from .approx.synthesis import compile_function_to_shallow
+from .approx.synthesis import compile_function_to_shallow, cube_points
 from .errors import ValidationError
 from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
 from .manifolds.zoo import Chart, as_point, chart_at, row_norms
@@ -68,24 +68,34 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     geodesically on a deterministic ball sample of ``audit_count`` points;
     ``audit_error``, the measured sup geodesic error that the theorem
     bounds, is the check of the compile.  ``target`` maps one point or an
-    (N, point_dim) stack, like ``exp_map``, and each stage calls it once:
-    on 64 ball points (the reached tangent range), through the pullback on
-    the core's selection grid, its lattices and, without ``omega``, every
-    third cube audit point, then on the geodesic audit sample.  ``base_x``,
-    eps and ``audit_count`` (which must be positive and keep the audit's
-    arrays within ``_AUDIT_BUDGET``) are checked once, here, before any
-    oracle call, and so are the radius (its cube corners, at tangent norm
-    radius * sqrt(p), must lie within the domain's injectivity radius) and
-    the activation (synthesis needs a smooth non-polynomial one).  Only
-    then is ``base_y`` checked, and a ``base_y`` of "auto" is the target's
-    value at ``base_x``, one more call.  The charts the base points are
-    bound to serve every later stage and the model.
+    (N, point_dim) stack, like ``exp_map``.  Through the pullback it is
+    called once on the stack of every fixed sample: 64 ball points (the
+    reached tangent range) first, then the core's ``cube_points`` (the
+    selection grid and, without ``omega``, every third cube audit point),
+    whose rows ``compile_function_to_shallow`` takes; so a target that
+    fails on any of them fails there, and an error that names a point names
+    the first one of the stack.  It is called again on each Bernstein
+    lattice tried that is not a subgrid of the selection grid, and once on
+    the geodesic audit sample.  ``base_x``, eps and ``audit_count`` (which
+    must be positive and keep the audit's arrays within ``_AUDIT_BUDGET``)
+    are checked once, here, before any oracle call, and so are the radius
+    (its cube corners, at tangent norm radius * sqrt(p), must lie within
+    the domain's injectivity radius, and the cube rescale 1 / (2 radius)
+    must be finite) and the activation (synthesis needs a smooth
+    non-polynomial one).  Only then is ``base_y`` checked, and a ``base_y``
+    of "auto" is the target's value at ``base_x``, one more call.  The
+    charts the base points are bound to serve every later stage and the
+    model.
     """
     chart_x = chart_at(domain, base_x)
     if not (0.0 < radius < domain.inj_lower):
         raise ValidationError(
             f"radius must satisfy 0 < radius < inj({domain.inj_lower!r}), got {radius!r}"
         )
+    if not math.isfinite(0.5 / radius):
+        raise ValidationError(
+            f"radius {radius!r} is too small: the cube rescale 1 / (2 radius) "
+            f"passes the float range")
     p, m = domain.dim, codomain.dim
     corner = radius * math.sqrt(p)
     if corner >= domain.inj_lower:
@@ -107,13 +117,16 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     # geodesic error <= exp-chart expansion * core chart error; the
     # expansion is bounded on the tangent range the target actually reaches
     probe = 0.5 * (ball_points(64, p, radius) / radius + 1.0)
-    reach = float(np.max(row_norms(oracle_rows(pulled_back, probe, m))))
+    # one oracle read of the probe and the core's fixed cube samples
+    rows = oracle_rows(pulled_back,
+                       np.concatenate([probe, cube_points(p, omega is None)]), m)
+    reach = float(np.max(row_norms(rows[:len(probe)])))
     rad_cod = max(min(1.2 * reach + 1e-6, 0.95 * codomain.inj_lower), 1e-3)
     expansion = exp_chart_lipschitz(codomain, rad_cod)
     core_eps = eps / expansion
 
     result = compile_function_to_shallow(pulled_back, p, m, core_eps, sigma,
-                                         omega=omega)
+                                         omega=omega, rows=rows[len(probe):])
 
     # absorb cube rescale and chart embeddings into the first/last layers
     E_dom, E_cod = chart_x.frame, chart_y.frame

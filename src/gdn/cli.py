@@ -49,11 +49,15 @@ def _json_out(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_vector(text: str, what: str) -> np.ndarray:
+def _parse_array(text: str, what: str) -> np.ndarray:
     try:
-        return np.asarray(json.loads(text), dtype=float).ravel()
+        return np.asarray(json.loads(text), dtype=float)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{what} must be a JSON array of numbers: {e}") from e
+
+
+def _parse_vector(text: str, what: str) -> np.ndarray:
+    return _parse_array(text, what).ravel()
 
 
 def _load_json(path: str):
@@ -187,9 +191,16 @@ def cmd_eval(args) -> int:
     if not isinstance(payload, dict):
         raise ParseError(f"{args.model}: a model must be a JSON object, "
                          f"got {json.dumps(payload)}")
-    x = _parse_vector(args.input, "--input")
-    y = (gdn_from_dict(payload) if "domain" in payload else net_from_dict(payload))(x)
-    _json_out({"output": [float(t) for t in np.asarray(y).ravel()]})
+    # one point (flattened), or a 2-D array of points evaluated as one stack
+    x = _parse_array(args.input, "--input")
+    if x.ndim > 2 or (x.ndim == 2 and x.size == 0):
+        raise ParseError(f"--input must be one point or a non-empty 2-D array of "
+                         f"points, got shape {x.shape}")
+    if x.ndim < 2:
+        x = x.ravel()
+    y = np.asarray(
+        (gdn_from_dict(payload) if "domain" in payload else net_from_dict(payload))(x))
+    _json_out({"output": y.tolist() if x.ndim == 2 else [float(t) for t in y.ravel()]})
     return 0
 
 

@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import OutOfInjectivityError, ValidationError
+from ..errors import NumericError, OutOfInjectivityError, ValidationError
 from .sym import _FUNCS, check_finite, frob_entries, frob_unvec, spectral, sym_dim, symmetric_eigh
 
 if TYPE_CHECKING:  # core imports this module for FAMILIES
@@ -436,12 +437,16 @@ def _two_sum(x, y):
     return s, (x - (s - z)) + (y - z)
 
 
-def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> list:
+def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
+                   exp_limit: float | np.ndarray | None = None) -> list:
     """The matrix functions ``kinds`` ("exp", "log", "sqrt", "invsqrt") of
     a symmetric matrix or (N, n, n) stack ``S`` that is exactly symmetric
     by construction, each exactly symmetric.  With ``positive`` the
     matrices must be positive definite: the error gives that text and the
-    smallest eigenvalue of the first matrix that is not.
+    smallest eigenvalue of the first matrix that is not.  With
+    ``exp_limit`` (``_exp_limit``), "exp" is asked for alone and comes back
+    as None where an exponent may pass the limit, before any step can
+    overflow.
 
     Order 2 has closed forms.  S = m I + r N with N = [[u, v], [v, -u]],
     (u, v) a unit vector, has eigenvalues m -+ r, so f(S) = alpha I +
@@ -453,6 +458,8 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
         w, V = symmetric_eigh(S)
         if positive is not None:
             _positive(w[..., 0], positive)
+        if exp_limit is not None and _any(w[..., -1] > exp_limit):
+            return [None]
         return [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
     check_finite(S)
     a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
@@ -467,6 +474,10 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
             r = np.hypot(d, b)
     else:
         r = np.hypot(d, b)
+    if exp_limit is not None and (wide or _any(m > exp_limit)):
+        # hi = m + r >= m passes the limit, or r may pass the float maximum;
+        # past both checks, m + r and -2r stay in range
+        return [None]
     undo = None
     if "exp" not in kinds and (wide or _any(m > 2.0 ** 1022)):
         # the large eigenvalue m + r may pass the float maximum (r < m where
@@ -509,6 +520,9 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None) -> l
             # error of hi's absolute one, so the rounding errors of m and
             # m + r scale it by e^err = 1 + err, leaving r's own
             err = _two_sum(m, r)[1] + _two_sum(ha, hc)[1]
+            # e^hi (1 + err) <= e^(hi + |err|)
+            if exp_limit is not None and _any(hi + abs(err) > exp_limit):
+                return [None]
             e = np.expm1(-2.0 * r)
             top = np.exp(hi) * (1.0 + err)
             alpha, gamma = top * (1.0 + 0.5 * e), -0.5 * top * e
@@ -553,11 +567,36 @@ def _spd_roots(x: np.ndarray, *kinds: str) -> list:
                           positive="spd point is not positive definite: min eigenvalue")
 
 
-def _spd_exp(sA: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base
-    M = sA @ _spd_functions(frob_unvec(v), "exp")[0] @ sA
-    # an overflowing exponential leaves non-finite entries
-    return frob_entries(check_finite(0.5 * (M + M.swapaxes(-1, -2))))
+# the largest argument of exp below the float maximum
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _exp_limit(sA: np.ndarray) -> float | np.ndarray:
+    """The exponent below which sqrt(A) exp(S) sqrt(A), from the root sA of
+    A (or per root of a stack) and a symmetric S whose eigenvalues stay
+    under it, has no step that passes the float maximum: its entries are at
+    most ||sA||_F^2 e^max(eig S) <= (n max|sA|)^2 e^max(eig S), and the
+    factor 4 covers the symmetrization and the closed forms."""
+    scale = np.maximum(sA.shape[-1] * np.abs(sA).max(axis=(-2, -1)), 1.0)
+    return _LOG_MAX - math.log(4.0) - 2.0 * np.log(scale)
+
+
+def _spd_exp(sA: np.ndarray, v: np.ndarray, limit: float | np.ndarray) -> np.ndarray:
+    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base and its
+    # ``_exp_limit``
+    S = frob_unvec(v)
+    E = _spd_functions(S, "exp", exp_limit=limit)[0]
+    if E is not None:
+        M = sA @ E @ sA
+        return frob_entries(check_finite(0.5 * (M + M.swapaxes(-1, -2))))
+    # past the limit, the same steps run with the warnings off; the result
+    # stands where it stays finite
+    with np.errstate(all="ignore"):
+        M = sA @ _spd_functions(S, "exp")[0] @ sA
+        M = 0.5 * (M + M.swapaxes(-1, -2))
+    if np.count_nonzero(np.isfinite(M)) != M.size:
+        raise NumericError("the spd exponential map overflows the float range")
+    return frob_entries(M)
 
 
 def _spd_log_matrix(isA: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -579,7 +618,8 @@ def _spd_distance(isA: np.ndarray, y: np.ndarray):
 class _SPDChart(Chart):
     """The SPD kernels about a base A, on its stored read-only ``root``
     sqrt(A) and ``inv_root`` sqrt(A)^-1, from the one spectral computation
-    that also checks that A is positive definite."""
+    that also checks that A is positive definite, and on the root's
+    ``_exp_limit``, built on the first exp."""
 
     def __init__(self, spec: ManifoldSpec, x: np.ndarray):
         super().__init__(spec, x)
@@ -587,8 +627,12 @@ class _SPDChart(Chart):
         root.flags.writeable = inv_root.flags.writeable = False
         self.root, self.inv_root = root, inv_root
 
+    @cached_property
+    def exp_limit(self) -> float:
+        return float(_exp_limit(self.root))
+
     def exp(self, v):
-        return _spd_exp(self.root, v)
+        return _spd_exp(self.root, v, self.exp_limit)
 
     def log(self, y):
         return frob_entries(_spd_log_matrix(self.inv_root, y))
@@ -610,7 +654,8 @@ class SPD(Geometry):
         self.param = float(n)
 
     def exp(self, x, v):
-        return _spd_exp(_spd_roots(x, "sqrt")[0], v)
+        sA = _spd_roots(x, "sqrt")[0]
+        return _spd_exp(sA, v, _exp_limit(sA))
 
     def log(self, x, y):
         return frob_entries(_spd_log_matrix(_spd_roots(x, "invsqrt")[0], y))

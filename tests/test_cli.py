@@ -3,6 +3,7 @@ import argparse
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import gdn.approx.certify
 import gdn.approx.estimates
 import gdn.assemble
 import gdn.cli
+import gdn.model
 from gdn.cli import cmd_bench, main
 from gdn.errors import InfeasibleDegreeError, ValidationError
 from gdn.model import gdn_from_dict
@@ -175,6 +177,53 @@ class TestCompileAndEval:
                            "--input", "[0.7,0.6]")
         assert code == 0
         assert json.loads(out)["output"][0] == pytest.approx(model(x)[0])
+
+    MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+    # points of the stored models' domains, inside their injectivity balls
+    POINTS = {"sphere2-rotation": [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.6, 0.0, 0.8]],
+              "poincare2-mobius": [[0.0, 0.0], [0.3, -0.2], [-0.1, 0.4]],
+              "spd2-congruence": [[1.0, 0.0, 1.0], [2.0, 0.3, 1.5], [0.8, -0.1, 0.6]]}
+
+    @pytest.mark.parametrize("name", list(POINTS))
+    def test_eval_of_a_2d_input_is_one_stacked_call(self, capsys, monkeypatch, name):
+        # one gdn_eval call on the stack; each output row has the bits of
+        # the point evaluated alone
+        model, points = str(self.MODELS / f"{name}.json"), self.POINTS[name]
+        alone = []
+        for point in points:
+            code, out, _ = run(capsys, "eval", "--model", model,
+                               "--input", json.dumps(point))
+            assert code == 0
+            alone.append(json.loads(out)["output"])
+        stacks = []
+        inner = gdn.model.gdn_eval
+        monkeypatch.setattr(gdn.model, "gdn_eval",
+                            lambda m, x: stacks.append(np.shape(x)) or inner(m, x))
+        code, out, _ = run(capsys, "eval", "--model", model, "--input", json.dumps(points))
+        assert code == 0 and stacks == [(3, len(points[0]))]
+        assert json.loads(out)["output"] == alone
+
+    def test_eval_of_a_2d_input_to_a_net(self, capsys, tmp_path):
+        model = tmp_path / "net.json"
+        model.write_text(json.dumps({"layers": [{"weights": [[2.0, 1.0]], "bias": [0.5]}],
+                                     "activation": {"name": "exp"}}))
+        code, out, _ = run(capsys, "eval", "--model", str(model),
+                           "--input", "[[1, 2], [0, -1]]")
+        assert code == 0 and json.loads(out)["output"] == [[4.5], [-0.5]]
+
+    @pytest.mark.parametrize("text,message", [
+        ("[[]]", "--input must be one point or a non-empty 2-D array of points, "
+                 "got shape (1, 0)"),
+        ("[[[0, 0, 1]]]", "--input must be one point or a non-empty 2-D array of "
+                          "points, got shape (1, 1, 3)"),
+        ("[[0, 0, 1], [0, 1]]", "--input must be a JSON array of numbers: "),
+        ("[[0, 0], [0, 1]]", "point of sphere:2 must have length 3, got 2"),
+    ])
+    def test_eval_input_of_a_bad_shape_exits_2_with_one_line(self, capsys, text, message):
+        code, out, err = run(capsys, "eval", "--model",
+                             str(self.MODELS / "sphere2-rotation.json"), "--input", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message) and err.count("\n") == 1
 
     def test_verticalized_compile(self, capsys, tmp_path):
         out_path = tmp_path / "deep.json"
@@ -555,11 +604,16 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, ["bench", str(cfg)], "bench run 1", *needles)
 
     # a rotation compile whose cube corners lie at 2.23 * sqrt(2) = 3.1537,
-    # past inj(sphere:2) = pi, and one with a piecewise-linear activation
+    # past inj(sphere:2) = pi, one whose cube rescale 1 / (2 radius) passes
+    # the float range, and one with a piecewise-linear activation
     ROTATION = {"target": "rotation", "domain": "sphere:2", "codomain": "sphere:2",
                 "base_x": [0, 0, 1], "radius": 1.0, "eps": 0.1, "grid": 50}
+    # new cases go last, with their own id, so that the others keep theirs
     UNREACHABLE = [({"radius": 2.23}, "radius * sqrt(p) must be below inj("),
-                   ({"activation": "relu"}, "activation, got piecewise-linear")]
+                   ({"activation": "relu"}, "activation, got piecewise-linear"),
+                   pytest.param({"radius": 1e-320},
+                                "radius 1e-320 is too small: the cube rescale",
+                                id="subnormal-radius")]
 
     @pytest.mark.parametrize("change,needle", UNREACHABLE)
     def test_unreachable_compile_is_refused_before_any_oracle_call(
@@ -602,8 +656,9 @@ class TestUsageErrors:
         return calls
 
     # base_y "auto" is the target's value at base_x, read after the checks
-    @pytest.mark.parametrize("change,needle", UNREACHABLE + [
-        ({"eps": -1}, "eps must be positive"), ({"grid": 0}, "at least 1 point, got 0")])
+    @pytest.mark.parametrize("change,needle", UNREACHABLE[:2] + [
+        ({"eps": -1}, "eps must be positive"), ({"grid": 0}, "at least 1 point, got 0")]
+        + UNREACHABLE[2:])
     @pytest.mark.parametrize("command", ["compile", "bench"])
     def test_refused_compile_calls_no_oracle(self, capsys, monkeypatch, tmp_path,
                                              command, change, needle):
@@ -616,6 +671,38 @@ class TestUsageErrors:
         else:
             self.assert_usage_error(capsys, self.compile_argv(run_), needle)
         assert calls == []
+
+    # the compile argv of each benchmark case, with its target calls and rows:
+    # base_y "auto" (1 row), one read of the 64 probe points, the selection
+    # grid and, without --lip, 34 (p = 2) or 334 (p = 3) audit points, each
+    # lattice tried that is no subgrid of the selection grid (degree 3 for
+    # the last two) and the 200-point geodesic audit
+    PERFBENCH = {
+        "sphere2-rotation": (["rotation", "sphere:2", "[0, 0, 1]", "1.5707", "0.1"],
+                             3, 740),
+        "poincare2-mobius": (["mobius-shift", "poincare:2:1", "[0, 0]", "1.0", "0.05"],
+                             3, 740),
+        "spd2-congruence": (["spd-congruence", "spd:2", "[1, 0, 1]", "1.0", "0.05",
+                             "--lip", "2.0"], 3, 994),
+        "cube3-product": (["poly:x1*x2*x3", "euclidean:3", "[0, 0, 0]", "0.5", "0.05"],
+                          3, 1328),
+        "cube3-quadratic": (["poly:x1^2+x2^2+x3^2", "euclidean:3", "[0, 0, 0]", "0.3",
+                             "0.15"], 4, 1392),
+        "cube2-mixed": (["poly:x1^2-x2^2+x1*x2", "euclidean:2", "[0, 0]", "0.3", "0.08"],
+                        4, 756),
+    }
+
+    @pytest.mark.parametrize("case", list(PERFBENCH))
+    def test_oracle_calls_per_benchmark_compile(self, capsys, monkeypatch, case):
+        (target, domain, base_x, radius, eps, *lip), count, rows = self.PERFBENCH[case]
+        codomain = "euclidean:1" if domain.startswith("euclidean") else domain
+        calls = self.count_oracle_calls(monkeypatch)
+        code, _, _ = run(capsys, "compile", "--target", target, "--domain", domain,
+                         "--codomain", codomain, "--base-x", base_x, "--radius", radius,
+                         "--eps", eps, "--seed", "0", *lip)
+        assert code == 0
+        assert len(calls) == count
+        assert sum(shape[0] if len(shape) == 2 else 1 for shape in calls) == rows
 
     def test_auto_base_y_is_the_first_oracle_call(self, capsys, monkeypatch, tmp_path):
         calls = self.count_oracle_calls(monkeypatch)

@@ -11,6 +11,7 @@ certify refusal of two-dimensional data.  Below, the count of
 parsers each kind of call builds, and the namespaces of both parsers.
 """
 import argparse
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +277,23 @@ def test_certify_refusal_at_p2_is_pinned(capsys, monkeypatch, tmp_path):
         1, "", "error: certification is implemented on one-dimensional charts "
                "only, not p = 2\n")
 
+
+# a stored model; ``gdn eval`` of one point prints one flat "output" list
+SPHERE2 = str(Path(__file__).resolve().parents[1] / "perfbench" / "models"
+              / "sphere2-rotation.json")
+EVAL_PINNED = [
+    ("[0, 0, 1]", 0,
+     '{\n  "output": [\n    0.0,\n    -0.0025242067355960573,\n'
+     '    0.9999968141851033\n  ]\n}\n', ""),
+    ("[0, 0]", 2, "", "error: point of sphere:2 must have length 3, got 2\n"),
+]
+
+
+@pytest.mark.parametrize("text,code,stdout,stderr", EVAL_PINNED)
+def test_eval_of_one_point_is_pinned(capsys, text, code, stdout, stderr):
+    got = main(["eval", "--model", SPHERE2, "--input", text])
+    out = capsys.readouterr()
+    assert (got, out.out, out.err) == (code, stdout, stderr)
 
 
 # argv -> ArgumentParser instances one call builds: the command's own parser,

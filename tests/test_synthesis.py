@@ -18,6 +18,7 @@ from gdn.approx.modulus import LipschitzModulus, empirical_modulus, pair_inputs
 from gdn.approx.polynomials import LinearFormPoly, decompose_polynomial
 from gdn.approx.synthesis import (
     _DEGREE_CAP,
+    _DEGREES,
     _cube_samples,
     _grid_points,
     compile_function_to_shallow,
@@ -75,7 +76,7 @@ class TestCubeSamples:
         # every array the cube sample memo of one p holds, and the Halton
         # samples of a compile's two ball samples (64 probe, 200 audit points)
         pairs = samples.audit_pairs
-        arrays = [pairs.i, pairs.j, pairs.din]
+        arrays = [pairs.i, pairs.j, pairs.din, samples.stack]
         for grid in (samples.selection, samples.audit):
             arrays += [grid.points, *grid._tables.values()]
         p = samples.audit.p
@@ -93,6 +94,27 @@ class TestCubeSamples:
         for a in self.memo_arrays(samples):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
+
+    # the candidate degrees whose lattice is a subgrid of the selection grid
+    SUBGRID = {1: [1, 2, 4, 8], 2: [1, 2, 4], 3: [1, 2, 4, 8]}
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_subgrid_lattice_has_the_bits_of_a_lattice_read(self, p):
+        # every degree up to the cap, so an a-priori candidate is covered too
+        def f(x):
+            return np.column_stack([np.sin(3.0 * x[:, 0] - x[:, -1]),
+                                    np.exp(x[:, 0]) * x[:, -1] ** 3])
+
+        grid = _cube_samples(p).selection
+        rows = f(grid.points)
+        read = [n for n in range(1, _DEGREE_CAP + 1)
+                if grid.lattice(rows, n) is not None]
+        assert [n for n in read if n in _DEGREES] == self.SUBGRID[p]
+        for n in read:
+            got, want = grid.lattice(rows, n), bernstein_from_function(f, n, p, 2)
+            assert (got.n, got.p) == (want.n, want.p)
+            assert got.values.shape == want.values.shape
+            assert got.values.tobytes() == want.values.tobytes()
 
     def test_only_p_up_to_3_is_kept(self):
         assert _cube_samples(3) is _cube_samples(3)
@@ -255,12 +277,11 @@ class TestCompileFunction:
             return x[:, :1] ** 2 + x[:, 1:2] ** 2 + x[:, 2:3] ** 2
 
         res = compile_function_to_shallow(f, 3, 1, 0.5, EXP)
-        assert res.degree > 1
-        tried = [c for c in (1, 2, 3, 4, 6, 8, 12) if c <= res.degree]
-        # one call per stage, 9^3 + sum (c+1)^3 + 334 rows in all: the
-        # selection grid, each lattice tried, and every third audit point
-        # (the samples of the empirical modulus)
-        assert rows == [9 ** 3] + [(c + 1) ** 3 for c in tried] + [334]
+        assert res.degree == 3
+        # one call on the selection grid and every third audit point (the
+        # samples of the empirical modulus), 9^3 + 334 rows; lattices 1 and 2
+        # are subgrids of the selection grid, so only lattice 3 is read
+        assert rows == [9 ** 3 + 334, 4 ** 3]
 
     def test_oracle_sees_no_audit_point_given_omega(self):
         rows = []
@@ -273,10 +294,31 @@ class TestCompileFunction:
         # omega's a-priori degree is beyond the cap, so it adds no candidate
         assert bernstein_degree_for(0.25, 3, 1, omega) > _DEGREE_CAP
         res = compile_function_to_shallow(f, 3, 1, 0.5, EXP, omega=omega)
-        assert res.degree > 1
-        tried = [c for c in (1, 2, 3, 4, 6, 8, 12) if c <= res.degree]
-        # only the selection grid and the lattices
-        assert rows == [9 ** 3] + [(c + 1) ** 3 for c in tried]
+        assert res.degree == 3
+        # only the selection grid, then lattice 3, the one tried that is no
+        # subgrid of it
+        assert rows == [9 ** 3, 4 ** 3]
+
+    def test_a_target_failing_on_an_audit_row_fails_at_the_one_read(self):
+        # the audit rows are read with the selection grid, so a target that
+        # fails on one of them fails at the first call, before the degree
+        # stage; with a modulus no audit row is read and the compile stands
+        bad = _cube_samples(2).audit.points[3, 1]
+        assert not np.any(_cube_samples(2).selection.points[:, 1] == bad)
+        rows = []
+
+        def f(x):
+            rows.append(len(x))
+            if np.any(x[:, 1] == bad):
+                raise ValidationError(f"undefined at x2 = {bad!r}")
+            return x[:, :1]
+
+        with pytest.raises(ValidationError, match="^undefined at x2"):
+            compile_function_to_shallow(f, 2, 1, 0.1, EXP)
+        assert rows == [21 ** 2 + 34]
+        rows.clear()
+        res = compile_function_to_shallow(f, 2, 1, 0.1, EXP, omega=LipschitzModulus(1.0))
+        assert res.degree == 1 and rows == [21 ** 2]
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
     def test_eps_refused_before_any_oracle_call(self, eps):

@@ -231,11 +231,12 @@ def test_bernstein_lattice_refuses_a_bad_oracle(oracle, got):
     assert "(9, 1)" in str(e.value) and f"got {got}" in str(e.value)
 
 
-@pytest.mark.parametrize("oracle,got", [(PER_POINT, "(1, 2)"), (WRONG_WIDTH, "(441, 2)")])
+# the compile's one read at p = 2: the 21^2 selection grid and 34 audit points
+@pytest.mark.parametrize("oracle,got", [(PER_POINT, "(1, 2)"), (WRONG_WIDTH, "(475, 2)")])
 def test_compile_refuses_a_bad_oracle(oracle, got):
     with pytest.raises(ValidationError) as e:
         compile_function_to_shallow(oracle, 2, 1, 0.1, get_activation("exp"))
-    assert "(441, 1)" in str(e.value) and f"got {got}" in str(e.value)
+    assert "(475, 1)" in str(e.value) and f"got {got}" in str(e.value)
 
 
 def test_modulus_refuses_a_per_point_oracle(rng):

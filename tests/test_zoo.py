@@ -12,7 +12,7 @@ import pytest
 
 import gdn
 from conftest import random_orthogonal, random_spd
-from gdn.errors import GdnError, OutOfInjectivityError, ValidationError
+from gdn.errors import GdnError, NumericError, OutOfInjectivityError, ValidationError
 from gdn.manifolds.core import resolve_manifold
 from gdn.manifolds.sym import frob_unvec, frob_vec, spectral, sym_matrix_function
 from gdn.manifolds.zoo import (
@@ -661,9 +661,50 @@ def test_stacked_kernels_keep_the_scalar_arithmetic(ident, exp_ref, dist_ref, rn
 class TestOneGeometryPerFamily:
     def test_spd_exp_overflow_raises(self):
         spec = resolve_manifold("spd:2")
-        with np.errstate(all="ignore"), pytest.raises(
-                ValidationError, match="^matrix entries must be finite$"):
+        with pytest.raises(NumericError,
+                           match="^the spd exponential map overflows the float range$"):
             exp_map(spec, [1.0, 0.0, 1.0], [800.0, 0.0, 0.0])
+
+    # (manifold, base, tangent) whose exponential passes the float range:
+    # through e^hi, through the product with a large base, through r and
+    # m + r near the float maximum, and through LAPACK's path at order 3
+    EXP_OVERFLOWS = [
+        ("spd:2", [1.0, 0.0, 1.0], [1e3, 0.0, 1e3]),
+        ("spd:2", [1e300, 0.0, 1e300], [700.0, 0.0, 0.0]),
+        ("spd:2", [1.0, 0.0, 1.0], [1e308, 1.7e308, -1e308]),
+        ("spd:2", [1.0, 0.0, 1.0], [1.7e308, 1e307, 1.7e308]),
+        ("spd:3", [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], [1e3, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    ]
+
+    @pytest.mark.parametrize("manifold,x,v", EXP_OVERFLOWS)
+    def test_spd_exp_overflow_is_a_numeric_error(self, manifold, x, v):
+        # one error naming the exponential; pytest fails on any warning
+        spec = resolve_manifold(manifold)
+        for call in (lambda: exp_map(spec, x, v), lambda: chart_at(spec, x).exp(
+                np.asarray(v))):
+            with pytest.raises(NumericError,
+                               match="^the spd exponential map overflows the float range$"):
+                call()
+
+    @pytest.mark.parametrize("manifold,x,v,guarded", [
+        ("spd:2", [1.0, 0.0, 1.0], [708.0, 0.0, 0.0], True),
+        ("spd:2", [1.0, 0.0, 1.0], [707.5, 0.5, 706.0], True),
+        ("spd:2", [1e300, 0.0, 1e300], [17.0, -1.0, 16.0], True),
+        ("spd:2", [1e300, 0.0, 1e300], [-600.0, 1.0, -650.0], False),
+        ("spd:3", [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], [707.5, 0.0, 0.0, 0.0, 0.0, 1.0], True),
+    ])
+    def test_exp_past_the_guard_keeps_its_bits(self, manifold, x, v, guarded):
+        # past the chart's exponent limit the same steps run with the
+        # warnings off; a finite result has the bits of the unguarded steps
+        chart = chart_at(resolve_manifold(manifold), x)
+        top = np.linalg.eigvalsh(frob_unvec(np.asarray(v)))[-1]
+        assert (top > chart.exp_limit) == guarded
+        with np.errstate(all="ignore"):
+            E = _spd_functions(frob_unvec(np.asarray(v)), "exp")[0]
+            M = chart.root @ E @ chart.root
+        want = frob_vec(0.5 * (M + M.T))
+        got = chart.exp(np.asarray(v))
+        assert np.all(np.isfinite(got)) and got.tobytes() == want.tobytes()
 
     def test_spd_positive_definiteness_is_found_by_the_chart(self):
         spec = resolve_manifold("spd:2")
