@@ -16,8 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DomainError, NumericError, UnsupportedError, ValidationError
-from ..manifolds.core import ManifoldSpec
-from ..manifolds.zoo import as_point, chart_at
+from ..manifolds.zoo import ManifoldSpec, as_point, chart_at
 from .polynomials import poly_derivative, poly_eval
 
 __all__ = ["EfficiencyCertificate", "certify_efficient"]

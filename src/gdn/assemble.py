@@ -13,8 +13,8 @@ import numpy as np
 from .approx.modulus import Modulus, oracle_rows
 from .approx.synthesis import compile_function_to_shallow, cube_points
 from .errors import ValidationError
-from .manifolds.core import ManifoldSpec, exp_chart_lipschitz
-from .manifolds.zoo import Chart, as_point, chart_at, row_norms
+from .manifolds.core import exp_chart_lipschitz
+from .manifolds.zoo import Chart, ManifoldSpec, as_point, chart_at, row_norms
 from .model import GDNModel, gdn_eval
 from .network import ActivationInfo, AffineLayer, FeedforwardNet
 from .sampling import ball_points, geodesic_ball_points
@@ -176,4 +176,4 @@ def audit_gdn(model: GDNModel, target: Callable[[np.ndarray], np.ndarray],
     _check_audit_count(count, model.domain, codomain)
     points = geodesic_ball_points(model.chart_x, radius, count)
     want = as_point(codomain, oracle_rows(target, points, codomain.point_dim))
-    return float(np.max(codomain.geometry.distance(want, gdn_eval(model, points))))
+    return float(np.max(codomain.distance(want, gdn_eval(model, points))))

@@ -1,5 +1,6 @@
-"""Manifold descriptors, curvature-derived radii, and the universality-radius
-calculus.
+"""Manifold resolution, curvature-derived radii, and the universality-radius
+calculus.  ``resolve_manifold`` parses an identifier into the zoo's
+``ManifoldSpec`` of its family.
 
 Extended reals are plain Python floats with ``math.inf`` as the maximal
 element; no wrapper type is used.
@@ -8,14 +9,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import ParseError, ValidationError
-from .zoo import FAMILIES, Geometry
+from .zoo import FAMILIES, ManifoldSpec
 
 __all__ = [
-    "ManifoldSpec",
     "resolve_manifold",
     "k_star",
     "exp_chart_lipschitz",
@@ -23,66 +22,12 @@ __all__ = [
     "universality_radius",
 ]
 
-_ID_RE = re.compile(
-    r"^(euclidean|sphere|poincare|spd|gaussian|torus|rp):(\d+)(?::([0-9.eE+-]+))?$"
-)
+_ID_RE = re.compile(rf"^({'|'.join(FAMILIES)}):(\d+)(?::([0-9.eE+-]+))?$")
 
 _VALID_FORMS = (
     "euclidean:p, sphere:p, poincare:p:c, spd:n, gaussian:n, torus:m, rp:m "
     "(positive integer parameters, c > 0)"
 )
-
-
-@dataclass(frozen=True)
-class ManifoldSpec:
-    """A closed-form geometry from the zoo.
-
-    Attributes
-    ----------
-    id : str
-        Canonical identifier, e.g. ``"sphere:2"`` or ``"poincare:3:0.5"``.
-    family : str
-        One of euclidean, sphere, poincare, spd, gaussian, torus, rp.
-    dim : int
-        Intrinsic dimension p.
-    chart_dim : int
-        Dimension of the tangent/chart representation (ambient p+1 for
-        sphere and rp, p otherwise).
-    point_dim : int
-        Length of the coordinate vector representing a point.
-    curvature_bound : float
-        Nonnegative bound on |sectional curvature|.
-    curvature_max : float
-        Signed upper bound on sectional curvature (1 on sphere and rp, -c
-        on poincare, 0 otherwise); this is the quantity the K-star map is
-        applied to (nonpositive for Cartan-Hadamard members), and
-        ``log_chart_lipschitz`` turns it into the log-chart constant.
-    curvature_min : float
-        Signed lower bound on sectional curvature (1 on sphere and rp, -c
-        on poincare, -1/2 on spd, 0 otherwise); ``exp_chart_lipschitz``
-        turns it into the exp-chart expansion.
-    inj_lower : float
-        Lower bound on the injectivity radius, in (0, +inf]; the same at
-        every point of each zoo member, in closed form.
-    param : float
-        Family parameter: matrix order n for spd/gaussian, curvature c for
-        poincare, 0 otherwise.
-    geometry : zoo.Geometry
-        The family's geometry object, which the fields above are copied
-        from and which holds the chart kernels; left out of equality.
-    """
-
-    id: str
-    family: str
-    dim: int
-    chart_dim: int
-    point_dim: int
-    curvature_bound: float
-    curvature_max: float
-    curvature_min: float
-    inj_lower: float
-    param: float
-    geometry: Geometry = field(repr=False, compare=False)
 
 
 def resolve_manifold(identifier: str) -> ManifoldSpec:
@@ -117,10 +62,9 @@ def resolve_manifold(identifier: str) -> ManifoldSpec:
         ident = f"{ident}:{c!r}"  # repr round-trips the curvature exactly
     elif c_str is not None:
         raise ParseError(f"{family} takes a single integer parameter")
-    g = make(p, c)
-    return ManifoldSpec(ident, family, g.dim, g.chart_dim, g.point_dim,
-                        g.curvature_bound, g.curvature_max, g.curvature_min,
-                        g.inj_lower, g.param, g)
+    spec = make(p, c)
+    spec.id, spec.family = ident, family
+    return spec
 
 
 def k_star(K: float) -> float:
@@ -153,7 +97,7 @@ def log_chart_lipschitz(spec: ManifoldSpec, r: float) -> float:
         raise ValidationError(
             f"r must satisfy 0 <= r < inj({spec.inj_lower!r}), got {r!r}")
     s = math.sqrt(max(spec.curvature_max, 0.0)) * r
-    return max(s / math.sin(s) if s > 0.0 else 1.0, spec.geometry.wrap_ratio(r))
+    return max(s / math.sin(s) if s > 0.0 else 1.0, spec.wrap_ratio(r))
 
 
 def universality_radius(inj_x: float, inj_fx: float,

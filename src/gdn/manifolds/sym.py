@@ -258,7 +258,8 @@ def sym_matrix_function(fn: str, A: np.ndarray) -> np.ndarray:
     (N, n, n) stack, spectrally.
 
     sqrt, invsqrt and log require strict positive definiteness; exp accepts
-    any symmetric matrix.
+    any symmetric matrix, and raises NumericError where its result passes
+    the float range.
     """
     if fn not in _FUNCS:
         raise ValidationError(f"unknown matrix function {fn!r}; expected one of {sorted(_FUNCS)}")
@@ -266,4 +267,10 @@ def sym_matrix_function(fn: str, A: np.ndarray) -> np.ndarray:
     w, V = eigh(A)
     if needs_spd:
         _require_positive(w, f"matrix function {fn!r} requires SPD input")
-    return spectral(V, func(w))
+    # an infinite e^w meets the zeros of V as nan: the steps run with the
+    # warnings off, and the result stands where it stays finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = spectral(V, func(w))
+    if np.count_nonzero(np.isfinite(F)) != F.size:
+        raise NumericError(f"matrix function {fn!r} overflows the float range")
+    return F

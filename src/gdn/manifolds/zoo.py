@@ -2,11 +2,11 @@
 manifold zoo: euclidean:p, sphere:p, poincare:p:c, spd:n, gaussian:n,
 torus:m, rp:m.
 
-Each family is one small geometry class next to its kernels: ``Flat``
-(euclidean and gaussian), ``Torus``, ``Sphere``, ``Projective`` (rp),
-``Poincare`` and ``SPD``.  It holds the constants ``resolve_manifold``
-copies into the spec and the kernels; ``FAMILIES`` is the one table from
-family name to class, and each spec holds its instance as ``spec.geometry``.
+Each family is one small ``ManifoldSpec`` subclass next to its kernels:
+``Flat`` (euclidean and gaussian), ``Torus``, ``Sphere``, ``Projective``
+(rp), ``Poincare`` and ``SPD``.  An instance is one manifold, with the
+constants of the theorem's radius and the kernels; ``resolve_manifold``
+builds it from ``FAMILIES``, the one table from family name to class.
 The kernels trust their arguments.  A point is checked in one of two ways:
 a point or a stack of points by ``as_point``, which the public functions
 at the end of this module call once per argument, or a base point by
@@ -44,17 +44,14 @@ import contextlib
 import math
 import sys
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import NumericError, OutOfInjectivityError, ValidationError
 from .sym import _FUNCS, check_finite, frob_entries, frob_unvec, spectral, sym_dim, symmetric_eigh
 
-if TYPE_CHECKING:  # core imports this module for FAMILIES
-    from .core import ManifoldSpec
-
 __all__ = [
+    "ManifoldSpec",
     "exp_map",
     "log_map",
     "distance",
@@ -139,17 +136,17 @@ def _check_tangent_norms(nv, inj: float, what: str) -> None:
         raise OutOfInjectivityError(f"tangent norm {_first(nv, far)!r} is outside {what}")
 
 
-# -- the geometry classes ----------------------------------------------------
+# -- the manifold classes ----------------------------------------------------
 
 class Chart:
-    """A checked base point ``x`` of ``spec`` with its geometry's kernels
-    bound to it: ``exp(v)``, ``log(y)`` and ``distance(y)`` give the
+    """A checked base point ``x`` of ``spec`` with its kernels bound to
+    it: ``exp(v)``, ``log(y)`` and ``distance(y)`` give the
     unbound kernels' results about ``x``, bit for bit.  Built by
     ``chart_at``; a family with work that depends on ``x`` alone does it in
     its chart's constructor, once."""
 
     def __init__(self, spec: ManifoldSpec, x: np.ndarray):
-        self.spec, self.geometry, self.x = spec, spec.geometry, x
+        self.spec, self.x = spec, x
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec.id}, {self.x.tolist()})"
@@ -158,33 +155,52 @@ class Chart:
     def frame(self) -> np.ndarray:
         """The read-only tangent frame at ``x`` (``tangent_basis``), built
         on first use: evaluating a model never needs it."""
-        frame = self.geometry.tangent_basis(self.x)
+        frame = self.spec.tangent_basis(self.x)
         frame.flags.writeable = False
         return frame
 
     def exp(self, v):
-        return self.geometry.exp(self.x, v)
+        return self.spec.exp(self.x, v)
 
     def log(self, y):
-        return self.geometry.log(self.x, y)
+        return self.spec.log(self.x, y)
 
     def distance(self, y):
-        return self.geometry.distance(self.x, y)
+        return self.spec.distance(self.x, y)
 
 
-class Geometry:
-    """One family at one size: the constants of its spec and its kernels.
-    A kernel takes finite float rows of the right length, or stacks of
-    them, and points that pass ``check``; it checks tangents itself."""
+class ManifoldSpec:
+    """One manifold of the zoo, built by ``resolve_manifold``: its kernels
+    and the constants of its universality radius.  ``id`` is the canonical
+    identifier (``"sphere:2"``, ``"poincare:3:0.5"``), by which specs
+    compare and hash; ``dim`` is the intrinsic dimension p, ``chart_dim``
+    that of a tangent (ambient p+1 on sphere and rp) and ``point_dim`` the
+    length of a point.  ``curvature_max`` and ``curvature_min`` bound the
+    sectional curvature (1 on sphere and rp, -c on poincare, 0 and -1/2 on
+    spd, else 0): ``log_chart_lipschitz`` and the K-star map take the upper
+    bound, ``exp_chart_lipschitz`` the lower.  ``inj_lower`` is a closed-form
+    lower bound on the injectivity radius, in (0, +inf], at every point;
+    ``param`` the order n of spd and gaussian, the curvature c of poincare,
+    else 0; ``chart`` the ``Chart`` class ``chart_at`` binds a point to.  A
+    kernel takes finite float rows of the right length, or stacks of them,
+    and points that pass ``check``; it checks tangents itself."""
 
-    curvature_bound = curvature_max = curvature_min = 0.0
+    id: str
+    family: str
+    curvature_max = curvature_min = 0.0
     inj_lower = math.inf
     param = 0.0
-    chart = Chart  # the class ``chart_at`` binds a point of the family to
+    chart = Chart
 
     def __init__(self, dim: int, chart_dim: int):
         self.dim = dim
         self.chart_dim = self.point_dim = chart_dim
+
+    def __eq__(self, other):
+        return isinstance(other, ManifoldSpec) and self.id == other.id
+
+    def __hash__(self):
+        return hash(self.id)
 
     def check(self, x: np.ndarray, what: str) -> None:
         """Raise ValidationError for a row of ``x`` off the manifold that
@@ -205,7 +221,7 @@ class Geometry:
         return 0.0
 
 
-class Flat(Geometry):
+class Flat(ManifoldSpec):
     """R^d in its identity chart: euclidean:p, and gaussian:n through its
     mean/log-covariance chart (d = n + n(n+1)/2)."""
 
@@ -232,7 +248,7 @@ def _torus_distance(y1: np.ndarray, y2: np.ndarray):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-class Torus(Geometry):
+class Torus(ManifoldSpec):
     """The flat torus R^m / Z^m on representatives; exp wraps mod 1."""
 
     inj_lower = 0.5
@@ -259,10 +275,10 @@ class Torus(Geometry):
         return 2.0 * r / (1.0 - 2.0 * r)
 
 
-class Sphere(Geometry):
+class Sphere(ManifoldSpec):
     """S^p as unit vectors of R^(p+1)."""
 
-    curvature_bound = curvature_max = curvature_min = 1.0
+    curvature_max = curvature_min = 1.0
     inj_lower = math.pi
 
     def __init__(self, p: int):
@@ -382,13 +398,13 @@ def _poincare_log0_scale(n, c: float):
     return (2.0 / sc) * _scalar_map(math.atanh, np.minimum(sc * n, 1.0 - 1e-16))
 
 
-class Poincare(Geometry):
+class Poincare(ManifoldSpec):
     """The Poincare ball c|x|^2 < 1 of curvature -c."""
 
     def __init__(self, p: int, c: float):
         super().__init__(p, p)
         self.param = c
-        self.curvature_bound, self.curvature_max, self.curvature_min = c, -c, -c
+        self.curvature_max = self.curvature_min = -c
 
     def check(self, x, what):
         if _any(self.param * np.vecdot(x, x) >= 1.0):
@@ -438,15 +454,16 @@ def _two_sum(x, y):
 
 
 def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
+                   exp_floor: float | np.ndarray | None = None,
                    exp_limit: float | np.ndarray | None = None) -> list:
     """The matrix functions ``kinds`` ("exp", "log", "sqrt", "invsqrt") of
     a symmetric matrix or (N, n, n) stack ``S`` that is exactly symmetric
     by construction, each exactly symmetric.  With ``positive`` the
     matrices must be positive definite: the error gives that text and the
     smallest eigenvalue of the first matrix that is not.  With
-    ``exp_limit`` (``_exp_limit``), "exp" is asked for alone and comes back
-    as None where an exponent may pass the limit, before any step can
-    overflow.
+    ``exp_floor`` and ``exp_limit`` (``_exp_floor``, ``_exp_limit``), "exp"
+    is asked for alone and comes back as None where an exponent may pass
+    the floor or the limit, before any step can underflow or overflow.
 
     Order 2 has closed forms.  S = m I + r N with N = [[u, v], [v, -u]],
     (u, v) a unit vector, has eigenvalues m -+ r, so f(S) = alpha I +
@@ -458,7 +475,8 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
         w, V = symmetric_eigh(S)
         if positive is not None:
             _positive(w[..., 0], positive)
-        if exp_limit is not None and _any(w[..., -1] > exp_limit):
+        if exp_limit is not None and (_any(w[..., -1] > exp_limit)
+                                      or _any(w[..., 0] < exp_floor)):
             return [None]
         return [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
     check_finite(S)
@@ -474,9 +492,12 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
             r = np.hypot(d, b)
     else:
         r = np.hypot(d, b)
-    if exp_limit is not None and (wide or _any(m > exp_limit)):
-        # hi = m + r >= m passes the limit, or r may pass the float maximum;
-        # past both checks, m + r and -2r stay in range
+    if exp_limit is not None and (wide or _any(m > exp_limit)
+                                  or _any(m < exp_floor + r)):
+        # hi = m + r >= m passes the limit, r may pass the float maximum, or
+        # the small eigenvalue m - r passes the floor (compared without the
+        # difference, which may overflow); past these checks, m + r and -2r
+        # stay in range
         return [None]
     undo = None
     if "exp" not in kinds and (wide or _any(m > 2.0 ** 1022)):
@@ -567,8 +588,10 @@ def _spd_roots(x: np.ndarray, *kinds: str) -> list:
                           positive="spd point is not positive definite: min eigenvalue")
 
 
-# the largest argument of exp below the float maximum
+# the largest argument of exp below the float maximum, and the smallest
+# whose exp is a normal float
 _LOG_MAX = math.log(sys.float_info.max)
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 def _exp_limit(sA: np.ndarray) -> float | np.ndarray:
@@ -581,21 +604,36 @@ def _exp_limit(sA: np.ndarray) -> float | np.ndarray:
     return _LOG_MAX - math.log(4.0) - 2.0 * np.log(scale)
 
 
-def _spd_exp(sA: np.ndarray, v: np.ndarray, limit: float | np.ndarray) -> np.ndarray:
-    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base and its
-    # ``_exp_limit``
+def _exp_floor(isA: np.ndarray) -> float | np.ndarray:
+    """The exponent above which sqrt(A) exp(S) sqrt(A), from the inverse
+    root isA of A (or per inverse root of a stack) and a symmetric S whose
+    eigenvalues stay over it, keeps a normal smallest eigenvalue: that is
+    at least e^min(eig S) / ||isA||_2^2 >= e^min(eig S) / (n max|isA|)^2,
+    and the factor 4 leaves room for rounding."""
+    scale = np.maximum(isA.shape[-1] * np.abs(isA).max(axis=(-2, -1)), 1.0)
+    return _LOG_TINY + math.log(4.0) + 2.0 * np.log(scale)
+
+
+def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray,
+             limit: float | np.ndarray) -> np.ndarray:
+    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base, its
+    # inverse root's ``_exp_floor`` and its ``_exp_limit``
     S = frob_unvec(v)
-    E = _spd_functions(S, "exp", exp_limit=limit)[0]
+    E = _spd_functions(S, "exp", exp_floor=floor, exp_limit=limit)[0]
     if E is not None:
         M = sA @ E @ sA
         return frob_entries(check_finite(0.5 * (M + M.swapaxes(-1, -2))))
-    # past the limit, the same steps run with the warnings off; the result
-    # stands where it stays finite
+    # past the floor or the limit, the same steps run with the warnings off;
+    # the result stands where it stays finite and, past the floor, positive
+    # definite
     with np.errstate(all="ignore"):
         M = sA @ _spd_functions(S, "exp")[0] @ sA
         M = 0.5 * (M + M.swapaxes(-1, -2))
     if np.count_nonzero(np.isfinite(M)) != M.size:
         raise NumericError("the spd exponential map overflows the float range")
+    low = symmetric_eigh(S)[0][..., 0] < floor
+    if _any(low & ~(symmetric_eigh(M)[0][..., 0] > 0.0)):
+        raise NumericError("the spd exponential map underflows the float range")
     return frob_entries(M)
 
 
@@ -618,8 +656,9 @@ def _spd_distance(isA: np.ndarray, y: np.ndarray):
 class _SPDChart(Chart):
     """The SPD kernels about a base A, on its stored read-only ``root``
     sqrt(A) and ``inv_root`` sqrt(A)^-1, from the one spectral computation
-    that also checks that A is positive definite, and on the root's
-    ``_exp_limit``, built on the first exp."""
+    that also checks that A is positive definite, and on the inverse
+    root's ``_exp_floor`` and the root's ``_exp_limit``, built on the first
+    exp."""
 
     def __init__(self, spec: ManifoldSpec, x: np.ndarray):
         super().__init__(spec, x)
@@ -628,11 +667,15 @@ class _SPDChart(Chart):
         self.root, self.inv_root = root, inv_root
 
     @cached_property
+    def exp_floor(self) -> float:
+        return float(_exp_floor(self.inv_root))
+
+    @cached_property
     def exp_limit(self) -> float:
         return float(_exp_limit(self.root))
 
     def exp(self, v):
-        return _spd_exp(self.root, v, self.exp_limit)
+        return _spd_exp(self.root, v, self.exp_floor, self.exp_limit)
 
     def log(self, y):
         return frob_entries(_spd_log_matrix(self.inv_root, y))
@@ -641,12 +684,12 @@ class _SPDChart(Chart):
         return _spd_distance(self.inv_root, y)
 
 
-class SPD(Geometry):
+class SPD(ManifoldSpec):
     """n x n SPD matrices, affine-invariant: -1/2 <= K <= 0, with flat
     directions.  The kernels build every matrix they take a function of
     exactly symmetric, so it needs no ``check_symmetric``."""
 
-    curvature_bound, curvature_max, curvature_min = 0.5, 0.0, -0.5
+    curvature_max, curvature_min = 0.0, -0.5
     chart = _SPDChart
 
     def __init__(self, n: int):
@@ -654,8 +697,8 @@ class SPD(Geometry):
         self.param = float(n)
 
     def exp(self, x, v):
-        sA = _spd_roots(x, "sqrt")[0]
-        return _spd_exp(sA, v, _exp_limit(sA))
+        sA, isA = _spd_roots(x, "sqrt", "invsqrt")
+        return _spd_exp(sA, v, _exp_floor(isA), _exp_limit(sA))
 
     def log(self, x, y):
         return frob_entries(_spd_log_matrix(_spd_roots(x, "invsqrt")[0], y))
@@ -671,8 +714,8 @@ class SPD(Geometry):
         return frob_entries(0.5 * (A + A.T))
 
 
-# family -> (whether its identifier carries a curvature, its geometry from
-# the integer parameter and the curvature)
+# family -> (whether its identifier carries a curvature, its spec from the
+# integer parameter and the curvature)
 FAMILIES = {
     "euclidean": (False, lambda p, c: Flat(p, 0.0)),
     "gaussian": (False, lambda p, c: Flat(p + sym_dim(p), float(p))),
@@ -691,7 +734,7 @@ def as_point(spec: ManifoldSpec, x) -> np.ndarray:
     the chart functions check it: all but SPD positive definiteness, which
     the SPD kernels find themselves."""
     x = _rows(x, spec.point_dim, f"point of {spec.id}")
-    spec.geometry.check(x, f"point of {spec.id}")
+    spec.check(x, f"point of {spec.id}")
     return x
 
 
@@ -705,7 +748,7 @@ def chart_at(spec: ManifoldSpec, x) -> Chart:
         raise ValidationError(f"base point of {spec.id} must be one point, "
                               f"got a stack of {len(x)}")
     x.flags.writeable = False
-    return spec.geometry.chart(spec, x)
+    return spec.chart(spec, x)
 
 
 def exp_map(spec: ManifoldSpec, x, v) -> np.ndarray:
@@ -719,7 +762,7 @@ def exp_map(spec: ManifoldSpec, x, v) -> np.ndarray:
     x = as_point(spec, x)
     v = _rows(v, spec.chart_dim, f"tangent of {spec.id}")
     _stacked(x, v)  # rejects two stacks of different lengths
-    return spec.geometry.exp(x, v)
+    return spec.exp(x, v)
 
 
 def log_map(spec: ManifoldSpec, x, y) -> np.ndarray:
@@ -732,7 +775,7 @@ def log_map(spec: ManifoldSpec, x, y) -> np.ndarray:
     x = as_point(spec, x)
     y = as_point(spec, y)
     _stacked(x, y)  # rejects two stacks of different lengths
-    return spec.geometry.log(x, y)
+    return spec.log(x, y)
 
 
 def distance(spec: ManifoldSpec, x, y):
@@ -744,13 +787,13 @@ def distance(spec: ManifoldSpec, x, y):
     x = as_point(spec, x)
     y = as_point(spec, y)
     stacked = _stacked(x, y)
-    d = spec.geometry.distance(x, y)
+    d = spec.distance(x, y)
     return d if stacked else float(d)
 
 
 def random_point(spec: ManifoldSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw a generic point of ``spec`` (for tests and audits)."""
-    return spec.geometry.random_point(rng)
+    return spec.random_point(rng)
 
 
 def random_tangent(spec: ManifoldSpec, x, rng: np.random.Generator,
@@ -760,7 +803,7 @@ def random_tangent(spec: ManifoldSpec, x, rng: np.random.Generator,
     x = as_point(spec, x)
     if radius is None:
         radius = min(0.9 * spec.inj_lower, 2.0)
-    v = spec.geometry.project(x, rng.standard_normal(spec.chart_dim))
+    v = spec.project(x, rng.standard_normal(spec.chart_dim))
     nv = float(np.linalg.norm(v))
     scale = radius * rng.random() ** (1.0 / spec.dim)
     return (scale / nv) * v

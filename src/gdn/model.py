@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GdnError, RangeError, ValidationError
-from .manifolds.core import ManifoldSpec, resolve_manifold
-from .manifolds.zoo import Chart, as_point, chart_at, row_norms
+from .manifolds.core import resolve_manifold
+from .manifolds.zoo import Chart, ManifoldSpec, as_point, chart_at, row_norms
 from .network import FeedforwardNet, eval_net, net_from_dict, net_to_dict
 
 __all__ = [

@@ -23,9 +23,8 @@ import numpy as np
 
 from .approx.polynomials import parse_poly_expr, poly_eval
 from .errors import ParseError, ValidationError
-from .manifolds.core import ManifoldSpec
 from .manifolds.sym import frob_unvec, frob_vec
-from .manifolds.zoo import as_point, mobius_add
+from .manifolds.zoo import ManifoldSpec, as_point, mobius_add
 
 __all__ = ["Target", "resolve_target"]
 

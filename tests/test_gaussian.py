@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_orthogonal, random_spd
-from gdn.errors import ValidationError
+from gdn.errors import NumericError, ValidationError
 from gdn.manifolds.gaussian import (
     GaussianParam,
     gaussian_chart_decode,
@@ -30,6 +30,11 @@ class TestGaussianChart:
             v = rng.uniform(-1.5, 1.5, size=5)
             g = gaussian_chart_decode(v)
             np.testing.assert_allclose(gaussian_chart_encode(g), v, atol=1e-8)
+
+    def test_decode_of_a_log_variance_past_the_float_range(self):
+        with pytest.raises(NumericError,
+                           match="^matrix function 'exp' overflows the float range$"):
+            gaussian_chart_decode([0.0, 1e3])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):

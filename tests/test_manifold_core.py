@@ -7,13 +7,14 @@ from hypothesis import given, strategies as st
 
 from gdn.errors import ParseError, ValidationError
 from gdn.manifolds.core import k_star, resolve_manifold, universality_radius
+from gdn.manifolds.zoo import ManifoldSpec, Sphere
 
 
 class TestResolveManifold:
     def test_euclidean(self):
         spec = resolve_manifold("euclidean:3")
         assert (spec.dim, spec.chart_dim, spec.point_dim) == (3, 3, 3)
-        assert spec.curvature_bound == 0.0
+        assert (spec.curvature_max, spec.curvature_min) == (0.0, 0.0)
         assert spec.inj_lower == math.inf
 
     def test_sphere_dims_and_inj(self):
@@ -60,6 +61,27 @@ class TestResolveManifold:
     def test_different_geometries_differ(self):
         assert resolve_manifold("sphere:2") != resolve_manifold("sphere:3")
         assert resolve_manifold("poincare:2:1") != resolve_manifold("poincare:2:0.5")
+
+    def test_same_dims_and_kernels_differ_by_id(self):
+        flat, gauss = resolve_manifold("euclidean:2"), resolve_manifold("gaussian:1")
+        assert type(flat) is type(gauss) and flat.point_dim == gauss.point_dim == 2
+        assert flat != gauss
+
+    def test_one_curvature_written_two_ways_is_one_spec(self):
+        a, b = resolve_manifold("poincare:2:1"), resolve_manifold("poincare:2:1.0")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.id == b.id == "poincare:2:1.0"
+
+    def test_a_spec_is_a_dict_key(self):
+        seen = {resolve_manifold("sphere:2"): "s2", resolve_manifold("spd:2"): "p2"}
+        assert seen[resolve_manifold(" sphere:2 ")] == "s2"
+        assert seen[resolve_manifold("spd:2")] == "p2"
+        assert resolve_manifold("sphere:3") not in seen
+
+    def test_the_spec_is_its_family_class(self):
+        spec = resolve_manifold("sphere:2")
+        assert isinstance(spec, Sphere) and isinstance(spec, ManifoldSpec)
+        assert (spec.id, spec.family) == ("sphere:2", "sphere")
 
     @pytest.mark.parametrize("ident,kmin", [
         ("euclidean:2", 0.0), ("gaussian:2", 0.0), ("torus:2", 0.0), ("sphere:2", 1.0),

@@ -16,6 +16,7 @@ import gdn.manifolds.zoo
 from gdn.errors import DomainError, NumericError, RangeError, ValidationError
 from gdn.manifolds.core import resolve_manifold
 from gdn.cli import main
+from gdn.manifolds.sym import frob_vec
 from gdn.manifolds.zoo import chart_at, exp_map, random_point, random_tangent
 from gdn.model import (
     GDNModel,
@@ -323,6 +324,22 @@ class TestValidatedOnce:
         with pytest.raises(NumericError,
                            match="^the spd exponential map overflows the float range$"):
             g(np.array(eye))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spd_underflow_raises_through_gdn_eval(self, n, tmp_path, capsys):
+        # a net output whose exponential underflows to a singular matrix:
+        # gdn_eval and ``gdn eval`` refuse it, and exit 1
+        spd = resolve_manifold(f"spd:{n}")
+        eye = frob_vec(np.eye(n))
+        g = model_at(spd, spd, eye, eye, affine_net(np.zeros((len(eye), len(eye))),
+                                                    -800.0 * eye))
+        message = "the spd exponential map underflows the float range"
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            g(eye)
+        path = tmp_path / "m.json"
+        save_gdn(g, str(path))
+        assert main(["eval", "--model", str(path), "--input", json.dumps(eye.tolist())]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     # (manifold, base point, input, error class, message), as the checks
     # inside distance, log_map and exp_map raised them on every call

@@ -1,8 +1,8 @@
 """Every public top-level function and class in the package, and every public
 method of such a class, is reached from a command, from module-level code or
 from the acceptance suite, or is kept on purpose; every field of a dataclass
-is read; every parameter with a default is passed somewhere; and no module
-imports a name it never uses.
+and every attribute of a manifold spec is read; every parameter with a
+default is passed somewhere; and no module imports a name it never uses.
 
 Reached is transitive: the roots are ``cli.main``, every module-level
 statement that is not a definition, an import or ``__all__`` (``FAMILIES``,
@@ -16,6 +16,8 @@ bears it.
 A dataclass field is read when package code or the acceptance suite loads
 an attribute of its name (``result.degree``), or it sits in ``KEEP`` as
 ``Class.field``.  Fields are matched without their class, like definitions.
+The attributes that ``ManifoldSpec`` and its subclasses set, in their class
+body or as ``self.name = ...`` in ``__init__``, count as fields.
 
 A parameter with a default, of any function or method in the package, is
 passed when a call in package code or in the acceptance suite to a callee of
@@ -142,7 +144,7 @@ def test_every_public_definition_is_reached():
 def test_keep_holds_only_defined_unreached_names():
     defs, reached = _reached()
     defined = {name for name, _w, _r, _m in defs}
-    fields = {qual: field for qual, field, _where in _dataclass_fields()}
+    fields = {qual: field for qual, field, _where in _fields()}
     reads = _attribute_reads()
 
     def is_stale(name):
@@ -174,6 +176,45 @@ def _dataclass_fields():
                            f"{path.relative_to(SRC)}:{stmt.lineno}")
 
 
+def _spec_attributes():
+    """("Class.attr", attr, "module.py:line") of every attribute that
+    ``ManifoldSpec`` or a subclass of it in the package sets in its class
+    body (a constant or an annotation) or as ``self.attr = ...`` in its
+    ``__init__``."""
+    classes = [(path, cls) for path, tree in _modules() for cls in tree.body
+               if isinstance(cls, ast.ClassDef)]
+    specs, grew = {"ManifoldSpec"}, True
+    while grew:
+        grew = False
+        for _path, cls in classes:
+            if cls.name not in specs and any(getattr(b, "id", None) in specs
+                                             for b in cls.bases):
+                specs.add(cls.name)
+                grew = True
+    for path, cls in classes:
+        if cls.name not in specs:
+            continue
+        found = []  # (name, line)
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                found += [(n.id, n.lineno) for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)]
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                found += [(n.attr, n.lineno) for sub in ast.walk(stmt)
+                          if isinstance(sub, ast.Assign) for t in sub.targets
+                          for n in ast.walk(t) if isinstance(n, ast.Attribute)
+                          and getattr(n.value, "id", None) == "self"]
+        for name, line in found:
+            yield f"{cls.name}.{name}", name, f"{path.relative_to(SRC)}:{line}"
+
+
+def _fields():
+    """The dataclass fields and the manifold spec attributes."""
+    yield from _dataclass_fields()
+    yield from _spec_attributes()
+
+
 def _attribute_reads():
     """The attribute names that package code and the acceptance suite load."""
     trees = [tree for _path, tree in _modules()] + [ast.parse(ACCEPTANCE.read_text())]
@@ -182,8 +223,9 @@ def _attribute_reads():
 
 
 def test_every_dataclass_field_is_read():
+    # and every attribute a manifold spec sets
     reads = _attribute_reads()
-    unread = [f"{qual} ({where})" for qual, field, where in _dataclass_fields()
+    unread = [f"{qual} ({where})" for qual, field, where in _fields()
               if field not in reads and qual not in KEEP]
     assert not unread, "fields read by nothing: " + ", ".join(unread)
 

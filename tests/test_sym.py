@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_orthogonal, random_spd
-from gdn.errors import DomainError, ValidationError
+from gdn.errors import DomainError, NumericError, ValidationError
 from gdn.manifolds.sym import (
     check_spd,
     eigh,
@@ -151,6 +151,17 @@ class TestMatrixFunctions:
         # invsqrt(A) sqrt(A) = I loses up to cond(A)^(1/2) relative accuracy
         np.testing.assert_allclose(
             sym_matrix_function("invsqrt", A) @ S, np.eye(n), atol=1e-8)
+
+    @pytest.mark.parametrize("A", [
+        np.diag([1e3, 1.0]),  # e^w meets the zeros of V: inf * 0
+        np.array([[1e3]]),
+        np.stack([np.eye(2), np.diag([1.0, 1e3])]),  # one matrix of a stack
+    ])
+    def test_exp_overflow_is_a_numeric_error(self, A):
+        # one error and no warning: pytest fails on any RuntimeWarning
+        with pytest.raises(NumericError,
+                           match="^matrix function 'exp' overflows the float range$"):
+            sym_matrix_function("exp", A)
 
     def test_stack_matches_single_calls(self, rng):
         A = np.stack([random_spd(3, rng, lo=0.1, hi=5.0) for _ in range(30)])

@@ -305,17 +305,16 @@ class TestBoundChart:
     @pytest.mark.parametrize("ident", ZOO + ["spd:3"])
     def test_bound_kernels_equal_unbound_bit_for_bit(self, ident, rng):
         spec = resolve_manifold(ident)
-        geo = spec.geometry
         for _ in range(3):
             x = random_point(spec, rng)
             chart = chart_at(spec, x)
             vs = np.array([random_tangent(spec, x, rng) for _ in range(16)])
             ys = exp_map(spec, x, vs)
             for v, y in [(vs[0], ys[0]), (vs, ys)]:
-                assert chart.exp(v).tobytes() == geo.exp(x, v).tobytes()
-                assert chart.log(y).tobytes() == geo.log(x, y).tobytes()
+                assert chart.exp(v).tobytes() == spec.exp(x, v).tobytes()
+                assert chart.log(y).tobytes() == spec.log(x, y).tobytes()
                 assert (np.asarray(chart.distance(y)).tobytes()
-                        == np.asarray(geo.distance(x, y)).tobytes())
+                        == np.asarray(spec.distance(x, y)).tobytes())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_spd_chart_keeps_both_roots(self, n, rng):
@@ -346,14 +345,14 @@ class TestBoundChart:
         spec = resolve_manifold(ident)
         x = random_point(spec, rng)
         chart = chart_at(spec, x)
-        assert chart.spec is spec and chart.geometry is spec.geometry
+        assert chart.spec is spec
         frame = chart.frame
         assert frame is chart.frame  # built once
         assert frame.shape == (spec.chart_dim, spec.dim)
         np.testing.assert_allclose(frame.T @ frame, np.eye(spec.dim), atol=1e-12)
         # every column is tangent at x: its projection leaves it unchanged
         for column in frame.T:
-            np.testing.assert_allclose(spec.geometry.project(x, column), column,
+            np.testing.assert_allclose(spec.project(x, column), column,
                                        atol=1e-12)
         with pytest.raises(ValueError):
             frame[0, 0] = 0.5
@@ -686,6 +685,46 @@ class TestOneGeometryPerFamily:
                                match="^the spd exponential map overflows the float range$"):
                 call()
 
+    # (manifold, base, tangent) whose exponential underflows to a matrix
+    # that is not positive definite: through e^lo, through the product with
+    # a small base, and through LAPACK's path at order 3
+    EXP_UNDERFLOWS = [
+        ("spd:2", [1.0, 0.0, 1.0], [-800.0, 0.0, -800.0]),
+        ("spd:2", [1.0, 0.0, 1.0], [-1.7e308, 0.0, -1.7e308]),
+        ("spd:2", [1e-300, 0.0, 1e-300], [-100.0, 0.0, -100.0]),
+        ("spd:3", [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], [-800.0, 0.0, 0.0, -800.0, 0.0, -800.0]),
+    ]
+
+    @pytest.mark.parametrize("manifold,x,v", EXP_UNDERFLOWS)
+    def test_spd_exp_underflow_is_a_numeric_error(self, manifold, x, v):
+        spec = resolve_manifold(manifold)
+        for call in (lambda: exp_map(spec, x, v), lambda: chart_at(spec, x).exp(
+                np.asarray(v))):
+            with pytest.raises(NumericError,
+                               match="^the spd exponential map underflows the float range$"):
+                call()
+
+    @pytest.mark.parametrize("manifold,x,v,guarded", [
+        ("spd:2", [1.0, 0.0, 1.0], [-720.0, 0.0, -720.0], True),
+        ("spd:2", [1e-300, 0.0, 1e-300], [-20.0, 0.0, -20.0], True),
+        ("spd:2", [1e-300, 0.0, 1e-300], [-10.0, 0.5, -11.0], False),
+        ("spd:3", [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], [-720.0, 0.0, 0.0, -1.0, 0.0, 0.0], True),
+    ])
+    def test_exp_past_the_floor_keeps_its_bits(self, manifold, x, v, guarded):
+        # past the chart's exponent floor the same steps run with the
+        # warnings off; a positive definite result has the bits of the
+        # unguarded steps, through the chart and through exp_map
+        spec = resolve_manifold(manifold)
+        chart = chart_at(spec, x)
+        low = np.linalg.eigvalsh(frob_unvec(np.asarray(v)))[0]
+        assert (low < chart.exp_floor) == guarded
+        E = _spd_functions(frob_unvec(np.asarray(v)), "exp")[0]
+        M = chart.root @ E @ chart.root
+        want = frob_vec(0.5 * (M + M.T))
+        assert np.linalg.eigvalsh(frob_unvec(want))[0] > 0.0
+        for got in (chart.exp(np.asarray(v)), exp_map(spec, x, v)):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("manifold,x,v,guarded", [
         ("spd:2", [1.0, 0.0, 1.0], [708.0, 0.0, 0.0], True),
         ("spd:2", [1.0, 0.0, 1.0], [707.5, 0.5, 706.0], True),
@@ -714,7 +753,7 @@ class TestOneGeometryPerFamily:
             chart_at(spec, bad)
 
     def test_no_family_string_comparisons(self):
-        """The kernels are picked once, through ``spec.geometry``: no
+        """The kernels are picked once, by the spec's class: no
         comparison against ``.family`` or a family name may come back in
         the manifold modules."""
         families = {"euclidean", "sphere", "poincare", "spd", "gaussian", "torus", "rp"}
