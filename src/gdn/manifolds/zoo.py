@@ -454,16 +454,15 @@ def _two_sum(x, y):
 
 
 def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
-                   exp_floor: float | np.ndarray | None = None,
-                   exp_limit: float | np.ndarray | None = None) -> list:
+                   exp_floor: float | np.ndarray | None = None) -> list:
     """The matrix functions ``kinds`` ("exp", "log", "sqrt", "invsqrt") of
     a symmetric matrix or (N, n, n) stack ``S`` that is exactly symmetric
     by construction, each exactly symmetric.  With ``positive`` the
     matrices must be positive definite: the error gives that text and the
     smallest eigenvalue of the first matrix that is not.  With
-    ``exp_floor`` and ``exp_limit`` (``_exp_floor``, ``_exp_limit``), "exp"
-    is asked for alone and comes back as None where an exponent may pass
-    the floor or the limit, before any step can underflow or overflow.
+    ``exp_floor`` (``_exp_floor``), "exp" is asked for alone and comes back
+    next to the mask of the matrices whose smallest eigenvalue is below
+    the floor.
 
     Order 2 has closed forms.  S = m I + r N with N = [[u, v], [v, -u]],
     (u, v) a unit vector, has eigenvalues m -+ r, so f(S) = alpha I +
@@ -475,10 +474,8 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
         w, V = symmetric_eigh(S)
         if positive is not None:
             _positive(w[..., 0], positive)
-        if exp_limit is not None and (_any(w[..., -1] > exp_limit)
-                                      or _any(w[..., 0] < exp_floor)):
-            return [None]
-        return [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
+        out = [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
+        return out if exp_floor is None else out + [w[..., 0] < exp_floor]
     check_finite(S)
     a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
     # halved first, so that no sum overflows (a subnormal half may round)
@@ -492,13 +489,6 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
             r = np.hypot(d, b)
     else:
         r = np.hypot(d, b)
-    if exp_limit is not None and (wide or _any(m > exp_limit)
-                                  or _any(m < exp_floor + r)):
-        # hi = m + r >= m passes the limit, r may pass the float maximum, or
-        # the small eigenvalue m - r passes the floor (compared without the
-        # difference, which may overflow); past these checks, m + r and -2r
-        # stay in range
-        return [None]
     undo = None
     if "exp" not in kinds and (wide or _any(m > 2.0 ** 1022)):
         # the large eigenvalue m + r may pass the float maximum (r < m where
@@ -541,9 +531,6 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
             # error of hi's absolute one, so the rounding errors of m and
             # m + r scale it by e^err = 1 + err, leaving r's own
             err = _two_sum(m, r)[1] + _two_sum(ha, hc)[1]
-            # e^hi (1 + err) <= e^(hi + |err|)
-            if exp_limit is not None and _any(hi + abs(err) > exp_limit):
-                return [None]
             e = np.expm1(-2.0 * r)
             top = np.exp(hi) * (1.0 + err)
             alpha, gamma = top * (1.0 + 0.5 * e), -0.5 * top * e
@@ -578,7 +565,9 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
         F[..., 1, 1] = alpha - gamma * u
         F[..., 0, 1] = F[..., 1, 0] = gamma * v
         out.append(F)
-    return out
+    # the small eigenvalue m - r is compared without the difference, which
+    # may overflow
+    return out if exp_floor is None else out + [m < exp_floor + r]
 
 
 def _spd_roots(x: np.ndarray, *kinds: str) -> list:
@@ -588,20 +577,8 @@ def _spd_roots(x: np.ndarray, *kinds: str) -> list:
                           positive="spd point is not positive definite: min eigenvalue")
 
 
-# the largest argument of exp below the float maximum, and the smallest
-# whose exp is a normal float
-_LOG_MAX = math.log(sys.float_info.max)
+# the smallest argument of exp whose exp is a normal float
 _LOG_TINY = math.log(sys.float_info.min)
-
-
-def _exp_limit(sA: np.ndarray) -> float | np.ndarray:
-    """The exponent below which sqrt(A) exp(S) sqrt(A), from the root sA of
-    A (or per root of a stack) and a symmetric S whose eigenvalues stay
-    under it, has no step that passes the float maximum: its entries are at
-    most ||sA||_F^2 e^max(eig S) <= (n max|sA|)^2 e^max(eig S), and the
-    factor 4 covers the symmetrization and the closed forms."""
-    scale = np.maximum(sA.shape[-1] * np.abs(sA).max(axis=(-2, -1)), 1.0)
-    return _LOG_MAX - math.log(4.0) - 2.0 * np.log(scale)
 
 
 def _exp_floor(isA: np.ndarray) -> float | np.ndarray:
@@ -614,25 +591,18 @@ def _exp_floor(isA: np.ndarray) -> float | np.ndarray:
     return _LOG_TINY + math.log(4.0) + 2.0 * np.log(scale)
 
 
-def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray,
-             limit: float | np.ndarray) -> np.ndarray:
-    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base, its
-    # inverse root's ``_exp_floor`` and its ``_exp_limit``
-    S = frob_unvec(v)
-    E = _spd_functions(S, "exp", exp_floor=floor, exp_limit=limit)[0]
-    if E is not None:
-        M = sA @ E @ sA
-        return frob_entries(check_finite(0.5 * (M + M.swapaxes(-1, -2))))
-    # past the floor or the limit, the same steps run with the warnings off;
-    # the result stands where it stays finite and, past the floor, positive
-    # definite
+def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray) -> np.ndarray:
+    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base and its
+    # inverse root's ``_exp_floor``.  The steps run once with the warnings
+    # off; the result stands where it stays finite and, past the floor,
+    # positive definite
     with np.errstate(all="ignore"):
-        M = sA @ _spd_functions(S, "exp")[0] @ sA
+        E, low = _spd_functions(frob_unvec(v), "exp", exp_floor=floor)
+        M = sA @ E @ sA
         M = 0.5 * (M + M.swapaxes(-1, -2))
     if np.count_nonzero(np.isfinite(M)) != M.size:
         raise NumericError("the spd exponential map overflows the float range")
-    low = symmetric_eigh(S)[0][..., 0] < floor
-    if _any(low & ~(symmetric_eigh(M)[0][..., 0] > 0.0)):
+    if _any(low) and _any(low & ~(symmetric_eigh(M)[0][..., 0] > 0.0)):
         raise NumericError("the spd exponential map underflows the float range")
     return frob_entries(M)
 
@@ -657,8 +627,7 @@ class _SPDChart(Chart):
     """The SPD kernels about a base A, on its stored read-only ``root``
     sqrt(A) and ``inv_root`` sqrt(A)^-1, from the one spectral computation
     that also checks that A is positive definite, and on the inverse
-    root's ``_exp_floor`` and the root's ``_exp_limit``, built on the first
-    exp."""
+    root's ``_exp_floor``, built on the first exp."""
 
     def __init__(self, spec: ManifoldSpec, x: np.ndarray):
         super().__init__(spec, x)
@@ -670,12 +639,8 @@ class _SPDChart(Chart):
     def exp_floor(self) -> float:
         return float(_exp_floor(self.inv_root))
 
-    @cached_property
-    def exp_limit(self) -> float:
-        return float(_exp_limit(self.root))
-
     def exp(self, v):
-        return _spd_exp(self.root, v, self.exp_floor, self.exp_limit)
+        return _spd_exp(self.root, v, self.exp_floor)
 
     def log(self, y):
         return frob_entries(_spd_log_matrix(self.inv_root, y))
@@ -698,7 +663,7 @@ class SPD(ManifoldSpec):
 
     def exp(self, x, v):
         sA, isA = _spd_roots(x, "sqrt", "invsqrt")
-        return _spd_exp(sA, v, _exp_floor(isA), _exp_limit(sA))
+        return _spd_exp(sA, v, _exp_floor(isA))
 
     def log(self, x, y):
         return frob_entries(_spd_log_matrix(_spd_roots(x, "invsqrt")[0], y))

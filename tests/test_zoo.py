@@ -733,11 +733,9 @@ class TestOneGeometryPerFamily:
         ("spd:3", [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], [707.5, 0.0, 0.0, 0.0, 0.0, 1.0], True),
     ])
     def test_exp_past_the_guard_keeps_its_bits(self, manifold, x, v, guarded):
-        # past the chart's exponent limit the same steps run with the
-        # warnings off; a finite result has the bits of the unguarded steps
+        # near the float maximum the same steps run with the warnings off; a
+        # finite result has the bits of the steps run alone
         chart = chart_at(resolve_manifold(manifold), x)
-        top = np.linalg.eigvalsh(frob_unvec(np.asarray(v)))[-1]
-        assert (top > chart.exp_limit) == guarded
         with np.errstate(all="ignore"):
             E = _spd_functions(frob_unvec(np.asarray(v)), "exp")[0]
             M = chart.root @ E @ chart.root
