@@ -12,6 +12,7 @@ from ..errors import ValidationError
 from .sym import (
     check_spd,
     eigh,
+    sym,
     sym_chart_decode,
     sym_chart_encode,
     sym_dim,
@@ -84,7 +85,7 @@ def wasserstein2(a: GaussianParam, b: GaussianParam) -> float:
     # G = S1^{1/2} S2 S1^{1/2}; its eigen-sqrt gives the singular data of
     # M = S2^{1/2} S1^{1/2}
     G = s1 @ b.cov @ s1
-    w, W = eigh(0.5 * (G + G.T))
+    w, W = eigh(sym(G))
     svals = np.sqrt(np.maximum(w, 0.0))
     M = s2 @ s1
     V = (M @ W) / np.maximum(svals, 1e-300)

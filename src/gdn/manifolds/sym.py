@@ -37,6 +37,7 @@ __all__ = [
     "eigh",
     "symmetric_eigh",
     "spectral",
+    "sym",
     "jacobi_eigh",
     "check_finite",
     "check_symmetric",
@@ -61,9 +62,18 @@ def check_finite(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def sym(M: np.ndarray) -> np.ndarray:
+    """The symmetric part (M + M^T)/2 of a square matrix or of an (N, n, n)
+    stack, exactly symmetric.  Each half is taken before the sum, which
+    then stays in the float range; where the halves are normal floats this
+    is 0.5 * (M + M^T), bit for bit."""
+    H = 0.5 * M
+    return H + H.swapaxes(-1, -2)
+
+
 def check_symmetric(A: np.ndarray) -> np.ndarray:
     """Validate symmetry up to 1e-12 relative skew and return the exact
-    symmetrization (A + A^T)/2.  ``A`` is one square matrix or an
+    symmetrization ``sym(A)``.  ``A`` is one square matrix or an
     (N, n, n) stack, each matrix judged against its own scale."""
     A = np.asarray(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -76,7 +86,7 @@ def check_symmetric(A: np.ndarray) -> np.ndarray:
     bad = skew > 1e-12 * scale
     if np.count_nonzero(bad):
         raise ValidationError(f"matrix is not symmetric: max skew {skew[bad].max():.3e}")
-    return 0.5 * (A + At)
+    return sym(A)
 
 
 def eigh(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -105,8 +115,7 @@ def symmetric_eigh(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def spectral(V: np.ndarray, fw: np.ndarray) -> np.ndarray:
     """V diag(fw) V^T, symmetrized, for one eigenbasis or a stack of them
     (``fw`` holds the function values of the eigenvalues)."""
-    M = (V * fw[..., None, :]) @ V.swapaxes(-1, -2)
-    return 0.5 * (M + M.swapaxes(-1, -2))
+    return sym((V * fw[..., None, :]) @ V.swapaxes(-1, -2))
 
 
 def jacobi_eigh(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import NumericError, OutOfInjectivityError, ValidationError
-from .sym import _FUNCS, check_finite, frob_entries, frob_unvec, spectral, sym_dim, symmetric_eigh
+from .sym import (_FUNCS, check_finite, frob_entries, frob_unvec, spectral, sym, sym_dim,
+                  symmetric_eigh)
 
 __all__ = [
     "ManifoldSpec",
@@ -453,6 +454,23 @@ def _two_sum(x, y):
     return s, (x - (s - z)) + (y - z)
 
 
+# the eigen-gap past which e^lo is below 64 ulps of e^hi, so that the
+# rounding of exp's entries may pass its small eigenvalue
+_EXP_GAP = -math.log(64.0 * sys.float_info.epsilon)
+
+
+def _exp_projectors(top, bottom, u, v):
+    # the entries of e^hi P_hi + e^lo P_lo, from top = e^hi and bottom =
+    # e^lo, with P_hi = (I + N)/2 and P_lo = (I - N)/2 = (hi I - S)/2r.  The
+    # diagonal entries are sums of nonnegative terms, and the small diagonal
+    # entry of each projector, (1 - |u|)/2, is taken as v^2/4 over the
+    # large one, (1 + |u|)/2, without the cancellation of 1 - |u|
+    big = 0.5 + 0.5 * abs(u)
+    small = (0.25 * v * v) / big
+    hi0, hi1 = np.where(u >= 0.0, big, small), np.where(u >= 0.0, small, big)
+    return top * hi0 + bottom * hi1, top * hi1 + bottom * hi0, (top - bottom) * (0.5 * v)
+
+
 def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
                    exp_floor: float | np.ndarray | None = None) -> list:
     """The matrix functions ``kinds`` ("exp", "log", "sqrt", "invsqrt") of
@@ -461,21 +479,26 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
     matrices must be positive definite: the error gives that text and the
     smallest eigenvalue of the first matrix that is not.  With
     ``exp_floor`` (``_exp_floor``), "exp" is asked for alone and comes back
-    next to the mask of the matrices whose smallest eigenvalue is below
-    the floor.
+    next to two masks: of the matrices whose smallest eigenvalue is below
+    the floor, and of those whose eigen-gap is past ``_EXP_GAP``.
 
     Order 2 has closed forms.  S = m I + r N with N = [[u, v], [v, -u]],
     (u, v) a unit vector, has eigenvalues m -+ r, so f(S) = alpha I +
     gamma N with alpha the mean and gamma the half-difference of f at
     them, each in a form that stays finite and accurate where the plain
-    one does not.  Larger orders go through one LAPACK eigendecomposition.
+    one does not.  Past an eigen-gap 2r of ``_EXP_GAP``, where alpha -
+    gamma cancels to far less than e^lo, exp takes the projector form
+    e^hi P_hi + e^lo P_lo instead.  Larger orders go through one LAPACK
+    eigendecomposition.
     """
     if S.shape[-1] != 2:
         w, V = symmetric_eigh(S)
         if positive is not None:
             _positive(w[..., 0], positive)
         out = [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
-        return out if exp_floor is None else out + [w[..., 0] < exp_floor]
+        if exp_floor is None:
+            return out
+        return out + [w[..., 0] < exp_floor, w[..., -1] > w[..., 0] + _EXP_GAP]
     check_finite(S)
     a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
     # halved first, so that no sum overflows (a subnormal half may round)
@@ -564,10 +587,19 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
         F[..., 0, 0] = alpha + gamma * u
         F[..., 1, 1] = alpha - gamma * u
         F[..., 0, 1] = F[..., 1, 0] = gamma * v
+        if kind == "exp" and _any(far := r > 0.5 * _EXP_GAP):
+            # e^lo from lo = m - r, scaled by its rounding error as e^hi is
+            bottom = np.exp(m - r) * (1.0 + _two_sum(m, -r)[1] + _two_sum(ha, hc)[1])
+            f00, f11, f01 = _exp_projectors(top, bottom, u, v)
+            F[..., 0, 0] = np.where(far, f00, F[..., 0, 0])
+            F[..., 1, 1] = np.where(far, f11, F[..., 1, 1])
+            F[..., 0, 1] = F[..., 1, 0] = np.where(far, f01, F[..., 0, 1])
         out.append(F)
-    # the small eigenvalue m - r is compared without the difference, which
-    # may overflow
-    return out if exp_floor is None else out + [m < exp_floor + r]
+    if exp_floor is None:
+        return out
+    # exp is asked for alone, so ``far`` is its gap mask; the small
+    # eigenvalue m - r is compared without the difference, which may overflow
+    return out + [m < exp_floor + r, far]
 
 
 def _spd_roots(x: np.ndarray, *kinds: str) -> list:
@@ -591,20 +623,45 @@ def _exp_floor(isA: np.ndarray) -> float | np.ndarray:
     return _LOG_TINY + math.log(4.0) + 2.0 * np.log(scale)
 
 
+def _refused(P: np.ndarray, flag) -> np.ndarray:
+    """The mask of the matrices of ``P`` (one symmetric matrix, or a
+    stack), among those ``flag`` marks, that are not positive definite for
+    LAPACK's eigenvalues or for the test that ``chart_at`` and the log map
+    apply to a point (``_spd_functions`` with ``positive``, a closed form
+    at order 2).  The two differ in the last bits, and a point that either
+    refuses is refused."""
+    bad = np.array(~(np.linalg.eigvalsh(P)[..., 0] > 0.0))
+    flag = np.broadcast_to(flag, bad.shape)
+    for i in np.ndindex(bad.shape):
+        if flag[i] and not bad[i]:
+            try:
+                _spd_functions(P[i], positive="")
+            except ValidationError:
+                bad[i] = True
+    return bad & flag
+
+
 def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray) -> np.ndarray:
     # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base and its
     # inverse root's ``_exp_floor``.  The steps run once with the warnings
-    # off; the result stands where it stays finite and, past the floor,
-    # positive definite
+    # off; the result stands where it stays finite and, where the small
+    # eigenvalue may pass the floor or be passed by rounding, the point it
+    # is returned as is positive definite
     with np.errstate(all="ignore"):
-        E, low = _spd_functions(frob_unvec(v), "exp", exp_floor=floor)
-        M = sA @ E @ sA
-        M = 0.5 * (M + M.swapaxes(-1, -2))
-    if np.count_nonzero(np.isfinite(M)) != M.size:
+        E, low, wide = _spd_functions(frob_unvec(v), "exp", exp_floor=floor)
+        y = frob_entries(sym(sA @ E @ sA))
+    if np.count_nonzero(np.isfinite(y)) != y.size:
         raise NumericError("the spd exponential map overflows the float range")
-    if _any(low) and _any(low & ~(symmetric_eigh(M)[0][..., 0] > 0.0)):
-        raise NumericError("the spd exponential map underflows the float range")
-    return frob_entries(M)
+    flagged = low | wide
+    if _any(flagged):
+        bad = _refused(frob_unvec(y), flagged)
+        if _any(low & bad):
+            raise NumericError("the spd exponential map underflows the float range")
+        if _any(bad):
+            raise NumericError("the spd exponential map is not positive definite: rounding "
+                               "passes its smallest eigenvalue past an eigen-gap of "
+                               f"{_EXP_GAP:.4g}")
+    return y
 
 
 def _spd_log_matrix(isA: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -612,8 +669,7 @@ def _spd_log_matrix(isA: np.ndarray, y: np.ndarray) -> np.ndarray:
     # root isA of the base; its Frobenius norm is the affine-invariant
     # distance, making the chart radially isometric in plain Euclidean
     # tangent coordinates
-    inner = isA @ frob_unvec(y) @ isA
-    return _spd_functions(0.5 * (inner + inner.swapaxes(-1, -2)), "log",
+    return _spd_functions(sym(isA @ frob_unvec(y) @ isA), "log",
                           positive="target of spd log map is not SPD: matrix function "
                                    "'log' requires SPD input: smallest eigenvalue")[0]
 
@@ -675,8 +731,7 @@ class SPD(ManifoldSpec):
         n = int(self.param)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         w = rng.uniform(0.4, 2.5, size=n)
-        A = (Q * w) @ Q.T
-        return frob_entries(0.5 * (A + A.T))
+        return frob_entries(sym((Q * w) @ Q.T))
 
 
 # family -> (whether its identifier carries a curvature, its spec from the

@@ -54,7 +54,10 @@ def _memo_halton(count: int, dim: int) -> np.ndarray:
 
 def ball_points(count: int, dim: int, radius: float) -> np.ndarray:
     """Halton points mapped into the solid Euclidean ball of ``radius``;
-    the Halton sample of each (count, dim) is built once per process."""
+    the Halton sample of each (count, dim) is built once per process.
+    Dimensions above 3 are refused before any sample is built."""
+    if dim > 3:
+        raise UnsupportedError("deterministic ball sampling is wired for dim <= 3")
     u = _memo_halton(count, dim)
     r = radius * u[:, 0] ** (1.0 / dim)
     if dim == 1:
@@ -63,13 +66,10 @@ def ball_points(count: int, dim: int, radius: float) -> np.ndarray:
     if dim == 2:
         ang = 2.0 * math.pi * u[:, 1]
         return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-    if dim == 3:
-        cos_t = 2.0 * u[:, 1] - 1.0
-        sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t ** 2))
-        phi = 2.0 * math.pi * u[:, 2]
-        return np.stack([r * sin_t * np.cos(phi), r * sin_t * np.sin(phi),
-                         r * cos_t], axis=1)
-    raise UnsupportedError("deterministic ball sampling is wired for dim <= 3")
+    cos_t = 2.0 * u[:, 1] - 1.0
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t ** 2))
+    phi = 2.0 * math.pi * u[:, 2]
+    return np.stack([r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * cos_t], axis=1)
 
 
 def geodesic_ball_points(chart: Chart, radius: float, count: int) -> np.ndarray:

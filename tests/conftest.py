@@ -1,9 +1,29 @@
 import functools
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import gdn.approx.synthesis as synthesis
+
+# Tier-1 draws the same hypothesis examples on every run and keeps no
+# example database, so its result is deterministic; pytest's
+# --hypothesis-profile=default draws fresh ones
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants of the source it reads in its storage
+    # directory, database or not, from test collection on; in a temporary
+    # directory removed after the run, a run writes no .hypothesis/ into the
+    # checkout
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 @pytest.fixture

@@ -346,6 +346,17 @@ class TestCompileAndEval:
         assert (code, out) == (2, "")
         assert err == "error: target poly:x1^400 overflows at [-7.5]\n"
 
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_domain_past_the_ball_sampler_exits_1(self, capsys, p):
+        # past the Halton bases (p >= 9) the same refusal and exit code as
+        # at p = 4
+        code, out, err = run(capsys, "compile", "--target", "poly:x1",
+                             "--domain", f"euclidean:{p}", "--codomain", "euclidean:1",
+                             "--base-x", json.dumps([0] * p), "--radius", "0.5",
+                             "--eps", "0.1")
+        assert (code, out) == (1, "")
+        assert err == "error: deterministic ball sampling is wired for dim <= 3\n"
+
     def test_unknown_target_exits_2(self, capsys):
         code, _, err = run(capsys, "compile", "--target", "frobnicate",
                            "--domain", "euclidean:1", "--codomain", "euclidean:1",

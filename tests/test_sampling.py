@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from gdn.errors import ValidationError
-from gdn.sampling import halton
+import gdn.sampling
+from gdn.errors import UnsupportedError, ValidationError
+from gdn.sampling import ball_points, halton
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -40,3 +41,16 @@ class TestHalton:
     def test_more_dimensions_than_primes_refused(self):
         with pytest.raises(ValidationError, match="up to 8 dimensions"):
             halton(3, 9)
+
+
+class TestBallPoints:
+    @pytest.mark.parametrize("dim", [4, 8, 9, 40])
+    def test_dimension_past_3_refused_before_any_sample(self, dim, monkeypatch):
+        # one refusal at every dimension past 3, also past the Halton bases
+        def unbuilt(count, d):
+            raise AssertionError("a Halton sample was built")
+
+        monkeypatch.setattr(gdn.sampling, "_memo_halton", unbuilt)
+        with pytest.raises(UnsupportedError, match="^deterministic ball sampling is wired "
+                                                   "for dim <= 3$"):
+            ball_points(16, dim, 1.0)

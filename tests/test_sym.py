@@ -12,6 +12,7 @@ from gdn.manifolds.sym import (
     frob_unvec,
     frob_vec,
     jacobi_eigh,
+    sym,
     sym_chart_decode,
     sym_chart_encode,
     sym_matrix_function,
@@ -115,6 +116,27 @@ class TestFrobeniusVectorization:
             np.testing.assert_allclose(frob_unvec(v), A, atol=1e-15)
 
 
+    def test_entry_near_the_float_maximum(self):
+        # the symmetrization halves each entry before the sum, which then
+        # stays in range: no inf and no warning
+        v = frob_vec(np.diag([1.7e308, 1.0]))
+        np.testing.assert_array_equal(v, [1.7e308, 0.0, 1.0])
+
+
+class TestSym:
+    def test_bits_of_the_halved_sum_where_the_halves_are_normal(self, rng):
+        M = rng.standard_normal((50, 4, 4)) * 10.0 ** rng.uniform(-300, 300, (50, 1, 1))
+        got = sym(M)
+        assert got.tobytes() == (0.5 * (M + M.swapaxes(-1, -2))).tobytes()
+        assert np.array_equal(got, got.swapaxes(-1, -2))
+        assert sym(M[7]).tobytes() == got[7].tobytes()
+
+    def test_sum_past_the_float_maximum(self):
+        big = np.finfo(float).max
+        M = np.array([[big, 1.5e308], [1.7e308, -big]])
+        np.testing.assert_array_equal(sym(M), [[big, 1.6e308], [1.6e308, -big]])
+
+
 class TestMatrixFunctions:
     def test_sqrt_diagonal(self):
         np.testing.assert_allclose(
@@ -162,6 +184,12 @@ class TestMatrixFunctions:
         with pytest.raises(NumericError,
                            match="^matrix function 'exp' overflows the float range$"):
             sym_matrix_function("exp", A)
+
+    def test_exp_near_the_float_maximum_is_finite(self):
+        # e^709.7 = 1.65e308 is finite; its symmetrization must not pass
+        # the float range on the way
+        F = sym_matrix_function("exp", np.diag([709.7, 1.0]))
+        np.testing.assert_array_equal(F, np.diag(np.exp([709.7, 1.0])))
 
     def test_stack_matches_single_calls(self, rng):
         A = np.stack([random_spd(3, rng, lo=0.1, hi=5.0) for _ in range(30)])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import gdn
 from conftest import random_orthogonal, random_spd
@@ -657,6 +658,22 @@ def test_stacked_kernels_keep_the_scalar_arithmetic(ident, exp_ref, dist_ref, rn
     assert distance(spec, xs[3], ys[3]) == want_dist[3]
 
 
+def _rotated(w, q):
+    # Q diag(w) Q^T, symmetrized, for Q the orthogonal factor of the n x n
+    # matrix with entries q
+    n = len(w)
+    Q = np.linalg.qr(np.reshape(q, (n, n)))[0]
+    M = (Q * np.asarray(w)) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+# spd:2 and spd:3 tangents Q diag(w) Q^T at the identity, w in [-700, 700]
+ROTATED_TANGENTS = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-700.0, 700.0), min_size=n, max_size=n),
+    st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))).map(
+    lambda wq: frob_vec(_rotated(*wq)).tolist())
+
+
 class TestOneGeometryPerFamily:
     def test_spd_exp_overflow_raises(self):
         spec = resolve_manifold("spd:2")
@@ -733,8 +750,9 @@ class TestOneGeometryPerFamily:
         ("spd:3", [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], [707.5, 0.0, 0.0, 0.0, 0.0, 1.0], True),
     ])
     def test_exp_past_the_guard_keeps_its_bits(self, manifold, x, v, guarded):
-        # near the float maximum the same steps run with the warnings off; a
-        # finite result has the bits of the steps run alone
+        # rows near the float maximum (guarded) and one far below it: the
+        # steps run once with the warnings off, and a finite result has the
+        # bits of the steps run alone
         chart = chart_at(resolve_manifold(manifold), x)
         with np.errstate(all="ignore"):
             E = _spd_functions(frob_unvec(np.asarray(v)), "exp")[0]
@@ -742,6 +760,70 @@ class TestOneGeometryPerFamily:
         want = frob_vec(0.5 * (M + M.T))
         got = chart.exp(np.asarray(v))
         assert np.all(np.isfinite(got)) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("manifold,v,want", [
+        ("spd:2", [0.0, 0.0, -50.0], [1.0, 0.0, math.exp(-50.0)]),
+        ("spd:2", [708.0, 0.0, 0.0], [math.exp(708.0), 0.0, 1.0]),
+        ("spd:3", [0.0, 0.0, 0.0, -50.0, 0.0, 0.0], [1.0, 0.0, 0.0, math.exp(-50.0), 0.0, 1.0]),
+    ])
+    def test_wide_diagonal_keeps_its_small_eigenvalue(self, manifold, v, want):
+        # an eigen-gap of 50 or 708: the closed form's e^m cosh r - e^m sinh r
+        # would cancel to 0, the projector form keeps e^lo exactly
+        spec = resolve_manifold(manifold)
+        x = frob_vec(np.eye(int(spec.param)))
+        for got in (exp_map(spec, x, v), chart_at(spec, x).exp(np.asarray(v))):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(log_map(spec, x, want), v)
+
+    WIDE_GAP = ("^the spd exponential map is not positive definite: rounding passes its "
+                "smallest eigenvalue past an eigen-gap of 31.88$")
+
+    def test_rotated_wide_gap_comes_back_positive_definite(self):
+        # eigen-gap 52 off the axes: e^-26 is far below the rounding of the
+        # entries, about e^26 ulps, which may leave an indefinite point
+        spec = resolve_manifold("spd:2")
+        y = exp_map(spec, [1.0, 0.0, 1.0], [25.0, 10.0, -25.0])
+        assert np.linalg.eigvalsh(frob_unvec(y))[0] > 0.0
+        log_map(spec, [1.0, 0.0, 1.0], y)
+
+    @pytest.mark.parametrize("manifold,v", [
+        ("spd:2", [18.0, 18.0, -18.0]),
+        ("spd:3", [18.0, 18.0, 0.0, -18.0, 0.0, 0.0]),
+    ])
+    def test_rotated_wide_gap_is_a_numeric_error(self, manifold, v):
+        # eigen-gap 44 off the axes, where the rounding of the entries
+        # leaves a matrix that is not positive definite
+        spec = resolve_manifold(manifold)
+        x = frob_vec(np.eye(int(spec.param)))
+        for call in (lambda: exp_map(spec, x, v), lambda: chart_at(spec, x).exp(
+                np.asarray(v))):
+            with pytest.raises(NumericError, match=self.WIDE_GAP):
+                call()
+
+    def test_wide_gap_rows_of_a_stack(self):
+        # the rows that stand keep the bits they have alone; one that does
+        # not fails the stack
+        spec = resolve_manifold("spd:2")
+        vs = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, -50.0], [-0.4, 0.0, 0.2]])
+        got = exp_map(spec, [1.0, 0.0, 1.0], vs)
+        for g, v in zip(got, vs):
+            assert g.tobytes() == exp_map(spec, [1.0, 0.0, 1.0], v).tobytes()
+        with pytest.raises(NumericError, match=self.WIDE_GAP):
+            exp_map(spec, [1.0, 0.0, 1.0], np.vstack([vs, [18.0, 18.0, -18.0]]))
+
+    @given(v=ROTATED_TANGENTS)
+    @example(v=[25.0, 10.0, -25.0])
+    def test_exp_at_identity_is_positive_definite_or_refused(self, v):
+        # a point comes back positive definite, for numpy and for the log
+        # map, or the map refuses it
+        spec = resolve_manifold("spd:2" if len(v) == 3 else "spd:3")
+        x = frob_vec(np.eye(int(spec.param)))
+        try:
+            y = exp_map(spec, x, v)
+        except NumericError:
+            return
+        assert np.linalg.eigvalsh(frob_unvec(y))[0] > 0.0
+        log_map(spec, x, y)
 
     def test_spd_positive_definiteness_is_found_by_the_chart(self):
         spec = resolve_manifold("spd:2")
