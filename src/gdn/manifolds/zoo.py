@@ -505,8 +505,10 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
     ha, hc = 0.5 * a, 0.5 * c
     m, d = ha + hc, ha - hc
     # r may pass the float maximum only where |d| or |b| passes 2^1022; the
-    # compares cost less than an errstate on every call of this hot path
-    wide = _any(abs(d) > 2.0 ** 1022) or _any(abs(b) > 2.0 ** 1022)
+    # compares cost less than an errstate on every call of this hot path.
+    # exp overflows there whatever r does, and runs under its caller's
+    # errstate (``_spd_exp``)
+    wide = "exp" not in kinds and (_any(abs(d) > 2.0 ** 1022) or _any(abs(b) > 2.0 ** 1022))
     if wide:
         with np.errstate(over="ignore"):
             r = np.hypot(d, b)
