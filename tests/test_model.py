@@ -25,7 +25,7 @@ from gdn.model import (
     gdn_to_dict,
     save_gdn,
 )
-from gdn.network import AffineLayer, FeedforwardNet, get_activation
+from gdn.network import AffineLayer, FeedforwardNet, eval_net, get_activation
 
 RELU = get_activation("relu")
 E2 = resolve_manifold("euclidean:2")
@@ -126,6 +126,19 @@ class TestStackedGdnEval:
         np.testing.assert_array_equal(got, np.array([gdn_eval(g, x) for x in xs]))
         np.testing.assert_array_equal(gdn_eval(g, xs[:1]), got[:1])
         assert gdn_eval(g, xs[0]).shape == (g.codomain.point_dim,)
+
+    @pytest.mark.parametrize("ident,base", [
+        ("sphere:2", [0.0, 0.6, 0.8]), ("sphere:3", [0.5, -0.5, 0.5, 0.5]),
+        ("rp:2", [0.0, 0.6, 0.8])])
+    def test_sphere_family_evaluation_is_its_kernels(self, ident, base, rng):
+        # the ball checks change no bit of what the kernels compute
+        g = random_chart_model(ident, base, rng)
+        spec = g.domain
+        xs = np.array([exp_map(spec, g.base_x, random_tangent(spec, g.base_x, rng, 1.2))
+                       for _ in range(20)])
+        for x in (xs[0], xs):
+            want = spec.exp(g.base_y, eval_net(g.core, spec.log(g.base_x, x)))
+            assert gdn_eval(g, x).tobytes() == want.tobytes()
 
     def test_one_point_outside_the_ball_raises(self, rng):
         north = np.array([0.0, 0.0, 1.0])
@@ -374,6 +387,9 @@ class TestValidatedOnce:
          "point of rp:2 has non-finite entries"),
         ("rp:2", [0.0, 0.0, 1.0], [0.0, 0.6, 0.6], ValidationError,
          "point of rp:2 must be unit norm, got |x|=0.848528137423857"),
+        ("rp:2", [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], DomainError,
+         "input at distance 1.5707963267948968 from the basepoint is outside the "
+         "injectivity ball of radius 1.5707963267948966"),
         ("poincare:2:1", [0.0, 0.0], [0.1, 0.1, 0.1], ValidationError,
          "point of poincare:2:1.0 must have length 2, got 3"),
         ("poincare:2:1", [0.0, 0.0], [0.1, -np.inf], ValidationError,
@@ -395,6 +411,27 @@ class TestValidatedOnce:
         g = model_at(spec, spec, base, base, zero_net(spec.chart_dim, spec.chart_dim))
         givens = [np.array(x)] + ([np.array([base, x])] if len(x) == len(base) else [])
         for given in givens:  # a point, and a stack with it as its second row
+            with pytest.raises(error) as raised:
+                gdn_eval(g, given)
+            assert str(raised.value) == message
+
+    # (manifold, base point, core bias, error class, message) of a constant
+    # core whose output leaves the codomain chart ball
+    BAD_OUTPUTS = [
+        ("sphere:2", [0.0, 0.0, 1.0], [4.0, 0.0, 0.0], RangeError,
+         "core output norm 4.0 is outside the codomain chart ball of radius "
+         "3.141592653589793; the model is undefined there"),
+        ("rp:2", [0.0, 0.0, 1.0], [1.6, 0.0, 0.0], RangeError,
+         "core output norm 1.6 is outside the codomain chart ball of radius "
+         "1.5707963267948966; the model is undefined there"),
+    ]
+
+    @pytest.mark.parametrize("ident,base,bias,error,message", BAD_OUTPUTS)
+    def test_bad_output_raises_as_before(self, ident, base, bias, error, message):
+        spec = resolve_manifold(ident)
+        g = model_at(spec, spec, base, base,
+                     affine_net(np.zeros((spec.chart_dim, spec.chart_dim)), bias))
+        for given in (np.array(base), np.array([base, base])):
             with pytest.raises(error) as raised:
                 gdn_eval(g, given)
             assert str(raised.value) == message
