@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import NumericError, OutOfInjectivityError, ValidationError
+from ..errors import DomainError, NumericError, OutOfInjectivityError, RangeError, ValidationError
 from .sym import (_FUNCS, check_finite, frob_entries, frob_unvec, spectral, sym, sym_dim,
                   symmetric_eigh)
 
@@ -137,6 +137,22 @@ def _check_tangent_norms(nv, inj: float, what: str) -> None:
         raise OutOfInjectivityError(f"tangent norm {_first(nv, far)!r} is outside {what}")
 
 
+def _check_domain(d, inj: float) -> None:
+    # a model's input check, on the distances d of its rows from the base
+    far = d >= inj
+    if _any(far):
+        raise DomainError(f"input at distance {_first(d, far)!r} from the basepoint is "
+                          f"outside the injectivity ball of radius {inj!r}")
+
+
+def _check_range(nw, inj: float) -> None:
+    # a model's check on the norms nw of its core outputs
+    far = nw >= inj
+    if _any(far):
+        raise RangeError(f"core output norm {_first(nw, far)!r} is outside the codomain "
+                         f"chart ball of radius {inj!r}; the model is undefined there")
+
+
 # -- the manifold classes ----------------------------------------------------
 
 class Chart:
@@ -144,10 +160,21 @@ class Chart:
     it: ``exp(v)``, ``log(y)`` and ``distance(y)`` give the
     unbound kernels' results about ``x``, bit for bit.  Built by
     ``chart_at``; a family with work that depends on ``x`` alone does it in
-    its chart's constructor, once."""
+    its chart's constructor, once.
+
+    ``log_within(y)`` and ``exp_within(w)`` are ``log`` and ``exp`` behind
+    the ball checks of a model evaluation: a ``DomainError`` for a point at
+    or past the injectivity radius ``inj_lower`` from ``x``, a
+    ``RangeError`` for a tangent of norm at or past it.  On an infinite
+    radius nothing is checked, and they are ``log`` and ``exp`` themselves.
+    """
 
     def __init__(self, spec: ManifoldSpec, x: np.ndarray):
         self.spec, self.x = spec, x
+        if not math.isfinite(spec.inj_lower):
+            # no ball to leave: the checked kernels are the kernels, with no
+            # call, compare or dispatch between them
+            self.log_within, self.exp_within = self.log, self.exp
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec.id}, {self.x.tolist()})"
@@ -168,6 +195,14 @@ class Chart:
 
     def distance(self, y):
         return self.spec.distance(self.x, y)
+
+    def log_within(self, y):
+        _check_domain(self.distance(y), self.spec.inj_lower)
+        return self.log(y)
+
+    def exp_within(self, w):
+        _check_range(row_norms(w), self.spec.inj_lower)
+        return self.exp(w)
 
 
 class ManifoldSpec:
@@ -276,11 +311,42 @@ class Torus(ManifoldSpec):
         return 2.0 * r / (1.0 - 2.0 * r)
 
 
+def _off_tangent(x, v, nv):
+    # the rows of v that are not orthogonal to x, from their norms nv
+    return abs(np.vecdot(x, v)) > _UNIT_TOL * np.maximum(1.0, nv)
+
+
+class _SphereChart(Chart):
+    """The sphere family's checks hand the distance and the tangent norms
+    they compute to the kernels they guard, so that a model evaluation
+    computes each once per row."""
+
+    def log_within(self, y):
+        d = self.distance(y)
+        _check_domain(d, self.spec.inj_lower)
+        return self.spec.log(self.x, y, d)
+
+    def exp_within(self, w):
+        nw = row_norms(w)
+        _check_range(nw, self.spec.inj_lower)
+        try:
+            return self.spec.exp(self.x, w, nw)
+        except ValidationError:
+            # the kernel's one check on a tangent: a core output off the
+            # tangent space is a computational failure, not a bad argument
+            off = _off_tangent(self.x, w, nw)
+            raise RangeError(
+                "core output w is not tangent at the codomain base point y: "
+                f"|y.w| = {_first(abs(np.vecdot(self.x, w)), off)!r} at |w| = "
+                f"{_first(nw, off)!r}; the model is undefined there") from None
+
+
 class Sphere(ManifoldSpec):
     """S^p as unit vectors of R^(p+1)."""
 
     curvature_max = curvature_min = 1.0
     inj_lower = math.pi
+    chart = _SphereChart
 
     def __init__(self, p: int):
         super().__init__(p, p + 1)
@@ -291,11 +357,16 @@ class Sphere(ManifoldSpec):
         if _any(bad):
             raise ValidationError(f"{what} must be unit norm, got |x|={_first(nrm, bad)!r}")
 
-    def exp(self, x, v):
-        nv = row_norms(v)
-        if _any(abs(np.vecdot(x, v)) > _UNIT_TOL * np.maximum(1.0, nv)):
+    def exp(self, x, v, nv=None):
+        # nv, where given, is row_norms(v), which the caller has checked
+        # inside the injectivity ball
+        checked = nv is not None
+        if not checked:
+            nv = row_norms(v)
+        if _any(_off_tangent(x, v, nv)):
             raise ValidationError("sphere tangent must be orthogonal to the base point")
-        _check_tangent_norms(nv, math.pi, f"the injectivity radius {math.pi!r}")
+        if not checked:
+            _check_tangent_norms(nv, math.pi, f"the injectivity radius {math.pi!r}")
         zero = nv == 0.0
         n = _col(nv + zero)  # a zero row divides by 1, not by 0
         y = np.cos(n) * x + np.sin(n) * (v / n)
@@ -303,7 +374,8 @@ class Sphere(ManifoldSpec):
         # a zero tangent gives the base point itself, unnormalized
         return np.where(_col(zero), x, y) if _any(zero) else y
 
-    def log(self, x, y):
+    def log(self, x, y, d=None):
+        # d, where given, is Sphere.distance(x, y)
         dot = np.clip(np.vecdot(x, y), -1.0, 1.0)
         if _any(dot <= -1.0 + 1e-12):
             raise OutOfInjectivityError("antipodal pair: sphere log map undefined")
@@ -311,7 +383,7 @@ class Sphere(ManifoldSpec):
         nw = row_norms(w)
         small = nw < 1e-15
         n = _col(nw + small)  # a vanishing row divides by about 1, not by 0
-        u = _col(Sphere.distance(self, x, y)) * (w / n)
+        u = _col(Sphere.distance(self, x, y) if d is None else d) * (w / n)
         # a vanishing normal component gives the zero tangent
         return np.where(_col(small), 0.0, u) if _any(small) else u
 
@@ -360,16 +432,18 @@ class Projective(Sphere):
 
     inj_lower = math.pi / 2.0
 
-    def exp(self, x, v):
-        _check_tangent_norms(row_norms(v), math.pi / 2.0,
-                             "the projective injectivity radius pi/2")
-        return _rp_canonical(super().exp(x, v))
+    def exp(self, x, v, nv=None):
+        if nv is None:
+            nv = row_norms(v)
+            _check_tangent_norms(nv, math.pi / 2.0, "the projective injectivity radius pi/2")
+        return _rp_canonical(super().exp(x, v, nv))
 
-    def log(self, x, y):
+    def log(self, x, y, d=None):
+        # d, where given, is distance(x, y)
         yy = np.where(_col(np.vecdot(x, y) >= 0.0), y, -y)  # y's class on x's side
         if _any(abs(np.vecdot(x, yy)) <= 1e-12):
             raise OutOfInjectivityError("projective cut locus: log map undefined")
-        return super().log(x, yy)
+        return super().log(x, yy, d)
 
     def distance(self, x, y):
         # arccos|x.y| realized on the sign-aligned representative, which

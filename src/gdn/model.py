@@ -6,14 +6,13 @@ map ``Exp_{Y, base_y} o g o Exp^{-1}_{X, base_x}``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GdnError, RangeError, ValidationError
+from .errors import GdnError, ValidationError
 from .manifolds.core import resolve_manifold
-from .manifolds.zoo import Chart, ManifoldSpec, as_point, chart_at, row_norms
+from .manifolds.zoo import Chart, ManifoldSpec, as_point, chart_at
 from .network import FeedforwardNet, eval_net, net_from_dict, net_to_dict
 
 __all__ = [
@@ -73,37 +72,18 @@ def gdn_eval(model: GDNModel, x) -> np.ndarray:
     bit for bit the result of that row alone.
 
     Raises a domain error when an input is outside the ball, and a range
-    error when a core output leaves the codomain chart ball (positively
-    curved codomains only); the model is undefined there and no wrap-around
-    is attempted.  An error reports the value of the first offending row.
+    error when a core output leaves the codomain chart ball (codomains of
+    finite injectivity radius only) or, on sphere and rp, is not tangent at
+    the codomain base point; the model is undefined there and no
+    wrap-around is attempted.  An error reports the value of the first
+    offending row.
     """
-    # x is checked once, here; the kernels run on it through the charts
-    # bound to the model's base points.  On an infinite injectivity radius
-    # the ball check cannot fail, so the distance is not computed.
-    chart_x, chart_y = model.chart_x, model.chart_y
+    # x is checked once, here; the charts bound to the model's base points
+    # check the ball and run the kernels on it
+    chart_x = model.chart_x
     x = as_point(chart_x.spec, x)
-    inj_x = chart_x.spec.inj_lower
-    if math.isfinite(inj_x):
-        d = chart_x.distance(x)
-        far = d >= inj_x
-        if np.count_nonzero(far):
-            raise DomainError(
-                f"input at distance {float(np.extract(far, d)[0])!r} from the "
-                f"basepoint is outside the injectivity ball of radius {inj_x!r}"
-            )
-    w = eval_net(model.core, chart_x.log(x))
-    inj_y = chart_y.spec.inj_lower
-    if math.isfinite(inj_y):
-        nw = row_norms(w)
-        far = nw >= inj_y
-        if np.count_nonzero(far):
-            raise RangeError(
-                f"core output norm {float(np.extract(far, nw)[0])!r} is outside "
-                f"the codomain chart ball of radius {inj_y!r}; the model is "
-                "undefined there"
-            )
-    # eval_net has checked that w is finite
-    return chart_y.exp(w)
+    # eval_net has checked that its output is finite
+    return model.chart_y.exp_within(eval_net(model.core, chart_x.log_within(x)))
 
 
 # -- serialization -----------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 import gdn.manifolds.sym
 from gdn.assemble import audit_gdn, compile_gdn
 from gdn.cli import main
-from gdn.errors import NumericError, ValidationError
+from gdn.errors import NumericError, RangeError, ValidationError
 from gdn.manifolds.core import exp_chart_lipschitz, log_chart_lipschitz, resolve_manifold
 from gdn.manifolds.zoo import chart_at, distance, exp_map, random_point, random_tangent
 from gdn.model import GDNModel
@@ -369,3 +369,20 @@ def test_spd_compile_runs_without_jacobi(monkeypatch, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["measured_error"] <= 0.05
     assert out.exists()
+
+
+def test_sphere_core_off_the_tangent_space_fails_the_compile():
+    # the codomain frame folded into the last layer meets stencil weights
+    # near 1e9, whose cancellation leaves the core output off T_y: the
+    # audit's evaluation refuses it as a failure of the model
+    sphere = resolve_manifold("sphere:2")
+    A = np.array([[1.3, 0.2, 0.0], [0.0, 0.9, 0.3], [0.1, 0.0, 1.1]])
+
+    def target(x):
+        y = x @ A.T
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+    with pytest.raises(RangeError, match="^core output w is not tangent at the codomain "
+                                         "base point y: "):
+        compile_gdn(sphere, sphere, [0.0, -0.5256866004193308, -0.8506783164860657],
+                    "auto", target, 0.75, 0.1, get_activation("softplus"))

@@ -13,6 +13,7 @@ import pytest
 import gdn.assemble  # noqa: F401
 import gdn.manifolds.sym
 import gdn.manifolds.zoo
+import gdn.model
 from gdn.errors import DomainError, NumericError, RangeError, ValidationError
 from gdn.manifolds.core import resolve_manifold
 from gdn.cli import main
@@ -157,6 +158,82 @@ class TestStackedGdnEval:
         xs = np.array([[0.1, 0.2], [-0.3, 0.1], [1.0, 0.0], [0.0, 1.25], [0.2, 0.2]])
         with pytest.raises(RangeError, match="norm 4.0 "):
             gdn_eval(g, xs)
+
+
+class TestBallChecks:
+    """The model's ball checks run in its charts, which hand what they
+    computed to the kernels they guard."""
+
+    @pytest.mark.parametrize("ident,base", [
+        ("sphere:2", [0.0, 0.6, 0.8]), ("sphere:3", [0.5, -0.5, 0.5, 0.5]),
+        ("rp:2", [0.0, 0.6, 0.8])])
+    def test_one_distance_and_one_output_norm_per_evaluation(self, ident, base, rng,
+                                                             monkeypatch):
+        g = random_chart_model(ident, base, rng)
+        xs = np.array([exp_map(g.domain, g.base_x,
+                               random_tangent(g.domain, g.base_x, rng, 1.2))
+                       for _ in range(8)])
+        counts, outputs = collections.Counter(), []
+        sphere_distance = gdn.manifolds.zoo.Sphere.distance
+
+        def counted_distance(self, x, y):  # the chordal form, rp's included
+            counts["distance"] += 1
+            return sphere_distance(self, x, y)
+
+        net, norms = gdn.model.eval_net, gdn.manifolds.zoo.row_norms
+
+        def recorded_net(core, v):
+            outputs.append(net(core, v))
+            return outputs[-1]
+
+        def counted_norms(a):
+            counts["output norm"] += any(a is w for w in outputs)
+            return norms(a)
+
+        monkeypatch.setattr(gdn.manifolds.zoo.Sphere, "distance", counted_distance)
+        monkeypatch.setattr(gdn.model, "eval_net", recorded_net)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("gdn") and \
+                    getattr(mod, "row_norms", None) is norms:
+                monkeypatch.setattr(mod, "row_norms", counted_norms)
+        for x in (xs[0], xs):
+            counts.clear()
+            g(x)
+            assert counts == {"distance": 1, "output norm": 1}
+
+    @pytest.mark.parametrize("ident", ["euclidean:2", "gaussian:1", "poincare:2:1",
+                                       "spd:2", "spd:3"])
+    def test_infinite_radius_checks_nothing(self, ident, rng):
+        # the checked kernels of an infinite injectivity ball are the kernels
+        spec = resolve_manifold(ident)
+        chart = chart_at(spec, random_point(spec, rng))
+        assert chart.log_within == chart.log and chart.exp_within == chart.exp
+
+    @pytest.mark.parametrize("ident", ["torus:2", "sphere:2", "rp:2"])
+    def test_finite_radius_checks_the_ball(self, ident, rng):
+        spec = resolve_manifold(ident)
+        chart = chart_at(spec, random_point(spec, rng))
+        assert chart.log_within != chart.log and chart.exp_within != chart.exp
+
+    NOT_TANGENT = ("^core output w is not tangent at the codomain base point y: "
+                   r"\|y\.w\| = 0\.1 at \|w\| = 0\.14142135623730953; the model is "
+                   "undefined there$")
+
+    def test_output_off_the_tangent_space_is_a_range_error(self, tmp_path, capsys):
+        # a core output that the codomain exp refuses is a failure of the
+        # model (exit 1), not a bad argument; exp_map of it stays one
+        rp = resolve_manifold("rp:2")
+        north = [0.0, 0.0, 1.0]
+        g = model_at(rp, rp, north, north, affine_net(np.zeros((3, 3)), [0.1, 0.0, 0.1]))
+        for given in (np.array(north), np.array([north, north])):
+            with pytest.raises(RangeError, match=self.NOT_TANGENT):
+                gdn_eval(g, given)
+        path = tmp_path / "m.json"
+        save_gdn(g, str(path))
+        assert main(["eval", "--model", str(path), "--input", json.dumps(north)]) == 1
+        assert "not tangent" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match="^sphere tangent must be orthogonal"):
+            exp_map(rp, north, [0.1, 0.0, 0.1])
 
 
 class TestGdnSerialization:
