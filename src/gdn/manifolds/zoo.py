@@ -546,7 +546,8 @@ def _exp_projectors(top, bottom, u, v):
 
 
 def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
-                   exp_floor: float | np.ndarray | None = None) -> list:
+                   exp_floor: float | np.ndarray | None = None,
+                   exp_gap: float | np.ndarray = _EXP_GAP) -> list:
     """The matrix functions ``kinds`` ("exp", "log", "sqrt", "invsqrt") of
     a symmetric matrix or (N, n, n) stack ``S`` that is exactly symmetric
     by construction, each exactly symmetric.  With ``positive`` the
@@ -554,7 +555,8 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
     smallest eigenvalue of the first matrix that is not.  With
     ``exp_floor`` (``_exp_floor``), "exp" is asked for alone and comes back
     next to two masks: of the matrices whose smallest eigenvalue is below
-    the floor, and of those whose eigen-gap is past ``_EXP_GAP``.
+    the floor, and of those whose eigen-gap is past ``exp_gap``
+    (``_exp_gap``).
 
     Order 2 has closed forms.  S = m I + r N with N = [[u, v], [v, -u]],
     (u, v) a unit vector, has eigenvalues m -+ r, so f(S) = alpha I +
@@ -572,7 +574,7 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
         out = [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
         if exp_floor is None:
             return out
-        return out + [w[..., 0] < exp_floor, w[..., -1] > w[..., 0] + _EXP_GAP]
+        return out + [w[..., 0] < exp_floor, w[..., -1] > w[..., 0] + exp_gap]
     check_finite(S)
     a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
     # halved first, so that no sum overflows (a subnormal half may round)
@@ -673,9 +675,9 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
         out.append(F)
     if exp_floor is None:
         return out
-    # exp is asked for alone, so ``far`` is its gap mask; the small
-    # eigenvalue m - r is compared without the difference, which may overflow
-    return out + [m < exp_floor + r, far]
+    # exp is asked for alone; the small eigenvalue m - r is compared
+    # without the difference, which may overflow
+    return out + [m < exp_floor + r, r > 0.5 * exp_gap]
 
 
 def _spd_roots(x: np.ndarray, *kinds: str) -> list:
@@ -699,6 +701,22 @@ def _exp_floor(isA: np.ndarray) -> float | np.ndarray:
     return _LOG_TINY + math.log(4.0) + 2.0 * np.log(scale)
 
 
+def _norm1(M: np.ndarray):
+    # the largest absolute column sum, per matrix of a stack: at least the
+    # 2-norm, and equal to it on a diagonal matrix
+    return np.abs(M).sum(axis=-2).max(axis=-1)
+
+
+def _exp_gap(sA: np.ndarray, isA: np.ndarray) -> float | np.ndarray:
+    """The eigen-gap of a symmetric S past which rounding may pass the
+    smallest eigenvalue of sqrt(A) exp(S) sqrt(A), from the roots sA and
+    isA of A (or per pair of roots of a stack).  The product scales the
+    ratio of exp(S)'s extreme eigenvalues by up to cond(A), so the gap is
+    ``_EXP_GAP`` less log cond(A) <= 2 log(||sA||_1 ||isA||_1), a bound
+    that is exact on a diagonal A: at the identity it is ``_EXP_GAP``."""
+    return _EXP_GAP - 2.0 * np.log(_norm1(sA) * _norm1(isA))
+
+
 def _refused(P: np.ndarray, flag) -> np.ndarray:
     """The mask of the matrices of ``P`` (one symmetric matrix, or a
     stack), among those ``flag`` marks, that are not positive definite for
@@ -717,14 +735,15 @@ def _refused(P: np.ndarray, flag) -> np.ndarray:
     return bad & flag
 
 
-def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray) -> np.ndarray:
-    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base and its
-    # inverse root's ``_exp_floor``.  The steps run once with the warnings
-    # off; the result stands where it stays finite and, where the small
-    # eigenvalue may pass the floor or be passed by rounding, the point it
-    # is returned as is positive definite
+def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray,
+             gap: float | np.ndarray) -> np.ndarray:
+    # sqrt(A) exp(Sym(v)) sqrt(A), from the root sA of the base and the
+    # base's ``_exp_floor`` and ``_exp_gap``.  The steps run once with the
+    # warnings off; the result stands where it stays finite and, where the
+    # small eigenvalue may pass the floor or be passed by rounding, the
+    # point it is returned as is positive definite
     with np.errstate(all="ignore"):
-        E, low, wide = _spd_functions(frob_unvec(v), "exp", exp_floor=floor)
+        E, low, wide = _spd_functions(frob_unvec(v), "exp", exp_floor=floor, exp_gap=gap)
         y = frob_entries(sym(sA @ E @ sA))
     if np.count_nonzero(np.isfinite(y)) != y.size:
         raise NumericError("the spd exponential map overflows the float range")
@@ -734,9 +753,13 @@ def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray) -> np.nda
         if _any(low & bad):
             raise NumericError("the spd exponential map underflows the float range")
         if _any(bad):
-            raise NumericError("the spd exponential map is not positive definite: rounding "
-                               "passes its smallest eigenvalue past an eigen-gap of "
-                               f"{_EXP_GAP:.4g}")
+            message = ("the spd exponential map is not positive definite: rounding passes "
+                       f"its smallest eigenvalue past an eigen-gap of {_EXP_GAP:.4g}")
+            log_cond = _EXP_GAP - _first(np.broadcast_to(gap, bad.shape), bad)
+            if log_cond > 0.0:
+                message += (" less the base's log condition number, at most "
+                            f"{log_cond:.4g}")
+            raise NumericError(message)
     return y
 
 
@@ -758,8 +781,8 @@ def _spd_distance(isA: np.ndarray, y: np.ndarray):
 class _SPDChart(Chart):
     """The SPD kernels about a base A, on its stored read-only ``root``
     sqrt(A) and ``inv_root`` sqrt(A)^-1, from the one spectral computation
-    that also checks that A is positive definite, and on the inverse
-    root's ``_exp_floor``, built on the first exp."""
+    that also checks that A is positive definite, and on the base's
+    ``_exp_floor`` and ``_exp_gap``, built on the first exp."""
 
     def __init__(self, spec: ManifoldSpec, x: np.ndarray):
         super().__init__(spec, x)
@@ -771,8 +794,12 @@ class _SPDChart(Chart):
     def exp_floor(self) -> float:
         return float(_exp_floor(self.inv_root))
 
+    @cached_property
+    def exp_gap(self) -> float:
+        return float(_exp_gap(self.root, self.inv_root))
+
     def exp(self, v):
-        return _spd_exp(self.root, v, self.exp_floor)
+        return _spd_exp(self.root, v, self.exp_floor, self.exp_gap)
 
     def log(self, y):
         return frob_entries(_spd_log_matrix(self.inv_root, y))
@@ -795,7 +822,7 @@ class SPD(ManifoldSpec):
 
     def exp(self, x, v):
         sA, isA = _spd_roots(x, "sqrt", "invsqrt")
-        return _spd_exp(sA, v, _exp_floor(isA))
+        return _spd_exp(sA, v, _exp_floor(isA), _exp_gap(sA, isA))
 
     def log(self, x, y):
         return frob_entries(_spd_log_matrix(_spd_roots(x, "invsqrt")[0], y))

@@ -17,6 +17,7 @@ from gdn.errors import GdnError, NumericError, OutOfInjectivityError, Validation
 from gdn.manifolds.core import resolve_manifold
 from gdn.manifolds.sym import frob_unvec, frob_vec, spectral, sym_matrix_function
 from gdn.manifolds.zoo import (
+    _EXP_GAP,
     _spd_functions,
     as_point,
     chart_at,
@@ -673,6 +674,13 @@ ROTATED_TANGENTS = st.integers(2, 3).flatmap(lambda n: st.tuples(
     st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))).map(
     lambda wq: frob_vec(_rotated(*wq)).tolist())
 
+# spd:2 and spd:3 bases Q diag(1, ..., 10^-k) Q^T of condition 10^k, k in
+# [8, 17], each with the seed of a tangent 0.1 N(0, I)
+ILL_CONDITIONED = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.floats(8.0, 17.0),
+    st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n),
+    st.integers(0, 2 ** 32 - 1)))
+
 
 class TestOneGeometryPerFamily:
     def test_spd_exp_overflow_raises(self):
@@ -824,6 +832,51 @@ class TestOneGeometryPerFamily:
             return
         assert np.linalg.eigvalsh(frob_unvec(y))[0] > 0.0
         log_map(spec, x, y)
+
+    # a base of condition 1.3e16 that the chart takes, and a small tangent
+    # whose exponential rounds to a singular matrix there
+    FOUND_BASE = [0.6920660588219394, -0.6528562308021687, 0.30793394117806056]
+    FOUND_TANGENT = [-0.0490380309628057, 0.06743517049201465, 0.10056441164163901]
+
+    def test_ill_conditioned_base_is_a_numeric_error(self):
+        spec = resolve_manifold("spd:2")
+        chart = chart_at(spec, self.FOUND_BASE)
+        message = (self.WIDE_GAP[:-1] + " less the base's log condition number, at most "
+                   "38.7$")
+        for call in (lambda: exp_map(spec, self.FOUND_BASE, self.FOUND_TANGENT),
+                     lambda: chart.exp(np.asarray(self.FOUND_TANGENT)),
+                     lambda: exp_map(spec, [self.FOUND_BASE, [1.0, 0.0, 1.0]],
+                                     [self.FOUND_TANGENT, self.FOUND_TANGENT])):
+            with pytest.raises(NumericError, match=message):
+                call()
+
+    def test_conditioning_leaves_a_well_conditioned_gap(self):
+        # the identity's gap is the tangent's own, and the benchmark's
+        # near-identity codomain base keeps it
+        for x in ([1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+                  [0.9999999999999997, -3.4287023781087593e-16, 0.9999999999999998]):
+            chart = chart_at(resolve_manifold("spd:2" if len(x) == 3 else "spd:3"), x)
+            assert chart.exp_gap == _EXP_GAP
+
+    @given(base=ILL_CONDITIONED)
+    @example(base=(15.6875, [-1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.4597823455538521, 1.0, 0.0], 1))
+    def test_exp_at_an_ill_conditioned_base_is_positive_definite_or_refused(self, base):
+        k, q, seed = base
+        n = round(len(q) ** 0.5)
+        x = frob_vec(_rotated(np.logspace(0.0, -k, n), q))
+        spec = resolve_manifold(f"spd:{n}")
+        try:
+            chart = chart_at(spec, x)
+        except ValidationError:  # rounding left no positive definite base
+            return
+        v = 0.1 * np.random.default_rng(seed).standard_normal(spec.chart_dim)
+        for call in (lambda: exp_map(spec, x, v), lambda: chart.exp(v)):
+            try:
+                y = call()
+            except NumericError:
+                continue
+            assert np.linalg.eigvalsh(frob_unvec(y))[0] > 0.0
+            chart_at(spec, y)
 
     def test_spd_positive_definiteness_is_found_by_the_chart(self):
         spec = resolve_manifold("spd:2")
