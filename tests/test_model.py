@@ -464,9 +464,6 @@ class TestValidatedOnce:
          "point of rp:2 has non-finite entries"),
         ("rp:2", [0.0, 0.0, 1.0], [0.0, 0.6, 0.6], ValidationError,
          "point of rp:2 must be unit norm, got |x|=0.848528137423857"),
-        ("rp:2", [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], DomainError,
-         "input at distance 1.5707963267948968 from the basepoint is outside the "
-         "injectivity ball of radius 1.5707963267948966"),
         ("poincare:2:1", [0.0, 0.0], [0.1, 0.1, 0.1], ValidationError,
          "point of poincare:2:1.0 must have length 2, got 3"),
         ("poincare:2:1", [0.0, 0.0], [0.1, -np.inf], ValidationError,
@@ -480,6 +477,9 @@ class TestValidatedOnce:
         ("spd:2", [1.0, 0.0, 1.0], [1.0, 0.0, -0.5], ValidationError,
          "target of spd log map is not SPD: matrix function 'log' requires SPD "
          "input: smallest eigenvalue -5.000000e-01"),
+        ("rp:2", [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], DomainError,
+         "input at distance 1.5707963267948968 from the basepoint is outside the "
+         "injectivity ball of radius 1.5707963267948966"),
     ]
 
     @pytest.mark.parametrize("ident,base,x,error,message", BAD_INPUTS)
