@@ -714,7 +714,7 @@ def _exp_gap(sA: np.ndarray, isA: np.ndarray) -> float | np.ndarray:
     ratio of exp(S)'s extreme eigenvalues by up to cond(A), so the gap is
     ``_EXP_GAP`` less log cond(A) <= 2 log(||sA||_1 ||isA||_1), a bound
     that is exact on a diagonal A: at the identity it is ``_EXP_GAP``."""
-    return _EXP_GAP - 2.0 * np.log(_norm1(sA) * _norm1(isA))
+    return _EXP_GAP - 2.0 * (np.log(_norm1(sA)) + np.log(_norm1(isA)))
 
 
 def _refused(P: np.ndarray, flag) -> np.ndarray:
