@@ -858,6 +858,11 @@ class TestOneGeometryPerFamily:
             chart = chart_at(resolve_manifold("spd:2" if len(x) == 3 else "spd:3"), x)
             assert chart.exp_gap == _EXP_GAP
 
+    def test_conditioning_of_an_extreme_base_stays_finite(self):
+        # the roots' norms multiply past the float maximum; their logs add
+        chart = chart_at(resolve_manifold("spd:2"), [1.7e308, 0.0, 5e-324])
+        assert math.isfinite(chart.exp_gap) and chart.exp_gap < -1000.0
+
     @given(base=ILL_CONDITIONED)
     @example(base=(15.6875, [-1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.4597823455538521, 1.0, 0.0], 1))
     def test_exp_at_an_ill_conditioned_base_is_positive_definite_or_refused(self, base):
