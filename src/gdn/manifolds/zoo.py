@@ -40,7 +40,6 @@ Representation conventions
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from functools import cached_property
@@ -48,8 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import DomainError, NumericError, OutOfInjectivityError, RangeError, ValidationError
-from .sym import (_FUNCS, check_finite, frob_entries, frob_unvec, spectral, sym, sym_dim,
-                  symmetric_eigh)
+from .sym import (_FUNCS, _SQRT2, check_finite, frob_entries, frob_unvec, spectral, sym,
+                  sym_dim, symmetric_eigh)
 
 __all__ = [
     "ManifoldSpec",
@@ -106,8 +105,8 @@ def row_norms(a: np.ndarray):
 
 def _any(mask) -> bool:
     # the cheapest reduction on the few entries of a single point; a scalar
-    # (one point's matrix, or a dot product) needs none
-    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
+    # (one point's entry, or a dot product), numpy's or Python's, needs none
+    return np.count_nonzero(mask) > 0 if getattr(mask, "ndim", 0) else bool(mask)
 
 
 def _first(values, mask) -> float:
@@ -427,10 +426,28 @@ def _rp_canonical(z: np.ndarray) -> np.ndarray:
     return np.where(nz.any(axis=-1)[..., None] & (lead < 0.0), -z, z)
 
 
+def _aligned(x, y):
+    # y's class on x's side, and |x.y|, which is x's dot product with it
+    dot = np.vecdot(x, y)
+    return np.where(_col(dot >= 0.0), y, -y), abs(dot)
+
+
+class _ProjectiveChart(_SphereChart):
+    """rp's domain check aligns y to the base's side of its class once: the
+    distance, the cut-locus test and the log all take that representative."""
+
+    def log_within(self, y):
+        yy, dot = _aligned(self.x, y)
+        d = Sphere.distance(self.spec, self.x, yy)
+        _check_domain(d, self.spec.inj_lower)
+        return self.spec.log_aligned(self.x, yy, dot, d)
+
+
 class Projective(Sphere):
     """RP^m: sphere points modulo sign, kept on the canonical representative."""
 
     inj_lower = math.pi / 2.0
+    chart = _ProjectiveChart
 
     def exp(self, x, v, nv=None):
         if nv is None:
@@ -440,15 +457,18 @@ class Projective(Sphere):
 
     def log(self, x, y, d=None):
         # d, where given, is distance(x, y)
-        yy = np.where(_col(np.vecdot(x, y) >= 0.0), y, -y)  # y's class on x's side
-        if _any(abs(np.vecdot(x, yy)) <= 1e-12):
+        return self.log_aligned(x, *_aligned(x, y), d)
+
+    def log_aligned(self, x, yy, dot, d=None):
+        # the log of y from its class yy on x's side and |x.y| (``_aligned``)
+        if _any(dot <= 1e-12):
             raise OutOfInjectivityError("projective cut locus: log map undefined")
-        return super().log(x, yy, d)
+        return Sphere.log(self, x, yy, d)
 
     def distance(self, x, y):
         # arccos|x.y| realized on the sign-aligned representative, which
         # keeps the chordal form's accuracy near coincident classes
-        return super().distance(x, np.where(_col(np.vecdot(x, y) >= 0.0), y, -y))
+        return super().distance(x, _aligned(x, y)[0])
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return _rp_canonical(super().random_point(rng))
@@ -531,52 +551,43 @@ def _two_sum(x, y):
 # the eigen-gap past which e^lo is below 64 ulps of e^hi, so that the
 # rounding of exp's entries may pass its small eigenvalue
 _EXP_GAP = -math.log(64.0 * sys.float_info.epsilon)
+# the ratio of the square roots of two eigenvalues below which alpha - gamma
+# u keeps fewer than half the digits of the small one
+_ROOT_RATIO = math.sqrt(sys.float_info.epsilon)
 
 
-def _exp_projectors(top, bottom, u, v):
-    # the entries of e^hi P_hi + e^lo P_lo, from top = e^hi and bottom =
-    # e^lo, with P_hi = (I + N)/2 and P_lo = (I - N)/2 = (hi I - S)/2r.  The
-    # diagonal entries are sums of nonnegative terms, and the small diagonal
-    # entry of each projector, (1 - |u|)/2, is taken as v^2/4 over the
-    # large one, (1 + |u|)/2, without the cancellation of 1 - |u|
+def _projectors(top, bottom, u, v):
+    # the entries (f00, f01, f11) of f(hi) P_hi + f(lo) P_lo, from top =
+    # f(hi) and bottom = f(lo), with P_hi = (I + N)/2 and P_lo = (I - N)/2 =
+    # (hi I - S)/2r.  The diagonal entries are sums of nonnegative terms, and
+    # the small diagonal entry of each projector, (1 - |u|)/2, is taken as
+    # v^2/4 over the large one, (1 + |u|)/2, without the cancellation of
+    # 1 - |u|
     big = 0.5 + 0.5 * abs(u)
     small = (0.25 * v * v) / big
     hi0, hi1 = np.where(u >= 0.0, big, small), np.where(u >= 0.0, small, big)
-    return top * hi0 + bottom * hi1, top * hi1 + bottom * hi0, (top - bottom) * (0.5 * v)
+    return top * hi0 + bottom * hi1, (top - bottom) * (0.5 * v), top * hi1 + bottom * hi0
 
 
-def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
-                   exp_floor: float | np.ndarray | None = None,
-                   exp_gap: float | np.ndarray = _EXP_GAP) -> list:
-    """The matrix functions ``kinds`` ("exp", "log", "sqrt", "invsqrt") of
-    a symmetric matrix or (N, n, n) stack ``S`` that is exactly symmetric
-    by construction, each exactly symmetric.  With ``positive`` the
-    matrices must be positive definite: the error gives that text and the
-    smallest eigenvalue of the first matrix that is not.  With
-    ``exp_floor`` (``_exp_floor``), "exp" is asked for alone and comes back
-    next to two masks: of the matrices whose smallest eigenvalue is below
-    the floor, and of those whose eigen-gap is past ``exp_gap``
-    (``_exp_gap``).
+def _spd2(a, b, c, *kinds: str, positive: str | None = None,
+          exp_floor: float | np.ndarray | None = None,
+          exp_gap: float | np.ndarray = _EXP_GAP) -> list:
+    """``_spd_functions`` at order 2, on the entries of S = [[a, b], [b,
+    c]]: floats for one matrix, (N,) columns for a stack, all finite.  Each
+    function comes back as the entries (f00, f01, f11) of its matrix, in
+    the same form.
 
-    Order 2 has closed forms.  S = m I + r N with N = [[u, v], [v, -u]],
-    (u, v) a unit vector, has eigenvalues m -+ r, so f(S) = alpha I +
-    gamma N with alpha the mean and gamma the half-difference of f at
-    them, each in a form that stays finite and accurate where the plain
-    one does not.  Past an eigen-gap 2r of ``_EXP_GAP``, where alpha -
-    gamma cancels to far less than e^lo, exp takes the projector form
-    e^hi P_hi + e^lo P_lo instead.  Larger orders go through one LAPACK
-    eigendecomposition.
+    S = m I + r N with N = [[u, v], [v, -u]], (u, v) a unit vector, has
+    eigenvalues m -+ r, so f(S) = alpha I + gamma N with alpha the mean and
+    gamma the half-difference of f at them, each in a form that stays
+    finite and accurate where the plain one does not.  Where f's values at
+    the two eigenvalues are far apart, alpha - gamma cancels to far less
+    than the small one, and the function takes the projector form f(hi)
+    P_hi + f(lo) P_lo instead: exp past an eigen-gap of ``_EXP_GAP``, where
+    e^lo is below 64 ulps of e^hi, and sqrt and sqrt^-1, whose results a
+    chart keeps for every evaluation, where the small root is below
+    ``_ROOT_RATIO`` of the large one.
     """
-    if S.shape[-1] != 2:
-        w, V = symmetric_eigh(S)
-        if positive is not None:
-            _positive(w[..., 0], positive)
-        out = [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
-        if exp_floor is None:
-            return out
-        return out + [w[..., 0] < exp_floor, w[..., -1] > w[..., 0] + exp_gap]
-    check_finite(S)
-    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
     # halved first, so that no sum overflows (a subnormal half may round)
     ha, hc = 0.5 * a, 0.5 * c
     m, d = ha + hc, ha - hc
@@ -615,8 +626,14 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
         # finite elsewhere (the zero matrix divides by 1)
         h = abs(m) + r
         h = h + (h == 0.0)
-        lo = (np.maximum(a, c) / h) * np.minimum(a, c) - (b / h) * b
-        if positive is not None and _any(~((m > 0.0) & (lo > 0.0))):
+        if isinstance(a, float):
+            # one matrix's floats: max and min pick the second of a tie, as
+            # np.maximum and np.minimum do, at a tenth of their cost
+            lo = (max(c, a) / h) * min(c, a) - (b / h) * b
+        else:
+            lo = (np.maximum(a, c) / h) * np.minimum(a, c) - (b / h) * b
+        # every entry, and so lo, is finite here
+        if positive is not None and (_any(m <= 0.0) or _any(lo <= 0.0)):
             low = np.where(m > 0.0, lo, m - r)
             if undo is not None:
                 # an eigenvalue past the float range is named as -inf
@@ -626,6 +643,7 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
     u, v = d / r1, b / r1
     out = []
     for kind in kinds:
+        far = False
         if kind == "exp":
             # e^m cosh r and e^m sinh r from e^hi and expm1(-2r): e^m alone
             # may underflow where cosh r overflows.  e^hi has the relative
@@ -635,14 +653,19 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
             e = np.expm1(-2.0 * r)
             top = np.exp(hi) * (1.0 + err)
             alpha, gamma = top * (1.0 + 0.5 * e), -0.5 * top * e
+            if _any(far := r > 0.5 * _EXP_GAP):
+                # e^lo from lo = m - r, scaled by its rounding error as e^hi is
+                bottom = np.exp(m - r) * (1.0 + _two_sum(m, -r)[1] + _two_sum(ha, hc)[1])
         elif kind == "log":
             # (log hi - log lo)/2 = atanh(r/m) = log1p(2r/lo)/2, which stays
             # finite where r/m rounds to 1; where 2r/lo overflows, log1p of
             # it is log 2 + log r - log lo.  2r/lo < 2^1023 where lo >=
             # 2^-1016 r (and for every r < 2^-51), so only a condition
             # number past 2^1016 pays for silencing the overflow
-            with (np.errstate(over="ignore") if _any(lo < r * 2.0 ** -1016)
-                  else contextlib.nullcontext()):
+            if _any(lo < r * 2.0 ** -1016):
+                with np.errstate(over="ignore"):
+                    x = 2.0 * r / lo
+            else:
                 x = 2.0 * r / lo
             g = np.log1p(x)
             if _any(x == np.inf):
@@ -652,26 +675,22 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
                 alpha = alpha + 2.0 * np.log(undo)
         else:
             sh, sl = np.sqrt(hi), np.sqrt(lo)
+            far = sl < _ROOT_RATIO * sh
             if kind == "sqrt":
+                top, bottom = sh, sl
                 alpha, gamma = 0.5 * (sh + sl), r / (sl + sh)
             else:
                 # sqrt's gamma over sl sh, whose product stays in range
                 # where (sl + sh) sl sh does not
-                alpha, gamma = 0.5 * (1.0 / sh + 1.0 / sl), -(r / (sl + sh)) / (sl * sh)
+                top, bottom = 1.0 / sh, 1.0 / sl
+                alpha, gamma = 0.5 * (top + bottom), -(r / (sl + sh)) / (sl * sh)
             if undo is not None:
-                alpha, gamma = ((alpha * undo, gamma * undo) if kind == "sqrt"
-                                else (alpha / undo, gamma / undo))
-        F = np.empty(S.shape)
-        F[..., 0, 0] = alpha + gamma * u
-        F[..., 1, 1] = alpha - gamma * u
-        F[..., 0, 1] = F[..., 1, 0] = gamma * v
-        if kind == "exp" and _any(far := r > 0.5 * _EXP_GAP):
-            # e^lo from lo = m - r, scaled by its rounding error as e^hi is
-            bottom = np.exp(m - r) * (1.0 + _two_sum(m, -r)[1] + _two_sum(ha, hc)[1])
-            f00, f11, f01 = _exp_projectors(top, bottom, u, v)
-            F[..., 0, 0] = np.where(far, f00, F[..., 0, 0])
-            F[..., 1, 1] = np.where(far, f11, F[..., 1, 1])
-            F[..., 0, 1] = F[..., 1, 0] = np.where(far, f01, F[..., 0, 1])
+                scaled = (alpha, gamma, top, bottom)
+                alpha, gamma, top, bottom = ((t * undo for t in scaled) if kind == "sqrt"
+                                             else (t / undo for t in scaled))
+        F = alpha + gamma * u, gamma * v, alpha - gamma * u
+        if _any(far):
+            F = tuple(np.where(far, p, f) for p, f in zip(_projectors(top, bottom, u, v), F))
         out.append(F)
     if exp_floor is None:
         return out
@@ -680,11 +699,89 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
     return out + [m < exp_floor + r, r > 0.5 * exp_gap]
 
 
+def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
+                   exp_floor: float | np.ndarray | None = None,
+                   exp_gap: float | np.ndarray = _EXP_GAP) -> list:
+    """The matrix functions ``kinds`` ("exp", "log", "sqrt", "invsqrt") of
+    a symmetric matrix or (N, n, n) stack ``S`` that is exactly symmetric
+    by construction, each exactly symmetric.  With ``positive`` the
+    matrices must be positive definite: the error gives that text and the
+    smallest eigenvalue of the first matrix that is not.  With
+    ``exp_floor`` (``_exp_floor``), "exp" is asked for alone and comes back
+    next to two masks: of the matrices whose smallest eigenvalue is below
+    the floor, and of those whose eigen-gap is past ``exp_gap``
+    (``_exp_gap``).
+
+    Order 2 has closed forms (``_spd2``), larger orders go through one
+    LAPACK eigendecomposition.
+    """
+    if S.shape[-1] != 2:
+        w, V = symmetric_eigh(S)
+        if positive is not None:
+            _positive(w[..., 0], positive)
+        out = [spectral(V, _FUNCS[kind][0](w)) for kind in kinds]
+        if exp_floor is None:
+            return out
+        return out + [w[..., 0] < exp_floor, w[..., -1] > w[..., 0] + exp_gap]
+    check_finite(S)
+    out = _spd2(S[..., 0, 0], S[..., 0, 1], S[..., 1, 1], *kinds, positive=positive,
+                exp_floor=exp_floor, exp_gap=exp_gap)
+    return [_matrix2(S.shape[:-2], *F) for F in out[:len(kinds)]] + out[len(kinds):]
+
+
+# -- spd:2 on entries -------------------------------------------------------
+#
+# The order-2 kernels run the closed forms on the three entries of each
+# matrix: floats for one point, read off with ``tolist``, and (N,) columns
+# for a stack.  A matrix is assembled only for the products with a root of
+# the base, which must stay matrix products: BLAS rounds them with fused
+# multiply-adds.
+
+def _frob_parts2(v: np.ndarray) -> tuple:
+    # the entries (a, b, c) of the matrix of the Frobenius vector v, or the
+    # columns of an (N, 3) stack, divided as ``frob_unvec`` divides them
+    a, b, c = v.tolist() if v.ndim == 1 else v.T
+    return a, b / _SQRT2, c
+
+
+def _sym_parts2(P: np.ndarray) -> tuple:
+    # the entries (a, b, c) of sym(P) for a 2x2 product P, or the columns of
+    # an (N, 2, 2) stack: the sums of the halves of P's entries, as ``sym``
+    # takes them
+    H = 0.5 * P
+    h00, h01, h10, h11 = H.ravel().tolist() if P.ndim == 2 else H.reshape(len(P), 4).T
+    return h00 + h00, h01 + h10, h11 + h11
+
+
+def _vector2(lead: tuple, f00, f01, f11) -> np.ndarray:
+    # the Frobenius vector of [[f00, f01], [f01, f11]] as ``frob_entries``
+    # weighs it, or the (N, 3) stack of them (lead = (N,))
+    if not lead:
+        return np.array((f00, f01 * _SQRT2, f11))
+    out = np.empty(lead + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = f00, f01 * _SQRT2, f11
+    return out
+
+
+def _matrix2(lead: tuple, f00, f01, f11) -> np.ndarray:
+    # the matrix [[f00, f01], [f01, f11]], or the (N, 2, 2) stack of them
+    if not lead:
+        return np.array(((f00, f01), (f01, f11)))
+    F = np.empty(lead + (2, 2))
+    F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1] = f00, f01, f01, f11
+    return F
+
+
+_POINT_REFUSAL = "spd point is not positive definite: min eigenvalue"
+
+
 def _spd_roots(x: np.ndarray, *kinds: str) -> list:
     # the roots ("sqrt", "invsqrt") of the matrices of Frobenius vectors x,
     # which must be positive definite
-    return _spd_functions(frob_unvec(x), *kinds,
-                          positive="spd point is not positive definite: min eigenvalue")
+    if x.shape[-1] == 3:
+        return [_matrix2(x.shape[:-1], *F)
+                for F in _spd2(*_frob_parts2(x), *kinds, positive=_POINT_REFUSAL)]
+    return _spd_functions(frob_unvec(x), *kinds, positive=_POINT_REFUSAL)
 
 
 # the smallest argument of exp whose exp is a normal float
@@ -743,8 +840,13 @@ def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray,
     # small eigenvalue may pass the floor or be passed by rounding, the
     # point it is returned as is positive definite
     with np.errstate(all="ignore"):
-        E, low, wide = _spd_functions(frob_unvec(v), "exp", exp_floor=floor, exp_gap=gap)
-        y = frob_entries(sym(sA @ E @ sA))
+        if sA.shape[-1] == 2:
+            E, low, wide = _spd2(*_frob_parts2(v), "exp", exp_floor=floor, exp_gap=gap)
+            P = sA @ _matrix2(v.shape[:-1], *E) @ sA
+            y = _vector2(P.shape[:-2], *_sym_parts2(P))
+        else:
+            E, low, wide = _spd_functions(frob_unvec(v), "exp", exp_floor=floor, exp_gap=gap)
+            y = frob_entries(sym(sA @ E @ sA))
     if np.count_nonzero(np.isfinite(y)) != y.size:
         raise NumericError("the spd exponential map overflows the float range")
     flagged = low | wide
@@ -763,18 +865,26 @@ def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray,
     return y
 
 
-def _spd_log_matrix(isA: np.ndarray, y: np.ndarray) -> np.ndarray:
+_LOG_REFUSAL = ("target of spd log map is not SPD: matrix function 'log' requires SPD "
+                "input: smallest eigenvalue")
+
+
+def _spd_log(isA: np.ndarray, y: np.ndarray, matrix: bool = False) -> np.ndarray:
     # normal-coordinate log: log(sqrt(A)^-1 B sqrt(A)^-1), from the inverse
-    # root isA of the base; its Frobenius norm is the affine-invariant
-    # distance, making the chart radially isometric in plain Euclidean
-    # tangent coordinates
-    return _spd_functions(sym(isA @ frob_unvec(y) @ isA), "log",
-                          positive="target of spd log map is not SPD: matrix function "
-                                   "'log' requires SPD input: smallest eigenvalue")[0]
+    # root isA of the base, as a Frobenius vector, or as the matrix with
+    # ``matrix``; its Frobenius norm is the affine-invariant distance,
+    # making the chart radially isometric in plain Euclidean tangent
+    # coordinates
+    if isA.shape[-1] != 2:
+        L = _spd_functions(sym(isA @ frob_unvec(y) @ isA), "log", positive=_LOG_REFUSAL)[0]
+        return L if matrix else frob_entries(L)
+    P = check_finite(isA @ _matrix2(y.shape[:-1], *_frob_parts2(y)) @ isA)
+    (F,) = _spd2(*_sym_parts2(P), "log", positive=_LOG_REFUSAL)
+    return (_matrix2 if matrix else _vector2)(P.shape[:-2], *F)
 
 
 def _spd_distance(isA: np.ndarray, y: np.ndarray):
-    L = _spd_log_matrix(isA, y)
+    L = _spd_log(isA, y, matrix=True)
     return row_norms(L.reshape(L.shape[:-2] + (-1,)))
 
 
@@ -802,7 +912,7 @@ class _SPDChart(Chart):
         return _spd_exp(self.root, v, self.exp_floor, self.exp_gap)
 
     def log(self, y):
-        return frob_entries(_spd_log_matrix(self.inv_root, y))
+        return _spd_log(self.inv_root, y)
 
     def distance(self, y):
         return _spd_distance(self.inv_root, y)
@@ -825,7 +935,7 @@ class SPD(ManifoldSpec):
         return _spd_exp(sA, v, _exp_floor(isA), _exp_gap(sA, isA))
 
     def log(self, x, y):
-        return frob_entries(_spd_log_matrix(_spd_roots(x, "invsqrt")[0], y))
+        return _spd_log(_spd_roots(x, "invsqrt")[0], y)
 
     def distance(self, x, y):
         return _spd_distance(_spd_roots(x, "invsqrt")[0], y)

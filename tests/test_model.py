@@ -141,6 +141,21 @@ class TestStackedGdnEval:
             want = spec.exp(g.base_y, eval_net(g.core, spec.log(g.base_x, x)))
             assert gdn_eval(g, x).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("ident", ["spd:2", "spd:3"])
+    def test_spd_rows_are_the_single_evaluations_and_the_kernels(self, ident, rng):
+        # spd:2 works on entries, spd:3 on LAPACK's matrices: either way a
+        # row of a stack has the bits of that row alone and of the kernels
+        spec = resolve_manifold(ident)
+        g = random_chart_model(ident, random_point(spec, rng), rng)
+        xs = np.array([exp_map(spec, g.base_x, random_tangent(spec, g.base_x, rng, 1.2))
+                       for _ in range(20)])
+        got = gdn_eval(g, xs)
+        assert got.tobytes() == spec.exp(g.base_y, eval_net(g.core, spec.log(g.base_x,
+                                                                              xs))).tobytes()
+        for x, row in zip(xs, got):
+            want = spec.exp(g.base_y, eval_net(g.core, spec.log(g.base_x, x)))
+            assert gdn_eval(g, x).tobytes() == row.tobytes() == want.tobytes()
+
     def test_one_point_outside_the_ball_raises(self, rng):
         north = np.array([0.0, 0.0, 1.0])
         g = random_chart_model("sphere:2", north, rng)
@@ -200,6 +215,49 @@ class TestBallChecks:
             counts.clear()
             g(x)
             assert counts == {"distance": 1, "output norm": 1}
+
+    def test_rp_aligns_each_input_once(self, rng, monkeypatch):
+        # the domain check hands its representative on the base's side, and
+        # |x.y|, to the log: two dot products with the base per evaluation,
+        # the alignment's and the sphere log's own
+        g = random_chart_model("rp:2", [0.0, 0.6, 0.8], rng)
+        xs = np.array([exp_map(g.domain, g.base_x,
+                               random_tangent(g.domain, g.base_x, rng, 1.2))
+                       for _ in range(8)])
+        vecdot, dots = np.vecdot, collections.Counter()
+
+        def counted_vecdot(a, b, *args, **kwargs):
+            dots["with the base"] += a is g.base_x
+            return vecdot(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "vecdot", counted_vecdot)
+        for x in (xs[0], xs):
+            dots.clear()
+            g(x)
+            assert dots == {"with the base": 2}
+
+    def test_spd2_assembles_a_matrix_only_for_a_product(self, rng, monkeypatch):
+        # an spd:2 evaluation runs its closed forms on entries: it assembles
+        # the input's matrix and exp's, each for its product with a root of
+        # the base, and no frob_unvec, sym or frob_entries matrix
+        g = random_chart_model("spd:2", [1.5, 0.3, 1.0], rng)
+        xs = np.array([exp_map(g.domain, g.base_x,
+                               random_tangent(g.domain, g.base_x, rng, 1.2))
+                       for _ in range(8)])
+        counts, zoo = collections.Counter(), gdn.manifolds.zoo
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+            return call
+
+        for name in ("frob_unvec", "sym", "frob_entries", "_matrix2"):
+            monkeypatch.setattr(zoo, name, counted(name, getattr(zoo, name)))
+        for x in (xs[0], xs):
+            counts.clear()
+            g(x)
+            assert counts == {"_matrix2": 2}
 
     @pytest.mark.parametrize("ident", ["euclidean:2", "gaussian:1", "poincare:2:1",
                                        "spd:2", "spd:3"])

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_orthogonal, random_spd
 from gdn.errors import DomainError, NumericError, ValidationError
 from gdn.manifolds.sym import (
     check_spd,
     eigh,
+    frob_entries,
     frob_unvec,
     frob_vec,
     jacobi_eigh,
@@ -115,6 +117,33 @@ class TestFrobeniusVectorization:
                 float(np.linalg.norm(A)), rel=1e-14)
             np.testing.assert_allclose(frob_unvec(v), A, atol=1e-15)
 
+
+    @given(n=st.integers(1, 6), rows=st.sampled_from([None, 0, 1, 700]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_layout_equals_the_upper_triangle_reference(self, n, rows, seed):
+        # the cached layout's take (one vector or matrix) and index (a
+        # stack) give the bits of the row and column indices of the upper
+        # triangle, on entries across the float range, signed zeros included
+        rng = np.random.default_rng(seed)
+        d = n * (n + 1) // 2
+        lead = () if rows is None else (rows,)
+        iu, ju = np.triu_indices(n)
+        weight = np.where(iu == ju, 1.0, math.sqrt(2.0))
+
+        def entries(shape):
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 300, shape)
+            a[rng.random(shape) < 0.1] = -0.0
+            return a
+
+        v = entries(lead + (d,))
+        want = np.zeros(lead + (n, n))
+        want[..., iu, ju] = want[..., ju, iu] = v / weight
+        got = frob_unvec(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        A = entries(lead + (n, n))
+        want = A[..., iu, ju] * weight
+        got = frob_entries(A)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_entry_near_the_float_maximum(self):
         # the symmetrization halves each entry before the sum, which then

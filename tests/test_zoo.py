@@ -863,6 +863,39 @@ class TestOneGeometryPerFamily:
         chart = chart_at(resolve_manifold("spd:2"), [1.7e308, 0.0, 5e-324])
         assert math.isfinite(chart.exp_gap) and chart.exp_gap < -1000.0
 
+    @pytest.mark.parametrize("k", [16, 24, 30, 300])
+    def test_roots_of_a_wide_diagonal_keep_the_small_eigenvalue(self, k):
+        # the roots of diag(1, 10^-k): alpha - gamma u would leave the small
+        # one an error of about eps 10^(k/2) relative, and 0 at k = 300;
+        # the projector form keeps it to the rounding of the square root
+        chart = chart_at(resolve_manifold("spd:2"), [1.0, 0.0, 10.0 ** -k])
+        for got, want in ((chart.root, [1.0, 10.0 ** (-k / 2)]),
+                          (chart.inv_root, [1.0, 10.0 ** (k / 2)])):
+            np.testing.assert_allclose(got, np.diag(want), rtol=2.0 ** -52, atol=0.0)
+
+    def test_roots_of_an_extreme_base(self):
+        # eigenvalues 1e300 and 1e-300 keep both roots, and so do 1.7e308
+        # and 5e-324, where the closed form's roots had negative entries
+        spd = resolve_manifold("spd:2")
+        chart = chart_at(spd, [1e300, 0.0, 1e-300])
+        np.testing.assert_allclose(chart.root, np.diag([1e150, 1e-150]), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(chart.inv_root, np.diag([1e-150, 1e150]), rtol=1e-15,
+                                   atol=0.0)
+        chart = chart_at(spd, [1.7e308, 0.0, 5e-324])
+        w = np.array([1.7e308, 5e-324])
+        np.testing.assert_allclose(chart.root, np.diag(np.sqrt(w)), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(chart.inv_root, np.diag(1.0 / np.sqrt(w)), rtol=1e-15,
+                                   atol=0.0)
+
+    def test_exp_at_a_base_with_a_subnormal_eigenvalue_is_refused(self):
+        # exp(0) is the base, whose smallest eigenvalue 5e-324 LAPACK rounds
+        # to 0 and the halves of the symmetric part round away: the map
+        # refuses it, where it returned 5.5e275 for that eigenvalue
+        chart = chart_at(resolve_manifold("spd:2"), [1.7e308, 0.0, 5e-324])
+        with pytest.raises(NumericError,
+                           match="^the spd exponential map underflows the float range$"):
+            chart.exp(np.zeros(3))
+
     @given(base=ILL_CONDITIONED)
     @example(base=(15.6875, [-1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.4597823455538521, 1.0, 0.0], 1))
     def test_exp_at_an_ill_conditioned_base_is_positive_definite_or_refused(self, base):
