@@ -22,15 +22,12 @@ Two vector layouts coexist on purpose:
   The spd manifold represents points and tangents this way, which is what
   makes the radial-isometry identity d(A, Exp_A(V)) = |v| hold in plain
   Euclidean norm on the tangent coordinates.
-
-Both read the upper triangle through one ``_layout`` per order, built
-once.  The spd:2 kernels use neither: they work on the three entries.
 """
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -192,40 +189,27 @@ def order_from_sym_dim(d: int) -> int:
     return n
 
 
-class _Layout(NamedTuple):
-    """The upper-triangle layout of the symmetric matrices of order ``n``:
-    the row and column indices ``iu``, ``ju`` of its entries, their
-    Frobenius ``weight`` (1 on the diagonal, sqrt 2 off it), and two flat
-    index maps of one matrix: ``gather``, the position of each entry in
-    the flattened matrix, and ``scatter``, the entry at each position."""
-
-    n: int
-    iu: np.ndarray
-    ju: np.ndarray
-    weight: np.ndarray
-    gather: np.ndarray
-    scatter: np.ndarray
-
-
 @functools.lru_cache(maxsize=None)
-def _layout(d: int) -> _Layout:
-    """The layout of vectors of length ``d`` = n(n+1)/2, built once per
-    length and read-only, since every caller shares it."""
-    n = order_from_sym_dim(d)
+def _triu_indices(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of order ``n``, and the
+    Frobenius weights of its entries (1 on the diagonal, sqrt 2 off it).
+    Built once per order and read-only, since every caller shares them."""
     iu, ju = np.triu_indices(n)
-    index = np.empty((n, n), dtype=np.intp)
-    index[iu, ju] = index[ju, iu] = np.arange(d)
-    layout = _Layout(n, iu, ju, np.where(iu == ju, 1.0, _SQRT2), iu * n + ju, index.ravel())
-    for a in layout[1:]:
+    weight = np.where(iu == ju, 1.0, _SQRT2)
+    for a in (iu, ju, weight):
         a.flags.writeable = False
-    return layout
+    return iu, ju, weight
 
 
 def sym_chart_decode(v: np.ndarray) -> np.ndarray:
     """Row-wise upper-triangle vector -> symmetric matrix."""
     v = np.asarray(v, dtype=float).ravel()
-    layout = _layout(v.size)
-    return v.take(layout.scatter).reshape(layout.n, layout.n)
+    n = order_from_sym_dim(v.size)
+    A = np.zeros((n, n))
+    iu, ju, _ = _triu_indices(n)
+    A[iu, ju] = v
+    A[ju, iu] = v
+    return A
 
 
 def sym_chart_encode(A: np.ndarray) -> np.ndarray:
@@ -234,26 +218,26 @@ def sym_chart_encode(A: np.ndarray) -> np.ndarray:
     A = check_symmetric(A)
     if A.ndim != 2:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
-    return A.take(_layout(sym_dim(A.shape[0])).gather)
+    iu, ju, _ = _triu_indices(A.shape[0])
+    return A[iu, ju].copy()
 
 
 def frob_unvec(v: np.ndarray) -> np.ndarray:
     """Frobenius-isometric vector -> symmetric matrix (off-diagonals /sqrt2).
 
     A 2-D ``v`` is an (N, d) stack of vectors and gives an (N, n, n) stack;
-    any other shape is flattened to one vector.  Each entry is its
-    vector entry over its weight, read off by the layout's ``scatter``:
-    with ``take`` on one vector, by an index on a stack, which is the
-    faster form on many rows.
+    any other shape is flattened to one vector.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
         v = v.ravel()
-    layout = _layout(v.shape[-1])
-    vals = v / layout.weight
-    if v.ndim == 1:
-        return vals.take(layout.scatter).reshape(layout.n, layout.n)
-    return vals[:, layout.scatter].reshape(len(v), layout.n, layout.n)
+    n = order_from_sym_dim(v.shape[-1])
+    iu, ju, weight = _triu_indices(n)
+    vals = v / weight
+    A = np.zeros(v.shape[:-1] + (n, n))
+    A[..., iu, ju] = vals
+    A[..., ju, iu] = vals
+    return A
 
 
 def frob_vec(A: np.ndarray) -> np.ndarray:
@@ -265,12 +249,9 @@ def frob_vec(A: np.ndarray) -> np.ndarray:
 
 def frob_entries(A: np.ndarray) -> np.ndarray:
     """``frob_vec`` of a matrix or stack that is exactly symmetric by
-    construction, without the symmetry check: ``take`` of the layout's
-    ``gather`` on one matrix, the row and column indices on a stack."""
-    layout = _layout(sym_dim(A.shape[-1]))
-    if A.ndim == 2:
-        return A.take(layout.gather) * layout.weight
-    return A[..., layout.iu, layout.ju] * layout.weight
+    construction, without the symmetry check."""
+    iu, ju, weight = _triu_indices(A.shape[-1])
+    return A[..., iu, ju] * weight
 
 
 _FUNCS = {

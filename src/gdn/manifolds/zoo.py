@@ -737,11 +737,17 @@ def _spd_functions(S: np.ndarray, *kinds: str, positive: str | None = None,
 # the base, which must stay matrix products: BLAS rounds them with fused
 # multiply-adds.
 
-def _frob_parts2(v: np.ndarray) -> tuple:
-    # the entries (a, b, c) of the matrix of the Frobenius vector v, or the
-    # columns of an (N, 3) stack, divided as ``frob_unvec`` divides them
-    a, b, c = v.tolist() if v.ndim == 1 else v.T
-    return a, b / _SQRT2, c
+def _frob_parts2(v) -> tuple:
+    # the lead shape of the Frobenius vector v as ``frob_unvec`` reads it,
+    # () for one vector and (N,) for an (N, 3) stack, and the entries (a,
+    # b, c) of its matrix, floats or columns, divided as ``frob_unvec``
+    # divides them
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2:
+        a, b, c = v.ravel().tolist()
+        return (), a, b / _SQRT2, c
+    a, b, c = v.T
+    return v.shape[:-1], a, b / _SQRT2, c
 
 
 def _sym_parts2(P: np.ndarray) -> tuple:
@@ -778,10 +784,11 @@ _POINT_REFUSAL = "spd point is not positive definite: min eigenvalue"
 def _spd_roots(x: np.ndarray, *kinds: str) -> list:
     # the roots ("sqrt", "invsqrt") of the matrices of Frobenius vectors x,
     # which must be positive definite
-    if x.shape[-1] == 3:
-        return [_matrix2(x.shape[:-1], *F)
-                for F in _spd2(*_frob_parts2(x), *kinds, positive=_POINT_REFUSAL)]
-    return _spd_functions(frob_unvec(x), *kinds, positive=_POINT_REFUSAL)
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        return _spd_functions(frob_unvec(x), *kinds, positive=_POINT_REFUSAL)
+    lead, *parts = _frob_parts2(check_finite(x))
+    return [_matrix2(lead, *F) for F in _spd2(*parts, *kinds, positive=_POINT_REFUSAL)]
 
 
 # the smallest argument of exp whose exp is a normal float
@@ -841,13 +848,17 @@ def _spd_exp(sA: np.ndarray, v: np.ndarray, floor: float | np.ndarray,
     # point it is returned as is positive definite
     with np.errstate(all="ignore"):
         if sA.shape[-1] == 2:
-            E, low, wide = _spd2(*_frob_parts2(v), "exp", exp_floor=floor, exp_gap=gap)
-            P = sA @ _matrix2(v.shape[:-1], *E) @ sA
+            lead, *parts = _frob_parts2(v)
+            E, low, wide = _spd2(*parts, "exp", exp_floor=floor, exp_gap=gap)
+            P = sA @ _matrix2(lead, *E) @ sA
             y = _vector2(P.shape[:-2], *_sym_parts2(P))
         else:
             E, low, wide = _spd_functions(frob_unvec(v), "exp", exp_floor=floor, exp_gap=gap)
             y = frob_entries(sym(sA @ E @ sA))
     if np.count_nonzero(np.isfinite(y)) != y.size:
+        # a non-finite tangent gives a non-finite result: it is refused as
+        # such, as the larger orders' ``_spd_functions`` refuses it up front
+        check_finite(np.asarray(v, dtype=float))
         raise NumericError("the spd exponential map overflows the float range")
     flagged = low | wide
     if _any(flagged):
@@ -878,7 +889,8 @@ def _spd_log(isA: np.ndarray, y: np.ndarray, matrix: bool = False) -> np.ndarray
     if isA.shape[-1] != 2:
         L = _spd_functions(sym(isA @ frob_unvec(y) @ isA), "log", positive=_LOG_REFUSAL)[0]
         return L if matrix else frob_entries(L)
-    P = check_finite(isA @ _matrix2(y.shape[:-1], *_frob_parts2(y)) @ isA)
+    lead, *parts = _frob_parts2(y)
+    P = check_finite(isA @ _matrix2(lead, *parts) @ isA)
     (F,) = _spd2(*_sym_parts2(P), "log", positive=_LOG_REFUSAL)
     return (_matrix2 if matrix else _vector2)(P.shape[:-2], *F)
 

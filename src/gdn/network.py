@@ -171,7 +171,7 @@ def eval_net(net: FeedforwardNet, x) -> np.ndarray:
     A stack gives an (N, out_dim) result, each row bit for bit the result
     of that row alone: every layer is one matrix-vector product per row,
     which rounds like ``W @ x`` (a single matrix product over the stack
-    does not).  One input takes ``W @ x`` itself.
+    does not).
     """
     h = np.asarray(x, dtype=float)
     if h.ndim != 2:
@@ -182,16 +182,10 @@ def eval_net(net: FeedforwardNet, x) -> np.ndarray:
     if np.count_nonzero(np.isfinite(h)) != h.size:
         raise ValidationError("network input has non-finite entries")
     last = len(net.layers) - 1
-    single = h.ndim == 1
     for i, layer in enumerate(net.layers):
-        # one input skips the stack's axis round trip, and the activation's
-        # conversion of what is already a float array
-        if single:
-            h = layer.weights @ h + layer.bias
-        else:
-            h = (layer.weights @ h[..., None])[..., 0] + layer.bias
+        h = (layer.weights @ h[..., None])[..., 0] + layer.bias
         if i != last:
-            h = net.activation.eval(h) if single else net.activation(h)
+            h = net.activation(h)
         if np.count_nonzero(np.isfinite(h)) != h.size:
             raise NumericError(f"non-finite value after layer {i}")
     return h

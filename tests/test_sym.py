@@ -120,10 +120,10 @@ class TestFrobeniusVectorization:
 
     @given(n=st.integers(1, 6), rows=st.sampled_from([None, 0, 1, 700]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_layout_equals_the_upper_triangle_reference(self, n, rows, seed):
-        # the cached layout's take (one vector or matrix) and index (a
-        # stack) give the bits of the row and column indices of the upper
-        # triangle, on entries across the float range, signed zeros included
+    def test_frob_unvec_and_entries_equal_the_upper_triangle_reference(self, n, rows, seed):
+        # one vector or matrix, and stacks of 0, 1 and 700 rows, have the
+        # bits of the row and column indices of the upper triangle, on
+        # entries across the float range, signed zeros included
         rng = np.random.default_rng(seed)
         d = n * (n + 1) // 2
         lead = () if rows is None else (rows,)

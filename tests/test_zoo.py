@@ -887,6 +887,28 @@ class TestOneGeometryPerFamily:
         np.testing.assert_allclose(chart.inv_root, np.diag(1.0 / np.sqrt(w)), rtol=1e-15,
                                    atol=0.0)
 
+    @pytest.mark.parametrize("ident", ["spd:2", "spd:3"])
+    def test_spd_kernels_take_lists_and_refuse_non_finite_entries(self, ident):
+        # the order-2 kernels read entries, not matrices: they take array
+        # likes as every order does, and a non-finite entry is a
+        # ValidationError there too, not an overflow of the map
+        spec = resolve_manifold(ident)
+        base = frob_vec(np.diag([1.5, 0.5, 2.0][:int(ident[-1])]))
+        chart = chart_at(spec, base)
+        zero = [0.0] * spec.chart_dim
+        for call, args in ((chart.exp, [zero]), (chart.log, [base]), (chart.distance, [base]),
+                           (spec.exp, [base, zero]), (spec.log, [base, base])):
+            want = call(*(np.array(a) for a in args))
+            assert np.asarray(call(*(list(a) for a in args))).tobytes() == want.tobytes()
+        np.testing.assert_allclose(chart.exp(zero), base, rtol=1e-15)
+        for bad in (np.nan, np.inf, -np.inf):
+            v = np.array(zero)
+            v[1] = bad
+            for call in (lambda: chart.exp(v), lambda: spec.exp(base, v),
+                         lambda: spec.exp(v, zero)):
+                with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+                    call()
+
     def test_exp_at_a_base_with_a_subnormal_eigenvalue_is_refused(self):
         # exp(0) is the base, whose smallest eigenvalue 5e-324 LAPACK rounds
         # to 0 and the halves of the symmetric part round away: the map
