@@ -1,6 +1,6 @@
 """Multidimensional Bernstein operator on the unit cube: evaluation over
-the (n+1)^p coefficient lattice, degree selection against a modulus budget,
-and conversion to monomial coefficients for network synthesis.
+the (n+1)^p coefficient lattice and conversion to monomial coefficients
+for network synthesis.
 """
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ..errors import DomainError, InfeasibleDegreeError, ValidationError
-from .modulus import Modulus, oracle_rows
+from ..errors import DomainError, ValidationError
+from .modulus import oracle_rows
 from .polynomials import product_grid
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "bernstein_eval",
     "bernstein_weights",
     "bernstein_contract",
-    "bernstein_degree_for",
     "bernstein_from_function",
     "bernstein_to_coefficients",
 ]
@@ -120,41 +119,6 @@ def bernstein_from_function(f: Callable[[np.ndarray], np.ndarray],
     lattice = product_grid(np.arange(n + 1) / n, p)
     values = oracle_rows(f, lattice, m)
     return BernsteinModel(n, p, values.reshape((n + 1,) * p + (m,)))
-
-
-# the doubling search gives up past this degree
-_MAX_DEGREE = 10 ** 9
-
-
-def bernstein_degree_for(eps: float, p: int, m: int, omega: Modulus) -> int:
-    """Smallest degree n with m (1 + p/4) omega(1/sqrt(n)) <= eps.
-
-    Found by doubling then bisection on the monotone predicate; raises when
-    no degree up to ``_MAX_DEGREE`` satisfies the budget.
-    """
-    if eps <= 0.0:
-        raise ValidationError("eps must be positive")
-    factor = m * (1.0 + p / 4.0)
-
-    def ok(n: int) -> bool:
-        return factor * float(omega(1.0 / math.sqrt(n))) <= eps
-
-    if ok(1):
-        return 1
-    lo, hi = 1, 2
-    while not ok(hi):
-        lo = hi
-        hi *= 2
-        if hi > _MAX_DEGREE:
-            raise InfeasibleDegreeError(f"no Bernstein degree <= {_MAX_DEGREE} "
-                                        f"meets the budget eps={eps!r}", _MAX_DEGREE)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _bernstein_to_monomial_matrix(n: int) -> np.ndarray:

@@ -4,16 +4,17 @@
 * compilation of univariate-form polynomials, one per output, into one
   multi-output one-hidden-layer net with a smooth non-polynomial
   activation, in one pass per step h, and
-* the full function-to-shallow pipeline (Bernstein lattice -> monomial
-  coefficients -> polarization -> finite-difference synthesis), which
-  retries smaller steps h until the net fits its half of the budget.
+* the full function-to-shallow pipeline: a fit stage (Bernstein lattice
+  -> monomial coefficients) and a realize stage (polarization -> finite-
+  difference synthesis), which retries smaller steps h until the net fits
+  its half of the budget.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,13 +28,13 @@ from ..manifolds.zoo import row_norms
 from ..network import ActivationInfo, AffineLayer, FeedforwardNet
 from .bernstein import (
     BernsteinModel,
-    bernstein_degree_for,
     bernstein_from_function,
     bernstein_to_coefficients,
     bernstein_weights,
 )
 from .modulus import Modulus, PairInputs, oracle_rows, pair_inputs, sampled_modulus_at
 from .polynomials import (
+    Coeffs,
     LinearFormPoly,
     decompose_polynomial,
     poly_total_degree,
@@ -302,54 +303,78 @@ def cube_points(p: int, audit: bool) -> np.ndarray:
     return samples.stack if audit else samples.selection.points
 
 
+def _bernstein_error(p: int, m: int, omega_t: float) -> float:
+    # the paper's bound m (1 + p/4) omega(1/sqrt(n)) on the degree-n
+    # Bernstein error, from omega_t = omega(1/sqrt(n))
+    return m * (1.0 + p / 4.0) * omega_t
+
+
+def _apriori_degree(budget: float, p: int, m: int, omega: Modulus) -> Optional[int]:
+    """The smallest degree n <= 12 whose a-priori Bernstein error m (1 +
+    p/4) omega(1/sqrt(n)) fits ``budget``; None when none does.  The rule
+    is monotone in n, so this is its smallest degree whenever that is at
+    most 12."""
+    return next((n for n in range(1, _DEGREE_CAP + 1)
+                 if _bernstein_error(p, m, float(omega(1.0 / math.sqrt(n)))) <= budget),
+                None)
+
+
+@dataclass(frozen=True)
+class Fit:
+    """What the fit stage hands the realize stage: the Bernstein degree,
+    one monomial polynomial per output with its total degree, and the
+    fitted polynomial's rows on the audit grid, (N, m)."""
+
+    degree: int
+    polys: Tuple[Tuple[Coeffs, int], ...]
+    reference: np.ndarray
+
+
 def _select_degree(target: Callable[[np.ndarray], np.ndarray],
-                   grid: _CubeGrid, targets: np.ndarray, budget: float,
-                   omega: Optional[Modulus]):
-    """(n, Bernstein model) of the smallest candidate degree whose lattice
-    residual on the selection ``grid``, where the target's rows are
-    ``targets``, fits ``budget``, with the a-priori degree rule of ``omega``
-    added as a candidate; refused with every candidate's residual when none
-    fits.  A lattice that is a subgrid of the selection grid is read off
-    ``targets``; the target is called only on the others."""
+                   samples: _CubeSamples, targets: np.ndarray, budget: float,
+                   omega: Optional[Modulus]) -> Fit:
+    """The fit stage: the Bernstein polynomial of the smallest candidate
+    degree whose lattice residual on the selection grid, where the target's
+    rows are ``targets``, fits ``budget``, with the a-priori degree of
+    ``omega`` added as a candidate; refused with every candidate's residual
+    when none fits.  A lattice that is a subgrid of the selection grid is
+    read off ``targets``; the target is called only on the others."""
+    grid = samples.selection
     p, m = grid.p, targets.shape[1]
-    candidates = list(_DEGREES)
-    if omega is not None:
-        try:
-            n_apriori = bernstein_degree_for(budget, p, m, omega)
-            if n_apriori <= _DEGREE_CAP and n_apriori not in candidates:
-                candidates = sorted(set(candidates + [n_apriori]))
-        except InfeasibleDegreeError:
-            pass
+    candidates = _DEGREES
+    n_apriori = None if omega is None else _apriori_degree(budget, p, m, omega)
+    if n_apriori is not None and n_apriori not in candidates:
+        candidates = sorted(candidates + (n_apriori,))
     tried = []  # each degree with its selection-grid residual, for the refusal
-    for cand in candidates:
-        model = grid.lattice(targets, cand)
+    for n in candidates:
+        model = grid.lattice(targets, n)
         if model is None:
-            model = bernstein_from_function(target, cand, p, m)
-        fitted = grid.contract(model)
-        resid = float(np.max(row_norms(fitted - targets)))
+            model = bernstein_from_function(target, n, p, m)
+        resid = float(np.max(row_norms(grid.contract(model) - targets)))
         if resid <= budget:
-            return cand, model
-        tried.append(f"{cand}: {resid:.3g}")
-    raise InfeasibleDegreeError(
-        f"no Bernstein degree <= {_DEGREE_CAP} meets the "
-        f"budget {budget!r} on the selection grid; residual by "
-        f"degree: {', '.join(tried)}",
-        _DEGREE_CAP,
-    )
-
-
-def _synthesize(model: BernsteinModel, audit: _CubeGrid, sigma: ActivationInfo,
-                budget: float):
-    """(net, residual): the finite-difference shallow net of the Bernstein
-    polynomial and its sup distance from that polynomial on the audit grid.
-    Smaller steps h are tried until the residual fits ``budget``; the net of
-    the smallest residual is kept."""
+            break
+        tried.append(f"{n}: {resid:.3g}")
+    else:
+        raise InfeasibleDegreeError(
+            f"no Bernstein degree <= {_DEGREE_CAP} meets the "
+            f"budget {budget!r} on the selection grid; residual by "
+            f"degree: {', '.join(tried)}",
+            _DEGREE_CAP,
+        )
     coeffs = bernstein_to_coefficients(model)
-    totals = []
-    for j in range(model.m):
+    polys = []
+    for j in range(m):
         cj = {exps: float(vec[j]) for exps, vec in coeffs.items() if vec[j] != 0.0}
-        totals.append((cj, poly_total_degree(cj)))
-    max_total = max((t for _c, t in totals), default=0)
+        polys.append((cj, poly_total_degree(cj)))
+    return Fit(n, tuple(polys), samples.audit.contract(model))
+
+
+def _synthesize(fit: Fit, points: np.ndarray, sigma: ActivationInfo, budget: float):
+    """The realize stage: (net, residual), the finite-difference shallow net
+    of the fitted polynomials and its sup distance from ``fit.reference``
+    on the audit ``points``.  Smaller steps h are tried until the residual
+    fits ``budget``; the net of the smallest residual is kept."""
+    max_total = max((t for _c, t in fit.polys), default=0)
     # the stencil order equals the total degree; double precision cannot
     # support high-order difference stencils
     if max_total > _DEGREE_CAP:
@@ -358,7 +383,7 @@ def _synthesize(model: BernsteinModel, audit: _CubeGrid, sigma: ActivationInfo,
             f"synthesis stencil cap {_DEGREE_CAP}", _DEGREE_CAP
         )
     per_output: List[LinearFormPoly] = [
-        decompose_polynomial(cj, max(total, 1), model.p) for cj, total in totals
+        decompose_polynomial(cj, max(total, 1), points.shape[1]) for cj, total in fit.polys
     ]
 
     kmax = max(max_total, 1)
@@ -368,11 +393,10 @@ def _synthesize(model: BernsteinModel, audit: _CubeGrid, sigma: ActivationInfo,
     h_floor = max((2.0 ** kmax * np.finfo(float).eps) ** (1.0 / (kmax + 1)), 1e-7)
     h = min(max(budget / kmax * 0.1, h_floor), 1e-2)
 
-    lattice_audit = audit.contract(model)
     best = None
     for _ in range(6):
         shallow = compile_poly_to_shallow(per_output, sigma, theta0, h)
-        resid = float(np.max(row_norms(shallow(audit.points) - lattice_audit)))
+        resid = float(np.max(row_norms(shallow(points) - fit.reference)))
         if best is None or resid < best[1]:
             best = (shallow, resid)
         if resid <= budget or h / 4.0 < h_floor:
@@ -387,16 +411,18 @@ def compile_function_to_shallow(
     omega: Optional[Modulus] = None, rows: Optional[np.ndarray] = None,
 ) -> CompileResult:
     """Compile a function on the unit cube into a shallow network, with the
-    a-priori bound of its error: the degree stage, then the synthesis stage.
+    a-priori bound of its error: the fit stage, then the realize stage.
 
-    The error budget splits evenly: half to the Bernstein stage, half to
-    finite-difference synthesis.  The Bernstein degree is the smallest
-    candidate whose measured lattice residual fits its half (checked on a
-    dense grid), with the a-priori degree rule added as a candidate when a
-    modulus is supplied.  Degrees and total polynomial degrees above 12 are
-    refused, because the difference stencils degenerate in double
-    precision.  The synthesis residual is measured against the Bernstein
-    polynomial on the audit grid of 10 points per axis; the error against
+    The error budget splits evenly: half to the fit, half to
+    finite-difference synthesis.  The fit's Bernstein degree is the
+    smallest candidate whose measured lattice residual fits its half
+    (checked on a dense grid); with a modulus, the a-priori candidate is
+    added: the smallest degree n <= 12 with m (1 + p/4) omega(1/sqrt(n))
+    within that half.  The fit hands the realize stage a ``Fit``: one
+    monomial polynomial per output and the fitted rows on the audit grid of
+    10 points per axis, against which the synthesis residual is measured.
+    Degrees and total polynomial degrees above 12 are refused, because the
+    difference stencils degenerate in double precision.  The error against
     the target is measured by the caller (``compile_gdn`` audits the GDN
     on the geodesic ball).
 
@@ -424,11 +450,11 @@ def compile_function_to_shallow(
     if rows is None:
         rows = oracle_rows(target, cube_points(p, omega is None), m)
     k = len(samples.selection.points)
-    n, model = _select_degree(target, samples.selection, rows[:k], 0.5 * eps, omega)
-    net, residual = _synthesize(model, samples.audit, sigma, 0.5 * eps)
+    fit = _select_degree(target, samples, rows[:k], 0.5 * eps, omega)
+    net, residual = _synthesize(fit, samples.audit.points, sigma, 0.5 * eps)
     # the bound reads the modulus at its one point 1/sqrt(n); without
     # ``omega``, the empirical modulus is read there directly
-    t = 1.0 / math.sqrt(n)
+    t = 1.0 / math.sqrt(fit.degree)
     omega_t = (float(omega(t)) if omega is not None else sampled_modulus_at(
         samples.audit_pairs, rows[k:], t))
-    return CompileResult(net, n, (1.0 + p / 4.0) * m * omega_t + residual)
+    return CompileResult(net, fit.degree, _bernstein_error(p, m, omega_t) + residual)

@@ -38,7 +38,8 @@ def resolve_manifold(identifier: str) -> ManifoldSpec:
     ParseError
         Not a string, or unknown identifier shape or family.
     ValidationError
-        Nonpositive dimension or curvature parameter.
+        Nonpositive dimension, or a curvature parameter that is not positive
+        or whose square is not finite.
     """
     if not isinstance(identifier, str):
         raise ParseError(f"a manifold identifier must be a string, got {identifier!r}")
@@ -59,6 +60,9 @@ def resolve_manifold(identifier: str) -> ManifoldSpec:
         c = float(c_str)
         if not (c > 0.0 and math.isfinite(c)):
             raise ValidationError(f"{family} curvature must be finite and > 0, got {c}")
+        if not math.isfinite(c * c):  # the Moebius sums square c
+            raise ValidationError(
+                f"{family} curvature must have a finite square, got {c}")
         ident = f"{ident}:{c!r}"  # repr round-trips the curvature exactly
     elif c_str is not None:
         raise ParseError(f"{family} takes a single integer parameter")

@@ -821,14 +821,25 @@ def _exp_gap(sA: np.ndarray, isA: np.ndarray) -> float | np.ndarray:
     return _EXP_GAP - 2.0 * (np.log(_norm1(sA)) + np.log(_norm1(isA)))
 
 
+# the range of the largest entry in which LAPACK's dsyevd leaves a matrix
+# unscaled: sqrt(safmin / eps) and its reciprocal, 2^-485 and 2^485
+_EIGH_UNSCALED = (2.0 ** -485, 2.0 ** 485)
+
+
 def _refused(P: np.ndarray, flag) -> np.ndarray:
     """The mask of the matrices of ``P`` (one symmetric matrix, or a
     stack), among those ``flag`` marks, that are not positive definite for
     LAPACK's eigenvalues or for the test that ``chart_at`` and the log map
     apply to a point (``_spd_functions`` with ``positive``, a closed form
     at order 2).  The two differ in the last bits, and a point that either
-    refuses is refused."""
-    bad = np.array(~(np.linalg.eigvalsh(P)[..., 0] > 0.0))
+    refuses is refused.  At order 2, a matrix whose largest entry dsyevd
+    would rescale, where its small eigenvalue may underflow to 0, is left
+    to the closed form alone."""
+    good = np.linalg.eigvalsh(P)[..., 0] > 0.0
+    if P.shape[-1] == 2:
+        top = np.abs(P).max(axis=(-2, -1))
+        good |= (top < _EIGH_UNSCALED[0]) | (top > _EIGH_UNSCALED[1])
+    bad = np.array(~good)
     flag = np.broadcast_to(flag, bad.shape)
     for i in np.ndindex(bad.shape):
         if flag[i] and not bad[i]:

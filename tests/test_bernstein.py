@@ -8,14 +8,13 @@ import pytest
 
 from gdn.approx.bernstein import (
     BernsteinModel,
-    bernstein_degree_for,
     bernstein_eval,
     bernstein_from_function,
     bernstein_to_coefficients,
 )
-from gdn.approx.modulus import LipschitzModulus, ModulusEstimate
-from gdn.approx.synthesis import _DEGREES
-from gdn.errors import DomainError, InfeasibleDegreeError, ValidationError
+from gdn.approx.modulus import LipschitzModulus
+from gdn.approx.synthesis import _DEGREES, _apriori_degree
+from gdn.errors import DomainError, ValidationError
 
 
 def brute_bernstein_1d(f, n, x):
@@ -91,25 +90,23 @@ class TestBernsteinEvalStack:
 
 
 class TestDegreeFor:
+    """The a-priori degree: the smallest n <= 12 with m (1 + p/4)
+    omega(1/sqrt(n)) within the budget."""
+
     def test_lipschitz_hand_values(self):
-        assert bernstein_degree_for(0.25, 1, 1, LipschitzModulus(1.0)) == 25
-        assert bernstein_degree_for(0.25, 1, 2, LipschitzModulus(1.0)) == 100
+        # 1.25 / sqrt(n) <= 0.5 from n = 6.25 on; 2.5 / sqrt(n) <= 0.5 only
+        # from n = 25 on, past the cap
+        assert _apriori_degree(0.5, 1, 1, LipschitzModulus(1.0)) == 7
+        assert _apriori_degree(0.5, 1, 2, LipschitzModulus(1.0)) is None
 
     def test_zero_modulus(self):
-        assert bernstein_degree_for(0.25, 3, 2, LipschitzModulus(0.0)) == 1
+        assert _apriori_degree(0.25, 3, 2, LipschitzModulus(0.0)) == 1
 
     def test_minimality(self):
-        n = bernstein_degree_for(0.25, 1, 1, LipschitzModulus(1.0))
+        n = _apriori_degree(0.5, 1, 1, LipschitzModulus(1.0))
         factor = 1.25
-        assert factor / math.sqrt(n) <= 0.25
-        assert factor / math.sqrt(n - 1) > 0.25
-
-    def test_cap_raises(self):
-        # a unit step at t = 1e-300: omega(1/sqrt(n)) = 1 at every degree
-        stuck = ModulusEstimate(np.array([0.0, 1e-300]), np.array([0.0, 1.0]))
-        with pytest.raises(InfeasibleDegreeError) as info:
-            bernstein_degree_for(0.5, 1, 1, stuck)
-        assert info.value.cap == 10 ** 9
+        assert factor / math.sqrt(n) <= 0.5
+        assert factor / math.sqrt(n - 1) > 0.5
 
 
 class TestBernsteinBound:

@@ -314,6 +314,23 @@ class TestCompileAndEval:
         assert code == 0
         assert len(steps) == 1
 
+    def test_apriori_degree_off_the_candidate_list_is_tried(self, capsys):
+        # the candidates 1, 2, 3, 4 miss the budget and 6 meets it; with
+        # --lip 0.085 the a-priori rule gives 5, which is no listed degree,
+        # and it meets the budget first
+        argv = ["compile", "--target", "poly:x1^2", "--domain", "euclidean:1",
+                "--codomain", "euclidean:1", "--base-x", "[0]", "--radius", "0.48",
+                "--eps", "0.1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["bernstein_degree"] == 6
+        code, out, _ = run(capsys, *argv, "--lip", "0.085")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["bernstein_degree"] == 5
+        assert summary["measured_error"] == pytest.approx(0.046079059413145294, rel=1e-9)
+        assert summary["apriori_bound"] == pytest.approx(0.047604952260245734, rel=1e-9)
+
     def test_radius_guard_exits_2(self, capsys):
         # checked once, by compile_gdn: one error line and no usage text
         code, out, err = run(capsys, "compile", "--target", "rotation",
@@ -592,6 +609,14 @@ class TestUsageErrors:
                                 "an audit of 1000000000 points would hold 88000000000 "
                                 "bytes of arrays, past the budget of 268435456 bytes")
         assert time.perf_counter() - t0 < 2.0
+
+    def test_curvature_whose_square_overflows(self, capsys):
+        # refused with the manifold, before a Moebius sum squares it
+        code, out, err = run(capsys, "compile", "--target", "mobius-shift",
+                             "--domain", "poincare:2:1e300", "--codomain", "poincare:2:1e300",
+                             "--base-x", "[0,0]", "--radius", "1", "--eps", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: poincare curvature must have a finite square, got 1e+300\n"
 
     def test_bench_run_audit_grid_past_the_budget(self, capsys, tmp_path):
         self.bench(capsys, tmp_path, {**TestBench.CONFIG["runs"][0], "grid": 10 ** 9},

@@ -1,6 +1,7 @@
 """Manifold resolution, curvature radii, and the universality-radius
 calculus."""
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -50,6 +51,20 @@ class TestResolveManifold:
     def test_rejects_malformed(self, bad):
         with pytest.raises((ParseError, ValidationError)):
             resolve_manifold(bad)
+
+    def test_curvature_whose_square_overflows_is_refused(self):
+        # the Moebius sums form c c |x|^2 |y|^2; past sqrt(float max) every
+        # sum went wrong with no error.  The largest c below the bound
+        # keeps its bits
+        with pytest.raises(ValidationError,
+                           match="^poincare curvature must have a finite square, got 1e[+]300$"):
+            resolve_manifold("poincare:2:1e300")
+        c = math.sqrt(sys.float_info.max)
+        assert resolve_manifold(f"poincare:2:{c!r}").param == c
+        for bad, shown in (("-1", "-1.0"), ("1e999", "inf"), ("0", "0.0")):
+            with pytest.raises(ValidationError,
+                               match=f"^poincare curvature must be finite and > 0, got {shown}$"):
+                resolve_manifold(f"poincare:2:{bad}")
 
     @pytest.mark.parametrize("ident", [
         "euclidean:2", "sphere:2", "poincare:2:1", "spd:2", "gaussian:2", "torus:2",

@@ -9,18 +9,23 @@ import pytest
 from gdn.approx.bernstein import (
     BernsteinModel,
     bernstein_contract,
-    bernstein_degree_for,
     bernstein_eval,
     bernstein_from_function,
     bernstein_weights,
 )
 from gdn.approx.modulus import LipschitzModulus, empirical_modulus, pair_inputs
-from gdn.approx.polynomials import LinearFormPoly, decompose_polynomial
+from gdn.approx.polynomials import (
+    LinearFormPoly,
+    decompose_polynomial,
+    poly_eval,
+    poly_total_degree,
+)
 from gdn.approx.synthesis import (
     _DEGREE_CAP,
     _DEGREES,
     _cube_samples,
     _grid_points,
+    _select_degree,
     compile_function_to_shallow,
     compile_poly_to_shallow,
     finite_diff_derivative,
@@ -291,8 +296,10 @@ class TestCompileFunction:
             return x[:, :1] ** 2 + x[:, 1:2] ** 2 + x[:, 2:3] ** 2
 
         omega = LipschitzModulus(2.0)
-        # omega's a-priori degree is beyond the cap, so it adds no candidate
-        assert bernstein_degree_for(0.25, 3, 1, omega) > _DEGREE_CAP
+        # omega's a-priori rule holds at no degree up to the cap, so it adds
+        # no candidate
+        assert all(1.75 * omega(1.0 / math.sqrt(n)) > 0.25
+                   for n in range(1, _DEGREE_CAP + 1))
         res = compile_function_to_shallow(f, 3, 1, 0.5, EXP, omega=omega)
         assert res.degree == 3
         # only the selection grid, then lattice 3, the one tried that is no
@@ -335,6 +342,36 @@ class TestCompileFunction:
         with pytest.raises(InfeasibleDegreeError):
             compile_function_to_shallow(f, 2, 1, 0.1, EXP)
         assert time.perf_counter() - t0 < 30.0
+
+
+class TestFit:
+    """The fit stage's contract with the realize stage."""
+
+    @pytest.mark.parametrize("p, budget, omega, degree", [
+        (1, 0.2, None, 12),
+        (1, 0.3, LipschitzModulus(0.2), 6),
+        (2, 0.2, None, 8),
+        (3, 0.2, LipschitzModulus(0.1), 7),  # the a-priori candidate
+        (3, 0.5, None, 3),
+    ])
+    def test_reference_is_each_polynomial_on_the_audit_grid(self, p, budget, omega,
+                                                             degree):
+        # any fitter must hand over rows that its polynomials give
+        def f(x):
+            return np.column_stack([np.sin(3.0 * x[:, 0] - x[:, -1]),
+                                    np.exp(x[:, 0]) * x[:, -1] ** 3,
+                                    np.full(len(x), 2.5)])
+
+        samples = _cube_samples(p)
+        fit = _select_degree(f, samples, f(samples.selection.points), budget, omega)
+        assert fit.degree == degree
+        points = samples.audit.points
+        assert fit.reference.shape == (len(points), 3) and len(fit.polys) == 3
+        scale = float(np.max(np.abs(fit.reference)))
+        for j, (coeffs, total) in enumerate(fit.polys):
+            assert total == poly_total_degree(coeffs)
+            err = np.max(np.abs(poly_eval(coeffs, points) - fit.reference[:, j]))
+            assert err <= 1e-9 * scale
 
 
 class TestMultiOutput:

@@ -909,6 +909,16 @@ class TestOneGeometryPerFamily:
                 with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
                     call()
 
+    def test_exp_at_a_base_lapack_rescales_is_left_to_the_closed_form(self):
+        # dsyevd scales diag(1e300, 1e-300) and underflows its small
+        # eigenvalue to 0; the closed form keeps it, so exp(0) is the base
+        # and log inverts exp
+        chart = chart_at(resolve_manifold("spd:2"), [1e300, 0.0, 1e-300])
+        np.testing.assert_allclose(chart.exp(np.zeros(3)), [1e300, 0.0, 1e-300],
+                                   rtol=1e-15, atol=0.0)
+        v = np.array([0.5, 0.1, -0.3])
+        np.testing.assert_allclose(chart.log(chart.exp(v)), v, rtol=1e-12, atol=0.0)
+
     def test_exp_at_a_base_with_a_subnormal_eigenvalue_is_refused(self):
         # exp(0) is the base, whose smallest eigenvalue 5e-324 LAPACK rounds
         # to 0 and the halves of the symmetric part round away: the map
