@@ -54,9 +54,6 @@ class BernsteinModel:
     def m(self) -> int:
         return self.values.shape[-1]
 
-    def __call__(self, x):
-        return bernstein_eval(self, x)
-
 
 @lru_cache(maxsize=64)
 def _binomial_row(n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ checks the interpolation residual and the shared derivative bound M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,19 +48,7 @@ class EfficiencyCertificate:
         return self.normalizable and self.n is not None and not self.notes
 
     def to_dict(self) -> dict:
-        return {
-            "normalizable": self.normalizable,
-            "certified": self.certified,
-            "witness_base": self.witness_base,
-            "n": self.n,
-            "M": self.M,
-            "C": self.C,
-            "C_star": self.C_star,
-            "interpolation_residual": self.interpolation_residual,
-            "witness_box": self.witness_box,
-            "notes": list(self.notes),
-            "polynomial": self.polynomial,
-        }
+        return {**asdict(self), "certified": self.certified}
 
 
 def _c_star(count: int, C: int) -> int:

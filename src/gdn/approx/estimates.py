@@ -7,7 +7,7 @@ quantities, not certified counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..errors import NumericError, ValidationError
@@ -37,20 +37,9 @@ class DepthEstimate:
     B: Optional[float] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "activation_class": self.activation_class,
-            "depth_order": self.depth_order,
-            "width": self.width,
-            "params_order": self.params_order,
-            "p": self.p,
-            "m": self.m,
-            "eps": self.eps,
-            "delta": self.delta,
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-        }
-        if self.B is not None:
-            d["B"] = self.B
+        d = asdict(self)
+        if self.B is None:
+            del d["B"]
         return d
 
 
@@ -159,18 +148,7 @@ class EfficientComplexity:
     eps: float
 
     def to_dict(self) -> dict:
-        return {
-            "width_lo": self.width_lo,
-            "width_hi": self.width_hi,
-            "depth_order": self.depth_order,
-            "params_order": self.params_order,
-            "error_factor": self.error_factor,
-            "degenerate_params": self.degenerate_params,
-            "p": self.p,
-            "m": self.m,
-            "n": self.n,
-            "eps": self.eps,
-        }
+        return asdict(self)
 
 
 def efficient_complexity(p: int, m: int, n: int, eps: float) -> EfficientComplexity:

@@ -358,8 +358,7 @@ def _select_degree(target: Callable[[np.ndarray], np.ndarray],
         raise InfeasibleDegreeError(
             f"no Bernstein degree <= {_DEGREE_CAP} meets the "
             f"budget {budget!r} on the selection grid; residual by "
-            f"degree: {', '.join(tried)}",
-            _DEGREE_CAP,
+            f"degree: {', '.join(tried)}"
         )
     coeffs = bernstein_to_coefficients(model)
     polys = []
@@ -380,7 +379,7 @@ def _synthesize(fit: Fit, points: np.ndarray, sigma: ActivationInfo, budget: flo
     if max_total > _DEGREE_CAP:
         raise InfeasibleDegreeError(
             f"trimmed polynomial has total degree {max_total}, beyond the "
-            f"synthesis stencil cap {_DEGREE_CAP}", _DEGREE_CAP
+            f"synthesis stencil cap {_DEGREE_CAP}"
         )
     per_output: List[LinearFormPoly] = [
         decompose_polynomial(cj, max(total, 1), points.shape[1]) for cj, total in fit.polys

@@ -44,10 +44,6 @@ class UnsupportedError(GdnError, NotImplementedError):
 class InfeasibleDegreeError(GdnError, RuntimeError):
     """No Bernstein degree below the cap satisfies the error budget."""
 
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap
-
 
 class BadThetaError(GdnError, RuntimeError):
     """Derivative estimate vanished at the chosen activation offset."""

@@ -455,9 +455,8 @@ class Projective(Sphere):
             _check_tangent_norms(nv, math.pi / 2.0, "the projective injectivity radius pi/2")
         return _rp_canonical(super().exp(x, v, nv))
 
-    def log(self, x, y, d=None):
-        # d, where given, is distance(x, y)
-        return self.log_aligned(x, *_aligned(x, y), d)
+    def log(self, x, y):
+        return self.log_aligned(x, *_aligned(x, y))
 
     def log_aligned(self, x, yy, dot, d=None):
         # the log of y from its class yy on x's side and |x.y| (``_aligned``)

@@ -31,9 +31,7 @@ __all__ = ["Target", "resolve_target"]
 
 @dataclass(frozen=True)
 class Target:
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    out_dim: int
 
 
 def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -67,7 +65,7 @@ def resolve_target(name: str, domain: ManifoldSpec, base_x,
         base = as_point(domain, base_x)
         R = _rotation_about_axis(base, angle)
         # matrix-vector products row by row: one matrix product rounds differently
-        return Target(name, lambda x: (R @ np.asarray(x, dtype=float)[..., None])[..., 0], 3)
+        return Target(lambda x: (R @ np.asarray(x, dtype=float)[..., None])[..., 0])
 
     if kind == "mobius-shift":
         if domain.family != "poincare":
@@ -78,8 +76,7 @@ def resolve_target(name: str, domain: ManifoldSpec, base_x,
         a[0] = t
         if c * float(a @ a) >= 1.0:
             raise ValidationError("mobius shift lies outside the ball")
-        return Target(name, lambda x: mobius_add(a, np.asarray(x, dtype=float), c),
-                      domain.point_dim)
+        return Target(lambda x: mobius_add(a, np.asarray(x, dtype=float), c))
 
     if kind == "spd-congruence":
         if domain.family != "spd":
@@ -92,7 +89,7 @@ def resolve_target(name: str, domain: ManifoldSpec, base_x,
             A = frob_unvec(np.asarray(x, dtype=float))
             return frob_vec(Q.T @ A @ Q)
 
-        return Target(name, congruence, domain.point_dim)
+        return Target(congruence)
 
     if kind == "poly":
         if domain.family != "euclidean":
@@ -113,7 +110,7 @@ def resolve_target(name: str, domain: ManifoldSpec, base_x,
                 raise ValidationError(f"target {name} overflows at {point.tolist()}")
             return out
 
-        return Target(name, evaluate, len(polys))
+        return Target(evaluate)
 
     raise ParseError(
         f"unknown target {name!r}; expected rotation, mobius-shift, "

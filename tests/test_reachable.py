@@ -13,11 +13,15 @@ a reached definition refers to it by name, or it is a dunder method.  Names
 are matched without their module, so a name reaches every definition that
 bears it.
 
-A dataclass field is read when package code or the acceptance suite loads
-an attribute of its name (``result.degree``), or it sits in ``KEEP`` as
-``Class.field``.  Fields are matched without their class, like definitions.
-The attributes that ``ManifoldSpec`` and its subclasses set, in their class
-body or as ``self.name = ...`` in ``__init__``, count as fields.
+A dataclass field is read where its class is known: a module of the
+package, or the acceptance suite, that defines the class, imports it, or
+imports a function whose return annotation names it, loads an attribute of
+the field's name (``result.degree``).  A class whose method calls
+``asdict(self)`` reads every field of its own.  Otherwise the field sits in
+``KEEP`` as ``Class.field``.  An attribute that a package class sets as
+``self.name = ...`` in its ``__init__``, or that ``ManifoldSpec`` or a
+subclass of it sets in its class body, is read when package code or the
+acceptance suite loads an attribute of its name, matched without its class.
 
 A parameter with a default, of any function or method in the package, is
 passed when a call in package code or in the acceptance suite to a callee of
@@ -27,6 +31,7 @@ method), or spreads a ``*`` or ``**`` argument over it; otherwise it sits in
 module or class, like definitions.
 """
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import gdn
@@ -75,8 +80,20 @@ def _is_all(stmt):
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+@lru_cache(maxsize=None)
 def _modules():
-    return [(path, ast.parse(path.read_text())) for path in sorted(SRC.rglob("*.py"))]
+    # each module parsed once per session; no test changes a tree
+    return tuple((path, ast.parse(path.read_text())) for path in sorted(SRC.rglob("*.py")))
+
+
+@lru_cache(maxsize=None)
+def _acceptance():
+    return ast.parse(ACCEPTANCE.read_text())
+
+
+def _trees():
+    """The package's module trees and the acceptance suite's."""
+    return [tree for _path, tree in _modules()] + [_acceptance()]
 
 
 def _definitions():
@@ -106,7 +123,7 @@ def _definitions():
 def _reached(extra_roots=()):
     """The names reached from the roots, ``extra_roots`` among them."""
     defs, roots = _definitions()
-    reached = roots | {"main"} | _references(ast.parse(ACCEPTANCE.read_text()))
+    reached = roots | {"main"} | _references(_acceptance())
     reached |= set(extra_roots)
     expanded = set()  # indices of definitions and (definition, method) pairs
     grew = True
@@ -144,12 +161,11 @@ def test_every_public_definition_is_reached():
 def test_keep_holds_only_defined_unreached_names():
     defs, reached = _reached()
     defined = {name for name, _w, _r, _m in defs}
-    fields = {qual: field for qual, field, _where in _fields()}
-    reads = _attribute_reads()
+    unread = {**_unread_fields(), **_unread_attributes()}
 
     def is_stale(name):
-        if "." in name:  # a kept field must be a dataclass field nothing reads
-            return name not in fields or fields[name] in reads
+        if "." in name:  # a kept field must be a field or attribute nothing reads
+            return name not in unread
         return name not in defined or name in reached
 
     stale = sorted(filter(is_stale, KEEP))
@@ -162,27 +178,70 @@ def _is_dataclass(decorator):
     return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
 
-def _dataclass_fields():
-    """("Class.field", field, "module.py:line") of every annotated field of
-    every top-level dataclass in the package."""
+def _dataclasses():
+    """(top-level dataclass, "module.py") of every dataclass in the package."""
     for path, tree in _modules():
         for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef)
-                    and any(map(_is_dataclass, cls.decorator_list))):
-                continue
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield (f"{cls.name}.{stmt.target.id}", stmt.target.id,
-                           f"{path.relative_to(SRC)}:{stmt.lineno}")
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+                yield cls, str(path.relative_to(SRC))
 
 
-def _spec_attributes():
-    """("Class.attr", attr, "module.py:line") of every attribute that
-    ``ManifoldSpec`` or a subclass of it in the package sets in its class
-    body (a constant or an annotation) or as ``self.attr = ...`` in its
-    ``__init__``."""
-    classes = [(path, cls) for path, tree in _modules() for cls in tree.body
-               if isinstance(cls, ast.ClassDef)]
+def _dumps_itself(cls):
+    # a method of the class calls asdict(self), which reads every field
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "asdict"
+               and [getattr(a, "id", None) for a in n.args] == ["self"]
+               for n in ast.walk(cls))
+
+
+def _loads(tree):
+    """The attribute names that a tree loads."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _known_classes(tree, returns):
+    """The names a tree knows as classes: the classes it defines, the names
+    it imports, and the names in the return annotations (``returns``, by
+    function name) of the functions it imports."""
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    return defined | imported | set().union(*(returns.get(f, ()) for f in imported))
+
+
+def _unread_fields():
+    """{"Class.field": "module.py:line"} of every annotated field of every
+    top-level dataclass in the package that no tree knowing its class
+    reads."""
+    returns = {fn.name: _references(fn.returns) for _path, tree in _modules()
+               for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.returns}
+    views = [(_known_classes(tree, returns), _loads(tree)) for tree in _trees()]
+    unread = {}
+    for cls, module in _dataclasses():
+        if _dumps_itself(cls):
+            continue
+        reads = set().union(*(loads for known, loads in views if cls.name in known))
+        for stmt in cls.body:
+            if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in reads):
+                unread[f"{cls.name}.{stmt.target.id}"] = f"{module}:{stmt.lineno}"
+    return unread
+
+
+def _init_attributes(cls):
+    """(attr, line) of every ``self.attr = ...`` in the class's ``__init__``."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            yield from ((n.attr, n.lineno) for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Assign) for t in sub.targets
+                        for n in ast.walk(t) if isinstance(n, ast.Attribute)
+                        and getattr(n.value, "id", None) == "self")
+
+
+def _spec_body_attributes(classes):
+    """(class, attr, line) of every attribute that ``ManifoldSpec`` or a
+    subclass of it among ``classes`` sets in its class body (a constant or
+    an annotation)."""
     specs, grew = {"ManifoldSpec"}, True
     while grew:
         grew = False
@@ -191,43 +250,42 @@ def _spec_attributes():
                                              for b in cls.bases):
                 specs.add(cls.name)
                 grew = True
-    for path, cls in classes:
+    for _path, cls in classes:
         if cls.name not in specs:
             continue
-        found = []  # (name, line)
         for stmt in cls.body:
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                found += [(n.id, n.lineno) for t in targets for n in ast.walk(t)
-                          if isinstance(n, ast.Name)]
-            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
-                found += [(n.attr, n.lineno) for sub in ast.walk(stmt)
-                          if isinstance(sub, ast.Assign) for t in sub.targets
-                          for n in ast.walk(t) if isinstance(n, ast.Attribute)
-                          and getattr(n.value, "id", None) == "self"]
-        for name, line in found:
-            yield f"{cls.name}.{name}", name, f"{path.relative_to(SRC)}:{line}"
+                yield from ((cls, n.id, n.lineno) for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name))
 
 
-def _fields():
-    """The dataclass fields and the manifold spec attributes."""
-    yield from _dataclass_fields()
-    yield from _spec_attributes()
-
-
-def _attribute_reads():
-    """The attribute names that package code and the acceptance suite load."""
-    trees = [tree for _path, tree in _modules()] + [ast.parse(ACCEPTANCE.read_text())]
-    return {n.attr for tree in trees for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+def _unread_attributes():
+    """{"Class.attr": "module.py:line"} of every attribute a package class
+    sets in its ``__init__``, and every attribute a manifold spec sets in
+    its class body, that no package code and no criterion loads."""
+    classes = [(path, cls) for path, tree in _modules() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)]
+    where = {id(cls): str(path.relative_to(SRC)) for path, cls in classes}
+    found = [(cls, name, line) for _path, cls in classes
+             for name, line in _init_attributes(cls)]
+    found += _spec_body_attributes(classes)
+    reads = set().union(*map(_loads, _trees()))
+    return {f"{cls.name}.{name}": f"{where[id(cls)]}:{line}"
+            for cls, name, line in found if name not in reads}
 
 
 def test_every_dataclass_field_is_read():
-    # and every attribute a manifold spec sets
-    reads = _attribute_reads()
-    unread = [f"{qual} ({where})" for qual, field, where in _fields()
-              if field not in reads and qual not in KEEP]
+    unread = [f"{qual} ({where})" for qual, where in _unread_fields().items()
+              if qual not in KEEP]
     assert not unread, "fields read by nothing: " + ", ".join(unread)
+
+
+def test_every_attribute_set_in_init_is_read():
+    # and every attribute a manifold spec sets in its class body
+    unread = [f"{qual} ({where})" for qual, where in _unread_attributes().items()
+              if qual not in KEEP]
+    assert not unread, "attributes read by nothing: " + ", ".join(unread)
 
 
 def test_reach_is_transitive():
@@ -289,8 +347,7 @@ def _passed_params():
     acceptance suite passes, and the callee names whose calls spread ``*``
     (every positional) or ``**`` (every keyword) over their parameters."""
     passed, spread_args, spread_kwargs = set(), set(), set()
-    trees = [tree for _path, tree in _modules()] + [ast.parse(ACCEPTANCE.read_text())]
-    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+    for call in (n for tree in _trees() for n in ast.walk(tree) if isinstance(n, ast.Call)):
         name = getattr(call.func, "id", getattr(call.func, "attr", None))
         passed |= {f"{name}.{kw.arg}" for kw in call.keywords if kw.arg is not None}
         passed |= {f"{name}.#{i}" for i in range(len(call.args))}
