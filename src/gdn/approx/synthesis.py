@@ -24,7 +24,7 @@ from ..errors import (
     UnsupportedError,
     ValidationError,
 )
-from ..manifolds.zoo import row_norms
+from ..manifolds.zoo import sup_norm
 from ..network import ActivationInfo, AffineLayer, FeedforwardNet
 from .bernstein import (
     BernsteinModel,
@@ -350,7 +350,7 @@ def _select_degree(target: Callable[[np.ndarray], np.ndarray],
         model = grid.lattice(targets, n)
         if model is None:
             model = bernstein_from_function(target, n, p, m)
-        resid = float(np.max(row_norms(grid.contract(model) - targets)))
+        resid = sup_norm(grid.contract(model) - targets)
         if resid <= budget:
             break
         tried.append(f"{n}: {resid:.3g}")
@@ -395,7 +395,7 @@ def _synthesize(fit: Fit, points: np.ndarray, sigma: ActivationInfo, budget: flo
     best = None
     for _ in range(6):
         shallow = compile_poly_to_shallow(per_output, sigma, theta0, h)
-        resid = float(np.max(row_norms(shallow(points) - fit.reference)))
+        resid = sup_norm(shallow(points) - fit.reference)
         if best is None or resid < best[1]:
             best = (shallow, resid)
         if resid <= budget or h / 4.0 < h_floor:

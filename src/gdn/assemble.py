@@ -14,7 +14,7 @@ from .approx.modulus import Modulus, oracle_rows
 from .approx.synthesis import compile_function_to_shallow, cube_points
 from .errors import ValidationError
 from .manifolds.core import exp_chart_lipschitz
-from .manifolds.zoo import Chart, ManifoldSpec, as_point, chart_at, row_norms
+from .manifolds.zoo import Chart, ManifoldSpec, as_point, chart_at, sup_norm
 from .model import GDNModel, gdn_eval
 from .network import ActivationInfo, AffineLayer, FeedforwardNet
 from .sampling import ball_points, geodesic_ball_points
@@ -120,7 +120,7 @@ def compile_gdn(domain: ManifoldSpec, codomain: ManifoldSpec,
     # one oracle read of the probe and the core's fixed cube samples
     rows = oracle_rows(pulled_back,
                        np.concatenate([probe, cube_points(p, omega is None)]), m)
-    reach = float(np.max(row_norms(rows[:len(probe)])))
+    reach = sup_norm(rows[:len(probe)])
     rad_cod = max(min(1.2 * reach + 1e-6, 0.95 * codomain.inj_lower), 1e-3)
     expansion = exp_chart_lipschitz(codomain, rad_cod)
     core_eps = eps / expansion

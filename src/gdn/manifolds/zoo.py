@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "random_tangent",
     "mobius_add",
     "row_norms",
+    "sup_norm",
 ]
 
 _UNIT_TOL = 1e-9
@@ -101,6 +103,19 @@ def row_norms(a: np.ndarray):
     single vector, so each entry is bit-identical to the per-row norm.
     """
     return np.sqrt(np.vecdot(a, a))
+
+
+def sup_norm(a: np.ndarray) -> float:
+    """The largest ``row_norms`` entry of a 2-D array, as a float: the root
+    of the largest squared norm, which has its bits.  A row whose squared
+    norm overflows is summed by ``hypot``, which rescales as it goes, so its
+    norm is finite where the row's true norm is."""
+    with np.errstate(over="ignore"):
+        squares = np.vecdot(a, a)
+    top = float(np.max(squares))
+    if top == math.inf:
+        return float(np.max(np.hypot.reduce(a[squares == math.inf], axis=-1)))
+    return math.sqrt(top)
 
 
 def _any(mask) -> bool:
@@ -553,6 +568,24 @@ _EXP_GAP = -math.log(64.0 * sys.float_info.epsilon)
 # the ratio of the square roots of two eigenvalues below which alpha - gamma
 # u keeps fewer than half the digits of the small one
 _ROOT_RATIO = math.sqrt(sys.float_info.epsilon)
+# the ratio of dlaev2's small eigenvalue to the large one below which its
+# sign may be rounding: its absolute error is about eps times the large one
+_LO_ROUNDING = 8.0 * sys.float_info.epsilon
+
+
+def _exact_lowest(a, b, c, low, near) -> np.ndarray:
+    """``low``, the smallest eigenvalues of the matrices [[a, b], [b, c]]
+    (floats or columns), with each one that ``near`` marks decided exactly:
+    it stands where the determinant ac - b^2 is positive, and is named as
+    det / (a + c) <= 0 where it is not (a + c > 0 on every marked row)."""
+    a, b, c, near = (np.atleast_1d(t) for t in np.broadcast_arrays(a, b, c, near))
+    low = np.atleast_1d(np.array(low, dtype=float))
+    for i in np.flatnonzero(near):
+        fa, fb, fc = Fraction(float(a[i])), Fraction(float(b[i])), Fraction(float(c[i]))
+        det = fa * fc - fb * fb
+        if det <= 0:
+            low[i] = float(det / (fa + fc))
+    return low
 
 
 def _projectors(top, bottom, u, v):
@@ -587,6 +620,7 @@ def _spd2(a, b, c, *kinds: str, positive: str | None = None,
     chart keeps for every evaluation, where the small root is below
     ``_ROOT_RATIO`` of the large one.
     """
+    entries = a, b, c
     # halved first, so that no sum overflows (a subnormal half may round)
     ha, hc = 0.5 * a, 0.5 * c
     m, d = ha + hc, ha - hc
@@ -631,14 +665,17 @@ def _spd2(a, b, c, *kinds: str, positive: str | None = None,
             lo = (max(c, a) / h) * min(c, a) - (b / h) * b
         else:
             lo = (np.maximum(a, c) / h) * np.minimum(a, c) - (b / h) * b
-        # every entry, and so lo, is finite here
-        if positive is not None and (_any(m <= 0.0) or _any(lo <= 0.0)):
+        # every entry, and so lo, is finite here.  Below _LO_ROUNDING hi,
+        # lo's sign may be rounding, and the exact determinant of the
+        # entries received decides
+        if positive is not None and (_any(m <= 0.0) or _any(lo <= _LO_ROUNDING * h)):
             low = np.where(m > 0.0, lo, m - r)
             if undo is not None:
                 # an eigenvalue past the float range is named as -inf
                 with np.errstate(over="ignore"):
                     low = low * undo * undo
-            _positive(low, positive)
+            near = (m > 0.0) & (lo > 0.0) & (lo <= _LO_ROUNDING * h)
+            _positive(_exact_lowest(*entries, low, near), positive)
     u, v = d / r1, b / r1
     out = []
     for kind in kinds:

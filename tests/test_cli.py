@@ -355,6 +355,27 @@ class TestCompileAndEval:
         assert all(r > 0.05 for r in residuals)
         assert residuals == sorted(residuals, reverse=True)
 
+    @pytest.mark.parametrize("argv", [
+        ["--target", "poly:x1", "--domain", "euclidean:1", "--base-x", "[0]",
+         "--radius", "1e300"],
+        ["--target", "poly:x1*x2", "--domain", "euclidean:2", "--base-x", "[1e300,0]",
+         "--radius", "1"],
+    ])
+    def test_rows_past_the_square_root_of_the_float_maximum_have_finite_residuals(
+            self, capsys, argv):
+        # the pullback's rows pass 1.3e154, where a squared norm overflows;
+        # the refusal is right (the fit's rounding alone is about 1e284),
+        # but it lists each degree's finite residual and warns of nothing
+        code, out, err = run(capsys, "compile", *argv, "--codomain", "euclidean:1",
+                             "--eps", "0.1")
+        assert (code, out) == (1, "")
+        prefix = ("error: no Bernstein degree <= 12 meets the budget 0.05 on the "
+                  "selection grid; residual by degree: ")
+        assert err.startswith(prefix) and err.count("\n") == 1
+        residuals = [float(pair.split(": ")[1])
+                     for pair in err[len(prefix):].strip().split(", ")]
+        assert len(residuals) == 7 and np.isfinite(residuals).all()
+
     def test_target_overflow_exits_2_with_one_line(self, capsys):
         # (-7.5)^400 passes the float range: the first such point the oracle sees
         code, out, err = run(capsys, "compile", "--target", "poly:x1^400",

@@ -141,6 +141,17 @@ class TestStackedGdnEval:
             want = spec.exp(g.base_y, eval_net(g.core, spec.log(g.base_x, x)))
             assert gdn_eval(g, x).tobytes() == want.tobytes()
 
+    def test_torus_evaluation_is_its_kernels(self, rng):
+        # the torus has a finite injectivity radius and no chart class of
+        # its own: the generic chart's ball checks change no bit either
+        g = random_chart_model("torus:2", [0.3, 0.8], rng, scale=0.1)
+        spec = g.domain
+        xs = np.array([exp_map(spec, g.base_x, random_tangent(spec, g.base_x, rng, 0.5))
+                       for _ in range(20)])
+        for x in (xs[0], xs):
+            want = spec.exp(g.base_y, eval_net(g.core, spec.log(g.base_x, x)))
+            assert gdn_eval(g, x).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("ident", ["spd:2", "spd:3"])
     def test_spd_rows_are_the_single_evaluations_and_the_kernels(self, ident, rng):
         # spd:2 works on entries, spd:3 on LAPACK's matrices: either way a

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -808,6 +809,37 @@ class TestOneGeometryPerFamily:
             with pytest.raises(NumericError, match=self.WIDE_GAP):
                 call()
 
+    # a tangent whose exponential rounds to a matrix of negative exact
+    # determinant ac - b^2, which dlaev2's small eigenvalue read as positive
+    INDEFINITE_TANGENT = [380.8872400894015, -74.75284851121432, 566.850115902361]
+
+    def test_exp_past_the_rounding_of_the_small_eigenvalue_is_a_numeric_error(self):
+        # it returned [1.16e251, -6.20e251, 1.66e252], which the log map took
+        spec = resolve_manifold("spd:2")
+        with pytest.raises(NumericError, match=self.WIDE_GAP):
+            exp_map(spec, [1.0, 0.0, 1.0], self.INDEFINITE_TANGENT)
+
+    def test_near_singular_point_is_decided_exactly(self):
+        # ac - b^2 < 0 exactly, where dlaev2's small eigenvalue and LAPACK's
+        # read 2.2e-16: the chart and the log map took it
+        spec = resolve_manifold("spd:2")
+        x = [116.97322824939135, 19.718591182562605, 1.6620163606840475]
+        (a, b), (_b, c) = frob_unvec(np.array(x)).tolist()
+        assert Fraction(a) * Fraction(c) - Fraction(b) ** 2 < 0
+        with pytest.raises(ValidationError, match="^spd point is not positive definite: "
+                                                  "min eigenvalue -4.191722e-17$"):
+            chart_at(spec, x)
+        with pytest.raises(ValidationError, match="smallest eigenvalue -4.191722e-17$"):
+            log_map(spec, [1.0, 0.0, 1.0], [x, [1.0, 0.0, 1.0]])
+
+    def test_near_singular_positive_definite_matrix_stands(self):
+        # ac - b^2 = 2^-52 - 2^-106 > 0, below the rounding of the small
+        # eigenvalue: the exact determinant accepts it
+        b = 1.0 - 2.0 ** -53
+        S = np.array([[1.0, b], [b, 1.0]])
+        (F,) = _spd_functions(S, "sqrt", positive="not SPD:")
+        assert np.isfinite(F).all()
+
     def test_wide_gap_rows_of_a_stack(self):
         # the rows that stand keep the bits they have alone; one that does
         # not fails the stack
@@ -821,16 +853,29 @@ class TestOneGeometryPerFamily:
 
     @given(v=ROTATED_TANGENTS)
     @example(v=[25.0, 10.0, -25.0])
+    @example(v=[529.0, 0.0, -553.0])
+    @example(v=[4.751386278524292, 56.1870629855972, 332.21736372147575])
+    @example(v=INDEFINITE_TANGENT)
     def test_exp_at_identity_is_positive_definite_or_refused(self, v):
-        # a point comes back positive definite, for numpy and for the log
-        # map, or the map refuses it
+        # a point comes back positive definite, for the log map and an exact
+        # oracle, or the map refuses it.  At order 2 the oracle is a > 0 and
+        # ac - b^2 > 0 in exact arithmetic; numpy's eigvalsh is asked too
+        # where dsyevd leaves the matrix unscaled, because past 2^485 it
+        # may read 0 for a positive definite matrix.  Order 3 asks eigvalsh
         spec = resolve_manifold("spd:2" if len(v) == 3 else "spd:3")
         x = frob_vec(np.eye(int(spec.param)))
         try:
             y = exp_map(spec, x, v)
         except NumericError:
             return
-        assert np.linalg.eigvalsh(frob_unvec(y))[0] > 0.0
+        Y = frob_unvec(y)
+        if len(v) == 3:
+            with decimal.localcontext() as ctx:
+                ctx.prec = 2000  # a product of two doubles is exact
+                (a, b), (_b, c) = (map(Decimal, row) for row in Y.tolist())
+                assert a > 0 and a * c - b * b > 0
+        if len(v) != 3 or 2.0 ** -485 <= np.abs(Y).max() <= 2.0 ** 485:
+            assert np.linalg.eigvalsh(Y)[0] > 0.0
         log_map(spec, x, y)
 
     # a base of condition 1.3e16 that the chart takes, and a small tangent
