@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -578,6 +577,10 @@ def _exact_lowest(a, b, c, low, near) -> np.ndarray:
     (floats or columns), with each one that ``near`` marks decided exactly:
     it stands where the determinant ac - b^2 is positive, and is named as
     det / (a + c) <= 0 where it is not (a + c > 0 on every marked row)."""
+    # imported here: the import takes about 2 ms, and the rows it serves
+    # are rare
+    from fractions import Fraction
+
     a, b, c, near = (np.atleast_1d(t) for t in np.broadcast_arrays(a, b, c, near))
     low = np.atleast_1d(np.array(low, dtype=float))
     for i in np.flatnonzero(near):
