@@ -577,8 +577,8 @@ def _exact_lowest(a, b, c, low, near) -> np.ndarray:
     (floats or columns), with each one that ``near`` marks decided exactly:
     it stands where the determinant ac - b^2 is positive, and is named as
     det / (a + c) <= 0 where it is not (a + c > 0 on every marked row)."""
-    # imported here: the import takes about 2 ms, and the rows it serves
-    # are rare
+    # imported here, where the rare rows it serves are: at module level it
+    # would load fractions and decimal at every process start
     from fractions import Fraction
 
     a, b, c, near = (np.atleast_1d(t) for t in np.broadcast_arrays(a, b, c, near))
