@@ -232,12 +232,12 @@ def cmd_certify(args) -> int:
     base_x = _parse_vector(args.base_x, "--base-x")
     base_y = _parse_vector(args.base_y, "--base-y")
     cert = certify_efficient(dataset, values, domain, codomain, base_x, base_y)
-    payload = cert.to_dict()
+    # the bytes _json_out prints, written to --out as well
+    text = json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-    _json_out(payload)
+            f.write(text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -401,15 +401,12 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The full ``gdn`` parser: the top level and all five subparsers.  The
-    top level takes no positional before the command and no option with a
-    value, so the first command name in argv is the command, and its
-    subparser alone gets arguments.  ``main`` builds it only where the
-    command's own parser cannot give the text: ``-h``, ``--version``, an
-    argv that does not start with a command, arguments left over after the
-    command's parse (reported as unrecognized), and a ``UsageError``."""
-    command = next((a for a in argv if a in _COMMANDS), None)
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``gdn`` parser: the top level and all five subparsers.
+    ``main`` builds it only where the command's own parser cannot give the
+    text: ``-h``, ``--version``, an argv that does not start with a command,
+    arguments left over after the command's parse (reported as
+    unrecognized), and a ``UsageError``."""
     parser = argparse.ArgumentParser(
         prog="gdn",
         description="Geometric deep networks: estimators, constructive "
@@ -418,9 +415,7 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _run) in _COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if name == command:
-            add_arguments(subparser)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -443,7 +438,7 @@ def parse_argv(argv: Sequence[str]) -> argparse.Namespace:
             return args
     # -h, --version, no command first, or arguments left over: the full
     # parser, which reports leftovers as unrecognized
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -453,7 +448,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _COMMANDS[args.command][2](args)
     except UsageError as e:
-        build_parser(argv).error(str(e))
+        build_parser().error(str(e))
     except (ParseError, ValidationError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

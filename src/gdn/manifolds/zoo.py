@@ -229,10 +229,10 @@ class ManifoldSpec:
     spd, else 0): ``log_chart_lipschitz`` and the K-star map take the upper
     bound, ``exp_chart_lipschitz`` the lower.  ``inj_lower`` is a closed-form
     lower bound on the injectivity radius, in (0, +inf], at every point;
-    ``param`` the order n of spd and gaussian, the curvature c of poincare,
-    else 0; ``chart`` the ``Chart`` class ``chart_at`` binds a point to.  A
-    kernel takes finite float rows of the right length, or stacks of them,
-    and points that pass ``check``; it checks tangents itself."""
+    ``param`` the order n of spd, the curvature c of poincare, else 0;
+    ``chart`` the ``Chart`` class ``chart_at`` binds a point to.  A kernel
+    takes finite float rows of the right length, or stacks of them, and
+    points that pass ``check``; it checks tangents itself."""
 
     id: str
     family: str
@@ -274,9 +274,8 @@ class Flat(ManifoldSpec):
     """R^d in its identity chart: euclidean:p, and gaussian:n through its
     mean/log-covariance chart (d = n + n(n+1)/2)."""
 
-    def __init__(self, dim: int, param: float):
+    def __init__(self, dim: int):
         super().__init__(dim, dim)
-        self.param = param
 
     def exp(self, x, v):
         return x + v
@@ -1012,8 +1011,8 @@ class SPD(ManifoldSpec):
 # family -> (whether its identifier carries a curvature, its spec from the
 # integer parameter and the curvature)
 FAMILIES = {
-    "euclidean": (False, lambda p, c: Flat(p, 0.0)),
-    "gaussian": (False, lambda p, c: Flat(p + sym_dim(p), float(p))),
+    "euclidean": (False, lambda p, c: Flat(p)),
+    "gaussian": (False, lambda p, c: Flat(p + sym_dim(p))),
     "torus": (False, lambda p, c: Torus(p)),
     "sphere": (False, lambda p, c: Sphere(p)),
     "rp": (False, lambda p, c: Projective(p)),

@@ -14,7 +14,6 @@ from .errors import GdnError, NumericError, ValidationError
 __all__ = [
     "ActivationInfo",
     "get_activation",
-    "register_activation",
     "AffineLayer",
     "FeedforwardNet",
     "eval_net",
@@ -60,13 +59,20 @@ class ActivationInfo:
         return self.eval(np.asarray(x, dtype=float))
 
 
-
-_REGISTRY: dict[str, ActivationInfo] = {}
-
-
-def register_activation(info: ActivationInfo) -> ActivationInfo:
-    _REGISTRY[info.name] = info
-    return info
+_REGISTRY = {info.name: info for info in (
+    ActivationInfo("relu", "piecewise-linear", lambda x: np.maximum(x, 0.0),
+                   breakpoints=1, linear_piece=(0.0, 1.0, 0.0)),
+    ActivationInfo("leaky-relu", "piecewise-linear",
+                   lambda x: np.where(x >= 0.0, x, 0.01 * x),
+                   breakpoints=1, linear_piece=(0.0, 1.0, 0.0)),
+    ActivationInfo("exp", "smooth-nonpoly", np.exp, known_theta0=0.0, smooth_point=0.0),
+    ActivationInfo("softplus", "smooth-nonpoly", lambda x: np.logaddexp(0.0, x),
+                   known_theta0=0.0, smooth_point=0.0),
+    ActivationInfo("sigmoid", "smooth-nonpoly", lambda x: 1.0 / (1.0 + np.exp(-x)),
+                   known_theta0=0.0, smooth_point=0.0),
+    ActivationInfo("tanh", "smooth-nonpoly", np.tanh, known_theta0=1.0, smooth_point=0.0),
+    ActivationInfo("square", "nonaffine-poly", lambda x: x * x, smooth_point=1.0),
+)}
 
 
 def get_activation(name: str) -> ActivationInfo:
@@ -76,27 +82,6 @@ def get_activation(name: str) -> ActivationInfo:
         raise ValidationError(
             f"unknown activation {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
-
-
-register_activation(ActivationInfo(
-    "relu", "piecewise-linear", lambda x: np.maximum(x, 0.0),
-    breakpoints=1, linear_piece=(0.0, 1.0, 0.0)))
-register_activation(ActivationInfo(
-    "leaky-relu", "piecewise-linear",
-    lambda x: np.where(x >= 0.0, x, 0.01 * x),
-    breakpoints=1, linear_piece=(0.0, 1.0, 0.0)))
-register_activation(ActivationInfo(
-    "exp", "smooth-nonpoly", np.exp, known_theta0=0.0, smooth_point=0.0))
-register_activation(ActivationInfo(
-    "softplus", "smooth-nonpoly", lambda x: np.logaddexp(0.0, x),
-    known_theta0=0.0, smooth_point=0.0))
-register_activation(ActivationInfo(
-    "sigmoid", "smooth-nonpoly", lambda x: 1.0 / (1.0 + np.exp(-x)),
-    known_theta0=0.0, smooth_point=0.0))
-register_activation(ActivationInfo(
-    "tanh", "smooth-nonpoly", np.tanh, known_theta0=1.0, smooth_point=0.0))
-register_activation(ActivationInfo(
-    "square", "nonaffine-poly", lambda x: x * x, smooth_point=1.0))
 
 
 @dataclass(frozen=True)

@@ -331,6 +331,32 @@ class TestCompileAndEval:
         assert summary["measured_error"] == pytest.approx(0.046079059413145294, rel=1e-9)
         assert summary["apriori_bound"] == pytest.approx(0.047604952260245734, rel=1e-9)
 
+    def test_compile_past_the_budget_prints_its_summary_and_exits_1(self, capsys):
+        # exit 0 only within the budget: a compile that runs to the end but
+        # measures past eps still prints its summary
+        code, out, err = run(capsys, "compile", "--target", "poly:50*x1*x2*x3",
+                             "--domain", "euclidean:3", "--codomain", "euclidean:1",
+                             "--base-x", "[0,0,0]", "--radius", "1.0", "--eps", "0.05")
+        assert code == 1
+        assert json.loads(out)["measured_error"] == 0.0645468928329489
+        assert err == "measured error 0.0645468928329489 exceeds the budget 0.05\n"
+
+    def test_base_y_given_is_base_y_auto(self, capsys, tmp_path):
+        # the rotation fixes its axis, so auto evaluates the target at
+        # base_x to the base_y given here
+        argv = ["compile", "--target", "rotation", "--domain", "sphere:2",
+                "--codomain", "sphere:2", "--base-x", "[0,0,1]", "--radius", "1",
+                "--eps", "0.1"]
+        models, summaries = [], []
+        for base_y in ("auto", "[0,0,1]"):
+            out_path = tmp_path / f"model-{len(models)}.json"
+            code, out, _ = run(capsys, *argv, "--base-y", base_y, "--out", str(out_path))
+            assert code == 0
+            models.append(out_path.read_bytes())
+            summaries.append({**json.loads(out), "out": None})
+        assert models[0] == models[1]
+        assert summaries[0] == summaries[1]
+
     def test_radius_guard_exits_2(self, capsys):
         # checked once, by compile_gdn: one error line and no usage text
         code, out, err = run(capsys, "compile", "--target", "rotation",
@@ -417,6 +443,37 @@ class TestCertify:
         cert = json.loads(out)
         assert cert["certified"] and cert["n"] == 2
 
+    def test_out_file_holds_the_bytes_printed(self, capsys, tmp_path):
+        ds = tmp_path / "ds.csv"
+        vals = tmp_path / "vals.csv"
+        ds.write_text("0\n0.25\n0.5\n1\n")
+        vals.write_text("0.1\n0.3\n0.2\n0.7\n")
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "certify", "--dataset", str(ds),
+                           "--values", str(vals), "--domain", "euclidean:1",
+                           "--codomain", "euclidean:1", "--base-x", "[0]",
+                           "--base-y", "[0]", "--out", str(cert))
+        assert code == 0
+        assert cert.read_bytes() == out.encode("utf-8")
+        assert json.loads(out)["C_star"] == 4
+
+    def test_comment_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        ds = tmp_path / "ds.csv"
+        vals = tmp_path / "vals.csv"
+        ds.write_text("# abscissae\n0\n\n0.5\n  \n1\n")
+        vals.write_text("0\n0.25\n# last\n1\n\n")
+        argv = ["certify", "--dataset", str(ds), "--values", str(vals),
+                "--domain", "euclidean:1", "--codomain", "euclidean:1",
+                "--base-x", "[0]", "--base-y", "[0]"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        cert = json.loads(out)
+        assert cert["certified"] and cert["n"] == 2
+        ds.write_text("# nothing but comments\n\n   \n#0.5\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {ds}: no data rows\n"
+
     def test_n_is_not_an_option(self, capsys, tmp_path):
         # the order n is the dataset size less one, not an option
         ds = tmp_path / "ds.csv"
@@ -496,6 +553,19 @@ class TestBench:
         _, out1, _ = run(capsys, "bench", str(cfg))
         _, out2, _ = run(capsys, "bench", str(cfg))
         assert out1 == out2
+
+    def test_timing_appends_one_column(self, capsys, tmp_path):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        _, plain, _ = run(capsys, "bench", str(cfg))
+        code, timed, _ = run(capsys, "bench", str(cfg), "--timing")
+        assert code == 0
+        plain, timed = plain.splitlines(), timed.splitlines()
+        assert timed[0] == plain[0] + ",wall_time_s"
+        assert len(timed) == len(plain) == 3
+        for row, with_time in zip(plain[1:], timed[1:]):
+            head, wall = with_time.rsplit(",", 1)
+            assert head == row and float(wall) > 0.0
 
     def test_torus_codomain_predicts_like_the_line(self, capsys, tmp_path):
         # poly:x1 stays within 0.2 of base 0.25, where the torus chart is the

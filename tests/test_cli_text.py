@@ -333,7 +333,7 @@ def test_parsers_built_per_call(capsys, monkeypatch, argv, count):
 @pytest.mark.parametrize("name", list(_COMMANDS))
 def test_command_parser_is_the_full_parsers_subparser(monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")
-    [sub] = [a for a in build_parser([name])._actions
+    [sub] = [a for a in build_parser()._actions
              if isinstance(a, argparse._SubParsersAction)]
     full, own = sub.choices[name], command_parser(name)
     assert own.prog == full.prog == f"gdn {name}"
@@ -371,5 +371,5 @@ def test_command_parser_gives_the_full_parsers_namespace(name):
     argv = SAME_NAMESPACE[name]
     args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
     assert extras == []
-    full = vars(build_parser(argv).parse_args(argv))
+    full = vars(build_parser().parse_args(argv))
     assert vars(parse_argv(argv)) == full == {**vars(args), "command": argv[0]}

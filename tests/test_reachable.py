@@ -6,7 +6,7 @@ default is passed somewhere; and no module imports a name it never uses.
 
 Reached is transitive: the roots are ``cli.main``, every module-level
 statement that is not a definition, an import or ``__all__`` (``FAMILIES``,
-``_COMMANDS``, the ``register_activation`` calls), the acceptance suite and
+``_COMMANDS``, the activation registry), the acceptance suite and
 the ``KEEP`` names.  A definition is reached when a reached definition or a
 root refers to it by name; a method is reached when its class is reached and
 a reached definition refers to it by name, or it is a dunder method.  Names

@@ -265,6 +265,19 @@ class TestCompileFunction:
         want = (1.0 + p / 4.0) * omega(1.0 / math.sqrt(res.degree)) + residual
         assert res.apriori_bound == want
 
+    def test_step_shrinks_fourfold_until_the_residual_fits(self, monkeypatch):
+        # 50 t1 t2 t3 misses its synthesis budget at the first two steps h
+        steps = []
+
+        def counted(forms, sigma, theta0, h):
+            steps.append(h)
+            return compile_poly_to_shallow(forms, sigma, theta0, h)
+
+        monkeypatch.setattr("gdn.approx.synthesis.compile_poly_to_shallow", counted)
+        f = lambda x: 50.0 * x[:, :1] * x[:, 1:2] * x[:, 2:3]
+        compile_function_to_shallow(f, 3, 1, 0.3, EXP)
+        assert steps == [5e-3, 1.25e-3, 3.125e-4]
+
     def test_non_finite_audit_value_refused_by_the_modulus(self):
         # the target is the identity except at the audit point 1/3, which
         # no Bernstein lattice tried and no selection-grid point hits
