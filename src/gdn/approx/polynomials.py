@@ -195,8 +195,6 @@ def decompose_polynomial(coeffs: Coeffs, degree: int, dim: int) -> LinearFormPol
     constant = 0.0
 
     def add(direction: Tuple[int, ...], d: int, c: float):
-        if c == 0.0:
-            return
         if direction not in acc:
             acc[direction] = np.zeros(degree + 1)
         acc[direction][d] += c

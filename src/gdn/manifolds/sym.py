@@ -104,7 +104,9 @@ def symmetric_eigh(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``eigh`` of a matrix or stack that is exactly symmetric by
     construction, as ``frob_unvec`` and ``spectral`` build them: only the
     finite-entry guard runs, since the symmetrization of ``check_symmetric``
-    would return such a matrix unchanged, bit for bit."""
+    would return such a matrix unchanged, bit for bit, where the halves of
+    its entries are normal floats.  An entry whose half rounds is changed:
+    it symmetrizes diag(5e-324, 1) to diag(0, 1)."""
     check_finite(A)
     try:
         return np.linalg.eigh(A)

@@ -1,12 +1,12 @@
 """Readout maps with known right-inverses: the softmax simplex chart, gauge
-(Minkowski functional) charts onto convex bodies, and metric projections
-onto simple convex shapes.
+(Minkowski functional) charts onto convex bodies, and the metric projection
+onto the probability simplex.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -16,8 +16,6 @@ __all__ = [
     "softmax_chart",
     "gauge_chart",
     "project_convex",
-    "Box",
-    "Ball",
     "Simplex",
 ]
 
@@ -80,41 +78,12 @@ def gauge_chart(mu: Callable[[np.ndarray], float], direction: str, v) -> np.ndar
 # -- metric projection -------------------------------------------------------
 
 @dataclass(frozen=True)
-class Box:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).ravel()
-        hi = np.asarray(self.hi, dtype=float).ravel()
-        if lo.size != hi.size or np.any(lo > hi):
-            raise ValidationError("box needs lo <= hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    r: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).ravel()
-        if not (self.r > 0.0):
-            raise ValidationError(f"ball radius must be positive, got {self.r!r}")
-        object.__setattr__(self, "center", c)
-
-
-@dataclass(frozen=True)
 class Simplex:
     C: int
 
     def __post_init__(self):
         if self.C < 1:
             raise ValidationError("simplex needs C >= 1")
-
-
-Shape = Union[Box, Ball, Simplex]
 
 
 def _project_simplex(y: np.ndarray, C: int) -> np.ndarray:
@@ -130,21 +99,9 @@ def _project_simplex(y: np.ndarray, C: int) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def project_convex(shape: Shape, y) -> np.ndarray:
-    """Euclidean metric projection onto a box, ball, or probability simplex."""
+def project_convex(shape: Simplex, y) -> np.ndarray:
+    """Euclidean metric projection onto the probability simplex."""
     y = _vec(y)
-    if isinstance(shape, Box):
-        if y.size != shape.lo.size:
-            raise ValidationError("point dimension does not match the box")
-        return np.clip(y, shape.lo, shape.hi)
-    if isinstance(shape, Ball):
-        if y.size != shape.center.size:
-            raise ValidationError("point dimension does not match the ball")
-        d = y - shape.center
-        n = float(np.linalg.norm(d))
-        if n <= shape.r:
-            return y.copy()
-        return shape.center + (shape.r / n) * d
     if isinstance(shape, Simplex):
         return _project_simplex(y, shape.C)
     raise ValidationError(f"unsupported shape {shape!r}")

@@ -381,6 +381,16 @@ class TestCompileAndEval:
         assert all(r > 0.05 for r in residuals)
         assert residuals == sorted(residuals, reverse=True)
 
+    def test_fit_past_the_stencil_cap_exits_1(self, capsys):
+        # the fitted polynomial's total degree 14 is past the difference
+        # stencils' cap, so the realize stage refuses it
+        code, out, err = run(capsys, "compile", "--target", "poly:x1^7*x2^7",
+                             "--domain", "euclidean:2", "--codomain", "euclidean:1",
+                             "--base-x", "[0,0]", "--radius", "0.8", "--eps", "0.02")
+        assert (code, out) == (1, "")
+        assert err == ("error: trimmed polynomial has total degree 14, beyond the "
+                       "synthesis stencil cap 12\n")
+
     @pytest.mark.parametrize("argv", [
         ["--target", "poly:x1", "--domain", "euclidean:1", "--base-x", "[0]",
          "--radius", "1e300"],

@@ -5,13 +5,15 @@ and every attribute of a manifold spec is read; every parameter with a
 default is passed somewhere; and no module imports a name it never uses.
 
 Reached is transitive: the roots are ``cli.main``, every module-level
-statement that is not a definition, an import or ``__all__`` (``FAMILIES``,
-``_COMMANDS``, the activation registry), the acceptance suite and
-the ``KEEP`` names.  A definition is reached when a reached definition or a
-root refers to it by name; a method is reached when its class is reached and
-a reached definition refers to it by name, or it is a dunder method.  Names
-are matched without their module, so a name reaches every definition that
-bears it.
+statement that is not a definition, an import, ``__all__`` or a type alias
+(``FAMILIES``, ``_COMMANDS``, the activation registry), the acceptance suite
+and the ``KEEP`` names.  A definition is reached when a reached definition
+or a root uses it by name in code; a method is reached when its class is
+reached and a reached definition uses it by name, or it is a dunder method.
+What only names a type uses nothing: a type alias (``X = Union[...]``,
+``Dict[...]`` or ``Tuple[...]``), an argument, return or variable
+annotation, and the class argument of ``isinstance``.  Names are matched
+without their module, so a name reaches every definition that bears it.
 
 A dataclass field is read where its class is known: a module of the
 package, or the acceptance suite, that defines the class, imports it, or
@@ -58,11 +60,27 @@ KEEP_PARAMS = {
 }
 
 
+def _type_names(node):
+    """The subtrees of a node that only name a type: argument, return and
+    variable annotations, and the class argument of ``isinstance``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.arg, ast.AnnAssign)):
+            yield sub.annotation
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield sub.returns
+        elif (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "isinstance"
+              and len(sub.args) == 2):
+            yield sub.args[1]
+
+
 def _references(node):
-    """Names a node refers to in code: names, attributes and import aliases,
-    never strings."""
+    """Names a node uses in code: names, attributes and import aliases,
+    never strings and never a name that only names a type."""
+    skip = {id(n) for t in _type_names(node) if t is not None for n in ast.walk(t)}
     found = set()
     for sub in ast.walk(node):
+        if id(sub) in skip:
+            continue
         if isinstance(sub, ast.Name):
             found.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -75,6 +93,11 @@ def _references(node):
 def _is_all(stmt):
     return isinstance(stmt, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def _is_type_alias(stmt):
+    return (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Subscript)
+            and getattr(stmt.value.value, "id", None) in {"Union", "Dict", "Tuple"})
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -114,8 +137,10 @@ def _definitions():
                 else:
                     refs = _references(stmt)
                 defs.append((stmt.name, where, refs, methods))
-            # a module-level import re-exports a name; it does not use it
-            elif not (isinstance(stmt, (ast.Import, ast.ImportFrom)) or _is_all(stmt)):
+            # a module-level import re-exports a name and an alias names a
+            # type; neither uses it
+            elif not (isinstance(stmt, (ast.Import, ast.ImportFrom)) or _is_all(stmt)
+                      or _is_type_alias(stmt)):
                 roots |= _references(stmt)
     return defs, roots
 
@@ -286,6 +311,17 @@ def test_every_attribute_set_in_init_is_read():
     unread = [f"{qual} ({where})" for qual, where in _unread_attributes().items()
               if qual not in KEEP]
     assert not unread, "attributes read by nothing: " + ", ".join(unread)
+
+
+def test_a_type_name_reaches_nothing():
+    alias, call = ast.parse("S = Union[A, B]\nS = make()").body
+    assert _is_type_alias(alias) and not _is_type_alias(call)
+    fn = ast.parse("def f(x: Foo) -> Foo:\n"
+                   "    y: Foo = x\n"
+                   "    isinstance(y, Foo)\n"
+                   "    return make()\n").body[0]
+    refs = _references(fn)
+    assert "make" in refs and "Foo" not in refs
 
 
 def test_reach_is_transitive():
