@@ -12,11 +12,12 @@ output reads gets no layer.
 Carried registers must survive the componentwise activation between
 layers.  The activation's class picks the register codec:
 
-* piecewise-linear: registers pass through a half-line on which the
-  activation is exactly affine; shifts computed from interval bounds over
-  the box make the rewrite exact on the box.
+* piecewise-linear (relu, leaky-relu): registers pass through the
+  half-line [0, inf), where the activation is the identity; shifts computed
+  from interval bounds over the box make the rewrite exact on the box.
 * smooth-nonpoly: registers pass through a lambda-scaled first-order window
-  around a point of nonzero derivative; the deviation is O(lambda).
+  around 0, where each such activation has a nonzero slope; the deviation
+  is O(lambda).
 """
 from __future__ import annotations
 
@@ -44,10 +45,11 @@ def as_box(box, p: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _sigma_interval(act: ActivationInfo, lo: float, hi: float) -> Tuple[float, float]:
-    xs = np.linspace(lo, hi, 1025)
-    ys = np.asarray(act(xs), dtype=float)
-    pad = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
-    return float(np.min(ys)) - pad, float(np.max(ys)) + pad
+    # every activation a codec takes is nondecreasing, so its values on
+    # [lo, hi] lie between its values at the ends
+    s_lo, s_hi = (float(t) for t in act(np.array([lo, hi])))
+    pad = 1e-9 * max(1.0, abs(s_lo), abs(s_hi))
+    return s_lo - pad, s_hi + pad
 
 
 def _codec(act: ActivationInfo, lam: float):
@@ -56,36 +58,26 @@ def _codec(act: ActivationInfo, lam: float):
     decode offset), so a register carried as ``scale * y + offset`` enters
     the next layer as row ``k * scale`` and bias ``k * offset + add``."""
     if act.cls == "piecewise-linear":
-        if act.linear_piece is None:
-            raise UnsupportedError(
-                f"activation {act.name!r} lacks linear-piece metadata "
-                "(lo, slope, intercept) required for exact verticalization"
-            )
-        region_lo, slope, intercept = act.linear_piece
-        if slope == 0.0:
-            raise UnsupportedError("the affine half-line must have nonzero slope")
-
         def encode(lo, hi):
-            # pre-activation value + shift lands in [region_lo, ...)
-            shift = np.maximum(0.0, region_lo - lo) + 1.0
-            return np.ones_like(lo), shift, 1.0 / slope, -intercept / slope - shift
+            # the shift lands each pre-activation value in [0, inf), where
+            # relu and leaky-relu are the identity
+            shift = np.maximum(0.0, -lo) + 1.0
+            return np.ones_like(lo), shift, 1.0, -shift
 
         return encode
 
     if act.cls == "smooth-nonpoly":
-        t0 = act.smooth_point if act.smooth_point is not None else 0.0
+        # the slope at 0 by a central difference: about 1, 1/2, 1/4 and 1
+        # for exp, softplus, sigmoid and tanh
         hstep = 1e-6
-        d0 = (float(act(np.array(t0 + hstep))) - float(act(np.array(t0 - hstep)))) / (2 * hstep)
-        if d0 == 0.0:
-            raise UnsupportedError("verticalization needs a nonzero derivative at "
-                                   "the activation's smooth point")
-        s0 = float(act(np.array(t0)))
+        d0 = (float(act(np.array(hstep))) - float(act(np.array(-hstep)))) / (2 * hstep)
+        s0 = float(act(np.array(0.0)))
 
         def encode(lo, hi):
             # normalize each register by its magnitude so the activation
-            # argument stays within lam of the linearization point
+            # argument stays within lam of 0
             k = lam / np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-            return k, t0, 1.0 / (k * d0), -s0 / (k * d0)
+            return k, 0.0, 1.0 / (k * d0), -s0 / (k * d0)
 
         return encode
 
@@ -160,7 +152,7 @@ def verticalize(net: FeedforwardNet, box, lam: float = 2.1e-8) -> FeedforwardNet
     output weight (plus the output layer), and return the deep net.
 
     A piecewise-linear activation reproduces the shallow outputs exactly on
-    the box (it needs the activation's linear-piece metadata).  A smooth
+    the box, since relu and leaky-relu are the identity on [0, inf).  A smooth
     non-polynomial activation passes registers through a lambda-scaled
     window, so the deep net deviates from ``net`` on the box by O(lambda);
     the default lam ~ sqrt(2 eps_machine) balances linearization error

@@ -198,8 +198,12 @@ def cmd_eval(args) -> int:
                          f"points, got shape {x.shape}")
     if x.ndim < 2:
         x = x.ravel()
-    y = np.asarray(
-        (gdn_from_dict(payload) if "domain" in payload else net_from_dict(payload))(x))
+    model = gdn_from_dict(payload) if "domain" in payload else net_from_dict(payload)
+    # an activation may overflow on a far input, and the warning adds nothing:
+    # exp's inf fails the layer's finiteness check, and sigmoid's 1 / (1 + inf)
+    # is its limit 0
+    with np.errstate(over="ignore"):
+        y = np.asarray(model(x))
     _json_out({"output": y.tolist() if x.ndim == 2 else [float(t) for t in y.ravel()]})
     return 0
 

@@ -104,13 +104,22 @@ def row_norms(a: np.ndarray):
     return np.sqrt(np.vecdot(a, a))
 
 
+def _squares(a: np.ndarray):
+    # np.vecdot(a, a), the squared row norms, with inf and no warning where
+    # one passes the float range: np.vdot runs the same dot kernel on one
+    # vector without numpy's error check, and a stack takes an errstate
+    if a.ndim == 1:
+        return np.vdot(a, a)
+    with np.errstate(over="ignore"):
+        return np.vecdot(a, a)
+
+
 def sup_norm(a: np.ndarray) -> float:
     """The largest ``row_norms`` entry of a 2-D array, as a float: the root
     of the largest squared norm, which has its bits.  A row whose squared
     norm overflows is summed by ``hypot``, which rescales as it goes, so its
     norm is finite where the row's true norm is."""
-    with np.errstate(over="ignore"):
-        squares = np.vecdot(a, a)
+    squares = _squares(a)
     top = float(np.max(squares))
     if top == math.inf:
         return float(np.max(np.hypot.reduce(a[squares == math.inf], axis=-1)))
@@ -520,11 +529,23 @@ class Poincare(ManifoldSpec):
     def exp(self, x, v):
         c = self.param
         sc = math.sqrt(c)
-        nv = row_norms(v)
+        nv = np.sqrt(_squares(v))
         zero = nv == 0.0
         t = sc * (nv + zero)  # a zero row divides by sc, not by 0
-        u = _col(_scalar_map(math.tanh, t / 2.0) / t) * v
-        return mobius_add(x, np.where(_col(zero), 0.0, u) if _any(zero) else u, c)
+        s = _scalar_map(math.tanh, t / 2.0)
+        u = _col(s / t) * v
+        y = mobius_add(x, np.where(_col(zero), 0.0, u) if _any(zero) else u, c)
+        # tanh rounds to 1 from sqrt(c)|v| about 38.1 (and where |v|^2
+        # overflows), and the Moebius sum may round a row onto the boundary
+        far = c * _squares(y) >= 1.0
+        if _any(s == 1.0) or _any(far):
+            out = (s == 1.0) | far
+            # the first such row's tangent norm, by hypot, which stays finite
+            rows = np.broadcast_to(v, y.shape).reshape(-1, y.shape[-1])
+            norm = float(np.hypot.reduce(rows[np.flatnonzero(out)[0]]))
+            raise NumericError("the poincare exponential map rounds onto the boundary "
+                               f"c|y|^2 = 1 at tangent norm {norm!r}")
+        return y
 
     def log(self, x, y):
         z = mobius_add(-x, y, self.param)

@@ -23,55 +23,41 @@ __all__ = [
     "net_from_dict",
 ]
 
-ACTIVATION_CLASSES = ("smooth-nonpoly", "continuous-nonpoly", "nonaffine-poly",
-                      "piecewise-linear")
-
 
 @dataclass(frozen=True)
 class ActivationInfo:
-    """An activation function plus declared regularity metadata.
+    """An activation function and its declared class.
 
-    ``cls`` is declared, not inferred.  ``linear_piece`` marks a half-line
-    on which a piecewise-linear activation is exactly affine,
-    ``(lo, slope, intercept)`` meaning sigma(u) = slope*u + intercept for
-    u >= lo; exact verticalization needs it.  ``smooth_point`` is a point
-    with nonzero derivative, where verticalization carries registers of a
-    smooth activation.
+    ``cls`` is declared, not inferred, and it decides what the compiler
+    does with the activation: synthesis needs "smooth-nonpoly", and
+    verticalization carries registers through "piecewise-linear" relu and
+    leaky-relu on the half-line [0, inf), where both are the identity, or
+    through a "smooth-nonpoly" one linearized at 0.  The registry below is
+    the whole set; ``tests/test_network.py`` checks the facts about it that
+    those codecs assume.  ``known_theta0`` is the offset ``select_theta0``
+    tries first.
     """
 
     name: str
     cls: str
     eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    breakpoints: int = 0
     known_theta0: Optional[float] = None
-    linear_piece: Optional[Tuple[float, float, float]] = None
-    smooth_point: Optional[float] = None
-
-    def __post_init__(self):
-        if self.cls not in ACTIVATION_CLASSES:
-            raise ValidationError(
-                f"activation class must be one of {ACTIVATION_CLASSES}, got {self.cls!r}"
-            )
-        if self.cls == "piecewise-linear" and self.breakpoints < 1:
-            raise ValidationError("piecewise-linear activations need breakpoints >= 1")
 
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
 
 
 _REGISTRY = {info.name: info for info in (
-    ActivationInfo("relu", "piecewise-linear", lambda x: np.maximum(x, 0.0),
-                   breakpoints=1, linear_piece=(0.0, 1.0, 0.0)),
+    ActivationInfo("relu", "piecewise-linear", lambda x: np.maximum(x, 0.0)),
     ActivationInfo("leaky-relu", "piecewise-linear",
-                   lambda x: np.where(x >= 0.0, x, 0.01 * x),
-                   breakpoints=1, linear_piece=(0.0, 1.0, 0.0)),
-    ActivationInfo("exp", "smooth-nonpoly", np.exp, known_theta0=0.0, smooth_point=0.0),
+                   lambda x: np.where(x >= 0.0, x, 0.01 * x)),
+    ActivationInfo("exp", "smooth-nonpoly", np.exp, known_theta0=0.0),
     ActivationInfo("softplus", "smooth-nonpoly", lambda x: np.logaddexp(0.0, x),
-                   known_theta0=0.0, smooth_point=0.0),
+                   known_theta0=0.0),
     ActivationInfo("sigmoid", "smooth-nonpoly", lambda x: 1.0 / (1.0 + np.exp(-x)),
-                   known_theta0=0.0, smooth_point=0.0),
-    ActivationInfo("tanh", "smooth-nonpoly", np.tanh, known_theta0=1.0, smooth_point=0.0),
-    ActivationInfo("square", "nonaffine-poly", lambda x: x * x, smooth_point=1.0),
+                   known_theta0=0.0),
+    ActivationInfo("tanh", "smooth-nonpoly", np.tanh, known_theta0=1.0),
+    ActivationInfo("square", "nonaffine-poly", lambda x: x * x),
 )}
 
 
@@ -197,7 +183,8 @@ def net_to_dict(net: FeedforwardNet) -> dict:
         "activation": {
             "name": net.activation.name,
             "class": net.activation.cls,
-            "breakpoints": net.activation.breakpoints,
+            # the count of kinks: relu's and leaky-relu's one at 0
+            "breakpoints": int(net.activation.cls == "piecewise-linear"),
         },
     }
 

@@ -2,6 +2,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import time
 from pathlib import Path
 
@@ -437,6 +438,132 @@ class TestCompileAndEval:
                            "--base-x", "[0]", "--radius", "1.0", "--eps", "0.1")
         assert code == 2
         assert "target" in err
+
+    @pytest.mark.parametrize("radius,norm", [("1e100", "7.071067811865477e+99"),
+                                             ("1e300", "7.071067811865476e+299")])
+    def test_poincare_exp_past_the_ball_exits_1(self, capsys, radius, norm):
+        # tanh rounds to 1 on the pullback's tangents, and past 1.3e154 their
+        # squared norms overflow: once a model of error 0 (exit 0, with an
+        # overflow warning) or a refused point (exit 2)
+        code, out, err = run(capsys, "compile", "--target", "mobius-shift",
+                             "--domain", "poincare:2:1", "--codomain", "poincare:2:1",
+                             "--base-x", "[0,0]", "--radius", radius, "--eps", "0.1")
+        assert (code, out) == (1, "")
+        assert err == ("error: the poincare exponential map rounds onto the boundary "
+                       f"c|y|^2 = 1 at tangent norm {norm}\n")
+
+    @pytest.mark.parametrize("activation,x,code,printed", [
+        ("exp", "[1e6]", 1, ""),
+        ("sigmoid", "[-1e6]", 0, '{\n  "output": [\n    -234887.46265042105\n  ]\n}\n'),
+    ])
+    def test_eval_of_a_far_input_warns_of_nothing(self, capsys, tmp_path, activation, x,
+                                                  code, printed):
+        # exp overflows on the far input: exp's inf is refused after its
+        # layer, and sigmoid's is its limit 0
+        model = tmp_path / "model.json"
+        assert run(capsys, "compile", "--target", "poly:x1^2", "--domain", "euclidean:1",
+                   "--codomain", "euclidean:1", "--base-x", "[0]", "--radius", "0.3",
+                   "--eps", "0.1", "--activation", activation, "--out", str(model))[0] == 0
+        err = "" if code == 0 else "error: non-finite value after layer 0\n"
+        assert run(capsys, "eval", "--model", str(model), "--input", x) == (code, printed, err)
+
+
+# the refusals below are reached from the command line only through these
+# inputs; a {name} in an argument is the path of the file REFUSAL_FILES[name]
+REFUSAL_FILES = {
+    "start": {"knots": [0.1, 1.0], "values": [0.0, 1.0]},
+    "knots": {"knots": [0.0, 1.0, 1.0], "values": [0.0, 1.0, 2.0]},
+    "values": {"knots": [0.0, 1.0, 2.0], "values": [0.0, 1.0, 0.5]},
+    "infinite": {"knots": [0.0, 1.0], "values": [0.0, math.inf]},
+    "codomain": {"layers": [{"weights": [[1.0]], "bias": [0.0]}],
+                 "activation": {"name": "exp"}, "domain": "euclidean:1",
+                 "codomain": "euclidean:2", "base_x": [0.0], "base_y": [0.0, 0.0]},
+    "vector": {"layers": [{"weights": [1.0], "bias": [0.0]}], "activation": {"name": "exp"}},
+    "bias": {"layers": [{"weights": [[1.0], [2.0]], "bias": [0.0]}],
+             "activation": {"name": "exp"}},
+    "nan": {"layers": [{"weights": [[math.nan]], "bias": [0.0]}],
+            "activation": {"name": "exp"}},
+    "empty": {"layers": [], "activation": {"name": "exp"}},
+    "chain": {"layers": [{"weights": [[1.0], [1.0]], "bias": [0.0, 0.0]},
+                         {"weights": [[1.0]], "bias": [0.0]}], "activation": {"name": "exp"}},
+    "gelu": {"layers": [{"weights": [[1.0]], "bias": [0.0]}], "activation": {"name": "gelu"}},
+}
+SMOOTH_ESTIMATE = ["estimate", "--class", "smooth", "--p", "1", "--m", "1", "--eps", "0.1",
+                   "--delta", "0.5", "--kappa1", "1", "--kappa2", "1"]
+
+
+def _compile(target, domain, base_x):
+    return ["compile", "--target", target, "--domain", domain, "--codomain", domain,
+            "--base-x", base_x, "--radius", "0.5", "--eps", "0.1"]
+
+
+class TestRefusals:
+    """Each refusal exits 2 with its one ``error:`` line."""
+
+    @pytest.mark.parametrize("argv,line", [
+        (_compile("rotation", "sphere:3", "[0,0,0,1]"),
+         "rotation target requires domain sphere:2"),
+        (_compile("mobius-shift", "euclidean:2", "[0,0]"),
+         "mobius-shift target requires a poincare domain"),
+        (_compile("mobius-shift:5", "poincare:2:1", "[0,0]"),
+         "mobius shift lies outside the ball"),
+        (_compile("spd-congruence", "euclidean:3", "[1,0,1]"),
+         "spd-congruence target requires an spd domain"),
+        (_compile("poly:x1", "sphere:2", "[0,0,1]"), "poly targets require a euclidean domain"),
+        (_compile("poly:", "euclidean:1", "[0]"),
+         "poly target needs an expression, e.g. poly:x1*x2"),
+        (SMOOTH_ESTIMATE, "provide --lip or --modulus-file"),
+        (SMOOTH_ESTIMATE + ["--modulus-file", "{start}"],
+         "a modulus estimate must start at (0, 0)"),
+        (SMOOTH_ESTIMATE + ["--modulus-file", "{knots}"], "knots must be strictly increasing"),
+        (SMOOTH_ESTIMATE + ["--modulus-file", "{values}"], "modulus values must be nondecreasing"),
+        (SMOOTH_ESTIMATE + ["--modulus-file", "{infinite}"], "modulus data must be finite"),
+        (["estimate", "--class", "continuous", "--p", "1", "--m", "1", "--eps", "0.1",
+          "--delta", "0.5", "--lip", "1", "--kappa1", "1", "--kappa2", "1", "--B", "1"],
+         "the continuous class requires an activation modulus"),
+        (["estimate", "--efficient-n", "0", "--p", "1", "--m", "1", "--eps", "0.1"],
+         "p, m, n must be positive integers"),
+        (["eval", "--model", "{codomain}", "--input", "[0.5]"],
+         "core output dim 1 != codomain chart dim 2"),
+        (["eval", "--model", "{vector}", "--input", "[0.5]"],
+         "layer weights must be a matrix, got ndim=1"),
+        (["eval", "--model", "{bias}", "--input", "[0.5]"],
+         "bias length 1 does not match output dim 2"),
+        (["eval", "--model", "{nan}", "--input", "[0.5]"], "layer parameters must be finite"),
+        (["eval", "--model", "{empty}", "--input", "[0.5]"],
+         "a network needs at least one affine layer"),
+        (["eval", "--model", "{chain}", "--input", "[0.5]"], "layer dims do not chain: 2 -> 1"),
+        (["eval", "--model", "{gelu}", "--input", "[0.5]"],
+         "unknown activation 'gelu'; known: ['exp', 'leaky-relu', 'relu', 'sigmoid', "
+         "'softplus', 'square', 'tanh']"),
+    ], ids=["rotation", "mobius-domain", "mobius-shift", "spd-congruence", "poly-domain",
+            "poly-empty", "no-modulus", "modulus-start", "modulus-knots", "modulus-values",
+            "modulus-infinite", "no-sigma-lip", "efficient-n", "model-codomain",
+            "net-vector", "net-bias", "net-nan", "net-empty", "net-chain", "net-activation"])
+    def test_refusal(self, capsys, tmp_path, argv, line):
+        paths = {}
+        for name, payload in REFUSAL_FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        argv = [a.format(**paths) for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    def test_missing_delta_is_a_usage_error(self, capsys):
+        argv = [a for a in SMOOTH_ESTIMATE if a not in ("--delta", "0.5")] + ["--lip", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gdn ")
+        assert err.endswith("\ngdn: error: --delta is required for depth estimates\n")
+
+    def test_duplicate_abscissae(self, capsys, tmp_path):
+        (tmp_path / "ds.csv").write_text("0\n0.5\n0.5\n")
+        (tmp_path / "vals.csv").write_text("0\n1\n2\n")
+        assert run(capsys, "certify", "--dataset", str(tmp_path / "ds.csv"),
+                   "--values", str(tmp_path / "vals.csv"), "--domain", "euclidean:1",
+                   "--codomain", "euclidean:1", "--base-x", "[0]", "--base-y", "[0]") == (
+            2, "", "error: chart abscissae must be distinct for interpolation\n")
 
 
 class TestCertify:

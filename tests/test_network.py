@@ -7,6 +7,7 @@ import pytest
 
 from gdn.errors import NumericError, ValidationError
 from gdn.network import (
+    _REGISTRY,
     AffineLayer,
     FeedforwardNet,
     eval_net,
@@ -132,6 +133,46 @@ class TestActivations:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             get_activation("swish-42")
+
+
+# the registry is closed: these are the facts about its constants that the
+# verticalization codecs and the saved models assume, checked here once
+# rather than on every use
+BY_CLASS = {cls: [a for a in _REGISTRY.values() if a.cls == cls]
+            for cls in ("piecewise-linear", "smooth-nonpoly", "nonaffine-poly")}
+CODEC_CLASSES = BY_CLASS["piecewise-linear"] + BY_CLASS["smooth-nonpoly"]
+
+
+class TestRegistry:
+    def test_every_activation_has_a_known_class(self):
+        assert sum(map(len, BY_CLASS.values())) == len(_REGISTRY) == 7
+        assert [a.name for a in BY_CLASS["piecewise-linear"]] == ["relu", "leaky-relu"]
+
+    @pytest.mark.parametrize("act", BY_CLASS["piecewise-linear"], ids=lambda a: a.name)
+    def test_piecewise_linear_is_the_identity_on_the_half_line(self, act):
+        grid = np.concatenate([[0.0], np.geomspace(1e-300, 1e6, 3001),
+                               np.linspace(0.0, 1e6, 1001)])
+        np.testing.assert_array_equal(act(grid), grid)
+
+    @pytest.mark.parametrize("act", BY_CLASS["smooth-nonpoly"], ids=lambda a: a.name)
+    def test_smooth_slope_at_zero_is_finite_and_nonzero(self, act):
+        d0 = (float(act(np.array(1e-6))) - float(act(np.array(-1e-6)))) / 2e-6
+        assert np.isfinite(d0) and d0 != 0.0
+
+    @pytest.mark.parametrize("act", CODEC_CLASSES, ids=lambda a: a.name)
+    def test_codec_activations_are_nondecreasing(self, act):
+        # dense near 0 and out to 700, where exp is still finite
+        ends = np.geomspace(1e-300, 700.0, 20001)
+        grid = np.concatenate([-ends[::-1], [0.0], ends, np.linspace(-50.0, 50.0, 100001)])
+        grid.sort()
+        assert np.all(np.diff(act(grid)) >= 0.0)
+
+    @pytest.mark.parametrize("act", list(_REGISTRY.values()), ids=lambda a: a.name)
+    def test_saved_breakpoints(self, act):
+        # as the JSON bytes: a bool would be written true/false
+        d = net_to_dict(FeedforwardNet((layer([[1.0]], [0.0]),), act))
+        want = "1" if act.name in ("relu", "leaky-relu") else "0"
+        assert json.dumps(d["activation"]["breakpoints"]) == want
 
 
 class TestSerialization:

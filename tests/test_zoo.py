@@ -76,6 +76,44 @@ class TestPoincare:
             with pytest.raises(ValidationError, match=r"must satisfy c\|x\|\^2 < 1$"):
                 check(self.spec, np.array([1.0, 0.2]))
 
+    @pytest.mark.parametrize("ident,x,v,norm", [
+        # tanh(t / 2) rounds to 1 from sqrt(c) |v| about 38.12
+        ("poincare:2:1", [0.0, 0.0], [38.0, 0.0], "38.0"),
+        ("poincare:2:4", [0.0, 0.0], [0.0, -19.5], "19.5"),
+        # tanh < 1, but the Moebius sum rounds the row onto the boundary
+        ("poincare:2:1", [0.5, 0.0], [36.0, 0.0], "36.0"),
+        ("poincare:2:1", [0.9, 0.0], [35.0, 0.0], "35.0"),
+        # |v|^2 overflows: the exp once returned the base point, with a warning
+        ("poincare:2:1", [0.0, 0.0], [1e200, 1e200], "1.414213562373095e+200"),
+        ("poincare:2:1", [0.3, 0.0], [-1e300, 0.0], "1e+300"),
+    ])
+    def test_exp_that_leaves_the_ball_is_a_numeric_error(self, ident, x, v, norm):
+        spec = resolve_manifold(ident)
+        x, v = np.array(x), np.array(v)
+        message = ("^the poincare exponential map rounds onto the boundary c\\|y\\|\\^2 = 1 "
+                   f"at tangent norm {re.escape(norm)}$")
+        for call in (lambda: exp_map(spec, x, v), lambda: chart_at(spec, x).exp(v),
+                     lambda: exp_map(spec, x, np.stack([0.1 * v / np.abs(v).max(), v])),
+                     lambda: exp_map(spec, np.stack([0.5 * x, x]), v)):
+            with pytest.raises(NumericError, match=message):
+                call()
+
+    @given(st.floats(0.0, 0.999), st.floats(-3.0, 3.0), st.floats(0.0, 40.0),
+           st.floats(-3.0, 3.0))
+    def test_exp_returns_a_point_of_the_ball_or_refuses(self, r, a, n, b):
+        # every row an exp returns passes the ball's own check, and a refused
+        # one lies past distance 30 from 0, where 1 - |y|^2 ~ 4 e^-d is near
+        # the rounding of |y|^2
+        x = r * np.array([math.cos(a), math.sin(a)])
+        v = n * np.array([math.cos(b), math.sin(b)])
+        try:
+            y = exp_map(self.spec, x, v)
+        except NumericError:
+            assert 2.0 * math.atanh(r) + n > 30.0
+            return
+        assert float(y @ y) < 1.0
+        as_point(self.spec, y)
+
 
 class TestSPD:
     spec = resolve_manifold("spd:2")
