@@ -106,8 +106,10 @@ def row_norms(a: np.ndarray):
 
 def _squares(a: np.ndarray):
     # np.vecdot(a, a), the squared row norms, with inf and no warning where
-    # one passes the float range: np.vdot runs the same dot kernel on one
-    # vector without numpy's error check, and a stack takes an errstate
+    # one passes the float range.  On one vector np.vdot calls the dot kernel
+    # that np.vecdot calls on each row, with the same bits (test_zoo pins
+    # them), and skips numpy's error check, where an errstate would cost a
+    # microsecond a point
     if a.ndim == 1:
         return np.vdot(a, a)
     with np.errstate(over="ignore"):
@@ -531,13 +533,12 @@ class Poincare(ManifoldSpec):
         sc = math.sqrt(c)
         nv = np.sqrt(_squares(v))
         zero = nv == 0.0
-        t = sc * (nv + zero)  # a zero row divides by sc, not by 0
-        s = _scalar_map(math.tanh, t / 2.0)
-        u = _col(s / t) * v
+        s = _scalar_map(math.tanh, sc * nv / 2.0)  # 0, never 1, on a zero row
+        u = _col(s / (sc * (nv + zero))) * v  # a zero row divides by sc, not by 0
         y = mobius_add(x, np.where(_col(zero), 0.0, u) if _any(zero) else u, c)
         # tanh rounds to 1 from sqrt(c)|v| about 38.1 (and where |v|^2
         # overflows), and the Moebius sum may round a row onto the boundary
-        far = c * _squares(y) >= 1.0
+        far = c * np.vecdot(y, y) >= 1.0
         if _any(s == 1.0) or _any(far):
             out = (s == 1.0) | far
             # the first such row's tangent norm, by hypot, which stays finite

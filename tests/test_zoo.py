@@ -20,6 +20,7 @@ from gdn.manifolds.sym import frob_unvec, frob_vec, spectral, sym_matrix_functio
 from gdn.manifolds.zoo import (
     _EXP_GAP,
     _spd_functions,
+    _squares,
     as_point,
     chart_at,
     distance,
@@ -97,6 +98,23 @@ class TestPoincare:
                      lambda: exp_map(spec, np.stack([0.5 * x, x]), v)):
             with pytest.raises(NumericError, match=message):
                 call()
+
+    @pytest.mark.parametrize("ident", ["poincare:2:2000", "poincare:2:1e150"])
+    def test_exp_at_a_zero_tangent_returns_x_on_a_steep_ball(self, ident):
+        # tanh(sqrt(c) / 2), which a zero row computes, rounds to 1 for c
+        # past about 1453, but the row moves nowhere
+        spec = resolve_manifold(ident)
+        x = np.array([0.0, 0.5 / math.sqrt(spec.param)])
+        zero = np.zeros(2)
+        for base in (np.zeros(2), x):
+            assert exp_map(spec, base, zero).tobytes() == base.tobytes()
+            assert chart_at(spec, base).exp(zero).tobytes() == base.tobytes()
+        w = np.array([1e-3 / math.sqrt(spec.param), 0.0])
+        stack = exp_map(spec, x, np.stack([zero, w, zero]))
+        assert stack[0].tobytes() == stack[2].tobytes() == x.tobytes()
+        assert stack[1].tobytes() == exp_map(spec, x, w).tobytes()
+        bases = exp_map(spec, np.stack([np.zeros(2), x]), zero)
+        assert bases.tobytes() == np.stack([np.zeros(2), x]).tobytes()
 
     @given(st.floats(0.0, 0.999), st.floats(-3.0, 3.0), st.floats(0.0, 40.0),
            st.floats(-3.0, 3.0))
@@ -563,6 +581,17 @@ class TestStacks:
             log_map(spec, base, ys), np.array([log_map(spec, base, y) for y in ys]))
         np.testing.assert_array_equal(
             log_map(spec, ys, base), np.array([log_map(spec, y, base) for y in ys]))
+
+    def test_squares_of_one_row_are_its_stack_bits(self, rng):
+        # _squares takes np.vdot on one vector and np.vecdot on a stack: the
+        # same dot kernel, so a row alone and in a stack give the same bits,
+        # inf past the float range, with no warning either way
+        for n in range(1, 8):
+            for scale in (1e-200, 1e-5, 1.0, 1e5, 1e154, 1e160):
+                rows = rng.standard_normal((300, n)) * (scale * rng.random((300, 1)))
+                squares = _squares(rows)
+                assert squares.tobytes() == b"".join(_squares(r).tobytes() for r in rows)
+        assert _squares(np.array([1e200, 0.0])) == math.inf
 
     def test_single_point_shapes(self, rng):
         spec = resolve_manifold("sphere:2")
