@@ -1,6 +1,7 @@
 """Constructive network synthesis:
 
 * finite-difference realization of derivatives of ``sigma(w z - theta)``,
+  at the activation's registered offset theta0 for the stencil order,
 * compilation of univariate-form polynomials, one per output, into one
   multi-output one-hidden-layer net with a smooth non-polynomial
   activation, in one pass per step h, and
@@ -43,7 +44,6 @@ from .polynomials import (
 
 __all__ = [
     "finite_diff_derivative",
-    "select_theta0",
     "compile_poly_to_shallow",
     "compile_function_to_shallow",
     "cube_points",
@@ -70,45 +70,6 @@ def finite_diff_derivative(sigma: ActivationInfo, k: int, z: float,
     return total / h ** k
 
 
-# the stencil step of the offset search
-_THETA_PROBE_H = 1e-2
-
-
-def select_theta0(sigma: ActivationInfo, max_k: int) -> float:
-    """Offset with numerically nonvanishing derivatives up to order max_k.
-
-    Tries the activation's registered offset first, then grid-searches
-    [-3, 3] maximizing the minimum finite-difference derivative estimate.
-    A derivative whose estimate is unstable under halving the step 1e-2
-    (relative change above 30%) is treated as vanishing: the stencil value
-    of a true zero derivative is pure O(h) contamination, which halves
-    with h.
-    """
-    probe_k = min(max_k, 6)  # higher orders drown in stencil roundoff
-    floor = 1e-6
-
-    def score(theta: float) -> float:
-        worst = math.inf
-        for k in range(probe_k + 1):
-            d1 = finite_diff_derivative(sigma, k, 1.0, theta, _THETA_PROBE_H)
-            d2 = finite_diff_derivative(sigma, k, 1.0, theta, _THETA_PROBE_H / 2.0)
-            if abs(d2) <= floor or abs(d1 - d2) > 0.3 * max(abs(d1), abs(d2)):
-                return 0.0
-            worst = min(worst, abs(d2))
-        return worst
-
-    if sigma.known_theta0 is not None and score(sigma.known_theta0) > floor:
-        return sigma.known_theta0
-    grid = np.linspace(-3.0, 3.0, 121)
-    scores = [score(float(t)) for t in grid]
-    best = int(np.argmax(scores))
-    if scores[best] <= floor:
-        raise BadThetaError(
-            f"no offset in [-3, 3] keeps |sigma^(k)| above {floor} up to order {max_k}"
-        )
-    return float(grid[best])
-
-
 def _grid_points(p: int, per_axis: int) -> np.ndarray:
     # the (per_axis)^p grid on [0, 1]^p, as an (N, p) stack
     return product_grid(np.linspace(0.0, 1.0, per_axis), p)
@@ -118,6 +79,13 @@ def _form_degree(b: np.ndarray) -> int:
     # the degree of a univariate coefficient vector (0 when it is all zero)
     nz = np.nonzero(np.abs(b) > 0.0)[0]
     return int(nz[-1]) if nz.size else 0
+
+
+def _require_smooth(sigma: ActivationInfo) -> None:
+    if sigma.cls != "smooth-nonpoly":
+        raise UnsupportedError(
+            f"shallow synthesis needs a smooth non-polynomial activation, got {sigma.cls}"
+        )
 
 
 def compile_poly_to_shallow(forms: Sequence[LinearFormPoly], sigma: ActivationInfo,
@@ -135,10 +103,7 @@ def compile_poly_to_shallow(forms: Sequence[LinearFormPoly], sigma: ActivationIn
     Requires a smooth non-polynomial activation whose derivative estimates
     at -theta0 stay above 1e-6 up to the largest degree.
     """
-    if sigma.cls != "smooth-nonpoly":
-        raise UnsupportedError(
-            f"shallow synthesis needs a smooth non-polynomial activation, got {sigma.cls}"
-        )
+    _require_smooth(sigma)
     max_k = max((_form_degree(b) for lf in forms for _a, b in lf.terms), default=0)
     # derivative estimates with the synthesis step, so stencil errors track O(h)
     derivs = [finite_diff_derivative(sigma, k, 1.0, theta0, h)
@@ -147,7 +112,7 @@ def compile_poly_to_shallow(forms: Sequence[LinearFormPoly], sigma: ActivationIn
         if abs(derivs[k]) <= 1e-6:
             raise BadThetaError(
                 f"finite-difference estimate of sigma^({k})(-theta0) is "
-                f"{derivs[k]:.3e}; pick another theta0 (grid search over [-3, 3])"
+                f"{derivs[k]:.3e}; pick another theta0"
             )
     sigma_at_theta = float(sigma(np.array(-theta0)))
 
@@ -371,8 +336,10 @@ def _select_degree(target: Callable[[np.ndarray], np.ndarray],
 def _synthesize(fit: Fit, points: np.ndarray, sigma: ActivationInfo, budget: float):
     """The realize stage: (net, residual), the finite-difference shallow net
     of the fitted polynomials and its sup distance from ``fit.reference``
-    on the audit ``points``.  Smaller steps h are tried until the residual
-    fits ``budget``; the net of the smallest residual is kept."""
+    on the audit ``points``.  The offset is the activation's registered
+    theta0 for the stencil order (``ActivationInfo``).  Smaller steps h are
+    tried until the residual fits ``budget``; the net of the smallest
+    residual is kept."""
     max_total = max((t for _c, t in fit.polys), default=0)
     # the stencil order equals the total degree; double precision cannot
     # support high-order difference stencils
@@ -386,7 +353,7 @@ def _synthesize(fit: Fit, points: np.ndarray, sigma: ActivationInfo, budget: flo
     ]
 
     kmax = max(max_total, 1)
-    theta0 = select_theta0(sigma, kmax)
+    theta0 = sigma.theta0[min(kmax, len(sigma.theta0)) - 1]
     # below this step a k-th difference drops under the roundoff of its
     # 2^k-term alternating sum and the stencil reads pure noise
     h_floor = max((2.0 ** kmax * np.finfo(float).eps) ** (1.0 / (kmax + 1)), 1e-7)
@@ -437,14 +404,18 @@ def compile_function_to_shallow(
     1, 2, 4 and 8 at p = 1 and 3; 1, 2 and 4 at p = 2) is read off its
     rows, and the target runs once more only on each other lattice tried.
 
-    The samples that depend on p alone (the grids, their Bernstein basis
-    tables per degree, the stack of ``cube_points`` and the audit pairs'
-    input side sorted by input distance, built only when read) are built once per process for p <= 3.
-    They are read-only, so a target must not write to its input; at p = 3
-    they hold under 1.5 MB.
+    The samples that depend on p alone are built once per process for p <=
+    3, each only when read: the grids, their Bernstein basis tables per
+    degree, the stack of ``cube_points`` and the audit pairs' input side
+    sorted by input distance.  They are read-only, so a target must not
+    write to its input; at p = 3 they hold under 1.5 MB.
+
+    An activation that is not smooth non-polynomial is refused with
+    ``UnsupportedError`` before the target is read.
     """
     if not (eps > 0.0):
         raise ValidationError("eps must be positive")
+    _require_smooth(sigma)
     samples = _cube_samples(p)
     if rows is None:
         rows = oracle_rows(target, cube_points(p, omega is None), m)

@@ -5,7 +5,7 @@ with bit-exact float round trips.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -34,14 +34,22 @@ class ActivationInfo:
     leaky-relu on the half-line [0, inf), where both are the identity, or
     through a "smooth-nonpoly" one linearized at 0.  The registry below is
     the whole set; ``tests/test_network.py`` checks the facts about it that
-    those codecs assume.  ``known_theta0`` is the offset ``select_theta0``
-    tries first.
+    those codecs assume.
+
+    ``theta0`` holds a smooth activation's stencil offsets: synthesis reads
+    ``sigma(w z - theta0[k-1])`` for a polynomial of degree k, because
+    sigma's derivatives at -theta0[k-1] are nonzero up to order k; degrees
+    above 6 take ``theta0[5]``, since higher-order stencils drown in
+    roundoff.  Each offset is written to the bit as the point of
+    np.linspace(-3, 3, 121) it was chosen from; ``tests/test_network.py``
+    checks that the estimates there stay off zero.  The other classes have
+    none.
     """
 
     name: str
     cls: str
     eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    known_theta0: Optional[float] = None
+    theta0: Tuple[float, ...] = ()
 
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
@@ -51,12 +59,13 @@ _REGISTRY = {info.name: info for info in (
     ActivationInfo("relu", "piecewise-linear", lambda x: np.maximum(x, 0.0)),
     ActivationInfo("leaky-relu", "piecewise-linear",
                    lambda x: np.where(x >= 0.0, x, 0.01 * x)),
-    ActivationInfo("exp", "smooth-nonpoly", np.exp, known_theta0=0.0),
+    ActivationInfo("exp", "smooth-nonpoly", np.exp, theta0=(0.0,) * 6),
     ActivationInfo("softplus", "smooth-nonpoly", lambda x: np.logaddexp(0.0, x),
-                   known_theta0=0.0),
+                   theta0=(0.0, 0.0, -1.2999999999999998) + (0.7000000000000002,) * 3),
     ActivationInfo("sigmoid", "smooth-nonpoly", lambda x: 1.0 / (1.0 + np.exp(-x)),
-                   known_theta0=0.0),
-    ActivationInfo("tanh", "smooth-nonpoly", np.tanh, known_theta0=1.0),
+                   theta0=(0.0, -1.2999999999999998, 0.7000000000000002,
+                           0.7000000000000002, 0.6500000000000004, 0.6500000000000004)),
+    ActivationInfo("tanh", "smooth-nonpoly", np.tanh, theta0=(1.0,) * 6),
     ActivationInfo("square", "nonaffine-poly", lambda x: x * x),
 )}
 

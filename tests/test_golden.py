@@ -2,15 +2,19 @@
 
 The six ``gdn compile`` runs of the benchmark (sphere2-rotation,
 poincare2-mobius, spd2-congruence, cube3-product, cube3-quadratic and
-cube2-mixed, with its arguments), two two-output polynomial compiles, two ``--verticalize``
-compiles and one 3-run ``gdn bench`` config go through ``gdn.cli.main`` at
-seed 0.  The two-output compiles are the edge cases of the multi-output
-shallow core: a constant output next to a hidden block, and no hidden layer
-at all.  The ``--verticalize`` compiles rewrite a core deep-narrow with a
-smooth activation: softplus over a 3-output core whose outputs share its
-two hidden units, and the default exp over a 2-output core.  The two p = 3 compiles read
-their modulus over the 55,611 audit-grid pairs (``apriori_bound`` pins the
-windowed read); cube3-quadratic is also the
+cube2-mixed, with its arguments), three cube compiles whose stencil offset
+is not the activation's order-1 offset, two two-output polynomial compiles,
+two ``--verticalize`` compiles and one 3-run ``gdn bench`` config go through
+``gdn.cli.main`` at seed 0.  The offset compiles are cube3-product with
+softplus (order 3, offset -1.3) and with sigmoid (order 3, offset 0.7), and
+cube3-quadratic with sigmoid (order 2, offset -1.3).  The two-output
+compiles are the edge cases of the multi-output shallow core: a constant
+output next to a hidden block, and no hidden layer at all.  The
+``--verticalize`` compiles rewrite a core deep-narrow with a smooth
+activation: softplus over a 3-output core whose outputs share its two
+hidden units, and the default exp over a 2-output core.  The p = 3
+compiles read their modulus over the 55,611 audit-grid pairs
+(``apriori_bound`` pins the windowed read); cube3-quadratic is also the
 one that walks Bernstein degrees 1 to 4 and evaluates exponent-2 powers.
 Each compile, run twice in one process, must reproduce its summary JSON
 (without ``out``) and the sha256 of its model file both times, and the
@@ -87,6 +91,36 @@ COMPILES = {
          "measured_error": 0.028614435698987917, "param_count": 33,
          "target": "poly:x1^2-x2^2+x1*x2", "width": 8},
         "c644cddac1cc21d58b12c482d4ea0c8d94b0f6ea0acabf770f395b2b966cdbb8",
+    ),
+    "cube3-product-softplus": (
+        ["--target", "poly:x1*x2*x3", "--domain", "euclidean:3",
+         "--codomain", "euclidean:1", "--base-x", "[0, 0, 0]", "--radius", "0.5",
+         "--eps", "0.05", "--activation", "softplus"],
+        {"apriori_bound": 0.43824167702859995, "audit_points": 200,
+         "bernstein_degree": 1, "depth": 1, "eps": 0.05,
+         "measured_error": 0.00024169334817688432, "param_count": 136,
+         "target": "poly:x1*x2*x3", "width": 27},
+        "91acf075d3b5f5204f53234caca7f6ed132f762dcdaa48c480a8a422b7f323ab",
+    ),
+    "cube3-quadratic-sigmoid": (
+        ["--target", "poly:x1^2+x2^2+x3^2", "--domain", "euclidean:3",
+         "--codomain", "euclidean:1", "--base-x", "[0, 0, 0]", "--radius", "0.3",
+         "--eps", "0.15", "--activation", "sigmoid"],
+        {"apriori_bound": 0.3579980833481791, "audit_points": 200,
+         "bernstein_degree": 4, "depth": 1, "eps": 0.15,
+         "measured_error": 0.06672141402543076, "param_count": 31,
+         "target": "poly:x1^2+x2^2+x3^2", "width": 6},
+        "c307d1bd3656298807b0de321a0de3373ba7364e31d696755a15381593a5e552",
+    ),
+    "cube3-product-sigmoid": (
+        ["--target", "poly:x1*x2*x3", "--domain", "euclidean:3",
+         "--codomain", "euclidean:1", "--base-x", "[0, 0, 0]", "--radius", "0.5",
+         "--eps", "0.05", "--activation", "sigmoid"],
+        {"apriori_bound": 0.4436466842628306, "audit_points": 200,
+         "bernstein_degree": 1, "depth": 1, "eps": 0.05,
+         "measured_error": 0.002048964841993982, "param_count": 136,
+         "target": "poly:x1*x2*x3", "width": 27},
+        "d59d6989971efac267f96d39e284a7a3fcde5405517023ffeb24537bb619bc33",
     ),
     "poly-hidden-and-constant": (
         ["--target", "poly:x1*x2,3", "--domain", "euclidean:2",

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gdn.approx.synthesis import finite_diff_derivative
 from gdn.errors import NumericError, ValidationError
 from gdn.network import (
     _REGISTRY,
@@ -166,6 +167,26 @@ class TestRegistry:
         grid = np.concatenate([-ends[::-1], [0.0], ends, np.linspace(-50.0, 50.0, 100001)])
         grid.sort()
         assert np.all(np.diff(act(grid)) >= 0.0)
+
+    @pytest.mark.parametrize("act", BY_CLASS["smooth-nonpoly"], ids=lambda a: a.name)
+    def test_stencil_offsets_keep_the_derivatives_off_zero(self, act):
+        # for the stencils of order <= k, the offset theta0[k-1] must leave
+        # every derivative estimate up to order k above 1e-6 at h = 1e-2 and
+        # at h = 5e-3, the two within 30%: the estimate of a true zero is pure
+        # O(h) stencil error, which halves with h
+        assert len(act.theta0) == 6
+        for k, theta in enumerate(act.theta0, start=1):
+            assert theta in np.linspace(-3.0, 3.0, 121)
+            for j in range(k + 1):
+                d1 = finite_diff_derivative(act, j, 1.0, theta, 1e-2)
+                d2 = finite_diff_derivative(act, j, 1.0, theta, 5e-3)
+                assert abs(d2) > 1e-6
+                assert abs(d1 - d2) <= 0.3 * max(abs(d1), abs(d2))
+
+    @pytest.mark.parametrize("act", BY_CLASS["piecewise-linear"] + BY_CLASS["nonaffine-poly"],
+                             ids=lambda a: a.name)
+    def test_only_smooth_activations_have_offsets(self, act):
+        assert act.theta0 == ()
 
     @pytest.mark.parametrize("act", list(_REGISTRY.values()), ids=lambda a: a.name)
     def test_saved_breakpoints(self, act):

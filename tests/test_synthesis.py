@@ -29,7 +29,6 @@ from gdn.approx.synthesis import (
     compile_function_to_shallow,
     compile_poly_to_shallow,
     finite_diff_derivative,
-    select_theta0,
 )
 from gdn.errors import InfeasibleDegreeError, UnsupportedError, ValidationError
 from gdn.manifolds.zoo import row_norms
@@ -158,19 +157,6 @@ class TestFiniteDiff:
         e1 = abs(finite_diff_derivative(EXP, k, z, 0.0, h) - truth)
         e2 = abs(finite_diff_derivative(EXP, k, z, 0.0, h / 2.0) - truth)
         assert 0.35 <= e2 / e1 <= 0.65
-
-
-class TestSelectTheta0:
-    def test_exp_keeps_registered_offset(self):
-        assert select_theta0(EXP, 6) == 0.0
-
-    def test_sigmoid_moves_off_zero(self):
-        # sigma''(0) = 0 for the sigmoid, so theta0 = 0 must be rejected
-        sig = get_activation("sigmoid")
-        theta = select_theta0(sig, 3)
-        assert theta != 0.0
-        for k in range(1, 4):
-            assert abs(finite_diff_derivative(sig, k, 1.0, theta, 1e-2)) > 1e-6
 
 
 class TestCompilePoly:
@@ -347,6 +333,18 @@ class TestCompileFunction:
 
         with pytest.raises(ValidationError, match="^eps must be positive$"):
             compile_function_to_shallow(f, 1, 1, eps, EXP)
+
+    @pytest.mark.parametrize("name", ["relu", "leaky-relu", "square"])
+    def test_nonsmooth_activation_refused_before_any_oracle_call(self, name):
+        rows = []
+
+        def f(x):
+            rows.append(len(x))
+            return x[:, :1] * x[:, 1:2]
+
+        with pytest.raises(UnsupportedError, match="^shallow synthesis needs a smooth "):
+            compile_function_to_shallow(f, 2, 1, 0.1, get_activation(name))
+        assert rows == []
 
     def test_infeasible_budgets_fail_fast(self):
         import time
