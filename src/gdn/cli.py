@@ -30,7 +30,7 @@ from . import __version__
 from .errors import GdnError, ParseError, ValidationError
 from .manifolds.core import log_chart_lipschitz, resolve_manifold
 from .manifolds.zoo import as_point
-from .model import GDNModel, gdn_from_dict, save_gdn
+from .model import GDNModel, gdn_from_dict, save_gdn, write_output
 from .network import get_activation, net_from_dict, param_count, width
 # a module-level name: perfbench/spans.py reads gdn.cli.resolve_target to
 # count the target oracle's calls
@@ -239,8 +239,7 @@ def cmd_certify(args) -> int:
     # the bytes _json_out prints, written to --out as well
     text = json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        write_output(args.out, text)
     sys.stdout.write(text)
     return 0
 
@@ -323,7 +322,9 @@ def cmd_bench(args) -> int:
         raise ParseError("bench config needs a non-empty 'runs' list")
     header = list(_BENCH_COLUMNS) + (["wall_time_s"] if args.timing else [])
     # each row is written as soon as its run finishes, so a failing run
-    # leaves the rows before it in the report
+    # leaves the rows before it in the report.  The open truncates: written
+    # in place like compile's and certify's outputs (write_output), a failing
+    # run would leave an older, longer report's tail after those rows
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as report:
         report.write(",".join(header) + "\n")

@@ -6,6 +6,8 @@ map ``Exp_{Y, base_y} o g o Exp^{-1}_{X, base_x}``.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ __all__ = [
     "gdn_to_dict",
     "gdn_from_dict",
     "save_gdn",
+    "write_output",
 ]
 
 
@@ -116,5 +119,30 @@ def gdn_from_dict(d: dict) -> GDNModel:
 def save_gdn(model: GDNModel, path: str) -> None:
     # json.dumps runs the C encoder; json.dump would stream through the
     # pure-Python one, with the same bytes
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(gdn_to_dict(model)) + "\n")
+    write_output(path, json.dumps(gdn_to_dict(model)) + "\n")
+
+
+def write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8, leaving what ``open(path, "w")``
+    leaves: the same bytes, and an existing file's inode, hard links,
+    symlink target and mode.
+
+    The file is opened without ``O_TRUNC``.  Truncating a file whose previous
+    contents are still being written back waits for that I/O, and a loop
+    that rewrites one output pays that wait on every write; writing over the
+    old bytes does not.  A regular file is cut to the new length afterwards,
+    so a shorter output leaves no old tail.  Other targets (``/dev/null``, a
+    FIFO or pipe, a tty) ignore ``O_TRUNC`` and are not cut, since a pipe
+    refuses ``ftruncate``.  As with a truncating open, the write is not
+    atomic.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

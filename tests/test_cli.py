@@ -3,6 +3,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -660,6 +661,72 @@ class TestCertify:
         assert code == 1
 
 
+class TestOutFiles:
+    """``compile --out`` and ``certify --out`` write in place, and leave what a
+    truncating write would: the same bytes, inode, links and mode."""
+
+    @staticmethod
+    def argv(tmp_path, command, out):
+        if command == "compile":
+            return TestUsageErrors.COMPILE + ["--out", str(out)]
+        ds, vals = tmp_path / "ds.csv", tmp_path / "vals.csv"
+        ds.write_text("0\n0.25\n0.5\n1\n")
+        vals.write_text("0.1\n0.3\n0.2\n0.7\n")
+        return ["certify", "--dataset", str(ds), "--values", str(vals),
+                "--domain", "euclidean:1", "--codomain", "euclidean:1",
+                "--base-x", "[0]", "--base-y", "[0]", "--out", str(out)]
+
+    def fresh(self, capsys, tmp_path, command):
+        out = tmp_path / "fresh.json"
+        code, stdout, _ = run(capsys, *self.argv(tmp_path, command, out))
+        assert code == 0
+        return out, stdout, out.read_bytes()
+
+    @pytest.mark.parametrize("command", ["compile", "certify"])
+    def test_a_longer_old_file_is_cut_to_the_new_bytes(self, capsys, tmp_path, command):
+        _, _, data = self.fresh(capsys, tmp_path, command)
+        out = tmp_path / "old.json"
+        out.write_bytes(b"x" * (10 * len(data)))
+        assert run(capsys, *self.argv(tmp_path, command, out))[0] == 0
+        assert out.read_bytes() == data
+
+    @pytest.mark.parametrize("command", ["compile", "certify"])
+    def test_the_file_keeps_its_inode_links_and_mode(self, capsys, tmp_path, command):
+        _, _, data = self.fresh(capsys, tmp_path, command)
+        out, link, alias = tmp_path / "out.json", tmp_path / "link.json", tmp_path / "alias.json"
+        out.write_text("old contents\n" * 100)
+        out.chmod(0o640)
+        link.hardlink_to(out)
+        alias.symlink_to(out)
+        before = out.stat()
+        for target in (out, alias):
+            assert run(capsys, *self.argv(tmp_path, command, target))[0] == 0
+            after = out.stat()
+            assert (after.st_ino, after.st_mode, after.st_nlink) == (
+                before.st_ino, before.st_mode, 2)
+            assert alias.is_symlink() and alias.readlink() == out
+            assert out.read_bytes() == link.read_bytes() == data
+
+    @pytest.mark.parametrize("target", ["dev-null", "pipe"])
+    @pytest.mark.parametrize("command", ["compile", "certify"])
+    def test_a_device_or_pipe_is_written_and_not_cut(self, capsys, tmp_path, command,
+                                                     target):
+        # neither is a regular file, so neither is truncated: a pipe refuses
+        # ftruncate.  The output is a few kB and fits the pipe's buffer
+        fresh, stdout, data = self.fresh(capsys, tmp_path, command)
+        read_end, write_end = os.pipe()
+        path = "/dev/null" if target == "dev-null" else f"/dev/fd/{write_end}"
+        with os.fdopen(read_end, "rb") as pipe:
+            try:
+                code, out, err = run(capsys, *self.argv(tmp_path, command, path))
+            finally:
+                os.close(write_end)
+            assert pipe.read() == (b"" if target == "dev-null" else data)
+        assert (code, err) == (0, "")
+        # compile's summary names its --out path; certify's names none
+        assert out == stdout.replace(json.dumps(str(fresh)), json.dumps(path))
+
+
 class TestBench:
     CONFIG = {
         "runs": [
@@ -736,6 +803,8 @@ class TestBench:
     def test_failing_compile_names_its_run_after_the_rows_before_it(
             self, capsys, tmp_path, to_file):
         _, first, _ = self.report(capsys, tmp_path, [self.ROTATION], to_file)
+        # an older, longer report: the rows before the failure replace it whole
+        (tmp_path / "report.csv").write_text("an older report's row\n" * 50)
         code, text, err = self.report(
             capsys, tmp_path, [self.ROTATION, {**self.ROTATION, "radius": 4.0}], to_file)
         assert code == 2

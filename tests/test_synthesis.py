@@ -17,8 +17,10 @@ from gdn.approx.modulus import LipschitzModulus, empirical_modulus, pair_inputs
 from gdn.approx.polynomials import (
     LinearFormPoly,
     decompose_polynomial,
+    monomial_counts,
     poly_eval,
     poly_total_degree,
+    reciprocal_approx,
 )
 from gdn.approx.synthesis import (
     _DEGREE_CAP,
@@ -465,3 +467,30 @@ class TestMultiOutput:
         assert len(net.layers) == 1
         assert not net.layers[0].weights.any()
         assert net.layers[0].bias.tolist() == [2.0, 3.0]
+
+
+class TestApiRefusals:
+    """Refusals of the approximation API that no command reaches, each met by
+    one call, with its exact message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: finite_diff_derivative(EXP, -1, 1.0, 0.0, 1e-3),
+         "difference order must be nonnegative"),
+        (lambda: finite_diff_derivative(EXP, 1, 1.0, 0.0, 0.0), "step h must be positive"),
+        (lambda: decompose_polynomial({(2,): 1.0}, 1, 1),
+         "declared degree is below the polynomial's total degree"),
+        (lambda: monomial_counts(0, 1), "n and p must be >= 1"),
+        (lambda: reciprocal_approx(0.5, -1), "n_a must be nonnegative"),
+        (lambda: BernsteinModel(0, 1, np.zeros((1, 1))),
+         "Bernstein degree and dimension must be >= 1"),
+        (lambda: BernsteinModel(2, 1, np.zeros((2, 1))),
+         "values must have shape (3, 'm'), got (2, 1)"),
+        (lambda: BernsteinModel(1, 1, [[0.0], [math.nan]]), "lattice values must be finite"),
+    ], ids=["negative-order", "zero-step", "degree-below-total", "zero-degree-counts",
+            "negative-reciprocal-order", "zero-degree-lattice", "lattice-shape",
+            "nan-lattice-value"])
+    def test_refusal(self, call, message):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
